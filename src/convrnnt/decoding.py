@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError
 from .model import TransducerModel
 
@@ -44,35 +45,15 @@ class DecoderState:
         return Hypothesis(list(self.tokens), self.score)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _swish(z):
-    return z * _sigmoid(z)
-
-
 def _label_step(model: TransducerModel, states, x_row: np.ndarray):
     """One step of the label LSTM stack on a [dim] input row, plain numpy."""
     new_states = []
     h_in = x_row
     out = None
     for layer, (h, c) in zip(model.label_encoder.layers, states):
-        hidden = layer.hidden
-        pre = h_in @ layer.w.data + layer.b.data + h @ layer.u.data
-        i = _sigmoid(pre[:, :hidden])
-        f = _sigmoid(pre[:, hidden:2 * hidden])
-        g = np.tanh(pre[:, 2 * hidden:3 * hidden])
-        o = _sigmoid(pre[:, 3 * hidden:])
-        c2 = f * c + i * g
-        h2 = o * np.tanh(c2)
+        h2, c2, _ = T.lstm_cell(h_in @ layer.w.data + layer.b.data, h, c, layer.u.data)
         new_states.append((h2, c2))
-        out = _swish(h2 @ layer.proj.weight.data + layer.proj.bias.data)
+        out = T.swish(T.Tensor(h2 @ layer.proj.weight.data + layer.proj.bias.data)).data
         h_in = out
     return new_states, out[0]
 

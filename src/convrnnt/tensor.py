@@ -11,6 +11,12 @@ Only the operations the transducer model actually needs are provided, and
 broadcasting is restricted to the two cases the model uses (trailing-axis
 bias add and same-shape elementwise products).  That keeps every gradient
 rule short enough to audit by eye.
+
+The one fused op is `lstm`: one tape node runs a whole LSTM layer over a
+sequence, so the tape does not grow with the frame count.  Its forward steps the
+shared numpy cell `lstm_cell` and stores every frame's gate activations and
+cell state; its backward runs through time over them and forms the weight
+and input gradients as whole-sequence GEMMs.
 """
 
 from __future__ import annotations
@@ -343,14 +349,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
             x.accumulate_grad(buf)
 
     return from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
-
-
-def split_columns(x: Tensor, n: int):
-    """Split a [*, n*k] tensor into n equal column blocks."""
-    if x.shape[-1] % n != 0:
-        raise ShapeError(f"split_columns: {x.shape[-1]} columns not divisible by {n}")
-    w = x.shape[-1] // n
-    return [slice_axis(x, x.ndim - 1, i * w, (i + 1) * w) for i in range(n)]
 
 
 def pad_zeros(x: Tensor, pads) -> Tensor:
@@ -731,3 +729,83 @@ def outer_sum(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g.sum(axis=0))
 
     return from_op(a.data[:, None, :] + b.data[None, :, :], (a, b), backward)
+
+
+def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray):
+    """One LSTM step in plain numpy, gate order input, forget, candidate, output.
+
+    `pre` is the frame's input projection `x @ w + b` as a [1, 4H] row, `h`
+    and `c` the [1, H] state, `u` the [H, 4H] recurrent weight.  Returns the
+    new `(h, c)` and the [1, 4H] gate activations (sigmoid i, f, o; tanh g).
+    """
+    hid = h.shape[1]
+    s = pre + h @ u
+    gates = _sigmoid(s)
+    gates[:, 2 * hid:3 * hid] = np.tanh(s[:, 2 * hid:3 * hid])
+    i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+    c2 = f * c + i * g
+    h2 = o * np.tanh(c2)
+    return h2, c2, gates
+
+
+def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
+    """Hidden states [T, H] of one LSTM layer run over x [T, n_in] from a zero state.
+
+    One tape node for the whole sequence.  The forward makes one `x @ w + b`
+    GEMM, then steps `lstm_cell` frame by frame and keeps each frame's gate
+    activations [T, 4H] and cell state [T, H].  The backward runs through
+    time over those, then forms the gradients of x, w, u and b as
+    whole-sequence GEMMs.
+    """
+    x, w, u, b = (_as_tensor(v) for v in (x, w, u, b))
+    hid = u.shape[0]
+    if (x.ndim != 2 or w.shape != (x.shape[1], 4 * hid) or u.shape != (hid, 4 * hid)
+            or b.shape != (4 * hid,)):
+        raise ShapeError(
+            f"lstm: incompatible shapes x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}"
+        )
+    t_len = x.shape[0]
+    # Row t holds frame t's input projection until the step overwrites it
+    # with that frame's gate activations.
+    gates = x.data @ w.data + b.data
+    hs = np.empty((t_len, hid))
+    cs = np.empty((t_len, hid))
+    h = c = np.zeros((1, hid))
+    for t in range(t_len):
+        h, c, gates[t:t + 1] = lstm_cell(gates[t:t + 1], h, c, u.data)
+        hs[t], cs[t] = h[0], c[0]
+
+    def backward(g):
+        i, f, cand, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+        tc = np.tanh(cs)
+        c_prev = np.zeros_like(cs)
+        c_prev[1:] = cs[:-1]
+        # ds = dL/d(pre-activations); per gate block it is dc (i, f, g) or dh
+        # (o) times a factor that does not depend on the recurrence.
+        factor = np.concatenate(
+            [cand * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - cand * cand),
+             tc * o * (1.0 - o)], axis=1,
+        ).reshape(t_len, 4, hid)
+        dc_dh = o * (1.0 - tc * tc)
+        ds = np.empty((t_len, 4, hid))
+        u_t = u.data.T
+        dh_next = np.zeros(hid)
+        dc_next = np.zeros(hid)
+        for t in range(t_len - 1, -1, -1):
+            dh = g[t] + dh_next
+            dc = dc_next + dh * dc_dh[t]
+            ds[t, :3] = dc * factor[t, :3]
+            ds[t, 3] = dh * factor[t, 3]
+            dc_next = dc * f[t]
+            dh_next = ds[t].reshape(-1) @ u_t
+        ds = ds.reshape(t_len, 4 * hid)
+        if x.requires_grad:
+            x.accumulate_grad(ds @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ ds)
+        if u.requires_grad:
+            u.accumulate_grad(hs[:-1].T @ ds[1:])
+        if b.requires_grad:
+            b.accumulate_grad(ds.sum(axis=0))
+
+    return from_op(hs, (x, w, u, b), backward)

@@ -51,7 +51,9 @@ class LSTMLayer:
 
     Gate layout in the fused [*, 4H] pre-activation is input, forget,
     candidate, output.  The forget-gate bias starts at 1; hidden and cell
-    state are zeros at the start of every utterance.
+    state are zeros at the start of every utterance.  The recurrence is one
+    tape node (`tensor.lstm`): it stores the gate activations and cell
+    states of every frame, and its backward runs through time.
     """
 
     def __init__(self, n_in: int, hidden: int, proj: int, rng: np.random.Generator):
@@ -63,31 +65,9 @@ class LSTMLayer:
         self.b.data[hidden:2 * hidden] = 1.0
         self.proj = Linear(hidden, proj, rng)
 
-    def initial_state(self):
-        return Tensor(np.zeros((1, self.hidden))), Tensor(np.zeros((1, self.hidden)))
-
-    def _gates(self, pre: Tensor, h: Tensor, c: Tensor):
-        s = T.add(pre, T.matmul(h, self.u))
-        i, f, g, o = T.split_columns(s, 4)
-        c2 = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
-        h2 = T.mul(T.sigmoid(o), T.tanh(c2))
-        return h2, c2
-
-    def cell_step(self, x_row: Tensor, h: Tensor, c: Tensor):
-        """Advance one time step; x_row is [1, n_in]."""
-        pre = T.add(T.matmul(x_row, self.w), self.b)
-        return self._gates(pre, h, c)
-
     def hidden_states(self, xs: Tensor) -> Tensor:
         """[T, n_in] -> raw hidden states [T, hidden], fresh zero state."""
-        t_len = xs.shape[0]
-        pre_all = T.add(T.matmul(xs, self.w), self.b)
-        h, c = self.initial_state()
-        rows = []
-        for t in range(t_len):
-            h, c = self._gates(T.slice_axis(pre_all, 0, t, t + 1), h, c)
-            rows.append(h)
-        return T.concat(rows, axis=0)
+        return T.lstm(xs, self.w, self.u, self.b)
 
     def project(self, hs: Tensor) -> Tensor:
         return T.swish(self.proj(hs))

@@ -102,3 +102,21 @@ def test_partial_states_copy_independent():
     assert snapshot.pred_row is not state.pred_row
     for (h1, c1), (h2, c2) in zip(snapshot.lstm_states, state.lstm_states):
         assert h1 is not h2 and c1 is not c2
+
+
+def test_label_encoder_rows_match_streaming_pred_rows():
+    from convrnnt.decoding import _label_step
+
+    model, _ = build_model(11)
+    tokens = [3, 1, 4, 1, 5, 2]
+    with T.no_grad():
+        rows = model.label_encoder(tokens).data
+    state = init_state(model)
+    streamed = [state.pred_row]
+    states = state.lstm_states
+    for k in tokens:
+        states, pred = _label_step(model, states, model.label_encoder.embed.table.data[k][None, :])
+        streamed.append(pred)
+    # Not bitwise: the tape projects all inputs with one GEMM, the decoder
+    # one row at a time.
+    assert np.max(np.abs(rows - np.array(streamed))) <= 1e-12

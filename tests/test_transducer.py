@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
-from convrnnt.errors import DataError
+from convrnnt.errors import DataError, ShapeError
 from convrnnt.layers import Linear
 from convrnnt.transducer import (
     AudioEncoder,
@@ -41,18 +41,15 @@ def zero_all(module):
 
 
 def test_lstm_single_step_hand_oracle():
-    layer = LSTMLayer(1, 1, 1, np.random.default_rng(0))
-    layer.w.data[...] = 1.0
-    layer.u.data[...] = 1.0
-    layer.b.data[...] = 0.0
-    h, c = layer.initial_state()
-    h2, c2 = layer.cell_step(T.Tensor([[1.0]]), h, c)
+    # x = 1 with w = 1 and b = 0 gives the pre-activation row 1; u = 1.
+    zero = np.zeros((1, 1))
+    h2, c2, _ = T.lstm_cell(np.ones((1, 4)), zero, zero, np.ones((1, 4)))
     # Scripted single-step reference with explicit gate formulas.
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     c_ref = sig(1.0) * 0.0 + sig(1.0) * math.tanh(1.0)
     h_ref = sig(1.0) * math.tanh(c_ref)
-    assert abs(c2.data[0, 0] - c_ref) <= 1e-12
-    assert abs(h2.data[0, 0] - h_ref) <= 1e-12
+    assert abs(c2[0, 0] - c_ref) <= 1e-12
+    assert abs(h2[0, 0] - h_ref) <= 1e-12
 
 
 def test_lstm_zero_weights_zero_hidden():
@@ -67,6 +64,39 @@ def test_lstm_forget_bias_initialized_to_one():
     layer = LSTMLayer(3, 4, 4, np.random.default_rng(2))
     assert np.all(layer.b.data[4:8] == 1.0)
     assert np.all(layer.b.data[:4] == 0.0) and np.all(layer.b.data[8:] == 0.0)
+
+
+@pytest.mark.parametrize("t_len", [7, 1])
+def test_lstm_hidden_states_gradient_matches_fd(t_len):
+    layer = LSTMLayer(3, 4, 4, np.random.default_rng(22))
+    rng = np.random.default_rng(23)
+    for p in (layer.w, layer.u, layer.b):
+        p.data[...] = rng.uniform(-0.8, 0.8, p.shape)
+    x = rng.standard_normal((t_len, 3))
+    seed = rng.standard_normal((t_len, 4))
+
+    xt = T.Tensor(x, requires_grad=True)
+    layer.hidden_states(xt).backward(seed)
+
+    def f(arr, target):
+        saved = target.copy()
+        target[...] = arr
+        try:
+            with T.no_grad():
+                return float((layer.hidden_states(T.Tensor(x)).data * seed).sum())
+        finally:
+            target[...] = saved
+
+    assert rel_err(xt.grad, fd_gradient(lambda a: f(a, x), x.copy())) <= 1e-6
+    for p in (layer.w, layer.u, layer.b):
+        assert rel_err(p.grad, fd_gradient(lambda a: f(a, p.data), p.data.copy())) <= 1e-6
+
+
+def test_lstm_rejects_mismatched_shapes():
+    x, w, u, b = np.zeros((5, 3)), np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(16)
+    for args in ((x, w[:2], u, b), (x, w, u[:, :12], b), (x, w, u, b[:12]), (x[0], w, u, b)):
+        with pytest.raises(ShapeError):
+            T.lstm(*args)
 
 
 def test_lstm_state_isolation_bitwise():
