@@ -31,7 +31,7 @@ class Linear:
         self.bias = zeros_param(n_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]

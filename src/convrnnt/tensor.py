@@ -12,11 +12,17 @@ broadcasting is restricted to the two cases the model uses (trailing-axis
 bias add and same-shape elementwise products).  That keeps every gradient
 rule short enough to audit by eye.
 
-The one fused op is `lstm`: one tape node runs a whole LSTM layer over a
-sequence, so the tape does not grow with the frame count.  Its forward steps the
-shared numpy cell `lstm_cell` and stores every frame's gate activations and
-cell state; its backward runs through time over them and forms the weight
-and input gradients as whole-sequence GEMMs.
+Two ops are fused, each one tape node:
+
+- `lstm` runs a whole LSTM layer over a sequence, so the tape does not grow
+  with the frame count.  Its forward steps the shared numpy cell `lstm_cell`
+  and stores every frame's gate activations and cell state; its backward
+  runs through time over them and forms the weight and input gradients as
+  whole-sequence GEMMs.
+- `linear` is `x @ w + b` over the last axis of an input of rank 2 or more.  It
+  keeps one output array (the bias is added in place) and forms the three
+  gradients straight from the incoming one, so a wide output such as the
+  joint's logits is not copied on the way back.
 """
 
 from __future__ import annotations
@@ -80,8 +86,11 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # The same bits and layout as zeros + g (adding 0.0 turns -0.0
+            # into +0.0), without first filling a buffer with zeros.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -170,6 +179,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(out_data, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` over the last axis of x [..., n_in], with w [n_in, n_out].
+
+    One tape node with the bits of `add(matmul(x2d, w), b)`: the forward adds
+    the bias in place into the GEMM output, and the backward forms
+    `g @ w.T`, `x.T @ g` and the bias sum from the incoming gradient rows.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
+    x2d = x.data.reshape(-1, w.shape[0])
+    out = x2d @ w.data
+    out += b.data
+
+    def backward(g):
+        g2d = g.reshape(out.shape)
+        if x.requires_grad:
+            x.accumulate_grad((g2d @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w.accumulate_grad(x2d.T @ g2d)
+        if b.requires_grad:
+            b.accumulate_grad(g2d.sum(axis=0))
+
+    return from_op(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), backward)
+
+
 def add(a: Tensor, b) -> Tensor:
     """Elementwise add; also accepts a trailing-axis bias vector for `b`."""
     a = _as_tensor(a)
@@ -247,12 +282,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    # overflows; one exp over -|z| serves both halves without masks.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:

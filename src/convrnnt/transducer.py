@@ -175,12 +175,9 @@ class Joint:
         self.out = Linear(cfg.joint_dim, cfg.vocab_size + 1, rng)
 
     def __call__(self, enc: Tensor, pred: Tensor) -> Tensor:
-        t_len, u_len = enc.shape[0], pred.shape[0]
         z = T.add(T.outer_sum(T.matmul(enc, self.enc_proj), T.matmul(pred, self.pred_proj)),
                   self.bias)
-        z = T.tanh(z)
-        flat = self.out(T.reshape(z, (t_len * u_len, self.cfg.joint_dim)))
-        return T.reshape(flat, (t_len, u_len, self.cfg.vocab_size + 1))
+        return self.out(T.tanh(z))
 
     def params(self):
         return [

@@ -131,3 +131,13 @@ def levenshtein(ref, hyp):
             cost = 0 if ref[i - 1] == hyp[j - 1] else 1
             d[i, j] = min(d[i - 1, j] + 1, d[i, j - 1] + 1, d[i - 1, j - 1] + cost)
     return int(d[m, n])
+
+
+def sigmoid_masked(z):
+    """Logistic sigmoid with separate overflow-safe forms for z >= 0 and z < 0."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

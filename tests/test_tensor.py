@@ -6,7 +6,9 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.errors import ConfigError, ShapeError
 
-from oracles import conv1d_naive, conv2d_naive, fd_gradient, prefix_mean_naive, rel_err
+from oracles import (
+    conv1d_naive, conv2d_naive, fd_gradient, prefix_mean_naive, rel_err, sigmoid_masked,
+)
 
 GRAD_TOL = 1e-4
 
@@ -61,6 +63,54 @@ def test_matmul_gradient_matches_fd():
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))
     check_grad(lambda x, y: T.sum_all(T.matmul(x, y)), [a, b], tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# linear
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(5,), (4, 3)])
+def test_linear_matches_matmul_add_bitwise(lead):
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal(lead + (6,))
+    w = rng.standard_normal((6, 7))
+    b = rng.standard_normal(7)
+    seed = rng.standard_normal(lead + (7,))
+
+    fused = [T.Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = T.linear(*fused)
+    out.backward(seed)
+
+    xx, ww, bb = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    ref = T.reshape(T.add(T.matmul(T.reshape(xx, (-1, 6)), ww), bb), lead + (7,))
+    ref.backward(seed)
+
+    assert same_bits(out.data, ref.data)
+    for got, want in zip(fused, (xx, ww, bb)):
+        assert same_bits(got.grad, want.grad)
+
+
+def test_linear_gradient_matches_fd():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((3, 2, 4))
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+    check_grad(lambda xx, ww, bb: weighted_sum(T.linear(xx, ww, bb)), [x, w, b], tol=1e-6)
+
+
+def test_linear_rejects_mismatched_shapes():
+    x, w = T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((4, 5)))
+    with pytest.raises(ShapeError):
+        T.linear(x, T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        T.linear(x, w, T.Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        T.linear(T.Tensor(np.zeros(4)), w, T.Tensor(np.zeros(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +211,18 @@ def test_conv2d_gradient():
 
 def test_swish_at_zero():
     assert T.swish(T.Tensor([0.0])).data[0] == 0.0
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    rng = np.random.default_rng(42)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300,
+                      36.0, -36.0, 710.0, -745.0])
+    for z in (edges, rng.standard_normal((1, 256)) * 8, rng.standard_normal((50, 512)) * 30):
+        got, want = T._sigmoid(z), sigmoid_masked(z)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        # Sign bits included: compare the raw bytes of every non-NaN entry.
+        assert same_bits(got[~nan], want[~nan])
 
 
 def test_logsumexp_of_two_zeros():
@@ -380,6 +442,19 @@ def test_no_grad_suppresses_tape():
     with T.no_grad():
         y = T.relu(x)
     assert y._parents == () and not y.requires_grad
+
+
+def test_first_accumulation_is_zeros_plus_g_bitwise():
+    rng = np.random.default_rng(43)
+    g_t = rng.standard_normal((5, 3)).T  # a transposed (F-order) gradient
+    g_z = np.array([[-0.0, 0.0, -1.5], [2.0, -0.0, -0.0]])
+    for g in (g_t, g_z):
+        x = T.Tensor(np.ones(g.shape), requires_grad=True)
+        x.accumulate_grad(g)
+        assert same_bits(x.grad, np.zeros_like(x.data) + g)
+        assert x.grad.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(x.grad, g)
+    assert not np.signbit(x.grad[x.grad == 0.0]).any()
 
 
 def test_grad_lengths_match_data():

@@ -221,6 +221,34 @@ def test_joint_gradient_matches_fd():
     assert rel_err(pred_t.grad, fd_gradient(f_pred, pred.copy())) <= 1e-4
 
 
+def test_joint_matches_primitive_composition_bitwise():
+    joint = Joint(CFG, np.random.default_rng(17))
+    rng = np.random.default_rng(18)
+    enc = rng.standard_normal((4, CFG.proj_dim))
+    pred = rng.standard_normal((3, CFG.label_proj))
+    n_out = CFG.vocab_size + 1
+    seed = rng.standard_normal((4, 3, n_out))
+    params = [p for _, p in joint.params()]
+
+    def run(fn):
+        for p in params:
+            p.zero_grad()
+        e, q = T.Tensor(enc, requires_grad=True), T.Tensor(pred, requires_grad=True)
+        out = fn(e, q)
+        out.backward(seed)
+        return [out.data, e.grad, q.grad] + [p.grad.copy() for p in params]
+
+    def primitives(e, q):
+        z = T.add(T.outer_sum(T.matmul(e, joint.enc_proj), T.matmul(q, joint.pred_proj)),
+                  joint.bias)
+        flat = T.reshape(T.tanh(z), (4 * 3, CFG.joint_dim))
+        flat = T.add(T.matmul(flat, joint.out.weight), joint.out.bias)
+        return T.reshape(flat, (4, 3, n_out))
+
+    for got, want in zip(run(joint), run(primitives)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # frontend fusion
 
