@@ -4,6 +4,12 @@
 The depthwise dilations double per block, so the convolutional receptive
 field grows geometrically, while the squeeze-excite gate folds in a prefix
 mean over *all* past steps.  Every block preserves the [T, D] shape.
+
+Each block is one tape node for a whole batch (`GlobalBlock.forward_batch`):
+its forward runs the convolutions, batch-norms, excitation, dropout and
+residual in numpy, and its hand-written backward forms the gradients of the
+inputs and of the 14 block parameters.  The op-by-op composition it replaces
+is kept as the test oracle `global_block_per_op` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .layers import BatchNormTime, Conv1dLayer, Linear
+from .layers import BatchNormTime, Conv1dLayer, Linear, collect_params
 from .tensor import Tensor
 
 
@@ -48,20 +54,6 @@ class GlobalEncoderConfig:
         return 1 + sum((self.dw_kernel - 1) * d for d in self.dilations())
 
 
-def causal_prefix_mean(z: Tensor) -> Tensor:
-    """Row i is the mean of rows 0..i; the causal 'squeeze' statistic."""
-    return T.prefix_mean(z)
-
-
-def squeeze_excite(z: Tensor, reduce: Linear, expand: Linear) -> Tensor:
-    """Gate each step of [T, D] by sigmoid(expand(relu(reduce(prefix mean)))).
-
-    The gate at step i depends only on steps <= i, so excitation stays causal.
-    """
-    gate = T.sigmoid(expand(T.relu(reduce(causal_prefix_mean(z)))))
-    return T.mul(z, gate)
-
-
 class GlobalBlock:
     def __init__(self, cfg: GlobalEncoderConfig, dilation: int, rng: np.random.Generator):
         d, e = cfg.d_model, cfg.expansion * cfg.d_model
@@ -75,16 +67,6 @@ class GlobalBlock:
         self.se_reduce = Linear(d, cfg.se_bottleneck, rng)
         self.se_expand = Linear(cfg.se_bottleneck, d, rng)
 
-    def __call__(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-        se_enabled: bool | None = None,
-    ) -> Tensor:
-        return self.forward_batch([x], training, rng, update_stats, se_enabled)[0]
-
     def forward_batch(
         self,
         xs,
@@ -93,47 +75,200 @@ class GlobalBlock:
         update_stats: bool | None = None,
         se_enabled: bool | None = None,
     ):
-        """Apply the block to a batch of [T_i, D] sequences.
+        """Apply the block to a batch of [T_i, D] sequences as one tape node.
 
         Convolutions, excitation, and the residual stay per-utterance, but
         batch-norm statistics pool over the whole batch's frames (time-axis
         concatenation), so training-mode normalization matches what the
         frozen running stats will see at eval time.
+
+        The utterances sit side by side in [E, N] and [N, D] buffers
+        (N = sum T_i), so every elementwise step runs once per batch; the
+        GEMMs, sums and prefix sums run per utterance on views of them.  The
+        node has the bits of the op-by-op composition: the same float
+        operations in the same order, the dropout RNG drawn in utterance
+        order, and each parameter's gradient accumulated utterance by
+        utterance in reverse, as the tape would.  Where a depthwise tap would
+        read another utterance's frames (or the causal padding), it adds a
+        zero.  When no gradient is recorded the node keeps nothing and works
+        in place.  A batch of more than one sequence returns row slices of
+        the node's [N, D] output.
         """
         cfg = self.cfg
-        if se_enabled is None:
-            se_enabled = cfg.se_enabled
-        hs = [T.relu(self.pw_in(T.transpose2d(x))) for x in xs]  # [D*, T_i]
-        hs = self._norm_batch(self.norm_in, hs, training, update_stats)
-        hs = [
-            T.relu(self.dw(T.pad_left_time(h, (cfg.dw_kernel - 1) * self.dilation)))
-            for h in hs
-        ]
-        hs = self._norm_batch(self.norm_dw, hs, training, update_stats)
-        out = []
-        for x, h in zip(xs, hs):
-            z = T.transpose2d(self.pw_out(h))  # [T, D]
-            if se_enabled:
-                z = squeeze_excite(z, self.se_reduce, self.se_expand)
-            z = T.dropout(z, cfg.dropout_p, training, rng)
-            out.append(T.add(x, z))
+        se = cfg.se_enabled if se_enabled is None else se_enabled
+        params = [p for _, p in self.params()]
+        record = T.records(list(xs) + params)
+        lengths = [x.shape[0] for x in xs]
+        ends = np.cumsum(lengths).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        n_rows = ends[-1]
+        # Frame index within its own utterance, for each of the N columns.
+        local = np.arange(n_rows) - np.repeat([a for a, _ in spans], lengths)
+        shifts = [(cfg.dw_kernel - 1 - j) * self.dilation for j in range(cfg.dw_kernel)]
+        # Per shift s of a batch, the columns from s on whose tap stays inside
+        # their own utterance; one utterance never reaches outside itself.
+        inside = {s: local[s:] >= s for s in shifts if 0 < s < n_rows and len(xs) > 1}
+
+        def pointwise(w, x, out):
+            # out = w @ x, one GEMM per utterance's columns.
+            for a, b in spans:
+                np.matmul(w, x[:, a:b], out=out[:, a:b])
+
+        x_all = xs[0].data if len(xs) == 1 else np.concatenate([x.data for x in xs])
+
+        # pointwise in -> ReLU -> batch-norm, [E, N]
+        w_in = self.pw_in.weight.data[:, :, 0]
+        xt = np.ascontiguousarray(x_all.T)
+        h = np.empty((w_in.shape[0], n_rows))
+        pointwise(w_in, xt, h)
+        h += self.pw_in.bias.data[:, None]
+        mask_in = T.relu_(h)
+        xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, update_stats,
+                                                out=h)
+        a_in = self._affine(self.norm_in, xhat_in, record)
+
+        # causal dilated depthwise -> ReLU -> batch-norm
+        w_dw = self.dw.weight.data[:, 0, :]
+        h = np.zeros_like(a_in)
+        for j, s in enumerate(shifts):
+            if s >= n_rows:
+                continue
+            tap = w_dw[:, j:j + 1] * a_in[:, :n_rows - s]
+            if s in inside:
+                tap *= inside[s]
+            h[:, s:] += tap
+        del tap
+        if not record:
+            del a_in, xhat_in, xt
+        h += self.dw.bias.data[:, None]
+        mask_dw = T.relu_(h)
+        xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, update_stats,
+                                                out=h)
+        a_dw = self._affine(self.norm_dw, xhat_dw, record)
+
+        # pointwise out, squeeze-excite, dropout and the residual, [N, D]
+        w_out = self.pw_out.weight.data[:, :, 0]
+        zc = np.empty((cfg.d_model, n_rows))
+        pointwise(w_out, a_dw, zc)
+        if not record:
+            del a_dw, xhat_dw
+        zc += self.pw_out.bias.data[:, None]
+        z = np.ascontiguousarray(zc.T)
+        del zc
+        counts = (local + 1.0)[:, None]
+        m = r = gate = None
+        if se:
+            m = np.empty_like(z)
+            for a, b in spans:
+                np.cumsum(z[a:b], axis=0, out=m[a:b])
+            m /= counts
+            r = self._rows(m, self.se_reduce, spans)
+            T.relu_(r)
+            gate = T._sigmoid(self._rows(r, self.se_expand, spans))
+            y = z * gate if record else np.multiply(z, gate, out=z)
+        else:
+            y, z = z, None
+        keep = T.dropout_mask(y.shape, cfg.dropout_p, training, rng)
+        if keep is not None:
+            y *= keep
+        out = np.add(y, x_all, out=y)
+
+        if not record:
+            return [Tensor(out)] if len(xs) == 1 else [Tensor(out[a:b]) for a, b in spans]
+
+        def backward(g):
+            for x, (a, b) in reversed(list(zip(xs, spans))):
+                if x.requires_grad:
+                    x.accumulate_grad(g[a:b])
+            if keep is not None:
+                g = g * keep
+            if se:
+                dz = g * gate
+                de = g * z
+                de *= gate
+                de *= 1.0 - gate
+                dr = self._rows_backward(de, r, self.se_expand, spans)
+                dr *= r > 0.0
+                dm = self._rows_backward(dr, m, self.se_reduce, spans)
+                dm /= counts
+                for a, b in spans:
+                    dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
+            else:
+                dz = g
+            dzc = np.ascontiguousarray(dz.T)
+            g_dw = np.empty_like(a_dw)
+            for a, b in reversed(spans):
+                _accumulate(self.pw_out.bias, dzc[:, a:b].sum(axis=1))
+                _accumulate(self.pw_out.weight, (dzc[:, a:b] @ a_dw[:, a:b].T)[:, :, None])
+                np.matmul(w_out.T, dzc[:, a:b], out=g_dw[:, a:b])
+
+            g_h = self._norm_backward(self.norm_dw, g_dw, xhat_dw, inv_dw, training)
+            g_h *= mask_dw
+            for a, b in reversed(spans):
+                _accumulate(self.dw.bias, g_h[:, a:b].sum(axis=1))
+            # Tap products over every column, zero where the tap reads the
+            # padding, so each utterance's sum adds the same terms in order.
+            prods = np.zeros((len(shifts),) + g_h.shape)
+            g_in = np.zeros_like(a_in)
+            for j, s in enumerate(shifts):
+                if s >= n_rows:
+                    continue
+                np.multiply(g_h[:, s:], a_in[:, :n_rows - s], out=prods[j, :, s:])
+                back = w_dw[:, j:j + 1] * g_h[:, s:]
+                if s in inside:
+                    prods[j, :, s:] *= inside[s]
+                    back *= inside[s]
+                g_in[:, :n_rows - s] += back
+            for a, b in reversed(spans):
+                _accumulate(self.dw.weight, prods[:, :, a:b].sum(axis=2).T[:, None, :])
+
+            g_h = self._norm_backward(self.norm_in, g_in, xhat_in, inv_in, training)
+            g_h *= mask_in
+            for x, (a, b) in reversed(list(zip(xs, spans))):
+                _accumulate(self.pw_in.bias, g_h[:, a:b].sum(axis=1))
+                _accumulate(self.pw_in.weight, (g_h[:, a:b] @ xt[:, a:b].T)[:, :, None])
+                if x.requires_grad:
+                    x.accumulate_grad((w_in.T @ g_h[:, a:b]).T)
+
+        node = T.from_op(out, tuple(xs) + tuple(params), backward)
+        return [node] if len(xs) == 1 else [T.slice_axis(node, 0, a, b) for a, b in spans]
+
+    @staticmethod
+    def _rows(x: np.ndarray, lin: Linear, spans) -> np.ndarray:
+        """`x @ w + b` for each utterance's rows of x [N, n_in]."""
+        out = np.empty((x.shape[0], lin.weight.shape[1]))
+        for a, b in spans:
+            np.matmul(x[a:b], lin.weight.data, out=out[a:b])
+        out += lin.bias.data
         return out
 
     @staticmethod
-    def _norm_batch(norm: BatchNormTime, hs, training, update_stats):
-        if len(hs) == 1:
-            return [norm(hs[0], training, update_stats)]
-        lengths = [h.shape[1] for h in hs]
-        normed = norm(T.concat(hs, axis=1), training, update_stats)
-        out = []
-        offset = 0
-        for n in lengths:
-            out.append(T.slice_axis(normed, 1, offset, offset + n))
-            offset += n
+    def _rows_backward(g: np.ndarray, x: np.ndarray, lin: Linear, spans) -> np.ndarray:
+        """Accumulate the weight and bias gradients of `_rows`; returns the input gradient."""
+        dx = np.empty_like(x)
+        for a, b in reversed(spans):
+            np.matmul(g[a:b], lin.weight.data.T, out=dx[a:b])
+            _accumulate(lin.weight, x[a:b].T @ g[a:b])
+            _accumulate(lin.bias, g[a:b].sum(axis=0))
+        return dx
+
+    @staticmethod
+    def _affine(norm: BatchNormTime, xhat: np.ndarray, record: bool) -> np.ndarray:
+        """gamma * xhat + beta per channel; in place unless xhat is kept for backward."""
+        out = norm.gamma.data[:, None] * xhat if record else np.multiply(
+            xhat, norm.gamma.data[:, None], out=xhat)
+        out += norm.beta.data[:, None]
         return out
 
+    @staticmethod
+    def _norm_backward(norm: BatchNormTime, g, xhat, inv_std, training) -> np.ndarray:
+        dx, dgamma, dbeta = T.batchnorm_backward(g, xhat, inv_std, norm.gamma.data, training)
+        _accumulate(norm.gamma, dgamma)
+        _accumulate(norm.beta, dbeta)
+        return dx
+
     def params(self):
-        children = [
+        return collect_params([
             ("pw_in", self.pw_in),
             ("norm_in", self.norm_in),
             ("dw", self.dw),
@@ -141,31 +276,21 @@ class GlobalBlock:
             ("pw_out", self.pw_out),
             ("se_reduce", self.se_reduce),
             ("se_expand", self.se_expand),
-        ]
-        out = []
-        for prefix, child in children:
-            for name, p in child.params():
-                out.append((f"{prefix}.{name}", p))
-        return out
+        ])
 
     def norm_layers(self):
         return [("norm_in", self.norm_in), ("norm_dw", self.norm_dw)]
+
+
+def _accumulate(p: Tensor, g: np.ndarray) -> None:
+    if p.requires_grad:
+        p.accumulate_grad(g)
 
 
 class GlobalEncoder:
     def __init__(self, cfg: GlobalEncoderConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.blocks = [GlobalBlock(cfg, d, rng) for d in cfg.dilations()]
-
-    def __call__(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-        se_enabled: bool | None = None,
-    ) -> Tensor:
-        return self.forward_batch([x], training, rng, update_stats, se_enabled)[0]
 
     def forward_batch(
         self,
@@ -181,11 +306,7 @@ class GlobalEncoder:
         return hs
 
     def params(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            for name, p in block.params():
-                out.append((f"block{i + 1}.{name}", p))
-        return out
+        return collect_params((f"block{i + 1}", block) for i, block in enumerate(self.blocks))
 
     def norm_layers(self):
         out = []

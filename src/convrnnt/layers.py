@@ -54,9 +54,6 @@ class Conv1dLayer:
         )
         self.bias = zeros_param(c_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, dilation=self.dilation, groups=self.groups)
-
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
@@ -78,11 +75,6 @@ class BatchNormTime:
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = zeros_param(channels)
         self.stats = RunningStats(channels)
-
-    def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        return T.batchnorm_time(
-            x, self.gamma, self.beta, self.stats, training, update_stats=update_stats
-        )
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

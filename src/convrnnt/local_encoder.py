@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .layers import Conv2dLayer
+from .layers import Conv2dLayer, collect_params
 from .tensor import Tensor
 
 
@@ -72,8 +72,4 @@ class LocalEncoder:
         return T.reshape(T.permute(h, (1, 0, 2)), (t_len, cfg.output_dim))
 
     def params(self):
-        out = []
-        for i, conv in enumerate(self.convs):
-            for name, p in conv.params():
-                out.append((f"conv{i}.{name}", p))
-        return out
+        return collect_params((f"conv{i}", conv) for i, conv in enumerate(self.convs))

@@ -10,7 +10,7 @@ from . import tensor as T
 from .config import RunConfig
 from .errors import ShapeError
 from .global_encoder import GlobalEncoder
-from .layers import Linear
+from .layers import Linear, collect_params
 from .local_encoder import LocalEncoder
 from .rnnt_loss import rnnt_loss
 from .tensor import Tensor
@@ -39,16 +39,15 @@ class TransducerModel:
         self._params = self._build_registry()
 
     def _build_registry(self):
-        out = []
-        if self.local is not None:
-            out += [(f"local.{n}", p) for n, p in self.local.params()]
-        if self.global_enc is not None:
-            out += [(f"global.{n}", p) for n, p in self.global_enc.params()]
-        out += [(f"fuse.{n}", p) for n, p in self.fuse.params()]
-        out += [(f"encoder.{n}", p) for n, p in self.encoder.params()]
-        out += [(f"label.{n}", p) for n, p in self.label_encoder.params()]
-        out += [(f"joint.{n}", p) for n, p in self.joint.params()]
-        return out
+        children = [
+            ("local", self.local),
+            ("global", self.global_enc),
+            ("fuse", self.fuse),
+            ("encoder", self.encoder),
+            ("label", self.label_encoder),
+            ("joint", self.joint),
+        ]
+        return collect_params((name, child) for name, child in children if child is not None)
 
     def parameters(self):
         return list(self._params)

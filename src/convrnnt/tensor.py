@@ -12,7 +12,7 @@ broadcasting is restricted to the two cases the model uses (trailing-axis
 bias add and same-shape elementwise products).  That keeps every gradient
 rule short enough to audit by eye.
 
-Two ops are fused, each one tape node:
+These ops are fused, each one tape node:
 
 - `lstm` runs a whole LSTM layer over a sequence, so the tape does not grow
   with the frame count.  Its forward steps the shared numpy cell `lstm_cell`
@@ -23,6 +23,16 @@ Two ops are fused, each one tape node:
   keeps one output array (the bias is added in place) and forms the three
   gradients straight from the incoming one, so a wide output such as the
   joint's logits is not copied on the way back.
+- `outer_tanh` is the joint's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)`
+  over [T, U, J]; it keeps only the tanh output and forms `g * (1 - t * t)`
+  once in backward.
+- `global_encoder.GlobalBlock.forward_batch` is one node per global block for
+  the whole batch (pointwise, depthwise, batch-norm, squeeze-excite, dropout
+  and residual).  It builds on `batchnorm_normalize`, `batchnorm_backward` and
+  `dropout_mask`, which `batchnorm_time` and `dropout` share.
+
+Each fused node's output has the bits of the composition of small ops it
+replaces; so do the gradients of all but `lstm`.
 """
 
 from __future__ import annotations
@@ -149,11 +159,16 @@ def from_op(data: np.ndarray, parents, backward) -> Tensor:
     parent requires grad; otherwise it is a plain constant tensor.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+def records(parents) -> bool:
+    """Whether `from_op` on these parents records a node (and so a backward)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _as_tensor(x) -> Tensor:
@@ -270,15 +285,26 @@ def scale(a: Tensor, s: float) -> Tensor:
 # pointwise nonlinearities
 
 
+def relu_(a: np.ndarray) -> np.ndarray:
+    """ReLU of an array in place with the bits of `np.where(a > 0, a, 0.0)`; returns `a > 0`.
+
+    fmax maps NaN to 0, and adding 0.0 turns a -0.0 into +0.0.
+    """
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+    return a > 0.0
+
+
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    mask = x.data > 0.0
+    out = x.data.copy()
+    mask = relu_(out)
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g * mask)
 
-    return from_op(np.where(mask, x.data, 0.0), (x,), backward)
+    return from_op(out, (x,), backward)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -376,10 +402,12 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = tuple(sl)
 
     def backward(g):
+        # Only the slice's part of the parent's gradient is touched; values
+        # equal those of accumulating a zero-filled full-size buffer.
         if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            buf[sl] = g
-            x.accumulate_grad(buf)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[sl] += g
 
     return from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
 
@@ -489,20 +517,27 @@ def log_softmax_last_axis(x: Tensor) -> Tensor:
     return from_op(out_data, (x,), backward)
 
 
+def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
+    """The inverted-dropout factors (0 or 1/(1-p)) for `shape`, or None for identity."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ConfigError("dropout in training mode requires an RNG")
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with prob p, scale survivors by 1/(1-p).
 
     Identity in eval mode and at p == 0 (neither consumes the RNG stream,
     so checkpointed RNG state stays aligned across configurations).
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
-    if not training or p == 0.0:
+    keep = dropout_mask(x.shape, p, training, rng)
+    if keep is None:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training mode requires an RNG")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
 
     def backward(g):
         if x.requires_grad:
@@ -513,93 +548,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 
 # ---------------------------------------------------------------------------
 # convolutions
-
-
-def conv1d(
-    x: Tensor,
-    w: Tensor,
-    bias: Tensor | None = None,
-    dilation: int = 1,
-    groups: int = 1,
-) -> Tensor:
-    """Valid 1-D cross-correlation, input [C_in, T], weight [C_out, C_in/groups, k].
-
-    Pointwise mixing is the k=1, groups=1 case; depthwise temporal filtering
-    is groups == C_in == C_out.  Output time length is T - (k-1)*dilation.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.ndim != 2 or w.ndim != 3:
-        raise ShapeError(f"conv1d: expected 2-D input and 3-D weight, got {x.shape}, {w.shape}")
-    c_in, t = x.shape
-    c_out, c_in_g, k = w.shape
-    if c_in % groups != 0 or c_out % groups != 0 or c_in_g != c_in // groups:
-        raise ShapeError(
-            f"conv1d: channel/group mismatch: input {x.shape}, weight {w.shape}, groups {groups}"
-        )
-    span = 1 + (k - 1) * dilation
-    if t < span:
-        raise ShapeError(f"conv1d: input length {t} < effective kernel span {span}")
-    t_out = t - (k - 1) * dilation
-
-    if k == 1 and groups == 1:
-        out_data = w.data[:, :, 0] @ x.data
-
-        def backward_pw(g):
-            if w.requires_grad:
-                w.accumulate_grad((g @ x.data.T)[:, :, None])
-            if x.requires_grad:
-                x.accumulate_grad(w.data[:, :, 0].T @ g)
-
-        out = from_op(out_data, (x, w), backward_pw)
-    elif groups == c_in and c_in == c_out and c_in_g == 1:
-        # Depthwise: one temporal filter per channel.
-        out_data = np.zeros((c_out, t_out))
-        for j in range(k):
-            out_data += w.data[:, 0, j:j + 1] * x.data[:, j * dilation:j * dilation + t_out]
-
-        def backward_dw(g):
-            if w.requires_grad:
-                gw = np.empty_like(w.data)
-                for j in range(k):
-                    gw[:, 0, j] = (g * x.data[:, j * dilation:j * dilation + t_out]).sum(axis=1)
-                w.accumulate_grad(gw)
-            if x.requires_grad:
-                gx = np.zeros_like(x.data)
-                for j in range(k):
-                    gx[:, j * dilation:j * dilation + t_out] += w.data[:, 0, j:j + 1] * g
-                x.accumulate_grad(gx)
-
-        out = from_op(out_data, (x, w), backward_dw)
-    else:
-        # General grouped case via per-group im2col.  Column row c*k + j holds
-        # channel c at tap j, matching the flattened weight layout.
-        cols = np.empty((groups, c_in_g * k, t_out))
-        xg = x.data.reshape(groups, c_in_g, t)
-        for j in range(k):
-            cols[:, j::k, :] = xg[:, :, j * dilation:j * dilation + t_out]
-        wmat = w.data.reshape(groups, c_out // groups, c_in_g * k)
-        out_data = np.einsum("gop,gpt->got", wmat, cols).reshape(c_out, t_out)
-
-        def backward_grouped(g):
-            gg = g.reshape(groups, c_out // groups, t_out)
-            if w.requires_grad:
-                gw = np.einsum("got,gpt->gop", gg, cols)
-                w.accumulate_grad(gw.reshape(w.data.shape))
-            if x.requires_grad:
-                dcols = np.einsum("gop,got->gpt", wmat, gg)
-                gx = np.zeros_like(xg)
-                for j in range(k):
-                    gx[:, :, j * dilation:j * dilation + t_out] += dcols[:, j::k, :]
-                x.accumulate_grad(gx.reshape(c_in, t))
-
-        out = from_op(out_data, (x, w), backward_grouped)
-
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise ShapeError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
-        out = _add_channel_bias(out, bias)
-    return out
 
 
 def _add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -676,6 +624,49 @@ class RunningStats:
         self.var = (1.0 - momentum) * self.var + momentum * var
 
 
+def batchnorm_normalize(
+    x: np.ndarray,
+    stats: RunningStats,
+    training: bool,
+    update_stats: bool | None = None,
+    eps: float = 1e-5,
+    momentum: float = 0.1,
+    out: np.ndarray | None = None,
+):
+    """`xhat = (x - mean) * inv_std` per channel of [C, T]; returns (xhat, inv_std).
+
+    The statistics are those of `x` in training mode (folded into `stats`
+    unless `update_stats` is False) and the running ones in eval mode.
+    `out=x` normalizes in place.
+    """
+    if update_stats is None:
+        update_stats = training
+    if training:
+        mu = x.mean(axis=1)
+        var = x.var(axis=1)
+        if update_stats:
+            stats.update(mu, var, momentum)
+    else:
+        mu, var = stats.mean, stats.var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = np.subtract(x, mu[:, None], out=out)
+    xhat *= inv_std[:, None]
+    return xhat, inv_std
+
+
+def batchnorm_backward(g, xhat, inv_std, gamma, training: bool):
+    """Gradients (dx, dgamma, dbeta) of `gamma * xhat + beta` for the output gradient g."""
+    dxhat = g * gamma[:, None]
+    if training:
+        # Batch statistics are functions of x: full normalization grad.
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        dx = inv_std[:, None] * (dxhat - m1 - xhat * m2)
+    else:
+        dx = dxhat * inv_std[:, None]
+    return dx, (g * xhat).sum(axis=1), g.sum(axis=1)
+
+
 def batchnorm_time(
     x: Tensor,
     gamma: Tensor,
@@ -697,56 +688,23 @@ def batchnorm_time(
     c, t = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
-    if update_stats is None:
-        update_stats = training
-
-    if training:
-        mu = x.data.mean(axis=1)
-        var = x.data.var(axis=1)
-        if update_stats:
-            stats.update(mu, var, momentum)
-    else:
-        mu, var = stats.mean, stats.var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[:, None]) * inv_std[:, None]
+    xhat, inv_std = batchnorm_normalize(x.data, stats, training, update_stats, eps, momentum)
     out_data = gamma.data[:, None] * xhat + beta.data[:, None]
 
     def backward(g):
+        dx, dgamma, dbeta = batchnorm_backward(g, xhat, inv_std, gamma.data, training)
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=1))
+            gamma.accumulate_grad(dgamma)
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=1))
+            beta.accumulate_grad(dbeta)
         if x.requires_grad:
-            dxhat = g * gamma.data[:, None]
-            if training:
-                # Batch statistics are functions of x: full normalization grad.
-                m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-                x.accumulate_grad(inv_std[:, None] * (dxhat - m1 - xhat * m2))
-            else:
-                x.accumulate_grad(dxhat * inv_std[:, None])
+            x.accumulate_grad(dx)
 
     return from_op(out_data, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------
 # sequence-specific ops
-
-
-def prefix_mean(x: Tensor) -> Tensor:
-    """Row i of the output is the mean of input rows 0..i (inclusive)."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"prefix_mean: expected [T, D], got {x.shape}")
-    counts = np.arange(1, x.shape[0] + 1, dtype=np.float64)[:, None]
-    out_data = np.cumsum(x.data, axis=0) / counts
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.cumsum((g / counts)[::-1], axis=0)[::-1])
-
-    return from_op(out_data, (x,), backward)
 
 
 def outer_sum(a: Tensor, b: Tensor) -> Tensor:
@@ -762,6 +720,43 @@ def outer_sum(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g.sum(axis=0))
 
     return from_op(a.data[:, None, :] + b.data[None, :, :], (a, b), backward)
+
+
+def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor) -> Tensor:
+    """`tanh(outer_sum(a @ wa, b @ wb) + bias)`: [T, J] and [U, J] rows into [T, U, J].
+
+    One tape node with the bits of those five ops that keeps only the
+    [T, U, J] tanh output: the sum, the bias add and the tanh run in place
+    in one buffer, and the backward forms `g * (1 - t * t)` once and reduces
+    it to the bias, row and weight gradients.
+    """
+    a, wa, b, wb, bias = (_as_tensor(v) for v in (a, wa, b, wb, bias))
+    j = wa.shape[1] if wa.ndim == 2 else -1
+    if (a.ndim != 2 or b.ndim != 2 or wa.shape != (a.shape[1], j) or wb.shape != (b.shape[1], j)
+            or bias.shape != (j,)):
+        raise ShapeError(
+            f"outer_tanh: incompatible shapes a {a.shape}, wa {wa.shape}, b {b.shape}, "
+            f"wb {wb.shape}, bias {bias.shape}"
+        )
+    pa = a.data @ wa.data
+    pb = b.data @ wb.data
+    t = pa[:, None, :] + pb[None, :, :]
+    t += bias.data
+    np.tanh(t, out=t)
+
+    def backward(g):
+        dz = t * t
+        np.subtract(1.0, dz, out=dz)
+        dz *= g
+        if bias.requires_grad:
+            bias.accumulate_grad(dz.sum(axis=(0, 1)))
+        for x, w, dp in ((a, wa, dz.sum(axis=1)), (b, wb, dz.sum(axis=0))):
+            if x.requires_grad:
+                x.accumulate_grad(dp @ w.data.T)
+            if w.requires_grad:
+                w.accumulate_grad(x.data.T @ dp)
+
+    return from_op(t, (a, wa, b, wb, bias), backward)
 
 
 def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray):

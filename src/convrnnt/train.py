@@ -309,13 +309,12 @@ def run_ablation(config_source: str, overrides, workdir: str, steps: int):
         cfg = resolve_config(config_source, list(overrides) + list(extra))
         trainer = Trainer(cfg, os.path.join(workdir, variant))
         trainer.train(max_steps=steps)
-        final_loss, _ = trainer.evaluate()["mean_nll"], None
         rows.append(
             {
                 "variant": variant,
                 "frontend_params": frontend_param_count(trainer.cfg),
                 "total_params": sum(v for v in count_parameters(trainer.cfg).values()),
-                "mean_nll": final_loss,
+                "mean_nll": trainer.evaluate()["mean_nll"],
             }
         )
     return rows

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
-from .layers import Embedding, Linear, uniform_init, zeros_param
+from .layers import Embedding, Linear, collect_params, uniform_init, zeros_param
 from .tensor import Tensor
 
 
@@ -110,11 +110,7 @@ class AudioEncoder:
         return h
 
     def params(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.params():
-                out.append((f"layer{i}.{name}", p))
-        return out
+        return collect_params((f"layer{i}", layer) for i, layer in enumerate(self.layers))
 
 
 class LabelEncoder:
@@ -157,11 +153,9 @@ class LabelEncoder:
         return h
 
     def params(self):
-        out = [("embed.table", self.embed.table)]
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.params():
-                out.append((f"lstm{i}.{name}", p))
-        return out
+        return collect_params([("embed", self.embed)] + [
+            (f"lstm{i}", layer) for i, layer in enumerate(self.layers)
+        ])
 
 
 class Joint:
@@ -175,9 +169,7 @@ class Joint:
         self.out = Linear(cfg.joint_dim, cfg.vocab_size + 1, rng)
 
     def __call__(self, enc: Tensor, pred: Tensor) -> Tensor:
-        z = T.add(T.outer_sum(T.matmul(enc, self.enc_proj), T.matmul(pred, self.pred_proj)),
-                  self.bias)
-        return self.out(T.tanh(z))
+        return self.out(T.outer_tanh(enc, self.enc_proj, pred, self.pred_proj, self.bias))
 
     def params(self):
         return [

@@ -2,13 +2,18 @@
 
 Everything here is written the dumb, obviously-correct way (explicit loops,
 exhaustive enumeration, central finite differences) and must stay decoupled
-from the library code it checks.
+from the library code it checks.  The op-by-op global block at the end is
+built from the library's own small tape ops, the way the block was written
+before it became one fused node; it checks the fused node, not those ops.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from convrnnt import tensor as T
+from convrnnt.errors import ShapeError
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -141,3 +146,163 @@ def sigmoid_masked(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The global block op by op.  Each step is its own tape op, as the block was
+# built before `GlobalBlock.forward_batch` fused it into one node; the fused
+# node must reproduce these forward bits and gradients.
+
+
+def conv1d(x, w, bias=None, dilation=1, groups=1):
+    """Valid 1-D cross-correlation tape op, input [C_in, T], weight [C_out, C_in/groups, k].
+
+    Pointwise mixing is the k=1, groups=1 case; depthwise temporal filtering
+    is groups == C_in == C_out.  Output time length is T - (k-1)*dilation.
+    """
+    x, w = T._as_tensor(x), T._as_tensor(w)
+    if x.ndim != 2 or w.ndim != 3:
+        raise ShapeError(f"conv1d: expected 2-D input and 3-D weight, got {x.shape}, {w.shape}")
+    c_in, t = x.shape
+    c_out, c_in_g, k = w.shape
+    if c_in % groups != 0 or c_out % groups != 0 or c_in_g != c_in // groups:
+        raise ShapeError(
+            f"conv1d: channel/group mismatch: input {x.shape}, weight {w.shape}, groups {groups}"
+        )
+    span = 1 + (k - 1) * dilation
+    if t < span:
+        raise ShapeError(f"conv1d: input length {t} < effective kernel span {span}")
+    t_out = t - (k - 1) * dilation
+
+    if k == 1 and groups == 1:
+        out_data = w.data[:, :, 0] @ x.data
+
+        def backward_pw(g):
+            if w.requires_grad:
+                w.accumulate_grad((g @ x.data.T)[:, :, None])
+            if x.requires_grad:
+                x.accumulate_grad(w.data[:, :, 0].T @ g)
+
+        out = T.from_op(out_data, (x, w), backward_pw)
+    elif groups == c_in and c_in == c_out and c_in_g == 1:
+        # Depthwise: one temporal filter per channel.
+        out_data = np.zeros((c_out, t_out))
+        for j in range(k):
+            out_data += w.data[:, 0, j:j + 1] * x.data[:, j * dilation:j * dilation + t_out]
+
+        def backward_dw(g):
+            if w.requires_grad:
+                gw = np.empty_like(w.data)
+                for j in range(k):
+                    gw[:, 0, j] = (g * x.data[:, j * dilation:j * dilation + t_out]).sum(axis=1)
+                w.accumulate_grad(gw)
+            if x.requires_grad:
+                gx = np.zeros_like(x.data)
+                for j in range(k):
+                    gx[:, j * dilation:j * dilation + t_out] += w.data[:, 0, j:j + 1] * g
+                x.accumulate_grad(gx)
+
+        out = T.from_op(out_data, (x, w), backward_dw)
+    else:
+        # General grouped case via per-group im2col.  Column row c*k + j holds
+        # channel c at tap j, matching the flattened weight layout.
+        cols = np.empty((groups, c_in_g * k, t_out))
+        xg = x.data.reshape(groups, c_in_g, t)
+        for j in range(k):
+            cols[:, j::k, :] = xg[:, :, j * dilation:j * dilation + t_out]
+        wmat = w.data.reshape(groups, c_out // groups, c_in_g * k)
+        out_data = np.einsum("gop,gpt->got", wmat, cols).reshape(c_out, t_out)
+
+        def backward_grouped(g):
+            gg = g.reshape(groups, c_out // groups, t_out)
+            if w.requires_grad:
+                gw = np.einsum("got,gpt->gop", gg, cols)
+                w.accumulate_grad(gw.reshape(w.data.shape))
+            if x.requires_grad:
+                dcols = np.einsum("gop,got->gpt", wmat, gg)
+                gx = np.zeros_like(xg)
+                for j in range(k):
+                    gx[:, :, j * dilation:j * dilation + t_out] += dcols[:, j::k, :]
+                x.accumulate_grad(gx.reshape(c_in, t))
+
+        out = T.from_op(out_data, (x, w), backward_grouped)
+
+    if bias is not None:
+        bias = T._as_tensor(bias)
+        if bias.shape != (c_out,):
+            raise ShapeError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
+        out = T._add_channel_bias(out, bias)
+    return out
+
+
+def prefix_mean(x):
+    """Tape op: row i of the output is the mean of input rows 0..i (inclusive)."""
+    x = T._as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"prefix_mean: expected [T, D], got {x.shape}")
+    counts = np.arange(1, x.shape[0] + 1, dtype=np.float64)[:, None]
+    out_data = np.cumsum(x.data, axis=0) / counts
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.cumsum((g / counts)[::-1], axis=0)[::-1])
+
+    return T.from_op(out_data, (x,), backward)
+
+
+def squeeze_excite(z, reduce, expand):
+    """Gate each step of [T, D] by sigmoid(expand(relu(reduce(prefix mean))))."""
+    gate = T.sigmoid(expand(T.relu(reduce(prefix_mean(z)))))
+    return T.mul(z, gate)
+
+
+def _norm_batch(norm, hs, training, update_stats):
+    """Batch-norm over the time-concatenated batch, split back per utterance."""
+    def bn(x):
+        return T.batchnorm_time(x, norm.gamma, norm.beta, norm.stats, training,
+                                update_stats=update_stats)
+
+    if len(hs) == 1:
+        return [bn(hs[0])]
+    normed = bn(T.concat(hs, axis=1))
+    out, offset = [], 0
+    for h in hs:
+        n = h.shape[1]
+        out.append(T.slice_axis(normed, 1, offset, offset + n))
+        offset += n
+    return out
+
+
+def global_block_per_op(block, xs, training=False, rng=None, update_stats=None,
+                        se_enabled=None):
+    """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per utterance."""
+    cfg = block.cfg
+    if se_enabled is None:
+        se_enabled = cfg.se_enabled
+
+    def conv(layer, x):
+        return conv1d(x, layer.weight, layer.bias, dilation=layer.dilation, groups=layer.groups)
+
+    hs = [T.relu(conv(block.pw_in, T.transpose2d(x))) for x in xs]  # [E, T_i]
+    hs = _norm_batch(block.norm_in, hs, training, update_stats)
+    hs = [
+        T.relu(conv(block.dw, T.pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation)))
+        for h in hs
+    ]
+    hs = _norm_batch(block.norm_dw, hs, training, update_stats)
+    out = []
+    for x, h in zip(xs, hs):
+        z = T.transpose2d(conv(block.pw_out, h))  # [T, D]
+        if se_enabled:
+            z = squeeze_excite(z, block.se_reduce, block.se_expand)
+        z = T.dropout(z, cfg.dropout_p, training, rng)
+        out.append(T.add(x, z))
+    return out
+
+
+def global_encoder_per_op(enc, xs, training=False, rng=None, update_stats=None,
+                          se_enabled=None):
+    hs = list(xs)
+    for block in enc.blocks:
+        hs = global_block_per_op(block, hs, training, rng, update_stats, se_enabled)
+    return hs

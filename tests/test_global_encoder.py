@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
-from convrnnt.global_encoder import (
-    GlobalBlock,
-    GlobalEncoder,
-    GlobalEncoderConfig,
-    causal_prefix_mean,
-    squeeze_excite,
-)
-from convrnnt.layers import Linear
+from convrnnt.global_encoder import GlobalBlock, GlobalEncoder, GlobalEncoderConfig
 
-from oracles import prefix_mean_naive
+from oracles import fd_gradient, global_encoder_per_op, prefix_mean, prefix_mean_naive, rel_err
 
 D = 16
 CFG = GlobalEncoderConfig(d_model=D)
@@ -32,66 +25,80 @@ def positive_conv_weights(block):
 
 def run_block(block, x, **kw):
     with T.no_grad():
-        return block(T.Tensor(x), **kw).data
+        return block.forward_batch([T.Tensor(x)], **kw)[0].data
+
+
+def run_stack(enc, x, **kw):
+    with T.no_grad():
+        return enc.forward_batch([T.Tensor(x)], **kw)[0].data
 
 
 # ---------------------------------------------------------------------------
-# causal prefix mean
+# causal prefix mean (the squeeze statistic of the op-by-op oracle, which the
+# fused block matches bit for bit)
 
 
 def test_prefix_mean_hand_values():
-    out = causal_prefix_mean(T.Tensor([[2.0], [4.0], [6.0]]))
+    out = prefix_mean(T.Tensor([[2.0], [4.0], [6.0]]))
     assert np.allclose(out.data, [[2.0], [3.0], [4.0]])
 
 
 def test_prefix_mean_constant_input():
     x = np.full((7, 3), 1.25)
-    assert np.allclose(causal_prefix_mean(T.Tensor(x)).data, x)
+    assert np.allclose(prefix_mean(T.Tensor(x)).data, x)
 
 
 def test_prefix_mean_matches_direct_summation():
     x = np.random.default_rng(0).standard_normal((50, D))
-    out = causal_prefix_mean(T.Tensor(x)).data
+    out = prefix_mean(T.Tensor(x)).data
     assert np.max(np.abs(out - prefix_mean_naive(x))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# squeeze-excitation
+# squeeze-excitation inside the block
 
 
-def se_weights(seed=1):
-    rng = np.random.default_rng(seed)
-    return Linear(D, 8, rng), Linear(8, D, rng)
+def constant_branch_block(seed, c):
+    """A block whose pointwise-out branch is the constant row c at every step."""
+    block = GlobalBlock(CFG, dilation=2, rng=np.random.default_rng(seed))
+    block.pw_out.weight.data[...] = 0.0
+    block.pw_out.bias.data[...] = c
+    return block
 
 
 def test_se_zero_weights_halves_input():
-    reduce, expand = se_weights()
-    zero_params(reduce)
-    zero_params(expand)
-    z = np.random.default_rng(2).standard_normal((9, D))
-    out = squeeze_excite(T.Tensor(z), reduce, expand).data
-    assert np.array_equal(out, 0.5 * z)
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal(D)
+    block = constant_branch_block(2, c)
+    zero_params(block.se_reduce)
+    zero_params(block.se_expand)
+    x = rng.standard_normal((9, D))
+    # The gate is sigmoid(0) = 0.5 exactly, so the branch is halved.
+    assert np.array_equal(run_block(block, x), x + 0.5 * c)
+    assert np.array_equal(run_block(block, x, se_enabled=False), x + c)
 
 
 def test_se_zero_input_zero_output():
-    reduce, expand = se_weights(3)
-    out = squeeze_excite(T.Tensor(np.zeros((5, D))), reduce, expand).data
-    assert np.all(out == 0.0)
+    block = constant_branch_block(3, 0.0)
+    for _, p in block.se_reduce.params() + block.se_expand.params():
+        p.data = np.random.default_rng(4).standard_normal(p.shape)
+    x = np.random.default_rng(5).standard_normal((5, D))
+    assert np.array_equal(run_block(block, x), x)
 
 
 def test_se_causality_bitwise():
-    reduce, expand = se_weights(4)
+    block = GlobalBlock(CFG, dilation=2, rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    z = rng.standard_normal((16, D))
-    with T.no_grad():
-        base = squeeze_excite(T.Tensor(z), reduce, expand).data
+    x = rng.standard_normal((40, D))
+    base = run_block(block, x)
     t0 = 9
-    z2 = z.copy()
-    z2[t0] += rng.standard_normal(D)
-    with T.no_grad():
-        pert = squeeze_excite(T.Tensor(z2), reduce, expand).data
+    reach = 1 + (CFG.dw_kernel - 1) * 2
+    x2 = x.copy()
+    x2[t0] += rng.standard_normal(D)
+    pert = run_block(block, x2)
     assert np.array_equal(base[:t0], pert[:t0])
-    assert not np.array_equal(base[t0:], pert[t0:])
+    # Beyond the depthwise reach only the excitation's prefix mean carries it.
+    assert not np.array_equal(base[t0 + reach:], pert[t0 + reach:])
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +158,18 @@ def test_stack_dilations_double_per_block():
 
 def test_stack_zero_input_zero_output():
     enc = GlobalEncoder(CFG, np.random.default_rng(14))
-    with T.no_grad():
-        out = enc(T.Tensor(np.zeros((9, D)))).data
-    assert np.all(out == 0.0)
+    assert np.all(run_stack(enc, np.zeros((9, D))) == 0.0)
 
 
 def test_stack_causality_bitwise():
     enc = GlobalEncoder(CFG, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     x = rng.standard_normal((20, D))
-    with T.no_grad():
-        base = enc(T.Tensor(x)).data
+    base = run_stack(enc, x)
     t0 = 12
     x2 = x.copy()
     x2[t0] += rng.standard_normal(D)
-    with T.no_grad():
-        pert = enc(T.Tensor(x2)).data
+    pert = run_stack(enc, x2)
     assert np.array_equal(base[:t0], pert[:t0])
 
 
@@ -175,9 +178,7 @@ def test_stack_zero_weights_is_identity():
     for _, p in enc.params():
         p.data[...] = 0.0
     x = np.random.default_rng(18).standard_normal((8, D))
-    with T.no_grad():
-        out = enc(T.Tensor(x)).data
-    assert np.array_equal(out, x)
+    assert np.array_equal(run_stack(enc, x), x)
 
 
 def test_stack_conv_receptive_field_is_253():
@@ -188,8 +189,7 @@ def test_stack_conv_receptive_field_is_253():
     t_len, t0 = 300, 20
     x = np.zeros((t_len, D))
     x[t0] = 1.0
-    with T.no_grad():
-        out = enc(T.Tensor(x), se_enabled=False).data
+    out = run_stack(enc, x, se_enabled=False)
     hot = np.where(np.abs(out).sum(axis=1) > 0)[0]
     # All dilations are even, so interior coverage lands on even offsets; the
     # claim is about the span of the response.
@@ -203,19 +203,156 @@ def test_se_gives_full_prefix_reach():
     enc = GlobalEncoder(GlobalEncoderConfig(d_model=D, n_blocks=2), np.random.default_rng(20))
     rng = np.random.default_rng(21)
     x = rng.standard_normal((300, D))
-    with T.no_grad():
-        base = enc(T.Tensor(x)).data
+    base = run_stack(enc, x)
     x2 = x.copy()
     x2[0] += 1.0
-    with T.no_grad():
-        pert = enc(T.Tensor(x2)).data
+    pert = run_stack(enc, x2)
     assert not np.array_equal(base[-1], pert[-1])  # beyond conv reach, via SE
 
 
 def test_block_gradients_flow():
     block = GlobalBlock(GlobalEncoderConfig(d_model=6, dropout_p=0.0), 2, np.random.default_rng(22))
     x = T.Tensor(np.random.default_rng(23).standard_normal((10, 6)), requires_grad=True)
-    T.sum_all(block(x, training=True, update_stats=False)).backward()
+    T.sum_all(block.forward_batch([x], training=True, update_stats=False)[0]).backward()
     assert x.grad is not None
     for name, p in block.params():
         assert p.grad is not None, name
+
+
+# ---------------------------------------------------------------------------
+# the fused node against the op-by-op oracle
+
+
+def batch_inputs(lengths, d, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((t, d)) for t in lengths], [rng.standard_normal((t, d)) for t in lengths]
+
+
+def seeded_sum(outs, seeds):
+    """sum_i <out_i, seed_i> as one scalar tensor, so backward runs once."""
+    total = T.sum_all(T.mul(outs[0], T.Tensor(seeds[0])))
+    for out, seed in zip(outs[1:], seeds[1:]):
+        total = T.add(total, T.sum_all(T.mul(out, T.Tensor(seed))))
+    return total
+
+
+def run_encoder(forward, cfg, arrays, seeds, grad, **kw):
+    """Outputs, running stats and (with grad) input and parameter gradients."""
+    enc = GlobalEncoder(cfg, np.random.default_rng(31))
+    xs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    rng = np.random.default_rng(32)
+    if grad:
+        outs = forward(enc, xs, rng=rng, **kw)
+        seeded_sum(outs, seeds).backward()
+    else:
+        with T.no_grad():
+            outs = forward(enc, xs, rng=rng, **kw)
+    got = {f"out{i}": o.data for i, o in enumerate(outs)}
+    for name, bn in enc.norm_layers():
+        got[f"{name}.mean"], got[f"{name}.var"] = bn.stats.mean, bn.stats.var
+    if grad:
+        got.update({f"x{i}.grad": x.grad for i, x in enumerate(xs)})
+        got.update({f"{name}.grad": p.grad for name, p in enc.params() if p.grad is not None})
+    return got
+
+
+def fused(enc, xs, **kw):
+    return enc.forward_batch(xs, **kw)
+
+
+@pytest.mark.parametrize("lengths", [(9,), (7, 13, 4)])
+@pytest.mark.parametrize("se_enabled", [True, False])
+@pytest.mark.parametrize("training,dropout_p,update_stats", [
+    (False, 0.1, None), (True, 0.0, None), (True, 0.1, None), (True, 0.1, False),
+])
+def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p, update_stats):
+    cfg = GlobalEncoderConfig(d_model=D, dropout_p=dropout_p)
+    arrays, seeds = batch_inputs(lengths, D, 33)
+    kw = dict(training=training, update_stats=update_stats, se_enabled=se_enabled)
+    got = run_encoder(fused, cfg, arrays, seeds, grad=False, **kw)
+    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=False, **kw)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("lengths", [(9,), (7, 13, 4)])
+@pytest.mark.parametrize("se_enabled", [True, False])
+@pytest.mark.parametrize("training", [False, True])
+def test_gradients_match_per_op(lengths, se_enabled, training):
+    cfg = GlobalEncoderConfig(d_model=D, dropout_p=0.1)
+    arrays, seeds = batch_inputs(lengths, D, 34)
+    kw = dict(training=training, se_enabled=se_enabled)
+    got = run_encoder(fused, cfg, arrays, seeds, grad=True, **kw)
+    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=True, **kw)
+    assert got.keys() == want.keys()
+    for key in want:
+        # The forward bits are pinned above; gradients to 1e-12 of their scale.
+        scale = np.max(np.abs(want[key]))
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("se_enabled", [True, False])
+def test_block_gradient_matches_fd(se_enabled):
+    # Three unequal lengths, so training-mode batch-norm pools across them and
+    # each input's gradient depends on the other utterances.
+    d = 6
+    cfg = GlobalEncoderConfig(d_model=d, dropout_p=0.1)
+    block = GlobalBlock(cfg, 2, np.random.default_rng(35))
+    # Move off the initialization: with every bias zero the second batch-norm
+    # cancels a rescaling of the first one's gamma, whose gradient is then
+    # nearly zero and below finite-difference noise.
+    rng = np.random.default_rng(40)
+    for _, p in block.params():
+        p.data = p.data + 0.3 * rng.standard_normal(p.shape)
+    arrays, seeds = batch_inputs((5, 8, 3), d, 36)
+
+    def forward(xs):
+        return block.forward_batch(xs, training=True, rng=np.random.default_rng(37),
+                                   update_stats=False, se_enabled=se_enabled)
+
+    def loss(values):
+        with T.no_grad():
+            outs = forward([T.Tensor(v) for v in values])
+        return sum(float((o.data * s).sum()) for o, s in zip(outs, seeds))
+
+    xs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    seeded_sum(forward(xs), seeds).backward()
+    for i, x in enumerate(xs):
+        def f(v, i=i):
+            return loss(arrays[:i] + [v] + arrays[i + 1:])
+
+        assert rel_err(x.grad, fd_gradient(f, arrays[i].copy())) <= 1e-6, f"x{i}"
+    params = block.params()
+    assert len(params) == 14
+    for name, p in params:
+        if not se_enabled and name.startswith("se_"):
+            assert p.grad is None
+            continue
+        kept = p.data
+
+        def f(v, p=p):
+            p.data = v
+            return loss(arrays)
+
+        num = fd_gradient(f, kept.copy())
+        p.data = kept
+        assert rel_err(p.grad, num) <= 1e-6, name
+
+
+def test_block_is_one_node_for_the_batch():
+    block = GlobalBlock(GlobalEncoderConfig(d_model=D, dropout_p=0.0), 2,
+                        np.random.default_rng(38))
+    arrays, _ = batch_inputs((4, 6, 5), D, 39)
+    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    outs = block.forward_batch(xs, training=True, update_stats=False)
+    nodes = {o._parents[0] for o in outs}
+    assert len(nodes) == 1
+    node = nodes.pop()
+    assert node._parents == tuple(xs) + tuple(p for _, p in block.params())
+    assert node.shape == (15, D)
+    (single,) = block.forward_batch(xs[:1], training=True, update_stats=False)
+    assert single._parents == (xs[0],) + tuple(p for _, p in block.params())
+    with T.no_grad():
+        outs = block.forward_batch(xs)
+    assert all(o._backward is None and not o._parents for o in outs)

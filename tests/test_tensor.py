@@ -7,7 +7,8 @@ from convrnnt import tensor as T
 from convrnnt.errors import ConfigError, ShapeError
 
 from oracles import (
-    conv1d_naive, conv2d_naive, fd_gradient, prefix_mean_naive, rel_err, sigmoid_masked,
+    conv1d, conv1d_naive, conv2d_naive, fd_gradient, prefix_mean, prefix_mean_naive, rel_err,
+    sigmoid_masked,
 )
 
 GRAD_TOL = 1e-4
@@ -114,28 +115,29 @@ def test_linear_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
-# conv1d
+# conv1d: the tape op of the op-by-op global block oracle (tests/oracles.py),
+# checked here against the loop oracle and finite differences.
 
 
 def test_conv1d_causal_two_tap():
     # y_t = x_t + x_{t-1} once the caller left-pads one zero.
     x = T.pad_left_time(T.Tensor([[1.0, 2.0, 3.0]]), 1)
     w = T.Tensor(np.array([[[1.0, 1.0]]]))
-    out = T.conv1d(x, w)
+    out = conv1d(x, w)
     assert np.allclose(out.data, [[1.0, 3.0, 5.0]])
 
 
 def test_conv1d_pointwise_identity():
     x = T.Tensor(np.random.default_rng(1).standard_normal((4, 7)))
     w = T.Tensor(np.eye(4)[:, :, None])
-    assert np.allclose(T.conv1d(x, w).data, x.data)
+    assert np.allclose(conv1d(x, w).data, x.data)
 
 
 def test_conv1d_depthwise_dilated_matches_naive():
     rng = np.random.default_rng(2)
     x = np.cumsum(rng.standard_normal((3, 12)), axis=1)
     w = rng.standard_normal((3, 1, 3))
-    out = T.conv1d(T.Tensor(x), T.Tensor(w), dilation=2, groups=3)
+    out = conv1d(T.Tensor(x), T.Tensor(w), dilation=2, groups=3)
     assert np.max(np.abs(out.data - conv1d_naive(x, w, dilation=2, groups=3))) <= 1e-12
 
 
@@ -144,13 +146,13 @@ def test_conv1d_matches_naive(groups, dilation):
     rng = np.random.default_rng(groups * 10 + dilation)
     x = rng.standard_normal((4, 16))
     w = rng.standard_normal((4, 4 // groups, 3))
-    out = T.conv1d(T.Tensor(x), T.Tensor(w), dilation=dilation, groups=groups)
+    out = conv1d(T.Tensor(x), T.Tensor(w), dilation=dilation, groups=groups)
     assert np.max(np.abs(out.data - conv1d_naive(x, w, dilation, groups))) <= 1e-12
 
 
 def test_conv1d_group_mismatch():
     with pytest.raises(ShapeError):
-        T.conv1d(T.Tensor(np.zeros((3, 8))), T.Tensor(np.zeros((2, 2, 3))), groups=2)
+        conv1d(T.Tensor(np.zeros((3, 8))), T.Tensor(np.zeros((2, 2, 3))), groups=2)
 
 
 @pytest.mark.parametrize("groups,dilation", [(1, 1), (1, 2), (4, 2)])
@@ -160,7 +162,7 @@ def test_conv1d_gradient(groups, dilation):
     w = rng.standard_normal((4, 4 // groups, 3))
     b = rng.standard_normal(4)
     check_grad(
-        lambda xx, ww, bb: weighted_sum(T.conv1d(xx, ww, bb, dilation=dilation, groups=groups)),
+        lambda xx, ww, bb: weighted_sum(conv1d(xx, ww, bb, dilation=dilation, groups=groups)),
         [x, w, b],
     )
 
@@ -211,6 +213,15 @@ def test_conv2d_gradient():
 
 def test_swish_at_zero():
     assert T.swish(T.Tensor([0.0])).data[0] == 0.0
+
+
+def test_relu_in_place_matches_where_form_bitwise():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.5, -1.5])
+    for z in (edges, np.random.default_rng(43).standard_normal((40, 64))):
+        got = z.copy()
+        mask = T.relu_(got)
+        assert same_bits(got, np.where(z > 0, z, 0.0))
+        assert np.array_equal(mask, z > 0)
 
 
 def test_sigmoid_matches_masked_form_bitwise():
@@ -303,8 +314,9 @@ def test_mean_over_axis_and_prefix_mean():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((6, 3))
     assert np.allclose(T.mean_over_axis(T.Tensor(x), 0).data, x.mean(axis=0))
-    assert np.max(np.abs(T.prefix_mean(T.Tensor(x)).data - prefix_mean_naive(x))) <= 1e-12
-    check_grad(lambda xx: weighted_sum(T.prefix_mean(xx)), [x])
+    # prefix_mean is the oracle global block's causal squeeze statistic.
+    assert np.max(np.abs(prefix_mean(T.Tensor(x)).data - prefix_mean_naive(x))) <= 1e-12
+    check_grad(lambda xx: weighted_sum(prefix_mean(xx)), [x])
     check_grad(lambda xx: weighted_sum(T.mean_over_axis(xx, 1)), [x])
 
 
@@ -315,6 +327,18 @@ def test_outer_sum_gradient():
     out = T.outer_sum(T.Tensor(a), T.Tensor(b))
     assert out.shape == (3, 2, 4)
     check_grad(lambda aa, bb: weighted_sum(T.outer_sum(aa, bb)), [a, b])
+
+
+def test_outer_tanh_rejects_mismatched_shapes():
+    a, b = T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((2, 5)))
+    wa, wb, bias = T.Tensor(np.zeros((4, 6))), T.Tensor(np.zeros((5, 6))), T.Tensor(np.zeros(6))
+    assert T.outer_tanh(a, wa, b, wb, bias).shape == (3, 2, 6)
+    with pytest.raises(ShapeError):
+        T.outer_tanh(a, wa, b, T.Tensor(np.zeros((5, 7))), bias)
+    with pytest.raises(ShapeError):
+        T.outer_tanh(a, wa, b, wb, T.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        T.outer_tanh(T.Tensor(np.zeros(4)), wa, b, wb, bias)
 
 
 def test_gather_rows_gradient():
