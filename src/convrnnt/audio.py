@@ -257,22 +257,3 @@ def spec_augment(
 
     return FeatureSequence(frames, seq.raw_frame_count)
 
-
-# ---------------------------------------------------------------------------
-# feature cache records: [u32 T][u32 D][f64 x T*D], little-endian
-
-
-def write_feature_record(path, frames: np.ndarray) -> None:
-    t_len, dim = frames.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", t_len, dim))
-        f.write(np.ascontiguousarray(frames, dtype="<f8").tobytes())
-
-
-def read_feature_record(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        t_len, dim = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(8 * t_len * dim), dtype="<f8")
-    if data.size != t_len * dim:
-        raise DataError(f"{path}: truncated feature record")
-    return data.reshape(t_len, dim).copy()

@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .audio import write_feature_record
 from .complexity import MODEL_NAMES, flops_curve_csv, parse_length_range
 from .config import resolve_config
 from .data import load_manifest
@@ -44,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep-stats", help="compute feature normalization stats")
     _add_config_args(p)
     p.add_argument("--out", required=True, help="output stats file")
-    p.add_argument("--cache-dir", default="", help="also write per-utterance feature records")
 
     p = sub.add_parser("train", help="train a model")
     _add_config_args(p)
@@ -84,14 +82,6 @@ def cmd_prep_stats(args) -> int:
     stats = compute_norm_stats(trainer.cfg, trainer.train_utts)
     stats.save(args.out)
     print(f"wrote stats for {stats.count} frames ({stats.dim} dims) to {args.out}")
-    if args.cache_dir:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        for utt in trainer.train_utts:
-            write_feature_record(
-                os.path.join(args.cache_dir, f"{utt.utt_id}.feat"),
-                trainer._features[utt.utt_id],
-            )
-        print(f"cached {len(trainer.train_utts)} feature records in {args.cache_dir}")
     return 0
 
 

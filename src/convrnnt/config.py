@@ -70,7 +70,6 @@ class DataConfig:
     eval_manifest: str = ""
     vocab: str = ""
     stats: str = ""
-    cache_dir: str = ""
     use_toy: bool = False
     toy_dir: str = ""
 

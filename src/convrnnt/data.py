@@ -52,9 +52,12 @@ def load_manifest(path):
 
 
 def save_manifest(entries, path) -> None:
+    """Write audio paths relative to the manifest's directory, where
+    `load_manifest` resolves them, so the manifest loads from any cwd."""
+    base = os.path.dirname(os.path.abspath(path))
     with open(path, "w", encoding="utf-8") as f:
         for e in entries:
-            f.write(f"{e.audio_path}\t{e.transcript}\n")
+            f.write(f"{os.path.relpath(os.path.abspath(e.audio_path), base)}\t{e.transcript}\n")
 
 
 def _letter_tone(letter: str, rate: int, duration_s: float, rng) -> np.ndarray:

@@ -5,6 +5,10 @@ appended (advancing the label-encoder state, staying on the frame, up to a
 per-frame cap that guards against emission loops) and a blank advances to
 the next frame.  Ties resolve to the lowest symbol id.  The decoder state is
 explicit, so audio can be fed in arbitrary chunks with identical results.
+
+Each symbol step runs the model's own `Joint` on one [1, 1] (frame, label)
+cell and `LabelEncoder.step` for each emission, so decoding and training
+share one joint and one label-encoder definition.
 """
 
 from __future__ import annotations
@@ -21,63 +25,17 @@ DEFAULT_SYMBOL_CAP = 10
 
 
 @dataclass
-class Hypothesis:
-    tokens: list
-    score: float
-
-
-@dataclass
 class DecoderState:
     tokens: list = field(default_factory=list)
-    score: float = 0.0
+    score: float = 0.0                               # log-probability of the path taken
     lstm_states: list = field(default_factory=list)  # one (h, c) per label layer
     pred_row: np.ndarray | None = None               # current [label_proj] context
 
-    def copy(self) -> "DecoderState":
-        return DecoderState(
-            tokens=list(self.tokens),
-            score=self.score,
-            lstm_states=[(h.copy(), c.copy()) for h, c in self.lstm_states],
-            pred_row=None if self.pred_row is None else self.pred_row.copy(),
-        )
-
-    def hypothesis(self) -> Hypothesis:
-        return Hypothesis(list(self.tokens), self.score)
-
-
-def _label_step(model: TransducerModel, states, x_row: np.ndarray):
-    """One step of the label LSTM stack on a [dim] input row, plain numpy."""
-    new_states = []
-    h_in = x_row
-    out = None
-    for layer, (h, c) in zip(model.label_encoder.layers, states):
-        h2, c2, _ = T.lstm_cell(h_in @ layer.w.data + layer.b.data, h, c, layer.u.data)
-        new_states.append((h2, c2))
-        out = T.swish(T.Tensor(h2 @ layer.proj.weight.data + layer.proj.bias.data)).data
-        h_in = out
-    return new_states, out[0]
-
 
 def init_state(model: TransducerModel) -> DecoderState:
-    """Start-of-utterance state: zero LSTM states fed a zero input vector."""
-    states = [
-        (np.zeros((1, layer.hidden)), np.zeros((1, layer.hidden)))
-        for layer in model.label_encoder.layers
-    ]
-    zero_in = np.zeros((1, model.label_encoder.cfg.label_embed))
-    states, pred = _label_step(model, states, zero_in)
+    """Start-of-utterance state: the label encoder's row 0."""
+    states, pred = model.label_encoder.start()
     return DecoderState(lstm_states=states, pred_row=pred)
-
-
-def _joint_row(model: TransducerModel, enc_t: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    j = model.joint
-    z = np.tanh(enc_t @ j.enc_proj.data + pred @ j.pred_proj.data + j.bias.data)
-    return z @ j.out.weight.data + j.out.bias.data
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max()
-    return z - m - np.log(np.exp(z - m).sum())
 
 
 def step_frame(
@@ -89,18 +47,19 @@ def step_frame(
     """Consume one encoder frame, emitting greedily until a blank (or the cap)."""
     if max_symbols_per_frame < 1:
         raise ConfigError("max_symbols_per_frame must be >= 1")
+    enc_row = T.Tensor(enc_t[None, :])
     emitted = 0
     while True:
-        logits = _joint_row(model, enc_t, state.pred_row)
-        log_probs = _log_softmax(logits)
-        k = int(np.argmax(logits))  # first max wins: ties go to the lowest id
+        with T.no_grad():
+            z = model.joint(enc_row, T.Tensor(state.pred_row[None, :])).data[0, 0]
+        k = int(np.argmax(z))  # first max wins: ties go to the lowest id
+        # The chosen symbol's log-softmax (z[k] - m) - lse, where the max m is z[k].
+        state.score -= float(np.log(np.exp(z - z[k]).sum()))
         if k == 0:
-            state.score += float(log_probs[0])
             return state
         state.tokens.append(k)
-        state.score += float(log_probs[k])
         emb = model.label_encoder.embed.table.data[k][None, :]
-        state.lstm_states, state.pred_row = _label_step(model, state.lstm_states, emb)
+        state.lstm_states, state.pred_row = model.label_encoder.step(state.lstm_states, emb)
         emitted += 1
         if emitted >= max_symbols_per_frame:
             # Loop guard: move on without charging a blank.
@@ -122,7 +81,6 @@ def greedy_decode(
     model: TransducerModel,
     enc_frames: np.ndarray,
     max_symbols_per_frame: int = DEFAULT_SYMBOL_CAP,
-) -> Hypothesis:
+) -> DecoderState:
     """Decode a full utterance of encoder frames [T, proj_dim]."""
-    state = decode_frames(model, init_state(model), enc_frames, max_symbols_per_frame)
-    return state.hypothesis()
+    return decode_frames(model, init_state(model), enc_frames, max_symbols_per_frame)

@@ -67,14 +67,7 @@ class GlobalBlock:
         self.se_reduce = Linear(d, cfg.se_bottleneck, rng)
         self.se_expand = Linear(cfg.se_bottleneck, d, rng)
 
-    def forward_batch(
-        self,
-        xs,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-        se_enabled: bool | None = None,
-    ):
+    def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
         """Apply the block to a batch of [T_i, D] sequences as one tape node.
 
         Convolutions, excitation, and the residual stay per-utterance, but
@@ -95,7 +88,6 @@ class GlobalBlock:
         the node's [N, D] output.
         """
         cfg = self.cfg
-        se = cfg.se_enabled if se_enabled is None else se_enabled
         params = [p for _, p in self.params()]
         record = T.records(list(xs) + params)
         lengths = [x.shape[0] for x in xs]
@@ -123,8 +115,7 @@ class GlobalBlock:
         pointwise(w_in, xt, h)
         h += self.pw_in.bias.data[:, None]
         mask_in = T.relu_(h)
-        xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, update_stats,
-                                                out=h)
+        xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, out=h)
         a_in = self._affine(self.norm_in, xhat_in, record)
 
         # causal dilated depthwise -> ReLU -> batch-norm
@@ -142,8 +133,7 @@ class GlobalBlock:
             del a_in, xhat_in, xt
         h += self.dw.bias.data[:, None]
         mask_dw = T.relu_(h)
-        xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, update_stats,
-                                                out=h)
+        xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, out=h)
         a_dw = self._affine(self.norm_dw, xhat_dw, record)
 
         # pointwise out, squeeze-excite, dropout and the residual, [N, D]
@@ -157,7 +147,7 @@ class GlobalBlock:
         del zc
         counts = (local + 1.0)[:, None]
         m = r = gate = None
-        if se:
+        if cfg.se_enabled:
             m = np.empty_like(z)
             for a, b in spans:
                 np.cumsum(z[a:b], axis=0, out=m[a:b])
@@ -182,7 +172,7 @@ class GlobalBlock:
                     x.accumulate_grad(g[a:b])
             if keep is not None:
                 g = g * keep
-            if se:
+            if cfg.se_enabled:
                 dz = g * gate
                 de = g * z
                 de *= gate
@@ -292,17 +282,10 @@ class GlobalEncoder:
         self.cfg = cfg
         self.blocks = [GlobalBlock(cfg, d, rng) for d in cfg.dilations()]
 
-    def forward_batch(
-        self,
-        xs,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-        se_enabled: bool | None = None,
-    ):
+    def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
         hs = list(xs)
         for block in self.blocks:
-            hs = block.forward_batch(hs, training, rng, update_stats, se_enabled)
+            hs = block.forward_batch(hs, training, rng)
         return hs
 
     def params(self):

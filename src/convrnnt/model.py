@@ -1,5 +1,10 @@
 """Whole-model assembly: frontends, fusion, LSTM stacks, and joint, with a
 stable parameter registry for checkpointing and diagnostics.
+
+There are two forward entry points: `batch_loss` is the transducer loss of a
+batch (training, and each utterance's nll in evaluation), and `encode_audio`
+is one utterance's eval-mode encoder output for decoding.  The label encoder
+and the joint are used as they are, as `label_encoder` and `joint`.
 """
 
 from __future__ import annotations
@@ -63,28 +68,13 @@ class TransducerModel:
 
     # -- forward paths -------------------------------------------------------
 
-    def frontend(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-    ) -> Tensor:
-        """[T, input_dim] features -> fused [T, input_dim] encoder input."""
-        return self.frontend_batch([x], training, rng, update_stats)[0]
-
-    def frontend_batch(
-        self,
-        xs,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-    ):
-        """Batch frontend; batch-norm statistics pool across the utterances."""
+    def frontend_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
+        """Fused [T_i, input_dim] encoder inputs; batch-norm statistics pool
+        across the utterances."""
         local_outs = [self.local(x) for x in xs] if self.local is not None else None
         global_in = local_outs if local_outs is not None else list(xs)
         global_outs = (
-            self.global_enc.forward_batch(global_in, training, rng, update_stats)
+            self.global_enc.forward_batch(global_in, training, rng)
             if self.global_enc is not None
             else None
         )
@@ -98,32 +88,9 @@ class TransducerModel:
             fused.append(fuse_frontends(parts, self.fuse))
         return fused
 
-    def encode_audio(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-    ) -> Tensor:
-        return self.encoder(self.frontend(x, training, rng, update_stats), training, rng)
-
-    def encode_labels(self, tokens, training: bool = False, rng=None) -> Tensor:
-        return self.label_encoder(tokens, training, rng)
-
-    def joint_logits(self, enc: Tensor, pred: Tensor) -> Tensor:
-        return self.joint(enc, pred)
-
-    def utterance_loss(
-        self,
-        features: np.ndarray,
-        tokens,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
-    ) -> Tensor:
-        """Alignment-marginal negative log-likelihood of one utterance."""
-        loss, _ = self.batch_loss([features], [tokens], training, rng, update_stats)
-        return loss
+    def encode_audio(self, x: Tensor) -> Tensor:
+        """[T, input_dim] features -> [T, proj_dim] encoder output, in eval mode."""
+        return self.encoder(self.frontend_batch([x])[0])
 
     def batch_loss(
         self,
@@ -131,7 +98,6 @@ class TransducerModel:
         tokens_list,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        update_stats: bool | None = None,
     ):
         """Mean per-utterance loss over a batch, plus each utterance's nll."""
         xs = []
@@ -142,12 +108,12 @@ class TransducerModel:
                     f"features dim {x.shape[1]} != model input {self.cfg.input_dim}"
                 )
             xs.append(x)
-        fused = self.frontend_batch(xs, training, rng, update_stats)
+        fused = self.frontend_batch(xs, training, rng)
         losses = []
         for x, tokens in zip(fused, tokens_list):
             enc = self.encoder(x, training, rng)
-            pred = self.encode_labels(tokens, training, rng)
-            losses.append(rnnt_loss(self.joint_logits(enc, pred), tokens))
+            pred = self.label_encoder(tokens, training, rng)
+            losses.append(rnnt_loss(self.joint(enc, pred), tokens))
         total = losses[0]
         for extra in losses[1:]:
             total = T.add(total, extra)

@@ -16,8 +16,9 @@ log-normaliser (computed one frame at a time), the blank and label
 log-probabilities and the alpha/beta lattice.  No normalized copy of the
 [T, U+1, V+1] logits is made.  Its backward forms the logit gradient once,
 frame by frame, into one fresh buffer that becomes the logits' `.grad`
-without a further copy.  `build_lattice` and `rnnt_forward` take
-log-softmax-normalized input and run the same code with a zero normaliser.
+without a further copy.  `build_lattice` takes log-softmax-normalized input
+and runs the same recursions with a zero normaliser; its negated
+`log_likelihood` is the nll.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ class AlignmentLattice:
     def log_likelihood(self) -> float:
         t_last, u_last = self.alpha.shape[0] - 1, self.alpha.shape[1] - 1
         return float(self.alpha[t_last, u_last] + self.log_probs_blank[t_last, u_last])
-
-
-@dataclass
-class LossResult:
-    nll: float
-    grad_logits: np.ndarray  # [T, U+1, V+1], gradient w.r.t. raw logits
-    lattice: AlignmentLattice
 
 
 def _scan_forward(base: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -178,25 +172,8 @@ def build_lattice(log_probs: np.ndarray, labels) -> AlignmentLattice:
     return _lattice(log_probs, zero, zero, labels)
 
 
-def rnnt_forward(log_probs: np.ndarray, labels, blank_id: int = 0) -> LossResult:
-    """Loss and exact logit gradient for one utterance.
-
-    The input must already be log-softmax normalized over the last axis; the
-    returned gradient is nevertheless with respect to the *raw* logits (the
-    softmax Jacobian is folded in via the occupancy identity).
-    """
-    if blank_id != 0:
-        raise ShapeError("blank id is fixed at 0")
-    labels = _checked_labels(log_probs, labels)
-    zero = np.zeros(log_probs.shape[:2])
-    lat = _lattice(log_probs, zero, zero, labels)
-    return LossResult(-lat.log_likelihood, _logit_grad(log_probs, zero, zero, labels, lat, 1.0), lat)
-
-
-def rnnt_loss(logits: Tensor, labels, blank_id: int = 0) -> Tensor:
-    """Tape node: scalar loss from raw joint logits [T, U+1, V+1]."""
-    if blank_id != 0:
-        raise ShapeError("blank id is fixed at 0")
+def rnnt_loss(logits: Tensor, labels) -> Tensor:
+    """Tape node: scalar loss from raw joint logits [T, U+1, V+1]; blank is id 0."""
     z = logits.data
     labels = _checked_labels(z, labels)
     m, lse = _normalisers(z)

@@ -5,12 +5,15 @@ numpy float64 array.  Operations record their inputs and a backward closure
 on a dynamic tape (the graph is rebuilt on every forward pass, so variable
 sequence lengths need no special handling).  `Tensor.backward()` walks the
 reachable tape once, in reverse creation order, which is a valid topological
-order because inputs are always created before their consumers.
+order because inputs are always created before their consumers.  Each node
+propagates its gradient once: a second backward that reaches it raises
+`TrainingError` (sum several outputs into one scalar to seed them together).
 
-Only the operations the transducer model actually needs are provided, and
+Only the operations the model and the test oracles use are provided, and
 broadcasting is restricted to the two cases the model uses (trailing-axis
 bias add and same-shape elementwise products).  That keeps every gradient
-rule short enough to audit by eye.
+rule short enough to audit by eye.  Batch-norm uses the fixed `BN_EPS` and
+`BN_MOMENTUM`.
 
 These ops are fused, each one tape node:
 
@@ -41,9 +44,12 @@ import itertools
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TrainingError
 
 _ids = itertools.count()
+
+# Stands in for the backward closure of a node whose gradient has been propagated.
+_SPENT = object()
 
 # When False, newly created tensors record no parents/backward closures.
 # Toggled by `no_grad()` for evaluation and decoding.
@@ -109,7 +115,10 @@ class Tensor:
         """Reverse-mode pass seeding this tensor's gradient.
 
         Defaults to ones (the usual scalar-loss case).  Gradients accumulate
-        into `.grad` of every reachable tensor with `requires_grad`.
+        into `.grad` of every reachable tensor with `requires_grad`.  A node
+        propagates once: a later pass that reaches it raises `TrainingError`
+        before touching any gradient, since it would add the node's whole
+        accumulated gradient to its inputs again.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -126,6 +135,8 @@ class Tensor:
             t = stack.pop()
             if t._id in nodes:
                 continue
+            if t._backward is _SPENT:
+                raise TrainingError("backward reached a node an earlier backward propagated")
             nodes[t._id] = t
             stack.extend(t._parents)
         self.accumulate_grad(grad)
@@ -133,6 +144,7 @@ class Tensor:
             t = nodes[tid]
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+                t._backward = _SPENT
 
     # Arithmetic sugar for the common cases.
     def __add__(self, other):
@@ -250,10 +262,6 @@ def add(a: Tensor, b) -> Tensor:
 
         return from_op(a.data + b.data, (a, b), backward_bias)
     raise ShapeError(f"add: unsupported shapes {a.shape} + {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -452,17 +460,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 # reductions and normalizations
 
 
-def mean_over_axis(x: Tensor, axis: int) -> Tensor:
-    x = _as_tensor(x)
-    n = x.shape[axis]
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-
-    return from_op(x.data.mean(axis=axis), (x,), backward)
-
-
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
 
@@ -471,50 +468,6 @@ def sum_all(x: Tensor) -> Tensor:
             x.accumulate_grad(np.full_like(x.data, float(g)))
 
     return from_op(np.asarray(x.data.sum()), (x,), backward)
-
-
-def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    out_data = np.squeeze(m, axis=axis) + np.log(
-        np.exp(x.data - m).sum(axis=axis)
-    )
-
-    def backward(g):
-        if x.requires_grad:
-            p = np.exp(x.data - np.expand_dims(out_data, axis))
-            x.accumulate_grad(np.expand_dims(g, axis) * p)
-
-    return from_op(out_data, (x,), backward)
-
-
-def softmax_last_axis(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(p * (g - dot))
-
-    return from_op(p, (x,), backward)
-
-
-def log_softmax_last_axis(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    m = x.data.max(axis=-1, keepdims=True)
-    z = x.data - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out_data = z - lse
-
-    def backward(g):
-        if x.requires_grad:
-            p = np.exp(out_data)
-            x.accumulate_grad(g - p * g.sum(axis=-1, keepdims=True))
-
-    return from_op(out_data, (x,), backward)
 
 
 def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
@@ -612,6 +565,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 # batch normalization over the time axis
 
 
+# Variance floor and running-statistics momentum of every batch-norm.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 class RunningStats:
     """Per-channel running mean/variance for batchnorm_time (eval mode)."""
 
@@ -619,36 +577,25 @@ class RunningStats:
         self.mean = np.zeros(channels)
         self.var = np.ones(channels)
 
-    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float) -> None:
-        self.mean = (1.0 - momentum) * self.mean + momentum * mean
-        self.var = (1.0 - momentum) * self.var + momentum * var
+    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
+        self.mean = (1.0 - BN_MOMENTUM) * self.mean + BN_MOMENTUM * mean
+        self.var = (1.0 - BN_MOMENTUM) * self.var + BN_MOMENTUM * var
 
 
-def batchnorm_normalize(
-    x: np.ndarray,
-    stats: RunningStats,
-    training: bool,
-    update_stats: bool | None = None,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-    out: np.ndarray | None = None,
-):
+def batchnorm_normalize(x: np.ndarray, stats: RunningStats, training: bool,
+                        out: np.ndarray | None = None):
     """`xhat = (x - mean) * inv_std` per channel of [C, T]; returns (xhat, inv_std).
 
-    The statistics are those of `x` in training mode (folded into `stats`
-    unless `update_stats` is False) and the running ones in eval mode.
-    `out=x` normalizes in place.
+    The statistics are those of `x` in training mode (and are folded into
+    `stats`) and the running ones in eval mode.  `out=x` normalizes in place.
     """
-    if update_stats is None:
-        update_stats = training
     if training:
         mu = x.mean(axis=1)
         var = x.var(axis=1)
-        if update_stats:
-            stats.update(mu, var, momentum)
+        stats.update(mu, var)
     else:
         mu, var = stats.mean, stats.var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = np.subtract(x, mu[:, None], out=out)
     xhat *= inv_std[:, None]
     return xhat, inv_std
@@ -673,22 +620,18 @@ def batchnorm_time(
     beta: Tensor,
     stats: RunningStats,
     training: bool,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-    update_stats: bool | None = None,
 ) -> Tensor:
     """Normalize each channel of [C, T] over the time axis.
 
-    Training mode uses the statistics of the current input (and, unless
-    `update_stats` is False, folds them into the running stats with the
-    given momentum).  Eval mode uses the frozen running stats only, which
-    keeps inference causal frame by frame.
+    Training mode uses the statistics of the current input and folds them
+    into the running stats.  Eval mode uses the frozen running stats only,
+    which keeps inference causal frame by frame.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c, t = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
-    xhat, inv_std = batchnorm_normalize(x.data, stats, training, update_stats, eps, momentum)
+    xhat, inv_std = batchnorm_normalize(x.data, stats, training)
     out_data = gamma.data[:, None] * xhat + beta.data[:, None]
 
     def backward(g):

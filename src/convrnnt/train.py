@@ -15,7 +15,9 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .audio import FeatureSequence, NormStats, featurize, normalize, read_wav, spec_augment
+from .audio import (
+    FeatureSequence, NormStats, accumulate_stats, featurize, normalize, read_wav, spec_augment,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, architecture_hash, resolve_config
 from .data import ensure_toy_corpus, load_manifest
@@ -203,9 +205,8 @@ class Trainer:
         with T.no_grad():
             for utt in utts:
                 feats = self._features[utt.utt_id]
-                nll_total += float(
-                    self.model.utterance_loss(feats, self.tokens[utt.utt_id]).data
-                )
+                _, (nll,) = self.model.batch_loss([feats], [self.tokens[utt.utt_id]])
+                nll_total += nll
                 enc = self.model.encode_audio(T.Tensor(feats)).data
                 hyp_text = self.vocab.detokenize(greedy_decode(self.model, enc).tokens)
                 hyps[utt.utt_id] = hyp_text
@@ -253,11 +254,10 @@ class Trainer:
 
 def compute_norm_stats(cfg: RunConfig, utts) -> NormStats:
     """Per-dimension mean/variance over the (training) corpus, in order."""
-    stats = NormStats(cfg.input_dim)
-    for utt in utts:
-        pcm = read_wav(utt.audio_path, cfg.feature.sample_rate_hz)
-        stats.add(featurize(pcm, cfg.feature).frames)
-    return stats
+    rate = cfg.feature.sample_rate_hz
+    return accumulate_stats(
+        (featurize(read_wav(u.audio_path, rate), cfg.feature).frames for u in utts), cfg.input_dim
+    )
 
 
 # ---------------------------------------------------------------------------

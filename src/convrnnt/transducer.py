@@ -27,7 +27,6 @@ class TransducerConfig:
     label_proj: int = 512
     joint_dim: int = 512
     vocab_size: int = 2500    # real tokens; blank (id 0) is extra
-    blank_id: int = 0
     dropout_p: float = 0.1
     label_dropout_p: float = -1.0  # < 0 inherits dropout_p
 
@@ -42,8 +41,6 @@ class TransducerConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.blank_id != 0:
-            raise ConfigError("blank id is fixed at 0")
 
 
 class LSTMLayer:
@@ -117,7 +114,9 @@ class LabelEncoder:
     """Encodes emitted-token prefixes; row u is the state after y_1..y_u.
 
     The start state (row 0) comes from a zero input vector rather than a
-    dedicated start token.
+    dedicated start token.  `__call__` encodes a whole prefix on the tape;
+    `start` and `step` advance one token at a time in plain numpy for the
+    decoder, with the same per-layer math.
     """
 
     def __init__(self, cfg: TransducerConfig, rng: np.random.Generator):
@@ -140,9 +139,12 @@ class LabelEncoder:
             )
         return tokens
 
+    def _start_input(self) -> np.ndarray:
+        return np.zeros((1, self.cfg.label_embed))
+
     def __call__(self, tokens, training: bool = False, rng=None) -> Tensor:
         tokens = self._check_tokens(tokens)
-        start = Tensor(np.zeros((1, self.cfg.label_embed)))
+        start = Tensor(self._start_input())
         if tokens.size:
             xs = T.concat([start, self.embed(tokens)], axis=0)
         else:
@@ -151,6 +153,26 @@ class LabelEncoder:
         for layer in self.layers:
             h = layer(h, training, rng, self.cfg.effective_label_dropout)
         return h
+
+    def start(self):
+        """Per-layer (h, c) [1, H] states and [label_proj] output of row 0."""
+        states = [(np.zeros((1, layer.hidden)), np.zeros((1, layer.hidden)))
+                  for layer in self.layers]
+        return self.step(states, self._start_input())
+
+    def step(self, states, x: np.ndarray):
+        """Advance the per-layer states by one [1, label_embed] input row.
+
+        Runs `lstm_cell` and the layer projection outside the tape; returns the
+        new states and the [label_proj] output row.
+        """
+        new_states = []
+        with T.no_grad():
+            for layer, (h, c) in zip(self.layers, states):
+                h, c, _ = T.lstm_cell(x @ layer.w.data + layer.b.data, h, c, layer.u.data)
+                new_states.append((h, c))
+                x = layer.project(Tensor(h)).data
+        return new_states, x[0]
 
     def params(self):
         return collect_params([("embed", self.embed)] + [

@@ -256,11 +256,10 @@ def squeeze_excite(z, reduce, expand):
     return T.mul(z, gate)
 
 
-def _norm_batch(norm, hs, training, update_stats):
+def _norm_batch(norm, hs, training):
     """Batch-norm over the time-concatenated batch, split back per utterance."""
     def bn(x):
-        return T.batchnorm_time(x, norm.gamma, norm.beta, norm.stats, training,
-                                update_stats=update_stats)
+        return T.batchnorm_time(x, norm.gamma, norm.beta, norm.stats, training)
 
     if len(hs) == 1:
         return [bn(hs[0])]
@@ -273,36 +272,32 @@ def _norm_batch(norm, hs, training, update_stats):
     return out
 
 
-def global_block_per_op(block, xs, training=False, rng=None, update_stats=None,
-                        se_enabled=None):
+def global_block_per_op(block, xs, training=False, rng=None):
     """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per utterance."""
     cfg = block.cfg
-    if se_enabled is None:
-        se_enabled = cfg.se_enabled
 
     def conv(layer, x):
         return conv1d(x, layer.weight, layer.bias, dilation=layer.dilation, groups=layer.groups)
 
     hs = [T.relu(conv(block.pw_in, T.transpose2d(x))) for x in xs]  # [E, T_i]
-    hs = _norm_batch(block.norm_in, hs, training, update_stats)
+    hs = _norm_batch(block.norm_in, hs, training)
     hs = [
         T.relu(conv(block.dw, T.pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation)))
         for h in hs
     ]
-    hs = _norm_batch(block.norm_dw, hs, training, update_stats)
+    hs = _norm_batch(block.norm_dw, hs, training)
     out = []
     for x, h in zip(xs, hs):
         z = T.transpose2d(conv(block.pw_out, h))  # [T, D]
-        if se_enabled:
+        if cfg.se_enabled:
             z = squeeze_excite(z, block.se_reduce, block.se_expand)
         z = T.dropout(z, cfg.dropout_p, training, rng)
         out.append(T.add(x, z))
     return out
 
 
-def global_encoder_per_op(enc, xs, training=False, rng=None, update_stats=None,
-                          se_enabled=None):
+def global_encoder_per_op(enc, xs, training=False, rng=None):
     hs = list(xs)
     for block in enc.blocks:
-        hs = global_block_per_op(block, hs, training, rng, update_stats, se_enabled)
+        hs = global_block_per_op(block, hs, training, rng)
     return hs

@@ -210,10 +210,3 @@ def test_wav_rejects_wrong_rate(tmp_path):
     with pytest.raises(DataError):
         read_wav(p, expected_rate=16000)
 
-
-def test_feature_record_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    frames = rng.standard_normal((17, 48))
-    p = tmp_path / "utt0.feat"
-    audio.write_feature_record(p, frames)
-    assert np.array_equal(audio.read_feature_record(p), frames)

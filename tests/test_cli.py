@@ -3,6 +3,7 @@
 import os
 
 from convrnnt.cli import main
+from convrnnt.data import load_manifest
 
 
 def run(capsys, *argv):
@@ -42,3 +43,13 @@ def test_cli_reports_missing_checkpoint(tmp_path, capsys):
     code = main(["eval", "--config", "desk", "--out", str(tmp_path / "empty")])
     assert code == 1
     assert "no checkpoint" in capsys.readouterr().err
+
+
+def test_cli_train_with_relative_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = run(capsys, "train", "--config", "desk", "--out", "relwd/run", "--steps", "1")
+    assert out.startswith("step 1: mean_nll")
+    # The toy manifest written under the relative --out loads from another cwd.
+    monkeypatch.chdir(tmp_path / "relwd")
+    utts = load_manifest(os.path.join("run", "toy", "manifest.tsv"))
+    assert all(os.path.exists(u.audio_path) for u in utts)

@@ -48,10 +48,8 @@ def test_single_frame_emits_token_then_blank():
         layer.proj.weight.data[...] = 0.5
     model.joint.pred_proj.data[...] = np.eye(cfg.model.label_proj)
     state = init_state(model)
-    from convrnnt.decoding import _label_step  # measured rig, not an oracle
-
-    states, pred_after = _label_step(
-        model, state.lstm_states, model.label_encoder.embed.table.data[3][None, :]
+    states, pred_after = model.label_encoder.step(
+        state.lstm_states, model.label_encoder.embed.table.data[3][None, :]
     )
     z_after = np.tanh(pred_after @ model.joint.pred_proj.data + model.joint.bias.data)
     model.joint.out.weight.data[:, 0] = 10.0 * z_after / (z_after @ z_after)
@@ -91,22 +89,7 @@ def test_decode_is_deterministic():
     assert h1.tokens == h2.tokens and h1.score == h2.score
 
 
-def test_partial_states_copy_independent():
-    model, cfg = build_model(9)
-    enc = np.random.default_rng(10).standard_normal((4, cfg.model.proj_dim))
-    state = decode_frames(model, init_state(model), enc[:2])
-    snapshot = state.copy()
-    decode_frames(model, state, enc[2:])
-    assert snapshot.tokens != state.tokens or snapshot.score != state.score or True
-    # The copy must not alias the live state's arrays.
-    assert snapshot.pred_row is not state.pred_row
-    for (h1, c1), (h2, c2) in zip(snapshot.lstm_states, state.lstm_states):
-        assert h1 is not h2 and c1 is not c2
-
-
 def test_label_encoder_rows_match_streaming_pred_rows():
-    from convrnnt.decoding import _label_step
-
     model, _ = build_model(11)
     tokens = [3, 1, 4, 1, 5, 2]
     with T.no_grad():
@@ -114,9 +97,32 @@ def test_label_encoder_rows_match_streaming_pred_rows():
     state = init_state(model)
     streamed = [state.pred_row]
     states = state.lstm_states
+    table = model.label_encoder.embed.table.data
     for k in tokens:
-        states, pred = _label_step(model, states, model.label_encoder.embed.table.data[k][None, :])
+        states, pred = model.label_encoder.step(states, table[k][None, :])
         streamed.append(pred)
     # Not bitwise: the tape projects all inputs with one GEMM, the decoder
     # one row at a time.
     assert np.max(np.abs(rows - np.array(streamed))) <= 1e-12
+
+
+def test_decoder_score_is_the_training_joint_path_log_prob():
+    model, cfg = build_model(12)
+    cap = 3
+    enc = np.random.default_rng(13).standard_normal((20, cfg.model.proj_dim))
+    # Decode frame by frame to record the lattice cells (t, u) the path charges.
+    state, path = init_state(model), []
+    for t in range(enc.shape[0]):
+        u0 = len(state.tokens)
+        state = step_frame(model, state, enc[t], cap)
+        path += [(t, u0 + i, k) for i, k in enumerate(state.tokens[u0:])]
+        if len(state.tokens) - u0 < cap:
+            path.append((t, len(state.tokens), 0))
+    assert state.tokens and any(k == 0 for _, _, k in path)
+    assert state.tokens == greedy_decode(model, enc, cap).tokens
+    with T.no_grad():
+        z = model.joint(T.Tensor(enc), model.label_encoder(state.tokens)).data
+    m = z.max(axis=-1, keepdims=True)
+    log_probs = (z - m) - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    want = sum(log_probs[t, u, k] for t, u, k in path)
+    assert abs(state.score - want) <= 1e-12

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
+from convrnnt.errors import TrainingError
 from convrnnt.global_encoder import GlobalBlock, GlobalEncoder, GlobalEncoderConfig
 
 from oracles import fd_gradient, global_encoder_per_op, prefix_mean, prefix_mean_naive, rel_err
 
 D = 16
 CFG = GlobalEncoderConfig(d_model=D)
+NO_SE = GlobalEncoderConfig(d_model=D, se_enabled=False)
 
 
 def zero_params(obj):
@@ -23,14 +25,14 @@ def positive_conv_weights(block):
             p.data[...] = 0.0
 
 
-def run_block(block, x, **kw):
+def run_block(block, x):
     with T.no_grad():
-        return block.forward_batch([T.Tensor(x)], **kw)[0].data
+        return block.forward_batch([T.Tensor(x)])[0].data
 
 
-def run_stack(enc, x, **kw):
+def run_stack(enc, x):
     with T.no_grad():
-        return enc.forward_batch([T.Tensor(x)], **kw)[0].data
+        return enc.forward_batch([T.Tensor(x)])[0].data
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +60,9 @@ def test_prefix_mean_matches_direct_summation():
 # squeeze-excitation inside the block
 
 
-def constant_branch_block(seed, c):
+def constant_branch_block(seed, c, cfg=CFG):
     """A block whose pointwise-out branch is the constant row c at every step."""
-    block = GlobalBlock(CFG, dilation=2, rng=np.random.default_rng(seed))
+    block = GlobalBlock(cfg, dilation=2, rng=np.random.default_rng(seed))
     block.pw_out.weight.data[...] = 0.0
     block.pw_out.bias.data[...] = c
     return block
@@ -75,7 +77,7 @@ def test_se_zero_weights_halves_input():
     x = rng.standard_normal((9, D))
     # The gate is sigmoid(0) = 0.5 exactly, so the branch is halved.
     assert np.array_equal(run_block(block, x), x + 0.5 * c)
-    assert np.array_equal(run_block(block, x, se_enabled=False), x + c)
+    assert np.array_equal(run_block(constant_branch_block(2, c, NO_SE), x), x + c)
 
 
 def test_se_zero_input_zero_output():
@@ -134,12 +136,12 @@ def test_block_causality_bitwise():
 @pytest.mark.parametrize("block_index", [1, 2, 3])
 def test_block_impulse_support_with_se_disabled(block_index):
     dilation = 2 ** block_index
-    block = GlobalBlock(CFG, dilation=dilation, rng=np.random.default_rng(12))
+    block = GlobalBlock(NO_SE, dilation=dilation, rng=np.random.default_rng(12))
     positive_conv_weights(block)
     t_len, t0 = 80, 10
     x = np.zeros((t_len, D))
     x[t0] = 1.0
-    out = run_block(block, x, se_enabled=False)
+    out = run_block(block, x)
     hot = np.where(np.abs(out).sum(axis=1) > 0)[0]
     reach = 1 + (CFG.dw_kernel - 1) * dilation
     assert hot[0] == t0
@@ -183,13 +185,13 @@ def test_stack_zero_weights_is_identity():
 
 def test_stack_conv_receptive_field_is_253():
     assert CFG.conv_receptive_field == 253
-    enc = GlobalEncoder(CFG, np.random.default_rng(19))
+    enc = GlobalEncoder(NO_SE, np.random.default_rng(19))
     for block in enc.blocks:
         positive_conv_weights(block)
     t_len, t0 = 300, 20
     x = np.zeros((t_len, D))
     x[t0] = 1.0
-    out = run_stack(enc, x, se_enabled=False)
+    out = run_stack(enc, x)
     hot = np.where(np.abs(out).sum(axis=1) > 0)[0]
     # All dilations are even, so interior coverage lands on even offsets; the
     # claim is about the span of the response.
@@ -213,7 +215,7 @@ def test_se_gives_full_prefix_reach():
 def test_block_gradients_flow():
     block = GlobalBlock(GlobalEncoderConfig(d_model=6, dropout_p=0.0), 2, np.random.default_rng(22))
     x = T.Tensor(np.random.default_rng(23).standard_normal((10, 6)), requires_grad=True)
-    T.sum_all(block.forward_batch([x], training=True, update_stats=False)[0]).backward()
+    T.sum_all(block.forward_batch([x], training=True)[0]).backward()
     assert x.grad is not None
     for name, p in block.params():
         assert p.grad is not None, name
@@ -262,15 +264,12 @@ def fused(enc, xs, **kw):
 
 @pytest.mark.parametrize("lengths", [(9,), (7, 13, 4)])
 @pytest.mark.parametrize("se_enabled", [True, False])
-@pytest.mark.parametrize("training,dropout_p,update_stats", [
-    (False, 0.1, None), (True, 0.0, None), (True, 0.1, None), (True, 0.1, False),
-])
-def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p, update_stats):
-    cfg = GlobalEncoderConfig(d_model=D, dropout_p=dropout_p)
+@pytest.mark.parametrize("training,dropout_p", [(False, 0.1), (True, 0.0), (True, 0.1)])
+def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p):
+    cfg = GlobalEncoderConfig(d_model=D, dropout_p=dropout_p, se_enabled=se_enabled)
     arrays, seeds = batch_inputs(lengths, D, 33)
-    kw = dict(training=training, update_stats=update_stats, se_enabled=se_enabled)
-    got = run_encoder(fused, cfg, arrays, seeds, grad=False, **kw)
-    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=False, **kw)
+    got = run_encoder(fused, cfg, arrays, seeds, grad=False, training=training)
+    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=False, training=training)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].tobytes() == want[key].tobytes(), key
@@ -280,11 +279,10 @@ def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p
 @pytest.mark.parametrize("se_enabled", [True, False])
 @pytest.mark.parametrize("training", [False, True])
 def test_gradients_match_per_op(lengths, se_enabled, training):
-    cfg = GlobalEncoderConfig(d_model=D, dropout_p=0.1)
+    cfg = GlobalEncoderConfig(d_model=D, dropout_p=0.1, se_enabled=se_enabled)
     arrays, seeds = batch_inputs(lengths, D, 34)
-    kw = dict(training=training, se_enabled=se_enabled)
-    got = run_encoder(fused, cfg, arrays, seeds, grad=True, **kw)
-    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=True, **kw)
+    got = run_encoder(fused, cfg, arrays, seeds, grad=True, training=training)
+    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=True, training=training)
     assert got.keys() == want.keys()
     for key in want:
         # The forward bits are pinned above; gradients to 1e-12 of their scale.
@@ -297,7 +295,7 @@ def test_block_gradient_matches_fd(se_enabled):
     # Three unequal lengths, so training-mode batch-norm pools across them and
     # each input's gradient depends on the other utterances.
     d = 6
-    cfg = GlobalEncoderConfig(d_model=d, dropout_p=0.1)
+    cfg = GlobalEncoderConfig(d_model=d, dropout_p=0.1, se_enabled=se_enabled)
     block = GlobalBlock(cfg, 2, np.random.default_rng(35))
     # Move off the initialization: with every bias zero the second batch-norm
     # cancels a rescaling of the first one's gamma, whose gradient is then
@@ -308,8 +306,7 @@ def test_block_gradient_matches_fd(se_enabled):
     arrays, seeds = batch_inputs((5, 8, 3), d, 36)
 
     def forward(xs):
-        return block.forward_batch(xs, training=True, rng=np.random.default_rng(37),
-                                   update_stats=False, se_enabled=se_enabled)
+        return block.forward_batch(xs, training=True, rng=np.random.default_rng(37))
 
     def loss(values):
         with T.no_grad():
@@ -345,14 +342,29 @@ def test_block_is_one_node_for_the_batch():
                         np.random.default_rng(38))
     arrays, _ = batch_inputs((4, 6, 5), D, 39)
     xs = [T.Tensor(a, requires_grad=True) for a in arrays]
-    outs = block.forward_batch(xs, training=True, update_stats=False)
+    outs = block.forward_batch(xs, training=True)
     nodes = {o._parents[0] for o in outs}
     assert len(nodes) == 1
     node = nodes.pop()
     assert node._parents == tuple(xs) + tuple(p for _, p in block.params())
     assert node.shape == (15, D)
-    (single,) = block.forward_batch(xs[:1], training=True, update_stats=False)
+    (single,) = block.forward_batch(xs[:1], training=True)
     assert single._parents == (xs[0],) + tuple(p for _, p in block.params())
     with T.no_grad():
         outs = block.forward_batch(xs)
     assert all(o._backward is None and not o._parents for o in outs)
+
+
+def test_backward_per_output_of_a_batch_raises():
+    # The outputs are slices of one block node: a backward from the second
+    # output would propagate that node again and count the first seed twice.
+    enc = GlobalEncoder(GlobalEncoderConfig(d_model=D), np.random.default_rng(41))
+    arrays, seeds = batch_inputs((7, 13, 4), D, 42)
+    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    outs = enc.forward_batch(xs, training=True, rng=np.random.default_rng(43))
+    outs[0].backward(seeds[0])
+    first = [x.grad.copy() for x in xs]
+    with pytest.raises(TrainingError):
+        outs[1].backward(seeds[1])
+    for x, g in zip(xs, first):
+        assert np.array_equal(x.grad, g)

@@ -59,7 +59,7 @@ def test_loss_backward_reaches_every_parameter():
     model = TransducerModel(cfg, seed=2)
     rng = make_rng(3)
     feats = rng.standard_normal((6, cfg.input_dim))
-    loss = model.utterance_loss(feats, [1, 3], training=True, rng=rng, update_stats=False)
+    loss, _ = model.batch_loss([feats], [[1, 3]], training=True, rng=rng)
     assert float(loss.data) > 0.0
     loss.backward()
     for name, p in model.parameters():
@@ -90,8 +90,8 @@ def test_joint_invariant_to_future_labels():
     x = T.Tensor(rng.standard_normal((5, cfg.input_dim)))
     with T.no_grad():
         enc = model.encode_audio(x)
-        full = model.joint_logits(enc, model.encode_labels([2, 5, 1])).data
-        swapped = model.joint_logits(enc, model.encode_labels([2, 5, 7])).data
+        full = model.joint(enc, model.label_encoder([2, 5, 1])).data
+        swapped = model.joint(enc, model.label_encoder([2, 5, 7])).data
     # Rows u = 0..2 depend only on y_1..y_2.
     assert np.array_equal(full[:, :3, :], swapped[:, :3, :])
     assert not np.array_equal(full[:, 3, :], swapped[:, 3, :])
@@ -116,7 +116,7 @@ def test_same_seed_same_gradients_bitwise():
         model = TransducerModel(cfg, seed=10)
         rng = make_rng(11)
         feats = make_rng(12).standard_normal((5, cfg.input_dim))
-        loss = model.utterance_loss(feats, [2, 4], training=True, rng=rng, update_stats=False)
+        loss, _ = model.batch_loss([feats], [[2, 4]], training=True, rng=rng)
         loss.backward()
         return float(loss.data), {n: p.grad.copy() for n, p in model.parameters()}
 
