@@ -160,13 +160,19 @@ def featurize(pcm: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:
 
 
 class NormStats:
-    """Streaming per-dimension mean/variance over the training split."""
+    """Streaming per-dimension mean/variance over the training split.
+
+    Stats read back by `load` report the saved mean and variance bitwise, so
+    a run that reloads its stats file normalizes exactly as the run that
+    wrote it.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._sum = np.zeros(dim)
         self._sumsq = np.zeros(dim)
         self.count = 0
+        self._saved = None  # (mean, variance) as read by `load`
 
     def add(self, frames: np.ndarray) -> None:
         if frames.shape[1] != self.dim:
@@ -174,15 +180,20 @@ class NormStats:
         self._sum += frames.sum(axis=0)
         self._sumsq += (frames * frames).sum(axis=0)
         self.count += frames.shape[0]
+        self._saved = None
 
     @property
     def mean(self) -> np.ndarray:
+        if self._saved is not None:
+            return self._saved[0]
         if self.count == 0:
             raise ConfigError("normalization stats are empty")
         return self._sum / self.count
 
     @property
     def variance(self) -> np.ndarray:
+        if self._saved is not None:
+            return self._saved[1]
         mu = self.mean
         return np.maximum(self._sumsq / self.count - mu * mu, 0.0)
 
@@ -205,6 +216,7 @@ class NormStats:
         stats._sum = mean * count
         stats._sumsq = (var + mean * mean) * count
         stats.count = count
+        stats._saved = (mean, var)
         return stats
 
 

@@ -11,20 +11,18 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import tensor as T
 from .complexity import MODEL_NAMES, flops_curve_csv, parse_length_range
 from .config import resolve_config
 from .data import load_manifest
-from .decoding import greedy_decode
 from .errors import ConfigError, DataError, TrainingError
 from .train import (
     Trainer,
     compute_norm_stats,
+    featurize_wavs,
     format_ablation,
     format_param_report,
     param_report,
+    resolve_data,
     run_ablation,
 )
 
@@ -78,8 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_prep_stats(args) -> int:
     cfg = resolve_config(args.config, args.overrides)
-    trainer = Trainer(cfg, os.path.dirname(os.path.abspath(args.out)) or ".")
-    stats = compute_norm_stats(trainer.cfg, trainer.train_utts)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(out_dir, exist_ok=True)
+    manifest, _ = resolve_data(cfg, out_dir)
+    utts = load_manifest(manifest)
+    stats = compute_norm_stats(cfg, utts, featurize_wavs(cfg, utts))
     stats.save(args.out)
     print(f"wrote stats for {stats.count} frames ({stats.dim} dims) to {args.out}")
     return 0
@@ -122,10 +123,8 @@ def cmd_eval(args) -> int:
 def cmd_decode(args) -> int:
     trainer = _load_trained(args)
     hyp_path = args.hyp or os.path.join(args.out, "hypotheses.txt")
-    with T.no_grad(), open(hyp_path, "w", encoding="utf-8") as f:
-        for utt in trainer.eval_utts:
-            enc = trainer.model.encode_audio(T.Tensor(trainer._features[utt.utt_id])).data
-            hyp = trainer.vocab.detokenize(greedy_decode(trainer.model, enc).tokens)
+    with open(hyp_path, "w", encoding="utf-8") as f:
+        for utt, _, hyp in trainer.decode():
             f.write(f"{utt.utt_id}\t{hyp}\n")
     print(f"wrote {len(trainer.eval_utts)} hypotheses to {hyp_path}")
     return 0

@@ -1,13 +1,21 @@
 """Whole-model assembly: frontends, fusion, LSTM stacks, and joint, with a
 stable parameter registry for checkpointing and diagnostics.
 
+The registry is the one source of parameter names and shapes:
+`parameter_shapes` and `count_parameters` read it from a model built with
+an init source that allocates no weights, so they report configs too big to
+build for real.
+
 There are two forward entry points: `batch_loss` is the transducer loss of a
-batch (training, and each utterance's nll in evaluation), and `encode_audio`
-is one utterance's eval-mode encoder output for decoding.  The label encoder
-and the joint are used as they are, as `label_encoder` and `joint`.
+training batch, and `encode_audio` is one utterance's eval-mode encoder
+output, which evaluation both decodes and scores with `encoded_loss`.  The
+label encoder and the joint are used as they are, as `label_encoder` and
+`joint`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,8 +38,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 class TransducerModel:
     def __init__(self, cfg: RunConfig, seed: int = 0):
+        self._build(cfg, make_rng(seed))
+
+    def _build(self, cfg: RunConfig, rng) -> None:
+        """Assemble every module, drawing initial weights from `rng.uniform`."""
         self.cfg = cfg
-        rng = make_rng(seed)
         local_cfg = cfg.local_config()
         global_cfg = cfg.global_config()
         tr_cfg = cfg.transducer_config()
@@ -41,9 +52,6 @@ class TransducerModel:
         self.encoder = AudioEncoder(tr_cfg, rng)
         self.label_encoder = LabelEncoder(tr_cfg, rng)
         self.joint = Joint(tr_cfg, rng)
-        self._params = self._build_registry()
-
-    def _build_registry(self):
         children = [
             ("local", self.local),
             ("global", self.global_enc),
@@ -52,7 +60,7 @@ class TransducerModel:
             ("label", self.label_encoder),
             ("joint", self.joint),
         ]
-        return collect_params((name, child) for name, child in children if child is not None)
+        self._params = collect_params((name, child) for name, child in children if child is not None)
 
     def parameters(self):
         return list(self._params)
@@ -92,6 +100,11 @@ class TransducerModel:
         """[T, input_dim] features -> [T, proj_dim] encoder output, in eval mode."""
         return self.encoder(self.frontend_batch([x])[0])
 
+    def encoded_loss(self, enc: Tensor, tokens, training: bool = False, rng=None) -> Tensor:
+        """Transducer loss of one utterance from its [T, proj_dim] encoder output."""
+        pred = self.label_encoder(tokens, training, rng)
+        return rnnt_loss(self.joint(enc, pred), tokens)
+
     def batch_loss(
         self,
         features_list,
@@ -109,11 +122,10 @@ class TransducerModel:
                 )
             xs.append(x)
         fused = self.frontend_batch(xs, training, rng)
-        losses = []
-        for x, tokens in zip(fused, tokens_list):
-            enc = self.encoder(x, training, rng)
-            pred = self.label_encoder(tokens, training, rng)
-            losses.append(rnnt_loss(self.joint(enc, pred), tokens))
+        losses = [
+            self.encoded_loss(self.encoder(x, training, rng), tokens, training, rng)
+            for x, tokens in zip(fused, tokens_list)
+        ]
         total = losses[0]
         for extra in losses[1:]:
             total = T.add(total, extra)
@@ -122,97 +134,41 @@ class TransducerModel:
 
 
 # ---------------------------------------------------------------------------
-# shape-only mirror of the registry (reports for configs too big to build)
+# parameter counts (reports for configs too big to build for real)
+
+
+class _ZeroInit:
+    """Init source whose every draw is a read-only broadcast view of 0.0, so a
+    model built from it owns almost no memory whatever its size."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
 
 
 def parameter_shapes(cfg: RunConfig):
-    """(name, shape) for every trainable tensor, in registry order, without
-    allocating anything."""
-    out = []
-    local_cfg = cfg.local_config()
-    if local_cfg is not None:
-        c_prev = local_cfg.in_channels
-        for i, c in enumerate(local_cfg.channels):
-            out.append((f"local.conv{i}.weight", (c, c_prev, local_cfg.kernel_t, local_cfg.kernel_f)))
-            out.append((f"local.conv{i}.bias", (c,)))
-            c_prev = c
-    global_cfg = cfg.global_config()
-    if global_cfg is not None:
-        d, e = global_cfg.d_model, global_cfg.expansion * global_cfg.d_model
-        b = global_cfg.se_bottleneck
-        for i in range(1, global_cfg.n_blocks + 1):
-            out += [
-                (f"global.block{i}.pw_in.weight", (e, d, 1)),
-                (f"global.block{i}.pw_in.bias", (e,)),
-                (f"global.block{i}.norm_in.gamma", (e,)),
-                (f"global.block{i}.norm_in.beta", (e,)),
-                (f"global.block{i}.dw.weight", (e, 1, global_cfg.dw_kernel)),
-                (f"global.block{i}.dw.bias", (e,)),
-                (f"global.block{i}.norm_dw.gamma", (e,)),
-                (f"global.block{i}.norm_dw.beta", (e,)),
-                (f"global.block{i}.pw_out.weight", (d, e, 1)),
-                (f"global.block{i}.pw_out.bias", (d,)),
-                (f"global.block{i}.se_reduce.weight", (d, b)),
-                (f"global.block{i}.se_reduce.bias", (b,)),
-                (f"global.block{i}.se_expand.weight", (b, d)),
-                (f"global.block{i}.se_expand.bias", (d,)),
-            ]
-    out += [
-        ("fuse.weight", (cfg.fuse_input_dim(), cfg.input_dim)),
-        ("fuse.bias", (cfg.input_dim,)),
-    ]
-    tr = cfg.transducer_config()
-    n_in = tr.input_dim
-    for i in range(tr.enc_layers):
-        out += _lstm_shapes(f"encoder.layer{i}", n_in, tr.enc_hidden, tr.proj_dim)
-        n_in = tr.proj_dim
-    out.append(("label.embed.table", (tr.vocab_size + 1, tr.label_embed)))
-    n_in = tr.label_embed
-    for i in range(tr.label_layers):
-        out += _lstm_shapes(f"label.lstm{i}", n_in, tr.label_hidden, tr.label_proj)
-        n_in = tr.label_proj
-    out += [
-        ("joint.enc_proj", (tr.proj_dim, tr.joint_dim)),
-        ("joint.pred_proj", (tr.label_proj, tr.joint_dim)),
-        ("joint.bias", (tr.joint_dim,)),
-        ("joint.out.weight", (tr.joint_dim, tr.vocab_size + 1)),
-        ("joint.out.bias", (tr.vocab_size + 1,)),
-    ]
-    return out
+    """(name, shape) for every trainable tensor, in registry order, read from
+    the registry of a model whose weights are never allocated."""
+    model = TransducerModel.__new__(TransducerModel)
+    model._build(cfg, _ZeroInit())
+    return [(name, p.shape) for name, p in model.parameters()]
 
 
-def _lstm_shapes(prefix, n_in, hidden, proj):
-    return [
-        (f"{prefix}.w", (n_in, 4 * hidden)),
-        (f"{prefix}.u", (hidden, 4 * hidden)),
-        (f"{prefix}.b", (4 * hidden,)),
-        (f"{prefix}.proj.weight", (hidden, proj)),
-        (f"{prefix}.proj.bias", (proj,)),
-    ]
-
-
+# Parameter groups of the report, their registry name prefixes, and the
+# published full-scale size of each module in millions.
 PARAM_GROUPS = (
-    ("convolution blocks", ("local.", "global.", "fuse.")),
-    ("LSTM encoder", ("encoder.",)),
-    ("joint network", ("joint.",)),
-    ("decoder input embedding", ("label.embed.",)),
-    ("LSTM decoder", ("label.lstm",)),
+    ("convolution blocks", ("local.", "global.", "fuse."), 5.40),
+    ("LSTM encoder", ("encoder.",), 18.93),
+    ("joint network", ("joint.",), 1.28),
+    ("decoder input embedding", ("label.embed.",), 0.62),
+    ("LSTM decoder", ("label.lstm",), 2.62),
 )
-
-
-def group_of(name: str) -> str:
-    for group, prefixes in PARAM_GROUPS:
-        if any(name.startswith(p) for p in prefixes):
-            return group
-    raise KeyError(name)
 
 
 def count_parameters(cfg: RunConfig):
     """Per-group exact parameter counts from shapes alone."""
-    counts = {group: 0 for group, _ in PARAM_GROUPS}
+    counts = {group: 0 for group, _, _ in PARAM_GROUPS}
     for name, shape in parameter_shapes(cfg):
-        n = 1
-        for s in shape:
-            n *= s
-        counts[group_of(name)] += n
+        group = next(g for g, prefixes, _ in PARAM_GROUPS if name.startswith(prefixes))
+        counts[group] += math.prod(shape)
     return counts

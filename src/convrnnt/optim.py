@@ -56,10 +56,6 @@ class Adam:
             v += (1.0 - c.beta2) * (g * g)
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
-
     def state_arrays(self):
         """Moment buffers and the step counter, for checkpointing."""
         out = [("adam.t", np.asarray([float(self.t)]))]

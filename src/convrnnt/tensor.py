@@ -94,12 +94,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             # The same bits and layout as zeros + g (adding 0.0 turns -0.0

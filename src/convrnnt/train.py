@@ -10,6 +10,7 @@ accumulation over a batch is an ordered reduction.
 from __future__ import annotations
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -23,19 +24,9 @@ from .config import RunConfig, architecture_hash, resolve_config
 from .data import ensure_toy_corpus, load_manifest
 from .decoding import greedy_decode
 from .errors import ConfigError, TrainingError
-from .model import TransducerModel, count_parameters, make_rng, parameter_shapes
+from .model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
 from .optim import Adam, lr_at
 from .vocab import Vocab
-
-# Published full-scale per-module sizes (in millions) used as the reference
-# column of the diagnostic parameter report.
-REFERENCE_PARAMS_M = {
-    "convolution blocks": 5.40,
-    "LSTM encoder": 18.93,
-    "joint network": 1.28,
-    "decoder input embedding": 0.62,
-    "LSTM decoder": 2.62,
-}
 
 
 def word_error_rate(ref: str, hyp: str) -> float:
@@ -59,7 +50,7 @@ class Trainer:
         self.workdir = str(workdir)
         os.makedirs(self.workdir, exist_ok=True)
 
-        manifest_path, vocab_path = self._resolve_data()
+        manifest_path, vocab_path = resolve_data(cfg, self.workdir)
         self.vocab = Vocab.load(vocab_path)
         if cfg.model.vocab_size == 0:
             cfg.model.vocab_size = self.vocab.n_labels
@@ -76,10 +67,12 @@ class Trainer:
         )
         self.tokens = {u.utt_id: self.vocab.tokenize(u.transcript) for u in self.train_utts + self.eval_utts}
 
-        self.stats = self._resolve_stats()
-        self._features = {}
-        for utt in {u.utt_id: u for u in self.train_utts + self.eval_utts}.values():
-            self._features[utt.utt_id] = self._featurize(utt.audio_path)
+        seqs = featurize_wavs(cfg, self.train_utts + self.eval_utts)
+        self.stats = self._resolve_stats(seqs)
+        self._features = {
+            utt.utt_id: normalize(seqs[utt.audio_path], self.stats).frames
+            for utt in {u.utt_id: u for u in self.train_utts + self.eval_utts}.values()
+        }
 
         seed = cfg.training.seed
         self.model = TransducerModel(cfg, seed=seed)
@@ -90,31 +83,16 @@ class Trainer:
 
     # -- data plumbing -------------------------------------------------------
 
-    def _resolve_data(self):
-        data = self.cfg.data
-        if data.use_toy:
-            toy_dir = data.toy_dir or os.path.join(self.workdir, "toy")
-            manifest, vocab = ensure_toy_corpus(toy_dir)
-            return data.train_manifest or manifest, data.vocab or vocab
-        if not data.train_manifest or not data.vocab:
-            raise ConfigError("data.train_manifest and data.vocab are required")
-        return data.train_manifest, data.vocab
-
-    def _resolve_stats(self) -> NormStats:
+    def _resolve_stats(self, seqs) -> NormStats:
         path = self.cfg.data.stats or os.path.join(self.workdir, "norm_stats.bin")
         if os.path.exists(path):
             stats = NormStats.load(path)
             if stats.dim != self.cfg.input_dim:
                 raise ConfigError(f"stats dim {stats.dim} != input dim {self.cfg.input_dim}")
             return stats
-        stats = compute_norm_stats(self.cfg, self.train_utts)
+        stats = compute_norm_stats(self.cfg, self.train_utts, seqs)
         stats.save(path)
         return stats
-
-    def _featurize(self, audio_path) -> np.ndarray:
-        pcm = read_wav(audio_path, self.cfg.feature.sample_rate_hz)
-        seq = normalize(featurize(pcm, self.cfg.feature), self.stats)
-        return seq.frames
 
     def _epoch_perm(self, epoch: int) -> np.ndarray:
         if epoch not in self._perms:
@@ -194,6 +172,15 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------
 
+    def decode(self, utts=None):
+        """Yield (utterance, encoder output, greedy hypothesis text) in order,
+        encoding each utterance once in eval mode."""
+        for utt in utts if utts is not None else self.eval_utts:
+            with T.no_grad():
+                enc = self.model.encode_audio(T.Tensor(self._features[utt.utt_id]))
+                tokens = greedy_decode(self.model, enc.data).tokens
+            yield utt, enc, self.vocab.detokenize(tokens)
+
     def evaluate(self, utts=None):
         """Mean per-utterance nll, exact transcript match rate, and WER."""
         utts = utts if utts is not None else self.eval_utts
@@ -202,18 +189,14 @@ class Trainer:
         wer_num = 0.0
         wer_den = 0
         hyps = {}
-        with T.no_grad():
-            for utt in utts:
-                feats = self._features[utt.utt_id]
-                _, (nll,) = self.model.batch_loss([feats], [self.tokens[utt.utt_id]])
-                nll_total += nll
-                enc = self.model.encode_audio(T.Tensor(feats)).data
-                hyp_text = self.vocab.detokenize(greedy_decode(self.model, enc).tokens)
-                hyps[utt.utt_id] = hyp_text
-                exact += hyp_text == utt.transcript
-                ref_words = utt.transcript.split()
-                wer_num += word_error_rate(utt.transcript, hyp_text) * len(ref_words)
-                wer_den += len(ref_words)
+        for utt, enc, hyp_text in self.decode(utts):
+            with T.no_grad():
+                nll_total += float(self.model.encoded_loss(enc, self.tokens[utt.utt_id]).data)
+            hyps[utt.utt_id] = hyp_text
+            exact += hyp_text == utt.transcript
+            ref_words = utt.transcript.split()
+            wer_num += word_error_rate(utt.transcript, hyp_text) * len(ref_words)
+            wer_den += len(ref_words)
         return {
             "mean_nll": nll_total / len(utts),
             "exact_match": exact / len(utts),
@@ -230,10 +213,14 @@ class Trainer:
         for name, bn in self.model.norm_layers():
             for stat_name, value in bn.state():
                 arrays.append((f"stats.{name}.{stat_name}", value))
-        arrays.append(("normstats.mean", self.stats.mean))
-        arrays.append(("normstats.var", self.stats.variance))
-        arrays.append(("normstats.count", np.asarray([float(self.stats.count)])))
-        return arrays
+        return arrays + self._norm_stats_arrays()
+
+    def _norm_stats_arrays(self):
+        return [
+            ("normstats.mean", self.stats.mean),
+            ("normstats.var", self.stats.variance),
+            ("normstats.count", np.asarray([float(self.stats.count)])),
+        ]
 
     def save(self, path) -> None:
         save_checkpoint(
@@ -243,6 +230,12 @@ class Trainer:
 
     def load(self, path) -> None:
         step, arrays, rng_state = load_checkpoint(path, expected_hash=self.arch_hash)
+        for name, value in self._norm_stats_arrays():
+            if not np.array_equal(arrays[name], value):
+                raise ConfigError(
+                    f"{path}: {name} differs from the feature normalization stats in use; "
+                    "the checkpoint was trained with other stats"
+                )
         self.step = step
         for name, p in self.model.parameters():
             p.data[...] = arrays[name]
@@ -252,12 +245,34 @@ class Trainer:
         self.rng.bit_generator.state = rng_state
 
 
-def compute_norm_stats(cfg: RunConfig, utts) -> NormStats:
-    """Per-dimension mean/variance over the (training) corpus, in order."""
+def resolve_data(cfg: RunConfig, workdir: str):
+    """(train manifest, vocab) paths; the toy corpus is made under
+    `<workdir>/toy` unless `data.toy_dir` names another place."""
+    data = cfg.data
+    if data.use_toy:
+        toy_dir = data.toy_dir or os.path.join(workdir, "toy")
+        manifest, vocab = ensure_toy_corpus(toy_dir)
+        return data.train_manifest or manifest, data.vocab or vocab
+    if not data.train_manifest or not data.vocab:
+        raise ConfigError("data.train_manifest and data.vocab are required")
+    return data.train_manifest, data.vocab
+
+
+def featurize_wavs(cfg: RunConfig, utts):
+    """Unnormalized features of each distinct wav among `utts`, keyed by
+    path; every wav is read and featurized once."""
     rate = cfg.feature.sample_rate_hz
-    return accumulate_stats(
-        (featurize(read_wav(u.audio_path, rate), cfg.feature).frames for u in utts), cfg.input_dim
-    )
+    seqs = {}
+    for u in utts:
+        if u.audio_path not in seqs:
+            seqs[u.audio_path] = featurize(read_wav(u.audio_path, rate), cfg.feature)
+    return seqs
+
+
+def compute_norm_stats(cfg: RunConfig, utts, seqs) -> NormStats:
+    """Per-dimension mean/variance over the (training) utterances `utts`, in
+    order, from their `featurize_wavs` features `seqs`."""
+    return accumulate_stats((seqs[u.audio_path].frames for u in utts), cfg.input_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +283,7 @@ def param_report(cfg: RunConfig):
     """Rows (group, count, reference_millions, ratio) in fixed group order."""
     counts = count_parameters(cfg)
     rows = []
-    for group, ref_m in REFERENCE_PARAMS_M.items():
+    for group, _, ref_m in PARAM_GROUPS:
         count = counts[group]
         rows.append((group, count, ref_m, (count / 1e6) / ref_m))
     return rows
@@ -285,14 +300,11 @@ def format_param_report(rows) -> str:
 
 def frontend_param_count(cfg: RunConfig) -> int:
     """Conv frontend size (local + global, fusion excluded), exact integer."""
-    total = 0
-    for name, shape in parameter_shapes(cfg):
-        if name.startswith(("local.", "global.")):
-            n = 1
-            for s in shape:
-                n *= s
-            total += n
-    return total
+    return sum(
+        math.prod(shape)
+        for name, shape in parameter_shapes(cfg)
+        if name.startswith(("local.", "global."))
+    )
 
 
 ABLATION_VARIANTS = (

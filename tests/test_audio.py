@@ -129,6 +129,20 @@ def test_stats_roundtrip(tmp_path):
     assert np.allclose(loaded.variance, stats.variance)
 
 
+def test_stats_reload_is_bitwise(tmp_path):
+    # Rebuilding the mean and variance from sums does not round-trip every
+    # float64; the reloaded stats must normalize exactly as the saved ones.
+    # (Seed 3 gives a variance that the sums do not reproduce.)
+    rng = np.random.default_rng(3)
+    frames = rng.standard_normal((200, 64)) * rng.random(64) * 9 + rng.standard_normal(64) * 9
+    stats = accumulate_stats([frames], 64)
+    p = tmp_path / "stats.bin"
+    stats.save(p)
+    loaded = NormStats.load(p)
+    assert np.array_equal(loaded.mean, stats.mean)
+    assert np.array_equal(loaded.variance, stats.variance)
+
+
 # ---------------------------------------------------------------------------
 # masking
 

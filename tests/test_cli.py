@@ -2,8 +2,13 @@
 
 import os
 
+import numpy as np
+
+from convrnnt.audio import accumulate_stats
 from convrnnt.cli import main
+from convrnnt.config import load_preset
 from convrnnt.data import load_manifest
+from convrnnt.train import Trainer, compute_norm_stats, featurize_wavs
 
 
 def run(capsys, *argv):
@@ -53,3 +58,36 @@ def test_cli_train_with_relative_out(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path / "relwd")
     utts = load_manifest(os.path.join("run", "toy", "manifest.tsv"))
     assert all(os.path.exists(u.audio_path) for u in utts)
+
+
+def test_cli_prep_stats_writes_only_the_stats_file(tmp_path, capsys):
+    out_dir = tmp_path / "stats"
+    out = run(capsys, "prep-stats", "--config", "desk", "--out", str(out_dir / "s.bin"))
+    assert "wrote stats" in out
+    assert sorted(os.listdir(out_dir)) == ["s.bin", "toy"]
+
+    cfg = load_preset("desk")
+    utts = load_manifest(str(out_dir / "toy" / "manifest.tsv"))
+    compute_norm_stats(cfg, utts, featurize_wavs(cfg, utts)).save(tmp_path / "expected.bin")
+    assert (out_dir / "s.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
+
+
+def test_cli_decode_writes_the_evaluate_hypotheses(tmp_path, capsys):
+    work = str(tmp_path / "run")
+    run(capsys, "train", "--config", "desk", "--out", work, "--steps", "2")
+    run(capsys, "decode", "--config", "desk", "--out", work)
+    trainer = Trainer(load_preset("desk"), work)
+    trainer.load(os.path.join(work, "checkpoint.bin"))
+    expected = "".join(f"{k}\t{v}\n" for k, v in trainer.evaluate()["hypotheses"].items())
+    with open(os.path.join(work, "hypotheses.txt"), encoding="utf-8") as f:
+        assert f.read() == expected
+
+
+def test_cli_eval_rejects_replaced_norm_stats(tmp_path, capsys):
+    work = str(tmp_path / "run")
+    run(capsys, "train", "--config", "desk", "--out", work, "--steps", "1")
+    other = np.random.default_rng(0).standard_normal((50, load_preset("desk").input_dim))
+    accumulate_stats([other], other.shape[1]).save(os.path.join(work, "norm_stats.bin"))
+    code = main(["eval", "--config", "desk", "--out", work])
+    assert code == 1
+    assert "normstats.mean differs" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.errors import ConfigError
 from convrnnt.model import TransducerModel, count_parameters, make_rng, parameter_shapes
+from convrnnt.train import frontend_param_count
 
 
 def desk_cfg(**overrides):
@@ -33,25 +37,25 @@ def test_both_frontends_disabled_rejected():
 
 
 def test_frontend_param_counts_are_additive():
-    both = count_parameters(desk_cfg())
-    local_only = count_parameters(desk_cfg(**{"model.global_enabled": "false"}))
-    global_only = count_parameters(desk_cfg(**{"model.local_enabled": "false"}))
-
-    def frontend(counts, cfg):
-        # Conv frontends without the fusion projection.
-        total = 0
-        for name, shape in parameter_shapes(cfg):
-            if name.startswith(("local.", "global.")):
-                n = 1
-                for s in shape:
-                    n *= s
-                total += n
-        return total
-
-    f_both = frontend(both, desk_cfg())
-    f_local = frontend(local_only, desk_cfg(**{"model.global_enabled": "false"}))
-    f_global = frontend(global_only, desk_cfg(**{"model.local_enabled": "false"}))
+    f_both = frontend_param_count(desk_cfg())
+    f_local = frontend_param_count(desk_cfg(**{"model.global_enabled": "false"}))
+    f_global = frontend_param_count(desk_cfg(**{"model.local_enabled": "false"}))
     assert f_both == f_local + f_global
+
+
+def test_paper_parameter_shapes_allocate_no_weights():
+    # The paper model holds 457.6M float64 weights (3.4 GiB); its registry
+    # must be readable without them.
+    cfg = load_preset("paper")
+    tracemalloc.start()
+    try:
+        shapes = parameter_shapes(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(shapes) == 140
+    assert sum(math.prod(shape) for _, shape in shapes) == 457_619_369
 
 
 def test_loss_backward_reaches_every_parameter():
