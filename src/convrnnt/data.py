@@ -51,6 +51,22 @@ def load_manifest(path):
     return entries
 
 
+def index_utterances(utts) -> dict:
+    """{utt_id: utterance} of `utts`; an id is a wav's basename, so two
+    utterances with one id must name the same audio file and transcript, or
+    `DataError` is raised."""
+    index = {}
+    for u in utts:
+        seen = index.setdefault(u.utt_id, u)
+        if (os.path.abspath(seen.audio_path) != os.path.abspath(u.audio_path)
+                or seen.transcript != u.transcript):
+            raise DataError(
+                f"utterance id {u.utt_id!r} names two utterances: {seen.audio_path} "
+                f"({seen.transcript!r}) and {u.audio_path} ({u.transcript!r})"
+            )
+    return index
+
+
 def save_manifest(entries, path) -> None:
     """Write audio paths relative to the manifest's directory, where
     `load_manifest` resolves them, so the manifest loads from any cwd."""

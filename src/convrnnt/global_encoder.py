@@ -221,7 +221,7 @@ class GlobalBlock:
                     x.accumulate_grad((w_in.T @ g_h[:, a:b]).T)
 
         node = T.from_op(out, tuple(xs) + tuple(params), backward)
-        return [node] if len(xs) == 1 else [T.slice_axis(node, 0, a, b) for a, b in spans]
+        return T.split_rows(node, lengths)
 
     @staticmethod
     def _rows(x: np.ndarray, lin: Linear, spans) -> np.ndarray:

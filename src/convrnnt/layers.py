@@ -63,8 +63,9 @@ class Conv2dLayer:
         self.weight = uniform_init(rng, (c_out, c_in, k_t, k_f), c_in * k_t * k_f, gain=RELU_CONV_GAIN)
         self.bias = zeros_param(c_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
+        """ReLU of the causal conv of packed [C_in, N, F] utterances, as [C_out, N, F]."""
+        return T.conv2d(x, self.weight, self.bias, lengths)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -1,9 +1,13 @@
 """Local context encoder: a stack of causal 2-D convolutions over a
 (stacked-frame channels) x time x frequency view of the input features.
 
-Each layer left-pads time by (k_t - 1) so the output at frame t only sees
-frames <= t, and pads frequency symmetrically so the band axis keeps its
-width.  Time length is preserved exactly.
+A batch is packed: the [N, in_channels * n_freq] rows of every utterance
+concatenated in order, with their lengths beside them.  Each layer is one
+`tensor.conv2d` over the whole batch, viewed as [channels, N, n_freq]: it
+pads each utterance's time axis by k_t - 1 zero frames before its first
+frame, so output frame t only sees frames <= t of its own utterance, and
+pads frequency symmetrically so the band axis keeps its width.  Time length
+is preserved exactly.
 """
 
 from __future__ import annotations
@@ -58,18 +62,19 @@ class LocalEncoder:
             self.convs.append(Conv2dLayer(c_prev, c, cfg.kernel_t, cfg.kernel_f, rng))
             c_prev = c
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """[T, in_channels * n_freq] -> [T, channels[-1] * n_freq]."""
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
+        """Packed [N, in_channels * n_freq] -> [N, channels[-1] * n_freq].
+
+        `lengths` are the utterances' frame counts (None: one utterance).
+        """
         cfg = self.cfg
-        t_len = x.shape[0]
+        n = x.shape[0]
         if x.shape[1] != cfg.input_dim:
             raise ShapeError(f"local encoder expects dim {cfg.input_dim}, got {x.shape[1]}")
-        h = T.permute(T.reshape(x, (t_len, cfg.in_channels, cfg.n_freq)), (1, 0, 2))
-        pf = (cfg.kernel_f - 1) // 2
+        h = T.permute(T.reshape(x, (n, cfg.in_channels, cfg.n_freq)), (1, 0, 2))
         for conv in self.convs:
-            h = T.pad_zeros(h, ((0, 0), (cfg.kernel_t - 1, 0), (pf, pf)))
-            h = T.relu(conv(h))
-        return T.reshape(T.permute(h, (1, 0, 2)), (t_len, cfg.output_dim))
+            h = conv(h, lengths)
+        return T.reshape(T.permute(h, (1, 0, 2)), (n, cfg.output_dim))
 
     def params(self):
         return collect_params((f"conv{i}", conv) for i, conv in enumerate(self.convs))

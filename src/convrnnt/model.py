@@ -8,9 +8,17 @@ build for real.
 
 There are two forward entry points: `batch_loss` is the transducer loss of a
 training batch, and `encode_audio` is one utterance's eval-mode encoder
-output, which evaluation both decodes and scores with `encoded_loss`.  The
-label encoder and the joint are used as they are, as `label_encoder` and
-`joint`.
+output, which evaluation both decodes and scores with `encoded_loss`.
+`encode_audio` is a batch of one through the code `batch_loss` runs.
+
+A batch runs packed from the input features to the encoder output: the
+[T_i, input_dim] frames of every utterance concatenated in order into
+[N, input_dim] rows (N = sum T_i), with the lengths beside them.  The local
+encoder, the fusion, and the audio and label LSTM stacks each make one
+node per layer for the whole batch; the global blocks take and return one
+[T_i, D] tensor per utterance; the joint and the loss run per utterance on
+row blocks of the packed outputs, and their mean is one node.  The label
+encoder and the joint are used as they are, as `label_encoder` and `joint`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .global_encoder import GlobalEncoder
 from .layers import Linear, collect_params
 from .local_encoder import LocalEncoder
@@ -77,33 +85,32 @@ class TransducerModel:
     # -- forward paths -------------------------------------------------------
 
     def frontend_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
-        """Fused [T_i, input_dim] encoder inputs; batch-norm statistics pool
-        across the utterances."""
-        local_outs = [self.local(x) for x in xs] if self.local is not None else None
-        global_in = local_outs if local_outs is not None else list(xs)
-        global_outs = (
-            self.global_enc.forward_batch(global_in, training, rng)
-            if self.global_enc is not None
-            else None
-        )
-        fused = []
-        for i in range(len(xs)):
-            parts = []
-            if local_outs is not None:
-                parts.append(local_outs[i])
-            if global_outs is not None:
-                parts.append(global_outs[i])
-            fused.append(fuse_frontends(parts, self.fuse))
-        return fused
+        """Fused encoder input of a batch of [T_i, input_dim] feature tensors,
+        as packed [sum T_i, input_dim] rows; batch-norm statistics pool across
+        the utterances.  Features of another width raise `ShapeError`,
+        non-finite ones `DataError`."""
+        for x in xs:
+            if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
+                raise ShapeError(f"features shape {x.shape} != [T, {self.cfg.input_dim}]")
+        lengths = [x.shape[0] for x in xs]
+        x = T.concat(xs, axis=0)
+        if not np.isfinite(x.data).all():
+            raise DataError("input features hold non-finite values")
+        parts = []
+        if self.local is not None:
+            parts.append(self.local(x, lengths))
+        if self.global_enc is not None:
+            global_in = T.split_rows(parts[0] if parts else x, lengths)
+            parts.append(T.concat(self.global_enc.forward_batch(global_in, training, rng)))
+        return fuse_frontends(parts, self.fuse)
 
     def encode_audio(self, x: Tensor) -> Tensor:
         """[T, input_dim] features -> [T, proj_dim] encoder output, in eval mode."""
-        return self.encoder(self.frontend_batch([x])[0])
+        return self.encoder(self.frontend_batch([x]))
 
-    def encoded_loss(self, enc: Tensor, tokens, training: bool = False, rng=None) -> Tensor:
-        """Transducer loss of one utterance from its [T, proj_dim] encoder output."""
-        pred = self.label_encoder(tokens, training, rng)
-        return rnnt_loss(self.joint(enc, pred), tokens)
+    def encoded_loss(self, enc: Tensor, tokens) -> Tensor:
+        """Eval-mode transducer loss of one utterance from its [T, proj_dim] encoder output."""
+        return rnnt_loss(self.joint(enc, self.label_encoder(tokens)), tokens)
 
     def batch_loss(
         self,
@@ -113,24 +120,16 @@ class TransducerModel:
         rng: np.random.Generator | None = None,
     ):
         """Mean per-utterance loss over a batch, plus each utterance's nll."""
-        xs = []
-        for features in features_list:
-            x = Tensor(features)
-            if x.shape[1] != self.cfg.input_dim:
-                raise ShapeError(
-                    f"features dim {x.shape[1]} != model input {self.cfg.input_dim}"
-                )
-            xs.append(x)
-        fused = self.frontend_batch(xs, training, rng)
+        xs = [Tensor(features) for features in features_list]
+        lengths = [x.shape[0] for x in xs]
+        enc = self.encoder(self.frontend_batch(xs, training, rng), lengths, training, rng)
+        pred = self.label_encoder(*tokens_list, training=training, rng=rng)
+        pred_rows = T.split_rows(pred, [len(tokens) + 1 for tokens in tokens_list])
         losses = [
-            self.encoded_loss(self.encoder(x, training, rng), tokens, training, rng)
-            for x, tokens in zip(fused, tokens_list)
+            rnnt_loss(self.joint(e, p), tokens)
+            for e, p, tokens in zip(T.split_rows(enc, lengths), pred_rows, tokens_list)
         ]
-        total = losses[0]
-        for extra in losses[1:]:
-            total = T.add(total, extra)
-        mean = T.scale(total, 1.0 / len(losses))
-        return mean, [float(l.data) for l in losses]
+        return T.mean(losses), [float(l.data) for l in losses]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,25 @@ bias add and same-shape elementwise products).  That keeps every gradient
 rule short enough to audit by eye.  Batch-norm uses the fixed `BN_EPS` and
 `BN_MOMENTUM`.
 
-These ops are fused, each one tape node:
+The local encoder and the LSTM stacks carry a batch as packed rows: the
+frames of every utterance concatenated in order, N = sum of T_i rows, with
+the list of lengths T_i beside them.  The ops that mix frames over time
+(`conv2d` and `lstm`) take those lengths, keep each utterance to its own
+frames, and treat None as one utterance of all rows; every other op is
+per row and needs no lengths.  `split_rows` cuts packed rows back into one
+block per utterance for the per-utterance joint and loss.
 
-- `lstm` runs a whole LSTM layer over a sequence, so the tape does not grow
-  with the frame count.  Its forward steps the shared numpy cell `lstm_cell`
-  and stores every frame's gate activations and cell state; its backward
-  runs through time over them and forms the weight and input gradients as
-  whole-sequence GEMMs.
+These ops are fused, each one tape node for a whole batch:
+
+- `conv2d` is a causal 2-D convolution plus bias and ReLU over packed
+  [C, N, F] utterances, formed as GEMMs on shifted views of one padded
+  buffer.
+- `lstm` runs a whole LSTM layer over packed utterances, so the tape does
+  not grow with the frame or utterance count.  Its forward steps the
+  shared numpy cell `lstm_cell` over the utterances still running at each
+  frame and stores every row's gate activations and cell state; its
+  backward runs through time over them and forms the weight and input
+  gradients as whole-batch GEMMs.
 - `linear` is `x @ w + b` over the last axis of an input of rank 2 or more.  It
   keeps one output array (the bias is added in place) and forms the three
   gradients straight from the incoming one, so a wide output such as the
@@ -29,13 +41,16 @@ These ops are fused, each one tape node:
 - `outer_tanh` is the joint's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)`
   over [T, U, J]; it keeps only the tanh output and forms `g * (1 - t * t)`
   once in backward.
+- `mean` averages the per-utterance losses of a batch.
 - `global_encoder.GlobalBlock.forward_batch` is one node per global block for
   the whole batch (pointwise, depthwise, batch-norm, squeeze-excite, dropout
   and residual).  It builds on `batchnorm_normalize`, `batchnorm_backward` and
   `dropout_mask`, which `batchnorm_time` and `dropout` share.
 
-Each fused node's output has the bits of the composition of small ops it
-replaces; so do the gradients of all but `lstm`.
+`linear`, `outer_tanh`, `mean` and the global block have the bits of the
+composition of small ops they replace, gradients included.  `conv2d` and
+`lstm` agree with their per-utterance compositions in `tests/oracles.py`
+to rounding: their GEMMs sum in another order.
 """
 
 from __future__ import annotations
@@ -378,12 +393,11 @@ def permute(x: Tensor, axes) -> Tensor:
     return from_op(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    return permute(x, (1, 0))
-
-
 def concat(parts, axis: int = 0) -> Tensor:
+    """Join tensors along `axis`; a single part is returned as it is."""
     parts = [_as_tensor(p) for p in parts]
+    if len(parts) == 1:
+        return parts[0]
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -414,26 +428,34 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
 
 
-def pad_zeros(x: Tensor, pads) -> Tensor:
-    """Zero-pad with per-axis (before, after) counts; gradient is the crop."""
+def _lengths(lengths, n: int, op: str) -> list:
+    """Validated utterance lengths of n packed rows; None is one utterance of all n."""
+    lengths = [n] if lengths is None else [int(t) for t in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != n:
+        raise ShapeError(f"{op}: lengths {lengths} do not split {n} rows into utterances")
+    return lengths
+
+
+def split_rows(x: Tensor, lengths) -> list:
+    """The row blocks of packed x [N, ...], one per length; one block is x itself."""
+    if len(lengths) == 1:
+        return [x]
+    ends = np.cumsum(lengths).tolist()
+    return [slice_axis(x, 0, end - n, end) for n, end in zip(lengths, ends)]
+
+
+def place_rows(x: Tensor, rows, n: int) -> Tensor:
+    """[n, D] zeros with row `rows[k]` set to x[k]; the gradient is `g[rows]`."""
     x = _as_tensor(x)
-    pads = tuple((int(a), int(b)) for a, b in pads)
-    sl = tuple(slice(a, a + s) for (a, _), s in zip(pads, x.shape))
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros((n,) + x.shape[1:])
+    out[rows] = x.data
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g[sl])
+            x.accumulate_grad(g[rows])
 
-    return from_op(np.pad(x.data, pads), (x,), backward)
-
-
-def pad_left_time(x: Tensor, n: int, time_axis: int = -1) -> Tensor:
-    """Left-pad the time axis with zeros (the causal-convolution shim)."""
-    x = _as_tensor(x)
-    axis = time_axis % x.ndim
-    pads = [(0, 0)] * x.ndim
-    pads[axis] = (int(n), 0)
-    return pad_zeros(x, pads)
+    return from_op(out, (x,), backward)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -462,6 +484,22 @@ def sum_all(x: Tensor) -> Tensor:
             x.accumulate_grad(np.full_like(x.data, float(g)))
 
     return from_op(np.asarray(x.data.sum()), (x,), backward)
+
+
+def mean(parts) -> Tensor:
+    """Mean of scalar tensors as one node, with the bits of `scale(p0 + p1 + ..., 1/n)`."""
+    parts = [_as_tensor(p) for p in parts]
+    s = 1.0 / len(parts)
+    total = parts[0].data
+    for p in parts[1:]:
+        total = total + p.data
+
+    def backward(g):
+        for p in parts:
+            if p.requires_grad:
+                p.accumulate_grad(g * s)
+
+    return from_op(total * s, parts, backward)
 
 
 def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
@@ -497,62 +535,98 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # convolutions
 
 
-def _add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias along the leading axis of [C, ...]."""
-    expand = (slice(None),) + (None,) * (x.ndim - 1)
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
+    """ReLU of a causal 2-D convolution plus bias over packed utterances.
 
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=tuple(range(1, g.ndim))))
+    x is [C_in, N, F]: channels, the frames of every utterance concatenated
+    in order (N = sum of `lengths`; None is one utterance), and frequency.
+    w is [C_out, C_in, kt, kf] with kf odd.  Output frame t of an utterance
+    sees its own frames t-kt+1..t, with zeros before its first frame, and
+    the frequency axis is zero-padded by (kf-1)/2 on each side, so the
+    output is [C_out, N, F].  No utterance reads another's frames.
 
-    return from_op(x.data + bias.data[expand], (x, bias), backward)
-
-
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Valid 2-D cross-correlation, input [C_in, T, F], weight [C_out, C_in, kt, kf].
-
-    Stride is fixed at 1; callers are responsible for any padding.
+    One tape node.  The forward copies x into one zeroed buffer
+    [C_in, sum(T_i + kt - 1) + 1, F + kf - 1] with kt-1 pad rows before each
+    utterance.  Flattened, tap (i, j) of every output position reads the
+    buffer at the offset i * (F + kf - 1) + j, so the conv is a sum of GEMMs
+    on shifted, row-strided views of it, with no im2col buffer.  The kf
+    frequency taps are stacked along the GEMM's inner dimension (kf shifted
+    copies of the buffer), which leaves one GEMM per kernel row i; one per
+    tap would spend more time adding partial sums than multiplying when
+    C_in is small.  Positions on pad rows or pad columns are dropped, then
+    the bias is added and ReLU applied in place.  The backward runs the
+    same shifted GEMMs transposed, from a gradient that is zero at the
+    dropped positions.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 3-D input and 4-D weight, got {x.shape}, {w.shape}")
-    c_in, t, f = x.shape
+    c_in, n, f = x.shape
     c_out, c_in_w, kt, kf = w.shape
-    if c_in_w != c_in:
-        raise ShapeError(f"conv2d: input channels {c_in} != weight channels {c_in_w}")
-    if t < kt or f < kf:
-        raise ShapeError(f"conv2d: input {t}x{f} smaller than kernel {kt}x{kf}")
-    t_out, f_out = t - kt + 1, f - kf + 1
+    if c_in_w != c_in or kf % 2 != 1 or bias.shape != (c_out,):
+        raise ShapeError(
+            f"conv2d: incompatible shapes x {x.shape}, w {w.shape}, bias {bias.shape} "
+            "(the frequency kernel must be odd)"
+        )
+    lengths = _lengths(lengths, n, "conv2d")
+    pad, pf, fp = kt - 1, (kf - 1) // 2, f + kf - 1
+    # Output row r of utterance k sits at base row r + k * pad; its input
+    # frame sits pad rows further down.
+    base_rows = np.arange(n) + pad * np.repeat(np.arange(len(lengths)), lengths)
+    n_base = n + pad * (len(lengths) - 1)
+    m = n_base * fp
+    span = m + pad * fp
+    buf = np.zeros((c_in, n_base + kt, fp))
+    buf[:, base_rows + pad, pf:pf + f] = x.data
+    flat = buf.reshape(c_in, -1)
+    # stack[j * C_in + c, p] = flat[c, p + j]; the trailing buffer row keeps
+    # the last shifted copy in bounds.
+    stack = np.empty((kf, c_in, span))
+    for j in range(kf):
+        stack[j] = flat[:, j:j + span]
+    stack = stack.reshape(kf * c_in, span)
+    del buf, flat
+    w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1)).reshape(kt, c_out, kf * c_in)
 
-    cols = np.empty((c_in, kt, kf, t_out, f_out))
+    acc = np.empty((c_out, m))
+    tmp = np.empty_like(acc)
     for i in range(kt):
-        for j in range(kf):
-            cols[:, i, j] = x.data[:, i:i + t_out, j:j + f_out]
-    cols_mat = cols.reshape(c_in * kt * kf, t_out * f_out)
-    wmat = w.data.reshape(c_out, c_in * kt * kf)
-    out_data = (wmat @ cols_mat).reshape(c_out, t_out, f_out)
+        np.matmul(w_rows[i], stack[:, i * fp:i * fp + m], out=tmp if i else acc)
+        if i:
+            acc += tmp
+    del tmp
+    out = acc.reshape(c_out, n_base, fp)[:, base_rows, :f]
+    del acc
+    out += bias.data[:, None, None]
+    mask = relu_(out)
 
     def backward(g):
-        gmat = g.reshape(c_out, t_out * f_out)
+        g = g * mask
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(1, 2)))
+        g_base = np.zeros((c_out, n_base, fp))
+        g_base[:, base_rows, :f] = g
+        g_flat = g_base.reshape(c_out, m)
         if w.requires_grad:
-            w.accumulate_grad((gmat @ cols_mat.T).reshape(w.data.shape))
-        if x.requires_grad:
-            dcols = (wmat.T @ gmat).reshape(c_in, kt, kf, t_out, f_out)
-            gx = np.zeros_like(x.data)
+            gw = np.empty((kt, c_out, kf * c_in))
             for i in range(kt):
-                for j in range(kf):
-                    gx[:, i:i + t_out, j:j + f_out] += dcols[:, i, j]
-            x.accumulate_grad(gx)
+                np.matmul(g_flat, stack[:, i * fp:i * fp + m].T, out=gw[i])
+            w.accumulate_grad(gw.reshape(kt, c_out, kf, c_in).transpose(1, 3, 0, 2))
+        if x.requires_grad:
+            g_stack = np.zeros_like(stack)
+            back = np.empty((kf * c_in, m))
+            for i in range(kt):
+                np.matmul(w_rows[i].T, g_flat, out=back)
+                g_stack[:, i * fp:i * fp + m] += back
+            del back
+            g_stack = g_stack.reshape(kf, c_in, span)
+            g_buf = np.zeros((c_in, n_base + kt, fp))
+            g_buf_flat = g_buf.reshape(c_in, -1)
+            for j in range(kf):
+                g_buf_flat[:, j:j + span] += g_stack[j]
+            x.accumulate_grad(g_buf[:, base_rows + pad, pf:pf + f])
 
-    out = from_op(out_data, (x, w), backward)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-        out = _add_channel_bias(out, bias)
-    return out
+    return from_op(out, (x, w, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +787,18 @@ def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray):
     return h2, c2, gates
 
 
-def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    """Hidden states [T, H] of one LSTM layer run over x [T, n_in] from a zero state.
+def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """Hidden states [N, H] of one LSTM layer over packed utterances x [N, n_in].
 
-    One tape node for the whole sequence.  The forward makes one `x @ w + b`
-    GEMM, then steps `lstm_cell` frame by frame and keeps each frame's gate
-    activations [T, 4H] and cell state [T, H].  The backward runs through
-    time over those, then forms the gradients of x, w, u and b as
-    whole-sequence GEMMs.
+    The rows of x are the frames of every utterance concatenated in order
+    (N = sum of `lengths`; None is one utterance), and each utterance starts
+    from a zero state.  One tape node for the whole batch.  The forward makes
+    one `x @ w + b` GEMM over all N rows, in a time-major order with the
+    utterances sorted longest first: the b_t utterances still running at
+    frame t are the first b_t, so each frame steps `lstm_cell` on one block
+    of rows with no mask.  It keeps each row's gate activations and cell
+    state.  The backward runs through time over the same blocks, then forms
+    the gradients of x, w, u and b as whole-batch GEMMs.
     """
     x, w, u, b = (_as_tensor(v) for v in (x, w, u, b))
     hid = u.shape[0]
@@ -729,48 +807,69 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"lstm: incompatible shapes x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}"
         )
-    t_len = x.shape[0]
-    # Row t holds frame t's input projection until the step overwrites it
-    # with that frame's gate activations.
-    gates = x.data @ w.data + b.data
-    hs = np.empty((t_len, hid))
-    cs = np.empty((t_len, hid))
-    h = c = np.zeros((1, hid))
-    for t in range(t_len):
-        h, c, gates[t:t + 1] = lstm_cell(gates[t:t + 1], h, c, u.data)
-        hs[t], cs[t] = h[0], c[0]
+    n = x.shape[0]
+    lengths = np.asarray(_lengths(lengths, n, "lstm"))
+    # sizes[t] utterances run at frame t; their rows form the block
+    # offs[t]:offs[t + 1] of the time-major order, longest utterance first.
+    order = np.argsort(-lengths, kind="stable")
+    sizes = len(lengths) - np.cumsum(np.bincount(lengths))[:lengths.max()]
+    offs = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    frame = np.repeat(np.arange(sizes.size), sizes)
+    slot = np.arange(n) - np.repeat(offs[:-1], sizes)
+    perm = (np.cumsum(lengths) - lengths)[order][slot] + frame  # time-major row -> packed row
+    blocks = list(zip(offs[:-1], sizes.tolist()))
+
+    x_tm = x.data[perm]
+    # Row r holds its input projection until the step overwrites it with
+    # that frame's gate activations.
+    gates = x_tm @ w.data + b.data
+    hs = np.empty((n, hid))
+    cs = np.empty((n, hid))
+    h = c = np.zeros((sizes[0], hid))
+    for a, bt in blocks:
+        h, c, gates[a:a + bt] = lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u.data)
+        hs[a:a + bt], cs[a:a + bt] = h, c
+    out = np.empty_like(hs)
+    out[perm] = hs
 
     def backward(g):
+        g = g[perm]
         i, f, cand, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
         tc = np.tanh(cs)
+        # The rows of frames t > 0 and, row for row, their frame t-1 rows.
+        later = np.arange(sizes[0], n)
+        prev = later - np.repeat(sizes[:-1], sizes[1:])
         c_prev = np.zeros_like(cs)
-        c_prev[1:] = cs[:-1]
+        c_prev[later] = cs[prev]
         # ds = dL/d(pre-activations); per gate block it is dc (i, f, g) or dh
         # (o) times a factor that does not depend on the recurrence.
         factor = np.concatenate(
             [cand * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - cand * cand),
              tc * o * (1.0 - o)], axis=1,
-        ).reshape(t_len, 4, hid)
+        ).reshape(n, 4, hid)
         dc_dh = o * (1.0 - tc * tc)
-        ds = np.empty((t_len, 4, hid))
+        ds = np.empty((n, 4, hid))
         u_t = u.data.T
-        dh_next = np.zeros(hid)
-        dc_next = np.zeros(hid)
-        for t in range(t_len - 1, -1, -1):
-            dh = g[t] + dh_next
-            dc = dc_next + dh * dc_dh[t]
-            ds[t, :3] = dc * factor[t, :3]
-            ds[t, 3] = dh * factor[t, 3]
-            dc_next = dc * f[t]
-            dh_next = ds[t].reshape(-1) @ u_t
-        ds = ds.reshape(t_len, 4 * hid)
+        dh_next = np.zeros((sizes[0], hid))
+        dc_next = np.zeros((sizes[0], hid))
+        for a, bt in reversed(blocks):
+            blk = slice(a, a + bt)
+            dh = g[blk] + dh_next[:bt]
+            dc = dc_next[:bt] + dh * dc_dh[blk]
+            ds[blk, :3] = dc[:, None, :] * factor[blk, :3]
+            ds[blk, 3] = dh * factor[blk, 3]
+            dc_next[:bt] = dc * f[blk]
+            dh_next[:bt] = ds[blk].reshape(bt, 4 * hid) @ u_t
+        ds = ds.reshape(n, 4 * hid)
         if x.requires_grad:
-            x.accumulate_grad(ds @ w.data.T)
+            gx = np.empty_like(x.data)
+            gx[perm] = ds @ w.data.T
+            x.accumulate_grad(gx)
         if w.requires_grad:
-            w.accumulate_grad(x.data.T @ ds)
+            w.accumulate_grad(x_tm.T @ ds)
         if u.requires_grad:
-            u.accumulate_grad(hs[:-1].T @ ds[1:])
+            u.accumulate_grad(hs[prev].T @ ds[later])
         if b.requires_grad:
             b.accumulate_grad(ds.sum(axis=0))
 
-    return from_op(hs, (x, w, u, b), backward)
+    return from_op(out, (x, w, u, b), backward)

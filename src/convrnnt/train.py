@@ -21,7 +21,7 @@ from .audio import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, architecture_hash, resolve_config
-from .data import ensure_toy_corpus, load_manifest
+from .data import ensure_toy_corpus, index_utterances, load_manifest
 from .decoding import greedy_decode
 from .errors import ConfigError, TrainingError
 from .model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
@@ -65,13 +65,13 @@ class Trainer:
         self.eval_utts = (
             load_manifest(cfg.data.eval_manifest) if cfg.data.eval_manifest else self.train_utts
         )
-        self.tokens = {u.utt_id: self.vocab.tokenize(u.transcript) for u in self.train_utts + self.eval_utts}
+        utts = index_utterances(self.train_utts + self.eval_utts)
+        self.tokens = {utt_id: self.vocab.tokenize(u.transcript) for utt_id, u in utts.items()}
 
         seqs = featurize_wavs(cfg, self.train_utts + self.eval_utts)
         self.stats = self._resolve_stats(seqs)
         self._features = {
-            utt.utt_id: normalize(seqs[utt.audio_path], self.stats).frames
-            for utt in {u.utt_id: u for u in self.train_utts + self.eval_utts}.values()
+            utt_id: normalize(seqs[u.audio_path], self.stats).frames for utt_id, u in utts.items()
         }
 
         seed = cfg.training.seed

@@ -1,6 +1,11 @@
 """Transducer core: frontend fusion, the unidirectional LSTM audio encoder
 with per-layer Swish projections, the autoregressive label encoder, and the
 additive joint network producing per-(t, u) token logits.
+
+The fusion and both LSTM stacks run on packed rows: the rows of every
+utterance of a batch concatenated in order, with their lengths beside them,
+so each layer is a few tape nodes per batch.  The joint takes one
+utterance's encoder and label rows.
 """
 
 from __future__ import annotations
@@ -49,8 +54,10 @@ class LSTMLayer:
     Gate layout in the fused [*, 4H] pre-activation is input, forget,
     candidate, output.  The forget-gate bias starts at 1; hidden and cell
     state are zeros at the start of every utterance.  The recurrence is one
-    tape node (`tensor.lstm`): it stores the gate activations and cell
-    states of every frame, and its backward runs through time.
+    tape node per batch (`tensor.lstm`) over packed [N, n_in] rows: it
+    stores the gate activations and cell states of every row, and its
+    backward runs through time.  The projection, Swish and dropout run once
+    over all N rows.
     """
 
     def __init__(self, n_in: int, hidden: int, proj: int, rng: np.random.Generator):
@@ -62,9 +69,10 @@ class LSTMLayer:
         self.b.data[hidden:2 * hidden] = 1.0
         self.proj = Linear(hidden, proj, rng)
 
-    def hidden_states(self, xs: Tensor) -> Tensor:
-        """[T, n_in] -> raw hidden states [T, hidden], fresh zero state."""
-        return T.lstm(xs, self.w, self.u, self.b)
+    def hidden_states(self, xs: Tensor, lengths=None) -> Tensor:
+        """Packed [N, n_in] -> raw hidden states [N, hidden], each utterance
+        from a zero state (lengths None: one utterance)."""
+        return T.lstm(xs, self.w, self.u, self.b, lengths)
 
     def project(self, hs: Tensor) -> Tensor:
         return T.swish(self.proj(hs))
@@ -72,11 +80,12 @@ class LSTMLayer:
     def __call__(
         self,
         xs: Tensor,
+        lengths=None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float = 0.0,
     ) -> Tensor:
-        out = self.project(self.hidden_states(xs))
+        out = self.project(self.hidden_states(xs, lengths))
         return T.dropout(out, dropout_p, training, rng)
 
     def params(self):
@@ -100,10 +109,11 @@ class AudioEncoder:
             self.layers.append(LSTMLayer(n_in, cfg.enc_hidden, cfg.proj_dim, rng))
             n_in = cfg.proj_dim
 
-    def __call__(self, xs: Tensor, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, xs: Tensor, lengths=None, training: bool = False, rng=None) -> Tensor:
+        """Packed [N, input_dim] -> [N, proj_dim] (lengths None: one utterance)."""
         h = xs
         for layer in self.layers:
-            h = layer(h, training, rng, self.cfg.dropout_p)
+            h = layer(h, lengths, training, rng, self.cfg.dropout_p)
         return h
 
     def params(self):
@@ -114,9 +124,9 @@ class LabelEncoder:
     """Encodes emitted-token prefixes; row u is the state after y_1..y_u.
 
     The start state (row 0) comes from a zero input vector rather than a
-    dedicated start token.  `__call__` encodes a whole prefix on the tape;
-    `start` and `step` advance one token at a time in plain numpy for the
-    decoder, with the same per-layer math.
+    dedicated start token.  `__call__` encodes whole token lists on the tape,
+    packed; `start` and `step` advance one token at a time in plain numpy for
+    the decoder, with the same per-layer math.
     """
 
     def __init__(self, cfg: TransducerConfig, rng: np.random.Generator):
@@ -139,26 +149,28 @@ class LabelEncoder:
             )
         return tokens
 
-    def _start_input(self) -> np.ndarray:
-        return np.zeros((1, self.cfg.label_embed))
-
-    def __call__(self, tokens, training: bool = False, rng=None) -> Tensor:
-        tokens = self._check_tokens(tokens)
-        start = Tensor(self._start_input())
-        if tokens.size:
-            xs = T.concat([start, self.embed(tokens)], axis=0)
+    def __call__(self, *token_lists, training: bool = False, rng=None) -> Tensor:
+        """Rows of one or more token lists, packed: the U_i + 1 rows of list i
+        follow those of the lists before it, [sum(U_i + 1), label_proj]."""
+        tokens = [self._check_tokens(t) for t in token_lists]
+        lengths = [t.size + 1 for t in tokens]
+        n = sum(lengths)
+        ids = np.concatenate(tokens)
+        if ids.size:
+            # Every row but each list's first (its zero start input) embeds a token.
+            starts = np.cumsum([0] + lengths[:-1])
+            h = T.place_rows(self.embed(ids), np.delete(np.arange(n), starts), n)
         else:
-            xs = start
-        h = xs
+            h = Tensor(np.zeros((n, self.cfg.label_embed)))
         for layer in self.layers:
-            h = layer(h, training, rng, self.cfg.effective_label_dropout)
+            h = layer(h, lengths, training, rng, self.cfg.effective_label_dropout)
         return h
 
     def start(self):
         """Per-layer (h, c) [1, H] states and [label_proj] output of row 0."""
         states = [(np.zeros((1, layer.hidden)), np.zeros((1, layer.hidden)))
                   for layer in self.layers]
-        return self.step(states, self._start_input())
+        return self.step(states, np.zeros((1, self.cfg.label_embed)))
 
     def step(self, states, x: np.ndarray):
         """Advance the per-layer states by one [1, label_embed] input row.
@@ -205,10 +217,9 @@ class Joint:
 
 def fuse_frontends(parts, proj: Linear) -> Tensor:
     """Concatenate frontend outputs along features and project back to the
-    original input dimension."""
+    original input dimension (one node each for the batch's packed rows)."""
     if len(parts) > 1:
         t_lens = {p.shape[0] for p in parts}
         if len(t_lens) != 1:
             raise ShapeError(f"frontend outputs disagree on time length: {sorted(t_lens)}")
-    cat = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-    return proj(cat)
+    return proj(T.concat(parts, axis=1))

@@ -2,9 +2,11 @@
 
 Everything here is written the dumb, obviously-correct way (explicit loops,
 exhaustive enumeration, central finite differences) and must stay decoupled
-from the library code it checks.  The op-by-op global block at the end is
-built from the library's own small tape ops, the way the block was written
-before it became one fused node; it checks the fused node, not those ops.
+from the library code it checks.  Two oracles are built from the library's
+own small tape ops plus the per-utterance ops defined here, the way the code
+was written before it became fused, packed nodes: the op-by-op global block
+and the per-utterance model loss at the end.  They check the fused nodes,
+not those ops.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import numpy as np
 
 from convrnnt import tensor as T
 from convrnnt.errors import ShapeError
+from convrnnt.rnnt_loss import rnnt_loss
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -149,6 +152,209 @@ def sigmoid_masked(z):
 
 
 # ---------------------------------------------------------------------------
+# Per-utterance tape ops: the shape plumbing, convolution and LSTM the model
+# used before the local encoder and the LSTM stacks ran on packed rows.
+
+
+def transpose2d(x):
+    return T.permute(x, (1, 0))
+
+
+def pad_zeros(x, pads):
+    """Zero-pad with per-axis (before, after) counts; gradient is the crop."""
+    x = T._as_tensor(x)
+    pads = tuple((int(a), int(b)) for a, b in pads)
+    sl = tuple(slice(a, a + s) for (a, _), s in zip(pads, x.shape))
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g[sl])
+
+    return T.from_op(np.pad(x.data, pads), (x,), backward)
+
+
+def pad_left_time(x, n, time_axis=-1):
+    """Left-pad the time axis with zeros (the causal-convolution shim)."""
+    x = T._as_tensor(x)
+    axis = time_axis % x.ndim
+    pads = [(0, 0)] * x.ndim
+    pads[axis] = (int(n), 0)
+    return pad_zeros(x, pads)
+
+
+def add_channel_bias(x, bias):
+    """Add a per-channel bias along the leading axis of [C, ...]."""
+    expand = (slice(None),) + (None,) * (x.ndim - 1)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g)
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=tuple(range(1, g.ndim))))
+
+    return T.from_op(x.data + bias.data[expand], (x, bias), backward)
+
+
+def conv2d(x, w, bias=None):
+    """Valid 2-D cross-correlation tape op by im2col, input [C_in, T, F], weight
+    [C_out, C_in, kt, kf]; stride 1, no padding."""
+    x, w = T._as_tensor(x), T._as_tensor(w)
+    if x.ndim != 3 or w.ndim != 4:
+        raise ShapeError(f"conv2d: expected 3-D input and 4-D weight, got {x.shape}, {w.shape}")
+    c_in, t, f = x.shape
+    c_out, c_in_w, kt, kf = w.shape
+    if c_in_w != c_in:
+        raise ShapeError(f"conv2d: input channels {c_in} != weight channels {c_in_w}")
+    if t < kt or f < kf:
+        raise ShapeError(f"conv2d: input {t}x{f} smaller than kernel {kt}x{kf}")
+    t_out, f_out = t - kt + 1, f - kf + 1
+
+    cols = np.empty((c_in, kt, kf, t_out, f_out))
+    for i in range(kt):
+        for j in range(kf):
+            cols[:, i, j] = x.data[:, i:i + t_out, j:j + f_out]
+    cols_mat = cols.reshape(c_in * kt * kf, t_out * f_out)
+    wmat = w.data.reshape(c_out, c_in * kt * kf)
+    out_data = (wmat @ cols_mat).reshape(c_out, t_out, f_out)
+
+    def backward(g):
+        gmat = g.reshape(c_out, t_out * f_out)
+        if w.requires_grad:
+            w.accumulate_grad((gmat @ cols_mat.T).reshape(w.data.shape))
+        if x.requires_grad:
+            dcols = (wmat.T @ gmat).reshape(c_in, kt, kf, t_out, f_out)
+            gx = np.zeros_like(x.data)
+            for i in range(kt):
+                for j in range(kf):
+                    gx[:, i:i + t_out, j:j + f_out] += dcols[:, i, j]
+            x.accumulate_grad(gx)
+
+    out = T.from_op(out_data, (x, w), backward)
+    if bias is not None:
+        bias = T._as_tensor(bias)
+        if bias.shape != (c_out,):
+            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
+        out = add_channel_bias(out, bias)
+    return out
+
+
+def lstm(x, w, u, b):
+    """Hidden states [T, H] of one LSTM layer over one utterance x [T, n_in],
+    from a zero state: one tape node that steps `lstm_cell` frame by frame
+    and runs its backward through time one frame row at a time."""
+    x, w, u, b = (T._as_tensor(v) for v in (x, w, u, b))
+    hid = u.shape[0]
+    t_len = x.shape[0]
+    gates = x.data @ w.data + b.data
+    hs = np.empty((t_len, hid))
+    cs = np.empty((t_len, hid))
+    h = c = np.zeros((1, hid))
+    for t in range(t_len):
+        h, c, gates[t:t + 1] = T.lstm_cell(gates[t:t + 1], h, c, u.data)
+        hs[t], cs[t] = h[0], c[0]
+
+    def backward(g):
+        i, f, cand, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+        tc = np.tanh(cs)
+        c_prev = np.zeros_like(cs)
+        c_prev[1:] = cs[:-1]
+        factor = np.concatenate(
+            [cand * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - cand * cand),
+             tc * o * (1.0 - o)], axis=1,
+        ).reshape(t_len, 4, hid)
+        dc_dh = o * (1.0 - tc * tc)
+        ds = np.empty((t_len, 4, hid))
+        dh_next = np.zeros(hid)
+        dc_next = np.zeros(hid)
+        for t in range(t_len - 1, -1, -1):
+            dh = g[t] + dh_next
+            dc = dc_next + dh * dc_dh[t]
+            ds[t, :3] = dc * factor[t, :3]
+            ds[t, 3] = dh * factor[t, 3]
+            dc_next = dc * f[t]
+            dh_next = ds[t].reshape(-1) @ u.data.T
+        ds = ds.reshape(t_len, 4 * hid)
+        if x.requires_grad:
+            x.accumulate_grad(ds @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ ds)
+        if u.requires_grad:
+            u.accumulate_grad(hs[:-1].T @ ds[1:])
+        if b.requires_grad:
+            b.accumulate_grad(ds.sum(axis=0))
+
+    return T.from_op(hs, (x, w, u, b), backward)
+
+
+def _spans(lengths):
+    ends = np.cumsum(lengths).tolist()
+    return [(end - n, end) for n, end in zip(lengths, ends)]
+
+
+def causal_conv2d_per_utterance(x, w, bias, lengths):
+    """`tensor.conv2d` on packed [C_in, N, F] rows, one utterance at a time:
+    pad, valid conv, bias and ReLU, each its own tape op."""
+    _, _, kt, kf = w.shape
+    pf = (kf - 1) // 2
+    outs = []
+    for a, b in _spans(lengths):
+        h = pad_zeros(T.slice_axis(x, 1, a, b), ((0, 0), (kt - 1, 0), (pf, pf)))
+        outs.append(T.relu(conv2d(h, w, bias)))
+    return T.concat(outs, axis=1)
+
+
+def lstm_per_utterance(x, w, u, b, lengths):
+    """`tensor.lstm` on packed [N, n_in] rows, one utterance at a time."""
+    return T.concat([lstm(T.slice_axis(x, 0, a, e), w, u, b) for a, e in _spans(lengths)])
+
+
+def _lstm_stack(layers, h, p, training, rng):
+    for layer in layers:
+        h = T.dropout(layer.project(lstm(h, layer.w, layer.u, layer.b)), p, training, rng)
+    return h
+
+
+def local_encoder_per_utterance(enc, x):
+    """`LocalEncoder.__call__` on one [T, in_channels * n_freq] utterance."""
+    cfg = enc.cfg
+    t_len = x.shape[0]
+    h = T.permute(T.reshape(x, (t_len, cfg.in_channels, cfg.n_freq)), (1, 0, 2))
+    for conv in enc.convs:
+        h = causal_conv2d_per_utterance(h, conv.weight, conv.bias, [t_len])
+    return T.reshape(T.permute(h, (1, 0, 2)), (t_len, cfg.output_dim))
+
+
+def label_rows_per_utterance(enc, tokens, training=False, rng=None):
+    """`LabelEncoder.__call__` on one token list: a zero start row, then the embeddings."""
+    h = T.Tensor(np.zeros((1, enc.cfg.label_embed)))
+    if len(tokens):
+        h = T.concat([h, enc.embed(tokens)])
+    return _lstm_stack(enc.layers, h, enc.cfg.effective_label_dropout, training, rng)
+
+
+def batch_loss_per_utterance(model, features_list, tokens_list, training=False, rng=None):
+    """`TransducerModel.batch_loss` one utterance at a time: the local encoder,
+    fusion, LSTM stacks, joint and loss of each utterance in turn (the global
+    blocks take the batch), then the sum of the losses and its scale by 1/B.
+    The dropout draws come in another order than the packed path's, so the
+    two agree only where dropout is off."""
+    xs = [T.Tensor(f) for f in features_list]
+    local = [local_encoder_per_utterance(model.local, x) for x in xs] if model.local else None
+    glob = (model.global_enc.forward_batch(local or xs, training, rng)
+            if model.global_enc else None)
+    losses = []
+    for i, tokens in enumerate(tokens_list):
+        fused = model.fuse(T.concat([p[i] for p in (local, glob) if p is not None], axis=1))
+        enc = _lstm_stack(model.encoder.layers, fused, model.encoder.cfg.dropout_p, training, rng)
+        pred = label_rows_per_utterance(model.label_encoder, tokens, training, rng)
+        losses.append(rnnt_loss(model.joint(enc, pred), tokens))
+    total = losses[0]
+    for extra in losses[1:]:
+        total = T.add(total, extra)
+    return T.scale(total, 1.0 / len(losses)), [float(l.data) for l in losses]
+
+
+# ---------------------------------------------------------------------------
 # The global block op by op.  Each step is its own tape op, as the block was
 # built before `GlobalBlock.forward_batch` fused it into one node; the fused
 # node must reproduce these forward bits and gradients.
@@ -231,7 +437,7 @@ def conv1d(x, w, bias=None, dilation=1, groups=1):
         bias = T._as_tensor(bias)
         if bias.shape != (c_out,):
             raise ShapeError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
-        out = T._add_channel_bias(out, bias)
+        out = add_channel_bias(out, bias)
     return out
 
 
@@ -279,16 +485,16 @@ def global_block_per_op(block, xs, training=False, rng=None):
     def conv(layer, x):
         return conv1d(x, layer.weight, layer.bias, dilation=layer.dilation, groups=layer.groups)
 
-    hs = [T.relu(conv(block.pw_in, T.transpose2d(x))) for x in xs]  # [E, T_i]
+    hs = [T.relu(conv(block.pw_in, transpose2d(x))) for x in xs]  # [E, T_i]
     hs = _norm_batch(block.norm_in, hs, training)
     hs = [
-        T.relu(conv(block.dw, T.pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation)))
+        T.relu(conv(block.dw, pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation)))
         for h in hs
     ]
     hs = _norm_batch(block.norm_dw, hs, training)
     out = []
     for x, h in zip(xs, hs):
-        z = T.transpose2d(conv(block.pw_out, h))  # [T, D]
+        z = transpose2d(conv(block.pw_out, h))  # [T, D]
         if cfg.se_enabled:
             z = squeeze_excite(z, block.se_reduce, block.se_expand)
         z = T.dropout(z, cfg.dropout_p, training, rng)

@@ -6,9 +6,11 @@ import pytest
 
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
-from convrnnt.errors import ConfigError
+from convrnnt.errors import ConfigError, DataError
 from convrnnt.model import TransducerModel, count_parameters, make_rng, parameter_shapes
 from convrnnt.train import frontend_param_count
+
+from oracles import batch_loss_per_utterance
 
 
 def desk_cfg(**overrides):
@@ -138,3 +140,82 @@ def test_param_groups_cover_registry():
     model = TransducerModel(cfg, seed=13)
     total_built = sum(p.size for _, p in model.parameters())
     assert total_by_group == total_built
+
+
+# A desk-sized batch of uneven utterances, one of a single frame.
+BATCH_LENGTHS = (12, 1, 7, 15, 9, 4, 12, 2, 10, 6)
+
+
+def random_batch(cfg, seed, lengths=BATCH_LENGTHS):
+    rng = np.random.default_rng(seed)
+    feats = [rng.standard_normal((t, cfg.input_dim)) for t in lengths]
+    tokens = [list(rng.integers(1, 9, size=rng.integers(0, 5))) for _ in lengths]
+    return feats, tokens
+
+
+def test_batch_loss_matches_per_utterance_oracle():
+    cfg = desk_cfg()
+    feats, tokens = random_batch(cfg, 14, BATCH_LENGTHS[:5])
+
+    def run(loss_fn):
+        model = TransducerModel(cfg, seed=15)
+        loss, nlls = loss_fn(model, feats, tokens, training=True, rng=make_rng(16))
+        loss.backward()
+        return float(loss.data), nlls, {n: p.grad for n, p in model.parameters()}
+
+    loss, nlls, grads = run(TransducerModel.batch_loss)
+    want_loss, want_nlls, want_grads = run(batch_loss_per_utterance)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.max(np.abs(np.subtract(nlls, want_nlls)) / np.abs(want_nlls)) <= 1e-12
+    # Relative to the largest gradient entry of the model: training-mode
+    # batch-norm cancels some gamma gradients to 1e-7 of the others, so their
+    # own scale would measure amplified rounding, not a different sum.
+    scale = max(np.max(np.abs(want)) for want in want_grads.values())
+    for name, want in want_grads.items():
+        assert np.any(want != 0.0), name
+        assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale, name
+
+
+def test_batch_nll_equals_batch_of_one_nll():
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=17)
+    feats, tokens = random_batch(cfg, 18)
+    with T.no_grad():
+        _, nlls = model.batch_loss(feats, tokens)
+        alone = [model.batch_loss([f], [t])[1][0] for f, t in zip(feats, tokens)]
+    assert len(nlls) == 10
+    assert np.max(np.abs(np.subtract(nlls, alone)) / np.abs(alone)) <= 1e-12
+
+
+def test_batch_encoding_keeps_utterances_apart_bitwise():
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=19)
+    feats, _ = random_batch(cfg, 20)
+    ends = np.cumsum(BATCH_LENGTHS)
+
+    def encode(xs):
+        with T.no_grad():
+            return model.encoder(model.frontend_batch([T.Tensor(x) for x in xs]),
+                                 BATCH_LENGTHS).data
+
+    base = encode(feats)
+    for k, t0 in ((3, 5), (1, 0), (9, 2)):
+        pert = [f.copy() for f in feats]
+        pert[k][t0] += 1.0
+        out = encode(pert)
+        row = ends[k] - BATCH_LENGTHS[k] + t0
+        assert np.array_equal(out[:row], base[:row])
+        assert np.array_equal(out[ends[k]:], base[ends[k]:])
+        assert not np.array_equal(out[row:ends[k]], base[row:ends[k]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=21)
+    feats, tokens = random_batch(cfg, 22, BATCH_LENGTHS[:3])
+    feats[1][0, 5] = bad
+    with pytest.raises(DataError):
+        model.batch_loss(feats, tokens, training=True, rng=make_rng(23))
+    with pytest.raises(DataError), T.no_grad():
+        model.encode_audio(T.Tensor(feats[1]))

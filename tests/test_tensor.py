@@ -5,7 +5,8 @@ from convrnnt import tensor as T
 from convrnnt.errors import ConfigError, ShapeError, TrainingError
 
 from oracles import (
-    conv1d, conv1d_naive, conv2d_naive, fd_gradient, prefix_mean, prefix_mean_naive, rel_err,
+    causal_conv2d_per_utterance, conv1d, conv1d_naive, conv2d, conv2d_naive, fd_gradient,
+    lstm_per_utterance, pad_left_time, pad_zeros, prefix_mean, prefix_mean_naive, rel_err,
     sigmoid_masked,
 )
 
@@ -119,7 +120,7 @@ def test_linear_rejects_mismatched_shapes():
 
 def test_conv1d_causal_two_tap():
     # y_t = x_t + x_{t-1} once the caller left-pads one zero.
-    x = T.pad_left_time(T.Tensor([[1.0, 2.0, 3.0]]), 1)
+    x = pad_left_time(T.Tensor([[1.0, 2.0, 3.0]]), 1)
     w = T.Tensor(np.array([[[1.0, 1.0]]]))
     out = conv1d(x, w)
     assert np.allclose(out.data, [[1.0, 3.0, 5.0]])
@@ -166,11 +167,12 @@ def test_conv1d_gradient(groups, dilation):
 
 
 # ---------------------------------------------------------------------------
-# conv2d
+# conv2d: the valid im2col conv of the per-utterance oracle (tests/oracles.py),
+# checked here against the loop oracle and finite differences.
 
 
 def test_conv2d_ones():
-    out = T.conv2d(T.Tensor(np.ones((1, 3, 3))), T.Tensor(np.ones((1, 1, 2, 2))))
+    out = conv2d(T.Tensor(np.ones((1, 3, 3))), T.Tensor(np.ones((1, 1, 2, 2))))
     assert np.allclose(out.data, np.full((1, 2, 2), 4.0))
 
 
@@ -180,7 +182,7 @@ def test_conv2d_delta_kernel_crops_input():
     w = np.zeros((2, 2, 2, 2))
     w[0, 0, 0, 0] = 1.0
     w[1, 1, 0, 0] = 1.0
-    out = T.conv2d(T.Tensor(x), T.Tensor(w))
+    out = conv2d(T.Tensor(x), T.Tensor(w))
     assert np.array_equal(out.data, x[:, :4, :3])
 
 
@@ -188,13 +190,13 @@ def test_conv2d_matches_naive():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 5, 4))
     w = rng.standard_normal((3, 2, 3, 2))
-    out = T.conv2d(T.Tensor(x), T.Tensor(w))
+    out = conv2d(T.Tensor(x), T.Tensor(w))
     assert np.max(np.abs(out.data - conv2d_naive(x, w))) <= 1e-12
 
 
 def test_conv2d_too_small_input():
     with pytest.raises(ShapeError):
-        T.conv2d(T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros((1, 1, 3, 3))))
+        conv2d(T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros((1, 1, 3, 3))))
 
 
 def test_conv2d_gradient():
@@ -202,7 +204,100 @@ def test_conv2d_gradient():
     x = rng.standard_normal((2, 6, 5))
     w = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    check_grad(lambda xx, ww, bb: weighted_sum(T.conv2d(xx, ww, bb)), [x, w, b])
+    check_grad(lambda xx, ww, bb: weighted_sum(conv2d(xx, ww, bb)), [x, w, b])
+
+
+# ---------------------------------------------------------------------------
+# packed causal conv2d and lstm, checked against their per-utterance oracles
+
+
+# Uneven utterances, one of a single frame; two share the longest length.
+LENGTHS = [5, 1, 9, 3, 9]
+ORACLE_TOL = 1e-12
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def packed_conv_args(rng, n=sum(LENGTHS), kt=3, kf=3):
+    return [rng.standard_normal((2, n, 6)), rng.standard_normal((4, 2, kt, kf)) * 0.5,
+            rng.standard_normal(4) * 0.1]
+
+
+def packed_lstm_args(rng, n=sum(LENGTHS)):
+    return [rng.standard_normal((n, 3)), rng.uniform(-0.8, 0.8, (3, 16)),
+            rng.uniform(-0.8, 0.8, (4, 16)), rng.uniform(-0.8, 0.8, 16)]
+
+
+def run_with_grads(op, arrays, seed, *extra):
+    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*tensors, *extra)
+    out.backward(seed)
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("packed,oracle,make", [
+    (T.conv2d, causal_conv2d_per_utterance, packed_conv_args),
+    (T.lstm, lstm_per_utterance, packed_lstm_args),
+])
+def test_packed_op_matches_per_utterance_oracle(packed, oracle, make):
+    rng = np.random.default_rng(44)
+    arrays = make(rng)
+    shape = packed(*[T.Tensor(a) for a in arrays], LENGTHS).shape
+    seed = rng.standard_normal(shape)
+    got = run_with_grads(packed, arrays, seed, LENGTHS)
+    want = run_with_grads(oracle, arrays, seed, LENGTHS)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert max_rel(g, w) <= ORACLE_TOL
+
+
+def test_packed_conv2d_kernel_longer_than_utterances():
+    rng = np.random.default_rng(45)
+    lengths = [2, 1, 3]
+    arrays = packed_conv_args(rng, n=6, kt=5, kf=5)
+    seed = rng.standard_normal((4, 6, 6))
+    got = run_with_grads(T.conv2d, arrays, seed, lengths)
+    want = run_with_grads(causal_conv2d_per_utterance, arrays, seed, lengths)
+    for g, w in zip(got, want):
+        assert max_rel(g, w) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("op,make", [(T.conv2d, packed_conv_args), (T.lstm, packed_lstm_args)])
+def test_packed_op_gradient_matches_fd(op, make):
+    lengths = [3, 1, 4]
+    arrays = make(np.random.default_rng(46), n=sum(lengths))
+    check_grad(lambda *ts: weighted_sum(op(*ts, lengths)), arrays, tol=1e-6)
+
+
+@pytest.mark.parametrize("op,make,time_axis", [
+    (T.conv2d, packed_conv_args, 1), (T.lstm, packed_lstm_args, 0),
+])
+def test_packed_op_keeps_utterances_apart_bitwise(op, make, time_axis):
+    rng = np.random.default_rng(47)
+    arrays = make(rng)
+    ends = np.cumsum(LENGTHS)
+    with T.no_grad():
+        base = np.moveaxis(op(*[T.Tensor(a) for a in arrays], LENGTHS).data, time_axis, 0)
+        for k, t0 in ((2, 4), (0, 0), (4, 8), (1, 0)):
+            x = np.moveaxis(arrays[0].copy(), time_axis, 0)
+            row = ends[k] - LENGTHS[k] + t0
+            x[row] += rng.standard_normal(x.shape[1:])
+            args = [T.Tensor(np.moveaxis(x, 0, time_axis))] + [T.Tensor(a) for a in arrays[1:]]
+            pert = np.moveaxis(op(*args, LENGTHS).data, time_axis, 0)
+            # Every other utterance, and this one's frames before t0, keep their bits.
+            assert np.array_equal(pert[:row], base[:row])
+            assert np.array_equal(pert[ends[k]:], base[ends[k]:])
+            assert not np.array_equal(pert[row:ends[k]], base[row:ends[k]])
+
+
+@pytest.mark.parametrize("op,make", [(T.conv2d, packed_conv_args), (T.lstm, packed_lstm_args)])
+def test_packed_op_rejects_lengths_that_do_not_split_the_rows(op, make):
+    arrays = [T.Tensor(a) for a in make(np.random.default_rng(48), n=6)]
+    for lengths in ([2, 3], [6, 0], [7, -1], []):
+        with pytest.raises(ShapeError):
+            op(*arrays, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +352,39 @@ def test_shape_ops_gradients():
 
     def f(xx, yy):
         cat = T.concat([xx, yy], axis=0)
-        pad = T.pad_zeros(cat, ((1, 0), (0, 2)))
+        pad = pad_zeros(cat, ((1, 0), (0, 2)))
         perm = T.permute(pad, (1, 0))
         return weighted_sum(T.reshape(perm, (-1,)))
 
     check_grad(f, [x, y])
+
+
+def test_place_rows_gradient():
+    rng = np.random.default_rng(49)
+    x = rng.standard_normal((3, 4))
+    out = T.place_rows(T.Tensor(x), [1, 2, 4], 5)
+    assert np.array_equal(out.data[[0, 3]], np.zeros((2, 4)))
+    assert np.array_equal(out.data[[1, 2, 4]], x)
+    check_grad(lambda xx: weighted_sum(T.place_rows(xx, [1, 2, 4], 5)), [x])
+
+
+def test_mean_matches_add_scale_bitwise():
+    values = np.random.default_rng(50).standard_normal(7) * 10
+
+    def run(fn):
+        parts = [T.Tensor(np.asarray(v), requires_grad=True) for v in values]
+        out = fn(parts)
+        out.backward()
+        return [out.data] + [p.grad for p in parts]
+
+    def add_scale(parts):
+        total = parts[0]
+        for p in parts[1:]:
+            total = T.add(total, p)
+        return T.scale(total, 1.0 / len(parts))
+
+    for got, want in zip(run(T.mean), run(add_scale)):
+        assert same_bits(got, want)
 
 
 def test_slice_columns_roundtrip_gradient():

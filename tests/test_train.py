@@ -10,6 +10,7 @@ from convrnnt.audio import accumulate_stats, featurize, normalize, read_wav
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
 from convrnnt.decoding import greedy_decode
+from convrnnt.errors import DataError
 from convrnnt.model import TransducerModel
 
 
@@ -80,3 +81,22 @@ def test_evaluate_encodes_each_utterance_once(corpus, tmp_path, monkeypatch):
     assert metrics["hypotheses"] == hyps
     assert metrics["exact_match"] == sum(hyps[k] == refs[k] for k in refs) / len(refs)
     assert metrics["wer"] == wer
+
+
+def test_one_utterance_id_for_two_wavs_rejected(tmp_path):
+    # The train wav a/toy00.wav ("ab") and the eval wav b/toy00.wav ("hh")
+    # share the id toy00; keyed by id, one would take the other's tokens and
+    # features.
+    generate_toy_corpus(str(tmp_path / "a"))
+    generate_toy_corpus(str(tmp_path / "b"))
+    eval_manifest = tmp_path / "b" / "eval.tsv"
+    eval_manifest.write_text("toy00.wav\thh\n")
+    cfg = load_preset("desk", [f"data.toy_dir={tmp_path / 'a'}",
+                               f"data.eval_manifest={eval_manifest}"])
+    with pytest.raises(DataError, match="toy00"):
+        train.Trainer(cfg, str(tmp_path / "run"))
+
+    # The same wav and transcript under another spelling of its path is one utterance.
+    eval_manifest.write_text("../a/toy00.wav\tab\n")
+    trainer = train.Trainer(cfg, str(tmp_path / "run"))
+    assert [u.utt_id for u in trainer.eval_utts] == ["toy00"]
