@@ -52,10 +52,9 @@ class FeatureConfig:
 
 @dataclass
 class FeatureSequence:
-    """Stacked, model-ready frames [T, stack * n_bands] plus the raw count."""
+    """Stacked, model-ready frames [T, stack * n_bands]."""
 
     frames: np.ndarray
-    raw_frame_count: int
 
 
 @dataclass
@@ -152,7 +151,7 @@ def stack_frames(raw: np.ndarray, stack: int, skip: int) -> np.ndarray:
 
 def featurize(pcm: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:
     raw = extract_features(pcm, cfg)
-    return FeatureSequence(stack_frames(raw, cfg.stack, cfg.skip), raw.shape[0])
+    return FeatureSequence(stack_frames(raw, cfg.stack, cfg.skip))
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +227,23 @@ def accumulate_stats(corpus, dim: int) -> NormStats:
     return stats
 
 
-def normalize(seq: FeatureSequence, stats: NormStats) -> FeatureSequence:
-    z = (seq.frames - stats.mean) / np.sqrt(stats.variance + NORM_EPS)
-    return FeatureSequence(z, seq.raw_frame_count)
+def normalize(frames: np.ndarray, stats: NormStats) -> np.ndarray:
+    return (frames - stats.mean) / np.sqrt(stats.variance + NORM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # SpecAugment-style masking (training only)
 
 
-def spec_augment(
-    seq: FeatureSequence, cfg: SpecAugConfig, rng: np.random.Generator
-) -> FeatureSequence:
-    """Zero out random time spans and feature bands.
+def spec_augment(frames: np.ndarray, cfg: SpecAugConfig, rng: np.random.Generator) -> np.ndarray:
+    """A copy of frames [T, D] with random time spans and feature bands zeroed.
 
     The number of time masks adapts to the utterance length
     (floor(adaptive_multiplicity * T)); each mask width is uniform on
     [0, floor(max_time_mask_ratio * T)].  Frequency masks work the same way
     over the feature dimension.  Shape is always preserved.
     """
-    frames = seq.frames.copy()
+    frames = frames.copy()
     t_len, dim = frames.shape
 
     n_time = int(cfg.adaptive_multiplicity * t_len)
@@ -267,5 +263,5 @@ def spec_augment(
         f0 = int(rng.integers(0, dim - w + 1))
         frames[:, f0:f0 + w] = 0.0
 
-    return FeatureSequence(frames, seq.raw_frame_count)
+    return frames
 

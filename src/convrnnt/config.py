@@ -25,7 +25,6 @@ class ModelSettings:
     global_blocks: int = 6
     expansion: int = 2
     dw_kernel: int = 3
-    dilation_base_one: bool = True
     se_divisor: int = 8
     se_min: int = 8
     se_enabled: bool = True
@@ -39,7 +38,6 @@ class ModelSettings:
     joint_dim: int = 512
     vocab_size: int = 0  # 0 = infer from the vocab file
     dropout_p: float = 0.1
-    label_dropout_p: float = -1.0  # < 0 inherits dropout_p
 
     def __post_init__(self):
         if not (self.local_enabled or self.global_enabled):
@@ -110,7 +108,6 @@ class RunConfig:
             n_blocks=self.model.global_blocks,
             expansion=self.model.expansion,
             dw_kernel=self.model.dw_kernel,
-            dilation_base_one=self.model.dilation_base_one,
             se_divisor=self.model.se_divisor,
             se_min=self.model.se_min,
             dropout_p=self.model.dropout_p,
@@ -142,17 +139,16 @@ class RunConfig:
             joint_dim=self.model.joint_dim,
             vocab_size=self.model.vocab_size,
             dropout_p=self.model.dropout_p,
-            label_dropout_p=self.model.label_dropout_p,
         )
 
 
 _SECTIONS = {
-    "feature": (FeatureConfig, "feature"),
-    "specaug": (SpecAugConfig, "specaug"),
-    "model": (ModelSettings, "model"),
-    "optimizer": (OptimizerConfig, "optimizer"),
-    "training": (TrainingConfig, "training"),
-    "data": (DataConfig, "data"),
+    "feature": FeatureConfig,
+    "specaug": SpecAugConfig,
+    "model": ModelSettings,
+    "optimizer": OptimizerConfig,
+    "training": TrainingConfig,
+    "data": DataConfig,
 }
 
 
@@ -198,7 +194,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_flat(flat: dict) -> RunConfig:
-    defaults = {name: cls() for name, (cls, _) in _SECTIONS.items()}
+    defaults = {name: cls() for name, cls in _SECTIONS.items()}
     kwargs = {name: {} for name in _SECTIONS}
     for key, raw in flat.items():
         if "." not in key:
@@ -210,11 +206,7 @@ def config_from_flat(flat: dict) -> RunConfig:
         if not hasattr(default_obj, field_name):
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[section][field_name] = _parse_value(raw, getattr(default_obj, field_name))
-    cls_by_section = {name: cls for name, (cls, _) in _SECTIONS.items()}
-    return RunConfig(**{
-        attr: cls_by_section[name](**kwargs[name])
-        for name, (_, attr) in _SECTIONS.items()
-    })
+    return RunConfig(**{name: cls(**kwargs[name]) for name, cls in _SECTIONS.items()})
 
 
 def load_config(path, overrides=()) -> RunConfig:
@@ -253,8 +245,7 @@ def canonical_lines(cfg: RunConfig, sections=("feature", "model")) -> list:
     """Deterministic `key = value` rendering of the given sections."""
     lines = []
     for name in sections:
-        _, attr = _SECTIONS[name]
-        obj = getattr(cfg, attr)
+        obj = getattr(cfg, name)
         for f in fields(obj):
             lines.append(f"{name}.{f.name} = {_format_value(getattr(obj, f.name))}")
     return sorted(lines)

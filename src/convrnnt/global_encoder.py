@@ -8,8 +8,10 @@ mean over *all* past steps.  Every block preserves the [T, D] shape.
 Each block is one tape node for a whole batch (`GlobalBlock.forward_batch`):
 its forward runs the convolutions, batch-norms, excitation, dropout and
 residual in numpy, and its hand-written backward forms the gradients of the
-inputs and of the 14 block parameters.  The op-by-op composition it replaces
-is kept as the test oracle `global_block_per_op` in `tests/oracles.py`.
+inputs and of the 14 block parameters over the whole batch at once.  The
+op-by-op composition it replaces is kept as the test oracle
+`global_block_per_op` in `tests/oracles.py`: the block has its forward bits,
+and its gradients agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class GlobalEncoderConfig:
     n_blocks: int = 6
     expansion: int = 2
     dw_kernel: int = 3
-    dilation_base_one: bool = True  # block i dilated by 2^i with i starting at 1
     se_divisor: int = 8
     se_min: int = 8
     dropout_p: float = 0.1
@@ -41,8 +42,8 @@ class GlobalEncoderConfig:
             raise ConfigError("global encoder dimensions must be positive")
 
     def dilations(self):
-        start = 1 if self.dilation_base_one else 0
-        return [2 ** (start + i) for i in range(self.n_blocks)]
+        # Block i (from 0) is dilated by 2^(i+1).
+        return [2 ** (i + 1) for i in range(self.n_blocks)]
 
     @property
     def se_bottleneck(self) -> int:
@@ -76,16 +77,24 @@ class GlobalBlock:
         frozen running stats will see at eval time.
 
         The utterances sit side by side in [E, N] and [N, D] buffers
-        (N = sum T_i), so every elementwise step runs once per batch; the
-        GEMMs, sums and prefix sums run per utterance on views of them.  The
-        node has the bits of the op-by-op composition: the same float
-        operations in the same order, the dropout RNG drawn in utterance
-        order, and each parameter's gradient accumulated utterance by
-        utterance in reverse, as the tape would.  Where a depthwise tap would
-        read another utterance's frames (or the causal padding), it adds a
-        zero.  When no gradient is recorded the node keeps nothing and works
-        in place.  A batch of more than one sequence returns row slices of
-        the node's [N, D] output.
+        (N = sum T_i), so every elementwise step runs once per batch.  Where
+        a depthwise tap would read another utterance's frames (or the causal
+        padding), it adds a zero.
+
+        The forward has the bits of the op-by-op composition: the same float
+        operations in the same order, and the dropout RNG drawn in utterance
+        order.  So its GEMMs, sums and prefix sums run per utterance on views
+        of the buffers; one GEMM over all N columns sums in another order and
+        gives other bits.  The backward runs over the whole batch: each
+        parameter gradient is one GEMM or one reduction over all N columns,
+        and each input gradient (residual plus pointwise-in) is accumulated
+        once.  Only the squeeze-excite's reversed prefix sums stay per
+        utterance.  The gradients agree with the composition to rounding.
+
+        The block takes and returns one [T_i, D] tensor per sequence (row
+        blocks of the node's [N, D] output), because the benchmark counts
+        its FLOPs from that list.  When no gradient is recorded, as in
+        streaming inference, the node keeps nothing and works in place.
         """
         cfg = self.cfg
         params = [p for _, p in self.params()]
@@ -164,12 +173,10 @@ class GlobalBlock:
         out = np.add(y, x_all, out=y)
 
         if not record:
-            return [Tensor(out)] if len(xs) == 1 else [Tensor(out[a:b]) for a, b in spans]
+            return [Tensor(out[a:b]) for a, b in spans]
 
         def backward(g):
-            for x, (a, b) in reversed(list(zip(xs, spans))):
-                if x.requires_grad:
-                    x.accumulate_grad(g[a:b])
+            g_res = g
             if keep is not None:
                 g = g * keep
             if cfg.se_enabled:
@@ -177,48 +184,41 @@ class GlobalBlock:
                 de = g * z
                 de *= gate
                 de *= 1.0 - gate
-                dr = self._rows_backward(de, r, self.se_expand, spans)
+                dr = self._rows_backward(de, r, self.se_expand)
                 dr *= r > 0.0
-                dm = self._rows_backward(dr, m, self.se_reduce, spans)
+                dm = self._rows_backward(dr, m, self.se_reduce)
                 dm /= counts
                 for a, b in spans:
                     dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
             else:
                 dz = g
             dzc = np.ascontiguousarray(dz.T)
-            g_dw = np.empty_like(a_dw)
-            for a, b in reversed(spans):
-                _accumulate(self.pw_out.bias, dzc[:, a:b].sum(axis=1))
-                _accumulate(self.pw_out.weight, (dzc[:, a:b] @ a_dw[:, a:b].T)[:, :, None])
-                np.matmul(w_out.T, dzc[:, a:b], out=g_dw[:, a:b])
+            _accumulate(self.pw_out.bias, dzc.sum(axis=1))
+            _accumulate(self.pw_out.weight, (dzc @ a_dw.T)[:, :, None])
 
-            g_h = self._norm_backward(self.norm_dw, g_dw, xhat_dw, inv_dw, training)
+            g_h = self._norm_backward(self.norm_dw, w_out.T @ dzc, xhat_dw, inv_dw, training)
             g_h *= mask_dw
-            for a, b in reversed(spans):
-                _accumulate(self.dw.bias, g_h[:, a:b].sum(axis=1))
-            # Tap products over every column, zero where the tap reads the
-            # padding, so each utterance's sum adds the same terms in order.
-            prods = np.zeros((len(shifts),) + g_h.shape)
+            _accumulate(self.dw.bias, g_h.sum(axis=1))
+            g_w = np.zeros_like(w_dw)
             g_in = np.zeros_like(a_in)
             for j, s in enumerate(shifts):
                 if s >= n_rows:
                     continue
-                np.multiply(g_h[:, s:], a_in[:, :n_rows - s], out=prods[j, :, s:])
-                back = w_dw[:, j:j + 1] * g_h[:, s:]
-                if s in inside:
-                    prods[j, :, s:] *= inside[s]
-                    back *= inside[s]
-                g_in[:, :n_rows - s] += back
-            for a, b in reversed(spans):
-                _accumulate(self.dw.weight, prods[:, :, a:b].sum(axis=2).T[:, None, :])
+                g_tap = g_h[:, s:] * inside[s] if s in inside else g_h[:, s:]
+                g_w[:, j] = (g_tap * a_in[:, :n_rows - s]).sum(axis=1)
+                g_in[:, :n_rows - s] += w_dw[:, j:j + 1] * g_tap
+            _accumulate(self.dw.weight, g_w[:, None, :])
 
             g_h = self._norm_backward(self.norm_in, g_in, xhat_in, inv_in, training)
             g_h *= mask_in
-            for x, (a, b) in reversed(list(zip(xs, spans))):
-                _accumulate(self.pw_in.bias, g_h[:, a:b].sum(axis=1))
-                _accumulate(self.pw_in.weight, (g_h[:, a:b] @ xt[:, a:b].T)[:, :, None])
-                if x.requires_grad:
-                    x.accumulate_grad((w_in.T @ g_h[:, a:b]).T)
+            _accumulate(self.pw_in.bias, g_h.sum(axis=1))
+            _accumulate(self.pw_in.weight, (g_h @ xt.T)[:, :, None])
+            if any(x.requires_grad for x in xs):
+                g_x = (w_in.T @ g_h).T
+                g_x += g_res
+                for x, (a, b) in zip(xs, spans):
+                    if x.requires_grad:
+                        x.accumulate_grad(g_x[a:b])
 
         node = T.from_op(out, tuple(xs) + tuple(params), backward)
         return T.split_rows(node, lengths)
@@ -233,14 +233,11 @@ class GlobalBlock:
         return out
 
     @staticmethod
-    def _rows_backward(g: np.ndarray, x: np.ndarray, lin: Linear, spans) -> np.ndarray:
+    def _rows_backward(g: np.ndarray, x: np.ndarray, lin: Linear) -> np.ndarray:
         """Accumulate the weight and bias gradients of `_rows`; returns the input gradient."""
-        dx = np.empty_like(x)
-        for a, b in reversed(spans):
-            np.matmul(g[a:b], lin.weight.data.T, out=dx[a:b])
-            _accumulate(lin.weight, x[a:b].T @ g[a:b])
-            _accumulate(lin.bias, g[a:b].sum(axis=0))
-        return dx
+        _accumulate(lin.weight, x.T @ g)
+        _accumulate(lin.bias, g.sum(axis=0))
+        return g @ lin.weight.data.T
 
     @staticmethod
     def _affine(norm: BatchNormTime, xhat: np.ndarray, record: bool) -> np.ndarray:

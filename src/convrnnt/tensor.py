@@ -47,10 +47,11 @@ These ops are fused, each one tape node for a whole batch:
   and residual).  It builds on `batchnorm_normalize`, `batchnorm_backward` and
   `dropout_mask`, which `batchnorm_time` and `dropout` share.
 
-`linear`, `outer_tanh`, `mean` and the global block have the bits of the
-composition of small ops they replace, gradients included.  `conv2d` and
-`lstm` agree with their per-utterance compositions in `tests/oracles.py`
-to rounding: their GEMMs sum in another order.
+`linear`, `outer_tanh` and `mean` have the bits of the composition of small
+ops they replace, gradients included.  The global block has the forward
+bits of its composition.  Its gradients, formed over the whole batch at
+once, and `conv2d` and `lstm` agree with their per-utterance compositions
+in `tests/oracles.py` to rounding: their GEMMs sum in another order.
 """
 
 from __future__ import annotations

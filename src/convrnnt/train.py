@@ -16,9 +16,7 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .audio import (
-    FeatureSequence, NormStats, accumulate_stats, featurize, normalize, read_wav, spec_augment,
-)
+from .audio import NormStats, accumulate_stats, featurize, normalize, read_wav, spec_augment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, architecture_hash, resolve_config
 from .data import ensure_toy_corpus, index_utterances, load_manifest
@@ -68,10 +66,10 @@ class Trainer:
         utts = index_utterances(self.train_utts + self.eval_utts)
         self.tokens = {utt_id: self.vocab.tokenize(u.transcript) for utt_id, u in utts.items()}
 
-        seqs = featurize_wavs(cfg, self.train_utts + self.eval_utts)
-        self.stats = self._resolve_stats(seqs)
+        frames = featurize_wavs(cfg, self.train_utts + self.eval_utts)
+        self.stats = self._resolve_stats(frames)
         self._features = {
-            utt_id: normalize(seqs[u.audio_path], self.stats).frames for utt_id, u in utts.items()
+            utt_id: normalize(frames[u.audio_path], self.stats) for utt_id, u in utts.items()
         }
 
         seed = cfg.training.seed
@@ -83,14 +81,14 @@ class Trainer:
 
     # -- data plumbing -------------------------------------------------------
 
-    def _resolve_stats(self, seqs) -> NormStats:
+    def _resolve_stats(self, frames) -> NormStats:
         path = self.cfg.data.stats or os.path.join(self.workdir, "norm_stats.bin")
         if os.path.exists(path):
             stats = NormStats.load(path)
             if stats.dim != self.cfg.input_dim:
                 raise ConfigError(f"stats dim {stats.dim} != input dim {self.cfg.input_dim}")
             return stats
-        stats = compute_norm_stats(self.cfg, self.train_utts, seqs)
+        stats = compute_norm_stats(self.cfg, self.train_utts, frames)
         stats.save(path)
         return stats
 
@@ -120,10 +118,7 @@ class Trainer:
         cfg = self.cfg
         batch = self.batch_for_step(self.step + 1)
         self.model.zero_grad()
-        feats = []
-        for utt in batch:
-            seq = FeatureSequence(self._features[utt.utt_id], 0)
-            feats.append(spec_augment(seq, cfg.specaug, self.rng).frames)
+        feats = [spec_augment(self._features[u.utt_id], cfg.specaug, self.rng) for u in batch]
         mean_loss, per_utt = self.model.batch_loss(
             feats, [self.tokens[u.utt_id] for u in batch], training=True, rng=self.rng
         )
@@ -259,20 +254,20 @@ def resolve_data(cfg: RunConfig, workdir: str):
 
 
 def featurize_wavs(cfg: RunConfig, utts):
-    """Unnormalized features of each distinct wav among `utts`, keyed by
+    """Unnormalized [T, D] frames of each distinct wav among `utts`, keyed by
     path; every wav is read and featurized once."""
     rate = cfg.feature.sample_rate_hz
-    seqs = {}
+    frames = {}
     for u in utts:
-        if u.audio_path not in seqs:
-            seqs[u.audio_path] = featurize(read_wav(u.audio_path, rate), cfg.feature)
-    return seqs
+        if u.audio_path not in frames:
+            frames[u.audio_path] = featurize(read_wav(u.audio_path, rate), cfg.feature).frames
+    return frames
 
 
-def compute_norm_stats(cfg: RunConfig, utts, seqs) -> NormStats:
+def compute_norm_stats(cfg: RunConfig, utts, frames) -> NormStats:
     """Per-dimension mean/variance over the (training) utterances `utts`, in
-    order, from their `featurize_wavs` features `seqs`."""
-    return accumulate_stats((seqs[u.audio_path].frames for u in utts), cfg.input_dim)
+    order, from their `featurize_wavs` frames."""
+    return accumulate_stats((frames[u.audio_path] for u in utts), cfg.input_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,6 @@ class TransducerConfig:
     joint_dim: int = 512
     vocab_size: int = 2500    # real tokens; blank (id 0) is extra
     dropout_p: float = 0.1
-    label_dropout_p: float = -1.0  # < 0 inherits dropout_p
-
-    @property
-    def effective_label_dropout(self) -> float:
-        return self.dropout_p if self.label_dropout_p < 0 else self.label_dropout_p
 
     def __post_init__(self):
         for name in (
@@ -163,7 +158,7 @@ class LabelEncoder:
         else:
             h = Tensor(np.zeros((n, self.cfg.label_embed)))
         for layer in self.layers:
-            h = layer(h, lengths, training, rng, self.cfg.effective_label_dropout)
+            h = layer(h, lengths, training, rng, self.cfg.dropout_p)
         return h
 
     def start(self):

@@ -329,7 +329,7 @@ def label_rows_per_utterance(enc, tokens, training=False, rng=None):
     h = T.Tensor(np.zeros((1, enc.cfg.label_embed)))
     if len(tokens):
         h = T.concat([h, enc.embed(tokens)])
-    return _lstm_stack(enc.layers, h, enc.cfg.effective_label_dropout, training, rng)
+    return _lstm_stack(enc.layers, h, enc.cfg.dropout_p, training, rng)
 
 
 def batch_loss_per_utterance(model, features_list, tokens_list, training=False, rng=None):

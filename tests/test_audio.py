@@ -6,7 +6,6 @@ import pytest
 from convrnnt import audio
 from convrnnt.audio import (
     FeatureConfig,
-    FeatureSequence,
     NormStats,
     SpecAugConfig,
     accumulate_stats,
@@ -92,8 +91,8 @@ def test_stack_identity_when_stack_and_skip_are_one():
 def test_normalize_constant_corpus_to_zero():
     frames = np.full((10, 3), 7.0)
     stats = accumulate_stats([frames], 3)
-    out = normalize(FeatureSequence(frames, 10), stats)
-    assert np.max(np.abs(out.frames)) <= 1e-6
+    out = normalize(frames, stats)
+    assert np.max(np.abs(out)) <= 1e-6
 
 
 def test_two_point_stats():
@@ -106,9 +105,7 @@ def test_corpus_renormalizes_to_unit_stats():
     rng = np.random.default_rng(2)
     corpus = [rng.standard_normal((50, 5)) * 4 + 2 for _ in range(8)]
     stats = accumulate_stats(corpus, 5)
-    normed = np.concatenate(
-        [normalize(FeatureSequence(c, len(c)), stats).frames for c in corpus]
-    )
+    normed = np.concatenate([normalize(c, stats) for c in corpus])
     assert np.max(np.abs(normed.mean(axis=0))) <= 1e-6
     assert np.max(np.abs(normed.var(axis=0) - 1.0)) <= 1e-3
 
@@ -149,26 +146,26 @@ def test_stats_reload_is_bitwise(tmp_path):
 
 def test_specaug_no_masks_below_threshold():
     # floor(0.04 * 10) = 0 time masks at T=10.
-    seq = FeatureSequence(np.ones((10, 192)), 10)
+    frames = np.ones((10, 192))
     cfg = SpecAugConfig(n_freq_masks=0)
-    out = spec_augment(seq, cfg, np.random.default_rng(4))
-    assert np.array_equal(out.frames, seq.frames)
+    out = spec_augment(frames, cfg, np.random.default_rng(4))
+    assert np.array_equal(out, frames)
 
 
 def test_specaug_zero_ratios_identity():
-    seq = FeatureSequence(np.ones((100, 20)), 100)
+    frames = np.ones((100, 20))
     cfg = SpecAugConfig(0.0, 0.0, 0.0, 2)
-    out = spec_augment(seq, cfg, np.random.default_rng(5))
-    assert np.array_equal(out.frames, seq.frames)
+    out = spec_augment(frames, cfg, np.random.default_rng(5))
+    assert np.array_equal(out, frames)
 
 
 def test_specaug_only_writes_zeros_and_keeps_shape():
     rng = np.random.default_rng(6)
-    seq = FeatureSequence(rng.standard_normal((200, 48)) + 5.0, 200)
-    out = spec_augment(seq, SpecAugConfig(), rng)
-    assert out.frames.shape == seq.frames.shape
-    changed = out.frames != seq.frames
-    assert np.all(out.frames[changed] == 0.0)
+    frames = rng.standard_normal((200, 48)) + 5.0
+    out = spec_augment(frames, SpecAugConfig(), rng)
+    assert out.shape == frames.shape
+    changed = out != frames
+    assert np.all(out[changed] == 0.0)
 
 
 def masked_union_expectation(t_len, max_w, n_masks):
@@ -196,8 +193,8 @@ def test_specaug_time_mask_monte_carlo():
     base = np.ones((t_len, 8))
     totals = []
     for _ in range(1000):
-        out = spec_augment(FeatureSequence(base, t_len), cfg, rng)
-        masked = int((out.frames[:, 0] == 0.0).sum())
+        out = spec_augment(base, cfg, rng)
+        masked = int((out[:, 0] == 0.0).sum())
         assert masked <= 1600
         totals.append(masked)
     expected = masked_union_expectation(t_len, 40, 40)

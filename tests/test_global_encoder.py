@@ -355,6 +355,32 @@ def test_block_is_one_node_for_the_batch():
     assert all(o._backward is None and not o._parents for o in outs)
 
 
+@pytest.mark.parametrize("se_enabled", [True, False])
+def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch):
+    # The backward forms each parameter gradient over the whole batch, not
+    # one utterance at a time.
+    block = GlobalBlock(GlobalEncoderConfig(d_model=D, se_enabled=se_enabled), 2,
+                        np.random.default_rng(44))
+    arrays, seeds = batch_inputs((6, 3, 9, 1, 5), D, 45)
+    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    outs = block.forward_batch(xs, training=True, rng=np.random.default_rng(46))
+    total = seeded_sum(outs, seeds)
+    calls = {}
+    accumulate = T.Tensor.accumulate_grad
+
+    def counting(self, g):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        accumulate(self, g)
+
+    monkeypatch.setattr(T.Tensor, "accumulate_grad", counting)
+    total.backward()
+    for name, p in block.params():
+        if p.grad is not None:
+            assert calls[id(p)] == 1, name
+    assert all(calls[id(x)] == 1 for x in xs)
+    assert sum(p.grad is not None for _, p in block.params()) == (14 if se_enabled else 10)
+
+
 def test_backward_per_output_of_a_batch_raises():
     # The outputs are slices of one block node: a backward from the second
     # output would propagate that node again and count the first seed twice.

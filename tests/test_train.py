@@ -43,7 +43,7 @@ def test_setup_reads_each_wav_once_with_the_same_features(corpus, tmp_path, monk
     assert np.array_equal(trainer.stats.mean, stats.mean)
     assert np.array_equal(trainer.stats.variance, stats.variance)
     for utt, seq in zip(utts, raw):
-        assert np.array_equal(trainer._features[utt.utt_id], normalize(seq, stats).frames)
+        assert np.array_equal(trainer._features[utt.utt_id], normalize(seq.frames, stats))
 
 
 def test_evaluate_encodes_each_utterance_once(corpus, tmp_path, monkeypatch):
