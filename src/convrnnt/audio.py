@@ -36,6 +36,9 @@ class FeatureConfig:
             )
         if self.n_bands < 1 or self.n_bands > FFT_SIZE // 2 + 1:
             raise ConfigError(f"n_bands {self.n_bands} out of range")
+        for name in ("stack", "skip"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"feature.{name} must be positive, got {getattr(self, name)}")
 
     @property
     def window_samples(self) -> int:
@@ -158,50 +161,28 @@ def featurize(pcm: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:
 # global mean/variance normalization
 
 
+@dataclass
 class NormStats:
-    """Streaming per-dimension mean/variance over the training split.
+    """Per-dimension mean and variance of the training split's frames, and
+    the number of frames they come from.
 
-    Stats read back by `load` report the saved mean and variance bitwise, so
-    a run that reloads its stats file normalizes exactly as the run that
-    wrote it.
+    `load` reads back the saved mean and variance bitwise, so a run that
+    reloads its stats file normalizes exactly as the run that wrote it.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._sum = np.zeros(dim)
-        self._sumsq = np.zeros(dim)
-        self.count = 0
-        self._saved = None  # (mean, variance) as read by `load`
-
-    def add(self, frames: np.ndarray) -> None:
-        if frames.shape[1] != self.dim:
-            raise ConfigError(f"stats dim {self.dim} != frames dim {frames.shape[1]}")
-        self._sum += frames.sum(axis=0)
-        self._sumsq += (frames * frames).sum(axis=0)
-        self.count += frames.shape[0]
-        self._saved = None
+    mean: np.ndarray
+    variance: np.ndarray
+    count: int
 
     @property
-    def mean(self) -> np.ndarray:
-        if self._saved is not None:
-            return self._saved[0]
-        if self.count == 0:
-            raise ConfigError("normalization stats are empty")
-        return self._sum / self.count
-
-    @property
-    def variance(self) -> np.ndarray:
-        if self._saved is not None:
-            return self._saved[1]
-        mu = self.mean
-        return np.maximum(self._sumsq / self.count - mu * mu, 0.0)
+    def dim(self) -> int:
+        return self.mean.shape[0]
 
     def save(self, path) -> None:
-        mu, var = self.mean, self.variance
         with open(path, "wb") as f:
             f.write(struct.pack("<I", self.dim))
-            f.write(mu.astype("<f8").tobytes())
-            f.write(var.astype("<f8").tobytes())
+            f.write(self.mean.astype("<f8").tobytes())
+            f.write(self.variance.astype("<f8").tobytes())
             f.write(struct.pack("<Q", self.count))
 
     @classmethod
@@ -211,20 +192,23 @@ class NormStats:
             mean = np.frombuffer(f.read(8 * dim), dtype="<f8").copy()
             var = np.frombuffer(f.read(8 * dim), dtype="<f8").copy()
             (count,) = struct.unpack("<Q", f.read(8))
-        stats = cls(dim)
-        stats._sum = mean * count
-        stats._sumsq = (var + mean * mean) * count
-        stats.count = count
-        stats._saved = (mean, var)
-        return stats
+        return cls(mean, var, count)
 
 
 def accumulate_stats(corpus, dim: int) -> NormStats:
-    """Fold an iterable of [T, dim] frame arrays into NormStats, in order."""
-    stats = NormStats(dim)
+    """Fold an iterable of [T, dim] frame arrays into NormStats, in order;
+    an empty corpus raises `ConfigError`."""
+    total, total_sq, count = np.zeros(dim), np.zeros(dim), 0
     for frames in corpus:
-        stats.add(frames)
-    return stats
+        if frames.shape[1] != dim:
+            raise ConfigError(f"stats dim {dim} != frames dim {frames.shape[1]}")
+        total += frames.sum(axis=0)
+        total_sq += (frames * frames).sum(axis=0)
+        count += frames.shape[0]
+    if count == 0:
+        raise ConfigError("normalization stats are empty")
+    mean = total / count
+    return NormStats(mean, np.maximum(total_sq / count - mean * mean, 0.0), count)
 
 
 def normalize(frames: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -1,5 +1,13 @@
-"""Run configuration: dataclasses, the flat `key = value` config-file format,
-shipped presets, and the architecture hash used to guard checkpoints.
+"""Run configuration: one dataclass per config-file section, the flat
+`key = value` config-file format, shipped presets, and the architecture hash
+used to guard checkpoints.
+
+`ModelSettings` (the `model.*` section) is the one description of the model:
+every module takes it and reads the fields it needs.  `RunConfig` derives the
+widths that depend on more than one section (`input_dim`, `local_dim`,
+`global_dim`).  Each section checks its own values when it is made, and
+`RunConfig` the ones that cross sections, so a bad value raises `ConfigError`
+at load.
 """
 
 from __future__ import annotations
@@ -10,9 +18,6 @@ from importlib import resources
 
 from .audio import FeatureConfig, SpecAugConfig
 from .errors import ConfigError
-from .global_encoder import GlobalEncoderConfig
-from .local_encoder import LocalEncoderConfig
-from .transducer import TransducerConfig
 
 
 @dataclass
@@ -36,12 +41,28 @@ class ModelSettings:
     label_embed: int = 256
     label_proj: int = 512
     joint_dim: int = 512
-    vocab_size: int = 0  # 0 = infer from the vocab file
+    vocab_size: int = 0  # real tokens, blank (id 0) extra; 0 = infer from the vocab file
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        self.local_channels = tuple(int(c) for c in self.local_channels)
         if not (self.local_enabled or self.global_enabled):
             raise ConfigError("at least one of the local/global frontends must be enabled")
+        if not self.local_channels or min(self.local_channels) < 1:
+            raise ConfigError(f"model.local_channels must be positive, got {self.local_channels}")
+        for name in (
+            "kernel_t", "kernel_f", "global_blocks", "expansion", "dw_kernel", "se_divisor",
+            "se_min", "enc_layers", "enc_hidden", "proj_dim", "label_layers", "label_hidden",
+            "label_embed", "label_proj", "joint_dim",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be positive, got {getattr(self, name)}")
+        if self.kernel_f % 2 != 1:
+            raise ConfigError(f"frequency kernel must be odd for same-padding, got {self.kernel_f}")
+        if self.vocab_size < 0:
+            raise ConfigError(f"model.vocab_size must be >= 0, got {self.vocab_size}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"model.dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
 @dataclass
@@ -53,6 +74,10 @@ class OptimizerConfig:
     warmup_steps: int = 10000
     l2: float = 1e-6
 
+    def __post_init__(self):
+        if self.warmup_steps < 1:
+            raise ConfigError(f"optimizer.warmup_steps must be positive, got {self.warmup_steps}")
+
 
 @dataclass
 class TrainingConfig:
@@ -60,6 +85,11 @@ class TrainingConfig:
     max_steps: int = 2000
     eval_interval: int = 100
     seed: int = 1234
+
+    def __post_init__(self):
+        for name in ("batch_size", "eval_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"training.{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -81,65 +111,37 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     data: DataConfig = field(default_factory=DataConfig)
 
-    # -- derived wiring -----------------------------------------------------
+    def __post_init__(self):
+        if self.model.local_enabled and self.feature.n_bands < self.model.kernel_f:
+            raise ConfigError(f"feature.n_bands ({self.feature.n_bands}) is smaller than "
+                              f"model.kernel_f ({self.model.kernel_f})")
+
+    # -- derived widths -------------------------------------------------------
 
     @property
     def input_dim(self) -> int:
         return self.feature.input_dim
 
-    def local_config(self) -> LocalEncoderConfig | None:
+    @property
+    def local_dim(self) -> int:
+        """Width of the local encoder's output; 0 when it is off."""
         if not self.model.local_enabled:
-            return None
-        return LocalEncoderConfig(
-            channels=self.model.local_channels,
-            kernel_t=self.model.kernel_t,
-            kernel_f=self.model.kernel_f,
-            in_channels=self.feature.stack,
-            n_freq=self.feature.n_bands,
-        )
+            return 0
+        return self.model.local_channels[-1] * self.feature.n_bands
 
-    def global_config(self) -> GlobalEncoderConfig | None:
+    @property
+    def global_dim(self) -> int:
+        """Width of the global encoder, which reads the local encoder's output
+        when there is one and the features otherwise; 0 when it is off."""
         if not self.model.global_enabled:
-            return None
-        local = self.local_config()
-        d_model = local.output_dim if local is not None else self.input_dim
-        return GlobalEncoderConfig(
-            d_model=d_model,
-            n_blocks=self.model.global_blocks,
-            expansion=self.model.expansion,
-            dw_kernel=self.model.dw_kernel,
-            se_divisor=self.model.se_divisor,
-            se_min=self.model.se_min,
-            dropout_p=self.model.dropout_p,
-            se_enabled=self.model.se_enabled,
-        )
+            return 0
+        return self.local_dim or self.input_dim
 
-    def fuse_input_dim(self) -> int:
-        local = self.local_config()
-        dim = 0
-        if local is not None:
-            dim += local.output_dim
-        g = self.global_config()
-        if g is not None:
-            dim += g.d_model
-        return dim
-
-    def transducer_config(self) -> TransducerConfig:
+    def transducer_config(self) -> ModelSettings:
+        """The model settings, once the vocab size is resolved."""
         if self.model.vocab_size < 1:
             raise ConfigError("vocab_size is unresolved; load a vocab first")
-        return TransducerConfig(
-            input_dim=self.input_dim,
-            enc_layers=self.model.enc_layers,
-            enc_hidden=self.model.enc_hidden,
-            proj_dim=self.model.proj_dim,
-            label_layers=self.model.label_layers,
-            label_hidden=self.model.label_hidden,
-            label_embed=self.model.label_embed,
-            label_proj=self.model.label_proj,
-            joint_dim=self.model.joint_dim,
-            vocab_size=self.model.vocab_size,
-            dropout_p=self.model.dropout_p,
-        )
+        return self.model
 
 
 _SECTIONS = {

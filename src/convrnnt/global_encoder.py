@@ -3,7 +3,10 @@
 
 The depthwise dilations double per block, so the convolutional receptive
 field grows geometrically, while the squeeze-excite gate folds in a prefix
-mean over *all* past steps.  Every block preserves the [T, D] shape.
+mean over *all* past steps.  Every block preserves the [T, D] shape.  The
+block count, expansion, depthwise kernel, squeeze-excite sizing, dropout and
+the squeeze-excite switch come from `ModelSettings`; the width D is the
+caller's (`RunConfig.global_dim`).
 
 Each block is one tape node for a whole batch (`GlobalBlock.forward_batch`):
 its forward runs the convolutions, batch-norms, excitation, dropout and
@@ -16,57 +19,27 @@ and its gradients agree with it to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .config import ModelSettings
 from .layers import BatchNormTime, Conv1dLayer, Linear, collect_params
 from .tensor import Tensor
 
 
-@dataclass
-class GlobalEncoderConfig:
-    d_model: int
-    n_blocks: int = 6
-    expansion: int = 2
-    dw_kernel: int = 3
-    se_divisor: int = 8
-    se_min: int = 8
-    dropout_p: float = 0.1
-    se_enabled: bool = True
-
-    def __post_init__(self):
-        if self.d_model < 1 or self.n_blocks < 1 or self.expansion < 1:
-            raise ConfigError("global encoder dimensions must be positive")
-
-    def dilations(self):
-        # Block i (from 0) is dilated by 2^(i+1).
-        return [2 ** (i + 1) for i in range(self.n_blocks)]
-
-    @property
-    def se_bottleneck(self) -> int:
-        return max(self.d_model // self.se_divisor, self.se_min)
-
-    @property
-    def conv_receptive_field(self) -> int:
-        # Depthwise reach only (squeeze-excite disabled), current frame included.
-        return 1 + sum((self.dw_kernel - 1) * d for d in self.dilations())
-
-
 class GlobalBlock:
-    def __init__(self, cfg: GlobalEncoderConfig, dilation: int, rng: np.random.Generator):
-        d, e = cfg.d_model, cfg.expansion * cfg.d_model
-        self.cfg = cfg
+    def __init__(self, m: ModelSettings, d_model: int, dilation: int, rng: np.random.Generator):
+        d, e = d_model, m.expansion * d_model
+        se_bottleneck = max(d // m.se_divisor, m.se_min)
+        self.m = m
         self.dilation = dilation
         self.pw_in = Conv1dLayer(d, e, 1, rng)
         self.norm_in = BatchNormTime(e)
-        self.dw = Conv1dLayer(e, e, cfg.dw_kernel, rng, dilation=dilation, groups=e)
+        self.dw = Conv1dLayer(e, e, m.dw_kernel, rng, dilation=dilation, groups=e)
         self.norm_dw = BatchNormTime(e)
         self.pw_out = Conv1dLayer(e, d, 1, rng)
-        self.se_reduce = Linear(d, cfg.se_bottleneck, rng)
-        self.se_expand = Linear(cfg.se_bottleneck, d, rng)
+        self.se_reduce = Linear(d, se_bottleneck, rng)
+        self.se_expand = Linear(se_bottleneck, d, rng)
 
     def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
         """Apply the block to a batch of [T_i, D] sequences as one tape node.
@@ -96,7 +69,7 @@ class GlobalBlock:
         its FLOPs from that list.  When no gradient is recorded, as in
         streaming inference, the node keeps nothing and works in place.
         """
-        cfg = self.cfg
+        m = self.m
         params = [p for _, p in self.params()]
         record = T.records(list(xs) + params)
         lengths = [x.shape[0] for x in xs]
@@ -105,7 +78,7 @@ class GlobalBlock:
         n_rows = ends[-1]
         # Frame index within its own utterance, for each of the N columns.
         local = np.arange(n_rows) - np.repeat([a for a, _ in spans], lengths)
-        shifts = [(cfg.dw_kernel - 1 - j) * self.dilation for j in range(cfg.dw_kernel)]
+        shifts = [(m.dw_kernel - 1 - j) * self.dilation for j in range(m.dw_kernel)]
         # Per shift s of a batch, the columns from s on whose tap stays inside
         # their own utterance; one utterance never reaches outside itself.
         inside = {s: local[s:] >= s for s in shifts if 0 < s < n_rows and len(xs) > 1}
@@ -147,7 +120,7 @@ class GlobalBlock:
 
         # pointwise out, squeeze-excite, dropout and the residual, [N, D]
         w_out = self.pw_out.weight.data[:, :, 0]
-        zc = np.empty((cfg.d_model, n_rows))
+        zc = np.empty((w_out.shape[0], n_rows))
         pointwise(w_out, a_dw, zc)
         if not record:
             del a_dw, xhat_dw
@@ -155,19 +128,19 @@ class GlobalBlock:
         z = np.ascontiguousarray(zc.T)
         del zc
         counts = (local + 1.0)[:, None]
-        m = r = gate = None
-        if cfg.se_enabled:
-            m = np.empty_like(z)
+        mean = r = gate = None
+        if m.se_enabled:
+            mean = np.empty_like(z)
             for a, b in spans:
-                np.cumsum(z[a:b], axis=0, out=m[a:b])
-            m /= counts
-            r = self._rows(m, self.se_reduce, spans)
+                np.cumsum(z[a:b], axis=0, out=mean[a:b])
+            mean /= counts
+            r = self._rows(mean, self.se_reduce, spans)
             T.relu_(r)
             gate = T._sigmoid(self._rows(r, self.se_expand, spans))
             y = z * gate if record else np.multiply(z, gate, out=z)
         else:
             y, z = z, None
-        keep = T.dropout_mask(y.shape, cfg.dropout_p, training, rng)
+        keep = T.dropout_mask(y.shape, m.dropout_p, training, rng)
         if keep is not None:
             y *= keep
         out = np.add(y, x_all, out=y)
@@ -179,14 +152,14 @@ class GlobalBlock:
             g_res = g
             if keep is not None:
                 g = g * keep
-            if cfg.se_enabled:
+            if m.se_enabled:
                 dz = g * gate
                 de = g * z
                 de *= gate
                 de *= 1.0 - gate
                 dr = self._rows_backward(de, r, self.se_expand)
                 dr *= r > 0.0
-                dm = self._rows_backward(dr, m, self.se_reduce)
+                dm = self._rows_backward(dr, mean, self.se_reduce)
                 dm /= counts
                 for a, b in spans:
                     dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
@@ -275,9 +248,12 @@ def _accumulate(p: Tensor, g: np.ndarray) -> None:
 
 
 class GlobalEncoder:
-    def __init__(self, cfg: GlobalEncoderConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.blocks = [GlobalBlock(cfg, d, rng) for d in cfg.dilations()]
+    def __init__(self, m: ModelSettings, d_model: int, rng: np.random.Generator):
+        # Block i (from 0) is dilated by 2^(i+1).
+        dilations = [2 ** (i + 1) for i in range(m.global_blocks)]
+        self.blocks = [GlobalBlock(m, d_model, d, rng) for d in dilations]
+        # Depthwise reach only (squeeze-excite disabled), current frame included.
+        self.conv_receptive_field = 1 + sum((m.dw_kernel - 1) * d for d in dilations)
 
     def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
         hs = list(xs)

@@ -1,6 +1,11 @@
 """Whole-model assembly: frontends, fusion, LSTM stacks, and joint, with a
 stable parameter registry for checkpointing and diagnostics.
 
+Every module is built from the run's `ModelSettings` (`cfg.model`) and the
+widths `RunConfig` derives: `input_dim`, `local_dim` and `global_dim` (0 for
+a frontend that is off); the fusion maps `local_dim + global_dim` back to
+`input_dim`.
+
 The registry is the one source of parameter names and shapes:
 `parameter_shapes` and `count_parameters` read it from a model built with
 an init source that allocates no weights, so they report configs too big to
@@ -51,15 +56,14 @@ class TransducerModel:
     def _build(self, cfg: RunConfig, rng) -> None:
         """Assemble every module, drawing initial weights from `rng.uniform`."""
         self.cfg = cfg
-        local_cfg = cfg.local_config()
-        global_cfg = cfg.global_config()
-        tr_cfg = cfg.transducer_config()
-        self.local = LocalEncoder(local_cfg, rng) if local_cfg else None
-        self.global_enc = GlobalEncoder(global_cfg, rng) if global_cfg else None
-        self.fuse = Linear(cfg.fuse_input_dim(), cfg.input_dim, rng)
-        self.encoder = AudioEncoder(tr_cfg, rng)
-        self.label_encoder = LabelEncoder(tr_cfg, rng)
-        self.joint = Joint(tr_cfg, rng)
+        m = cfg.transducer_config()
+        f = cfg.feature
+        self.local = LocalEncoder(m, f.stack, f.n_bands, rng) if cfg.local_dim else None
+        self.global_enc = GlobalEncoder(m, cfg.global_dim, rng) if cfg.global_dim else None
+        self.fuse = Linear(cfg.local_dim + cfg.global_dim, cfg.input_dim, rng)
+        self.encoder = AudioEncoder(m, cfg.input_dim, rng)
+        self.label_encoder = LabelEncoder(m, rng)
+        self.joint = Joint(m, rng)
         children = [
             ("local", self.local),
             ("global", self.global_enc),

@@ -1,6 +1,7 @@
 """Transducer core: frontend fusion, the unidirectional LSTM audio encoder
 with per-layer Swish projections, the autoregressive label encoder, and the
-additive joint network producing per-(t, u) token logits.
+additive joint network producing per-(t, u) token logits.  Their sizes and
+dropout come from `ModelSettings`.
 
 The fusion and both LSTM stacks run on packed rows: the rows of every
 utterance of a batch concatenated in order, with their lengths beside them,
@@ -10,37 +11,13 @@ utterance's encoder and label rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, ShapeError
+from .config import ModelSettings
+from .errors import DataError, ShapeError
 from .layers import Embedding, Linear, collect_params, uniform_init, zeros_param
 from .tensor import Tensor
-
-
-@dataclass
-class TransducerConfig:
-    input_dim: int = 192      # fused feature dimension fed to the LSTM stack
-    enc_layers: int = 7
-    enc_hidden: int = 640
-    proj_dim: int = 512       # per-layer projection width == encoder output dim
-    label_layers: int = 1
-    label_hidden: int = 640
-    label_embed: int = 256
-    label_proj: int = 512
-    joint_dim: int = 512
-    vocab_size: int = 2500    # real tokens; blank (id 0) is extra
-    dropout_p: float = 0.1
-
-    def __post_init__(self):
-        for name in (
-            "input_dim", "enc_layers", "enc_hidden", "proj_dim", "label_layers",
-            "label_hidden", "label_embed", "label_proj", "joint_dim", "vocab_size",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
 
 
 class LSTMLayer:
@@ -51,8 +28,8 @@ class LSTMLayer:
     state are zeros at the start of every utterance.  The recurrence is one
     tape node per batch (`tensor.lstm`) over packed [N, n_in] rows: it
     stores the gate activations and cell states of every row, and its
-    backward runs through time.  The projection, Swish and dropout run once
-    over all N rows.
+    backward runs through time.  The projection and Swish run once over all
+    N rows; the stacks apply dropout to the layer's output.
     """
 
     def __init__(self, n_in: int, hidden: int, proj: int, rng: np.random.Generator):
@@ -72,16 +49,8 @@ class LSTMLayer:
     def project(self, hs: Tensor) -> Tensor:
         return T.swish(self.proj(hs))
 
-    def __call__(
-        self,
-        xs: Tensor,
-        lengths=None,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        dropout_p: float = 0.0,
-    ) -> Tensor:
-        out = self.project(self.hidden_states(xs, lengths))
-        return T.dropout(out, dropout_p, training, rng)
+    def __call__(self, xs: Tensor, lengths=None) -> Tensor:
+        return self.project(self.hidden_states(xs, lengths))
 
     def params(self):
         return [
@@ -96,19 +65,19 @@ class LSTMLayer:
 class AudioEncoder:
     """Stack of LSTM layers; layer k > 0 consumes the previous projection."""
 
-    def __init__(self, cfg: TransducerConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, m: ModelSettings, input_dim: int, rng: np.random.Generator):
+        self.m = m
         self.layers = []
-        n_in = cfg.input_dim
-        for _ in range(cfg.enc_layers):
-            self.layers.append(LSTMLayer(n_in, cfg.enc_hidden, cfg.proj_dim, rng))
-            n_in = cfg.proj_dim
+        n_in = input_dim
+        for _ in range(m.enc_layers):
+            self.layers.append(LSTMLayer(n_in, m.enc_hidden, m.proj_dim, rng))
+            n_in = m.proj_dim
 
     def __call__(self, xs: Tensor, lengths=None, training: bool = False, rng=None) -> Tensor:
         """Packed [N, input_dim] -> [N, proj_dim] (lengths None: one utterance)."""
         h = xs
         for layer in self.layers:
-            h = layer(h, lengths, training, rng, self.cfg.dropout_p)
+            h = T.dropout(layer(h, lengths), self.m.dropout_p, training, rng)
         return h
 
     def params(self):
@@ -124,22 +93,22 @@ class LabelEncoder:
     the decoder, with the same per-layer math.
     """
 
-    def __init__(self, cfg: TransducerConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.embed = Embedding(cfg.vocab_size + 1, cfg.label_embed, rng)
+    def __init__(self, m: ModelSettings, rng: np.random.Generator):
+        self.m = m
+        self.embed = Embedding(m.vocab_size + 1, m.label_embed, rng)
         self.layers = []
-        n_in = cfg.label_embed
-        for _ in range(cfg.label_layers):
-            self.layers.append(LSTMLayer(n_in, cfg.label_hidden, cfg.label_proj, rng))
-            n_in = cfg.label_proj
+        n_in = m.label_embed
+        for _ in range(m.label_layers):
+            self.layers.append(LSTMLayer(n_in, m.label_hidden, m.label_proj, rng))
+            n_in = m.label_proj
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and (
-            tokens.min() < 1 or tokens.max() > self.cfg.vocab_size
+            tokens.min() < 1 or tokens.max() > self.m.vocab_size
         ):
             raise DataError(
-                f"token ids must be in [1, {self.cfg.vocab_size}] (blank excluded), "
+                f"token ids must be in [1, {self.m.vocab_size}] (blank excluded), "
                 f"got range [{tokens.min()}, {tokens.max()}]"
             )
         return tokens
@@ -156,16 +125,16 @@ class LabelEncoder:
             starts = np.cumsum([0] + lengths[:-1])
             h = T.place_rows(self.embed(ids), np.delete(np.arange(n), starts), n)
         else:
-            h = Tensor(np.zeros((n, self.cfg.label_embed)))
+            h = Tensor(np.zeros((n, self.m.label_embed)))
         for layer in self.layers:
-            h = layer(h, lengths, training, rng, self.cfg.dropout_p)
+            h = T.dropout(layer(h, lengths), self.m.dropout_p, training, rng)
         return h
 
     def start(self):
         """Per-layer (h, c) [1, H] states and [label_proj] output of row 0."""
         states = [(np.zeros((1, layer.hidden)), np.zeros((1, layer.hidden)))
                   for layer in self.layers]
-        return self.step(states, np.zeros((1, self.cfg.label_embed)))
+        return self.step(states, np.zeros((1, self.m.label_embed)))
 
     def step(self, states, x: np.ndarray):
         """Advance the per-layer states by one [1, label_embed] input row.
@@ -190,12 +159,11 @@ class LabelEncoder:
 class Joint:
     """logits[t, u, :] = W_out . tanh(A.enc_t + B.pred_u + b)."""
 
-    def __init__(self, cfg: TransducerConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.enc_proj = uniform_init(rng, (cfg.proj_dim, cfg.joint_dim), cfg.proj_dim)
-        self.pred_proj = uniform_init(rng, (cfg.label_proj, cfg.joint_dim), cfg.label_proj)
-        self.bias = zeros_param(cfg.joint_dim)
-        self.out = Linear(cfg.joint_dim, cfg.vocab_size + 1, rng)
+    def __init__(self, m: ModelSettings, rng: np.random.Generator):
+        self.enc_proj = uniform_init(rng, (m.proj_dim, m.joint_dim), m.proj_dim)
+        self.pred_proj = uniform_init(rng, (m.label_proj, m.joint_dim), m.label_proj)
+        self.bias = zeros_param(m.joint_dim)
+        self.out = Linear(m.joint_dim, m.vocab_size + 1, rng)
 
     def __call__(self, enc: Tensor, pred: Tensor) -> Tensor:
         return self.out(T.outer_tanh(enc, self.enc_proj, pred, self.pred_proj, self.bias))

@@ -316,20 +316,19 @@ def _lstm_stack(layers, h, p, training, rng):
 
 def local_encoder_per_utterance(enc, x):
     """`LocalEncoder.__call__` on one [T, in_channels * n_freq] utterance."""
-    cfg = enc.cfg
     t_len = x.shape[0]
-    h = T.permute(T.reshape(x, (t_len, cfg.in_channels, cfg.n_freq)), (1, 0, 2))
+    h = T.permute(T.reshape(x, (t_len, enc.in_channels, enc.n_freq)), (1, 0, 2))
     for conv in enc.convs:
         h = causal_conv2d_per_utterance(h, conv.weight, conv.bias, [t_len])
-    return T.reshape(T.permute(h, (1, 0, 2)), (t_len, cfg.output_dim))
+    return T.reshape(T.permute(h, (1, 0, 2)), (t_len, enc.output_dim))
 
 
 def label_rows_per_utterance(enc, tokens, training=False, rng=None):
     """`LabelEncoder.__call__` on one token list: a zero start row, then the embeddings."""
-    h = T.Tensor(np.zeros((1, enc.cfg.label_embed)))
+    h = T.Tensor(np.zeros((1, enc.m.label_embed)))
     if len(tokens):
         h = T.concat([h, enc.embed(tokens)])
-    return _lstm_stack(enc.layers, h, enc.cfg.dropout_p, training, rng)
+    return _lstm_stack(enc.layers, h, enc.m.dropout_p, training, rng)
 
 
 def batch_loss_per_utterance(model, features_list, tokens_list, training=False, rng=None):
@@ -345,7 +344,7 @@ def batch_loss_per_utterance(model, features_list, tokens_list, training=False, 
     losses = []
     for i, tokens in enumerate(tokens_list):
         fused = model.fuse(T.concat([p[i] for p in (local, glob) if p is not None], axis=1))
-        enc = _lstm_stack(model.encoder.layers, fused, model.encoder.cfg.dropout_p, training, rng)
+        enc = _lstm_stack(model.encoder.layers, fused, model.encoder.m.dropout_p, training, rng)
         pred = label_rows_per_utterance(model.label_encoder, tokens, training, rng)
         losses.append(rnnt_loss(model.joint(enc, pred), tokens))
     total = losses[0]
@@ -480,7 +479,7 @@ def _norm_batch(norm, hs, training):
 
 def global_block_per_op(block, xs, training=False, rng=None):
     """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per utterance."""
-    cfg = block.cfg
+    cfg = block.m
 
     def conv(layer, x):
         return conv1d(x, layer.weight, layer.bias, dilation=layer.dilation, groups=layer.groups)

@@ -112,7 +112,7 @@ def test_corpus_renormalizes_to_unit_stats():
 
 def test_empty_stats_rejected():
     with pytest.raises(ConfigError):
-        NormStats(4).mean
+        accumulate_stats([], 4)
 
 
 def test_stats_roundtrip(tmp_path):

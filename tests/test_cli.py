@@ -91,3 +91,11 @@ def test_cli_eval_rejects_replaced_norm_stats(tmp_path, capsys):
     code = main(["eval", "--config", "desk", "--out", work])
     assert code == 1
     assert "normstats.mean differs" in capsys.readouterr().err
+
+
+def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
+    code = main(["train", "--config", "desk", "--out", str(tmp_path / "run"),
+                 "--set", "model.se_divisor=0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "se_divisor" in err

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
+from convrnnt.config import ModelSettings
 from convrnnt.errors import TrainingError
-from convrnnt.global_encoder import GlobalBlock, GlobalEncoder, GlobalEncoderConfig
+from convrnnt.global_encoder import GlobalBlock, GlobalEncoder
 
 from oracles import fd_gradient, global_encoder_per_op, prefix_mean, prefix_mean_naive, rel_err
 
 D = 16
-CFG = GlobalEncoderConfig(d_model=D)
-NO_SE = GlobalEncoderConfig(d_model=D, se_enabled=False)
+M = ModelSettings()
+NO_SE = ModelSettings(se_enabled=False)
 
 
 def zero_params(obj):
@@ -60,9 +61,9 @@ def test_prefix_mean_matches_direct_summation():
 # squeeze-excitation inside the block
 
 
-def constant_branch_block(seed, c, cfg=CFG):
+def constant_branch_block(seed, c, m=M):
     """A block whose pointwise-out branch is the constant row c at every step."""
-    block = GlobalBlock(cfg, dilation=2, rng=np.random.default_rng(seed))
+    block = GlobalBlock(m, D, dilation=2, rng=np.random.default_rng(seed))
     block.pw_out.weight.data[...] = 0.0
     block.pw_out.bias.data[...] = c
     return block
@@ -89,12 +90,12 @@ def test_se_zero_input_zero_output():
 
 
 def test_se_causality_bitwise():
-    block = GlobalBlock(CFG, dilation=2, rng=np.random.default_rng(4))
+    block = GlobalBlock(M, D, dilation=2, rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((40, D))
     base = run_block(block, x)
     t0 = 9
-    reach = 1 + (CFG.dw_kernel - 1) * 2
+    reach = 1 + (M.dw_kernel - 1) * 2
     x2 = x.copy()
     x2[t0] += rng.standard_normal(D)
     pert = run_block(block, x2)
@@ -108,7 +109,7 @@ def test_se_causality_bitwise():
 
 
 def test_block_zero_weights_is_identity():
-    block = GlobalBlock(CFG, dilation=2, rng=np.random.default_rng(6))
+    block = GlobalBlock(M, D, dilation=2, rng=np.random.default_rng(6))
     zero_params(block)
     x = np.random.default_rng(7).standard_normal((11, D))
     out = run_block(block, x)
@@ -116,13 +117,13 @@ def test_block_zero_weights_is_identity():
 
 
 def test_block_shape_preserved():
-    block = GlobalBlock(CFG, dilation=4, rng=np.random.default_rng(8))
+    block = GlobalBlock(M, D, dilation=4, rng=np.random.default_rng(8))
     x = np.random.default_rng(9).standard_normal((13, D))
     assert run_block(block, x).shape == (13, D)
 
 
 def test_block_causality_bitwise():
-    block = GlobalBlock(CFG, dilation=2, rng=np.random.default_rng(10))
+    block = GlobalBlock(M, D, dilation=2, rng=np.random.default_rng(10))
     rng = np.random.default_rng(11)
     x = rng.standard_normal((16, D))
     base = run_block(block, x)
@@ -136,14 +137,14 @@ def test_block_causality_bitwise():
 @pytest.mark.parametrize("block_index", [1, 2, 3])
 def test_block_impulse_support_with_se_disabled(block_index):
     dilation = 2 ** block_index
-    block = GlobalBlock(NO_SE, dilation=dilation, rng=np.random.default_rng(12))
+    block = GlobalBlock(NO_SE, D, dilation=dilation, rng=np.random.default_rng(12))
     positive_conv_weights(block)
     t_len, t0 = 80, 10
     x = np.zeros((t_len, D))
     x[t0] = 1.0
     out = run_block(block, x)
     hot = np.where(np.abs(out).sum(axis=1) > 0)[0]
-    reach = 1 + (CFG.dw_kernel - 1) * dilation
+    reach = 1 + (M.dw_kernel - 1) * dilation
     assert hot[0] == t0
     assert hot[-1] <= t0 + reach - 1
     assert hot[-1] == t0 + reach - 1  # positive weights hit the full reach
@@ -154,17 +155,17 @@ def test_block_impulse_support_with_se_disabled(block_index):
 
 
 def test_stack_dilations_double_per_block():
-    enc = GlobalEncoder(CFG, np.random.default_rng(13))
+    enc = GlobalEncoder(M, D, np.random.default_rng(13))
     assert [b.dilation for b in enc.blocks] == [2, 4, 8, 16, 32, 64]
 
 
 def test_stack_zero_input_zero_output():
-    enc = GlobalEncoder(CFG, np.random.default_rng(14))
+    enc = GlobalEncoder(M, D, np.random.default_rng(14))
     assert np.all(run_stack(enc, np.zeros((9, D))) == 0.0)
 
 
 def test_stack_causality_bitwise():
-    enc = GlobalEncoder(CFG, np.random.default_rng(15))
+    enc = GlobalEncoder(M, D, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     x = rng.standard_normal((20, D))
     base = run_stack(enc, x)
@@ -176,7 +177,7 @@ def test_stack_causality_bitwise():
 
 
 def test_stack_zero_weights_is_identity():
-    enc = GlobalEncoder(CFG, np.random.default_rng(17))
+    enc = GlobalEncoder(M, D, np.random.default_rng(17))
     for _, p in enc.params():
         p.data[...] = 0.0
     x = np.random.default_rng(18).standard_normal((8, D))
@@ -184,8 +185,8 @@ def test_stack_zero_weights_is_identity():
 
 
 def test_stack_conv_receptive_field_is_253():
-    assert CFG.conv_receptive_field == 253
-    enc = GlobalEncoder(NO_SE, np.random.default_rng(19))
+    enc = GlobalEncoder(NO_SE, D, np.random.default_rng(19))
+    assert enc.conv_receptive_field == 253
     for block in enc.blocks:
         positive_conv_weights(block)
     t_len, t0 = 300, 20
@@ -197,12 +198,12 @@ def test_stack_conv_receptive_field_is_253():
     # claim is about the span of the response.
     assert hot[0] == t0
     assert hot[-1] == t0 + 252
-    assert hot[-1] - hot[0] + 1 == CFG.conv_receptive_field
+    assert hot[-1] - hot[0] + 1 == enc.conv_receptive_field
 
 
 def test_se_gives_full_prefix_reach():
     # With excitation on, any past frame influences later outputs.
-    enc = GlobalEncoder(GlobalEncoderConfig(d_model=D, n_blocks=2), np.random.default_rng(20))
+    enc = GlobalEncoder(ModelSettings(global_blocks=2), D, np.random.default_rng(20))
     rng = np.random.default_rng(21)
     x = rng.standard_normal((300, D))
     base = run_stack(enc, x)
@@ -213,7 +214,7 @@ def test_se_gives_full_prefix_reach():
 
 
 def test_block_gradients_flow():
-    block = GlobalBlock(GlobalEncoderConfig(d_model=6, dropout_p=0.0), 2, np.random.default_rng(22))
+    block = GlobalBlock(ModelSettings(dropout_p=0.0), 6, 2, np.random.default_rng(22))
     x = T.Tensor(np.random.default_rng(23).standard_normal((10, 6)), requires_grad=True)
     T.sum_all(block.forward_batch([x], training=True)[0]).backward()
     assert x.grad is not None
@@ -238,9 +239,9 @@ def seeded_sum(outs, seeds):
     return total
 
 
-def run_encoder(forward, cfg, arrays, seeds, grad, **kw):
+def run_encoder(forward, m, arrays, seeds, grad, **kw):
     """Outputs, running stats and (with grad) input and parameter gradients."""
-    enc = GlobalEncoder(cfg, np.random.default_rng(31))
+    enc = GlobalEncoder(m, D, np.random.default_rng(31))
     xs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
     rng = np.random.default_rng(32)
     if grad:
@@ -266,10 +267,10 @@ def fused(enc, xs, **kw):
 @pytest.mark.parametrize("se_enabled", [True, False])
 @pytest.mark.parametrize("training,dropout_p", [(False, 0.1), (True, 0.0), (True, 0.1)])
 def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p):
-    cfg = GlobalEncoderConfig(d_model=D, dropout_p=dropout_p, se_enabled=se_enabled)
+    m = ModelSettings(dropout_p=dropout_p, se_enabled=se_enabled)
     arrays, seeds = batch_inputs(lengths, D, 33)
-    got = run_encoder(fused, cfg, arrays, seeds, grad=False, training=training)
-    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=False, training=training)
+    got = run_encoder(fused, m, arrays, seeds, grad=False, training=training)
+    want = run_encoder(global_encoder_per_op, m, arrays, seeds, grad=False, training=training)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].tobytes() == want[key].tobytes(), key
@@ -279,10 +280,10 @@ def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p
 @pytest.mark.parametrize("se_enabled", [True, False])
 @pytest.mark.parametrize("training", [False, True])
 def test_gradients_match_per_op(lengths, se_enabled, training):
-    cfg = GlobalEncoderConfig(d_model=D, dropout_p=0.1, se_enabled=se_enabled)
+    m = ModelSettings(dropout_p=0.1, se_enabled=se_enabled)
     arrays, seeds = batch_inputs(lengths, D, 34)
-    got = run_encoder(fused, cfg, arrays, seeds, grad=True, training=training)
-    want = run_encoder(global_encoder_per_op, cfg, arrays, seeds, grad=True, training=training)
+    got = run_encoder(fused, m, arrays, seeds, grad=True, training=training)
+    want = run_encoder(global_encoder_per_op, m, arrays, seeds, grad=True, training=training)
     assert got.keys() == want.keys()
     for key in want:
         # The forward bits are pinned above; gradients to 1e-12 of their scale.
@@ -295,8 +296,8 @@ def test_block_gradient_matches_fd(se_enabled):
     # Three unequal lengths, so training-mode batch-norm pools across them and
     # each input's gradient depends on the other utterances.
     d = 6
-    cfg = GlobalEncoderConfig(d_model=d, dropout_p=0.1, se_enabled=se_enabled)
-    block = GlobalBlock(cfg, 2, np.random.default_rng(35))
+    m = ModelSettings(dropout_p=0.1, se_enabled=se_enabled)
+    block = GlobalBlock(m, d, 2, np.random.default_rng(35))
     # Move off the initialization: with every bias zero the second batch-norm
     # cancels a rescaling of the first one's gamma, whose gradient is then
     # nearly zero and below finite-difference noise.
@@ -338,8 +339,7 @@ def test_block_gradient_matches_fd(se_enabled):
 
 
 def test_block_is_one_node_for_the_batch():
-    block = GlobalBlock(GlobalEncoderConfig(d_model=D, dropout_p=0.0), 2,
-                        np.random.default_rng(38))
+    block = GlobalBlock(ModelSettings(dropout_p=0.0), D, 2, np.random.default_rng(38))
     arrays, _ = batch_inputs((4, 6, 5), D, 39)
     xs = [T.Tensor(a, requires_grad=True) for a in arrays]
     outs = block.forward_batch(xs, training=True)
@@ -359,8 +359,7 @@ def test_block_is_one_node_for_the_batch():
 def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch):
     # The backward forms each parameter gradient over the whole batch, not
     # one utterance at a time.
-    block = GlobalBlock(GlobalEncoderConfig(d_model=D, se_enabled=se_enabled), 2,
-                        np.random.default_rng(44))
+    block = GlobalBlock(ModelSettings(se_enabled=se_enabled), D, 2, np.random.default_rng(44))
     arrays, seeds = batch_inputs((6, 3, 9, 1, 5), D, 45)
     xs = [T.Tensor(a, requires_grad=True) for a in arrays]
     outs = block.forward_batch(xs, training=True, rng=np.random.default_rng(46))
@@ -384,7 +383,7 @@ def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch)
 def test_backward_per_output_of_a_batch_raises():
     # The outputs are slices of one block node: a backward from the second
     # output would propagate that node again and count the first seed twice.
-    enc = GlobalEncoder(GlobalEncoderConfig(d_model=D), np.random.default_rng(41))
+    enc = GlobalEncoder(M, D, np.random.default_rng(41))
     arrays, seeds = batch_inputs((7, 13, 4), D, 42)
     xs = [T.Tensor(a, requires_grad=True) for a in arrays]
     outs = enc.forward_batch(xs, training=True, rng=np.random.default_rng(43))

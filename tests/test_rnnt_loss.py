@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
+from convrnnt.config import ModelSettings
 from convrnnt.errors import DataError, ShapeError
 from convrnnt.rnnt_loss import build_lattice, rnnt_loss
-from convrnnt.transducer import Joint, TransducerConfig
+from convrnnt.transducer import Joint
 
 from oracles import fd_gradient, rel_err, transducer_nll_enumeration
 
@@ -174,8 +175,7 @@ def test_joint_and_loss_peak_memory_is_bounded_by_logits():
     # The forward keeps the logits and [T, U+1]-sized arrays; the backward
     # adds one logit-sized gradient buffer and [T, U+1, J] joint activations.
     t_len, u_len, n_sym, joint_dim = 40, 10, 501, 64
-    cfg = TransducerConfig(proj_dim=32, label_proj=24, joint_dim=joint_dim,
-                           vocab_size=n_sym - 1)
+    cfg = ModelSettings(proj_dim=32, label_proj=24, joint_dim=joint_dim, vocab_size=n_sym - 1)
     rng = np.random.default_rng(9)
     joint = Joint(cfg, rng)
     enc = T.Tensor(rng.standard_normal((t_len, 32)), requires_grad=True)

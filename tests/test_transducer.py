@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
+from convrnnt.config import ModelSettings
 from convrnnt.errors import DataError, ShapeError
 from convrnnt.layers import Linear
 from convrnnt.transducer import (
@@ -11,14 +12,13 @@ from convrnnt.transducer import (
     Joint,
     LSTMLayer,
     LabelEncoder,
-    TransducerConfig,
     fuse_frontends,
 )
 
 from oracles import fd_gradient, rel_err
 
-CFG = TransducerConfig(
-    input_dim=12,
+INPUT_DIM = 12
+CFG = ModelSettings(
     enc_layers=2,
     enc_hidden=8,
     proj_dim=8,
@@ -116,9 +116,9 @@ def test_lstm_state_isolation_bitwise():
 
 
 def test_audio_encoder_causality_bitwise():
-    enc = AudioEncoder(CFG, np.random.default_rng(5))
+    enc = AudioEncoder(CFG, INPUT_DIM, np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((10, CFG.input_dim))
+    x = rng.standard_normal((10, INPUT_DIM))
     with T.no_grad():
         base = enc(T.Tensor(x)).data
     t0 = 6
@@ -131,9 +131,9 @@ def test_audio_encoder_causality_bitwise():
 
 
 def test_audio_encoder_output_dim():
-    enc = AudioEncoder(CFG, np.random.default_rng(7))
+    enc = AudioEncoder(CFG, INPUT_DIM, np.random.default_rng(7))
     with T.no_grad():
-        out = enc(T.Tensor(np.zeros((4, CFG.input_dim))))
+        out = enc(T.Tensor(np.zeros((4, INPUT_DIM))))
     assert out.shape == (4, CFG.proj_dim)
 
 
@@ -196,8 +196,8 @@ def test_joint_logits_shape():
 
 
 def test_joint_gradient_matches_fd():
-    cfg = TransducerConfig(
-        input_dim=4, enc_layers=1, enc_hidden=3, proj_dim=3, label_hidden=3,
+    cfg = ModelSettings(
+        enc_layers=1, enc_hidden=3, proj_dim=3, label_hidden=3,
         label_embed=3, label_proj=3, joint_dim=3, vocab_size=2, dropout_p=0.0,
     )
     joint = Joint(cfg, np.random.default_rng(14))
