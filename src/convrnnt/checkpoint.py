@@ -9,7 +9,8 @@ Layout (little-endian):
 
 Save -> load -> save is byte-identical: float64 payloads round-trip exactly
 and record order is preserved.  Loading against a different architecture
-hash fails loudly.
+hash or another format version fails loudly; version 1 files, whose global
+encoder read the local encoder's output, have the desk shapes and hash.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 MAGIC = b"CVRT"
-VERSION = 1
+VERSION = 2
 
 
 def _canonical_json(obj) -> bytes:

@@ -7,11 +7,13 @@ Closed-form per-layer costs (exact integer arithmetic throughout):
     attention:    8 * n * d^2  (Q/K/V/O projections) + 4 * n^2 * d (scores)
     feedforward:  4 * n * d * d_ff  (two linear maps, multiply-add = 2 flops)
 
-Two counting specs ship as config files: the convolutional-recurrent
-transducer encoder (cost linear in sequence length) and a causal
-attention baseline (quadratic term from self-attention).  Attention and
-feedforward totals are approximate by construction; the comparison is about
-scaling, not exact curve values.
+The transducer encoder (cost linear in sequence length) is counted from the
+`paper` preset, the description the model is built from; its convolutions are
+charged per encoder step, a k_t x k_f kernel as k_t * k_f.  The causal
+attention baseline (quadratic term from self-attention) has no model here and
+is counted from `configs/flops_conformer.cfg`.  Attention and feedforward
+totals are approximate by construction; the comparison is about scaling, not
+exact curve values.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .config import parse_config_text
+from .config import load_preset, parse_config_text
 from .errors import ConfigError
 
 MODEL_NAMES = ("convrnnt", "conformer")
@@ -73,47 +75,40 @@ class FlopsReport:
         return self.total / 1e9
 
 
-def _load_spec(name: str) -> dict:
-    if name not in MODEL_NAMES:
-        raise ConfigError(f"unknown flops model {name!r}; known: {MODEL_NAMES}")
-    text = resources.files("convrnnt.configs").joinpath(f"flops_{name}.cfg").read_text()
-    return parse_config_text(text)
-
-
 def _ints(raw: str):
     return [int(v) for v in raw.split(",") if v.strip()]
 
 
-def _convrnnt_layers(spec: dict, n: int):
-    s = math.ceil(n / int(spec["model.frame_subsampling"]))
+def _convrnnt_layers(n: int):
+    cfg = load_preset("paper")
+    m = cfg.model
+    s = math.ceil(n / cfg.feature.skip)
     layers = []
-    chain = _ints(spec["local.channels"])
-    k = int(spec["local.kernel"])
+    chain = (cfg.feature.stack,) + m.local_channels
+    k = f"{m.kernel_t}" if m.kernel_t == m.kernel_f else f"{m.kernel_t}x{m.kernel_f}"
     for i, (c_in, c_out) in enumerate(zip(chain[:-1], chain[1:])):
-        layers.append(LayerSpec(f"local.conv{i} [{c_in}->{c_out} k{k}]", conv_flops(c_in, k, c_out, s, 1)))
-    d = int(spec["global.d_model"])
-    e = d * int(spec["global.expansion"])
-    dw_k = int(spec["global.dw_kernel"])
-    se_b = max(d // int(spec["global.se_divisor"]), int(spec["global.se_min"]))
-    for i in range(1, int(spec["global.blocks"]) + 1):
+        flops = conv_flops(c_in, 1, c_out, s, 1) * m.kernel_t * m.kernel_f
+        layers.append(LayerSpec(f"local.conv{i} [{c_in}->{c_out} k{k}]", flops))
+    d = cfg.input_dim
+    e = d * m.expansion
+    se_b = max(d // m.se_divisor, m.se_min)
+    for i in range(1, m.global_blocks + 1):
         block = (
             conv_flops(d, 1, e, s, 1)
-            + conv_flops(1, dw_k, e, s, 1)
+            + conv_flops(1, m.dw_kernel, e, s, 1)
             + conv_flops(e, 1, d, s, 1)
             + conv_flops(d, 1, se_b, s, 1)
             + conv_flops(se_b, 1, d, s, 1)
         )
-        layers.append(LayerSpec(f"global.block{i} [d{d} dw_k{dw_k}]", block))
-    layers.append(
-        LayerSpec(
-            f"lstm_stack [{spec['lstm.layers']}x{spec['lstm.hidden']}]",
-            lstm_flops(int(spec["lstm.layers"]), s, int(spec["lstm.input_dim"]), int(spec["lstm.hidden"])),
-        )
-    )
+        layers.append(LayerSpec(f"global.block{i} [d{d} dw_k{m.dw_kernel}]", block))
+    name = f"lstm_stack [{m.enc_layers}x{m.enc_hidden}]"
+    layers.append(LayerSpec(name, lstm_flops(m.enc_layers, s, d, m.enc_hidden)))
     return layers
 
 
-def _conformer_layers(spec: dict, n: int):
+def _conformer_layers(n: int):
+    text = resources.files("convrnnt.configs").joinpath("flops_conformer.cfg").read_text()
+    spec = parse_config_text(text)
     layers = []
     chain = _ints(spec["subsample.channels"])
     k = int(spec["subsample.kernel"])
@@ -149,11 +144,12 @@ def encoder_flops(model: str, n: int) -> FlopsReport:
     """Total encoder FLOPs for `n` acoustic frames (10 ms hop)."""
     if n < 1:
         raise ConfigError(f"sequence length must be positive, got {n}")
-    spec = _load_spec(model)
+    if model not in MODEL_NAMES:
+        raise ConfigError(f"unknown flops model {model!r}; known: {MODEL_NAMES}")
     if model == "convrnnt":
-        layers = _convrnnt_layers(spec, n)
+        layers = _convrnnt_layers(n)
     else:
-        layers = _conformer_layers(spec, n)
+        layers = _conformer_layers(n)
     return FlopsReport(model, n, layers)
 
 

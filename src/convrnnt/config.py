@@ -4,10 +4,11 @@ used to guard checkpoints.
 
 `ModelSettings` (the `model.*` section) is the one description of the model:
 every module takes it and reads the fields it needs.  `RunConfig` derives the
-widths that depend on more than one section (`input_dim`, `local_dim`,
-`global_dim`).  Each section checks its own values when it is made, and
-`RunConfig` the ones that cross sections, so a bad value raises `ConfigError`
-at load.
+two widths that depend on more than one section: `input_dim`, the stacked
+feature width that the global encoder and the fusion output keep, and
+`local_dim`, the local encoder's output width.  Each section checks its own
+values when it is made, and `RunConfig` the ones that cross sections, so a
+bad value, numeric or not, raises `ConfigError` at load.
 """
 
 from __future__ import annotations
@@ -129,14 +130,6 @@ class RunConfig:
             return 0
         return self.model.local_channels[-1] * self.feature.n_bands
 
-    @property
-    def global_dim(self) -> int:
-        """Width of the global encoder, which reads the local encoder's output
-        when there is one and the features otherwise; 0 when it is off."""
-        if not self.model.global_enabled:
-            return 0
-        return self.local_dim or self.input_dim
-
     def transducer_config(self) -> ModelSettings:
         """The model settings, once the vocab size is resolved."""
         if self.model.vocab_size < 1:
@@ -155,13 +148,14 @@ _SECTIONS = {
 
 
 def _parse_value(raw: str, like):
+    """`raw` read as the type of `like`; `ValueError` when it is not one."""
     raw = raw.strip()
     if isinstance(like, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+        raise ValueError(raw)
     if isinstance(like, int):
         return int(raw)
     if isinstance(like, float):
@@ -207,7 +201,11 @@ def config_from_flat(flat: dict) -> RunConfig:
         default_obj = defaults[section]
         if not hasattr(default_obj, field_name):
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[section][field_name] = _parse_value(raw, getattr(default_obj, field_name))
+        like = getattr(default_obj, field_name)
+        try:
+            kwargs[section][field_name] = _parse_value(raw, like)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {type(like).__name__}, got {raw!r}") from None
     return RunConfig(**{name: cls(**kwargs[name]) for name, cls in _SECTIONS.items()})
 
 

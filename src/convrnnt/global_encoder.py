@@ -6,7 +6,7 @@ field grows geometrically, while the squeeze-excite gate folds in a prefix
 mean over *all* past steps.  Every block preserves the [T, D] shape.  The
 block count, expansion, depthwise kernel, squeeze-excite sizing, dropout and
 the squeeze-excite switch come from `ModelSettings`; the width D is the
-caller's (`RunConfig.global_dim`).
+stacked feature width (`RunConfig.input_dim`), read beside the local encoder.
 
 Each block is one tape node for a whole batch (`GlobalBlock.forward_batch`):
 its forward runs the convolutions, batch-norms, excitation, dropout and

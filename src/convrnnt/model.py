@@ -2,9 +2,9 @@
 stable parameter registry for checkpointing and diagnostics.
 
 Every module is built from the run's `ModelSettings` (`cfg.model`) and the
-widths `RunConfig` derives: `input_dim`, `local_dim` and `global_dim` (0 for
-a frontend that is off); the fusion maps `local_dim + global_dim` back to
-`input_dim`.
+widths `RunConfig` derives.  The local encoder (`local_dim` wide, 0 when off)
+and the global encoder (`input_dim` wide) read the stacked features side by
+side, and the fusion maps their concatenation back to `input_dim`.
 
 The registry is the one source of parameter names and shapes:
 `parameter_shapes` and `count_parameters` read it from a model built with
@@ -20,10 +20,11 @@ A batch runs packed from the input features to the encoder output: the
 [T_i, input_dim] frames of every utterance concatenated in order into
 [N, input_dim] rows (N = sum T_i), with the lengths beside them.  The local
 encoder, the fusion, and the audio and label LSTM stacks each make one
-node per layer for the whole batch; the global blocks take and return one
-[T_i, D] tensor per utterance; the joint and the loss run per utterance on
-row blocks of the packed outputs, and their mean is one node.  The label
-encoder and the joint are used as they are, as `label_encoder` and `joint`.
+node per layer for the whole batch; the global blocks read the utterances'
+feature tensors and return one tensor each; the joint and the loss run on
+per-utterance row blocks of the packed outputs, and their mean is one
+node.  The label encoder and the joint are used as they are, as
+`label_encoder` and `joint`.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class TransducerModel:
         m = cfg.transducer_config()
         f = cfg.feature
         self.local = LocalEncoder(m, f.stack, f.n_bands, rng) if cfg.local_dim else None
-        self.global_enc = GlobalEncoder(m, cfg.global_dim, rng) if cfg.global_dim else None
-        self.fuse = Linear(cfg.local_dim + cfg.global_dim, cfg.input_dim, rng)
+        self.global_enc = GlobalEncoder(m, cfg.input_dim, rng) if m.global_enabled else None
+        self.fuse = Linear(cfg.local_dim + (cfg.input_dim if self.global_enc else 0), cfg.input_dim, rng)
         self.encoder = AudioEncoder(m, cfg.input_dim, rng)
         self.label_encoder = LabelEncoder(m, rng)
         self.joint = Joint(m, rng)
@@ -104,8 +105,7 @@ class TransducerModel:
         if self.local is not None:
             parts.append(self.local(x, lengths))
         if self.global_enc is not None:
-            global_in = T.split_rows(parts[0] if parts else x, lengths)
-            parts.append(T.concat(self.global_enc.forward_batch(global_in, training, rng)))
+            parts.append(T.concat(self.global_enc.forward_batch(xs, training, rng)))
         return fuse_frontends(parts, self.fuse)
 
     def encode_audio(self, x: Tensor) -> Tensor:
@@ -158,13 +158,14 @@ def parameter_shapes(cfg: RunConfig):
 
 
 # Parameter groups of the report, their registry name prefixes, and the
-# published full-scale size of each module in millions.
+# published full-scale size of each module in millions, with the reason for
+# the paper preset's ratio where it is known.
 PARAM_GROUPS = (
     ("convolution blocks", ("local.", "global.", "fuse."), 5.40),
     ("LSTM encoder", ("encoder.",), 18.93),
-    ("joint network", ("joint.",), 1.28),
+    ("joint network", ("joint.",), 1.28),  # 1.41x: the reference is `joint.out` alone
     ("decoder input embedding", ("label.embed.",), 0.62),
-    ("LSTM decoder", ("label.lstm",), 2.62),
+    ("LSTM decoder", ("label.lstm",), 2.62),  # 1.002x: equal at the reference's 2 decimals
 )
 
 

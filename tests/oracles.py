@@ -334,12 +334,13 @@ def label_rows_per_utterance(enc, tokens, training=False, rng=None):
 def batch_loss_per_utterance(model, features_list, tokens_list, training=False, rng=None):
     """`TransducerModel.batch_loss` one utterance at a time: the local encoder,
     fusion, LSTM stacks, joint and loss of each utterance in turn (the global
-    blocks take the batch), then the sum of the losses and its scale by 1/B.
+    blocks take the batch's features), then the sum of the losses and its
+    scale by 1/B.
     The dropout draws come in another order than the packed path's, so the
     two agree only where dropout is off."""
     xs = [T.Tensor(f) for f in features_list]
     local = [local_encoder_per_utterance(model.local, x) for x in xs] if model.local else None
-    glob = (model.global_enc.forward_batch(local or xs, training, rng)
+    glob = (model.global_enc.forward_batch(xs, training, rng)
             if model.global_enc else None)
     losses = []
     for i, tokens in enumerate(tokens_list):

@@ -1,10 +1,13 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
+from convrnnt.checkpoint import load_checkpoint
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
+from convrnnt.errors import DataError
 from convrnnt.train import Trainer
 
 # Dropout and SpecAugment on, with time masks that fire at the toy
@@ -64,3 +67,21 @@ def test_checkpoint_load_then_save_is_byte_identical(make_trainer, tmp_path):
     reloaded.load(tmp_path / "a.bin")
     reloaded.save(tmp_path / "b.bin")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_version1_checkpoint_rejected(make_trainer, tmp_path):
+    # Version 1 files come from the serial frontend wiring, where the global
+    # encoder read the local encoder's output; the desk shapes and hash are
+    # the same, so only the version keeps them out.
+    trainer = make_trainer()
+    trainer.train_step()
+    path = tmp_path / "v1.bin"
+    trainer.save(path)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack("<H", blob[4:6]) == (2,)
+    blob[4:6] = struct.pack("<H", 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="version 1"):
+        load_checkpoint(path)
+    with pytest.raises(DataError, match="version 1"):
+        make_trainer().load(path)

@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from convrnnt.audio import accumulate_stats
 from convrnnt.cli import main
@@ -91,6 +92,14 @@ def test_cli_eval_rejects_replaced_norm_stats(tmp_path, capsys):
     code = main(["eval", "--config", "desk", "--out", work])
     assert code == 1
     assert "normstats.mean differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["model.kernel_t=abc", "model.local_channels=8,x",
+                                  "optimizer.peak_lr=fast"])
+def test_cli_rejects_non_numeric_config_value(item, capsys):
+    assert main(["params", "--config", "desk", "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and item.split("=")[0] in err
 
 
 def test_cli_train_rejects_bad_config_value(tmp_path, capsys):

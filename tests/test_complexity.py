@@ -57,6 +57,18 @@ def test_report_total_is_sum_of_layers():
     assert rep.total > 0
 
 
+def test_convrnnt_layers_pinned_at_1000_frames():
+    # Counted from the paper preset; the values the removed spec file gave.
+    local = [("3->100", 10_020_000), ("100->100", 334_000_000), ("100->64", 213_760_000),
+             ("64->64", 136_806_400)]
+    expected = [(f"local.conv{i} [{chain} k5]", f) for i, (chain, f) in enumerate(local)]
+    expected += [(f"global.block{i} [d192 dw_k3]", 213_931_008) for i in range(1, 7)]
+    expected += [("lstm_stack [7x640]", 9_959_505_920)]
+    rep = encoder_flops("convrnnt", 1000)
+    assert [(l.name, l.flops) for l in rep.per_layer] == expected
+    assert rep.total == 11_937_678_368
+
+
 def test_reports_are_reproducible_bitwise():
     a = encoder_flops("conformer", 1234)
     b = encoder_flops("conformer", 1234)

@@ -59,7 +59,7 @@ def test_unresolved_vocab_rejected():
 
 def test_narrow_band_axis_allowed_without_local_encoder():
     cfg = load_preset("desk", ["feature.n_bands=3", "model.local_enabled=false"])
-    assert cfg.local_dim == 0 and cfg.global_dim == cfg.input_dim == 9
+    assert cfg.local_dim == 0 and cfg.input_dim == 9
 
 
 # One changed value per `model.*` key; the base is desk with 8 labels.

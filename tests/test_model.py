@@ -7,7 +7,7 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.errors import ConfigError, DataError
-from convrnnt.model import TransducerModel, count_parameters, make_rng, parameter_shapes
+from convrnnt.model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
 from convrnnt.train import frontend_param_count
 
 from oracles import batch_loss_per_utterance
@@ -39,14 +39,41 @@ def test_both_frontends_disabled_rejected():
 
 
 def test_frontend_param_counts_are_additive():
-    f_both = frontend_param_count(desk_cfg())
-    f_local = frontend_param_count(desk_cfg(**{"model.global_enabled": "false"}))
-    f_global = frontend_param_count(desk_cfg(**{"model.local_enabled": "false"}))
-    assert f_both == f_local + f_global
+    for preset in ("desk", "paper"):
+        f_both, f_local, f_global = (
+            frontend_param_count(load_preset(preset, ["model.vocab_size=8", *extra]))
+            for extra in ([], ["model.global_enabled=false"], ["model.local_enabled=false"])
+        )
+        assert f_both == f_local + f_global, preset
+
+
+def test_global_shapes_do_not_depend_on_local_channels():
+    def global_shapes(channels):
+        shapes = parameter_shapes(desk_cfg(**{"model.local_channels": channels}))
+        return [(name, shape) for name, shape in shapes if name.startswith("global.")]
+
+    assert global_shapes("8,8,3,3") == global_shapes("16,5") == global_shapes("4,4,4,9")
+
+
+# Paper-preset ratio of each report group to its published size.
+PAPER_GROUP_RATIOS = {
+    "convolution blocks": 0.427,
+    "LSTM encoder": 1.170,
+    "joint network": 1.412,
+    "decoder input embedding": 1.033,
+    "LSTM decoder": 1.002,
+}
+
+
+def test_paper_param_group_ratios():
+    counts = count_parameters(load_preset("paper"))
+    assert counts["convolution blocks"] == 2_306_932
+    for group, _, ref_m in PARAM_GROUPS:
+        assert counts[group] / 1e6 / ref_m == pytest.approx(PAPER_GROUP_RATIOS[group], abs=5e-4), group
 
 
 def test_paper_parameter_shapes_allocate_no_weights():
-    # The paper model holds 457.6M float64 weights (3.4 GiB); its registry
+    # The paper model holds 29.5M float64 weights (225 MiB); its registry
     # must be readable without them.
     cfg = load_preset("paper")
     tracemalloc.start()
@@ -57,7 +84,7 @@ def test_paper_parameter_shapes_allocate_no_weights():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert len(shapes) == 140
-    assert sum(math.prod(shape) for _, shape in shapes) == 457_619_369
+    assert sum(math.prod(shape) for _, shape in shapes) == 29_519_417
 
 
 def test_loss_backward_reaches_every_parameter():
