@@ -9,6 +9,8 @@ import numpy as np
 from .config import OptimizerConfig
 from .errors import ConfigError
 
+SLICE = 1 << 14  # elements per span of the Adam update; bounds its temporaries
+
 
 def lr_at(step: int, schedule: OptimizerConfig) -> float:
     """Linear warmup to the peak at `warmup_steps`, then inverse-sqrt decay.
@@ -30,31 +32,62 @@ class Adam:
 
     The L2 term enters as an exact 2*l2*w gradient contribution, applied at
     the update so the data gradient in `.grad` stays inspectable.
+
+    The parameters live in one contiguous float64 buffer, `data`: building
+    the optimizer copies each parameter into its span and rebinds the
+    parameter's `.data` to a view of it, so a parameter is from then on
+    written in place, never rebound.  The moments are flat buffers of the
+    same layout; `m` and `v` map each name to its view.  Each step copies
+    every `.grad` into the flat `grad` buffer (a missing gradient counts as
+    zeros) and runs the update over fixed `SLICE`-element spans: its
+    temporaries stay a few spans in size however large the model, and its
+    Python work no longer grows with the number of parameters.  The update
+    is elementwise, so the spans give the bits of a per-parameter loop.
     """
 
     def __init__(self, params, cfg: OptimizerConfig):
         self.params = list(params)
         self.cfg = cfg
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        n = sum(p.data.size for _, p in self.params)
+        self.data = np.empty(n)
+        self.grad = np.zeros(n)
+        self._m = np.zeros(n)
+        self._v = np.zeros(n)
+        self.m, self.v, self._grads = {}, {}, []
+        start = 0
+        for name, p in self.params:
+            span, shape = slice(start, start + p.data.size), p.data.shape
+            self.data[span] = p.data.reshape(-1)
+            p.data = self.data[span].reshape(shape)
+            self.m[name] = self._m[span].reshape(shape)
+            self.v[name] = self._v[span].reshape(shape)
+            self._grads.append(self.grad[span].reshape(shape))
+            start = span.stop
 
     def step(self, lr: float) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for name, p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for (_, p), dst in zip(self.params, self._grads):
+            if p.grad is None:
+                dst.fill(0.0)
+            else:
+                dst[...] = p.grad
+        for start in range(0, self.data.size, SLICE):
+            span = slice(start, start + SLICE)
+            w = self.data[span]
+            g = self.grad[span]
             if c.l2:
-                g = g + 2.0 * c.l2 * p.data
-            m = self.m[name]
-            v = self.v[name]
+                g = g + 2.0 * c.l2 * w
+            m = self._m[span]
+            v = self._v[span]
             m *= c.beta1
             m += (1.0 - c.beta1) * g
             v *= c.beta2
             v += (1.0 - c.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
+            w -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
 
     def state_arrays(self):
         """Moment buffers and the step counter, for checkpointing."""
@@ -67,5 +100,5 @@ class Adam:
     def load_state_arrays(self, arrays: dict) -> None:
         self.t = int(arrays["adam.t"][0])
         for name, _ in self.params:
-            self.m[name] = arrays[f"adam.m.{name}"].copy()
-            self.v[name] = arrays[f"adam.v.{name}"].copy()
+            self.m[name][...] = arrays[f"adam.m.{name}"]
+            self.v[name][...] = arrays[f"adam.v.{name}"]

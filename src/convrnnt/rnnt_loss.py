@@ -12,13 +12,17 @@ absorbs without producing NaNs.
 
 `rnnt_loss` is the tape node the model trains with.  Besides the logits it
 is given, its forward keeps only [T, U+1]-sized arrays: the per-row max and
-log-normaliser (computed one frame at a time), the blank and label
-log-probabilities and the alpha/beta lattice.  No normalized copy of the
-[T, U+1, V+1] logits is made.  Its backward forms the logit gradient once,
-frame by frame, into one fresh buffer that becomes the logits' `.grad`
-without a further copy.  `build_lattice` takes log-softmax-normalized input
-and runs the same recursions with a zero normaliser; its negated
-`log_likelihood` is the nll.
+log-normaliser, the blank and label log-probabilities and the alpha/beta
+lattice.  No normalized copy of the [T, U+1, V+1] logits is made.  Its
+backward forms the logit gradient once into one fresh buffer that becomes
+the logits' `.grad` without a further copy.  Both the normaliser and the
+gradient pass run over blocks of consecutive frames whose [U+1, V+1] rows
+fit in BLOCK_BYTES together: a short utterance is one block, while a frame
+at paper width (about 620 KB) is a block of its own, so no temporary
+exceeds one block.  The recursions take the prefix sums of every frame's
+label log-probabilities once, before they start.  `build_lattice` takes
+log-softmax-normalized input and runs the same recursions with a zero
+normaliser; its negated `log_likelihood` is the nll.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import DataError, ShapeError
 from .tensor import Tensor
 
 NEG_INF = -1.0e30
+BLOCK_BYTES = 1 << 20  # float64 bytes of [U+1, V+1] rows one frame block may take
 
 
 @dataclass
@@ -47,20 +52,25 @@ class AlignmentLattice:
         return float(self.alpha[t_last, u_last] + self.log_probs_blank[t_last, u_last])
 
 
-def _scan_forward(base: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """Solve r[u] = logaddexp(base[u], r[u-1] + chain[u-1]) in one vector pass.
+def _scan(r: np.ndarray, c: np.ndarray) -> None:
+    """In place, r <- logaddexp.accumulate(r - c) + c.
 
-    With c[u] = sum(chain[:u]), r[u] = logsumexp_{j<=u}(base[j] - c[j]) + c[u],
-    which is a running logaddexp over base - c.
+    With r holding base and c[u] = sum(chain[:u]), this solves
+    r[u] = logaddexp(base[u], r[u-1] + chain[u-1]) in one vector pass: a
+    running logaddexp over base - c.  Run on reversed views it scans right
+    to left.
     """
-    c = np.concatenate(([0.0], np.cumsum(chain)))
-    return np.logaddexp.accumulate(base - c) + c
+    r -= c
+    np.logaddexp.accumulate(r, out=r)
+    r += c
 
 
-def _scan_backward(base: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """Solve r[u] = logaddexp(base[u], r[u+1] + chain[u]), scanning right to left."""
-    c = np.concatenate((np.cumsum(chain[::-1])[::-1], [0.0]))
-    return (np.logaddexp.accumulate((base - c)[::-1]) + c[::-1])[::-1]
+def _frame_blocks(z: np.ndarray):
+    """Slices of consecutive frames of the [T, U+1, V+1] input, as many per
+    block as fit in BLOCK_BYTES of float64 (at least one)."""
+    t_len, u_rows, n_sym = z.shape
+    size = max(1, BLOCK_BYTES // (u_rows * n_sym * 8))
+    return [slice(t, t + size) for t in range(0, t_len, size)]
 
 
 def _checked_labels(z: np.ndarray, labels) -> np.ndarray:
@@ -85,13 +95,13 @@ def _checked_labels(z: np.ndarray, labels) -> np.ndarray:
 def _normalisers(z: np.ndarray):
     """Per-row max m and log-normaliser log sum exp(z - m), each [T, U+1].
 
-    The exponentials are taken one frame at a time, so no [T, U+1, V+1]
-    temporary is made.
+    The exponentials are taken one frame block at a time, so no temporary
+    larger than BLOCK_BYTES (or one frame) is made.
     """
     m = z.max(axis=-1)
     lse = np.empty_like(m)
-    for t in range(z.shape[0]):
-        lse[t] = np.log(np.exp(z[t] - m[t][:, None]).sum(axis=-1))
+    for b in _frame_blocks(z):
+        lse[b] = np.log(np.exp(z[b] - m[b][..., None]).sum(axis=-1))
     return m, lse
 
 
@@ -101,21 +111,29 @@ def _lattice(z: np.ndarray, m: np.ndarray, lse: np.ndarray, labels: np.ndarray) 
     u_len = u_rows - 1
     blank_lp = (z[:, :, 0] - m) - lse
     label_lp = (z[:, np.arange(u_len), labels] - m[:, :-1]) - lse[:, :-1]
+    # Prefix sums of every frame's label log-probs, taken once: row t of fwd
+    # is [0, cumsum(label_lp[t])], row t of rev the same over label_lp[t, ::-1].
+    fwd = np.zeros((t_len, u_rows))
+    rev = np.zeros((t_len, u_rows))
+    np.cumsum(label_lp, axis=1, out=fwd[:, 1:])
+    np.cumsum(label_lp[:, ::-1], axis=1, out=rev[:, 1:])
 
-    alpha = np.full((t_len, u_rows), NEG_INF)
-    alpha[0, 0] = 0.0
-    if u_len:
-        alpha[0, 1:] = np.cumsum(label_lp[0])
+    alpha = np.empty((t_len, u_rows))
+    alpha[0] = fwd[0]
     for t in range(1, t_len):
-        alpha[t] = _scan_forward(alpha[t - 1] + blank_lp[t - 1], label_lp[t])
+        np.add(alpha[t - 1], blank_lp[t - 1], out=alpha[t])
+        _scan(alpha[t], fwd[t])
 
-    beta = np.full((t_len, u_rows), NEG_INF)
-    beta[t_len - 1] = _scan_backward(
-        np.concatenate((np.full(u_len, NEG_INF), [blank_lp[t_len - 1, u_len]])),
-        label_lp[t_len - 1],
-    )
+    # Beta rows are written reversed, so the right-to-left scan runs as a
+    # left-to-right one over rev; the last row starts from the final blank.
+    beta = np.empty((t_len, u_rows))
+    last = beta[t_len - 1, ::-1]
+    last.fill(NEG_INF)
+    last[0] = blank_lp[t_len - 1, u_len]
+    _scan(last, rev[t_len - 1])
     for t in range(t_len - 2, -1, -1):
-        beta[t] = _scan_backward(beta[t + 1] + blank_lp[t], label_lp[t])
+        np.add(beta[t + 1, ::-1], blank_lp[t, ::-1], out=beta[t, ::-1])
+        _scan(beta[t, ::-1], rev[t])
 
     return AlignmentLattice(blank_lp, label_lp, alpha, beta)
 
@@ -138,26 +156,28 @@ def _occupancies(lat: AlignmentLattice):
 
 
 def _logit_grad(z, m, lse, labels, lat: AlignmentLattice, g: float) -> np.ndarray:
-    """g times the nll gradient w.r.t. z, formed frame by frame into one fresh buffer.
+    """g times the nll gradient w.r.t. z, formed one frame block at a time
+    into one fresh buffer.
 
-    Frame t is exp((z[t] - m[t]) - lse[t]) * occ_total[t] minus the blank and
-    label occupancies, then scaled by g.
+    Each frame t is exp((z[t] - m[t]) - lse[t]) * occ_total[t] minus the
+    blank and label occupancies, then scaled by g; a block does this for its
+    frames at once, in place in its span of the buffer.
     """
     occ_blank, occ_label, occ_total = _occupancies(lat)
     rows = np.arange(labels.size)
     grad = np.empty(z.shape)
-    for t in range(z.shape[0]):
-        gt = grad[t]
-        np.subtract(z[t], m[t][:, None], out=gt)
-        gt -= lse[t][:, None]
-        np.exp(gt, out=gt)
-        gt *= occ_total[t][:, None]
-        gt[:, 0] -= occ_blank[t]
-        gt[rows, labels] -= occ_label[t]
-        gt *= g
+    for b in _frame_blocks(z):
+        gb = grad[b]
+        np.subtract(z[b], m[b][..., None], out=gb)
+        gb -= lse[b][..., None]
+        np.exp(gb, out=gb)
+        gb *= occ_total[b][..., None]
+        gb[..., 0] -= occ_blank[b]
+        gb[:, rows, labels] -= occ_label[b]
+        gb *= g
         # Turn the -0.0 a non-positive g leaves into +0.0, as the first
         # accumulation into a zero gradient would.
-        gt += 0.0
+        gb += 0.0
     return grad
 
 

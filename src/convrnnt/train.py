@@ -114,7 +114,15 @@ class Trainer:
     # -- optimization --------------------------------------------------------
 
     def train_step(self):
-        """One optimizer step; returns (loss, grad_norm) at the new step."""
+        """One optimizer step; returns (loss, grad_norm) at the new step.
+
+        The gradient norm and the L2 term of the loss are one dot each over
+        the optimizer's flat gradient and parameter buffers.  They sum in
+        another order than per-parameter sums would, and agree with those to
+        1e-12 relative, not bitwise.  The dots are `einsum`s, not BLAS: a
+        BLAS dot's bits depend on its thread count, and the logged values
+        should not.
+        """
         cfg = self.cfg
         batch = self.batch_for_step(self.step + 1)
         self.model.zero_grad()
@@ -129,20 +137,11 @@ class Trainer:
                 )
         mean_loss.backward()
         nll_sum = float(sum(per_utt))
-        grad_norm = float(
-            np.sqrt(
-                sum(
-                    float((p.grad * p.grad).sum())
-                    for _, p in self.model.parameters()
-                    if p.grad is not None
-                )
-            )
-        )
         self.step += 1
-        self.optimizer.step(lr_at(self.step, cfg.optimizer))
-        l2_term = cfg.optimizer.l2 * sum(
-            float((p.data * p.data).sum()) for _, p in self.model.parameters()
-        )
+        opt = self.optimizer
+        opt.step(lr_at(self.step, cfg.optimizer))
+        grad_norm = math.sqrt(float(np.einsum("i,i->", opt.grad, opt.grad)))
+        l2_term = cfg.optimizer.l2 * float(np.einsum("i,i->", opt.data, opt.data))
         return nll_sum / len(batch) + l2_term, grad_norm
 
     def train(self, max_steps: int | None = None, log_path: str | None = None):

@@ -5,8 +5,10 @@ exhaustive enumeration, central finite differences) and must stay decoupled
 from the library code it checks.  Two oracles are built from the library's
 own small tape ops plus the per-utterance ops defined here, the way the code
 was written before it became fused, packed nodes: the op-by-op global block
-and the per-utterance model loss at the end.  They check the fused nodes,
-not those ops.
+and the per-utterance model loss.  They check the fused nodes, not those
+ops.  The per-parameter Adam step and the per-frame loss passes at the end
+are the loops the flat optimizer buffers and the frame-blocked loss passes
+replaced, kept as bitwise references.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import numpy as np
 
 from convrnnt import tensor as T
 from convrnnt.errors import ShapeError
-from convrnnt.rnnt_loss import rnnt_loss
+from convrnnt.rnnt_loss import NEG_INF, AlignmentLattice, _occupancies, rnnt_loss
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -507,3 +509,95 @@ def global_encoder_per_op(enc, xs, training=False, rng=None):
     for block in enc.blocks:
         hs = global_block_per_op(block, hs, training, rng)
     return hs
+
+
+# ---------------------------------------------------------------------------
+# Per-parameter Adam and the per-frame loss passes: the loops that the flat
+# optimizer buffers and the frame-blocked loss replaced, which must give the
+# same bits.
+
+
+def adam_step_per_parameter(opt, lr):
+    """`Adam.step` as a loop over the parameters, updating each `.data` and
+    moment in place (through the optimizer's views)."""
+    c = opt.cfg
+    opt.t += 1
+    bc1 = 1.0 - c.beta1 ** opt.t
+    bc2 = 1.0 - c.beta2 ** opt.t
+    for name, p in opt.params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if c.l2:
+            g = g + 2.0 * c.l2 * p.data
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= c.beta1
+        m += (1.0 - c.beta1) * g
+        v *= c.beta2
+        v += (1.0 - c.beta2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
+
+
+def _scan_forward(base, chain):
+    """Solve r[u] = logaddexp(base[u], r[u-1] + chain[u-1]) in one vector pass."""
+    c = np.concatenate(([0.0], np.cumsum(chain)))
+    return np.logaddexp.accumulate(base - c) + c
+
+
+def _scan_backward(base, chain):
+    """Solve r[u] = logaddexp(base[u], r[u+1] + chain[u]), scanning right to left."""
+    c = np.concatenate((np.cumsum(chain[::-1])[::-1], [0.0]))
+    return (np.logaddexp.accumulate((base - c)[::-1]) + c[::-1])[::-1]
+
+
+def normalisers_per_frame(z):
+    """Per-row max and log-normaliser of [T, U+1, V+1] logits, one frame at a time."""
+    m = z.max(axis=-1)
+    lse = np.empty_like(m)
+    for t in range(z.shape[0]):
+        lse[t] = np.log(np.exp(z[t] - m[t][:, None]).sum(axis=-1))
+    return m, lse
+
+
+def lattice_per_frame(z, m, lse, labels):
+    """Blank and label log-probs and the alpha/beta recursions, each row's
+    prefix sums taken inside its own scan."""
+    t_len, u_rows, _ = z.shape
+    u_len = u_rows - 1
+    blank_lp = (z[:, :, 0] - m) - lse
+    label_lp = (z[:, np.arange(u_len), labels] - m[:, :-1]) - lse[:, :-1]
+
+    alpha = np.full((t_len, u_rows), NEG_INF)
+    alpha[0, 0] = 0.0
+    if u_len:
+        alpha[0, 1:] = np.cumsum(label_lp[0])
+    for t in range(1, t_len):
+        alpha[t] = _scan_forward(alpha[t - 1] + blank_lp[t - 1], label_lp[t])
+
+    beta = np.full((t_len, u_rows), NEG_INF)
+    beta[t_len - 1] = _scan_backward(
+        np.concatenate((np.full(u_len, NEG_INF), [blank_lp[t_len - 1, u_len]])),
+        label_lp[t_len - 1],
+    )
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = _scan_backward(beta[t + 1] + blank_lp[t], label_lp[t])
+
+    return AlignmentLattice(blank_lp, label_lp, alpha, beta)
+
+
+def logit_grad_per_frame(z, m, lse, labels, lat, g):
+    """g times the nll gradient w.r.t. the logits, one frame at a time.  The
+    occupancies come from the library, which computes them for all frames."""
+    occ_blank, occ_label, occ_total = _occupancies(lat)
+    rows = np.arange(labels.size)
+    grad = np.empty(z.shape)
+    for t in range(z.shape[0]):
+        gt = grad[t]
+        np.subtract(z[t], m[t][:, None], out=gt)
+        gt -= lse[t][:, None]
+        np.exp(gt, out=gt)
+        gt *= occ_total[t][:, None]
+        gt[:, 0] -= occ_blank[t]
+        gt[rows, labels] -= occ_label[t]
+        gt *= g
+        gt += 0.0
+    return grad

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from convrnnt.config import OptimizerConfig
 from convrnnt.errors import ConfigError
-from convrnnt.optim import Adam, lr_at
+from convrnnt.optim import SLICE, Adam, lr_at
 from convrnnt.tensor import Tensor
 
 
@@ -78,3 +80,39 @@ def test_adam_state_roundtrip():
     assert opt2.t == opt.t
     assert np.array_equal(opt2.m["p"], opt.m["p"])
     assert np.array_equal(opt2.v["p"], opt.v["p"])
+
+
+def test_adam_views_share_the_flat_buffers():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor(np.array([7.0]), requires_grad=True)
+    cfg = OptimizerConfig(l2=1e-6)
+    opt = Adam([("a", a), ("b", b)], cfg)
+    assert np.array_equal(opt.data, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+    assert np.shares_memory(a.data, opt.data) and np.shares_memory(b.data, opt.data)
+    assert opt.m["a"].base is opt.m["b"].base is not None
+    a.grad = np.ones((2, 3))  # b has no gradient: its span steps on zeros
+    opt.step(0.1)
+    assert np.array_equal(opt.grad, [1.0] * 6 + [0.0])
+    assert opt.m["b"][0] == (1.0 - 0.9) * (2.0 * 1e-6 * 7.0)
+    assert np.array_equal(opt.data, np.concatenate([a.data.ravel(), b.data]))
+
+
+@pytest.mark.parametrize("n_params", [4, 64])
+def test_adam_step_allocates_a_few_slices_whatever_the_parameter_count(n_params):
+    # About 1M elements in all.  A per-parameter step makes temporaries the
+    # size of its largest parameter (2 MB at 4 parameters); the sliced step
+    # makes a few slices' worth, however the elements are split.
+    rng = np.random.default_rng(n_params)
+    size = (1 << 20) // n_params
+    params = [(f"p{i}", Tensor(rng.standard_normal(size), requires_grad=True))
+              for i in range(n_params)]
+    opt = Adam(params, OptimizerConfig(l2=1e-6))
+    for _, p in params:
+        p.grad = rng.standard_normal(size)
+    tracemalloc.start()
+    try:
+        opt.step(1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * SLICE * 8

@@ -7,10 +7,17 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.config import ModelSettings
 from convrnnt.errors import DataError, ShapeError
-from convrnnt.rnnt_loss import build_lattice, rnnt_loss
+from convrnnt.rnnt_loss import _frame_blocks, _lattice, _normalisers, build_lattice, rnnt_loss
 from convrnnt.transducer import Joint
 
-from oracles import fd_gradient, rel_err, transducer_nll_enumeration
+from oracles import (
+    fd_gradient,
+    lattice_per_frame,
+    logit_grad_per_frame,
+    normalisers_per_frame,
+    rel_err,
+    transducer_nll_enumeration,
+)
 
 
 def uniform_log_probs(t_len, u_len, n_sym):
@@ -188,3 +195,43 @@ def test_joint_and_loss_peak_memory_is_bounded_by_logits():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * t_len * (u_len + 1) * n_sym * 8
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "t_len, u_len, n_sym, g, n_blocks",
+    [
+        (11, 3, 10, 1.0, 1),      # a desk utterance: one block holds it all
+        (80, 10, 501, 0.1, 4),    # 44 KB frames, 23 to a block
+        (1, 3, 7, 1.0, 1),        # one frame
+        (6, 0, 5, 1.0, 1),        # no labels
+        (3, 8, 6, 1.0, 1),        # more labels than frames
+        (9, 3, 6, -2.5, 1),       # a negative seed gradient
+    ],
+)
+def test_frame_blocked_passes_match_per_frame_oracle_bitwise(t_len, u_len, n_sym, g, n_blocks):
+    rng = np.random.default_rng(t_len * 1000 + u_len)
+    z = rng.standard_normal((t_len, u_len + 1, n_sym)) * 2.0
+    z[:, :, -1] = -1000.0  # exp underflows: zero gradient entries, whose sign g must not flip
+    labels = rng.integers(1, n_sym - 1, size=u_len)
+    assert len(_frame_blocks(z)) == n_blocks
+
+    m_ref, lse_ref = normalisers_per_frame(z)
+    lat_ref = lattice_per_frame(z, m_ref, lse_ref, labels)
+    grad_ref = logit_grad_per_frame(z, m_ref, lse_ref, labels, lat_ref, g)
+
+    m, lse = _normalisers(z)
+    lat = _lattice(z, m, lse, labels)
+    assert same_bits(m, m_ref) and same_bits(lse, lse_ref)
+    for field in ("log_probs_blank", "log_probs_label", "alpha", "beta"):
+        assert same_bits(getattr(lat, field), getattr(lat_ref, field)), field
+
+    node = T.Tensor(z, requires_grad=True)
+    loss = rnnt_loss(node, labels)
+    loss.backward(np.asarray(g))
+    assert same_bits(loss.data, -lat_ref.log_likelihood)
+    assert same_bits(node.grad, grad_ref)

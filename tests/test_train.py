@@ -1,5 +1,9 @@
-"""Trainer set-up and evaluation: each wav is read once, each utterance is
-encoded once, with the bits of the straightforward computation."""
+"""Trainer set-up, steps and evaluation: each wav is read once, each
+utterance is encoded once, and the flat-buffer optimizer steps, all with the
+bits of the straightforward computation."""
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from convrnnt.data import generate_toy_corpus
 from convrnnt.decoding import greedy_decode
 from convrnnt.errors import DataError
 from convrnnt.model import TransducerModel
+
+from oracles import adam_step_per_parameter
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +106,41 @@ def test_one_utterance_id_for_two_wavs_rejected(tmp_path):
     eval_manifest.write_text("../a/toy00.wav\tab\n")
     trainer = train.Trainer(cfg, str(tmp_path / "run"))
     assert [u.utt_id for u in trainer.eval_utts] == ["toy00"]
+
+
+def test_flat_adam_steps_match_per_parameter_steps_bitwise(corpus, tmp_path):
+    flat = train.Trainer(desk(corpus), str(tmp_path / "flat"))
+    ref = train.Trainer(desk(corpus), str(tmp_path / "ref"))
+    ref.optimizer.step = functools.partial(adam_step_per_parameter, ref.optimizer)
+    for _ in range(15):
+        flat.train_step()
+        ref.train_step()
+    assert flat.optimizer.t == ref.optimizer.t == 15
+    for (name, p), (_, q) in zip(flat.model.parameters(), ref.model.parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        assert flat.optimizer.m[name].tobytes() == ref.optimizer.m[name].tobytes(), name
+        assert flat.optimizer.v[name].tobytes() == ref.optimizer.v[name].tobytes(), name
+
+
+def test_logged_grad_norm_and_l2_term_match_per_parameter_sums(corpus, tmp_path, monkeypatch):
+    # A large l2 makes the L2 term most of the loss, so subtracting the nll
+    # leaves it to about 1e-15 relative.
+    cfg = load_preset("desk", [f"data.toy_dir={corpus}", "training.seed=11", "optimizer.l2=1.0"])
+    trainer = train.Trainer(cfg, str(tmp_path / "run"))
+    nlls = []
+    batch_loss = trainer.model.batch_loss
+
+    def recording_batch_loss(*args, **kwargs):
+        mean_loss, per_utt = batch_loss(*args, **kwargs)
+        nlls.append(sum(per_utt) / len(per_utt))
+        return mean_loss, per_utt
+
+    monkeypatch.setattr(trainer.model, "batch_loss", recording_batch_loss)
+    for _ in range(3):
+        loss, grad_norm = trainer.train_step()
+        params = trainer.model.parameters()
+        norm_ref = math.sqrt(sum(float((p.grad * p.grad).sum())
+                                 for _, p in params if p.grad is not None))
+        l2_ref = sum(float((p.data * p.data).sum()) for _, p in params)
+        assert abs(grad_norm - norm_ref) <= 1e-12 * norm_ref
+        assert abs((loss - nlls[-1]) - l2_ref) <= 1e-12 * l2_ref
