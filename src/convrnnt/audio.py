@@ -119,10 +119,15 @@ def extract_features(pcm: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Per-frame Hamming-windowed magnitude spectra pooled into log band energies.
 
     Frame t covers samples [t*hop, t*hop + window), so the output is causal at
-    frame granularity.  Returns [T_raw, n_bands].
+    frame granularity.  Returns [T_raw, n_bands].  PCM that is not 1-D, holds
+    non-finite samples or is shorter than one window raises `DataError`.
     """
     pcm = np.asarray(pcm, dtype=np.float64)
     win, hop = cfg.window_samples, cfg.hop_samples
+    if pcm.ndim != 1:
+        raise DataError(f"audio must be one channel of samples, got shape {pcm.shape}")
+    if not np.isfinite(pcm).all():
+        raise DataError("audio holds non-finite samples")
     if pcm.size < win:
         raise DataError(f"audio too short: {pcm.size} samples < one window of {win}")
     n_frames = (pcm.size - win) // hop + 1

@@ -11,7 +11,9 @@ concatenated in order, with their lengths beside them.  Each layer is one
 pads each utterance's time axis by k_t - 1 zero frames before its first
 frame, so output frame t only sees frames <= t of its own utterance, and
 pads frequency symmetrically so the band axis keeps its width.  Time length
-is preserved exactly.
+is preserved exactly.  Each layer works on blocks of consecutive frames, so
+the working memory it needs beside its input and output stays within
+`tensor.CONV_BLOCK_BYTES` however long the utterances are.
 """
 
 from __future__ import annotations

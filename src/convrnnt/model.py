@@ -92,11 +92,16 @@ class TransducerModel:
     def frontend_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
         """Fused encoder input of a batch of [T_i, input_dim] feature tensors,
         as packed [sum T_i, input_dim] rows; batch-norm statistics pool across
-        the utterances.  Features of another width raise `ShapeError`,
-        non-finite ones `DataError`."""
-        for x in xs:
-            if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
-                raise ShapeError(f"features shape {x.shape} != [T, {self.cfg.input_dim}]")
+        the utterances.  An empty batch, an utterance without frames and
+        features of another width raise `ShapeError`, non-finite features
+        `DataError`."""
+        if not xs:
+            raise ShapeError("a batch needs at least one utterance")
+        for k, x in enumerate(xs):
+            if x.ndim != 2 or x.shape[1] != self.cfg.input_dim or x.shape[0] < 1:
+                raise ShapeError(
+                    f"utterance {k}: features shape {x.shape} != [T >= 1, {self.cfg.input_dim}]"
+                )
         lengths = [x.shape[0] for x in xs]
         x = T.concat(xs, axis=0)
         if not np.isfinite(x.data).all():
@@ -124,6 +129,10 @@ class TransducerModel:
         rng: np.random.Generator | None = None,
     ):
         """Mean per-utterance loss over a batch, plus each utterance's nll."""
+        if len(features_list) != len(tokens_list):
+            raise ShapeError(
+                f"{len(features_list)} feature arrays but {len(tokens_list)} transcripts"
+            )
         xs = [Tensor(features) for features in features_list]
         lengths = [x.shape[0] for x in xs]
         enc = self.encoder(self.frontend_batch(xs, training, rng), lengths, training, rng)

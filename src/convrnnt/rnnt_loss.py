@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor
+from .vocab import label_ids
 
 NEG_INF = -1.0e30
 BLOCK_BYTES = 1 << 20  # float64 bytes of [U+1, V+1] rows one frame block may take
@@ -75,7 +76,7 @@ def _frame_blocks(z: np.ndarray):
 
 def _checked_labels(z: np.ndarray, labels) -> np.ndarray:
     """The transcript as int64 ids after checking it against the [T, U+1, V+1] input."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if z.ndim != 3 or labels.ndim != 1:
         raise ShapeError(
             f"want [T, U+1, V+1] joint output and U labels, got {z.shape} and {labels.shape}"
@@ -85,11 +86,7 @@ def _checked_labels(z: np.ndarray, labels) -> np.ndarray:
         raise ShapeError(f"joint output has {u_rows} label rows, want {labels.size + 1}")
     if t_len < 1:
         raise ShapeError("need at least one frame")
-    if labels.size and (labels.min() < 1 or labels.max() >= n_sym):
-        raise DataError(
-            f"labels must lie in [1, {n_sym - 1}], got values from {labels.min()} to {labels.max()}"
-        )
-    return labels
+    return label_ids(labels, n_sym - 1)
 
 
 def _normalisers(z: np.ndarray):

@@ -26,8 +26,10 @@ block per utterance for the per-utterance joint and loss.
 These ops are fused, each one tape node for a whole batch:
 
 - `conv2d` is a causal 2-D convolution plus bias and ReLU over packed
-  [C, N, F] utterances, formed as GEMMs on shifted views of one padded
-  buffer.
+  [C, N, F] utterances, formed as GEMMs on shifted views of a zero-padded
+  window.  It runs over blocks of consecutive frames whose working set stays
+  under CONV_BLOCK_BYTES, so its memory above input and output does not grow
+  with N; its backward rebuilds each block's window from the input.
 - `lstm` runs a whole LSTM layer over packed utterances, so the tape does
   not grow with the frame or utterance count.  Its forward steps the
   shared numpy cell `lstm_cell` over the utterances still running at each
@@ -536,6 +538,56 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # convolutions
 
 
+# Bytes one conv2d block may hold in either pass (see conv2d).  At paper
+# width that is 25 to 141 frames a block; 8 and 32 MiB ran the paper-width
+# convs slower on a 2-vCPU OpenBLAS host.
+CONV_BLOCK_BYTES = 16 << 20
+
+
+def _conv_block_rows(c_in: int, c_out: int, kt: int, kf: int, fp: int) -> int:
+    """Base rows per conv2d block: as many as keep the larger pass's working
+    set under CONV_BLOCK_BYTES (at least one).  Per base row the forward holds
+    the padded window, the kf-shifted stack and two accumulators, the backward
+    the stack (or its gradient), one row GEMM's product and the output
+    gradient; the window and the stack reach up to kt rows past the block."""
+    per_row = max(c_in * (1 + kf) + 2 * c_out, 2 * kf * c_in + c_out) * fp * 8
+    reach = kt * (1 + kf) * c_in * fp * 8
+    return max(1, (CONV_BLOCK_BYTES - reach) // per_row)
+
+
+def _conv_blocks(base: np.ndarray, n_base: int, rows: int, pad: int) -> list:
+    """Blocks of `rows` consecutive base rows.  Per block: its row count, the
+    input rows its outputs read (a slice of x) with their rows in its window,
+    and the output rows it writes (a slice of the output) with their rows in
+    its accumulator.  `base` holds the base row of every output row."""
+    blocks = []
+    for b0 in range(0, n_base, rows):
+        b1 = min(b0 + rows, n_base)
+        xa, ya, xb = np.searchsorted(base, (b0 - pad, b0, b1)).tolist()
+        blocks.append((b1 - b0, slice(xa, xb), base[xa:xb] - (b0 - pad),
+                       slice(ya, xb), base[ya:xb] - b0))
+    return blocks
+
+
+def _tap_stack(x: np.ndarray, xs: slice, win_rows: np.ndarray, rows: int, kt: int, kf: int):
+    """The kf-shifted stack [kf * C_in, (rows + kt - 1) * fp] of one block.
+
+    Rows x[:, xs] go into a zeroed [C_in, rows + kt, fp] window at `win_rows`,
+    frequency offset (kf-1)/2; then stack[j * C_in + c, p] = window_flat[c, p + j].
+    The window's last row keeps the last shifted copy in bounds.
+    """
+    c_in, _, f = x.shape
+    pf, fp = (kf - 1) // 2, f + kf - 1
+    span = (rows + kt - 1) * fp
+    win = np.zeros((c_in, rows + kt, fp))
+    win[:, win_rows, pf:pf + f] = x[:, xs]
+    flat = win.reshape(c_in, -1)
+    stack = np.empty((kf, c_in, span))
+    for j in range(kf):
+        stack[j] = flat[:, j:j + span]
+    return stack.reshape(kf * c_in, span)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """ReLU of a causal 2-D convolution plus bias over packed utterances.
 
@@ -546,18 +598,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
     the frequency axis is zero-padded by (kf-1)/2 on each side, so the
     output is [C_out, N, F].  No utterance reads another's frames.
 
-    One tape node.  The forward copies x into one zeroed buffer
-    [C_in, sum(T_i + kt - 1) + 1, F + kf - 1] with kt-1 pad rows before each
-    utterance.  Flattened, tap (i, j) of every output position reads the
-    buffer at the offset i * (F + kf - 1) + j, so the conv is a sum of GEMMs
-    on shifted, row-strided views of it, with no im2col buffer.  The kf
-    frequency taps are stacked along the GEMM's inner dimension (kf shifted
-    copies of the buffer), which leaves one GEMM per kernel row i; one per
-    tap would spend more time adding partial sums than multiplying when
-    C_in is small.  Positions on pad rows or pad columns are dropped, then
-    the bias is added and ReLU applied in place.  The backward runs the
-    same shifted GEMMs transposed, from a gradient that is zero at the
-    dropped positions.
+    One tape node.  The rows are laid out as "base rows": every utterance
+    preceded by kt-1 zero pad rows, sum(T_i + kt - 1) rows in all, each
+    zero-padded to F + kf - 1 columns.  Flattened, tap (i, j) of every output
+    position reads that layout at the offset i * (F + kf - 1) + j, so the conv
+    is a sum of GEMMs on shifted, row-strided views, with no im2col buffer.
+    The kf frequency taps are stacked along the GEMM's inner dimension (kf
+    shifted copies), which leaves one GEMM per kernel row i; one per tap
+    would spend more time adding partial sums than multiplying when C_in is
+    small.
+
+    The base rows run in blocks of consecutive rows (the partitioned lowering
+    of MEC, Cho & Brand, arXiv:1706.06873), so the working set is one block's
+    padded window, shifted stack and accumulators, under CONV_BLOCK_BYTES
+    whatever N is; a desk-sized call is one block.  Each block's outputs,
+    minus those on pad rows or pad columns, go straight into the output,
+    where the bias is added and ReLU applied in place.  The forward keeps no
+    stack or padded copy: the backward rebuilds each block's stack from x
+    (Chen et al., arXiv:1604.06174), runs the same shifted GEMMs transposed
+    from a gradient that is zero at the dropped positions, and adds each
+    block's input gradient into one input-sized buffer.
     """
     x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 3 or w.ndim != 4:
@@ -572,60 +632,63 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
     lengths = _lengths(lengths, n, "conv2d")
     pad, pf, fp = kt - 1, (kf - 1) // 2, f + kf - 1
     # Output row r of utterance k sits at base row r + k * pad; its input
-    # frame sits pad rows further down.
-    base_rows = np.arange(n) + pad * np.repeat(np.arange(len(lengths)), lengths)
-    n_base = n + pad * (len(lengths) - 1)
-    m = n_base * fp
-    span = m + pad * fp
-    buf = np.zeros((c_in, n_base + kt, fp))
-    buf[:, base_rows + pad, pf:pf + f] = x.data
-    flat = buf.reshape(c_in, -1)
-    # stack[j * C_in + c, p] = flat[c, p + j]; the trailing buffer row keeps
-    # the last shifted copy in bounds.
-    stack = np.empty((kf, c_in, span))
-    for j in range(kf):
-        stack[j] = flat[:, j:j + span]
-    stack = stack.reshape(kf * c_in, span)
-    del buf, flat
+    # frame is read by the tap i = pad of that base row.
+    base = np.arange(n) + pad * np.repeat(np.arange(len(lengths)), lengths)
+    blocks = _conv_blocks(base, n + pad * (len(lengths) - 1),
+                          _conv_block_rows(c_in, c_out, kt, kf, fp), pad)
     w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1)).reshape(kt, c_out, kf * c_in)
 
-    acc = np.empty((c_out, m))
-    tmp = np.empty_like(acc)
-    for i in range(kt):
-        np.matmul(w_rows[i], stack[:, i * fp:i * fp + m], out=tmp if i else acc)
-        if i:
-            acc += tmp
-    del tmp
-    out = acc.reshape(c_out, n_base, fp)[:, base_rows, :f]
-    del acc
-    out += bias.data[:, None, None]
-    mask = relu_(out)
+    # Frame-major memory: each block's output rows are one contiguous span.
+    out = np.empty((n, c_out, f)).transpose(1, 0, 2)
+    for rows, xs, win_rows, ys, acc_rows in blocks:
+        stack = _tap_stack(x.data, xs, win_rows, rows, kt, kf)
+        m = rows * fp
+        acc = np.empty((c_out, m))
+        tmp = np.empty_like(acc)
+        for i in range(kt):
+            np.matmul(w_rows[i], stack[:, i * fp:i * fp + m], out=tmp if i else acc)
+            if i:
+                acc += tmp
+        del stack, tmp
+        block = out[:, ys]
+        block[...] = acc.reshape(c_out, rows, fp)[:, acc_rows, :f]
+        del acc
+        block += bias.data[:, None, None]
+        relu_(block)
+    # relu_ leaves out > 0 exactly where its input was > 0.
+    mask = out > 0.0 if records((x, w, bias)) else None
 
     def backward(g):
         g = g * mask
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)))
-        g_base = np.zeros((c_out, n_base, fp))
-        g_base[:, base_rows, :f] = g
-        g_flat = g_base.reshape(c_out, m)
-        if w.requires_grad:
-            gw = np.empty((kt, c_out, kf * c_in))
-            for i in range(kt):
-                np.matmul(g_flat, stack[:, i * fp:i * fp + m].T, out=gw[i])
+        gw = np.zeros((kt, c_out, kf * c_in)) if w.requires_grad else None
+        gx = np.zeros((c_in, n, f)) if x.requires_grad else None
+        for rows, xs, win_rows, ys, acc_rows in blocks:
+            m, span = rows * fp, (rows + pad) * fp
+            g_flat = np.zeros((c_out, rows, fp))
+            g_flat[:, acc_rows, :f] = g[:, ys]
+            g_flat = g_flat.reshape(c_out, m)
+            if gw is not None:
+                stack = _tap_stack(x.data, xs, win_rows, rows, kt, kf)
+                for i in range(kt):
+                    gw[i] += g_flat @ stack[:, i * fp:i * fp + m].T
+                del stack
+            if gx is not None:
+                g_stack = np.zeros((kf * c_in, span))
+                for i in range(kt):
+                    g_stack[:, i * fp:i * fp + m] += w_rows[i].T @ g_flat
+                g_stack = g_stack.reshape(kf, c_in, span)
+                g_win = np.zeros((c_in, rows + kt, fp))
+                g_win_flat = g_win.reshape(c_in, -1)
+                for j in range(kf):
+                    g_win_flat[:, j:j + span] += g_stack[j]
+                del g_stack
+                gx[:, xs] += g_win[:, win_rows, pf:pf + f]
+        if gw is not None:
             w.accumulate_grad(gw.reshape(kt, c_out, kf, c_in).transpose(1, 3, 0, 2))
-        if x.requires_grad:
-            g_stack = np.zeros_like(stack)
-            back = np.empty((kf * c_in, m))
-            for i in range(kt):
-                np.matmul(w_rows[i].T, g_flat, out=back)
-                g_stack[:, i * fp:i * fp + m] += back
-            del back
-            g_stack = g_stack.reshape(kf, c_in, span)
-            g_buf = np.zeros((c_in, n_base + kt, fp))
-            g_buf_flat = g_buf.reshape(c_in, -1)
-            for j in range(kf):
-                g_buf_flat[:, j:j + span] += g_stack[j]
-            x.accumulate_grad(g_buf[:, base_rows + pad, pf:pf + f])
+        if gx is not None:
+            x.accumulate_grad(gx)
 
     return from_op(out, (x, w, bias), backward)
 

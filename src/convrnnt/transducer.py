@@ -15,9 +15,10 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelSettings
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .layers import Embedding, Linear, collect_params, uniform_init, zeros_param
 from .tensor import Tensor
+from .vocab import label_ids
 
 
 class LSTMLayer:
@@ -102,21 +103,10 @@ class LabelEncoder:
             self.layers.append(LSTMLayer(n_in, m.label_hidden, m.label_proj, rng))
             n_in = m.label_proj
 
-    def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size and (
-            tokens.min() < 1 or tokens.max() > self.m.vocab_size
-        ):
-            raise DataError(
-                f"token ids must be in [1, {self.m.vocab_size}] (blank excluded), "
-                f"got range [{tokens.min()}, {tokens.max()}]"
-            )
-        return tokens
-
     def __call__(self, *token_lists, training: bool = False, rng=None) -> Tensor:
         """Rows of one or more token lists, packed: the U_i + 1 rows of list i
         follow those of the lists before it, [sum(U_i + 1), label_proj]."""
-        tokens = [self._check_tokens(t) for t in token_lists]
+        tokens = [label_ids(t, self.m.vocab_size) for t in token_lists]
         lengths = [t.size + 1 for t in tokens]
         n = sum(lengths)
         ids = np.concatenate(tokens)

@@ -7,6 +7,8 @@ covered by the list map to the unknown token.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DataError
 
 BLANK_TOKEN = "<blank>"
@@ -69,6 +71,21 @@ class Vocab:
                 raise DataError(f"token id {i} outside vocabulary")
             out.append(self.tokens[i])
         return "".join(out)
+
+
+def label_ids(ids, n_labels: int) -> np.ndarray:
+    """`ids` as int64 after checking that each is an integer id of a real
+    token, in [1, n_labels] (blank excluded); `DataError` otherwise."""
+    ids = np.asarray(ids)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise DataError(f"token ids must be integers, got {ids.dtype} values")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size and (ids.min() < 1 or ids.max() > n_labels):
+        raise DataError(
+            f"token ids must lie in [1, {n_labels}] (blank excluded), "
+            f"got values from {ids.min()} to {ids.max()}"
+        )
+    return ids
 
 
 def char_vocab(alphabet: str) -> Vocab:

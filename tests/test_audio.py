@@ -34,6 +34,20 @@ def test_too_short_audio_rejected():
         extract_features(np.zeros(399), CFG)
 
 
+@pytest.mark.parametrize("pcm", [np.zeros((2, 800)), np.zeros((800, 1)), np.zeros(())])
+def test_audio_that_is_not_one_channel_rejected(pcm):
+    with pytest.raises(DataError):
+        audio.featurize(pcm, CFG)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_audio_rejected(bad):
+    pcm = np.zeros(1600)
+    pcm[700] = bad
+    with pytest.raises(DataError):
+        audio.featurize(pcm, CFG)
+
+
 def test_pure_tone_peaks_in_its_band():
     t = np.arange(1600) / 16000.0
     pcm = 10000.0 * np.sin(2 * np.pi * 1000.0 * t)

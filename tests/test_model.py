@@ -6,7 +6,7 @@ import pytest
 
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
-from convrnnt.errors import ConfigError, DataError
+from convrnnt.errors import ConfigError, DataError, ShapeError
 from convrnnt.model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
 from convrnnt.train import frontend_param_count
 
@@ -246,3 +246,23 @@ def test_non_finite_features_rejected(bad):
         model.batch_loss(feats, tokens, training=True, rng=make_rng(23))
     with pytest.raises(DataError), T.no_grad():
         model.encode_audio(T.Tensor(feats[1]))
+
+
+def test_empty_or_mismatched_batch_raises_shape_error():
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=24)
+    feats, tokens = random_batch(cfg, 25, BATCH_LENGTHS[:2])
+    for bad_feats, bad_tokens in (([], []), (feats, tokens[:1]), (feats[:1], tokens)):
+        with pytest.raises(ShapeError), T.no_grad():
+            model.batch_loss(bad_feats, bad_tokens)
+
+
+def test_utterance_without_frames_raises_shape_error_naming_it():
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=26)
+    feats, tokens = random_batch(cfg, 27, BATCH_LENGTHS[:3])
+    feats[2] = feats[2][:0]
+    with pytest.raises(ShapeError, match="utterance 2"):
+        model.batch_loss(feats, tokens, training=True, rng=make_rng(28))
+    with pytest.raises(ShapeError, match="utterance 0"), T.no_grad():
+        model.encode_audio(T.Tensor(feats[2]))

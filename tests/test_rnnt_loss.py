@@ -156,6 +156,15 @@ def test_labels_outside_vocab_raise_data_error(bad):
         build_lattice(np.zeros((3, 3, 5)), [bad, 4])
 
 
+@pytest.mark.parametrize("bad", [[1.7], [1.0, 2.0], [True]])
+def test_non_integer_labels_raise_data_error(bad):
+    logits = T.Tensor(np.zeros((3, len(bad) + 1, 5)))
+    with pytest.raises(DataError):
+        rnnt_loss(logits, bad)
+    with pytest.raises(DataError):
+        build_lattice(np.zeros((3, len(bad) + 1, 5)), bad)
+
+
 def test_logits_of_wrong_rank_or_row_count_raise_shape_error():
     with pytest.raises(ShapeError):
         rnnt_loss(T.Tensor(np.zeros((3, 5))), [1, 2])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,84 @@ def test_packed_op_rejects_lengths_that_do_not_split_the_rows(op, make):
     for lengths in ([2, 3], [6, 0], [7, -1], []):
         with pytest.raises(ShapeError):
             op(*arrays, lengths)
+
+
+# ---------------------------------------------------------------------------
+# frame-blocked conv2d: calls at paper width that span several blocks
+
+
+# Packed with the paper's first local conv (3 stacked frames of 64 bands into
+# 100 channels, 5x5 kernel), these 312 base rows make blocks of 141, 141 and
+# 30: the first and last utterances straddle the block boundaries, and the
+# middle block holds parts of all four.
+WIDE_LENGTHS = [150, 1, 37, 112]
+
+
+def wide_conv_args(rng, n=sum(WIDE_LENGTHS), c_in=3, c_out=100):
+    return [rng.standard_normal((c_in, n, 64)), rng.standard_normal((c_out, c_in, 5, 5)) * 0.2,
+            rng.standard_normal(c_out) * 0.1]
+
+
+def n_conv_blocks(x, w, lengths):
+    c_in, n, f = x.shape
+    c_out, _, kt, kf = w.shape
+    rows = T._conv_block_rows(c_in, c_out, kt, kf, f + kf - 1)
+    return -(-(n + (kt - 1) * (len(lengths) - 1)) // rows)
+
+
+def test_multi_block_conv2d_matches_per_utterance_oracle_and_repeats_bitwise():
+    rng = np.random.default_rng(49)
+    arrays = wide_conv_args(rng)
+    assert n_conv_blocks(arrays[0], arrays[1], WIDE_LENGTHS) == 3
+    seed = rng.standard_normal((100, sum(WIDE_LENGTHS), 64))
+    got = run_with_grads(T.conv2d, arrays, seed, WIDE_LENGTHS)
+    want = run_with_grads(causal_conv2d_per_utterance, arrays, seed, WIDE_LENGTHS)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert max_rel(g, w) <= ORACLE_TOL
+    again = run_with_grads(T.conv2d, arrays, seed, WIDE_LENGTHS)
+    assert all(same_bits(a, b) for a, b in zip(got, again))
+
+
+def test_multi_block_conv2d_keeps_utterances_apart_bitwise():
+    rng = np.random.default_rng(50)
+    x, w, b = wide_conv_args(rng)
+    ends = np.cumsum(WIDE_LENGTHS)
+
+    def run(x):
+        with T.no_grad():
+            return T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), WIDE_LENGTHS).data
+
+    base = run(x)
+    for k, t0 in ((0, 100), (2, 0), (3, 5), (1, 0)):
+        pert = x.copy()
+        row = ends[k] - WIDE_LENGTHS[k] + t0
+        pert[:, row] += rng.standard_normal(pert.shape[::2])
+        out = run(pert)
+        # Every other utterance, and this one's frames before t0, keep their bits.
+        assert same_bits(out[:, :row], base[:, :row])
+        assert same_bits(out[:, ends[k]:], base[:, ends[k]:])
+        assert not np.array_equal(out[:, row:ends[k]], base[:, row:ends[k]])
+
+
+def test_conv2d_transient_memory_is_one_block_whatever_the_frame_count():
+    # The paper's widest local conv: 100 channels in and out, 25 base rows a block.
+    rng = np.random.default_rng(51)
+    transient = []
+    for n in (100, 400):
+        x, w, b = (T.Tensor(a) for a in wide_conv_args(rng, n=n, c_in=100))
+        assert n_conv_blocks(x, w, [n]) >= 4
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.conv2d(x, w, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        transient.append(peak - out.data.nbytes)
+    assert max(transient) <= T.CONV_BLOCK_BYTES
+    # Only the per-block row indices grow with the frame count.
+    assert transient[1] - transient[0] <= 64 << 10
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,15 @@ def test_label_encoder_rejects_blank_and_overflow():
         enc([CFG.vocab_size + 1])
 
 
+@pytest.mark.parametrize("bad", [[1.5], [1.0, 2.0], np.array([2.0])])
+def test_label_encoder_rejects_non_integer_ids(bad):
+    enc = LabelEncoder(CFG, np.random.default_rng(12))
+    with pytest.raises(DataError):
+        enc(bad)
+    with pytest.raises(DataError):
+        enc([1, 2], bad)
+
+
 # ---------------------------------------------------------------------------
 # joint
 
