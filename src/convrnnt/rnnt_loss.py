@@ -14,15 +14,15 @@ absorbs without producing NaNs.
 is given, its forward keeps only [T, U+1]-sized arrays: the per-row max and
 log-normaliser, the blank and label log-probabilities and the alpha/beta
 lattice.  No normalized copy of the [T, U+1, V+1] logits is made.  Its
-backward forms the logit gradient once into one fresh buffer that becomes
-the logits' `.grad` without a further copy.  Both the normaliser and the
-gradient pass run over blocks of consecutive frames whose [U+1, V+1] rows
-fit in BLOCK_BYTES together: a short utterance is one block, while a frame
-at paper width (about 620 KB) is a block of its own, so no temporary
-exceeds one block.  The recursions take the prefix sums of every frame's
-label log-probabilities once, before they start.  `build_lattice` takes
-log-softmax-normalized input and runs the same recursions with a zero
-normaliser; its negated `log_likelihood` is the nll.
+backward forms the logit gradient once into one fresh buffer, which
+`Tensor.adopt_grad` makes the logits' first `.grad` without a copy.  Both
+the normaliser and the gradient pass run over blocks of consecutive frames
+whose [U+1, V+1] rows fit in BLOCK_BYTES together: a short utterance is one
+block, while a frame at paper width (about 620 KB) is a block of its own, so
+no temporary exceeds one block.  The recursions take the prefix sums of
+every frame's label log-probabilities once, before they start.
+`build_lattice` takes log-softmax-normalized input and runs the same
+recursions with a zero normaliser; its negated `log_likelihood` is the nll.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def _logit_grad(z, m, lse, labels, lat: AlignmentLattice, g: float) -> np.ndarra
 
     Each frame t is exp((z[t] - m[t]) - lse[t]) * occ_total[t] minus the
     blank and label occupancies, then scaled by g; a block does this for its
-    frames at once, in place in its span of the buffer.
+    frames at once, in place in its span of the buffer.  A non-positive g
+    can leave -0.0 entries, which `Tensor.adopt_grad` turns into +0.0.
     """
     occ_blank, occ_label, occ_total = _occupancies(lat)
     rows = np.arange(labels.size)
@@ -172,9 +173,6 @@ def _logit_grad(z, m, lse, labels, lat: AlignmentLattice, g: float) -> np.ndarra
         gb[..., 0] -= occ_blank[b]
         gb[:, rows, labels] -= occ_label[b]
         gb *= g
-        # Turn the -0.0 a non-positive g leaves into +0.0, as the first
-        # accumulation into a zero gradient would.
-        gb += 0.0
     return grad
 
 
@@ -197,12 +195,6 @@ def rnnt_loss(logits: Tensor, labels) -> Tensor:
     lat = _lattice(z, m, lse, labels)
 
     def backward(g):
-        grad = _logit_grad(z, m, lse, labels, lat, float(g))
-        if logits.grad is None:
-            # The buffer is fresh and referenced nowhere else, so it becomes
-            # the gradient itself rather than being copied by accumulate_grad.
-            logits.grad = grad
-        else:
-            logits.accumulate_grad(grad)
+        logits.adopt_grad(_logit_grad(z, m, lse, labels, lat, float(g)))
 
     return T.from_op(np.asarray(-lat.log_likelihood), (logits,), backward)

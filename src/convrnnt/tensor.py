@@ -8,6 +8,12 @@ reachable tape once, in reverse creation order, which is a valid topological
 order because inputs are always created before their consumers.  Each node
 propagates its gradient once: a second backward that reaches it raises
 `TrainingError` (sum several outputs into one scalar to seed them together).
+The pass unlinks each node as it propagates, dropping its parents and
+its closure, so an intermediate that only the tape holds (the joint's
+logits, say) is freed during the pass rather than when it ends.  `conv2d`,
+`lstm`, `linear`, `outer_tanh` and `rnnt_loss` hand the input gradients
+their backward allocates over with `Tensor.adopt_grad` instead of copying
+them.
 
 Only the operations the model and the test oracles use are provided, and
 broadcasting is restricted to the two cases the model uses (trailing-axis
@@ -39,7 +45,8 @@ These ops are fused, each one tape node for a whole batch:
 - `linear` is `x @ w + b` over the last axis of an input of rank 2 or more.  It
   keeps one output array (the bias is added in place) and forms the three
   gradients straight from the incoming one, so a wide output such as the
-  joint's logits is not copied on the way back.
+  joint's logits is not copied on the way back; its backward keeps the
+  output's shape, not the output.
 - `outer_tanh` is the joint's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)`
   over [T, U, J]; it keeps only the tanh output and forms `g * (1 - t * t)`
   once in backward.
@@ -120,6 +127,19 @@ class Tensor:
         else:
             self.grad += g
 
+    def adopt_grad(self, g: np.ndarray) -> None:
+        """`accumulate_grad` for an array the caller has just allocated and
+        will not touch again: a first gradient becomes g itself, after
+        `g += 0.0` in place, instead of a copy.  Never pass a view of another
+        gradient or of data.  A g laid out unlike `data` is copied as before,
+        so later reductions over `.grad` sum in the same order.
+        """
+        if self.grad is None and g.strides == self.data.strides and g.shape == self.data.shape:
+            g += 0.0
+            self.grad = g
+        else:
+            self.accumulate_grad(g)
+
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -131,6 +151,14 @@ class Tensor:
         propagates once: a later pass that reaches it raises `TrainingError`
         before touching any gradient, since it would add the node's whole
         accumulated gradient to its inputs again.
+
+        The pass unlinks each node as it propagates: the node is marked spent
+        and drops its parents and backward closure before the closure runs.
+        So an intermediate that only the tape holds is freed, with its data,
+        its gradient and whatever its closure kept, as soon as its own
+        gradient has reached its inputs; a tensor the caller holds keeps its
+        `.grad`.  A closure that raises leaves its node spent, so a graph
+        whose pass failed half way cannot be propagated again.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -153,10 +181,15 @@ class Tensor:
             stack.extend(t._parents)
         self.accumulate_grad(grad)
         for tid in sorted(nodes, reverse=True):
-            t = nodes[tid]
-            if t._backward is not None and t.grad is not None:
-                t._backward(t.grad)
-                t._backward = _SPENT
+            t = nodes.pop(tid)
+            step, g = t._backward, t.grad
+            if step is None or g is None:
+                continue
+            # Unlinked before the call: once `t` is dropped nothing but the
+            # closure keeps its data, and nothing but `g` its gradient.
+            t._backward, t._parents = _SPENT, ()
+            del t
+            step(g)
 
     # Arithmetic sugar for the common cases.
     def __add__(self, other):
@@ -231,13 +264,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2d = x.data.reshape(-1, w.shape[0])
     out = x2d @ w.data
     out += b.data
+    # The backward keeps the shape, not the output (the joint's logits).
+    shape2d = out.shape
 
     def backward(g):
-        g2d = g.reshape(out.shape)
+        g2d = g.reshape(shape2d)
         if x.requires_grad:
-            x.accumulate_grad((g2d @ w.data.T).reshape(x.shape))
+            x.adopt_grad((g2d @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            w.accumulate_grad(x2d.T @ g2d)
+            w.adopt_grad(x2d.T @ g2d)
         if b.requires_grad:
             b.accumulate_grad(g2d.sum(axis=0))
 
@@ -663,7 +698,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)))
         gw = np.zeros((kt, c_out, kf * c_in)) if w.requires_grad else None
-        gx = np.zeros((c_in, n, f)) if x.requires_grad else None
+        gx = np.zeros_like(x.data) if x.requires_grad else None
         for rows, xs, win_rows, ys, acc_rows in blocks:
             m, span = rows * fp, (rows + pad) * fp
             g_flat = np.zeros((c_out, rows, fp))
@@ -688,7 +723,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
         if gw is not None:
             w.accumulate_grad(gw.reshape(kt, c_out, kf, c_in).transpose(1, 3, 0, 2))
         if gx is not None:
-            x.accumulate_grad(gx)
+            x.adopt_grad(gx)
 
     return from_op(out, (x, w, bias), backward)
 
@@ -827,9 +862,9 @@ def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor) -> Te
             bias.accumulate_grad(dz.sum(axis=(0, 1)))
         for x, w, dp in ((a, wa, dz.sum(axis=1)), (b, wb, dz.sum(axis=0))):
             if x.requires_grad:
-                x.accumulate_grad(dp @ w.data.T)
+                x.adopt_grad(dp @ w.data.T)
             if w.requires_grad:
-                w.accumulate_grad(x.data.T @ dp)
+                w.adopt_grad(x.data.T @ dp)
 
     return from_op(t, (a, wa, b, wb, bias), backward)
 
@@ -928,7 +963,7 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths=None) -> Tensor:
         if x.requires_grad:
             gx = np.empty_like(x.data)
             gx[perm] = ds @ w.data.T
-            x.accumulate_grad(gx)
+            x.adopt_grad(gx)
         if w.requires_grad:
             w.accumulate_grad(x_tm.T @ ds)
         if u.requires_grad:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -187,16 +188,20 @@ def test_gradient_has_no_negative_zero_under_a_negative_seed():
     assert zeros.size >= 9 and not np.signbit(zeros).any()
 
 
-def test_joint_and_loss_peak_memory_is_bounded_by_logits():
-    # The forward keeps the logits and [T, U+1]-sized arrays; the backward
-    # adds one logit-sized gradient buffer and [T, U+1, J] joint activations.
-    t_len, u_len, n_sym, joint_dim = 40, 10, 501, 64
+def small_joint(t_len, u_len, n_sym, joint_dim, seed):
     cfg = ModelSettings(proj_dim=32, label_proj=24, joint_dim=joint_dim, vocab_size=n_sym - 1)
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     joint = Joint(cfg, rng)
     enc = T.Tensor(rng.standard_normal((t_len, 32)), requires_grad=True)
     pred = T.Tensor(rng.standard_normal((u_len + 1, 24)), requires_grad=True)
-    labels = rng.integers(1, n_sym, size=u_len)
+    return joint, enc, pred, rng.integers(1, n_sym, size=u_len)
+
+
+def test_joint_and_loss_peak_memory_is_bounded_by_logits():
+    # The forward keeps the logits and [T, U+1]-sized arrays; the backward
+    # adds one logit-sized gradient buffer and [T, U+1, J] joint activations.
+    t_len, u_len, n_sym = 40, 10, 501
+    joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, 64, 9)
     tracemalloc.start()
     try:
         rnnt_loss(joint(enc, pred), labels).backward()
@@ -204,6 +209,38 @@ def test_joint_and_loss_peak_memory_is_bounded_by_logits():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * t_len * (u_len + 1) * n_sym * 8
+
+
+def test_backward_frees_the_logits_the_caller_does_not_hold():
+    joint, enc, pred, labels = small_joint(20, 4, 51, 16, 10)
+    logits = joint(enc, pred)
+    # The logits tensor holds its data view, so a dead view means a dead tensor.
+    view_ref, buffer_ref = weakref.ref(logits.data), weakref.ref(logits.data.base)
+    loss = rnnt_loss(logits, labels)
+    del logits
+    assert view_ref() is not None
+    loss.backward()
+    # Neither the tape nor the joint's backward closure keeps them.
+    assert view_ref() is None and buffer_ref() is None
+    assert enc.grad is not None and loss.grad is not None
+
+
+def test_backward_peak_above_the_forward_is_one_logit_gradient():
+    # The peak is the logit gradient inside the loss's backward: the logits
+    # are released before the joint's output layer forms its [T, U+1, J]
+    # input gradient, which becomes that tensor's gradient without a copy.
+    t_len, u_len, n_sym, joint_dim = 60, 10, 501, 128
+    joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, joint_dim, 11)
+    tracemalloc.start()
+    try:
+        loss = rnnt_loss(joint(enc, pred), labels)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live <= t_len * (u_len + 1) * n_sym * 8 + (256 << 10)
 
 
 def same_bits(a, b):

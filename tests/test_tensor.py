@@ -536,14 +536,14 @@ def test_dropout_masks_and_rescales():
     rng = np.random.default_rng(18)
     state = rng.bit_generator.state
     x = np.ones((1000,))
-    out = T.dropout(T.Tensor(x, requires_grad=True), 0.25, training=True, rng=rng)
+    xt = T.Tensor(x, requires_grad=True)
+    out = T.dropout(xt, 0.25, training=True, rng=rng)
     rng2 = np.random.default_rng(18)
     rng2.bit_generator.state = state
     keep = rng2.random(x.shape) >= 0.25
     assert np.array_equal(out.data, np.where(keep, 1.0 / 0.75, 0.0))
     out.backward(np.ones_like(x))
-    parent = out._parents[0]
-    assert np.array_equal(parent.grad, np.where(keep, 1.0 / 0.75, 0.0))
+    assert np.array_equal(xt.grad, np.where(keep, 1.0 / 0.75, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +648,31 @@ def test_second_backward_through_a_node_raises():
     assert np.array_equal(x.grad, [4.0, 4.0])
 
 
+def test_backward_keeps_the_grad_of_a_caller_held_intermediate():
+    rng = np.random.default_rng(44)
+    x = T.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    h = T.tanh(T.matmul(x, w))
+    T.sum_all(T.mul(h, h)).backward()
+    assert np.array_equal(h.grad, np.zeros_like(h.data) + 2.0 * h.data)
+    assert h._parents == () and x.grad is not None and w.grad is not None
+
+
+def test_a_closure_that_raises_leaves_its_node_spent():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+
+    def failing(g):
+        raise RuntimeError("backward failed")
+
+    y = T.from_op(2.0 * x.data, (x,), failing)
+    with pytest.raises(RuntimeError):
+        T.sum_all(y).backward()
+    assert y._parents == () and x.grad is None
+    # A half-run pass is not re-run: the spent node stops the next one.
+    with pytest.raises(TrainingError):
+        T.sum_all(y).backward()
+
+
 def test_no_grad_suppresses_tape():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
@@ -666,6 +691,24 @@ def test_first_accumulation_is_zeros_plus_g_bitwise():
         assert x.grad.flags["C_CONTIGUOUS"]
         assert not np.shares_memory(x.grad, g)
     assert not np.signbit(x.grad[x.grad == 0.0]).any()
+
+
+def test_adopt_grad_takes_a_fresh_array_with_the_bits_of_accumulate_grad():
+    g_z = np.array([[-0.0, 0.0, -1.5], [2.0, -0.0, -0.0]])
+    ref = T.Tensor(np.ones(g_z.shape), requires_grad=True)
+    ref.accumulate_grad(g_z)
+    x = T.Tensor(np.ones(g_z.shape), requires_grad=True)
+    g = g_z.copy()
+    x.adopt_grad(g)
+    assert x.grad is g and same_bits(x.grad, ref.grad)
+    x.adopt_grad(np.ones(g_z.shape))
+    assert x.grad is g and same_bits(x.grad, ref.grad + 1.0)
+    # Laid out unlike the data, the array is copied into the data's layout.
+    y = T.Tensor(np.ones((3, 2)).T, requires_grad=True)
+    g = g_z.copy()
+    y.adopt_grad(g)
+    assert y.grad is not g and y.grad.strides == y.data.strides
+    assert same_bits(y.grad, ref.grad)
 
 
 def test_grad_lengths_match_data():
