@@ -34,6 +34,8 @@ class FeatureConfig:
             raise ConfigError(
                 f"window ({self.window_ms} ms) must exceed hop ({self.hop_ms} ms)"
             )
+        if self.sample_rate_hz < 1 or self.hop_samples < 1:
+            raise ConfigError(f"feature.sample_rate_hz {self.sample_rate_hz} makes a hop of no samples")
         if self.n_bands < 1 or self.n_bands > FFT_SIZE // 2 + 1:
             raise ConfigError(f"n_bands {self.n_bands} out of range")
         for name in ("stack", "skip"):
@@ -192,11 +194,15 @@ class NormStats:
 
     @classmethod
     def load(cls, path) -> "NormStats":
+        """A file of another length than its dimension implies raises `DataError`."""
         with open(path, "rb") as f:
-            (dim,) = struct.unpack("<I", f.read(4))
-            mean = np.frombuffer(f.read(8 * dim), dtype="<f8").copy()
-            var = np.frombuffer(f.read(8 * dim), dtype="<f8").copy()
-            (count,) = struct.unpack("<Q", f.read(8))
+            blob = f.read()
+        dim = struct.unpack_from("<I", blob)[0] if len(blob) >= 4 else 0
+        if len(blob) != 4 + 16 * dim + 8:
+            raise DataError(f"{path}: {len(blob)} bytes is not a stats file of dim {dim}")
+        mean = np.frombuffer(blob, dtype="<f8", count=dim, offset=4).copy()
+        var = np.frombuffer(blob, dtype="<f8", count=dim, offset=4 + 8 * dim).copy()
+        (count,) = struct.unpack_from("<Q", blob, 4 + 16 * dim)
         return cls(mean, var, count)
 
 

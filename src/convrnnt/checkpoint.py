@@ -16,6 +16,7 @@ encoder read the local encoder's output, have the desk shapes and hash.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -68,31 +69,48 @@ def save_checkpoint(path, arch_hash: bytes, step: int, named_arrays, rng_state) 
         f.write(rng_blob)
 
 
+def _read(f, n: int, path) -> bytes:
+    # Checked first: a read allocates all n bytes even when fewer are left.
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise DataError(f"{path}: checkpoint is truncated")
+    return f.read(n)
+
+
+def _unpack(fmt: str, f, path):
+    return struct.unpack(fmt, _read(f, struct.calcsize(fmt), path))
+
+
 def load_checkpoint(path, expected_hash: bytes | None = None):
-    """Returns (step, {name: array}, rng_state_dict)."""
+    """Returns (step, {name: array}, rng_state_dict).  A file cut short, with
+    bytes past its RNG state or with text that does not decode raises `DataError`."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
-        version, _ = struct.unpack("<HH", f.read(4))
+        version, _ = _unpack("<HH", f, path)
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        arch_hash = f.read(32)
+        arch_hash = _read(f, 32, path)
         if expected_hash is not None and arch_hash != expected_hash:
             raise ConfigError(
                 f"{path}: checkpoint was written for a different architecture "
                 f"(config hash mismatch)"
             )
-        (step,) = struct.unpack("<Q", f.read(8))
-        (n_records,) = struct.unpack("<I", f.read(4))
+        (step,) = _unpack("<Q", f, path)
+        (n_records,) = _unpack("<I", f, path)
         arrays = {}
-        for _ in range(n_records):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
-            arrays[name] = data.copy()
-        (rng_len,) = struct.unpack("<I", f.read(4))
-        rng_state = json.loads(f.read(rng_len).decode("utf-8"))
+        try:
+            for _ in range(n_records):
+                (name_len,) = _unpack("<H", f, path)
+                name = _read(f, name_len, path).decode("utf-8")
+                (ndim,) = _unpack("<B", f, path)
+                shape = _unpack(f"<{ndim}I", f, path)
+                count = int(np.prod(shape)) if shape else 1
+                data = np.frombuffer(_read(f, 8 * count, path), dtype="<f8").reshape(shape)
+                arrays[name] = data.copy()
+            (rng_len,) = _unpack("<I", f, path)
+            rng_state = json.loads(_read(f, rng_len, path).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: checkpoint text does not decode ({e})") from None
+        if f.read(1):
+            raise DataError(f"{path}: checkpoint has bytes past its RNG state")
     return step, arrays, rng_state

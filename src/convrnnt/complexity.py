@@ -38,8 +38,8 @@ def lstm_flops(layers: int, steps: int, input_dim: int, hidden: int) -> int:
     return 8 * layers * steps * (input_dim + hidden) * hidden
 
 
-def attention_flops(n: int, d: int, heads: int = 1) -> int:
-    _positive(n=n, d=d, heads=heads)
+def attention_flops(n: int, d: int) -> int:
+    _positive(n=n, d=d)
     return 8 * n * d * d + 4 * n * n * d
 
 
@@ -131,7 +131,7 @@ def _conformer_layers(n: int):
     for i in range(1, int(spec["attention.layers"]) + 1):
         block = (
             ffn_per_block * ffn_flops(s, d, d_ff)
-            + attention_flops(s, d, heads)
+            + attention_flops(s, d)
             + conv_flops(d, 1, 2 * d, s, 1)
             + conv_flops(1, conv_k, d, s, 1)
             + conv_flops(d, 1, d, s, 1)

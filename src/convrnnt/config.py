@@ -14,6 +14,7 @@ bad value, numeric or not, raises `ConfigError` at load.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -33,7 +34,6 @@ class ModelSettings:
     dw_kernel: int = 3
     se_divisor: int = 8
     se_min: int = 8
-    se_enabled: bool = True
     enc_layers: int = 7
     enc_hidden: int = 640
     proj_dim: int = 512
@@ -76,8 +76,17 @@ class OptimizerConfig:
     l2: float = 1e-6
 
     def __post_init__(self):
-        if self.warmup_steps < 1:
-            raise ConfigError(f"optimizer.warmup_steps must be positive, got {self.warmup_steps}")
+        # Written so that NaN fails every bound.
+        for name, ok in (
+            ("beta1", 0.0 <= self.beta1 < 1.0),
+            ("beta2", 0.0 <= self.beta2 < 1.0),
+            ("epsilon", 0.0 < self.epsilon < math.inf),
+            ("peak_lr", 0.0 < self.peak_lr < math.inf),
+            ("l2", 0.0 <= self.l2 < math.inf),
+            ("warmup_steps", self.warmup_steps >= 1),
+        ):
+            if not ok:
+                raise ConfigError(f"optimizer.{name} is out of range, got {getattr(self, name)}")
 
 
 @dataclass
@@ -88,9 +97,11 @@ class TrainingConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        for name in ("batch_size", "eval_interval"):
+        for name in ("batch_size", "max_steps", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"training.{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -4,9 +4,9 @@
 The depthwise dilations double per block, so the convolutional receptive
 field grows geometrically, while the squeeze-excite gate folds in a prefix
 mean over *all* past steps.  Every block preserves the [T, D] shape.  The
-block count, expansion, depthwise kernel, squeeze-excite sizing, dropout and
-the squeeze-excite switch come from `ModelSettings`; the width D is the
-stacked feature width (`RunConfig.input_dim`), read beside the local encoder.
+block count, expansion, depthwise kernel, squeeze-excite sizing and dropout
+come from `ModelSettings`; the width D is the stacked feature width
+(`RunConfig.input_dim`), read beside the local encoder.
 
 Each block is one tape node for a whole batch (`GlobalBlock.forward_batch`):
 its forward runs the convolutions, batch-norms, excitation, dropout and
@@ -35,7 +35,7 @@ class GlobalBlock:
         self.dilation = dilation
         self.pw_in = Conv1dLayer(d, e, 1, rng)
         self.norm_in = BatchNormTime(e)
-        self.dw = Conv1dLayer(e, e, m.dw_kernel, rng, dilation=dilation, groups=e)
+        self.dw = Conv1dLayer(e, e, m.dw_kernel, rng, groups=e)
         self.norm_dw = BatchNormTime(e)
         self.pw_out = Conv1dLayer(e, d, 1, rng)
         self.se_reduce = Linear(d, se_bottleneck, rng)
@@ -128,18 +128,14 @@ class GlobalBlock:
         z = np.ascontiguousarray(zc.T)
         del zc
         counts = (local + 1.0)[:, None]
-        mean = r = gate = None
-        if m.se_enabled:
-            mean = np.empty_like(z)
-            for a, b in spans:
-                np.cumsum(z[a:b], axis=0, out=mean[a:b])
-            mean /= counts
-            r = self._rows(mean, self.se_reduce, spans)
-            T.relu_(r)
-            gate = T._sigmoid(self._rows(r, self.se_expand, spans))
-            y = z * gate if record else np.multiply(z, gate, out=z)
-        else:
-            y, z = z, None
+        mean = np.empty_like(z)
+        for a, b in spans:
+            np.cumsum(z[a:b], axis=0, out=mean[a:b])
+        mean /= counts
+        r = self._rows(mean, self.se_reduce, spans)
+        T.relu_(r)
+        gate = T._sigmoid(self._rows(r, self.se_expand, spans))
+        y = z * gate if record else np.multiply(z, gate, out=z)
         keep = T.dropout_mask(y.shape, m.dropout_p, training, rng)
         if keep is not None:
             y *= keep
@@ -152,19 +148,16 @@ class GlobalBlock:
             g_res = g
             if keep is not None:
                 g = g * keep
-            if m.se_enabled:
-                dz = g * gate
-                de = g * z
-                de *= gate
-                de *= 1.0 - gate
-                dr = self._rows_backward(de, r, self.se_expand)
-                dr *= r > 0.0
-                dm = self._rows_backward(dr, mean, self.se_reduce)
-                dm /= counts
-                for a, b in spans:
-                    dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
-            else:
-                dz = g
+            dz = g * gate
+            de = g * z
+            de *= gate
+            de *= 1.0 - gate
+            dr = self._rows_backward(de, r, self.se_expand)
+            dr *= r > 0.0
+            dm = self._rows_backward(dr, mean, self.se_reduce)
+            dm /= counts
+            for a, b in spans:
+                dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
             dzc = np.ascontiguousarray(dz.T)
             _accumulate(self.pw_out.bias, dzc.sum(axis=1))
             _accumulate(self.pw_out.weight, (dzc @ a_dw.T)[:, :, None])
@@ -252,7 +245,8 @@ class GlobalEncoder:
         # Block i (from 0) is dilated by 2^(i+1).
         dilations = [2 ** (i + 1) for i in range(m.global_blocks)]
         self.blocks = [GlobalBlock(m, d_model, d, rng) for d in dilations]
-        # Depthwise reach only (squeeze-excite disabled), current frame included.
+        # Depthwise reach, current frame included; the squeeze-excite's
+        # prefix mean reaches every earlier frame besides.
         self.conv_receptive_field = 1 + sum((m.dw_kernel - 1) * d for d in dilations)
 
     def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):

@@ -38,17 +38,10 @@ class Linear:
 
 
 class Conv1dLayer:
-    def __init__(
-        self,
-        c_in: int,
-        c_out: int,
-        kernel: int,
-        rng: np.random.Generator,
-        dilation: int = 1,
-        groups: int = 1,
-    ):
-        self.dilation = dilation
-        self.groups = groups
+    """The weight [C_out, C_in / groups, k] and bias of a 1-D convolution."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
+                 groups: int = 1):
         self.weight = uniform_init(
             rng, (c_out, c_in // groups, kernel), (c_in // groups) * kernel, gain=RELU_CONV_GAIN
         )

@@ -21,8 +21,6 @@ whose [U+1, V+1] rows fit in BLOCK_BYTES together: a short utterance is one
 block, while a frame at paper width (about 620 KB) is a block of its own, so
 no temporary exceeds one block.  The recursions take the prefix sums of
 every frame's label log-probabilities once, before they start.
-`build_lattice` takes log-softmax-normalized input and runs the same
-recursions with a zero normaliser; its negated `log_likelihood` is the nll.
 """
 
 from __future__ import annotations
@@ -174,17 +172,6 @@ def _logit_grad(z, m, lse, labels, lat: AlignmentLattice, g: float) -> np.ndarra
         gb[:, rows, labels] -= occ_label[b]
         gb *= g
     return grad
-
-
-def build_lattice(log_probs: np.ndarray, labels) -> AlignmentLattice:
-    """Run the forward and backward recursions for one utterance.
-
-    `log_probs` is the log-softmax-normalized [T, U+1, V+1] joint output and
-    `labels` the U-token transcript (blank-free).
-    """
-    labels = _checked_labels(log_probs, labels)
-    zero = np.zeros(log_probs.shape[:2])
-    return _lattice(log_probs, zero, zero, labels)
 
 
 def rnnt_loss(logits: Tensor, labels) -> Tensor:

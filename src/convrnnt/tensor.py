@@ -15,11 +15,11 @@ logits, say) is freed during the pass rather than when it ends.  `conv2d`,
 their backward allocates over with `Tensor.adopt_grad` instead of copying
 them.
 
-Only the operations the model and the test oracles use are provided, and
-broadcasting is restricted to the two cases the model uses (trailing-axis
-bias add and same-shape elementwise products).  That keeps every gradient
-rule short enough to audit by eye.  Batch-norm uses the fixed `BN_EPS` and
-`BN_MOMENTUM`.
+Only the operations the model runs are provided, which keeps every gradient
+rule short enough to audit by eye.  The per-op reference autodiff they are
+checked against (`matmul`, `add`, `mul`, `scale`, `relu`, `sigmoid`, `tanh`,
+`sum_all`, `slice_axis`, `batchnorm_time`, `outer_sum`) lives with the test
+oracles in `tests/oracles.py`.  Batch-norm uses the fixed `BN_EPS` and `BN_MOMENTUM`.
 
 The local encoder and the LSTM stacks carry a batch as packed rows: the
 frames of every utterance concatenated in order, N = sum of T_i rows, with
@@ -53,12 +53,13 @@ These ops are fused, each one tape node for a whole batch:
 - `mean` averages the per-utterance losses of a batch.
 - `global_encoder.GlobalBlock.forward_batch` is one node per global block for
   the whole batch (pointwise, depthwise, batch-norm, squeeze-excite, dropout
-  and residual).  It builds on `batchnorm_normalize`, `batchnorm_backward` and
-  `dropout_mask`, which `batchnorm_time` and `dropout` share.
+  and residual).  It builds on `batchnorm_normalize` and `batchnorm_backward`,
+  which the reference `batchnorm_time` shares, and on `dropout_mask`, which
+  `dropout` shares.
 
-`linear`, `outer_tanh` and `mean` have the bits of the composition of small
-ops they replace, gradients included.  The global block has the forward
-bits of its composition.  Its gradients, formed over the whole batch at
+`linear`, `outer_tanh` and `mean` have the bits of the composition of the
+reference ops they replace, gradients included.  The global block has the
+forward bits of its composition.  Its gradients, formed over the whole batch at
 once, and `conv2d` and `lstm` agree with their per-utterance compositions
 in `tests/oracles.py` to rounding: their GEMMs sum in another order.
 """
@@ -114,10 +115,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -191,20 +188,6 @@ class Tensor:
             del t
             step(g)
 
-    # Arithmetic sugar for the common cases.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -236,27 +219,13 @@ def _as_tensor(x) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    return from_op(out_data, (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` over the last axis of x [..., n_in], with w [n_in, n_out].
 
-    One tape node with the bits of `add(matmul(x2d, w), b)`: the forward adds
-    the bias in place into the GEMM output, and the backward forms
-    `g @ w.T`, `x.T @ g` and the bias sum from the incoming gradient rows.
+    One tape node with the bits of `add(matmul(x2d, w), b)`, composed of the
+    reference ops in `tests/oracles.py`: the forward adds the bias in place
+    into the GEMM output, and the backward forms `g @ w.T`, `x.T @ g` and the
+    bias sum from the incoming gradient rows.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
@@ -279,63 +248,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return from_op(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), backward)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise add; also accepts a trailing-axis bias vector for `b`."""
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        c = float(b)
-
-        def backward_s(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-
-        return from_op(a.data + c, (a,), backward_s)
-    b = _as_tensor(b)
-    if a.shape == b.shape:
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(g)
-
-        return from_op(a.data + b.data, (a, b), backward)
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        def backward_bias(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                axes = tuple(range(g.ndim - 1))
-                b.accumulate_grad(g.sum(axis=axes) if axes else g)
-
-        return from_op(a.data + b.data, (a, b), backward_bias)
-    raise ShapeError(f"add: unsupported shapes {a.shape} + {b.shape}")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return from_op(a.data * b.data, (a, b), backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = float(s)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
-
-    return from_op(a.data * s, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 
@@ -350,45 +262,11 @@ def relu_(a: np.ndarray) -> np.ndarray:
     return a > 0.0
 
 
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.copy()
-    mask = relu_(out)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
-
-    return from_op(out, (x,), backward)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
     # overflows; one exp over -|z| serves both halves without masks.
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    s = _sigmoid(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * s * (1.0 - s))
-
-    return from_op(s, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    t = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - t * t))
-
-    return from_op(t, (x,), backward)
 
 
 def swish(x: Tensor) -> Tensor:
@@ -449,23 +327,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     return from_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-
-    def backward(g):
-        # Only the slice's part of the parent's gradient is touched; values
-        # equal those of accumulating a zero-filled full-size buffer.
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[sl] += g
-
-    return from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
-
-
 def _lengths(lengths, n: int, op: str) -> list:
     """Validated utterance lengths of n packed rows; None is one utterance of all n."""
     lengths = [n] if lengths is None else [int(t) for t in lengths]
@@ -479,7 +340,19 @@ def split_rows(x: Tensor, lengths) -> list:
     if len(lengths) == 1:
         return [x]
     ends = np.cumsum(lengths).tolist()
-    return [slice_axis(x, 0, end - n, end) for n, end in zip(lengths, ends)]
+    return [_row_block(x, end - n, end) for n, end in zip(lengths, ends)]
+
+
+def _row_block(x: Tensor, start: int, stop: int) -> Tensor:
+    def backward(g):
+        # Only the block's rows of the parent's gradient are touched; values
+        # equal those of accumulating a zero-filled full-size buffer.
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[start:stop] += g
+
+    return from_op(np.ascontiguousarray(x.data[start:stop]), (x,), backward)
 
 
 def place_rows(x: Tensor, rows, n: int) -> Tensor:
@@ -514,18 +387,9 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 # reductions and normalizations
 
 
-def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, float(g)))
-
-    return from_op(np.asarray(x.data.sum()), (x,), backward)
-
-
 def mean(parts) -> Tensor:
-    """Mean of scalar tensors as one node, with the bits of `scale(p0 + p1 + ..., 1/n)`."""
+    """Mean of scalar tensors as one node, with the bits of `scale(p0 + p1 + ..., 1/n)`
+    in the reference ops of `tests/oracles.py`."""
     parts = [_as_tensor(p) for p in parts]
     s = 1.0 / len(parts)
     total = parts[0].data
@@ -738,7 +602,7 @@ BN_MOMENTUM = 0.1
 
 
 class RunningStats:
-    """Per-channel running mean/variance for batchnorm_time (eval mode)."""
+    """Per-channel running mean/variance of a batch-norm (used in eval mode)."""
 
     def __init__(self, channels: int):
         self.mean = np.zeros(channels)
@@ -781,64 +645,18 @@ def batchnorm_backward(g, xhat, inv_std, gamma, training: bool):
     return dx, (g * xhat).sum(axis=1), g.sum(axis=1)
 
 
-def batchnorm_time(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: RunningStats,
-    training: bool,
-) -> Tensor:
-    """Normalize each channel of [C, T] over the time axis.
-
-    Training mode uses the statistics of the current input and folds them
-    into the running stats.  Eval mode uses the frozen running stats only,
-    which keeps inference causal frame by frame.
-    """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    c, t = x.shape
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
-    xhat, inv_std = batchnorm_normalize(x.data, stats, training)
-    out_data = gamma.data[:, None] * xhat + beta.data[:, None]
-
-    def backward(g):
-        dx, dgamma, dbeta = batchnorm_backward(g, xhat, inv_std, gamma.data, training)
-        if gamma.requires_grad:
-            gamma.accumulate_grad(dgamma)
-        if beta.requires_grad:
-            beta.accumulate_grad(dbeta)
-        if x.requires_grad:
-            x.accumulate_grad(dx)
-
-    return from_op(out_data, (x, gamma, beta), backward)
-
-
 # ---------------------------------------------------------------------------
 # sequence-specific ops
-
-
-def outer_sum(a: Tensor, b: Tensor) -> Tensor:
-    """Broadcast-add [T, J] and [U, J] into [T, U, J] (the joint combiner)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"outer_sum: incompatible shapes {a.shape}, {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=1))
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
-
-    return from_op(a.data[:, None, :] + b.data[None, :, :], (a, b), backward)
 
 
 def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor) -> Tensor:
     """`tanh(outer_sum(a @ wa, b @ wb) + bias)`: [T, J] and [U, J] rows into [T, U, J].
 
-    One tape node with the bits of those five ops that keeps only the
-    [T, U, J] tanh output: the sum, the bias add and the tanh run in place
-    in one buffer, and the backward forms `g * (1 - t * t)` once and reduces
-    it to the bias, row and weight gradients.
+    One tape node with the bits of those five reference ops (in
+    `tests/oracles.py`) that keeps only the [T, U, J] tanh output: the sum,
+    the bias add and the tanh run in place in one buffer, and the backward
+    forms `g * (1 - t * t)` once and reduces it to the bias, row and weight
+    gradients.
     """
     a, wa, b, wb, bias = (_as_tensor(v) for v in (a, wa, b, wb, bias))
     j = wa.shape[1] if wa.ndim == 2 else -1

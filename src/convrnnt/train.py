@@ -144,11 +144,12 @@ class Trainer:
         l2_term = cfg.optimizer.l2 * float(np.einsum("i,i->", opt.data, opt.data))
         return nll_sum / len(batch) + l2_term, grad_norm
 
-    def train(self, max_steps: int | None = None, log_path: str | None = None):
-        """Run to `max_steps`, logging CSV metrics and checkpointing."""
+    def train(self, max_steps: int | None = None):
+        """Run to `max_steps`, logging CSV metrics to `<workdir>/metrics.csv`
+        and checkpointing."""
         cfg = self.cfg
         max_steps = max_steps if max_steps is not None else cfg.training.max_steps
-        log_path = log_path or os.path.join(self.workdir, "metrics.csv")
+        log_path = os.path.join(self.workdir, "metrics.csv")
         new_log = not os.path.exists(log_path) or self.step == 0
         with open(log_path, "w" if new_log else "a", newline="") as f:
             writer = csv.writer(f)

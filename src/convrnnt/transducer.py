@@ -42,16 +42,13 @@ class LSTMLayer:
         self.b.data[hidden:2 * hidden] = 1.0
         self.proj = Linear(hidden, proj, rng)
 
-    def hidden_states(self, xs: Tensor, lengths=None) -> Tensor:
-        """Packed [N, n_in] -> raw hidden states [N, hidden], each utterance
-        from a zero state (lengths None: one utterance)."""
-        return T.lstm(xs, self.w, self.u, self.b, lengths)
-
     def project(self, hs: Tensor) -> Tensor:
         return T.swish(self.proj(hs))
 
     def __call__(self, xs: Tensor, lengths=None) -> Tensor:
-        return self.project(self.hidden_states(xs, lengths))
+        """Packed [N, n_in] -> [N, proj], each utterance from a zero state
+        (lengths None: one utterance)."""
+        return self.project(T.lstm(xs, self.w, self.u, self.b, lengths))
 
     def params(self):
         return [

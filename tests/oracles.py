@@ -2,13 +2,16 @@
 
 Everything here is written the dumb, obviously-correct way (explicit loops,
 exhaustive enumeration, central finite differences) and must stay decoupled
-from the library code it checks.  Two oracles are built from the library's
-own small tape ops plus the per-utterance ops defined here, the way the code
-was written before it became fused, packed nodes: the op-by-op global block
-and the per-utterance model loss.  They check the fused nodes, not those
-ops.  The per-parameter Adam step and the per-frame loss passes at the end
-are the loops the flat optimizer buffers and the frame-blocked loss passes
-replaced, kept as bitwise references.
+from the library code it checks.  The per-op reference autodiff lives here
+too: one small tape op per primitive (`matmul`, `add`, `mul`, `scale`,
+`relu`, `sigmoid`, `tanh`, `sum_all`, `slice_axis`, `batchnorm_time`,
+`outer_sum`) on the library's `Tensor` and `from_op`.  The fused nodes of the
+library are checked against compositions of them.  Two oracles are built
+from them plus the per-utterance ops defined here, the way the code was
+written before it became fused, packed nodes: the op-by-op global block and
+the per-utterance model loss.  The per-parameter Adam step and the per-frame
+loss passes at the end are the loops the flat optimizer buffers and the
+frame-blocked loss passes replaced, kept as bitwise references.
 """
 
 import itertools
@@ -18,7 +21,9 @@ import numpy as np
 
 from convrnnt import tensor as T
 from convrnnt.errors import ShapeError
-from convrnnt.rnnt_loss import NEG_INF, AlignmentLattice, _occupancies, rnnt_loss
+from convrnnt.rnnt_loss import (
+    NEG_INF, AlignmentLattice, _checked_labels, _lattice, _occupancies, rnnt_loss,
+)
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -88,6 +93,15 @@ def prefix_mean_naive(x):
     return out
 
 
+def build_lattice(log_probs, labels):
+    """The loss's forward and backward recursions over log-softmax-normalized
+    [T, U+1, V+1] input (a zero normaliser); its negated `log_likelihood` is
+    the nll.  `labels` go through the loss's own checks."""
+    labels = _checked_labels(log_probs, labels)
+    zero = np.zeros(log_probs.shape[:2])
+    return _lattice(log_probs, zero, zero, labels)
+
+
 def transducer_nll_enumeration(log_probs, labels, blank=0):
     """Negative log-likelihood by explicit path enumeration.
 
@@ -151,6 +165,173 @@ def sigmoid_masked(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The per-op reference autodiff: one small tape op per primitive, built on
+# `tensor.from_op`.  The fused nodes of `convrnnt.tensor` (`linear`,
+# `outer_tanh`, `mean`, `lstm`, `conv2d`) and the global block are checked
+# against compositions of these.
+
+
+def matmul(a, b):
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g)
+
+    return T.from_op(out_data, (a, b), backward)
+
+
+def add(a, b):
+    """Elementwise add; also accepts a trailing-axis bias vector for `b`."""
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    if a.shape == b.shape:
+        def backward(g):
+            if a.requires_grad:
+                a.accumulate_grad(g)
+            if b.requires_grad:
+                b.accumulate_grad(g)
+
+        return T.from_op(a.data + b.data, (a, b), backward)
+    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
+        def backward_bias(g):
+            if a.requires_grad:
+                a.accumulate_grad(g)
+            if b.requires_grad:
+                axes = tuple(range(g.ndim - 1))
+                b.accumulate_grad(g.sum(axis=axes) if axes else g)
+
+        return T.from_op(a.data + b.data, (a, b), backward_bias)
+    raise ShapeError(f"add: unsupported shapes {a.shape} + {b.shape}")
+
+
+def mul(a, b):
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * b.data)
+        if b.requires_grad:
+            b.accumulate_grad(g * a.data)
+
+    return T.from_op(a.data * b.data, (a, b), backward)
+
+
+def scale(a, s):
+    a = T._as_tensor(a)
+    s = float(s)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * s)
+
+    return T.from_op(a.data * s, (a,), backward)
+
+
+def relu(x):
+    x = T._as_tensor(x)
+    out = x.data.copy()
+    mask = T.relu_(out)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * mask)
+
+    return T.from_op(out, (x,), backward)
+
+
+def sigmoid(x):
+    x = T._as_tensor(x)
+    s = T._sigmoid(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * s * (1.0 - s))
+
+    return T.from_op(s, (x,), backward)
+
+
+def tanh(x):
+    x = T._as_tensor(x)
+    t = np.tanh(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * (1.0 - t * t))
+
+    return T.from_op(t, (x,), backward)
+
+
+def sum_all(x):
+    x = T._as_tensor(x)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.full_like(x.data, float(g)))
+
+    return T.from_op(np.asarray(x.data.sum()), (x,), backward)
+
+
+def slice_axis(x, axis, start, stop):
+    x = T._as_tensor(x)
+    sl = [slice(None)] * x.ndim
+    sl[axis] = slice(start, stop)
+    sl = tuple(sl)
+
+    def backward(g):
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[sl] += g
+
+    return T.from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
+
+
+def batchnorm_time(x, gamma, beta, stats, training):
+    """Normalize each channel of [C, T] over the time axis, with the batch's
+    statistics (folded into `stats`) in training mode and the running ones
+    in eval mode."""
+    x, gamma, beta = T._as_tensor(x), T._as_tensor(gamma), T._as_tensor(beta)
+    c, _ = x.shape
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
+    xhat, inv_std = T.batchnorm_normalize(x.data, stats, training)
+    out_data = gamma.data[:, None] * xhat + beta.data[:, None]
+
+    def backward(g):
+        dx, dgamma, dbeta = T.batchnorm_backward(g, xhat, inv_std, gamma.data, training)
+        if gamma.requires_grad:
+            gamma.accumulate_grad(dgamma)
+        if beta.requires_grad:
+            beta.accumulate_grad(dbeta)
+        if x.requires_grad:
+            x.accumulate_grad(dx)
+
+    return T.from_op(out_data, (x, gamma, beta), backward)
+
+
+def outer_sum(a, b):
+    """Broadcast-add [T, J] and [U, J] into [T, U, J] (the joint combiner)."""
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"outer_sum: incompatible shapes {a.shape}, {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g.sum(axis=1))
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+
+    return T.from_op(a.data[:, None, :] + b.data[None, :, :], (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +481,14 @@ def causal_conv2d_per_utterance(x, w, bias, lengths):
     pf = (kf - 1) // 2
     outs = []
     for a, b in _spans(lengths):
-        h = pad_zeros(T.slice_axis(x, 1, a, b), ((0, 0), (kt - 1, 0), (pf, pf)))
-        outs.append(T.relu(conv2d(h, w, bias)))
+        h = pad_zeros(slice_axis(x, 1, a, b), ((0, 0), (kt - 1, 0), (pf, pf)))
+        outs.append(relu(conv2d(h, w, bias)))
     return T.concat(outs, axis=1)
 
 
 def lstm_per_utterance(x, w, u, b, lengths):
     """`tensor.lstm` on packed [N, n_in] rows, one utterance at a time."""
-    return T.concat([lstm(T.slice_axis(x, 0, a, e), w, u, b) for a, e in _spans(lengths)])
+    return T.concat([lstm(slice_axis(x, 0, a, e), w, u, b) for a, e in _spans(lengths)])
 
 
 def _lstm_stack(layers, h, p, training, rng):
@@ -352,8 +533,8 @@ def batch_loss_per_utterance(model, features_list, tokens_list, training=False, 
         losses.append(rnnt_loss(model.joint(enc, pred), tokens))
     total = losses[0]
     for extra in losses[1:]:
-        total = T.add(total, extra)
-    return T.scale(total, 1.0 / len(losses)), [float(l.data) for l in losses]
+        total = add(total, extra)
+    return scale(total, 1.0 / len(losses)), [float(l.data) for l in losses]
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +641,14 @@ def prefix_mean(x):
 
 def squeeze_excite(z, reduce, expand):
     """Gate each step of [T, D] by sigmoid(expand(relu(reduce(prefix mean))))."""
-    gate = T.sigmoid(expand(T.relu(reduce(prefix_mean(z)))))
-    return T.mul(z, gate)
+    gate = sigmoid(expand(relu(reduce(prefix_mean(z)))))
+    return mul(z, gate)
 
 
 def _norm_batch(norm, hs, training):
     """Batch-norm over the time-concatenated batch, split back per utterance."""
     def bn(x):
-        return T.batchnorm_time(x, norm.gamma, norm.beta, norm.stats, training)
+        return batchnorm_time(x, norm.gamma, norm.beta, norm.stats, training)
 
     if len(hs) == 1:
         return [bn(hs[0])]
@@ -475,7 +656,7 @@ def _norm_batch(norm, hs, training):
     out, offset = [], 0
     for h in hs:
         n = h.shape[1]
-        out.append(T.slice_axis(normed, 1, offset, offset + n))
+        out.append(slice_axis(normed, 1, offset, offset + n))
         offset += n
     return out
 
@@ -484,23 +665,24 @@ def global_block_per_op(block, xs, training=False, rng=None):
     """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per utterance."""
     cfg = block.m
 
-    def conv(layer, x):
-        return conv1d(x, layer.weight, layer.bias, dilation=layer.dilation, groups=layer.groups)
+    def conv(layer, x, dilation=1, groups=1):
+        return conv1d(x, layer.weight, layer.bias, dilation=dilation, groups=groups)
 
-    hs = [T.relu(conv(block.pw_in, transpose2d(x))) for x in xs]  # [E, T_i]
+    hs = [relu(conv(block.pw_in, transpose2d(x))) for x in xs]  # [E, T_i]
     hs = _norm_batch(block.norm_in, hs, training)
+    width = block.dw.weight.shape[0]  # depthwise: one group per channel
     hs = [
-        T.relu(conv(block.dw, pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation)))
+        relu(conv(block.dw, pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation),
+                  block.dilation, width))
         for h in hs
     ]
     hs = _norm_batch(block.norm_dw, hs, training)
     out = []
     for x, h in zip(xs, hs):
         z = transpose2d(conv(block.pw_out, h))  # [T, D]
-        if cfg.se_enabled:
-            z = squeeze_excite(z, block.se_reduce, block.se_expand)
+        z = squeeze_excite(z, block.se_reduce, block.se_expand)
         z = T.dropout(z, cfg.dropout_p, training, rng)
-        out.append(T.add(x, z))
+        out.append(add(x, z))
     return out
 
 

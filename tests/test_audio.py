@@ -154,6 +154,18 @@ def test_stats_reload_is_bitwise(tmp_path):
     assert np.array_equal(loaded.variance, stats.variance)
 
 
+def test_truncated_or_padded_stats_file_raises_data_error(tmp_path):
+    stats = accumulate_stats([np.random.default_rng(4).standard_normal((20, 6))], 6)
+    p = tmp_path / "stats.bin"
+    stats.save(p)
+    blob = p.read_bytes()
+    assert len(blob) == 4 + 2 * 6 * 8 + 8
+    for data in [blob[:cut] for cut in (0, 2, 4, 30, 60, len(blob) - 1)] + [blob + b"\0"]:
+        p.write_bytes(data)
+        with pytest.raises(DataError):
+            NormStats.load(p)
+
+
 # ---------------------------------------------------------------------------
 # masking
 

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,3 +86,42 @@ def test_version1_checkpoint_rejected(make_trainer, tmp_path):
         load_checkpoint(path)
     with pytest.raises(DataError, match="version 1"):
         make_trainer().load(path)
+
+
+def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path):
+    trainer = make_trainer()
+    trainer.train_step()
+    path = tmp_path / "whole.bin"
+    trainer.save(path)
+    blob = path.read_bytes()
+    # The RNG state is the last field: its u32 length, then canonical JSON.
+    rng_at = blob.rindex(b'{"bit_generator"')
+    assert struct.unpack("<I", blob[rng_at - 4:rng_at]) == (len(blob) - rng_at,)
+    # In the header, the record count, the first record's name, shape and
+    # data, the RNG length field and the RNG blob.
+    cuts = [2, 6, 30, 50, 60, 80, 200, len(blob) // 2, rng_at - 2, rng_at + 1, len(blob) - 1]
+    for n, cut in enumerate(cuts):
+        bad = tmp_path / f"cut{n}.bin"
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+    bad = tmp_path / "padded.bin"
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(DataError, match="past its RNG state"):
+        load_checkpoint(bad)
+    bad.write_bytes(blob[:rng_at] + b"{" + blob[rng_at + 1:].replace(b":", b";", 1))
+    with pytest.raises(DataError):
+        load_checkpoint(bad)
+    # A first dimension of 2^31 claims 16 GiB the file does not hold.
+    (name_len,) = struct.unpack_from("<H", blob, 52)
+    dim_at = 52 + 2 + name_len + 1
+    assert blob[dim_at - 1] >= 1  # the first record's ndim
+    bad.write_bytes(blob[:dim_at] + struct.pack("<I", 2 ** 31) + blob[dim_at + 4:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(blob) + (1 << 20)

@@ -108,3 +108,16 @@ def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "se_divisor" in err
+
+
+def test_cli_eval_reports_a_truncated_checkpoint_or_stats_file(tmp_path, capsys):
+    work = tmp_path / "run"
+    run(capsys, "train", "--config", "desk", "--out", str(work), "--steps", "1")
+    for name in ("checkpoint.bin", "norm_stats.bin"):
+        path = work / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        assert main(["eval", "--config", "desk", "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        path.write_bytes(whole)

@@ -1,5 +1,6 @@
 import pytest
 
+from convrnnt import complexity
 from convrnnt.complexity import (
     attention_flops,
     conv_flops,
@@ -27,7 +28,7 @@ def test_lstm_flops_values():
 
 
 def test_attention_flops_values():
-    assert attention_flops(1, 1, 1) == 12
+    assert attention_flops(1, 1) == 12
     assert attention_flops(1000, 256) == 8 * 1000 * 256 * 256 + 4 * 1000 * 1000 * 256
 
 
@@ -111,3 +112,23 @@ def test_curve_csv_format():
     first = lines[1].split(",")
     assert first[0] == "500" and first[2] == "convrnnt"
     assert float(first[1]) > 0
+
+
+def test_every_conformer_spec_key_is_read(monkeypatch):
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    parse = complexity.parse_config_text
+    specs = []
+
+    def recording_parse(text):
+        specs.append(Recording(parse(text)))
+        return specs[-1]
+
+    monkeypatch.setattr(complexity, "parse_config_text", recording_parse)
+    encoder_flops("conformer", 1000)
+    assert len(specs) == 1 and read == set(specs[0])

@@ -37,9 +37,18 @@ REJECTED = [
     "feature.n_bands=3",  # fewer bands than the local kernel is wide
     "feature.stack=0",
     "feature.skip=0",
+    "feature.sample_rate_hz=0",
     "training.batch_size=0",
     "training.eval_interval=0",
+    "training.max_steps=-5",
+    "training.seed=-1",
     "optimizer.warmup_steps=0",
+    "optimizer.beta1=1.5",
+    "optimizer.beta2=-0.1",
+    "optimizer.epsilon=0",
+    "optimizer.peak_lr=-1",
+    "optimizer.peak_lr=nan",
+    "optimizer.l2=nan",
 ]
 
 
@@ -47,6 +56,12 @@ REJECTED = [
 def test_bad_value_rejected_at_load(override):
     with pytest.raises(ConfigError):
         load_preset("desk", [override])
+
+
+def test_a_key_no_setting_reads_is_rejected():
+    # The squeeze-excite gate has no off switch.
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_preset("desk", ["model.se_enabled=true"])
 
 
 def test_unresolved_vocab_rejected():
@@ -74,7 +89,6 @@ CHANGED = {
     "dw_kernel": "2",
     "se_divisor": "2",
     "se_min": "4",
-    "se_enabled": "false",
     "enc_layers": "3",
     "enc_hidden": "32",
     "proj_dim": "32",
@@ -110,7 +124,7 @@ def test_every_model_key_changes_the_model(key):
     shapes, eval_loss, train_loss = fingerprint(load_preset("desk", base))
     changed = load_preset("desk", base + [f"model.{key}={CHANGED[key]}"])
     c_shapes, c_eval, c_train = fingerprint(changed)
-    if key in ("dropout_p", "se_enabled"):
+    if key == "dropout_p":
         assert c_train != train_loss
     else:
         assert c_shapes != shapes or c_eval != eval_loss

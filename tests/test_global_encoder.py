@@ -6,16 +6,22 @@ from convrnnt.config import ModelSettings
 from convrnnt.errors import TrainingError
 from convrnnt.global_encoder import GlobalBlock, GlobalEncoder
 
+import oracles
 from oracles import fd_gradient, global_encoder_per_op, prefix_mean, prefix_mean_naive, rel_err
 
 D = 16
 M = ModelSettings()
-NO_SE = ModelSettings(se_enabled=False)
 
 
 def zero_params(obj):
     for _, p in obj.params():
         p.data[...] = 0.0
+
+
+def constant_gate(block):
+    """Switch the excitation off the one way the block allows: with a zero
+    expand weight its gate is the constant sigmoid(se_expand.bias)."""
+    block.se_expand.weight.data[...] = 0.0
 
 
 def positive_conv_weights(block):
@@ -78,7 +84,9 @@ def test_se_zero_weights_halves_input():
     x = rng.standard_normal((9, D))
     # The gate is sigmoid(0) = 0.5 exactly, so the branch is halved.
     assert np.array_equal(run_block(block, x), x + 0.5 * c)
-    assert np.array_equal(run_block(constant_branch_block(2, c, NO_SE), x), x + c)
+    # A bias of 40 rounds the gate to exactly 1.0: the branch passes whole.
+    block.se_expand.bias.data[...] = 40.0
+    assert np.array_equal(run_block(block, x), x + c)
 
 
 def test_se_zero_input_zero_output():
@@ -137,8 +145,9 @@ def test_block_causality_bitwise():
 @pytest.mark.parametrize("block_index", [1, 2, 3])
 def test_block_impulse_support_with_se_disabled(block_index):
     dilation = 2 ** block_index
-    block = GlobalBlock(NO_SE, D, dilation=dilation, rng=np.random.default_rng(12))
+    block = GlobalBlock(M, D, dilation=dilation, rng=np.random.default_rng(12))
     positive_conv_weights(block)
+    constant_gate(block)
     t_len, t0 = 80, 10
     x = np.zeros((t_len, D))
     x[t0] = 1.0
@@ -185,10 +194,11 @@ def test_stack_zero_weights_is_identity():
 
 
 def test_stack_conv_receptive_field_is_253():
-    enc = GlobalEncoder(NO_SE, D, np.random.default_rng(19))
+    enc = GlobalEncoder(M, D, np.random.default_rng(19))
     assert enc.conv_receptive_field == 253
     for block in enc.blocks:
         positive_conv_weights(block)
+        constant_gate(block)
     t_len, t0 = 300, 20
     x = np.zeros((t_len, D))
     x[t0] = 1.0
@@ -216,7 +226,7 @@ def test_se_gives_full_prefix_reach():
 def test_block_gradients_flow():
     block = GlobalBlock(ModelSettings(dropout_p=0.0), 6, 2, np.random.default_rng(22))
     x = T.Tensor(np.random.default_rng(23).standard_normal((10, 6)), requires_grad=True)
-    T.sum_all(block.forward_batch([x], training=True)[0]).backward()
+    oracles.sum_all(block.forward_batch([x], training=True)[0]).backward()
     assert x.grad is not None
     for name, p in block.params():
         assert p.grad is not None, name
@@ -233,15 +243,18 @@ def batch_inputs(lengths, d, seed):
 
 def seeded_sum(outs, seeds):
     """sum_i <out_i, seed_i> as one scalar tensor, so backward runs once."""
-    total = T.sum_all(T.mul(outs[0], T.Tensor(seeds[0])))
+    total = oracles.sum_all(oracles.mul(outs[0], T.Tensor(seeds[0])))
     for out, seed in zip(outs[1:], seeds[1:]):
-        total = T.add(total, T.sum_all(T.mul(out, T.Tensor(seed))))
+        total = oracles.add(total, oracles.sum_all(oracles.mul(out, T.Tensor(seed))))
     return total
 
 
-def run_encoder(forward, m, arrays, seeds, grad, **kw):
+def run_encoder(forward, m, arrays, seeds, grad, se_enabled=True, **kw):
     """Outputs, running stats and (with grad) input and parameter gradients."""
     enc = GlobalEncoder(m, D, np.random.default_rng(31))
+    if not se_enabled:
+        for block in enc.blocks:
+            constant_gate(block)
     xs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
     rng = np.random.default_rng(32)
     if grad:
@@ -267,10 +280,11 @@ def fused(enc, xs, **kw):
 @pytest.mark.parametrize("se_enabled", [True, False])
 @pytest.mark.parametrize("training,dropout_p", [(False, 0.1), (True, 0.0), (True, 0.1)])
 def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p):
-    m = ModelSettings(dropout_p=dropout_p, se_enabled=se_enabled)
+    m = ModelSettings(dropout_p=dropout_p)
     arrays, seeds = batch_inputs(lengths, D, 33)
-    got = run_encoder(fused, m, arrays, seeds, grad=False, training=training)
-    want = run_encoder(global_encoder_per_op, m, arrays, seeds, grad=False, training=training)
+    got = run_encoder(fused, m, arrays, seeds, False, se_enabled, training=training)
+    want = run_encoder(global_encoder_per_op, m, arrays, seeds, False, se_enabled,
+                       training=training)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].tobytes() == want[key].tobytes(), key
@@ -280,10 +294,11 @@ def test_forward_matches_per_op_bitwise(lengths, se_enabled, training, dropout_p
 @pytest.mark.parametrize("se_enabled", [True, False])
 @pytest.mark.parametrize("training", [False, True])
 def test_gradients_match_per_op(lengths, se_enabled, training):
-    m = ModelSettings(dropout_p=0.1, se_enabled=se_enabled)
+    m = ModelSettings(dropout_p=0.1)
     arrays, seeds = batch_inputs(lengths, D, 34)
-    got = run_encoder(fused, m, arrays, seeds, grad=True, training=training)
-    want = run_encoder(global_encoder_per_op, m, arrays, seeds, grad=True, training=training)
+    got = run_encoder(fused, m, arrays, seeds, True, se_enabled, training=training)
+    want = run_encoder(global_encoder_per_op, m, arrays, seeds, True, se_enabled,
+                       training=training)
     assert got.keys() == want.keys()
     for key in want:
         # The forward bits are pinned above; gradients to 1e-12 of their scale.
@@ -296,7 +311,7 @@ def test_block_gradient_matches_fd(se_enabled):
     # Three unequal lengths, so training-mode batch-norm pools across them and
     # each input's gradient depends on the other utterances.
     d = 6
-    m = ModelSettings(dropout_p=0.1, se_enabled=se_enabled)
+    m = ModelSettings(dropout_p=0.1)
     block = GlobalBlock(m, d, 2, np.random.default_rng(35))
     # Move off the initialization: with every bias zero the second batch-norm
     # cancels a rescaling of the first one's gamma, whose gradient is then
@@ -304,6 +319,8 @@ def test_block_gradient_matches_fd(se_enabled):
     rng = np.random.default_rng(40)
     for _, p in block.params():
         p.data = p.data + 0.3 * rng.standard_normal(p.shape)
+    if not se_enabled:
+        constant_gate(block)
     arrays, seeds = batch_inputs((5, 8, 3), d, 36)
 
     def forward(xs):
@@ -324,9 +341,6 @@ def test_block_gradient_matches_fd(se_enabled):
     params = block.params()
     assert len(params) == 14
     for name, p in params:
-        if not se_enabled and name.startswith("se_"):
-            assert p.grad is None
-            continue
         kept = p.data
 
         def f(v, p=p):
@@ -359,7 +373,9 @@ def test_block_is_one_node_for_the_batch():
 def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch):
     # The backward forms each parameter gradient over the whole batch, not
     # one utterance at a time.
-    block = GlobalBlock(ModelSettings(se_enabled=se_enabled), D, 2, np.random.default_rng(44))
+    block = GlobalBlock(M, D, 2, np.random.default_rng(44))
+    if not se_enabled:
+        constant_gate(block)
     arrays, seeds = batch_inputs((6, 3, 9, 1, 5), D, 45)
     xs = [T.Tensor(a, requires_grad=True) for a in arrays]
     outs = block.forward_batch(xs, training=True, rng=np.random.default_rng(46))
@@ -377,7 +393,7 @@ def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch)
         if p.grad is not None:
             assert calls[id(p)] == 1, name
     assert all(calls[id(x)] == 1 for x in xs)
-    assert sum(p.grad is not None for _, p in block.params()) == (14 if se_enabled else 10)
+    assert sum(p.grad is not None for _, p in block.params()) == 14
 
 
 def test_backward_per_output_of_a_batch_raises():

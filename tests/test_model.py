@@ -165,7 +165,7 @@ def test_param_groups_cover_registry():
     counts = count_parameters(cfg)
     total_by_group = sum(counts.values())
     model = TransducerModel(cfg, seed=13)
-    total_built = sum(p.size for _, p in model.parameters())
+    total_built = sum(p.data.size for _, p in model.parameters())
     assert total_by_group == total_built
 
 

@@ -8,10 +8,11 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.config import ModelSettings
 from convrnnt.errors import DataError, ShapeError
-from convrnnt.rnnt_loss import _frame_blocks, _lattice, _normalisers, build_lattice, rnnt_loss
+from convrnnt.rnnt_loss import _frame_blocks, _lattice, _normalisers, rnnt_loss
 from convrnnt.transducer import Joint
 
 from oracles import (
+    build_lattice,
     fd_gradient,
     lattice_per_frame,
     logit_grad_per_frame,
