@@ -11,6 +11,10 @@ Save -> load -> save is byte-identical: float64 payloads round-trip exactly
 and record order is preserved.  Loading against a different architecture
 hash or another format version fails loudly; version 1 files, whose global
 encoder read the local encoder's output, have the desk shapes and hash.
+
+This module reads and writes the layout only.  Which records a checkpoint
+holds, and what each must contain, is `Trainer`'s: `Trainer.load` checks
+every record before it restores any, so a load that fails changes nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +86,8 @@ def _unpack(fmt: str, f, path):
 
 def load_checkpoint(path, expected_hash: bytes | None = None):
     """Returns (step, {name: array}, rng_state_dict).  A file cut short, with
-    bytes past its RNG state or with text that does not decode raises `DataError`."""
+    bytes past its RNG state, with a record name twice or with text that does
+    not decode raises `DataError`."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
@@ -106,6 +111,8 @@ def load_checkpoint(path, expected_hash: bytes | None = None):
                 shape = _unpack(f"<{ndim}I", f, path)
                 count = int(np.prod(shape)) if shape else 1
                 data = np.frombuffer(_read(f, 8 * count, path), dtype="<f8").reshape(shape)
+                if name in arrays:
+                    raise DataError(f"{path}: record {name} appears twice")
                 arrays[name] = data.copy()
             (rng_len,) = _unpack("<I", f, path)
             rng_state = json.loads(_read(f, rng_len, path).decode("utf-8"))

@@ -38,8 +38,8 @@ def load_manifest(path):
             if "\t" not in line:
                 raise DataError(f"{path}:{lineno}: expected '<wav-path>\\t<transcript>'")
             audio_path, transcript = line.split("\t", 1)
-            if not transcript:
-                raise DataError(f"{path}:{lineno}: empty transcript")
+            if not transcript.split():
+                raise DataError(f"{path}:{lineno}: transcript has no words")
             if not os.path.isabs(audio_path):
                 audio_path = os.path.join(base, audio_path)
             if not os.path.exists(audio_path):

@@ -73,13 +73,6 @@ class BatchNormTime:
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def state(self):
-        return [("running_mean", self.stats.mean), ("running_var", self.stats.var)]
-
-    def load_state(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.stats.mean = mean.copy()
-        self.stats.var = var.copy()
-
 
 class Embedding:
     def __init__(self, n_rows: int, dim: int, rng: np.random.Generator):

@@ -88,17 +88,3 @@ class Adam:
             v *= c.beta2
             v += (1.0 - c.beta2) * (g * g)
             w -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
-
-    def state_arrays(self):
-        """Moment buffers and the step counter, for checkpointing."""
-        out = [("adam.t", np.asarray([float(self.t)]))]
-        for name, _ in self.params:
-            out.append((f"adam.m.{name}", self.m[name]))
-            out.append((f"adam.v.{name}", self.v[name]))
-        return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.t = int(arrays["adam.t"][0])
-        for name, _ in self.params:
-            self.m[name][...] = arrays[f"adam.m.{name}"]
-            self.v[name][...] = arrays[f"adam.v.{name}"]

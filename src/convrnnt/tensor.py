@@ -211,10 +211,6 @@ def records(parents) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -227,7 +223,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     into the GEMM output, and the backward forms `g @ w.T`, `x.T @ g` and the
     bias sum from the incoming gradient rows.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
     x2d = x.data.reshape(-1, w.shape[0])
@@ -271,7 +266,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    x = _as_tensor(x)
     s = _sigmoid(x.data)
     out_data = x.data * s
 
@@ -287,7 +281,6 @@ def swish(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     shape = tuple(shape)
 
     def backward(g):
@@ -298,7 +291,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def permute(x: Tensor, axes) -> Tensor:
-    x = _as_tensor(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
@@ -311,7 +303,7 @@ def permute(x: Tensor, axes) -> Tensor:
 
 def concat(parts, axis: int = 0) -> Tensor:
     """Join tensors along `axis`; a single part is returned as it is."""
-    parts = [_as_tensor(p) for p in parts]
+    parts = list(parts)
     if len(parts) == 1:
         return parts[0]
     sizes = [p.shape[axis] for p in parts]
@@ -357,7 +349,6 @@ def _row_block(x: Tensor, start: int, stop: int) -> Tensor:
 
 def place_rows(x: Tensor, rows, n: int) -> Tensor:
     """[n, D] zeros with row `rows[k]` set to x[k]; the gradient is `g[rows]`."""
-    x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros((n,) + x.shape[1:])
     out[rows] = x.data
@@ -371,7 +362,6 @@ def place_rows(x: Tensor, rows, n: int) -> Tensor:
 
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup (embedding); gradient scatter-adds into the table."""
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
 
     def backward(g):
@@ -390,7 +380,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 def mean(parts) -> Tensor:
     """Mean of scalar tensors as one node, with the bits of `scale(p0 + p1 + ..., 1/n)`
     in the reference ops of `tests/oracles.py`."""
-    parts = [_as_tensor(p) for p in parts]
+    parts = list(parts)
     s = 1.0 / len(parts)
     total = parts[0].data
     for p in parts[1:]:
@@ -421,7 +411,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     Identity in eval mode and at p == 0 (neither consumes the RNG stream,
     so checkpointed RNG state stays aligned across configurations).
     """
-    x = _as_tensor(x)
     keep = dropout_mask(x.shape, p, training, rng)
     if keep is None:
         return x
@@ -518,7 +507,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
     from a gradient that is zero at the dropped positions, and adds each
     block's input gradient into one input-sized buffer.
     """
-    x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 3-D input and 4-D weight, got {x.shape}, {w.shape}")
     c_in, n, f = x.shape
@@ -658,7 +646,6 @@ def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor) -> Te
     forms `g * (1 - t * t)` once and reduces it to the bias, row and weight
     gradients.
     """
-    a, wa, b, wb, bias = (_as_tensor(v) for v in (a, wa, b, wb, bias))
     j = wa.shape[1] if wa.ndim == 2 else -1
     if (a.ndim != 2 or b.ndim != 2 or wa.shape != (a.shape[1], j) or wb.shape != (b.shape[1], j)
             or bias.shape != (j,)):
@@ -717,7 +704,6 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths=None) -> Tensor:
     state.  The backward runs through time over the same blocks, then forms
     the gradients of x, w, u and b as whole-batch GEMMs.
     """
-    x, w, u, b = (_as_tensor(v) for v in (x, w, u, b))
     hid = u.shape[0]
     if (x.ndim != 2 or w.shape != (x.shape[1], 4 * hid) or u.shape != (hid, 4 * hid)
             or b.shape != (4 * hid,)):

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, architecture_hash, resolve_config
 from .data import ensure_toy_corpus, index_utterances, load_manifest
 from .decoding import greedy_decode
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
 from .optim import Adam, lr_at
 from .vocab import Vocab
@@ -146,15 +146,18 @@ class Trainer:
 
     def train(self, max_steps: int | None = None):
         """Run to `max_steps`, logging CSV metrics to `<workdir>/metrics.csv`
-        and checkpointing."""
+        and checkpointing; a resumed run keeps the log's rows up to its step."""
         cfg = self.cfg
         max_steps = max_steps if max_steps is not None else cfg.training.max_steps
         log_path = os.path.join(self.workdir, "metrics.csv")
-        new_log = not os.path.exists(log_path) or self.step == 0
-        with open(log_path, "w" if new_log else "a", newline="") as f:
+        kept = []
+        if self.step > 0 and os.path.exists(log_path):
+            with open(log_path, newline="") as f:
+                kept = [row for row in list(csv.reader(f))[1:] if int(row[0]) <= self.step]
+        with open(log_path, "w", newline="") as f:
             writer = csv.writer(f)
-            if new_log:
-                writer.writerow(["step", "loss", "grad_norm", "lr"])
+            writer.writerow(["step", "loss", "grad_norm", "lr"])
+            writer.writerows(kept)
             while self.step < max_steps:
                 loss, grad_norm = self.train_step()
                 writer.writerow(
@@ -201,42 +204,63 @@ class Trainer:
 
     # -- persistence ---------------------------------------------------------
 
-    def _checkpoint_arrays(self):
-        arrays = list(self.model.parameters())
-        arrays = [(name, p.data) for name, p in arrays]
-        arrays += self.optimizer.state_arrays()
+    def _records(self):
+        """Every checkpoint record as (name, the array in use), in file order:
+        the parameters, the Adam step and moments, the running batch-norm
+        statistics, and the feature normalization stats the model was
+        trained on.  The only place that names a record."""
+        opt, stats = self.optimizer, self.stats
+        records = [(name, p.data) for name, p in self.model.parameters()]
+        records.append(("adam.t", np.asarray([float(opt.t)])))
+        for name, _ in opt.params:
+            records += [(f"adam.m.{name}", opt.m[name]), (f"adam.v.{name}", opt.v[name])]
         for name, bn in self.model.norm_layers():
-            for stat_name, value in bn.state():
-                arrays.append((f"stats.{name}.{stat_name}", value))
-        return arrays + self._norm_stats_arrays()
-
-    def _norm_stats_arrays(self):
-        return [
-            ("normstats.mean", self.stats.mean),
-            ("normstats.var", self.stats.variance),
-            ("normstats.count", np.asarray([float(self.stats.count)])),
+            records += [(f"stats.{name}.running_mean", bn.stats.mean),
+                        (f"stats.{name}.running_var", bn.stats.var)]
+        return records + [
+            ("normstats.mean", stats.mean),
+            ("normstats.var", stats.variance),
+            ("normstats.count", np.asarray([float(stats.count)])),
         ]
 
     def save(self, path) -> None:
-        save_checkpoint(
-            path, self.arch_hash, self.step, self._checkpoint_arrays(),
-            self.rng.bit_generator.state,
-        )
+        save_checkpoint(path, self.arch_hash, self.step, self._records(),
+                        self.rng.bit_generator.state)
 
     def load(self, path) -> None:
+        """Restore a checkpoint, checked in full before anything is written.
+
+        The records must be exactly `_records()`'s, each with the shape in use
+        and only finite values, and `adam.t` must equal the header's step; the
+        RNG state must be a Philox state.  Each mismatch raises `DataError`
+        naming the record; `normstats.*` records that differ from the stats
+        in use raise `ConfigError`.  A load that raises changes nothing.
+        """
         step, arrays, rng_state = load_checkpoint(path, expected_hash=self.arch_hash)
-        for name, value in self._norm_stats_arrays():
-            if not np.array_equal(arrays[name], value):
+        records = self._records()
+        names = {name for name, _ in records}
+        if names != arrays.keys():
+            missing, extra = sorted(names - arrays.keys()), sorted(arrays.keys() - names)
+            raise DataError(f"{path}: records missing {missing}, unexpected {extra}")
+        for name, current in records:
+            value = arrays[name]
+            if value.shape != current.shape or not np.isfinite(value).all():
+                raise DataError(f"{path}: record {name} must hold {current.shape} finite "
+                                f"values, not {value.shape} {value.ravel()[:4]}")
+            if name.startswith("normstats.") and not np.array_equal(value, current):
                 raise ConfigError(
                     f"{path}: {name} differs from the feature normalization stats in use; "
                     "the checkpoint was trained with other stats"
                 )
-        self.step = step
-        for name, p in self.model.parameters():
-            p.data[...] = arrays[name]
-        self.optimizer.load_state_arrays(arrays)
-        for name, bn in self.model.norm_layers():
-            bn.load_state(arrays[f"stats.{name}.running_mean"], arrays[f"stats.{name}.running_var"])
+        if arrays["adam.t"][0] != step:
+            raise DataError(f"{path}: record adam.t is {arrays['adam.t'][0]}, the step is {step}")
+        try:
+            np.random.Philox().state = rng_state
+        except (ValueError, TypeError, LookupError, OverflowError) as e:
+            raise DataError(f"{path}: the RNG state is not a Philox state ({e!r})") from None
+        for name, current in records:
+            current[...] = arrays[name]
+        self.step = self.optimizer.t = step
         self.rng.bit_generator.state = rng_state
 
 

@@ -175,7 +175,6 @@ def sigmoid_masked(z):
 
 
 def matmul(a, b):
-    a, b = T._as_tensor(a), T._as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out_data = a.data @ b.data
@@ -191,7 +190,6 @@ def matmul(a, b):
 
 def add(a, b):
     """Elementwise add; also accepts a trailing-axis bias vector for `b`."""
-    a, b = T._as_tensor(a), T._as_tensor(b)
     if a.shape == b.shape:
         def backward(g):
             if a.requires_grad:
@@ -213,7 +211,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = T._as_tensor(a), T._as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
 
@@ -227,7 +224,6 @@ def mul(a, b):
 
 
 def scale(a, s):
-    a = T._as_tensor(a)
     s = float(s)
 
     def backward(g):
@@ -238,7 +234,6 @@ def scale(a, s):
 
 
 def relu(x):
-    x = T._as_tensor(x)
     out = x.data.copy()
     mask = T.relu_(out)
 
@@ -250,7 +245,6 @@ def relu(x):
 
 
 def sigmoid(x):
-    x = T._as_tensor(x)
     s = T._sigmoid(x.data)
 
     def backward(g):
@@ -261,7 +255,6 @@ def sigmoid(x):
 
 
 def tanh(x):
-    x = T._as_tensor(x)
     t = np.tanh(x.data)
 
     def backward(g):
@@ -272,7 +265,6 @@ def tanh(x):
 
 
 def sum_all(x):
-    x = T._as_tensor(x)
 
     def backward(g):
         if x.requires_grad:
@@ -282,7 +274,6 @@ def sum_all(x):
 
 
 def slice_axis(x, axis, start, stop):
-    x = T._as_tensor(x)
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
@@ -300,7 +291,6 @@ def batchnorm_time(x, gamma, beta, stats, training):
     """Normalize each channel of [C, T] over the time axis, with the batch's
     statistics (folded into `stats`) in training mode and the running ones
     in eval mode."""
-    x, gamma, beta = T._as_tensor(x), T._as_tensor(gamma), T._as_tensor(beta)
     c, _ = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
@@ -321,7 +311,6 @@ def batchnorm_time(x, gamma, beta, stats, training):
 
 def outer_sum(a, b):
     """Broadcast-add [T, J] and [U, J] into [T, U, J] (the joint combiner)."""
-    a, b = T._as_tensor(a), T._as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"outer_sum: incompatible shapes {a.shape}, {b.shape}")
 
@@ -345,7 +334,6 @@ def transpose2d(x):
 
 def pad_zeros(x, pads):
     """Zero-pad with per-axis (before, after) counts; gradient is the crop."""
-    x = T._as_tensor(x)
     pads = tuple((int(a), int(b)) for a, b in pads)
     sl = tuple(slice(a, a + s) for (a, _), s in zip(pads, x.shape))
 
@@ -358,7 +346,6 @@ def pad_zeros(x, pads):
 
 def pad_left_time(x, n, time_axis=-1):
     """Left-pad the time axis with zeros (the causal-convolution shim)."""
-    x = T._as_tensor(x)
     axis = time_axis % x.ndim
     pads = [(0, 0)] * x.ndim
     pads[axis] = (int(n), 0)
@@ -381,7 +368,6 @@ def add_channel_bias(x, bias):
 def conv2d(x, w, bias=None):
     """Valid 2-D cross-correlation tape op by im2col, input [C_in, T, F], weight
     [C_out, C_in, kt, kf]; stride 1, no padding."""
-    x, w = T._as_tensor(x), T._as_tensor(w)
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 3-D input and 4-D weight, got {x.shape}, {w.shape}")
     c_in, t, f = x.shape
@@ -414,7 +400,6 @@ def conv2d(x, w, bias=None):
 
     out = T.from_op(out_data, (x, w), backward)
     if bias is not None:
-        bias = T._as_tensor(bias)
         if bias.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
         out = add_channel_bias(out, bias)
@@ -425,7 +410,6 @@ def lstm(x, w, u, b):
     """Hidden states [T, H] of one LSTM layer over one utterance x [T, n_in],
     from a zero state: one tape node that steps `lstm_cell` frame by frame
     and runs its backward through time one frame row at a time."""
-    x, w, u, b = (T._as_tensor(v) for v in (x, w, u, b))
     hid = u.shape[0]
     t_len = x.shape[0]
     gates = x.data @ w.data + b.data
@@ -549,7 +533,6 @@ def conv1d(x, w, bias=None, dilation=1, groups=1):
     Pointwise mixing is the k=1, groups=1 case; depthwise temporal filtering
     is groups == C_in == C_out.  Output time length is T - (k-1)*dilation.
     """
-    x, w = T._as_tensor(x), T._as_tensor(w)
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d: expected 2-D input and 3-D weight, got {x.shape}, {w.shape}")
     c_in, t = x.shape
@@ -617,7 +600,6 @@ def conv1d(x, w, bias=None, dilation=1, groups=1):
         out = T.from_op(out_data, (x, w), backward_grouped)
 
     if bias is not None:
-        bias = T._as_tensor(bias)
         if bias.shape != (c_out,):
             raise ShapeError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
         out = add_channel_bias(out, bias)
@@ -626,7 +608,6 @@ def conv1d(x, w, bias=None, dilation=1, groups=1):
 
 def prefix_mean(x):
     """Tape op: row i of the output is the mean of input rows 0..i (inclusive)."""
-    x = T._as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"prefix_mean: expected [T, D], got {x.shape}")
     counts = np.arange(1, x.shape[0] + 1, dtype=np.float64)[:, None]

@@ -1,11 +1,15 @@
 import itertools
+import json
+import re
+import shutil
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convrnnt.checkpoint import load_checkpoint
+from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
 from convrnnt.errors import DataError
@@ -29,9 +33,9 @@ def make_trainer(tmp_path_factory):
     generate_toy_corpus(str(corpus))
     count = itertools.count()
 
-    def make():
-        cfg = load_preset("desk", OVERRIDES + [f"data.toy_dir={corpus}"])
-        return Trainer(cfg, str(root / f"run{next(count)}"))
+    def make(workdir=None, overrides=()):
+        cfg = load_preset("desk", OVERRIDES + [f"data.toy_dir={corpus}", *overrides])
+        return Trainer(cfg, workdir or str(root / f"run{next(count)}"))
 
     return make
 
@@ -125,3 +129,96 @@ def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path
     finally:
         tracemalloc.stop()
     assert peak < len(blob) + (1 << 20)
+
+
+def test_resumed_run_logs_each_step_once(make_trainer, tmp_path):
+    every2 = ["training.eval_interval=2"]
+    straight = make_trainer(overrides=every2).train(max_steps=6)
+    first = make_trainer(overrides=every2).train(max_steps=4)
+    shutil.copy(Path(first.workdir) / "checkpoint.bin", tmp_path / "step4.bin")
+    first.train(max_steps=5)
+    # A new trainer in the same workdir resumes from the earlier checkpoint.
+    resumed = make_trainer(first.workdir, every2)
+    resumed.load(tmp_path / "step4.bin")
+    resumed.train(max_steps=6)
+    for name in ("metrics.csv", "checkpoint.bin"):
+        assert (Path(resumed.workdir) / name).read_bytes() == (
+            Path(straight.workdir) / name
+        ).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def step3_checkpoint(make_trainer, tmp_path_factory):
+    trainer = make_trainer()
+    for _ in range(3):
+        trainer.train_step()
+    path = tmp_path_factory.mktemp("step3") / "step3.bin"
+    trainer.save(path)
+    return path, trainer.arch_hash
+
+
+def edited(name, fn):
+    """A corruption that maps record `name` through `fn` (`None` drops it)."""
+
+    def corrupt(records, rng_state):
+        out = [(n, fn(a) if n == name else a) for n, a in records]
+        return [(n, a) for n, a in out if a is not None], rng_state
+
+    return corrupt
+
+
+DEFECTS = [
+    pytest.param("joint.out.bias", edited("joint.out.bias", lambda a: np.full(1, 0.5)),
+                 id="narrow-parameter"),
+    pytest.param("stats.global.block1.norm_in.running_mean",
+                 edited("stats.global.block1.norm_in.running_mean", lambda a: a[:1]),
+                 id="narrow-running-stat"),
+    pytest.param("local.conv0.weight", edited("local.conv0.weight", lambda a: None),
+                 id="missing-record"),
+    pytest.param("joint.out.scale",
+                 lambda records, rng: (records + [("joint.out.scale", np.ones(1))], rng),
+                 id="extra-record"),
+    pytest.param("joint.bias",
+                 lambda records, rng: (records + [r for r in records if r[0] == "joint.bias"], rng),
+                 id="duplicate-record"),
+    pytest.param("adam.m.joint.out.weight", edited("adam.m.joint.out.weight", lambda a: a.T),
+                 id="transposed-moment"),
+    pytest.param("adam.t", edited("adam.t", lambda a: a[:0]), id="empty-step"),
+    pytest.param("adam.t", edited("adam.t", lambda a: np.full(1, np.nan)), id="nan-step"),
+    pytest.param("adam.t", edited("adam.t", lambda a: a + 1), id="step-off-by-one"),
+    pytest.param("fuse.weight", edited("fuse.weight", lambda a: a + np.inf),
+                 id="non-finite-parameter"),
+    pytest.param("RNG state", lambda records, rng: (records, np.random.PCG64(0).state),
+                 id="other-generator"),
+]
+
+
+def trainer_state(trainer):
+    """The step, Adam's step, the RNG state and the bytes of every
+    parameter, moment and running statistic."""
+    opt = trainer.optimizer
+    arrays = {name: p.data for name, p in trainer.model.parameters()}
+    arrays.update({f"m.{name}": m for name, m in opt.m.items()})
+    arrays.update({f"v.{name}": v for name, v in opt.v.items()})
+    for name, bn in trainer.model.norm_layers():
+        arrays.update({f"{name}.mean": bn.stats.mean, f"{name}.var": bn.stats.var})
+    rng = json.dumps(trainer.rng.bit_generator.state, default=lambda a: a.tolist())
+    return (trainer.step, opt.t, rng,
+            {name: (a.shape, a.tobytes()) for name, a in arrays.items()})
+
+
+@pytest.mark.parametrize("name, corrupt", DEFECTS)
+def test_defective_checkpoint_raises_and_changes_nothing(
+        make_trainer, step3_checkpoint, tmp_path, name, corrupt):
+    good, arch_hash = step3_checkpoint
+    step, arrays, rng_state = load_checkpoint(good)
+    records, rng_state = corrupt(list(arrays.items()), rng_state)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, arch_hash, step, records, rng_state)
+
+    trainer = make_trainer()
+    trainer.train_step()  # a state that differs from the file's everywhere
+    before = trainer_state(trainer)
+    with pytest.raises(DataError, match=re.escape(name)):
+        trainer.load(bad)
+    assert trainer_state(trainer) == before

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convrnnt.audio import accumulate_stats
+from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.cli import main
 from convrnnt.config import load_preset
 from convrnnt.data import load_manifest
@@ -121,3 +122,17 @@ def test_cli_eval_reports_a_truncated_checkpoint_or_stats_file(tmp_path, capsys)
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         path.write_bytes(whole)
+
+
+def test_cli_eval_reports_a_wrong_shaped_record(tmp_path, capsys):
+    work = tmp_path / "run"
+    run(capsys, "train", "--config", "desk", "--out", str(work), "--steps", "1")
+    path = work / "checkpoint.bin"
+    arch_hash = path.read_bytes()[8:40]
+    step, arrays, rng_state = load_checkpoint(path)
+    arrays["adam.m.joint.out.weight"] = arrays["adam.m.joint.out.weight"].T
+    save_checkpoint(path, arch_hash, step, arrays.items(), rng_state)
+    assert main(["eval", "--config", "desk", "--out", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "adam.m.joint.out.weight" in err
+    assert "Traceback" not in err

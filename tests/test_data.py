@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,7 @@ def test_manifest_errors(tmp_path):
     p.write_text("/nonexistent/file.wav\thello\n")
     with pytest.raises(DataError):
         load_manifest(p)
+    for blank in (" ", " \t  "):
+        p.write_text(f"/nonexistent/file.wav\t{blank}\n")
+        with pytest.raises(DataError, match=re.escape(f"{p}:1: transcript has no words")):
+            load_manifest(p)

@@ -69,19 +69,6 @@ def test_l2_zero_vs_nonzero_gradient_difference():
     assert np.all(np.abs(moments[1e-6] - moments[0.0] - effect) <= bound)
 
 
-def test_adam_state_roundtrip():
-    p = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam([("p", p)], OptimizerConfig())
-    p.grad = np.ones(3)
-    opt.step(0.001)
-    arrays = dict(opt.state_arrays())
-    opt2 = Adam([("p", p)], OptimizerConfig())
-    opt2.load_state_arrays(arrays)
-    assert opt2.t == opt.t
-    assert np.array_equal(opt2.m["p"], opt.m["p"])
-    assert np.array_equal(opt2.v["p"], opt.v["p"])
-
-
 def test_adam_views_share_the_flat_buffers():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = Tensor(np.array([7.0]), requires_grad=True)

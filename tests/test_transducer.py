@@ -97,7 +97,7 @@ def test_lstm_rejects_mismatched_shapes():
     x, w, u, b = np.zeros((5, 3)), np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(16)
     for args in ((x, w[:2], u, b), (x, w, u[:, :12], b), (x, w, u, b[:12]), (x[0], w, u, b)):
         with pytest.raises(ShapeError):
-            T.lstm(*args)
+            T.lstm(*(T.Tensor(a) for a in args))
 
 
 def test_lstm_state_isolation_bitwise():
