@@ -20,6 +20,7 @@ every record before it restores any, so a load that fails changes nothing.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -50,27 +51,38 @@ def _jsonable(obj):
 
 
 def save_checkpoint(path, arch_hash: bytes, step: int, named_arrays, rng_state) -> None:
+    """Write the file beside `path` under a temporary name, sync it, then move
+    it over `path`: a save that stops part way leaves the previous file as it
+    was, and no temporary file behind."""
     if len(arch_hash) != 32:
         raise ConfigError("architecture hash must be 32 bytes")
     named_arrays = list(named_arrays)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<HH", VERSION, 0))
-        f.write(arch_hash)
-        f.write(struct.pack("<Q", step))
-        f.write(struct.pack("<I", len(named_arrays)))
-        for name, arr in named_arrays:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.tobytes())
-        rng_blob = _canonical_json(_jsonable(rng_state))
-        f.write(struct.pack("<I", len(rng_blob)))
-        f.write(rng_blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<HH", VERSION, 0))
+            f.write(arch_hash)
+            f.write(struct.pack("<Q", step))
+            f.write(struct.pack("<I", len(named_arrays)))
+            for name, arr in named_arrays:
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    f.write(struct.pack("<I", d))
+                f.write(arr.tobytes())
+            rng_blob = _canonical_json(_jsonable(rng_state))
+            f.write(struct.pack("<I", len(rng_blob)))
+            f.write(rng_blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read(f, n: int, path) -> bytes:
@@ -109,8 +121,8 @@ def load_checkpoint(path, expected_hash: bytes | None = None):
                 name = _read(f, name_len, path).decode("utf-8")
                 (ndim,) = _unpack("<B", f, path)
                 shape = _unpack(f"<{ndim}I", f, path)
-                count = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(_read(f, 8 * count, path), dtype="<f8").reshape(shape)
+                data = np.frombuffer(_read(f, 8 * math.prod(shape), path), dtype="<f8")
+                data = data.reshape(shape)
                 if name in arrays:
                     raise DataError(f"{path}: record {name} appears twice")
                 arrays[name] = data.copy()

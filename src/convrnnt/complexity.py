@@ -3,13 +3,16 @@
 Closed-form per-layer costs (exact integer arithmetic throughout):
 
     convolution:  4 * C_in * k^2 * C_out * W * H
-    LSTM stack:   8 * layers * steps * (input + hidden) * hidden
+    LSTM layer:   8 * steps * (input + hidden) * hidden
     attention:    8 * n * d^2  (Q/K/V/O projections) + 4 * n^2 * d (scores)
     feedforward:  4 * n * d * d_ff  (two linear maps, multiply-add = 2 flops)
 
 The transducer encoder (cost linear in sequence length) is counted from the
 `paper` preset, the description the model is built from; its convolutions are
-charged per encoder step, a k_t x k_f kernel as k_t * k_f.  The causal
+charged per encoder step, a k_t x k_f kernel as k_t * k_f.  Each encoder LSTM
+layer is charged at its own input width, read from the layers of the
+zero-weight paper build (`model.zero_weight_model`): the first reads
+`input_dim`, the others the previous layer's projection.  The causal
 attention baseline (quadratic term from self-attention) has no model here and
 is counted from `configs/flops_conformer.cfg`.  Attention and feedforward
 totals are approximate by construction; the comparison is about scaling, not
@@ -24,6 +27,7 @@ from importlib import resources
 
 from .config import load_preset, parse_config_text
 from .errors import ConfigError
+from .model import zero_weight_model
 
 MODEL_NAMES = ("convrnnt", "conformer")
 
@@ -101,8 +105,9 @@ def _convrnnt_layers(n: int):
             + conv_flops(se_b, 1, d, s, 1)
         )
         layers.append(LayerSpec(f"global.block{i} [d{d} dw_k{m.dw_kernel}]", block))
-    name = f"lstm_stack [{m.enc_layers}x{m.enc_hidden}]"
-    layers.append(LayerSpec(name, lstm_flops(m.enc_layers, s, d, m.enc_hidden)))
+    for i, lstm in enumerate(zero_weight_model(cfg).encoder.layers):
+        flops = lstm_flops(1, s, lstm.n_in, lstm.hidden)
+        layers.append(LayerSpec(f"encoder.layer{i} [{lstm.n_in}->{lstm.hidden}]", flops))
     return layers
 
 

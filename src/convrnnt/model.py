@@ -83,10 +83,6 @@ class TransducerModel:
             return []
         return [(f"global.{n}", bn) for n, bn in self.global_enc.norm_layers()]
 
-    def zero_grad(self):
-        for _, p in self._params:
-            p.zero_grad()
-
     # -- forward paths -------------------------------------------------------
 
     def frontend_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
@@ -158,12 +154,18 @@ class _ZeroInit:
         return np.broadcast_to(0.0, size)
 
 
+def zero_weight_model(cfg: RunConfig) -> TransducerModel:
+    """The model of `cfg` with every weight a broadcast view of 0.0: its
+    layers and registry, for reports on configs too big to build for real."""
+    model = TransducerModel.__new__(TransducerModel)
+    model._build(cfg, _ZeroInit())
+    return model
+
+
 def parameter_shapes(cfg: RunConfig):
     """(name, shape) for every trainable tensor, in registry order, read from
     the registry of a model whose weights are never allocated."""
-    model = TransducerModel.__new__(TransducerModel)
-    model._build(cfg, _ZeroInit())
-    return [(name, p.shape) for name, p in model.parameters()]
+    return [(name, p.shape) for name, p in zero_weight_model(cfg).parameters()]
 
 
 # Parameter groups of the report, their registry name prefixes, and the

@@ -33,16 +33,16 @@ class Adam:
     The L2 term enters as an exact 2*l2*w gradient contribution, applied at
     the update so the data gradient in `.grad` stays inspectable.
 
-    The parameters live in one contiguous float64 buffer, `data`: building
-    the optimizer copies each parameter into its span and rebinds the
-    parameter's `.data` to a view of it, so a parameter is from then on
-    written in place, never rebound.  The moments are flat buffers of the
-    same layout; `m` and `v` map each name to its view.  Each step copies
-    every `.grad` into the flat `grad` buffer (a missing gradient counts as
-    zeros) and runs the update over fixed `SLICE`-element spans: its
-    temporaries stay a few spans in size however large the model, and its
-    Python work no longer grows with the number of parameters.  The update
-    is elementwise, so the spans give the bits of a per-parameter loop.
+    The parameters and their gradients live in two contiguous float64
+    buffers, `data` and `grad`: building the optimizer copies each
+    parameter into its span and rebinds its `.data` and `.grad` to views of
+    them, so an optimized parameter's values and gradient are from then on
+    written in place, never rebound (backward adds into `.grad`, which is
+    never `None`; `zero_grad` clears the buffer).  The moments are flat
+    buffers of the same layout; `m` and `v` map each name to its view.  Each
+    step runs the update over fixed `SLICE`-element spans: its temporaries
+    stay a few spans in size however large the model.  The update is
+    elementwise, so the spans give the bits of a per-parameter loop.
     """
 
     def __init__(self, params, cfg: OptimizerConfig):
@@ -54,27 +54,25 @@ class Adam:
         self.grad = np.zeros(n)
         self._m = np.zeros(n)
         self._v = np.zeros(n)
-        self.m, self.v, self._grads = {}, {}, []
+        self.m, self.v = {}, {}
         start = 0
         for name, p in self.params:
             span, shape = slice(start, start + p.data.size), p.data.shape
             self.data[span] = p.data.reshape(-1)
             p.data = self.data[span].reshape(shape)
+            p.grad = self.grad[span].reshape(shape)
             self.m[name] = self._m[span].reshape(shape)
             self.v[name] = self._v[span].reshape(shape)
-            self._grads.append(self.grad[span].reshape(shape))
             start = span.stop
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
 
     def step(self, lr: float) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for (_, p), dst in zip(self.params, self._grads):
-            if p.grad is None:
-                dst.fill(0.0)
-            else:
-                dst[...] = p.grad
         for start in range(0, self.data.size, SLICE):
             span = slice(start, start + SLICE)
             w = self.data[span]

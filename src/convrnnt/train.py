@@ -125,7 +125,8 @@ class Trainer:
         """
         cfg = self.cfg
         batch = self.batch_for_step(self.step + 1)
-        self.model.zero_grad()
+        opt = self.optimizer
+        opt.zero_grad()
         feats = [spec_augment(self._features[u.utt_id], cfg.specaug, self.rng) for u in batch]
         mean_loss, per_utt = self.model.batch_loss(
             feats, [self.tokens[u.utt_id] for u in batch], training=True, rng=self.rng
@@ -138,7 +139,6 @@ class Trainer:
         mean_loss.backward()
         nll_sum = float(sum(per_utt))
         self.step += 1
-        opt = self.optimizer
         opt.step(lr_at(self.step, cfg.optimizer))
         grad_norm = math.sqrt(float(np.einsum("i,i->", opt.grad, opt.grad)))
         l2_term = cfg.optimizer.l2 * float(np.einsum("i,i->", opt.data, opt.data))

@@ -688,7 +688,7 @@ def adam_step_per_parameter(opt, lr):
     bc1 = 1.0 - c.beta1 ** opt.t
     bc2 = 1.0 - c.beta2 ** opt.t
     for name, p in opt.params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if c.l2:
             g = g + 2.0 * c.l2 * p.data
         m = opt.m[name]

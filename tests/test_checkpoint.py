@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convrnnt import checkpoint
 from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
@@ -129,6 +130,33 @@ def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path
     finally:
         tracemalloc.stop()
     assert peak < len(blob) + (1 << 20)
+    # Two dimensions of 2^32 - 1 claim more elements than a 64-bit count holds.
+    assert blob[dim_at - 1] >= 2
+    bad.write_bytes(blob[:dim_at] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[dim_at + 8:])
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(bad)
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(make_trainer, tmp_path, monkeypatch):
+    trainer = make_trainer()
+    trainer.train_step()
+    path = tmp_path / "checkpoint.bin"
+    trainer.save(path)
+    before = path.read_bytes()
+    trainer.train_step()
+
+    def failing_json(obj):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(checkpoint, "_canonical_json", failing_json)
+    with pytest.raises(OSError, match="no space"):
+        trainer.save(path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+    assert path.read_bytes() == before
+    resumed = make_trainer()
+    resumed.load(path)
+    assert resumed.step == 1
 
 
 def test_resumed_run_logs_each_step_once(make_trainer, tmp_path):

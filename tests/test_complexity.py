@@ -64,10 +64,13 @@ def test_convrnnt_layers_pinned_at_1000_frames():
              ("64->64", 136_806_400)]
     expected = [(f"local.conv{i} [{chain} k5]", f) for i, (chain, f) in enumerate(local)]
     expected += [(f"global.block{i} [d192 dw_k3]", 213_931_008) for i in range(1, 7)]
-    expected += [("lstm_stack [7x640]", 9_959_505_920)]
+    # Each encoder LSTM layer at its own input width: 192 features into the
+    # first, the 512-wide projection into the others.
+    expected += [("encoder.layer0 [192->640]", 1_422_786_560)]
+    expected += [(f"encoder.layer{i} [512->640]", 1_970_012_160) for i in range(1, 7)]
     rep = encoder_flops("convrnnt", 1000)
     assert [(l.name, l.flops) for l in rep.per_layer] == expected
-    assert rep.total == 11_937_678_368
+    assert rep.total == 15_221_031_968
 
 
 def test_reports_are_reproducible_bitwise():

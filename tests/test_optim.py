@@ -6,7 +6,7 @@ import pytest
 from convrnnt.config import OptimizerConfig
 from convrnnt.errors import ConfigError
 from convrnnt.optim import SLICE, Adam, lr_at
-from convrnnt.tensor import Tensor
+from convrnnt.tensor import Tensor, linear
 
 
 def test_schedule_pins():
@@ -35,8 +35,8 @@ def test_adam_minimizes_quadratic():
     p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
     opt = Adam([("p", p)], OptimizerConfig(l2=0.0))
     for _ in range(400):
-        p.zero_grad()
-        p.grad = 2.0 * p.data
+        opt.zero_grad()
+        p.grad[...] = 2.0 * p.data
         opt.step(0.05)
     assert np.max(np.abs(p.data)) < 1e-3
 
@@ -46,7 +46,7 @@ def test_l2_injection_is_exactly_2_lambda_w():
     w = rng.standard_normal(16)
     p = Tensor(w.copy(), requires_grad=True)
     opt = Adam([("p", p)], OptimizerConfig(l2=1e-6))
-    p.grad = np.zeros_like(w)
+    p.grad[...] = np.zeros_like(w)
     opt.step(0.0)  # lr 0: parameters untouched, moments expose the gradient
     assert np.array_equal(opt.m["p"], (1.0 - 0.9) * (2.0 * 1e-6 * w))
 
@@ -59,7 +59,7 @@ def test_l2_zero_vs_nonzero_gradient_difference():
     for l2 in (0.0, 1e-6):
         p = Tensor(w.copy(), requires_grad=True)
         opt = Adam([("p", p)], OptimizerConfig(l2=l2))
-        p.grad = g.copy()
+        p.grad[...] = g
         opt.step(0.0)
         moments[l2] = opt.m["p"] / (1.0 - 0.9)
     effect = 2.0 * 1e-6 * w
@@ -77,11 +77,32 @@ def test_adam_views_share_the_flat_buffers():
     assert np.array_equal(opt.data, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
     assert np.shares_memory(a.data, opt.data) and np.shares_memory(b.data, opt.data)
     assert opt.m["a"].base is opt.m["b"].base is not None
-    a.grad = np.ones((2, 3))  # b has no gradient: its span steps on zeros
+    a.grad[...] = np.ones((2, 3))  # b's gradient stays zero: its span steps on zeros
     opt.step(0.1)
     assert np.array_equal(opt.grad, [1.0] * 6 + [0.0])
     assert opt.m["b"][0] == (1.0 - 0.9) * (2.0 * 1e-6 * 7.0)
     assert np.array_equal(opt.data, np.concatenate([a.data.ravel(), b.data]))
+
+
+def test_backward_accumulates_into_the_optimizer_gradient_buffer():
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    opt = Adam([("w", w), ("b", b)], OptimizerConfig())
+    grads = w.grad, b.grad
+    assert np.shares_memory(w.grad, opt.grad) and np.shares_memory(b.grad, opt.grad)
+    assert not opt.grad.any()
+    x = Tensor(rng.standard_normal((4, 3)))
+    seed = rng.standard_normal((4, 2))
+    plain_w = Tensor(w.data.copy(), requires_grad=True)
+    plain_b = Tensor(b.data.copy(), requires_grad=True)
+    linear(x, plain_w, plain_b).backward(seed)
+    for _ in range(2):  # a second backward without zero_grad adds to the first
+        linear(x, w, b).backward(seed)
+    assert w.grad is grads[0] and b.grad is grads[1]
+    assert np.array_equal(opt.grad, np.concatenate([2 * plain_w.grad.ravel(), 2 * plain_b.grad]))
+    opt.zero_grad()
+    assert w.grad is grads[0] and b.grad is grads[1] and not opt.grad.any()
 
 
 @pytest.mark.parametrize("n_params", [4, 64])
@@ -95,7 +116,7 @@ def test_adam_step_allocates_a_few_slices_whatever_the_parameter_count(n_params)
               for i in range(n_params)]
     opt = Adam(params, OptimizerConfig(l2=1e-6))
     for _, p in params:
-        p.grad = rng.standard_normal(size)
+        p.grad[...] = rng.standard_normal(size)
     tracemalloc.start()
     try:
         opt.step(1e-3)

@@ -10,12 +10,12 @@ import pytest
 
 from convrnnt import tensor as T
 from convrnnt import train
-from convrnnt.audio import accumulate_stats, featurize, normalize, read_wav
+from convrnnt.audio import accumulate_stats, featurize, normalize, read_wav, spec_augment
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
 from convrnnt.decoding import greedy_decode
 from convrnnt.errors import DataError
-from convrnnt.model import TransducerModel
+from convrnnt.model import TransducerModel, make_rng
 
 from oracles import adam_step_per_parameter
 
@@ -120,6 +120,39 @@ def test_flat_adam_steps_match_per_parameter_steps_bitwise(corpus, tmp_path):
         assert p.data.tobytes() == q.data.tobytes(), name
         assert flat.optimizer.m[name].tobytes() == ref.optimizer.m[name].tobytes(), name
         assert flat.optimizer.v[name].tobytes() == ref.optimizer.v[name].tobytes(), name
+
+
+def test_parameter_gradients_are_views_of_the_optimizer_buffer(corpus, tmp_path):
+    trainer = train.Trainer(desk(corpus), str(tmp_path / "run"))
+    opt = trainer.optimizer
+    for _ in range(2):
+        trainer.train_step()
+        for name, p in trainer.model.parameters():
+            assert np.shares_memory(p.grad, opt.grad), name
+        flat = np.concatenate([p.grad.ravel() for _, p in trainer.model.parameters()])
+        assert flat.tobytes() == opt.grad.tobytes()
+
+
+def test_optimizer_gradient_equals_a_plain_backward_bitwise(corpus, tmp_path):
+    trainer = train.Trainer(desk(corpus), str(tmp_path / "run"))
+    cfg = trainer.cfg
+    for _ in range(2):
+        trainer.train_step()
+    # The next step's batch, augmentation and dropout, on a model with the
+    # trainer's weights and no optimizer.
+    plain = TransducerModel(cfg, seed=cfg.training.seed + 7)
+    for (_, p), (_, q) in zip(trainer.model.parameters(), plain.parameters()):
+        q.data[...] = p.data
+    rng = make_rng(0)
+    rng.bit_generator.state = trainer.rng.bit_generator.state
+    batch = trainer.batch_for_step(trainer.step + 1)
+    feats = [spec_augment(trainer._features[u.utt_id], cfg.specaug, rng) for u in batch]
+    loss, _ = plain.batch_loss(feats, [trainer.tokens[u.utt_id] for u in batch],
+                               training=True, rng=rng)
+    loss.backward()
+    trainer.train_step()
+    expected = np.concatenate([p.grad.ravel() for _, p in plain.parameters()])
+    assert expected.tobytes() == trainer.optimizer.grad.tobytes()
 
 
 def test_logged_grad_norm_and_l2_term_match_per_parameter_sums(corpus, tmp_path, monkeypatch):
