@@ -21,9 +21,15 @@ A batch runs packed from the input features to the encoder output: the
 [N, input_dim] rows (N = sum T_i), with the lengths beside them.  The local
 encoder, the fusion, and the audio and label LSTM stacks each make one
 node per layer for the whole batch; the global blocks read the utterances'
-feature tensors and return one tensor each; the joint and the loss run on
-per-utterance row blocks of the packed outputs, and their mean is one
-node.  The label encoder and the joint are used as they are, as
+feature tensors and return one tensor each.  The joint and the loss run on
+packed cells: the joint pairs the packed encoder rows with the packed label
+rows into every utterance's T_i x (U_i+1) logit rows, [sum T_i (U_i+1),
+V+1] with no padding, and the loss takes those rows to the batch's mean
+nll, two joint nodes and one loss node per batch.  Their elementwise work
+runs once per batch; their GEMMs and row-group reductions run per
+utterance on views, because a GEMM's bits depend on how its rows are
+grouped, so each utterance's nll has the bits of the joint and loss on its
+rows alone.  The label encoder and the joint are used as they are, as
 `label_encoder` and `joint`.
 """
 
@@ -133,12 +139,8 @@ class TransducerModel:
         lengths = [x.shape[0] for x in xs]
         enc = self.encoder(self.frontend_batch(xs, training, rng), lengths, training, rng)
         pred = self.label_encoder(*tokens_list, training=training, rng=rng)
-        pred_rows = T.split_rows(pred, [len(tokens) + 1 for tokens in tokens_list])
-        losses = [
-            rnnt_loss(self.joint(e, p), tokens)
-            for e, p, tokens in zip(T.split_rows(enc, lengths), pred_rows, tokens_list)
-        ]
-        return T.mean(losses), [float(l.data) for l in losses]
+        logits = self.joint(enc, pred, (lengths, [len(tokens) + 1 for tokens in tokens_list]))
+        return rnnt_loss(logits, tokens_list, lengths)
 
 
 # ---------------------------------------------------------------------------

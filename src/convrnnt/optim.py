@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .config import OptimizerConfig
-from .errors import ConfigError
+from .errors import ConfigError, TrainingError
 
 SLICE = 1 << 14  # elements per span of the Adam update; bounds its temporaries
 
@@ -43,6 +43,11 @@ class Adam:
     step runs the update over fixed `SLICE`-element spans: its temporaries
     stay a few spans in size however large the model.  The update is
     elementwise, so the spans give the bits of a per-parameter loop.
+
+    A step first checks that each parameter's `.data` and `.grad` are still
+    the views it bound: `Tensor.zero_grad` or an assignment to `.grad` would
+    otherwise leave backward writing where no step reads.  A rebound
+    parameter raises `TrainingError` naming it, before anything is updated.
     """
 
     def __init__(self, params, cfg: OptimizerConfig):
@@ -55,12 +60,14 @@ class Adam:
         self._m = np.zeros(n)
         self._v = np.zeros(n)
         self.m, self.v = {}, {}
+        self._views = []
         start = 0
         for name, p in self.params:
             span, shape = slice(start, start + p.data.size), p.data.shape
             self.data[span] = p.data.reshape(-1)
             p.data = self.data[span].reshape(shape)
             p.grad = self.grad[span].reshape(shape)
+            self._views.append((p.data, p.grad))
             self.m[name] = self._m[span].reshape(shape)
             self.v[name] = self._v[span].reshape(shape)
             start = span.stop
@@ -69,6 +76,13 @@ class Adam:
         self.grad.fill(0.0)
 
     def step(self, lr: float) -> None:
+        for (name, p), (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise TrainingError(
+                    f"parameter {name}: its .data or .grad is no longer a view of the "
+                    "optimizer's buffers (rebound by zero_grad or an assignment), so "
+                    "its gradient would not reach the update"
+                )
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t

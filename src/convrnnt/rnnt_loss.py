@@ -10,17 +10,29 @@ with respect to the pre-softmax logits comes from posterior path occupancies:
 Minus infinity is represented by a large negative sentinel that logaddexp
 absorbs without producing NaNs.
 
-`rnnt_loss` is the tape node the model trains with.  Besides the logits it
-is given, its forward keeps only [T, U+1]-sized arrays: the per-row max and
-log-normaliser, the blank and label log-probabilities and the alpha/beta
-lattice.  No normalized copy of the [T, U+1, V+1] logits is made.  Its
-backward forms the logit gradient once into one fresh buffer, which
-`Tensor.adopt_grad` makes the logits' first `.grad` without a copy.  Both
-the normaliser and the gradient pass run over blocks of consecutive frames
-whose [U+1, V+1] rows fit in BLOCK_BYTES together: a short utterance is one
-block, while a frame at paper width (about 620 KB) is a block of its own, so
-no temporary exceeds one block.  The recursions take the prefix sums of
-every frame's label log-probabilities once, before they start.
+`rnnt_loss` is the tape node the model trains with.  It takes one
+utterance's [T, U+1, V+1] logits, or the packed cells of a batch as the
+packed `Joint` gives them: each utterance's T_i x (U_i+1) cells in (t, u)
+row-major order, utterance after utterance, as [sum T_i (U_i+1), V+1] rows
+with no padding, beside the transcripts and the frame counts T_i.  Either
+way it is one node whose value is the mean nll, and its work runs once per
+call, not once per utterance: the blank and label log-probabilities are
+gathered for every cell, and both recursions run across the utterances at
+once on padded [T_max, B, U_max+1] lattices, alpha's aligned at each
+utterance's start and beta's at its end (frame T_i - 1 and label row U_i
+first), so every utterance's scans start at step 0.  Each step is
+elementwise or reduces one row, so every utterance gets the nll and
+gradient bits of a call on its own logits.  A row whose max is NaN or
+infinite raises `DataError` naming its utterance.
+
+Besides the logits, the forward keeps only per-cell arrays; no normalized
+copy of the logits is made.  The backward forms the logit gradient once
+into one fresh buffer, which `Tensor.adopt_grad` makes the logits' first
+`.grad` without a copy.  The normaliser and gradient passes run over blocks
+of consecutive rows within BLOCK_BYTES: whole frames of one utterance's
+input (a frame at paper width, about 620 KB, is a block of its own), single
+cells of packed input, so no temporary exceeds one block.  The prefix sums
+of each row's label log-probabilities are taken once, before the scans.
 """
 
 from __future__ import annotations
@@ -30,158 +42,239 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .tensor import Tensor
 from .vocab import label_ids
 
 NEG_INF = -1.0e30
-BLOCK_BYTES = 1 << 20  # float64 bytes of [U+1, V+1] rows one frame block may take
+BLOCK_BYTES = 1 << 20  # float64 bytes of [*, V+1] rows one block may take
+
+
+@dataclass
+class Cells:
+    """Where the packed cells sit: cell c is frame t[c] and label row u[c] of
+    utterance utt[c]."""
+    utt: np.ndarray      # [C]
+    t: np.ndarray        # [C]
+    u: np.ndarray        # [C]
+    t_lens: np.ndarray   # [B] frames T_i
+    u_lens: np.ndarray   # [B] labels U_i
+    last: np.ndarray     # [B] each utterance's final cell (T_i - 1, U_i)
+    labels: np.ndarray   # [L] the cells with u < U_i, which emit a label, ascending
+    ids: np.ndarray      # [L] the label id each of them emits
 
 
 @dataclass
 class AlignmentLattice:
-    log_probs_blank: np.ndarray  # [T, U+1]
-    log_probs_label: np.ndarray  # [T, U]
-    alpha: np.ndarray            # [T, U+1]
-    beta: np.ndarray             # [T, U+1]
-
-    @property
-    def log_likelihood(self) -> float:
-        t_last, u_last = self.alpha.shape[0] - 1, self.alpha.shape[1] - 1
-        return float(self.alpha[t_last, u_last] + self.log_probs_blank[t_last, u_last])
+    log_probs_blank: np.ndarray  # [C]
+    log_probs_label: np.ndarray  # [L]
+    alpha: np.ndarray            # [C]
+    beta: np.ndarray             # [C]
+    log_likelihood: np.ndarray   # [B]
 
 
 def _scan(r: np.ndarray, c: np.ndarray) -> None:
-    """In place, r <- logaddexp.accumulate(r - c) + c.
+    """In place along the last axis, r <- logaddexp.accumulate(r - c) + c.
 
     With r holding base and c[u] = sum(chain[:u]), this solves
     r[u] = logaddexp(base[u], r[u-1] + chain[u-1]) in one vector pass: a
-    running logaddexp over base - c.  Run on reversed views it scans right
+    running logaddexp over base - c.  Run on reversed rows it scans right
     to left.
     """
     r -= c
-    np.logaddexp.accumulate(r, out=r)
+    np.logaddexp.accumulate(r, axis=-1, out=r)
     r += c
 
 
-def _frame_blocks(z: np.ndarray):
-    """Slices of consecutive frames of the [T, U+1, V+1] input, as many per
-    block as fit in BLOCK_BYTES of float64 (at least one)."""
-    t_len, u_rows, n_sym = z.shape
-    size = max(1, BLOCK_BYTES // (u_rows * n_sym * 8))
-    return [slice(t, t + size) for t in range(0, t_len, size)]
+def _blocks(z: np.ndarray, unit: int):
+    """Slices of consecutive rows of the [C, V+1] input, whole units of `unit`
+    rows each, as many units per block as fit in BLOCK_BYTES of float64 (at
+    least one)."""
+    size = max(1, BLOCK_BYTES // (unit * z.shape[1] * 8)) * unit
+    return [slice(r, r + size) for r in range(0, z.shape[0], size)]
 
 
-def _checked_labels(z: np.ndarray, labels) -> np.ndarray:
-    """The transcript as int64 ids after checking it against the [T, U+1, V+1] input."""
-    labels = np.asarray(labels)
-    if z.ndim != 3 or labels.ndim != 1:
+def _checked(z: np.ndarray, labels, lengths):
+    """The input as [C, V+1] rows after checking it, the transcripts as int64
+    ids, the frame counts and the rows of a block unit: a frame of one
+    utterance's [T, U+1, V+1] input (lengths None), a cell of packed input."""
+    unit = 1
+    if lengths is None:
+        labels = np.asarray(labels)
+        if z.ndim != 3 or labels.ndim != 1:
+            raise ShapeError(
+                f"want [T, U+1, V+1] joint output and U labels, got {z.shape} and {labels.shape}"
+            )
+        if z.shape[1] != labels.size + 1:
+            raise ShapeError(f"joint output has {z.shape[1]} label rows, want {labels.size + 1}")
+        unit = z.shape[1]
+        z, labels, lengths = z.reshape(-1, z.shape[2]), [labels], [z.shape[0]]
+    labels = [np.asarray(tokens) for tokens in labels]
+    if z.ndim != 2 or not lengths or len(labels) != len(lengths) or any(
+            tokens.ndim != 1 for tokens in labels):
         raise ShapeError(
-            f"want [T, U+1, V+1] joint output and U labels, got {z.shape} and {labels.shape}"
+            f"want [sum T_i (U_i+1), V+1] packed cells and one transcript per frame count, "
+            f"got {z.shape}, {len(labels)} transcripts and {len(lengths)} frame counts"
         )
-    t_len, u_rows, n_sym = z.shape
-    if u_rows != labels.size + 1:
-        raise ShapeError(f"joint output has {u_rows} label rows, want {labels.size + 1}")
-    if t_len < 1:
-        raise ShapeError("need at least one frame")
-    return label_ids(labels, n_sym - 1)
+    t_lens = [int(t) for t in lengths]
+    if min(t_lens) < 1:
+        raise ShapeError(f"every utterance needs at least one frame, got {t_lens}")
+    ids = [label_ids(tokens, z.shape[1] - 1) for tokens in labels]
+    n_cells = sum(t * (tokens.size + 1) for t, tokens in zip(t_lens, ids))
+    if z.shape[0] != n_cells:
+        raise ShapeError(f"{z.shape[0]} packed cells, want sum T_i (U_i+1) = {n_cells}")
+    return z, ids, t_lens, unit
 
 
-def _normalisers(z: np.ndarray):
-    """Per-row max m and log-normaliser log sum exp(z - m), each [T, U+1].
+def _cells(ids, t_lens) -> Cells:
+    u_lens = np.array([tokens.size for tokens in ids], dtype=np.int64)
+    t_lens = np.array(t_lens, dtype=np.int64)
+    rows = u_lens + 1
+    counts = t_lens * rows
+    ends = np.cumsum(counts)
+    utt = np.repeat(np.arange(len(ids)), counts)
+    t, u = np.divmod(np.arange(ends[-1]) - np.repeat(ends - counts, counts), rows[utt])
+    labels = np.flatnonzero(u < u_lens[utt])
+    first_id = np.cumsum(u_lens) - u_lens
+    return Cells(utt, t, u, t_lens, u_lens, ends - 1, labels,
+                 np.concatenate(ids)[first_id[utt[labels]] + u[labels]])
 
-    The exponentials are taken one frame block at a time, so no temporary
-    larger than BLOCK_BYTES (or one frame) is made.
+
+def _normalisers(z: np.ndarray, cells: Cells, unit: int):
+    """Per-row max m and log-normaliser log sum exp(z - m), each [C].
+
+    A row whose max is NaN or infinite raises `DataError` before any
+    exponential is taken.  The exponentials are taken one block at a time,
+    so no temporary larger than BLOCK_BYTES (or one unit) is made.
     """
     m = z.max(axis=-1)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        c = bad[0]
+        raise DataError(
+            f"utterance {cells.utt[c]}: the logits of frame {cells.t[c]}, label row "
+            f"{cells.u[c]} have a non-finite max ({m[c]})"
+        )
     lse = np.empty_like(m)
-    for b in _frame_blocks(z):
-        lse[b] = np.log(np.exp(z[b] - m[b][..., None]).sum(axis=-1))
+    for b in _blocks(z, unit):
+        lse[b] = np.log(np.exp(z[b] - m[b][:, None]).sum(axis=-1))
     return m, lse
 
 
-def _lattice(z: np.ndarray, m: np.ndarray, lse: np.ndarray, labels: np.ndarray) -> AlignmentLattice:
-    """Gather the blank and label log-probs (z - m) - lse and run both recursions."""
-    t_len, u_rows, _ = z.shape
-    u_len = u_rows - 1
-    blank_lp = (z[:, :, 0] - m) - lse
-    label_lp = (z[:, np.arange(u_len), labels] - m[:, :-1]) - lse[:, :-1]
-    # Prefix sums of every frame's label log-probs, taken once: row t of fwd
-    # is [0, cumsum(label_lp[t])], row t of rev the same over label_lp[t, ::-1].
-    fwd = np.zeros((t_len, u_rows))
-    rev = np.zeros((t_len, u_rows))
-    np.cumsum(label_lp, axis=1, out=fwd[:, 1:])
-    np.cumsum(label_lp[:, ::-1], axis=1, out=rev[:, 1:])
+def _lattice(z: np.ndarray, m: np.ndarray, lse: np.ndarray, cells: Cells) -> AlignmentLattice:
+    """Gather the blank and label log-probs (z - m) - lse and run both
+    recursions, for every utterance at once."""
+    utt, t, u, labels = cells.utt, cells.t, cells.u, cells.labels
+    blank_lp = (z[:, 0] - m) - lse
+    label_lp = (z[labels, cells.ids] - m[labels]) - lse[labels]
 
-    alpha = np.empty((t_len, u_rows))
+    # Flat positions of every cell in the padded [T_max, B, U_max+1] lattices,
+    # aligned at each utterance's start and at its end.  Padding holds zeros
+    # or what the scans make of them; no cell reads it.
+    n_utt = cells.t_lens.size
+    grid = (int(cells.t_lens.max()), n_utt, int(cells.u_lens.max()) + 1)
+    at_start = (t * n_utt + utt) * grid[2] + u
+    at_end = ((cells.t_lens[utt] - 1 - t) * n_utt + utt) * grid[2] + cells.u_lens[utt] - u
+
+    def spread(values, at):
+        out = np.zeros(grid)
+        out.reshape(-1)[at] = values
+        return out
+
+    blank_fwd = spread(blank_lp, at_start)
+    blank_rev = spread(blank_lp, at_end)
+    # Prefix sums of every frame's label log-probs, taken once: row t of
+    # utterance i in fwd is [0, cumsum(label_lp_i[t])], in rev (counted from
+    # the end) the same over label_lp_i[t, ::-1].
+    fwd = np.zeros(grid)
+    rev = np.zeros(grid)
+    np.cumsum(spread(label_lp, at_start[labels])[..., :-1], axis=-1, out=fwd[..., 1:])
+    np.cumsum(spread(label_lp, at_end[labels] - 1)[..., :-1], axis=-1, out=rev[..., 1:])
+
+    alpha = np.empty(grid)
     alpha[0] = fwd[0]
-    for t in range(1, t_len):
-        np.add(alpha[t - 1], blank_lp[t - 1], out=alpha[t])
-        _scan(alpha[t], fwd[t])
+    for s in range(1, grid[0]):
+        np.add(alpha[s - 1], blank_fwd[s - 1], out=alpha[s])
+        _scan(alpha[s], fwd[s])
 
-    # Beta rows are written reversed, so the right-to-left scan runs as a
-    # left-to-right one over rev; the last row starts from the final blank.
-    beta = np.empty((t_len, u_rows))
-    last = beta[t_len - 1, ::-1]
-    last.fill(NEG_INF)
-    last[0] = blank_lp[t_len - 1, u_len]
-    _scan(last, rev[t_len - 1])
-    for t in range(t_len - 2, -1, -1):
-        np.add(beta[t + 1, ::-1], blank_lp[t, ::-1], out=beta[t, ::-1])
-        _scan(beta[t, ::-1], rev[t])
+    # Beta runs over the end-aligned lattice, so its right-to-left scans run
+    # left to right over rev; each utterance's first row starts from its
+    # final blank.
+    beta = np.empty(grid)
+    beta[0].fill(NEG_INF)
+    beta[0, :, 0] = blank_rev[0, :, 0]
+    _scan(beta[0], rev[0])
+    for s in range(1, grid[0]):
+        np.add(beta[s - 1], blank_rev[s], out=beta[s])
+        _scan(beta[s], rev[s])
 
-    return AlignmentLattice(blank_lp, label_lp, alpha, beta)
+    alpha = alpha.reshape(-1)[at_start]
+    return AlignmentLattice(blank_lp, label_lp, alpha, beta.reshape(-1)[at_end],
+                            alpha[cells.last] + blank_lp[cells.last])
 
 
-def _occupancies(lat: AlignmentLattice):
-    """Posterior occupancies of each blank [T, U+1], each label [T, U] and each node."""
-    t_len, u_rows = lat.alpha.shape
-    u_len = u_rows - 1
-    log_z = lat.log_likelihood
-    # A blank at (t, u) continues at (t+1, u); the final blank at (T-1, U)
-    # terminates with no continuation cost.
-    beta_next_t = np.full((t_len, u_rows), NEG_INF)
-    beta_next_t[:-1] = lat.beta[1:]
-    beta_next_t[t_len - 1, u_len] = 0.0
+def _occupancies(cells: Cells, lat: AlignmentLattice):
+    """Posterior occupancies of each cell's blank [C], each label [L] and each cell [C]."""
+    utt, labels = cells.utt, cells.labels
+    log_z = lat.log_likelihood[utt]
+    # A blank at (t, u) continues at (t+1, u), U_i + 1 cells on; the final
+    # blank at (T_i-1, U_i) terminates with no continuation cost.
+    inner = np.flatnonzero(cells.t < cells.t_lens[utt] - 1)
+    beta_next_t = np.full(utt.size, NEG_INF)
+    beta_next_t[inner] = lat.beta[inner + cells.u_lens[utt[inner]] + 1]
+    beta_next_t[cells.last] = 0.0
     occ_blank = np.exp(lat.alpha + lat.log_probs_blank + beta_next_t - log_z)
-    occ_label = np.exp(lat.alpha[:, :-1] + lat.log_probs_label + lat.beta[:, 1:] - log_z)
+    occ_label = np.exp(lat.alpha[labels] + lat.log_probs_label + lat.beta[labels + 1]
+                       - log_z[labels])
     occ_total = occ_blank.copy()
-    occ_total[:, :-1] += occ_label
+    occ_total[labels] += occ_label
     return occ_blank, occ_label, occ_total
 
 
-def _logit_grad(z, m, lse, labels, lat: AlignmentLattice, g: float) -> np.ndarray:
-    """g times the nll gradient w.r.t. z, formed one frame block at a time
-    into one fresh buffer.
+def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, unit: int, g: float) -> np.ndarray:
+    """g times the nll gradient w.r.t. z [C, V+1], formed one block of rows
+    at a time into one fresh buffer.
 
-    Each frame t is exp((z[t] - m[t]) - lse[t]) * occ_total[t] minus the
-    blank and label occupancies, then scaled by g; a block does this for its
-    frames at once, in place in its span of the buffer.  A non-positive g
-    can leave -0.0 entries, which `Tensor.adopt_grad` turns into +0.0.
+    Each row is exp((z - m) - lse) * occ_total minus the blank and label
+    occupancies, then scaled by g; a block does this for its rows at once,
+    in place in its span of the buffer.  A non-positive g can leave -0.0
+    entries, which `Tensor.adopt_grad` turns into +0.0.
     """
-    occ_blank, occ_label, occ_total = _occupancies(lat)
-    rows = np.arange(labels.size)
+    occ_blank, occ_label, occ_total = _occupancies(cells, lat)
     grad = np.empty(z.shape)
-    for b in _frame_blocks(z):
+    for b in _blocks(z, unit):
         gb = grad[b]
-        np.subtract(z[b], m[b][..., None], out=gb)
-        gb -= lse[b][..., None]
+        np.subtract(z[b], m[b][:, None], out=gb)
+        gb -= lse[b][:, None]
         np.exp(gb, out=gb)
-        gb *= occ_total[b][..., None]
-        gb[..., 0] -= occ_blank[b]
-        gb[:, rows, labels] -= occ_label[b]
+        gb *= occ_total[b][:, None]
+        gb[:, 0] -= occ_blank[b]
+        k = slice(*np.searchsorted(cells.labels, (b.start, b.stop)))
+        gb[cells.labels[k] - b.start, cells.ids[k]] -= occ_label[k]
         gb *= g
     return grad
 
 
-def rnnt_loss(logits: Tensor, labels) -> Tensor:
-    """Tape node: scalar loss from raw joint logits [T, U+1, V+1]; blank is id 0."""
-    z = logits.data
-    labels = _checked_labels(z, labels)
-    m, lse = _normalisers(z)
-    lat = _lattice(z, m, lse, labels)
+def rnnt_loss(logits: Tensor, labels, lengths=None):
+    """Tape node: the transducer loss from raw joint logits; blank is id 0.
+
+    With `lengths` None, `logits` are one utterance's [T, U+1, V+1] and
+    `labels` its U ids; returns its scalar nll.  Otherwise `logits` are the
+    packed cells [sum T_i (U_i+1), V+1] of a batch, `labels` its
+    transcripts and `lengths` their frame counts T_i; returns the mean nll
+    as one scalar node, with the bits of summing the nlls in order and
+    scaling by 1/B, and the list of per-utterance nlls.
+    """
+    z, ids, t_lens, unit = _checked(logits.data, labels, lengths)
+    cells = _cells(ids, t_lens)
+    m, lse = _normalisers(z, cells, unit)
+    lat = _lattice(z, m, lse, cells)
+    nll = -lat.log_likelihood
+    s = 1.0 / nll.size
 
     def backward(g):
-        logits.adopt_grad(_logit_grad(z, m, lse, labels, lat, float(g)))
+        grad = _logit_grad(z, m, lse, cells, lat, unit, float(g) * s)
+        logits.adopt_grad(grad.reshape(logits.shape))
 
-    return T.from_op(np.asarray(-lat.log_likelihood), (logits,), backward)
+    loss = T.from_op(np.asarray(np.cumsum(nll)[-1] * s), (logits,), backward)
+    return loss if lengths is None else (loss, nll.tolist())

@@ -25,9 +25,12 @@ The local encoder and the LSTM stacks carry a batch as packed rows: the
 frames of every utterance concatenated in order, N = sum of T_i rows, with
 the list of lengths T_i beside them.  The ops that mix frames over time
 (`conv2d` and `lstm`) take those lengths, keep each utterance to its own
-frames, and treat None as one utterance of all rows; every other op is
-per row and needs no lengths.  `split_rows` cuts packed rows back into one
-block per utterance for the per-utterance joint and loss.
+frames, and treat None as one utterance of all rows.  `linear` and
+`outer_tanh` take lengths for the joint, whose batch runs packed too, only
+to keep each utterance's GEMMs and sums on its own rows: a GEMM's bits
+depend on how its rows are grouped.  Every other op is per row and needs
+no lengths.  `split_rows` cuts packed rows back into one block per
+utterance for the global blocks.
 
 These ops are fused, each one tape node for a whole batch:
 
@@ -48,17 +51,17 @@ These ops are fused, each one tape node for a whole batch:
   joint's logits is not copied on the way back; its backward keeps the
   output's shape, not the output.
 - `outer_tanh` is the joint's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)`
-  over [T, U, J]; it keeps only the tanh output and forms `g * (1 - t * t)`
-  once in backward.
-- `mean` averages the per-utterance losses of a batch.
+  over [T, U, J], or over the packed cells of a batch; it keeps only the
+  tanh output and forms `g * (1 - t * t)` once in backward.
 - `global_encoder.GlobalBlock.forward_batch` is one node per global block for
   the whole batch (pointwise, depthwise, batch-norm, squeeze-excite, dropout
   and residual).  It builds on `batchnorm_normalize` and `batchnorm_backward`,
   which the reference `batchnorm_time` shares, and on `dropout_mask`, which
   `dropout` shares.
 
-`linear`, `outer_tanh` and `mean` have the bits of the composition of the
-reference ops they replace, gradients included.  The global block has the
+`linear` and `outer_tanh` have the bits of the composition of the
+reference ops they replace, gradients included.  With lengths, each
+utterance keeps those bits.  The global block has the
 forward bits of its composition.  Its gradients, formed over the whole batch at
 once, and `conv2d` and `lstm` agree with their per-utterance compositions
 in `tests/oracles.py` to rounding: their GEMMs sum in another order.
@@ -215,18 +218,26 @@ def records(parents) -> bool:
 # linear algebra
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
     """`x @ w + b` over the last axis of x [..., n_in], with w [n_in, n_out].
 
     One tape node with the bits of `add(matmul(x2d, w), b)`, composed of the
     reference ops in `tests/oracles.py`: the forward adds the bias in place
     into the GEMM output, and the backward forms `g @ w.T`, `x.T @ g` and the
-    bias sum from the incoming gradient rows.
+    bias sum from the incoming gradient rows.  With `lengths`, the row counts
+    of the utterances whose rows x2d packs, every GEMM and the bias sum run on
+    one utterance's rows at a time, and the weight and bias gradients add up
+    last utterance first: each utterance keeps the bits of a call on its rows
+    alone, and the parameters those of one such call per utterance, made in
+    order.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
     x2d = x.data.reshape(-1, w.shape[0])
-    out = x2d @ w.data
+    spans = _spans(lengths, x2d.shape[0], "linear")
+    out = np.empty((x2d.shape[0], w.shape[1]))
+    for a, e in spans:
+        np.matmul(x2d[a:e], w.data, out=out[a:e])
     out += b.data
     # The backward keeps the shape, not the output (the joint's logits).
     shape2d = out.shape
@@ -234,11 +245,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g2d = g.reshape(shape2d)
         if x.requires_grad:
-            x.adopt_grad((g2d @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w.adopt_grad(x2d.T @ g2d)
-        if b.requires_grad:
-            b.accumulate_grad(g2d.sum(axis=0))
+            gx = np.empty(x2d.shape)
+            for a, e in spans:
+                np.matmul(g2d[a:e], w.data.T, out=gx[a:e])
+            x.adopt_grad(gx.reshape(x.shape))
+        for a, e in reversed(spans):
+            if w.requires_grad:
+                w.adopt_grad(x2d[a:e].T @ g2d[a:e])
+            if b.requires_grad:
+                b.accumulate_grad(g2d[a:e].sum(axis=0))
 
     return from_op(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), backward)
 
@@ -327,6 +342,14 @@ def _lengths(lengths, n: int, op: str) -> list:
     return lengths
 
 
+def _spans(lengths, n: int, op: str) -> list:
+    """The (start, stop) rows of each utterance of n packed rows; None is one of all n."""
+    if lengths is None:
+        return [(0, n)]
+    ends = np.cumsum(_lengths(lengths, n, op)).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
 def split_rows(x: Tensor, lengths) -> list:
     """The row blocks of packed x [N, ...], one per length; one block is x itself."""
     if len(lengths) == 1:
@@ -374,24 +397,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and normalizations
-
-
-def mean(parts) -> Tensor:
-    """Mean of scalar tensors as one node, with the bits of `scale(p0 + p1 + ..., 1/n)`
-    in the reference ops of `tests/oracles.py`."""
-    parts = list(parts)
-    s = 1.0 / len(parts)
-    total = parts[0].data
-    for p in parts[1:]:
-        total = total + p.data
-
-    def backward(g):
-        for p in parts:
-            if p.requires_grad:
-                p.accumulate_grad(g * s)
-
-    return from_op(total * s, parts, backward)
+# dropout and normalizations
 
 
 def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
@@ -637,14 +643,23 @@ def batchnorm_backward(g, xhat, inv_std, gamma, training: bool):
 # sequence-specific ops
 
 
-def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor) -> Tensor:
+def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """`tanh(outer_sum(a @ wa, b @ wb) + bias)`: [T, J] and [U, J] rows into [T, U, J].
 
     One tape node with the bits of those five reference ops (in
-    `tests/oracles.py`) that keeps only the [T, U, J] tanh output: the sum,
-    the bias add and the tanh run in place in one buffer, and the backward
-    forms `g * (1 - t * t)` once and reduces it to the bias, row and weight
+    `tests/oracles.py`) that keeps only the tanh output: the sum, the bias
+    add and the tanh run in place in one buffer, and the backward forms
+    `g * (1 - t * t)` once and reduces it to the bias, row and weight
     gradients.
+
+    With `lengths`, a pair of row-count lists (T_i) and (U_i), a and b pack
+    the rows of several utterances, and the output packs their cells as
+    [sum T_i U_i, J]: utterance i's T_i x U_i cells in (t, u) row-major order
+    follow those of the utterances before it.  The bias add, the tanh and
+    `g * (1 - t * t)` run once over all cells.  The GEMMs, the outer sums and
+    the reductions run per utterance on views, and the parameter gradients
+    add up last utterance first, so each utterance has the bits of a call on
+    its rows alone.
     """
     j = wa.shape[1] if wa.ndim == 2 else -1
     if (a.ndim != 2 or b.ndim != 2 or wa.shape != (a.shape[1], j) or wb.shape != (b.shape[1], j)
@@ -653,25 +668,46 @@ def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor) -> Te
             f"outer_tanh: incompatible shapes a {a.shape}, wa {wa.shape}, b {b.shape}, "
             f"wb {wb.shape}, bias {bias.shape}"
         )
-    pa = a.data @ wa.data
-    pb = b.data @ wb.data
-    t = pa[:, None, :] + pb[None, :, :]
+    a_lengths, b_lengths = (None, None) if lengths is None else lengths
+    a_spans = _spans(a_lengths, a.shape[0], "outer_tanh")
+    b_spans = _spans(b_lengths, b.shape[0], "outer_tanh")
+    if len(a_spans) != len(b_spans):
+        raise ShapeError(f"outer_tanh: {len(a_spans)} utterances of a rows, {len(b_spans)} of b rows")
+    cells = [(a1 - a0) * (b1 - b0) for (a0, a1), (b0, b1) in zip(a_spans, b_spans)]
+    # Per utterance: its a rows, its b rows and its [T_i, U_i, J] view of the cells.
+    groups = list(zip(a_spans, b_spans, _spans(cells, sum(cells), "outer_tanh")))
+    pa = np.empty((a.shape[0], j))
+    pb = np.empty((b.shape[0], j))
+    t = np.empty((sum(cells), j))
+    for (a0, a1), (b0, b1), (c0, c1) in groups:
+        np.matmul(a.data[a0:a1], wa.data, out=pa[a0:a1])
+        np.matmul(b.data[b0:b1], wb.data, out=pb[b0:b1])
+        np.add(pa[a0:a1, None, :], pb[None, b0:b1, :], out=t[c0:c1].reshape(a1 - a0, b1 - b0, j))
     t += bias.data
     np.tanh(t, out=t)
 
     def backward(g):
         dz = t * t
         np.subtract(1.0, dz, out=dz)
-        dz *= g
-        if bias.requires_grad:
-            bias.accumulate_grad(dz.sum(axis=(0, 1)))
-        for x, w, dp in ((a, wa, dz.sum(axis=1)), (b, wb, dz.sum(axis=0))):
-            if x.requires_grad:
-                x.adopt_grad(dp @ w.data.T)
-            if w.requires_grad:
-                w.adopt_grad(x.data.T @ dp)
+        dz *= g.reshape(dz.shape)
+        ga = np.empty(a.shape) if a.requires_grad else None
+        gb = np.empty(b.shape) if b.requires_grad else None
+        for (a0, a1), (b0, b1), (c0, c1) in reversed(groups):
+            d = dz[c0:c1].reshape(a1 - a0, b1 - b0, j)
+            if bias.requires_grad:
+                bias.accumulate_grad(d.sum(axis=(0, 1)))
+            for x, w, dp, gx, r0, r1 in ((a, wa, d.sum(axis=1), ga, a0, a1),
+                                         (b, wb, d.sum(axis=0), gb, b0, b1)):
+                if gx is not None:
+                    np.matmul(dp, w.data.T, out=gx[r0:r1])
+                if w.requires_grad:
+                    w.adopt_grad(x.data[r0:r1].T @ dp)
+        for x, gx in ((a, ga), (b, gb)):
+            if gx is not None:
+                x.adopt_grad(gx)
 
-    return from_op(t, (a, wa, b, wb, bias), backward)
+    out = t if lengths is not None else t.reshape(a.shape[0], b.shape[0], j)
+    return from_op(out, (a, wa, b, wb, bias), backward)
 
 
 def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray):

@@ -128,9 +128,15 @@ class Trainer:
         opt = self.optimizer
         opt.zero_grad()
         feats = [spec_augment(self._features[u.utt_id], cfg.specaug, self.rng) for u in batch]
-        mean_loss, per_utt = self.model.batch_loss(
-            feats, [self.tokens[u.utt_id] for u in batch], training=True, rng=self.rng
-        )
+        try:
+            mean_loss, per_utt = self.model.batch_loss(
+                feats, [self.tokens[u.utt_id] for u in batch], training=True, rng=self.rng
+            )
+        except DataError as exc:
+            # The features and transcripts were checked at set-up, so this is
+            # the model's own output, such as logits a diverged step made NaN.
+            ids = ", ".join(u.utt_id for u in batch)
+            raise TrainingError(f"step {self.step + 1}, batch of {ids}: {exc}") from exc
         for utt, value in zip(batch, per_utt):
             if not np.isfinite(value):
                 raise TrainingError(

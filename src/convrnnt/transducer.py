@@ -6,7 +6,7 @@ dropout come from `ModelSettings`.
 The fusion and both LSTM stacks run on packed rows: the rows of every
 utterance of a batch concatenated in order, with their lengths beside them,
 so each layer is a few tape nodes per batch.  The joint takes one
-utterance's encoder and label rows.
+utterance's encoder and label rows, or a batch's packed rows of both.
 """
 
 from __future__ import annotations
@@ -144,7 +144,17 @@ class LabelEncoder:
 
 
 class Joint:
-    """logits[t, u, :] = W_out . tanh(A.enc_t + B.pred_u + b)."""
+    """logits[t, u, :] = W_out . tanh(A.enc_t + B.pred_u + b).
+
+    One utterance's [T, proj_dim] encoder rows and [U+1, label_proj] label
+    rows give [T, U+1, V+1] logits.  A batch's packed rows, with the (T_i)
+    and (U_i + 1) row counts as `lengths`, give its packed cells: the
+    T_i x (U_i+1) logit rows of each utterance in (t, u) row-major order,
+    utterance after utterance, [sum T_i (U_i+1), V+1] with no padding.  Two
+    nodes either way (`outer_tanh`, then the output `linear`); the packed
+    call runs their GEMMs per utterance, so each utterance's logits have the
+    bits of a call on its rows alone.
+    """
 
     def __init__(self, m: ModelSettings, rng: np.random.Generator):
         self.enc_proj = uniform_init(rng, (m.proj_dim, m.joint_dim), m.proj_dim)
@@ -152,8 +162,9 @@ class Joint:
         self.bias = zeros_param(m.joint_dim)
         self.out = Linear(m.joint_dim, m.vocab_size + 1, rng)
 
-    def __call__(self, enc: Tensor, pred: Tensor) -> Tensor:
-        return self.out(T.outer_tanh(enc, self.enc_proj, pred, self.pred_proj, self.bias))
+    def __call__(self, enc: Tensor, pred: Tensor, lengths=None) -> Tensor:
+        h = T.outer_tanh(enc, self.enc_proj, pred, self.pred_proj, self.bias, lengths)
+        return self.out(h, None if lengths is None else [t * u for t, u in zip(*lengths)])
 
     def params(self):
         return [

@@ -11,19 +11,18 @@ from them plus the per-utterance ops defined here, the way the code was
 written before it became fused, packed nodes: the op-by-op global block and
 the per-utterance model loss.  The per-parameter Adam step and the per-frame
 loss passes at the end are the loops the flat optimizer buffers and the
-frame-blocked loss passes replaced, kept as bitwise references.
+blocked, batch-vectorised loss passes replaced, kept as bitwise references.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from convrnnt import tensor as T
 from convrnnt.errors import ShapeError
-from convrnnt.rnnt_loss import (
-    NEG_INF, AlignmentLattice, _checked_labels, _lattice, _occupancies, rnnt_loss,
-)
+from convrnnt.rnnt_loss import NEG_INF, _cells, _checked, _lattice, rnnt_loss
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -93,13 +92,35 @@ def prefix_mean_naive(x):
     return out
 
 
+@dataclass
+class FrameLattice:
+    """One utterance's lattice as [T, U+1] arrays ([T, U] for the labels)."""
+    log_probs_blank: np.ndarray
+    log_probs_label: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def log_likelihood(self) -> float:
+        t_last, u_last = self.alpha.shape[0] - 1, self.alpha.shape[1] - 1
+        return float(self.alpha[t_last, u_last] + self.log_probs_blank[t_last, u_last])
+
+
+def frame_lattice(lat, t_len):
+    """The loss's per-cell lattice of one utterance as a `FrameLattice`."""
+    rows = lat.alpha.size // t_len
+    return FrameLattice(lat.log_probs_blank.reshape(t_len, rows),
+                        lat.log_probs_label.reshape(t_len, rows - 1),
+                        lat.alpha.reshape(t_len, rows), lat.beta.reshape(t_len, rows))
+
+
 def build_lattice(log_probs, labels):
     """The loss's forward and backward recursions over log-softmax-normalized
-    [T, U+1, V+1] input (a zero normaliser); its negated `log_likelihood` is
-    the nll.  `labels` go through the loss's own checks."""
-    labels = _checked_labels(log_probs, labels)
-    zero = np.zeros(log_probs.shape[:2])
-    return _lattice(log_probs, zero, zero, labels)
+    [T, U+1, V+1] input (a zero normaliser), as a `FrameLattice`; its negated
+    `log_likelihood` is the nll.  `labels` go through the loss's own checks."""
+    z, ids, t_lens, _ = _checked(log_probs, labels, None)
+    zero = np.zeros(z.shape[0])
+    return frame_lattice(_lattice(z, zero, zero, _cells(ids, t_lens)), t_lens[0])
 
 
 def transducer_nll_enumeration(log_probs, labels, blank=0):
@@ -170,7 +191,7 @@ def sigmoid_masked(z):
 # ---------------------------------------------------------------------------
 # The per-op reference autodiff: one small tape op per primitive, built on
 # `tensor.from_op`.  The fused nodes of `convrnnt.tensor` (`linear`,
-# `outer_tanh`, `mean`, `lstm`, `conv2d`) and the global block are checked
+# `outer_tanh`, `lstm`, `conv2d`) and the global block are checked
 # against compositions of these.
 
 
@@ -515,10 +536,15 @@ def batch_loss_per_utterance(model, features_list, tokens_list, training=False, 
         enc = _lstm_stack(model.encoder.layers, fused, model.encoder.m.dropout_p, training, rng)
         pred = label_rows_per_utterance(model.label_encoder, tokens, training, rng)
         losses.append(rnnt_loss(model.joint(enc, pred), tokens))
+    return mean_of(losses), [float(l.data) for l in losses]
+
+
+def mean_of(losses):
+    """The mean of scalar loss nodes: `add` them in order, then `scale` by 1/B."""
     total = losses[0]
     for extra in losses[1:]:
         total = add(total, extra)
-    return scale(total, 1.0 / len(losses)), [float(l.data) for l in losses]
+    return scale(total, 1.0 / len(losses))
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +770,30 @@ def lattice_per_frame(z, m, lse, labels):
     for t in range(t_len - 2, -1, -1):
         beta[t] = _scan_backward(beta[t + 1] + blank_lp[t], label_lp[t])
 
-    return AlignmentLattice(blank_lp, label_lp, alpha, beta)
+    return FrameLattice(blank_lp, label_lp, alpha, beta)
+
+
+def occupancies_per_frame(lat):
+    """Posterior occupancies of each blank [T, U+1], each label [T, U] and
+    each node of one utterance's `FrameLattice`."""
+    t_len, u_rows = lat.alpha.shape
+    log_z = lat.log_likelihood
+    # A blank at (t, u) continues at (t+1, u); the final blank at (T-1, U)
+    # terminates with no continuation cost.
+    beta_next_t = np.full((t_len, u_rows), NEG_INF)
+    beta_next_t[:-1] = lat.beta[1:]
+    beta_next_t[t_len - 1, u_rows - 1] = 0.0
+    occ_blank = np.exp(lat.alpha + lat.log_probs_blank + beta_next_t - log_z)
+    occ_label = np.exp(lat.alpha[:, :-1] + lat.log_probs_label + lat.beta[:, 1:] - log_z)
+    occ_total = occ_blank.copy()
+    occ_total[:, :-1] += occ_label
+    return occ_blank, occ_label, occ_total
 
 
 def logit_grad_per_frame(z, m, lse, labels, lat, g):
-    """g times the nll gradient w.r.t. the logits, one frame at a time.  The
-    occupancies come from the library, which computes them for all frames."""
-    occ_blank, occ_label, occ_total = _occupancies(lat)
+    """g times the nll gradient w.r.t. the logits, one frame at a time, from
+    the occupancies of a `FrameLattice`."""
+    occ_blank, occ_label, occ_total = occupancies_per_frame(lat)
     rows = np.arange(labels.size)
     grad = np.empty(z.shape)
     for t in range(z.shape[0]):

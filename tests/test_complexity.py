@@ -7,6 +7,7 @@ from convrnnt.complexity import (
     encoder_flops,
     ffn_flops,
     flops_curve_csv,
+    linear_flops,
     lstm_flops,
     parse_length_range,
 )
@@ -40,6 +41,13 @@ def test_ffn_flops_value():
     assert ffn_flops(10, 4, 8) == 4 * 10 * 4 * 8
 
 
+def test_linear_flops_value():
+    # One map is half of the feedforward's two.
+    assert linear_flops(10, 4, 8) == 2 * 10 * 4 * 8 == ffn_flops(10, 4, 8) // 2
+    with pytest.raises(ConfigError):
+        linear_flops(10, 0, 8)
+
+
 def test_nonpositive_args_rejected():
     with pytest.raises(ConfigError):
         conv_flops(0, 1, 1, 1, 1)
@@ -59,18 +67,24 @@ def test_report_total_is_sum_of_layers():
 
 
 def test_convrnnt_layers_pinned_at_1000_frames():
-    # Counted from the paper preset; the values the removed spec file gave.
-    local = [("3->100", 10_020_000), ("100->100", 334_000_000), ("100->64", 213_760_000),
-             ("64->64", 136_806_400)]
-    expected = [(f"local.conv{i} [{chain} k5]", f) for i, (chain, f) in enumerate(local)]
+    # Counted from the paper preset at 334 encoder steps.  Each local conv is
+    # charged over the 64 bands it convolves, as perfbench's per-layer
+    # GFLOP/s counts it.
+    local = [("3->100", 641_280_000), ("100->100", 21_376_000_000),
+             ("100->64", 13_680_640_000), ("64->64", 8_755_609_600)]
+    expected = [(f"local.conv{i} [{chain} k5 x64 bands]", f) for i, (chain, f) in enumerate(local)]
     expected += [(f"global.block{i} [d192 dw_k3]", 213_931_008) for i in range(1, 7)]
-    # Each encoder LSTM layer at its own input width: 192 features into the
-    # first, the 512-wide projection into the others.
-    expected += [("encoder.layer0 [192->640]", 1_422_786_560)]
-    expected += [(f"encoder.layer{i} [512->640]", 1_970_012_160) for i in range(1, 7)]
+    # The fusion maps the 64 x 64 local and 192 global features back to 192.
+    expected += [("fuse [4288->192]", 549_961_728)]
+    # Each encoder LSTM layer at its own input width (192 features into the
+    # first, the 512-wide projection into the others), then its projection.
+    for i in range(7):
+        n_in, flops = (192, 1_422_786_560) if i == 0 else (512, 1_970_012_160)
+        expected += [(f"encoder.layer{i} [{n_in}->640]", flops),
+                     (f"encoder.proj{i} [640->512]", 218_890_240)]
     rep = encoder_flops("convrnnt", 1000)
     assert [(l.name, l.flops) for l in rep.per_layer] == expected
-    assert rep.total == 15_221_031_968
+    assert rep.total == 61_062_168_576
 
 
 def test_reports_are_reproducible_bitwise():
@@ -90,14 +104,18 @@ def test_attention_encoder_superlinear_in_n():
         assert encoder_flops("conformer", 2 * n).total > 2 * encoder_flops("conformer", n).total
 
 
-def test_transducer_cheaper_with_widening_gap():
-    gaps = []
+def test_transducer_costlier_with_narrowing_ratio():
+    # With every local conv charged per band, the paper preset costs more
+    # than the conformer spec at every reported length; the conformer's
+    # quadratic attention narrows the ratio as the input grows.
+    ratios = []
     for n in LENGTHS:
         c = encoder_flops("convrnnt", n).total
         a = encoder_flops("conformer", n).total
-        assert c < a, f"n={n}: {c} >= {a}"
-        gaps.append(a - c)
-    assert all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))
+        assert c > a, f"n={n}: {c} <= {a}"
+        ratios.append(c / a)
+    assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
+    assert 3.2 < ratios[0] < 3.3 and 2.7 < ratios[-1] < 2.8
 
 
 def test_length_range_parsing():

@@ -8,8 +8,10 @@ from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.errors import ConfigError, DataError, ShapeError
 from convrnnt.model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
+from convrnnt.rnnt_loss import rnnt_loss
 from convrnnt.train import frontend_param_count
 
+import oracles
 from oracles import batch_loss_per_utterance
 
 
@@ -201,6 +203,74 @@ def test_batch_loss_matches_per_utterance_oracle():
     for name, want in want_grads.items():
         assert np.any(want != 0.0), name
         assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale, name
+
+
+# A batch with a one-frame utterance, an empty transcript and two
+# utterances with more labels than frames.
+EDGE_LENGTHS = (6, 1, 9, 3, 12)
+EDGE_TOKENS = ([3, 1], [2, 2, 5], [], [1, 4, 6, 8, 2], [7, 3, 3, 1])
+
+
+def test_packed_joint_and_loss_match_per_utterance_calls():
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=29)
+    feats, _ = random_batch(cfg, 30, EDGE_LENGTHS)
+    tokens = [list(t) for t in EDGE_TOKENS]
+    with T.no_grad():
+        enc = model.encoder(model.frontend_batch([T.Tensor(f) for f in feats]), EDGE_LENGTHS).data
+        pred = model.label_encoder(*tokens).data
+    rows = [len(t) + 1 for t in tokens]
+
+    def grads(inputs):
+        out = [np.concatenate([x.grad for x in xs]) for xs in inputs]
+        out += [p.grad for _, p in model.joint.params()]
+        for _, p in model.joint.params():
+            p.zero_grad()
+        return out
+
+    e, p = T.Tensor(enc, requires_grad=True), T.Tensor(pred, requires_grad=True)
+    loss, nlls = rnnt_loss(model.joint(e, p, (EDGE_LENGTHS, rows)), tokens, EDGE_LENGTHS)
+    loss.backward()
+    packed = grads([[e], [p]])
+
+    es = [T.Tensor(x, requires_grad=True) for x in np.split(enc, np.cumsum(EDGE_LENGTHS)[:-1])]
+    ps = [T.Tensor(x, requires_grad=True) for x in np.split(pred, np.cumsum(rows)[:-1])]
+    losses = [rnnt_loss(model.joint(ei, pi), ti) for ei, pi, ti in zip(es, ps, tokens)]
+    mean = oracles.mean_of(losses)
+    mean.backward()
+    alone = grads([es, ps])
+
+    assert nlls == [float(l.data) for l in losses]
+    assert loss.data.tobytes() == mean.data.tobytes()
+    for got, want in zip(packed, alone):
+        assert np.any(want != 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def count_nodes(monkeypatch):
+    """Wrap `tensor.from_op`; the returned list gets one entry per recorded node."""
+    nodes, from_op = [], T.from_op
+
+    def counting(data, parents, backward):
+        out = from_op(data, parents, backward)
+        if out._backward is not None:
+            nodes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(T, "from_op", counting)
+    return nodes
+
+
+def test_desk_step_records_at_most_89_tape_nodes(monkeypatch):
+    # The joint is two nodes and the loss one for the whole batch; one joint
+    # and loss per utterance would add 51 nodes for these 10 utterances.
+    cfg = desk_cfg()
+    model = TransducerModel(cfg, seed=26)
+    feats, tokens = random_batch(cfg, 27)
+    nodes = count_nodes(monkeypatch)
+    loss, _ = model.batch_loss(feats, tokens, training=True, rng=make_rng(28))
+    loss.backward()
+    assert len(nodes) <= 89
 
 
 def test_batch_nll_equals_batch_of_one_nll():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convrnnt.config import OptimizerConfig
-from convrnnt.errors import ConfigError
+from convrnnt.errors import ConfigError, TrainingError
 from convrnnt.optim import SLICE, Adam, lr_at
 from convrnnt.tensor import Tensor, linear
 
@@ -124,3 +124,28 @@ def test_adam_step_allocates_a_few_slices_whatever_the_parameter_count(n_params)
     finally:
         tracemalloc.stop()
     assert peak <= 6 * SLICE * 8
+
+
+@pytest.mark.parametrize("rebind", ["zero_grad", "grad", "data"])
+def test_step_refuses_a_parameter_rebound_away_from_its_buffer_views(rebind):
+    rng = np.random.default_rng(71)
+    x = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    opt = Adam([("w", w), ("b", b)], OptimizerConfig())
+    linear(x, w, b).backward(np.ones((3, 2)))
+    opt.step(0.01)  # one good step, so the moments and t are not trivial
+    before = [opt.data.copy(), opt._m.copy(), opt._v.copy()]
+    opt.zero_grad()
+    if rebind == "zero_grad":
+        b.zero_grad()
+    elif rebind == "grad":
+        b.grad = np.zeros(2)
+    else:
+        b.data = b.data.copy()
+    linear(x, w, b).backward(np.ones((3, 2)))
+    with pytest.raises(TrainingError, match="parameter b"):
+        opt.step(0.01)
+    assert opt.t == 1
+    for got, want in zip((opt.data, opt._m, opt._v), before):
+        assert got.tobytes() == want.tobytes()

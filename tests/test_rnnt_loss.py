@@ -8,12 +8,14 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.config import ModelSettings
 from convrnnt.errors import DataError, ShapeError
-from convrnnt.rnnt_loss import _frame_blocks, _lattice, _normalisers, rnnt_loss
+from convrnnt.rnnt_loss import _blocks, _cells, _checked, _lattice, _normalisers, rnnt_loss
 from convrnnt.transducer import Joint
 
+import oracles
 from oracles import (
     build_lattice,
     fd_gradient,
+    frame_lattice,
     lattice_per_frame,
     logit_grad_per_frame,
     normalisers_per_frame,
@@ -265,15 +267,17 @@ def test_frame_blocked_passes_match_per_frame_oracle_bitwise(t_len, u_len, n_sym
     z = rng.standard_normal((t_len, u_len + 1, n_sym)) * 2.0
     z[:, :, -1] = -1000.0  # exp underflows: zero gradient entries, whose sign g must not flip
     labels = rng.integers(1, n_sym - 1, size=u_len)
-    assert len(_frame_blocks(z)) == n_blocks
+    rows, ids, t_lens, unit = _checked(z, labels, None)
+    assert len(_blocks(rows, unit)) == n_blocks
 
     m_ref, lse_ref = normalisers_per_frame(z)
     lat_ref = lattice_per_frame(z, m_ref, lse_ref, labels)
     grad_ref = logit_grad_per_frame(z, m_ref, lse_ref, labels, lat_ref, g)
 
-    m, lse = _normalisers(z)
-    lat = _lattice(z, m, lse, labels)
-    assert same_bits(m, m_ref) and same_bits(lse, lse_ref)
+    cells = _cells(ids, t_lens)
+    m, lse = _normalisers(rows, cells, unit)
+    lat = frame_lattice(_lattice(rows, m, lse, cells), t_len)
+    assert same_bits(m.reshape(t_len, -1), m_ref) and same_bits(lse.reshape(t_len, -1), lse_ref)
     for field in ("log_probs_blank", "log_probs_label", "alpha", "beta"):
         assert same_bits(getattr(lat, field), getattr(lat_ref, field)), field
 
@@ -282,3 +286,85 @@ def test_frame_blocked_passes_match_per_frame_oracle_bitwise(t_len, u_len, n_sym
     loss.backward(np.asarray(g))
     assert same_bits(loss.data, -lat_ref.log_likelihood)
     assert same_bits(node.grad, grad_ref)
+
+
+def packed_cells(rng, t_lens, tokens, n_sym):
+    """Random packed logit rows of a batch and each utterance's [T, U+1, V+1] view of them."""
+    counts = [t * (len(u) + 1) for t, u in zip(t_lens, tokens)]
+    z = rng.standard_normal((sum(counts), n_sym)) * 2.0
+    ends = np.cumsum(counts)
+    return z, [z[e - c:e].reshape(t, len(u) + 1, n_sym)
+               for e, c, t, u in zip(ends, counts, t_lens, tokens)]
+
+
+# One frame with more labels than frames, an empty transcript, more labels
+# than frames again, and a 40-frame utterance whose 440 cells of 501 symbols
+# straddle the boundary of the packed passes' two 261-row blocks.
+PACKED_T = [1, 5, 2, 40, 7]
+PACKED_TOKENS = [[3, 1, 4], [], [2, 5, 5, 1], list(range(1, 11)), [6, 2]]
+
+
+def test_packed_loss_mean_matches_add_scale_bitwise():
+    rng = np.random.default_rng(12)
+    z, views = packed_cells(rng, PACKED_T, PACKED_TOKENS, 501)
+    z[:, -1] = -1000.0  # exp underflows: zero gradient entries
+    node = T.Tensor(z, requires_grad=True)
+    loss, nlls = rnnt_loss(node, PACKED_TOKENS, PACKED_T)
+    assert len(_blocks(z, 1)) == 2
+    loss.backward()
+
+    alone = [T.Tensor(v.copy(), requires_grad=True) for v in views]
+    losses = [rnnt_loss(x, u) for x, u in zip(alone, PACKED_TOKENS)]
+    mean = oracles.mean_of(losses)
+    mean.backward()
+
+    assert nlls == [float(l.data) for l in losses]
+    assert same_bits(loss.data, mean.data)
+    assert same_bits(node.grad, np.concatenate([x.grad.reshape(-1, 501) for x in alone]))
+
+
+def test_packed_loss_rejects_cells_that_do_not_match_the_transcripts():
+    z = T.Tensor(np.zeros((3 * 3 + 2 * 1, 5)))
+    assert rnnt_loss(z, [[1, 2], []], [3, 2])[0].shape == ()
+    for tokens, lengths in (([[1, 2], []], [3, 3]), ([[1, 2]], [3, 2]), ([[1, 2], []], [3, 0]),
+                            ([[[1, 2]], []], [3, 2])):
+        with pytest.raises(ShapeError):
+            rnnt_loss(z, tokens, lengths)
+    with pytest.raises(ShapeError):
+        rnnt_loss(T.Tensor(np.zeros((3, 3, 5))), [[1, 2]], [3])
+    with pytest.raises(DataError):
+        rnnt_loss(z, [[1, 5], []], [3, 2])
+
+
+@pytest.mark.parametrize("bad", ["nan", "+inf", "all -inf"])
+def test_non_finite_logits_raise_data_error_naming_the_utterance(bad):
+    rng = np.random.default_rng(13)
+    z, views = packed_cells(rng, [3, 2, 4], [[1, 2], [], [3]], 5)
+    row = views[2][1, 0]  # utterance 2, frame 1, label row 0
+    if bad == "nan":
+        row[3] = np.nan
+    elif bad == "+inf":
+        row[1] = np.inf
+    else:
+        row[:] = -np.inf
+    with pytest.raises(DataError, match="utterance 2: .* frame 1, label row 0"):
+        rnnt_loss(T.Tensor(z), [[1, 2], [], [3]], [3, 2, 4])
+    with pytest.raises(DataError):
+        rnnt_loss(T.Tensor(views[2].copy()), [3])
+
+
+def test_a_minus_inf_entry_in_a_finite_row_is_a_zero_probability():
+    # Only a row's max is checked: a -inf logit is a symbol the row never
+    # emits, and the loss stays finite with a zero gradient there.
+    rng = np.random.default_rng(14)
+    z = rng.standard_normal((3, 3, 6))
+    z[1, 2, 4] = -np.inf
+    node = T.Tensor(z.copy(), requires_grad=True)
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        loss = rnnt_loss(node, [1, 2])
+        loss.backward()
+    m, lse = normalisers_per_frame(z)
+    lat = lattice_per_frame(z, m, lse, np.array([1, 2]))
+    assert same_bits(loss.data, -lat.log_likelihood)
+    assert same_bits(node.grad, logit_grad_per_frame(z, m, lse, np.array([1, 2]), lat, 1.0))
+    assert node.grad[1, 2, 4] == 0.0

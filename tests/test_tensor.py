@@ -451,23 +451,58 @@ def test_place_rows_gradient():
     check_grad(lambda xx: weighted_sum(T.place_rows(xx, [1, 2, 4], 5)), [x])
 
 
-def test_mean_matches_add_scale_bitwise():
-    values = np.random.default_rng(50).standard_normal(7) * 10
+def test_joint_ops_with_lengths_keep_each_utterances_bits():
+    # outer_tanh then linear on the packed rows of three utterances, one of a
+    # single row: each utterance's cells and input-gradient rows have the
+    # bits of the calls on its rows alone, and the parameter gradients those
+    # of the per-utterance calls propagated last utterance first.
+    rng = np.random.default_rng(54)
+    a_len, b_len = [3, 1, 4], [2, 3, 1]
+    cells = [t * u for t, u in zip(a_len, b_len)]
+    a, b = rng.standard_normal((8, 5)), rng.standard_normal((6, 4))
+    weights = (rng.standard_normal((5, 7)), rng.standard_normal((4, 7)), rng.standard_normal(7),
+               rng.standard_normal((7, 6)), rng.standard_normal(6))
+    seed = rng.standard_normal((sum(cells), 6))
 
-    def run(fn):
-        parts = [T.Tensor(np.asarray(v), requires_grad=True) for v in values]
-        out = fn(parts)
-        out.backward()
-        return [out.data] + [p.grad for p in parts]
+    def joint(aa, bb, params, lengths=None):
+        wa, wb, bias, w, bo = params
+        rows = None if lengths is None else [t * u for t, u in zip(*lengths)]
+        return T.linear(T.outer_tanh(aa, wa, bb, wb, bias, lengths), w, bo, rows)
 
-    def add_scale(parts):
-        total = parts[0]
-        for p in parts[1:]:
-            total = oracles.add(total, p)
-        return oracles.scale(total, 1.0 / len(parts))
+    packed = [T.Tensor(v, requires_grad=True) for v in (a, b) + weights]
+    out = joint(*packed[:2], packed[2:], (a_len, b_len))
+    out.backward(seed)
 
-    for got, want in zip(run(T.mean), run(add_scale)):
-        assert same_bits(got, want)
+    params = [T.Tensor(v, requires_grad=True) for v in weights]
+    spans = [np.cumsum([0] + n) for n in (a_len, b_len, cells)]
+    alone = []
+    for i in range(3):
+        rows = [T.Tensor(x[s[i]:s[i + 1]], requires_grad=True) for x, s in zip((a, b), spans)]
+        alone.append((rows, joint(*rows, params)))
+    for i in reversed(range(3)):
+        c0, c1 = spans[2][i], spans[2][i + 1]
+        alone[i][1].backward(seed[c0:c1].reshape(a_len[i], b_len[i], 6))
+
+    assert out.shape == (sum(cells), 6)
+    for i, (rows, got) in enumerate(alone):
+        assert same_bits(out.data[spans[2][i]:spans[2][i + 1]], got.data.reshape(-1, 6))
+        for x, s, row in zip(packed[:2], spans, rows):
+            assert same_bits(x.grad[s[i]:s[i + 1]], row.grad)
+    for got, want in zip(packed[2:], params):
+        assert same_bits(got.grad, want.grad)
+
+
+def test_joint_ops_reject_lengths_that_do_not_split_the_rows():
+    a, b = T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros((3, 2)))
+    wa, wb, bias = T.Tensor(np.zeros((4, 6))), T.Tensor(np.zeros((2, 6))), T.Tensor(np.zeros(6))
+    assert T.outer_tanh(a, wa, b, wb, bias, ([2, 3], [1, 2])).shape == (8, 6)
+    for lengths in (([2, 3], [3]), ([2, 2], [1, 2]), ([5, 0], [1, 2])):
+        with pytest.raises(ShapeError):
+            T.outer_tanh(a, wa, b, wb, bias, lengths)
+    x, w, bo = T.Tensor(np.zeros((5, 6))), T.Tensor(np.zeros((6, 2))), T.Tensor(np.zeros(2))
+    assert T.linear(x, w, bo, [2, 3]).shape == (5, 2)
+    with pytest.raises(ShapeError):
+        T.linear(x, w, bo, [2, 2])
 
 
 def test_slice_columns_roundtrip_gradient():

@@ -14,7 +14,7 @@ from convrnnt.audio import accumulate_stats, featurize, normalize, read_wav, spe
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
 from convrnnt.decoding import greedy_decode
-from convrnnt.errors import DataError
+from convrnnt.errors import DataError, TrainingError
 from convrnnt.model import TransducerModel, make_rng
 
 from oracles import adam_step_per_parameter
@@ -106,6 +106,18 @@ def test_one_utterance_id_for_two_wavs_rejected(tmp_path):
     eval_manifest.write_text("../a/toy00.wav\tab\n")
     trainer = train.Trainer(cfg, str(tmp_path / "run"))
     assert [u.utt_id for u in trainer.eval_utts] == ["toy00"]
+
+
+def test_diverged_step_raises_training_error_naming_the_step_and_batch(corpus, tmp_path):
+    # A NaN weight makes every logit NaN; the loss refuses them, and the
+    # trainer names the step and the utterances of the batch.
+    trainer = train.Trainer(desk(corpus), str(tmp_path / "run"))
+    trainer.train_step()
+    trainer.model.joint.out.weight.data[0, 0] = np.nan
+    batch = [u.utt_id for u in trainer.batch_for_step(2)]
+    with pytest.raises(TrainingError, match=f"step 2, batch of {batch[0]}.*non-finite max"):
+        trainer.train_step()
+    assert trainer.step == 1
 
 
 def test_flat_adam_steps_match_per_parameter_steps_bitwise(corpus, tmp_path):
