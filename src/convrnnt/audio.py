@@ -7,7 +7,6 @@ All functions here are pure numpy (no autodiff); features only become
 
 from __future__ import annotations
 
-import struct
 import wave
 from dataclasses import dataclass
 
@@ -173,37 +172,14 @@ class NormStats:
     """Per-dimension mean and variance of the training split's frames, and
     the number of frames they come from.
 
-    `load` reads back the saved mean and variance bitwise, so a run that
-    reloads its stats file normalizes exactly as the run that wrote it.
+    `Trainer` computes them from the training split at set-up; its checkpoint
+    holds the one stored copy, and loading a checkpoint whose stats differ
+    from the recomputed ones fails.  There is no stats file.
     """
 
     mean: np.ndarray
     variance: np.ndarray
     count: int
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(struct.pack("<I", self.dim))
-            f.write(self.mean.astype("<f8").tobytes())
-            f.write(self.variance.astype("<f8").tobytes())
-            f.write(struct.pack("<Q", self.count))
-
-    @classmethod
-    def load(cls, path) -> "NormStats":
-        """A file of another length than its dimension implies raises `DataError`."""
-        with open(path, "rb") as f:
-            blob = f.read()
-        dim = struct.unpack_from("<I", blob)[0] if len(blob) >= 4 else 0
-        if len(blob) != 4 + 16 * dim + 8:
-            raise DataError(f"{path}: {len(blob)} bytes is not a stats file of dim {dim}")
-        mean = np.frombuffer(blob, dtype="<f8", count=dim, offset=4).copy()
-        var = np.frombuffer(blob, dtype="<f8", count=dim, offset=4 + 8 * dim).copy()
-        (count,) = struct.unpack_from("<Q", blob, 4 + 16 * dim)
-        return cls(mean, var, count)
 
 
 def accumulate_stats(corpus, dim: int) -> NormStats:

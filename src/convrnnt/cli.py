@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: prep-stats, train, eval, decode, flops, params, ablate.
+Subcommands: train, eval, decode, flops, params, ablate.
 `--config` takes a preset name (desk, paper) or a config-file path, and
 `--set section.key=value` overrides individual keys.
 """
@@ -13,16 +13,12 @@ import sys
 
 from .complexity import MODEL_NAMES, flops_curve_csv, parse_length_range
 from .config import resolve_config
-from .data import load_manifest
 from .errors import ConfigError, DataError, TrainingError
 from .train import (
     Trainer,
-    compute_norm_stats,
-    featurize_wavs,
     format_ablation,
     format_param_report,
     param_report,
-    resolve_data,
     run_ablation,
 )
 
@@ -37,10 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="convrnnt",
                                      description="streaming conv-recurrent transducer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prep-stats", help="compute feature normalization stats")
-    _add_config_args(p)
-    p.add_argument("--out", required=True, help="output stats file")
 
     p = sub.add_parser("train", help="train a model")
     _add_config_args(p)
@@ -72,18 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="working directory")
     p.add_argument("--steps", type=int, default=30, help="training steps per variant")
     return parser
-
-
-def cmd_prep_stats(args) -> int:
-    cfg = resolve_config(args.config, args.overrides)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    manifest, _ = resolve_data(cfg, out_dir)
-    utts = load_manifest(manifest)
-    stats = compute_norm_stats(cfg, utts, featurize_wavs(cfg, utts))
-    stats.save(args.out)
-    print(f"wrote stats for {stats.count} frames ({stats.dim} dims) to {args.out}")
-    return 0
 
 
 def cmd_train(args) -> int:
@@ -166,7 +146,6 @@ def cmd_ablate(args) -> int:
 
 
 COMMANDS = {
-    "prep-stats": cmd_prep_stats,
     "train": cmd_train,
     "eval": cmd_eval,
     "decode": cmd_decode,

@@ -9,16 +9,16 @@ Closed-form per-layer costs (exact integer arithmetic throughout):
     feedforward:  4 * n * d * d_ff  (two linear maps, multiply-add = 2 flops)
 
 The transducer encoder (cost linear in sequence length) is counted from the
-`paper` preset, the description the model is built from, charging what the
-model runs per encoder step.  Each local conv is charged per band, over all
-`feature.n_bands` frequency bins it convolves, a k_t x k_f kernel as
-k_t * k_f: the count `perfbench/entry_points` uses for its achieved GFLOP/s.
-The global blocks' pointwise, depthwise and squeeze-excite convolutions are
-charged per step, and so is the fusion's linear map from the local and
-global features back to `input_dim`.  Each encoder LSTM layer, and the
-linear projection after it, is charged at its own widths, read from the
-layers of the zero-weight paper build (`model.zero_weight_model`): the first
-reads `input_dim`, the others the previous layer's projection.
+layers of the zero-weight `paper` build (`model.zero_weight_model`), charging
+what the model runs per encoder step at the widths of its weights.  Each
+local conv is charged per band, over all `feature.n_bands` frequency bins it
+convolves, a k_t x k_f kernel as k_t * k_f: the count
+`perfbench/entry_points` uses for its achieved GFLOP/s.  The global blocks'
+pointwise, depthwise and squeeze-excite convolutions are charged per step,
+and so is the fusion's linear map from the local and global features back to
+`input_dim`.  Each encoder LSTM layer, and the linear projection after it, is
+charged at its own widths: the first reads `input_dim`, the others the
+previous layer's projection.
 
 At 1,000 frames the corrected count puts the paper preset at 61.06 G, 3.2
 times the conformer spec's 19.23 G; the four per-band local convs alone are
@@ -103,28 +103,27 @@ def _ints(raw: str):
 
 def _convrnnt_layers(n: int):
     cfg = load_preset("paper")
-    m = cfg.model
+    model = zero_weight_model(cfg)
     s = math.ceil(n / cfg.feature.skip)
+    bands = model.local.n_freq
     layers = []
-    chain = (cfg.feature.stack,) + m.local_channels
-    k = f"{m.kernel_t}" if m.kernel_t == m.kernel_f else f"{m.kernel_t}x{m.kernel_f}"
-    bands = cfg.feature.n_bands
-    for i, (c_in, c_out) in enumerate(zip(chain[:-1], chain[1:])):
-        flops = conv_flops(c_in, 1, c_out, s, bands) * m.kernel_t * m.kernel_f
+    for i, conv in enumerate(model.local.convs):
+        c_out, c_in, k_t, k_f = conv.weight.shape
+        k = f"{k_t}" if k_t == k_f else f"{k_t}x{k_f}"
+        flops = conv_flops(c_in, 1, c_out, s, bands) * k_t * k_f
         layers.append(LayerSpec(f"local.conv{i} [{c_in}->{c_out} k{k} x{bands} bands]", flops))
-    d = cfg.input_dim
-    e = d * m.expansion
-    se_b = max(d // m.se_divisor, m.se_min)
-    for i in range(1, m.global_blocks + 1):
-        block = (
+    for i, block in enumerate(model.global_enc.blocks, 1):
+        e, d, _ = block.pw_in.weight.shape
+        dw_k = block.dw.weight.shape[2]
+        se_b = block.se_reduce.weight.shape[1]
+        flops = (
             conv_flops(d, 1, e, s, 1)
-            + conv_flops(1, m.dw_kernel, e, s, 1)
+            + conv_flops(1, dw_k, e, s, 1)
             + conv_flops(e, 1, d, s, 1)
             + conv_flops(d, 1, se_b, s, 1)
             + conv_flops(se_b, 1, d, s, 1)
         )
-        layers.append(LayerSpec(f"global.block{i} [d{d} dw_k{m.dw_kernel}]", block))
-    model = zero_weight_model(cfg)
+        layers.append(LayerSpec(f"global.block{i} [d{d} dw_k{dw_k}]", flops))
     fuse_in, fuse_out = model.fuse.weight.shape
     layers.append(LayerSpec(f"fuse [{fuse_in}->{fuse_out}]", linear_flops(s, fuse_in, fuse_out)))
     for i, lstm in enumerate(model.encoder.layers):
@@ -184,7 +183,10 @@ def encoder_flops(model: str, n: int) -> FlopsReport:
 
 def parse_length_range(text: str):
     """'500:4000:500' -> [500, 1000, ..., 4000]; a bare int is a single length."""
-    parts = [int(p) for p in text.split(":")]
+    try:
+        parts = [int(p) for p in text.split(":")]
+    except ValueError:
+        raise ConfigError(f"length range must be integers, got {text!r}") from None
     if len(parts) == 1:
         return parts
     if len(parts) != 3:

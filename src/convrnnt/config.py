@@ -109,7 +109,6 @@ class DataConfig:
     train_manifest: str = ""
     eval_manifest: str = ""
     vocab: str = ""
-    stats: str = ""
     use_toy: bool = False
     toy_dir: str = ""
 
@@ -202,6 +201,7 @@ def parse_config_text(text: str) -> dict:
 
 def config_from_flat(flat: dict) -> RunConfig:
     defaults = {name: cls() for name, cls in _SECTIONS.items()}
+    field_names = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
     kwargs = {name: {} for name in _SECTIONS}
     for key, raw in flat.items():
         if "." not in key:
@@ -209,10 +209,9 @@ def config_from_flat(flat: dict) -> RunConfig:
         section, _, field_name = key.partition(".")
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
-        default_obj = defaults[section]
-        if not hasattr(default_obj, field_name):
+        if field_name not in field_names[section]:
             raise ConfigError(f"unknown config key {key!r}")
-        like = getattr(default_obj, field_name)
+        like = getattr(defaults[section], field_name)
         try:
             kwargs[section][field_name] = _parse_value(raw, like)
         except ValueError:

@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .audio import NormStats, accumulate_stats, featurize, normalize, read_wav, spec_augment
+from .audio import accumulate_stats, featurize, normalize, read_wav, spec_augment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, architecture_hash, resolve_config
 from .data import ensure_toy_corpus, index_utterances, load_manifest
@@ -67,7 +67,8 @@ class Trainer:
         self.tokens = {utt_id: self.vocab.tokenize(u.transcript) for utt_id, u in utts.items()}
 
         frames = featurize_wavs(cfg, self.train_utts + self.eval_utts)
-        self.stats = self._resolve_stats(frames)
+        self.stats = accumulate_stats((frames[u.audio_path] for u in self.train_utts),
+                                      cfg.input_dim)
         self._features = {
             utt_id: normalize(frames[u.audio_path], self.stats) for utt_id, u in utts.items()
         }
@@ -80,17 +81,6 @@ class Trainer:
         self._perms = {}
 
     # -- data plumbing -------------------------------------------------------
-
-    def _resolve_stats(self, frames) -> NormStats:
-        path = self.cfg.data.stats or os.path.join(self.workdir, "norm_stats.bin")
-        if os.path.exists(path):
-            stats = NormStats.load(path)
-            if stats.dim != self.cfg.input_dim:
-                raise ConfigError(f"stats dim {stats.dim} != input dim {self.cfg.input_dim}")
-            return stats
-        stats = compute_norm_stats(self.cfg, self.train_utts, frames)
-        stats.save(path)
-        return stats
 
     def _epoch_perm(self, epoch: int) -> np.ndarray:
         if epoch not in self._perms:
@@ -176,24 +166,24 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------
 
-    def decode(self, utts=None):
-        """Yield (utterance, encoder output, greedy hypothesis text) in order,
-        encoding each utterance once in eval mode."""
-        for utt in utts if utts is not None else self.eval_utts:
+    def decode(self):
+        """Yield (utterance, encoder output, greedy hypothesis text) for each
+        eval utterance in order, encoding each once in eval mode."""
+        for utt in self.eval_utts:
             with T.no_grad():
                 enc = self.model.encode_audio(T.Tensor(self._features[utt.utt_id]))
                 tokens = greedy_decode(self.model, enc.data).tokens
             yield utt, enc, self.vocab.detokenize(tokens)
 
-    def evaluate(self, utts=None):
-        """Mean per-utterance nll, exact transcript match rate, and WER."""
-        utts = utts if utts is not None else self.eval_utts
+    def evaluate(self):
+        """Mean per-utterance nll, exact transcript match rate, and WER over
+        the eval utterances."""
         nll_total = 0.0
         exact = 0
         wer_num = 0.0
         wer_den = 0
         hyps = {}
-        for utt, enc, hyp_text in self.decode(utts):
+        for utt, enc, hyp_text in self.decode():
             with T.no_grad():
                 nll_total += float(self.model.encoded_loss(enc, self.tokens[utt.utt_id]).data)
             hyps[utt.utt_id] = hyp_text
@@ -201,9 +191,10 @@ class Trainer:
             ref_words = utt.transcript.split()
             wer_num += word_error_rate(utt.transcript, hyp_text) * len(ref_words)
             wer_den += len(ref_words)
+        n = len(self.eval_utts)
         return {
-            "mean_nll": nll_total / len(utts),
-            "exact_match": exact / len(utts),
+            "mean_nll": nll_total / n,
+            "exact_match": exact / n,
             "wer": wer_num / wer_den,
             "hypotheses": hyps,
         }
@@ -240,7 +231,7 @@ class Trainer:
         and only finite values, and `adam.t` must equal the header's step; the
         RNG state must be a Philox state.  Each mismatch raises `DataError`
         naming the record; `normstats.*` records that differ from the stats
-        in use raise `ConfigError`.  A load that raises changes nothing.
+        recomputed from the training split raise `ConfigError`.  A load that raises changes nothing.
         """
         step, arrays, rng_state = load_checkpoint(path, expected_hash=self.arch_hash)
         records = self._records()
@@ -292,12 +283,6 @@ def featurize_wavs(cfg: RunConfig, utts):
         if u.audio_path not in frames:
             frames[u.audio_path] = featurize(read_wav(u.audio_path, rate), cfg.feature).frames
     return frames
-
-
-def compute_norm_stats(cfg: RunConfig, utts, frames) -> NormStats:
-    """Per-dimension mean/variance over the (training) utterances `utts`, in
-    order, from their `featurize_wavs` frames."""
-    return accumulate_stats((frames[u.audio_path] for u in utts), cfg.input_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from convrnnt import audio
 from convrnnt.audio import (
     FeatureConfig,
-    NormStats,
     SpecAugConfig,
     accumulate_stats,
     extract_features,
@@ -127,43 +126,6 @@ def test_corpus_renormalizes_to_unit_stats():
 def test_empty_stats_rejected():
     with pytest.raises(ConfigError):
         accumulate_stats([], 4)
-
-
-def test_stats_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    stats = accumulate_stats([rng.standard_normal((20, 6))], 6)
-    p = tmp_path / "stats.bin"
-    stats.save(p)
-    loaded = NormStats.load(p)
-    assert loaded.count == stats.count
-    assert np.allclose(loaded.mean, stats.mean)
-    assert np.allclose(loaded.variance, stats.variance)
-
-
-def test_stats_reload_is_bitwise(tmp_path):
-    # Rebuilding the mean and variance from sums does not round-trip every
-    # float64; the reloaded stats must normalize exactly as the saved ones.
-    # (Seed 3 gives a variance that the sums do not reproduce.)
-    rng = np.random.default_rng(3)
-    frames = rng.standard_normal((200, 64)) * rng.random(64) * 9 + rng.standard_normal(64) * 9
-    stats = accumulate_stats([frames], 64)
-    p = tmp_path / "stats.bin"
-    stats.save(p)
-    loaded = NormStats.load(p)
-    assert np.array_equal(loaded.mean, stats.mean)
-    assert np.array_equal(loaded.variance, stats.variance)
-
-
-def test_truncated_or_padded_stats_file_raises_data_error(tmp_path):
-    stats = accumulate_stats([np.random.default_rng(4).standard_normal((20, 6))], 6)
-    p = tmp_path / "stats.bin"
-    stats.save(p)
-    blob = p.read_bytes()
-    assert len(blob) == 4 + 2 * 6 * 8 + 8
-    for data in [blob[:cut] for cut in (0, 2, 4, 30, 60, len(blob) - 1)] + [blob + b"\0"]:
-        p.write_bytes(data)
-        with pytest.raises(DataError):
-            NormStats.load(p)
 
 
 # ---------------------------------------------------------------------------

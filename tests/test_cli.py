@@ -5,12 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from convrnnt.audio import accumulate_stats
+from convrnnt.audio import write_wav
 from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.cli import main
 from convrnnt.config import load_preset
 from convrnnt.data import load_manifest
-from convrnnt.train import Trainer, compute_norm_stats, featurize_wavs
+from convrnnt.train import Trainer
 
 
 def run(capsys, *argv):
@@ -33,7 +33,7 @@ def test_cli_params_flops_train_eval_decode(tmp_path, capsys):
     work = str(tmp_path / "run")
     out = run(capsys, "train", "--config", "desk", "--out", work, "--steps", "2")
     assert out.startswith("step 2: mean_nll")
-    assert os.path.exists(os.path.join(work, "checkpoint.bin"))
+    assert sorted(os.listdir(work)) == ["checkpoint.bin", "metrics.csv", "toy"]
 
     out = run(capsys, "eval", "--config", "desk", "--out", work)
     assert "mean_nll" in out and "wer" in out
@@ -62,18 +62,6 @@ def test_cli_train_with_relative_out(tmp_path, monkeypatch, capsys):
     assert all(os.path.exists(u.audio_path) for u in utts)
 
 
-def test_cli_prep_stats_writes_only_the_stats_file(tmp_path, capsys):
-    out_dir = tmp_path / "stats"
-    out = run(capsys, "prep-stats", "--config", "desk", "--out", str(out_dir / "s.bin"))
-    assert "wrote stats" in out
-    assert sorted(os.listdir(out_dir)) == ["s.bin", "toy"]
-
-    cfg = load_preset("desk")
-    utts = load_manifest(str(out_dir / "toy" / "manifest.tsv"))
-    compute_norm_stats(cfg, utts, featurize_wavs(cfg, utts)).save(tmp_path / "expected.bin")
-    assert (out_dir / "s.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
-
-
 def test_cli_decode_writes_the_evaluate_hypotheses(tmp_path, capsys):
     work = str(tmp_path / "run")
     run(capsys, "train", "--config", "desk", "--out", work, "--steps", "2")
@@ -86,17 +74,20 @@ def test_cli_decode_writes_the_evaluate_hypotheses(tmp_path, capsys):
 
 
 def test_cli_eval_rejects_replaced_norm_stats(tmp_path, capsys):
-    work = str(tmp_path / "run")
-    run(capsys, "train", "--config", "desk", "--out", work, "--steps", "1")
-    other = np.random.default_rng(0).standard_normal((50, load_preset("desk").input_dim))
-    accumulate_stats([other], other.shape[1]).save(os.path.join(work, "norm_stats.bin"))
-    code = main(["eval", "--config", "desk", "--out", work])
+    # The stats are recomputed from the training wavs at every set-up, so a
+    # wav replaced after training gives stats the checkpoint was not trained on.
+    work = tmp_path / "run"
+    run(capsys, "train", "--config", "desk", "--out", str(work), "--steps", "1")
+    wav = sorted((work / "toy").glob("*.wav"))[0]
+    write_wav(wav, np.random.default_rng(0).integers(-3000, 3000, 16000))
+    code = main(["eval", "--config", "desk", "--out", str(work)])
     assert code == 1
     assert "normstats.mean differs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("item", ["model.kernel_t=abc", "model.local_channels=8,x",
-                                  "optimizer.peak_lr=fast"])
+                                  "optimizer.peak_lr=fast", "feature.input_dim=5",
+                                  "feature.hop_samples=3", "model.__post_init__=x"])
 def test_cli_rejects_non_numeric_config_value(item, capsys):
     assert main(["params", "--config", "desk", "--set", item]) == 1
     err = capsys.readouterr().err
@@ -111,17 +102,14 @@ def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
     assert err.startswith("error:") and "se_divisor" in err
 
 
-def test_cli_eval_reports_a_truncated_checkpoint_or_stats_file(tmp_path, capsys):
+def test_cli_eval_reports_a_truncated_checkpoint(tmp_path, capsys):
     work = tmp_path / "run"
     run(capsys, "train", "--config", "desk", "--out", str(work), "--steps", "1")
-    for name in ("checkpoint.bin", "norm_stats.bin"):
-        path = work / name
-        whole = path.read_bytes()
-        path.write_bytes(whole[:len(whole) // 2])
-        assert main(["eval", "--config", "desk", "--out", str(work)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err
-        path.write_bytes(whole)
+    path = work / "checkpoint.bin"
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    assert main(["eval", "--config", "desk", "--out", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_cli_eval_reports_a_wrong_shaped_record(tmp_path, capsys):

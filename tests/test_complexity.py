@@ -123,6 +123,8 @@ def test_length_range_parsing():
     assert parse_length_range("750") == [750]
     with pytest.raises(ConfigError):
         parse_length_range("10:5:1")
+    with pytest.raises(ConfigError, match="'abc'"):
+        parse_length_range("abc")
 
 
 def test_curve_csv_format():
