@@ -67,11 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args.config, args.overrides)
-    trainer = Trainer(cfg, args.out)
+    steps = [] if args.steps is None else [f"training.max_steps={args.steps}"]
+    trainer = Trainer(resolve_config(args.config, args.overrides + steps), args.out)
     if args.resume:
         trainer.load(args.resume)
-    trainer.train(max_steps=args.steps)
+    trainer.train()
     metrics = trainer.evaluate()
     print(
         f"step {trainer.step}: mean_nll {metrics['mean_nll']:.4f} "

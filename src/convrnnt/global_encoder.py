@@ -66,29 +66,26 @@ class GlobalBlock:
 
         The block takes and returns one [T_i, D] tensor per sequence (row
         blocks of the node's [N, D] output), because the benchmark counts
-        its FLOPs from that list.  When no gradient is recorded, as in
-        streaming inference, the node keeps nothing and works in place.
+        its FLOPs from that list.
         """
         m = self.m
         params = [p for _, p in self.params()]
-        record = T.records(list(xs) + params)
         lengths = [x.shape[0] for x in xs]
-        ends = np.cumsum(lengths).tolist()
-        spans = list(zip([0] + ends[:-1], ends))
-        n_rows = ends[-1]
+        spans = T._spans(lengths, sum(lengths), "global block")
+        n_rows = spans[-1][1]
         # Frame index within its own utterance, for each of the N columns.
         local = np.arange(n_rows) - np.repeat([a for a, _ in spans], lengths)
         shifts = [(m.dw_kernel - 1 - j) * self.dilation for j in range(m.dw_kernel)]
-        # Per shift s of a batch, the columns from s on whose tap stays inside
-        # their own utterance; one utterance never reaches outside itself.
-        inside = {s: local[s:] >= s for s in shifts if 0 < s < n_rows and len(xs) > 1}
+        # Per shift s, the columns from s on whose tap stays inside their own
+        # utterance.
+        inside = {s: local[s:] >= s for s in shifts if 0 < s < n_rows}
 
         def pointwise(w, x, out):
             # out = w @ x, one GEMM per utterance's columns.
             for a, b in spans:
                 np.matmul(w, x[:, a:b], out=out[:, a:b])
 
-        x_all = xs[0].data if len(xs) == 1 else np.concatenate([x.data for x in xs])
+        x_all = np.concatenate([x.data for x in xs])
 
         # pointwise in -> ReLU -> batch-norm, [E, N]
         w_in = self.pw_in.weight.data[:, :, 0]
@@ -98,7 +95,7 @@ class GlobalBlock:
         h += self.pw_in.bias.data[:, None]
         mask_in = T.relu_(h)
         xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, out=h)
-        a_in = self._affine(self.norm_in, xhat_in, record)
+        a_in = self._affine(self.norm_in, xhat_in)
 
         # causal dilated depthwise -> ReLU -> batch-norm
         w_dw = self.dw.weight.data[:, 0, :]
@@ -111,19 +108,15 @@ class GlobalBlock:
                 tap *= inside[s]
             h[:, s:] += tap
         del tap
-        if not record:
-            del a_in, xhat_in, xt
         h += self.dw.bias.data[:, None]
         mask_dw = T.relu_(h)
         xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, out=h)
-        a_dw = self._affine(self.norm_dw, xhat_dw, record)
+        a_dw = self._affine(self.norm_dw, xhat_dw)
 
         # pointwise out, squeeze-excite, dropout and the residual, [N, D]
         w_out = self.pw_out.weight.data[:, :, 0]
         zc = np.empty((w_out.shape[0], n_rows))
         pointwise(w_out, a_dw, zc)
-        if not record:
-            del a_dw, xhat_dw
         zc += self.pw_out.bias.data[:, None]
         z = np.ascontiguousarray(zc.T)
         del zc
@@ -135,14 +128,11 @@ class GlobalBlock:
         r = self._rows(mean, self.se_reduce, spans)
         T.relu_(r)
         gate = T._sigmoid(self._rows(r, self.se_expand, spans))
-        y = z * gate if record else np.multiply(z, gate, out=z)
+        y = z * gate
         keep = T.dropout_mask(y.shape, m.dropout_p, training, rng)
         if keep is not None:
             y *= keep
         out = np.add(y, x_all, out=y)
-
-        if not record:
-            return [Tensor(out[a:b]) for a, b in spans]
 
         def backward(g):
             g_res = g
@@ -206,10 +196,9 @@ class GlobalBlock:
         return g @ lin.weight.data.T
 
     @staticmethod
-    def _affine(norm: BatchNormTime, xhat: np.ndarray, record: bool) -> np.ndarray:
-        """gamma * xhat + beta per channel; in place unless xhat is kept for backward."""
-        out = norm.gamma.data[:, None] * xhat if record else np.multiply(
-            xhat, norm.gamma.data[:, None], out=xhat)
+    def _affine(norm: BatchNormTime, xhat: np.ndarray) -> np.ndarray:
+        """gamma * xhat + beta per channel, into a new array (backward keeps xhat)."""
+        out = norm.gamma.data[:, None] * xhat
         out += norm.beta.data[:, None]
         return out
 

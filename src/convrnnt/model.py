@@ -19,18 +19,21 @@ output, which evaluation both decodes and scores with `encoded_loss`.
 A batch runs packed from the input features to the encoder output: the
 [T_i, input_dim] frames of every utterance concatenated in order into
 [N, input_dim] rows (N = sum T_i), with the lengths beside them.  The local
-encoder, the fusion, and the audio and label LSTM stacks each make one
-node per layer for the whole batch; the global blocks read the utterances'
-feature tensors and return one tensor each.  The joint and the loss run on
-packed cells: the joint pairs the packed encoder rows with the packed label
-rows into every utterance's T_i x (U_i+1) logit rows, [sum T_i (U_i+1),
-V+1] with no padding, and the loss takes those rows to the batch's mean
-nll, two joint nodes and one loss node per batch.  Their elementwise work
-runs once per batch; their GEMMs and row-group reductions run per
-utterance on views, because a GEMM's bits depend on how its rows are
-grouped, so each utterance's nll has the bits of the joint and loss on its
-rows alone.  The label encoder and the joint are used as they are, as
-`label_encoder` and `joint`.
+encoder, the fusion, the label embedding (each transcript's zero start row
+included) and the audio and label LSTM stacks each make one node per layer
+for the whole batch; the global blocks read the utterances' feature tensors
+and return one tensor each (a node per block, and one per utterance's rows
+of it).  The joint and the loss run on packed cells: the joint pairs the
+packed encoder rows with the packed label rows into every utterance's
+T_i x (U_i+1) logit rows, [sum T_i (U_i+1), V+1] with no padding, and the
+loss takes those rows to the batch's mean nll, two joint nodes and one loss
+node per batch.  Their elementwise work runs once per batch; their GEMMs
+and row-group reductions run per utterance on views, because a GEMM's bits
+depend on how its rows are grouped, so each utterance's nll has the bits of
+the joint and loss on its rows alone.  The label encoder and the joint are
+used as they are, as `label_encoder` and `joint`.  A training step of the
+`desk` preset records 88 tape nodes; eval and streaming inference run the
+same ops under `no_grad`, which records none.
 """
 
 from __future__ import annotations

@@ -28,11 +28,12 @@ infinite raises `DataError` naming its utterance.
 Besides the logits, the forward keeps only per-cell arrays; no normalized
 copy of the logits is made.  The backward forms the logit gradient once
 into one fresh buffer, which `Tensor.adopt_grad` makes the logits' first
-`.grad` without a copy.  The normaliser and gradient passes run over blocks
-of consecutive rows within BLOCK_BYTES: whole frames of one utterance's
-input (a frame at paper width, about 620 KB, is a block of its own), single
-cells of packed input, so no temporary exceeds one block.  The prefix sums
-of each row's label log-probabilities are taken once, before the scans.
+`.grad` without a copy.  One utterance's [T, U+1, V+1] logits are a batch
+of one, so both inputs take one path, under one block rule: the normaliser
+and gradient passes run over blocks of as many consecutive cells as fit in
+BLOCK_BYTES (52 cells at paper width, V+1 = 2501), so no temporary exceeds
+one block.  The prefix sums of each row's label log-probabilities are taken
+once, before the scans.
 """
 
 from __future__ import annotations
@@ -86,19 +87,17 @@ def _scan(r: np.ndarray, c: np.ndarray) -> None:
     r += c
 
 
-def _blocks(z: np.ndarray, unit: int):
-    """Slices of consecutive rows of the [C, V+1] input, whole units of `unit`
-    rows each, as many units per block as fit in BLOCK_BYTES of float64 (at
-    least one)."""
-    size = max(1, BLOCK_BYTES // (unit * z.shape[1] * 8)) * unit
+def _blocks(z: np.ndarray):
+    """Slices of consecutive rows of the [C, V+1] input, as many rows per
+    block as fit in BLOCK_BYTES of float64 (at least one)."""
+    size = max(1, BLOCK_BYTES // (z.shape[1] * 8))
     return [slice(r, r + size) for r in range(0, z.shape[0], size)]
 
 
 def _checked(z: np.ndarray, labels, lengths):
     """The input as [C, V+1] rows after checking it, the transcripts as int64
-    ids, the frame counts and the rows of a block unit: a frame of one
-    utterance's [T, U+1, V+1] input (lengths None), a cell of packed input."""
-    unit = 1
+    ids and the frame counts; one utterance's [T, U+1, V+1] input (lengths
+    None) becomes a batch of one."""
     if lengths is None:
         labels = np.asarray(labels)
         if z.ndim != 3 or labels.ndim != 1:
@@ -107,7 +106,6 @@ def _checked(z: np.ndarray, labels, lengths):
             )
         if z.shape[1] != labels.size + 1:
             raise ShapeError(f"joint output has {z.shape[1]} label rows, want {labels.size + 1}")
-        unit = z.shape[1]
         z, labels, lengths = z.reshape(-1, z.shape[2]), [labels], [z.shape[0]]
     labels = [np.asarray(tokens) for tokens in labels]
     if z.ndim != 2 or not lengths or len(labels) != len(lengths) or any(
@@ -123,7 +121,7 @@ def _checked(z: np.ndarray, labels, lengths):
     n_cells = sum(t * (tokens.size + 1) for t, tokens in zip(t_lens, ids))
     if z.shape[0] != n_cells:
         raise ShapeError(f"{z.shape[0]} packed cells, want sum T_i (U_i+1) = {n_cells}")
-    return z, ids, t_lens, unit
+    return z, ids, t_lens
 
 
 def _cells(ids, t_lens) -> Cells:
@@ -140,12 +138,12 @@ def _cells(ids, t_lens) -> Cells:
                  np.concatenate(ids)[first_id[utt[labels]] + u[labels]])
 
 
-def _normalisers(z: np.ndarray, cells: Cells, unit: int):
+def _normalisers(z: np.ndarray, cells: Cells):
     """Per-row max m and log-normaliser log sum exp(z - m), each [C].
 
     A row whose max is NaN or infinite raises `DataError` before any
     exponential is taken.  The exponentials are taken one block at a time,
-    so no temporary larger than BLOCK_BYTES (or one unit) is made.
+    so no temporary larger than BLOCK_BYTES (or one row) is made.
     """
     m = z.max(axis=-1)
     bad = np.flatnonzero(~np.isfinite(m))
@@ -156,7 +154,7 @@ def _normalisers(z: np.ndarray, cells: Cells, unit: int):
             f"{cells.u[c]} have a non-finite max ({m[c]})"
         )
     lse = np.empty_like(m)
-    for b in _blocks(z, unit):
+    for b in _blocks(z):
         lse[b] = np.log(np.exp(z[b] - m[b][:, None]).sum(axis=-1))
     return m, lse
 
@@ -231,7 +229,7 @@ def _occupancies(cells: Cells, lat: AlignmentLattice):
     return occ_blank, occ_label, occ_total
 
 
-def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, unit: int, g: float) -> np.ndarray:
+def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, g: float) -> np.ndarray:
     """g times the nll gradient w.r.t. z [C, V+1], formed one block of rows
     at a time into one fresh buffer.
 
@@ -242,7 +240,7 @@ def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, unit: int, g: fl
     """
     occ_blank, occ_label, occ_total = _occupancies(cells, lat)
     grad = np.empty(z.shape)
-    for b in _blocks(z, unit):
+    for b in _blocks(z):
         gb = grad[b]
         np.subtract(z[b], m[b][:, None], out=gb)
         gb -= lse[b][:, None]
@@ -265,15 +263,15 @@ def rnnt_loss(logits: Tensor, labels, lengths=None):
     as one scalar node, with the bits of summing the nlls in order and
     scaling by 1/B, and the list of per-utterance nlls.
     """
-    z, ids, t_lens, unit = _checked(logits.data, labels, lengths)
+    z, ids, t_lens = _checked(logits.data, labels, lengths)
     cells = _cells(ids, t_lens)
-    m, lse = _normalisers(z, cells, unit)
+    m, lse = _normalisers(z, cells)
     lat = _lattice(z, m, lse, cells)
     nll = -lat.log_likelihood
     s = 1.0 / nll.size
 
     def backward(g):
-        grad = _logit_grad(z, m, lse, cells, lat, unit, float(g) * s)
+        grad = _logit_grad(z, m, lse, cells, lat, float(g) * s)
         logits.adopt_grad(grad.reshape(logits.shape))
 
     loss = T.from_op(np.asarray(np.cumsum(nll)[-1] * s), (logits,), backward)

@@ -199,19 +199,15 @@ def from_op(data: np.ndarray, parents, backward) -> Tensor:
     """Create a tape node.  `backward(g)` must accumulate into the parents.
 
     The node only records its provenance when grad mode is on and some
-    parent requires grad; otherwise it is a plain constant tensor.
+    parent requires grad; otherwise it is a plain constant tensor.  That is
+    all grad mode changes: an op computes the same arrays either way.
     """
     out = Tensor(data)
-    if records(parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def records(parents) -> bool:
-    """Whether `from_op` on these parents records a node (and so a backward)."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +366,21 @@ def _row_block(x: Tensor, start: int, stop: int) -> Tensor:
     return from_op(np.ascontiguousarray(x.data[start:stop]), (x,), backward)
 
 
-def place_rows(x: Tensor, rows, n: int) -> Tensor:
-    """[n, D] zeros with row `rows[k]` set to x[k]; the gradient is `g[rows]`."""
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros((n,) + x.shape[1:])
-    out[rows] = x.data
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g[rows])
-
-    return from_op(out, (x,), backward)
-
-
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup (embedding); gradient scatter-adds into the table."""
+    """Row lookup (embedding); an id of -1 gives a zero row.  The gradient
+    scatter-adds into the table; the -1 rows' gradient goes nowhere."""
     ids = np.asarray(ids, dtype=np.int64)
+    rows = ids >= 0
+    out = np.zeros(ids.shape + table.shape[1:])
+    out[rows] = table.data[ids[rows]]
 
     def backward(g):
         if table.requires_grad:
             buf = np.zeros_like(table.data)
-            np.add.at(buf, ids, g)
+            np.add.at(buf, ids[rows], g[rows])
             table.accumulate_grad(buf)
 
-    return from_op(table.data[ids], (table,), backward)
+    return from_op(out, (table,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +536,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
         block += bias.data[:, None, None]
         relu_(block)
     # relu_ leaves out > 0 exactly where its input was > 0.
-    mask = out > 0.0 if records((x, w, bias)) else None
+    mask = out > 0.0
 
     def backward(g):
         g = g * mask

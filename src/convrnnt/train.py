@@ -83,23 +83,18 @@ class Trainer:
     # -- data plumbing -------------------------------------------------------
 
     def _epoch_perm(self, epoch: int) -> np.ndarray:
-        if epoch not in self._perms:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([self.cfg.training.seed, epoch]))
-            )
-            self._perms[epoch] = rng.permutation(len(self.train_utts))
-        return self._perms[epoch]
+        seed = np.random.SeedSequence([self.cfg.training.seed, epoch])
+        return np.random.Generator(np.random.Philox(seed)).permutation(len(self.train_utts))
 
     def batch_for_step(self, step: int):
-        """Utterances of 1-based step `step`; a pure function of the step."""
+        """Utterances of 1-based step `step`; a pure function of the step.
+        Only the permutations of the (at most two) epochs it reaches stay cached."""
         n = len(self.train_utts)
         b = min(self.cfg.training.batch_size, n)
         start = (step - 1) * b
-        out = []
-        for g in range(start, start + b):
-            epoch, pos = divmod(g, n)
-            out.append(self.train_utts[self._epoch_perm(epoch)[pos]])
-        return out
+        self._perms = {e: self._perms[e] if e in self._perms else self._epoch_perm(e)
+                       for e in range(start // n, (start + b - 1) // n + 1)}
+        return [self.train_utts[self._perms[g // n][g % n]] for g in range(start, start + b)]
 
     # -- optimization --------------------------------------------------------
 
@@ -140,11 +135,11 @@ class Trainer:
         l2_term = cfg.optimizer.l2 * float(np.einsum("i,i->", opt.data, opt.data))
         return nll_sum / len(batch) + l2_term, grad_norm
 
-    def train(self, max_steps: int | None = None):
-        """Run to `max_steps`, logging CSV metrics to `<workdir>/metrics.csv`
+    def train(self):
+        """Run to `training.max_steps`, logging CSV metrics to `<workdir>/metrics.csv`
         and checkpointing; a resumed run keeps the log's rows up to its step."""
         cfg = self.cfg
-        max_steps = max_steps if max_steps is not None else cfg.training.max_steps
+        max_steps = cfg.training.max_steps
         log_path = os.path.join(self.workdir, "metrics.csv")
         kept = []
         if self.step > 0 and os.path.exists(log_path):
@@ -328,9 +323,10 @@ def run_ablation(config_source: str, overrides, workdir: str, steps: int):
     """Train the three frontend variants briefly; returns comparison rows."""
     rows = []
     for variant, extra in ABLATION_VARIANTS:
-        cfg = resolve_config(config_source, list(overrides) + list(extra))
+        cfg = resolve_config(config_source,
+                             [*overrides, *extra, f"training.max_steps={steps}"])
         trainer = Trainer(cfg, os.path.join(workdir, variant))
-        trainer.train(max_steps=steps)
+        trainer.train()
         rows.append(
             {
                 "variant": variant,

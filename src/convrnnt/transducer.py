@@ -105,14 +105,8 @@ class LabelEncoder:
         follow those of the lists before it, [sum(U_i + 1), label_proj]."""
         tokens = [label_ids(t, self.m.vocab_size) for t in token_lists]
         lengths = [t.size + 1 for t in tokens]
-        n = sum(lengths)
-        ids = np.concatenate(tokens)
-        if ids.size:
-            # Every row but each list's first (its zero start input) embeds a token.
-            starts = np.cumsum([0] + lengths[:-1])
-            h = T.place_rows(self.embed(ids), np.delete(np.arange(n), starts), n)
-        else:
-            h = Tensor(np.zeros((n, self.m.label_embed)))
+        # Each list's first row embeds the id -1, a zero row: its start input.
+        h = self.embed(np.concatenate([np.insert(t, 0, -1) for t in tokens]))
         for layer in self.layers:
             h = T.dropout(layer(h, lengths), self.m.dropout_p, training, rng)
         return h

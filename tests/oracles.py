@@ -118,7 +118,7 @@ def build_lattice(log_probs, labels):
     """The loss's forward and backward recursions over log-softmax-normalized
     [T, U+1, V+1] input (a zero normaliser), as a `FrameLattice`; its negated
     `log_likelihood` is the nll.  `labels` go through the loss's own checks."""
-    z, ids, t_lens, _ = _checked(log_probs, labels, None)
+    z, ids, t_lens = _checked(log_probs, labels, None)
     zero = np.zeros(z.shape[0])
     return frame_lattice(_lattice(z, zero, zero, _cells(ids, t_lens)), t_lens[0])
 

@@ -160,15 +160,19 @@ def test_interrupted_save_keeps_the_previous_checkpoint(make_trainer, tmp_path, 
 
 
 def test_resumed_run_logs_each_step_once(make_trainer, tmp_path):
-    every2 = ["training.eval_interval=2"]
-    straight = make_trainer(overrides=every2).train(max_steps=6)
-    first = make_trainer(overrides=every2).train(max_steps=4)
+    def to_step(steps, workdir=None):
+        return make_trainer(workdir, ["training.eval_interval=2", f"training.max_steps={steps}"])
+
+    straight = to_step(6).train()
+    first = to_step(4).train()
     shutil.copy(Path(first.workdir) / "checkpoint.bin", tmp_path / "step4.bin")
-    first.train(max_steps=5)
+    fifth = to_step(5, first.workdir)
+    fifth.load(tmp_path / "step4.bin")
+    fifth.train()
     # A new trainer in the same workdir resumes from the earlier checkpoint.
-    resumed = make_trainer(first.workdir, every2)
+    resumed = to_step(6, first.workdir)
     resumed.load(tmp_path / "step4.bin")
-    resumed.train(max_steps=6)
+    resumed.train()
     for name in ("metrics.csv", "checkpoint.bin"):
         assert (Path(resumed.workdir) / name).read_bytes() == (
             Path(straight.workdir) / name

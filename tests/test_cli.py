@@ -1,6 +1,7 @@
 """Smoke test of the command-line interface on the desk preset and toy corpus."""
 
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from convrnnt.audio import write_wav
 from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.cli import main
 from convrnnt.config import load_preset
-from convrnnt.data import load_manifest
+from convrnnt.data import generate_toy_corpus, load_manifest
 from convrnnt.train import Trainer
 
 
@@ -95,11 +96,14 @@ def test_cli_rejects_non_numeric_config_value(item, capsys):
 
 
 def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
-    code = main(["train", "--config", "desk", "--out", str(tmp_path / "run"),
-                 "--set", "model.se_divisor=0"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "se_divisor" in err
+    # --steps is training.max_steps, so it is checked like any config value.
+    for args, key in ((["--set", "model.se_divisor=0"], "se_divisor"),
+                      (["--steps", "0"], "max_steps"), (["--steps", "-1"], "max_steps")):
+        code = main(["train", "--config", "desk", "--out", str(tmp_path / "run"), *args])
+        assert code == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err, args
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_eval_reports_a_truncated_checkpoint(tmp_path, capsys):
@@ -124,3 +128,33 @@ def test_cli_eval_reports_a_wrong_shaped_record(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "adam.m.joint.out.weight" in err
     assert "Traceback" not in err
+
+
+def test_cli_ablate_trains_the_three_frontend_variants(tmp_path, capsys):
+    work = tmp_path / "ablate"
+    lines = run(capsys, "ablate", "--config", "desk", "--out", str(work), "--steps", "1").splitlines()
+    assert [line.split()[0] for line in lines[1:4]] == ["local-only", "global-only", "local+global"]
+    assert (work / "ablation.txt").read_text() == "\n".join(lines[:4]) + "\n"
+    assert lines[4:] == ["frontend params additive: True"]
+    assert main(["ablate", "--config", "desk", "--out", str(tmp_path / "none"), "--steps", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_trains_from_a_config_file_with_a_manifest(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    manifest, vocab = generate_toy_corpus(str(corpus))
+    desk = resources.files("convrnnt.configs").joinpath("desk.cfg").read_text()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{desk}\ndata.use_toy = false\ndata.train_manifest = {manifest}\n"
+                        f"data.vocab = {vocab}\n")
+    from_file, preset = tmp_path / "file", tmp_path / "preset"
+    run(capsys, "train", "--config", str(cfg_path), "--out", str(from_file), "--steps", "2")
+    run(capsys, "train", "--config", "desk", "--set", f"data.toy_dir={corpus}",
+        "--out", str(preset), "--steps", "2")
+    assert sorted(os.listdir(from_file)) == ["checkpoint.bin", "metrics.csv"]
+    for name in ("checkpoint.bin", "metrics.csv"):
+        assert (from_file / name).read_bytes() == (preset / name).read_bytes(), name
+
+    cfg_path.write_text(f"{desk}\ndata.use_toy = false\n")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "none")]) == 1
+    assert "data.train_manifest and data.vocab are required" in capsys.readouterr().err

@@ -255,7 +255,7 @@ def same_bits(a, b):
     "t_len, u_len, n_sym, g, n_blocks",
     [
         (11, 3, 10, 1.0, 1),      # a desk utterance: one block holds it all
-        (80, 10, 501, 0.1, 4),    # 44 KB frames, 23 to a block
+        (80, 10, 501, 0.1, 4),    # 880 cells of 4 KB, 261 to a block
         (1, 3, 7, 1.0, 1),        # one frame
         (6, 0, 5, 1.0, 1),        # no labels
         (3, 8, 6, 1.0, 1),        # more labels than frames
@@ -267,15 +267,15 @@ def test_frame_blocked_passes_match_per_frame_oracle_bitwise(t_len, u_len, n_sym
     z = rng.standard_normal((t_len, u_len + 1, n_sym)) * 2.0
     z[:, :, -1] = -1000.0  # exp underflows: zero gradient entries, whose sign g must not flip
     labels = rng.integers(1, n_sym - 1, size=u_len)
-    rows, ids, t_lens, unit = _checked(z, labels, None)
-    assert len(_blocks(rows, unit)) == n_blocks
+    rows, ids, t_lens = _checked(z, labels, None)
+    assert len(_blocks(rows)) == n_blocks
 
     m_ref, lse_ref = normalisers_per_frame(z)
     lat_ref = lattice_per_frame(z, m_ref, lse_ref, labels)
     grad_ref = logit_grad_per_frame(z, m_ref, lse_ref, labels, lat_ref, g)
 
     cells = _cells(ids, t_lens)
-    m, lse = _normalisers(rows, cells, unit)
+    m, lse = _normalisers(rows, cells)
     lat = frame_lattice(_lattice(rows, m, lse, cells), t_len)
     assert same_bits(m.reshape(t_len, -1), m_ref) and same_bits(lse.reshape(t_len, -1), lse_ref)
     for field in ("log_probs_blank", "log_probs_label", "alpha", "beta"):
@@ -310,7 +310,7 @@ def test_packed_loss_mean_matches_add_scale_bitwise():
     z[:, -1] = -1000.0  # exp underflows: zero gradient entries
     node = T.Tensor(z, requires_grad=True)
     loss, nlls = rnnt_loss(node, PACKED_TOKENS, PACKED_T)
-    assert len(_blocks(z, 1)) == 2
+    assert len(_blocks(z)) == 2
     loss.backward()
 
     alone = [T.Tensor(v.copy(), requires_grad=True) for v in views]

@@ -442,13 +442,17 @@ def test_shape_ops_gradients():
     check_grad(f, [x, y])
 
 
-def test_place_rows_gradient():
+def test_gather_rows_gives_minus_one_ids_a_zero_row_and_no_gradient():
     rng = np.random.default_rng(49)
-    x = rng.standard_normal((3, 4))
-    out = T.place_rows(T.Tensor(x), [1, 2, 4], 5)
+    table = rng.standard_normal((3, 4))
+    ids = np.array([-1, 2, 0, -1, 2])
+    out = T.gather_rows(T.Tensor(table), ids)
     assert np.array_equal(out.data[[0, 3]], np.zeros((2, 4)))
-    assert np.array_equal(out.data[[1, 2, 4]], x)
-    check_grad(lambda xx: weighted_sum(T.place_rows(xx, [1, 2, 4], 5)), [x])
+    assert np.array_equal(out.data[[1, 2, 4]], table[[2, 0, 2]])
+    check_grad(lambda tt: weighted_sum(T.gather_rows(tt, ids)), [table])
+    node = T.Tensor(table, requires_grad=True)
+    T.gather_rows(node, [-1, -1]).backward()
+    assert np.array_equal(node.grad, np.zeros_like(table))
 
 
 def test_joint_ops_with_lengths_keep_each_utterances_bits():
