@@ -35,6 +35,9 @@ class FeatureConfig:
             )
         if self.sample_rate_hz < 1 or self.hop_samples < 1:
             raise ConfigError(f"feature.sample_rate_hz {self.sample_rate_hz} makes a hop of no samples")
+        if self.window_samples > FFT_SIZE:
+            # The FFT would crop the window to its first FFT_SIZE samples.
+            raise ConfigError(f"window of {self.window_samples} samples exceeds the FFT size {FFT_SIZE}")
         if self.n_bands < 1 or self.n_bands > FFT_SIZE // 2 + 1:
             raise ConfigError(f"n_bands {self.n_bands} out of range")
         for name in ("stack", "skip"):

@@ -186,16 +186,20 @@ def _format_value(v) -> str:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat `section.key = value` lines; '#' starts a comment."""
-    flat = {}
+    """Flat `section.key = value` lines; '#' starts a comment.  A key set on
+    two lines raises `ConfigError`."""
+    flat, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        flat[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{key} is set on line {seen[key]} and again on line {lineno}")
+        seen[key] = lineno
+        flat[key] = value
     return flat
 
 
@@ -251,10 +255,10 @@ def apply_overrides(flat: dict, overrides) -> RunConfig:
     return config_from_flat(flat)
 
 
-def canonical_lines(cfg: RunConfig, sections=("feature", "model")) -> list:
-    """Deterministic `key = value` rendering of the given sections."""
+def canonical_lines(cfg: RunConfig) -> list:
+    """Deterministic `key = value` rendering of the feature and model sections."""
     lines = []
-    for name in sections:
+    for name in ("feature", "model"):
         obj = getattr(cfg, name)
         for f in fields(obj):
             lines.append(f"{name}.{f.name} = {_format_value(getattr(obj, f.name))}")
@@ -263,5 +267,5 @@ def canonical_lines(cfg: RunConfig, sections=("feature", "model")) -> list:
 
 def architecture_hash(cfg: RunConfig) -> bytes:
     """32-byte digest of everything that determines parameter shapes."""
-    text = "\n".join(canonical_lines(cfg, sections=("feature", "model")))
+    text = "\n".join(canonical_lines(cfg))
     return hashlib.sha256(text.encode("utf-8")).digest()

@@ -8,13 +8,13 @@ block count, expansion, depthwise kernel, squeeze-excite sizing and dropout
 come from `ModelSettings`; the width D is the stacked feature width
 (`RunConfig.input_dim`), read beside the local encoder.
 
-Each block is one tape node for a whole batch (`GlobalBlock.forward_batch`):
-its forward runs the convolutions, batch-norms, excitation, dropout and
-residual in numpy, and its hand-written backward forms the gradients of the
-inputs and of the 14 block parameters over the whole batch at once.  The
-op-by-op composition it replaces is kept as the test oracle
-`global_block_per_op` in `tests/oracles.py`: the block has its forward bits,
-and its gradients agree with it to rounding.
+The encoder is one tape node for the packed [N, D] rows the local encoder
+reads.  Each block (`GlobalBlock.forward_batch`) runs the convolutions,
+batch-norms, excitation, dropout and residual in numpy, and its hand-written
+backward forms the gradients of the input and of the 14 block parameters
+over the whole batch at once.  The op-by-op composition it replaces is kept
+as the test oracle `global_block_per_op` in `tests/oracles.py`: the block
+has its forward bits, and its gradients agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -42,17 +42,22 @@ class GlobalBlock:
         self.se_expand = Linear(se_bottleneck, d, rng)
 
     def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
-        """Apply the block to a batch of [T_i, D] sequences as one tape node.
+        """Apply the block to a batch of [T_i, D] row arrays; returns the
+        packed [N, D] output (N = sum T_i) and `backward(g)`, which adds into
+        the 14 parameter gradients and returns the packed input gradient.
+        It takes a list of row arrays, not packed rows and lengths, for one
+        reason: the benchmark's FLOPs count,
+        `perfbench/entry_points._block_flops`, sums `x.shape[0]` over it.
 
         Convolutions, excitation, and the residual stay per-utterance, but
         batch-norm statistics pool over the whole batch's frames (time-axis
         concatenation), so training-mode normalization matches what the
         frozen running stats will see at eval time.
 
-        The utterances sit side by side in [E, N] and [N, D] buffers
-        (N = sum T_i), so every elementwise step runs once per batch.  Where
-        a depthwise tap would read another utterance's frames (or the causal
-        padding), it adds a zero.
+        The utterances sit side by side in [E, N] and [N, D] buffers, so
+        every elementwise step runs once per batch.  Where a depthwise tap
+        would read another utterance's frames (or the causal padding), it
+        adds a zero.
 
         The forward has the bits of the op-by-op composition: the same float
         operations in the same order, and the dropout RNG drawn in utterance
@@ -60,16 +65,11 @@ class GlobalBlock:
         of the buffers; one GEMM over all N columns sums in another order and
         gives other bits.  The backward runs over the whole batch: each
         parameter gradient is one GEMM or one reduction over all N columns,
-        and each input gradient (residual plus pointwise-in) is accumulated
-        once.  Only the squeeze-excite's reversed prefix sums stay per
-        utterance.  The gradients agree with the composition to rounding.
-
-        The block takes and returns one [T_i, D] tensor per sequence (row
-        blocks of the node's [N, D] output), because the benchmark counts
-        its FLOPs from that list.
+        and the input gradient (residual plus pointwise-in) is formed once.
+        Only the squeeze-excite's reversed prefix sums stay per utterance.
+        The gradients agree with the composition to rounding.
         """
         m = self.m
-        params = [p for _, p in self.params()]
         lengths = [x.shape[0] for x in xs]
         spans = T._spans(lengths, sum(lengths), "global block")
         n_rows = spans[-1][1]
@@ -85,7 +85,7 @@ class GlobalBlock:
             for a, b in spans:
                 np.matmul(w, x[:, a:b], out=out[:, a:b])
 
-        x_all = np.concatenate([x.data for x in xs])
+        x_all = np.concatenate(xs)
 
         # pointwise in -> ReLU -> batch-norm, [E, N]
         w_in = self.pw_in.weight.data[:, :, 0]
@@ -169,15 +169,11 @@ class GlobalBlock:
             g_h *= mask_in
             _accumulate(self.pw_in.bias, g_h.sum(axis=1))
             _accumulate(self.pw_in.weight, (g_h @ xt.T)[:, :, None])
-            if any(x.requires_grad for x in xs):
-                g_x = (w_in.T @ g_h).T
-                g_x += g_res
-                for x, (a, b) in zip(xs, spans):
-                    if x.requires_grad:
-                        x.accumulate_grad(g_x[a:b])
+            g_x = (w_in.T @ g_h).T
+            g_x += g_res
+            return g_x
 
-        node = T.from_op(out, tuple(xs) + tuple(params), backward)
-        return T.split_rows(node, lengths)
+        return out, backward
 
     @staticmethod
     def _rows(x: np.ndarray, lin: Linear, spans) -> np.ndarray:
@@ -238,11 +234,26 @@ class GlobalEncoder:
         # prefix mean reaches every earlier frame besides.
         self.conv_receptive_field = 1 + sum((m.dw_kernel - 1) * d for d in dilations)
 
-    def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
-        hs = list(xs)
+    def forward_batch(self, x: Tensor, lengths, training: bool = False,
+                      rng: np.random.Generator | None = None) -> Tensor:
+        """The blocks over the packed [N, D] rows x of utterances of the given
+        lengths, as one tape node whose parents are x and every parameter.
+        Its backward pops and runs the blocks' backwards, last block first,
+        so each block's saved arrays are freed once it has run."""
+        splits = np.cumsum(lengths)[:-1]
+        h = x.data
+        backwards = []
         for block in self.blocks:
-            hs = block.forward_batch(hs, training, rng)
-        return hs
+            h, step = block.forward_batch(np.split(h, splits), training, rng)
+            backwards.append(step)
+
+        def backward(g):
+            while backwards:
+                g = backwards.pop()(g)
+            if x.requires_grad:
+                x.accumulate_grad(g)
+
+        return T.from_op(h, (x,) + tuple(p for _, p in self.params()), backward)
 
     def params(self):
         return collect_params((f"block{i + 1}", block) for i, block in enumerate(self.blocks))

@@ -21,16 +21,15 @@ checked against (`matmul`, `add`, `mul`, `scale`, `relu`, `sigmoid`, `tanh`,
 `sum_all`, `slice_axis`, `batchnorm_time`, `outer_sum`) lives with the test
 oracles in `tests/oracles.py`.  Batch-norm uses the fixed `BN_EPS` and `BN_MOMENTUM`.
 
-The local encoder and the LSTM stacks carry a batch as packed rows: the
-frames of every utterance concatenated in order, N = sum of T_i rows, with
-the list of lengths T_i beside them.  The ops that mix frames over time
-(`conv2d` and `lstm`) take those lengths, keep each utterance to its own
-frames, and treat None as one utterance of all rows.  `linear` and
+The local and global encoders and the LSTM stacks carry a batch as packed
+rows: the frames of every utterance concatenated in order, N = sum of T_i
+rows, with the list of lengths T_i beside them.  The ops that mix frames
+over time (`conv2d` and `lstm`) take those lengths, keep each utterance to
+its own frames, and treat None as one utterance of all rows.  `linear` and
 `outer_tanh` take lengths for the joint, whose batch runs packed too, only
 to keep each utterance's GEMMs and sums on its own rows: a GEMM's bits
 depend on how its rows are grouped.  Every other op is per row and needs
-no lengths.  `split_rows` cuts packed rows back into one block per
-utterance for the global blocks.
+no lengths; no op cuts packed rows apart.
 
 These ops are fused, each one tape node for a whole batch:
 
@@ -53,11 +52,11 @@ These ops are fused, each one tape node for a whole batch:
 - `outer_tanh` is the joint's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)`
   over [T, U, J], or over the packed cells of a batch; it keeps only the
   tanh output and forms `g * (1 - t * t)` once in backward.
-- `global_encoder.GlobalBlock.forward_batch` is one node per global block for
-  the whole batch (pointwise, depthwise, batch-norm, squeeze-excite, dropout
-  and residual).  It builds on `batchnorm_normalize` and `batchnorm_backward`,
-  which the reference `batchnorm_time` shares, and on `dropout_mask`, which
-  `dropout` shares.
+- `global_encoder.GlobalEncoder.forward_batch` is one node for all the
+  global blocks and the whole batch (pointwise, depthwise, batch-norm,
+  squeeze-excite, dropout and residual).  Its blocks build on
+  `batchnorm_normalize` and `batchnorm_backward`, which the reference
+  `batchnorm_time` shares, and on `dropout_mask`, which `dropout` shares.
 
 `linear` and `outer_tanh` have the bits of the composition of the
 reference ops they replace, gradients included.  With lengths, each
@@ -344,26 +343,6 @@ def _spans(lengths, n: int, op: str) -> list:
         return [(0, n)]
     ends = np.cumsum(_lengths(lengths, n, op)).tolist()
     return list(zip([0] + ends[:-1], ends))
-
-
-def split_rows(x: Tensor, lengths) -> list:
-    """The row blocks of packed x [N, ...], one per length; one block is x itself."""
-    if len(lengths) == 1:
-        return [x]
-    ends = np.cumsum(lengths).tolist()
-    return [_row_block(x, end - n, end) for n, end in zip(lengths, ends)]
-
-
-def _row_block(x: Tensor, start: int, stop: int) -> Tensor:
-    def backward(g):
-        # Only the block's rows of the parent's gradient are touched; values
-        # equal those of accumulating a zero-filled full-size buffer.
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[start:stop] += g
-
-    return from_op(np.ascontiguousarray(x.data[start:stop]), (x,), backward)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

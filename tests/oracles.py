@@ -522,14 +522,17 @@ def label_rows_per_utterance(enc, tokens, training=False, rng=None):
 def batch_loss_per_utterance(model, features_list, tokens_list, training=False, rng=None):
     """`TransducerModel.batch_loss` one utterance at a time: the local encoder,
     fusion, LSTM stacks, joint and loss of each utterance in turn (the global
-    blocks take the batch's features), then the sum of the losses and its
-    scale by 1/B.
+    encoder takes the batch's packed features, and each utterance its rows of
+    the output), then the sum of the losses and its scale by 1/B.
     The dropout draws come in another order than the packed path's, so the
     two agree only where dropout is off."""
     xs = [T.Tensor(f) for f in features_list]
     local = [local_encoder_per_utterance(model.local, x) for x in xs] if model.local else None
-    glob = (model.global_enc.forward_batch(xs, training, rng)
-            if model.global_enc else None)
+    glob = None
+    if model.global_enc:
+        lengths = [x.shape[0] for x in xs]
+        packed = model.global_enc.forward_batch(T.concat(xs), lengths, training, rng)
+        glob = [slice_axis(packed, 0, a, e) for a, e in _spans(lengths)]
     losses = []
     for i, tokens in enumerate(tokens_list):
         fused = model.fuse(T.concat([p[i] for p in (local, glob) if p is not None], axis=1))
@@ -693,11 +696,13 @@ def global_block_per_op(block, xs, training=False, rng=None):
     return out
 
 
-def global_encoder_per_op(enc, xs, training=False, rng=None):
-    hs = list(xs)
+def global_encoder_per_op(enc, x, lengths, training=False, rng=None):
+    """`GlobalEncoder.forward_batch` on packed [N, D] rows: each utterance's
+    rows sliced out, the blocks op by op, and the outputs joined back."""
+    hs = [slice_axis(x, 0, a, e) for a, e in _spans(lengths)]
     for block in enc.blocks:
         hs = global_block_per_op(block, hs, training, rng)
-    return hs
+    return T.concat(hs)
 
 
 # ---------------------------------------------------------------------------

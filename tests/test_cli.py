@@ -143,10 +143,11 @@ def test_cli_ablate_trains_the_three_frontend_variants(tmp_path, capsys):
 def test_cli_trains_from_a_config_file_with_a_manifest(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     manifest, vocab = generate_toy_corpus(str(corpus))
+    # A config file sets each key once, so the preset's own line is switched.
     desk = resources.files("convrnnt.configs").joinpath("desk.cfg").read_text()
+    desk = desk.replace("data.use_toy = true", "data.use_toy = false")
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"{desk}\ndata.use_toy = false\ndata.train_manifest = {manifest}\n"
-                        f"data.vocab = {vocab}\n")
+    cfg_path.write_text(f"{desk}\ndata.train_manifest = {manifest}\ndata.vocab = {vocab}\n")
     from_file, preset = tmp_path / "file", tmp_path / "preset"
     run(capsys, "train", "--config", str(cfg_path), "--out", str(from_file), "--steps", "2")
     run(capsys, "train", "--config", "desk", "--set", f"data.toy_dir={corpus}",
@@ -155,6 +156,6 @@ def test_cli_trains_from_a_config_file_with_a_manifest(tmp_path, capsys):
     for name in ("checkpoint.bin", "metrics.csv"):
         assert (from_file / name).read_bytes() == (preset / name).read_bytes(), name
 
-    cfg_path.write_text(f"{desk}\ndata.use_toy = false\n")
+    cfg_path.write_text(desk)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "none")]) == 1
     assert "data.train_manifest and data.vocab are required" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
-from convrnnt.config import ModelSettings, load_preset
+from convrnnt.config import ModelSettings, load_preset, parse_config_text
 from convrnnt.errors import ConfigError
 from convrnnt.model import TransducerModel, make_rng, parameter_shapes
 
@@ -38,6 +38,7 @@ REJECTED = [
     "feature.stack=0",
     "feature.skip=0",
     "feature.sample_rate_hz=0",
+    "feature.window_ms=40",  # 640 samples: longer than the FFT
     "training.batch_size=0",
     "training.eval_interval=0",
     "training.max_steps=-5",
@@ -62,6 +63,12 @@ def test_a_key_no_setting_reads_is_rejected():
     # The squeeze-excite gate has no off switch.
     with pytest.raises(ConfigError, match="unknown config key"):
         load_preset("desk", ["model.se_enabled=true"])
+
+
+def test_a_key_set_twice_in_one_file_is_rejected():
+    text = "model.dw_kernel = 3\n# comment\nmodel.dw_kernel = 5\n"
+    with pytest.raises(ConfigError, match="model.dw_kernel is set on line 1 and again on line 3"):
+        parse_config_text(text)
 
 
 def test_unresolved_vocab_rejected():

@@ -3,7 +3,6 @@ import pytest
 
 from convrnnt import tensor as T
 from convrnnt.config import ModelSettings
-from convrnnt.errors import TrainingError
 from convrnnt.global_encoder import GlobalBlock, GlobalEncoder
 
 import oracles
@@ -33,13 +32,11 @@ def positive_conv_weights(block):
 
 
 def run_block(block, x):
-    with T.no_grad():
-        return block.forward_batch([T.Tensor(x)])[0].data
+    return block.forward_batch([x])[0]
 
 
 def run_stack(enc, x):
-    with T.no_grad():
-        return enc.forward_batch([T.Tensor(x)])[0].data
+    return enc.forward_batch(T.Tensor(x), [len(x)]).data
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +222,9 @@ def test_se_gives_full_prefix_reach():
 
 def test_block_gradients_flow():
     block = GlobalBlock(ModelSettings(dropout_p=0.0), 6, 2, np.random.default_rng(22))
-    x = T.Tensor(np.random.default_rng(23).standard_normal((10, 6)), requires_grad=True)
-    oracles.sum_all(block.forward_batch([x], training=True)[0]).backward()
-    assert x.grad is not None
+    x = np.random.default_rng(23).standard_normal((10, 6))
+    out, backward = block.forward_batch([x], training=True)
+    assert backward(np.ones_like(out)).shape == x.shape
     for name, p in block.params():
         assert p.grad is not None, name
 
@@ -241,39 +238,42 @@ def batch_inputs(lengths, d, seed):
     return [rng.standard_normal((t, d)) for t in lengths], [rng.standard_normal((t, d)) for t in lengths]
 
 
-def seeded_sum(outs, seeds):
-    """sum_i <out_i, seed_i> as one scalar tensor, so backward runs once."""
-    total = oracles.sum_all(oracles.mul(outs[0], T.Tensor(seeds[0])))
-    for out, seed in zip(outs[1:], seeds[1:]):
-        total = oracles.add(total, oracles.sum_all(oracles.mul(out, T.Tensor(seed))))
-    return total
+def seeded_sum(out, seeds):
+    """<out, seeds> over packed rows as one scalar tensor."""
+    return oracles.sum_all(oracles.mul(out, T.Tensor(np.concatenate(seeds))))
+
+
+def per_utterance(rows, lengths):
+    return np.split(rows, np.cumsum(lengths)[:-1])
 
 
 def run_encoder(forward, m, arrays, seeds, grad, se_enabled=True, **kw):
-    """Outputs, running stats and (with grad) input and parameter gradients."""
+    """Each utterance's outputs, the running stats and (with grad) each
+    utterance's input gradient and the parameter gradients."""
     enc = GlobalEncoder(m, D, np.random.default_rng(31))
     if not se_enabled:
         for block in enc.blocks:
             constant_gate(block)
-    xs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    lengths = [len(a) for a in arrays]
+    x = T.Tensor(np.concatenate(arrays), requires_grad=True)
     rng = np.random.default_rng(32)
     if grad:
-        outs = forward(enc, xs, rng=rng, **kw)
-        seeded_sum(outs, seeds).backward()
+        out = forward(enc, x, lengths, rng=rng, **kw)
+        seeded_sum(out, seeds).backward()
     else:
         with T.no_grad():
-            outs = forward(enc, xs, rng=rng, **kw)
-    got = {f"out{i}": o.data for i, o in enumerate(outs)}
+            out = forward(enc, x, lengths, rng=rng, **kw)
+    got = {f"out{i}": o for i, o in enumerate(per_utterance(out.data, lengths))}
     for name, bn in enc.norm_layers():
         got[f"{name}.mean"], got[f"{name}.var"] = bn.stats.mean, bn.stats.var
     if grad:
-        got.update({f"x{i}.grad": x.grad for i, x in enumerate(xs)})
+        got.update({f"x{i}.grad": g for i, g in enumerate(per_utterance(x.grad, lengths))})
         got.update({f"{name}.grad": p.grad for name, p in enc.params() if p.grad is not None})
     return got
 
 
-def fused(enc, xs, **kw):
-    return enc.forward_batch(xs, **kw)
+def fused(enc, x, lengths, **kw):
+    return enc.forward_batch(x, lengths, **kw)
 
 
 @pytest.mark.parametrize("lengths", [(9,), (7, 13, 4)])
@@ -323,21 +323,19 @@ def test_block_gradient_matches_fd(se_enabled):
         constant_gate(block)
     arrays, seeds = batch_inputs((5, 8, 3), d, 36)
 
-    def forward(xs):
-        return block.forward_batch(xs, training=True, rng=np.random.default_rng(37))
+    def forward(values):
+        return block.forward_batch(values, training=True, rng=np.random.default_rng(37))
 
     def loss(values):
-        with T.no_grad():
-            outs = forward([T.Tensor(v) for v in values])
-        return sum(float((o.data * s).sum()) for o, s in zip(outs, seeds))
+        return float((forward(values)[0] * np.concatenate(seeds)).sum())
 
-    xs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    seeded_sum(forward(xs), seeds).backward()
-    for i, x in enumerate(xs):
+    _, backward = forward(arrays)
+    grads = per_utterance(backward(np.concatenate(seeds)), [5, 8, 3])
+    for i, g in enumerate(grads):
         def f(v, i=i):
             return loss(arrays[:i] + [v] + arrays[i + 1:])
 
-        assert rel_err(x.grad, fd_gradient(f, arrays[i].copy())) <= 1e-6, f"x{i}"
+        assert rel_err(g, fd_gradient(f, arrays[i].copy())) <= 1e-6, f"x{i}"
     params = block.params()
     assert len(params) == 14
     for name, p in params:
@@ -352,34 +350,30 @@ def test_block_gradient_matches_fd(se_enabled):
         assert rel_err(p.grad, num) <= 1e-6, name
 
 
-def test_block_is_one_node_for_the_batch():
-    block = GlobalBlock(ModelSettings(dropout_p=0.0), D, 2, np.random.default_rng(38))
+def test_encoder_is_one_node_for_the_batch():
+    enc = GlobalEncoder(ModelSettings(dropout_p=0.0), D, np.random.default_rng(38))
     arrays, _ = batch_inputs((4, 6, 5), D, 39)
-    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
-    outs = block.forward_batch(xs, training=True)
-    nodes = {o._parents[0] for o in outs}
-    assert len(nodes) == 1
-    node = nodes.pop()
-    assert node._parents == tuple(xs) + tuple(p for _, p in block.params())
-    assert node.shape == (15, D)
-    (single,) = block.forward_batch(xs[:1], training=True)
-    assert single._parents == (xs[0],) + tuple(p for _, p in block.params())
+    x = T.Tensor(np.concatenate(arrays), requires_grad=True)
+    out = enc.forward_batch(x, [4, 6, 5], training=True)
+    assert out._parents == (x,) + tuple(p for _, p in enc.params())
+    assert out.shape == (15, D)
     with T.no_grad():
-        outs = block.forward_batch(xs)
-    assert all(o._backward is None and not o._parents for o in outs)
+        out = enc.forward_batch(x, [4, 6, 5])
+    assert out._backward is None and not out._parents
 
 
 @pytest.mark.parametrize("se_enabled", [True, False])
 def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch):
     # The backward forms each parameter gradient over the whole batch, not
     # one utterance at a time.
-    block = GlobalBlock(M, D, 2, np.random.default_rng(44))
+    enc = GlobalEncoder(ModelSettings(global_blocks=1), D, np.random.default_rng(44))
+    (block,) = enc.blocks
     if not se_enabled:
         constant_gate(block)
     arrays, seeds = batch_inputs((6, 3, 9, 1, 5), D, 45)
-    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
-    outs = block.forward_batch(xs, training=True, rng=np.random.default_rng(46))
-    total = seeded_sum(outs, seeds)
+    x = T.Tensor(np.concatenate(arrays), requires_grad=True)
+    out = enc.forward_batch(x, [6, 3, 9, 1, 5], training=True, rng=np.random.default_rng(46))
+    total = seeded_sum(out, seeds)
     calls = {}
     accumulate = T.Tensor.accumulate_grad
 
@@ -392,20 +386,6 @@ def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch)
     for name, p in block.params():
         if p.grad is not None:
             assert calls[id(p)] == 1, name
-    assert all(calls[id(x)] == 1 for x in xs)
+    assert calls[id(x)] == 1
     assert sum(p.grad is not None for _, p in block.params()) == 14
 
-
-def test_backward_per_output_of_a_batch_raises():
-    # The outputs are slices of one block node: a backward from the second
-    # output would propagate that node again and count the first seed twice.
-    enc = GlobalEncoder(M, D, np.random.default_rng(41))
-    arrays, seeds = batch_inputs((7, 13, 4), D, 42)
-    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
-    outs = enc.forward_batch(xs, training=True, rng=np.random.default_rng(43))
-    outs[0].backward(seeds[0])
-    first = [x.grad.copy() for x in xs]
-    with pytest.raises(TrainingError):
-        outs[1].backward(seeds[1])
-    for x, g in zip(xs, first):
-        assert np.array_equal(x.grad, g)

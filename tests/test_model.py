@@ -261,17 +261,18 @@ def count_nodes(monkeypatch):
     return nodes
 
 
-def test_desk_step_records_at_most_88_tape_nodes(monkeypatch):
-    # The joint is two nodes, the loss one and the label embedding one for
-    # the whole batch; one joint and loss per utterance would add 51 nodes
-    # for these 10 utterances.
+def test_desk_step_records_at_most_22_tape_nodes(monkeypatch):
+    # The global encoder is one node, the joint two, the loss one and the
+    # label embedding one for the whole batch; a global encoder that cut its
+    # rows apart per utterance would add 66 nodes for these 10 utterances,
+    # and one joint and loss per utterance 51 more.
     cfg = desk_cfg()
     model = TransducerModel(cfg, seed=26)
     feats, tokens = random_batch(cfg, 27)
     nodes = count_nodes(monkeypatch)
     loss, _ = model.batch_loss(feats, tokens, training=True, rng=make_rng(28))
     loss.backward()
-    assert len(nodes) <= 88
+    assert len(nodes) <= 22
 
 
 def test_batch_nll_equals_batch_of_one_nll():

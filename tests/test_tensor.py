@@ -520,15 +520,6 @@ def test_slice_columns_roundtrip_gradient():
     check_grad(f, [x])
 
 
-def test_split_rows_gives_row_blocks_and_their_gradient():
-    rng = np.random.default_rng(53)
-    x = rng.standard_normal((7, 3))
-    blocks = T.split_rows(T.Tensor(x), [2, 4, 1])
-    for block, rows in zip(blocks, (x[:2], x[2:6], x[6:])):
-        assert same_bits(block.data, rows)
-    check_grad(lambda xx: weighted_sum(T.concat(T.split_rows(xx, [2, 4, 1]))), [x])
-
-
 def test_mean_over_axis_and_prefix_mean():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((6, 3))
