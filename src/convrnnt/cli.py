@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help="override training.max_steps")
     p.add_argument("--resume", default="", help="checkpoint to resume from")
 
-    p = sub.add_parser("eval", help="report nll / exact match / WER")
+    p = sub.add_parser("eval", help="report nll / exact match / WER / CER")
     _add_config_args(p)
     p.add_argument("--out", required=True, help="working directory")
     p.add_argument("--checkpoint", default="", help="checkpoint file (default: <out>/checkpoint.bin)")
@@ -75,7 +75,8 @@ def cmd_train(args) -> int:
     metrics = trainer.evaluate()
     print(
         f"step {trainer.step}: mean_nll {metrics['mean_nll']:.4f} "
-        f"exact_match {metrics['exact_match']:.2%} wer {metrics['wer']:.3f}"
+        f"exact_match {metrics['exact_match']:.2%} wer {metrics['wer']:.3f} "
+        f"cer {metrics['cer']:.3f}"
     )
     return 0
 
@@ -97,6 +98,7 @@ def cmd_eval(args) -> int:
     print(f"mean_nll     {metrics['mean_nll']:.6f}")
     print(f"exact_match  {metrics['exact_match']:.2%}")
     print(f"wer          {metrics['wer']:.4f}")
+    print(f"cer          {metrics['cer']:.4f}")
     return 0
 
 

@@ -24,6 +24,7 @@ from .errors import ConfigError
 
 @dataclass
 class ModelSettings:
+    # Both frontends off is the paper's LSTM-only RNN-T baseline.
     local_enabled: bool = True
     global_enabled: bool = True
     local_channels: tuple = (100, 100, 64, 64)
@@ -47,8 +48,6 @@ class ModelSettings:
 
     def __post_init__(self):
         self.local_channels = tuple(int(c) for c in self.local_channels)
-        if not (self.local_enabled or self.global_enabled):
-            raise ConfigError("at least one of the local/global frontends must be enabled")
         if not self.local_channels or min(self.local_channels) < 1:
             raise ConfigError(f"model.local_channels must be positive, got {self.local_channels}")
         for name in (

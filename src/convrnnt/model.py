@@ -4,17 +4,22 @@ stable parameter registry for checkpointing and diagnostics.
 Every module is built from the run's `ModelSettings` (`cfg.model`) and the
 widths `RunConfig` derives.  The local encoder (`local_dim` wide, 0 when off)
 and the global encoder (`input_dim` wide) read the stacked features side by
-side, and the fusion maps their concatenation back to `input_dim`.
+side, and the fusion maps their concatenation back to `input_dim`.  With
+both frontends off there is no fusion: the LSTM stack reads the stacked
+features directly, which is the paper's LSTM-only RNN-T baseline.
 
 The registry is the one source of parameter names and shapes:
 `parameter_shapes` and `count_parameters` read it from a model built with
 an init source that allocates no weights, so they report configs too big to
 build for real.
 
-There are two forward entry points: `batch_loss` is the transducer loss of a
-training batch, and `encode_audio` is one utterance's eval-mode encoder
-output, which evaluation both decodes and scores with `encoded_loss`.
-`encode_audio` is a batch of one through the code `batch_loss` runs.
+There are three forward entry points, each taking a batch of any size:
+`encode_audio` maps feature tensors to packed encoder rows, `encoded_loss`
+maps packed encoder rows and transcripts to the transducer loss, and
+`batch_loss` is the one after the other, the loss of a training batch.
+Evaluation encodes each utterance once with `encode_audio`, then decodes
+it and scores it with `encoded_loss`; one utterance is a batch of one, not
+a path of its own.
 
 A batch runs packed from the input features to the encoder output: the
 [T_i, input_dim] frames of every utterance concatenated in order into
@@ -69,7 +74,8 @@ class TransducerModel:
         f = cfg.feature
         self.local = LocalEncoder(m, f.stack, f.n_bands, rng) if cfg.local_dim else None
         self.global_enc = GlobalEncoder(m, cfg.input_dim, rng) if m.global_enabled else None
-        self.fuse = Linear(cfg.local_dim + (cfg.input_dim if self.global_enc else 0), cfg.input_dim, rng)
+        fuse_in = cfg.local_dim + (cfg.input_dim if self.global_enc else 0)
+        self.fuse = Linear(fuse_in, cfg.input_dim, rng) if fuse_in else None
         self.encoder = AudioEncoder(m, cfg.input_dim, rng)
         self.label_encoder = LabelEncoder(m, rng)
         self.joint = Joint(m, rng)
@@ -93,12 +99,12 @@ class TransducerModel:
 
     # -- forward paths -------------------------------------------------------
 
-    def frontend_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
-        """Fused encoder input of a batch of [T_i, input_dim] feature tensors,
-        as packed [sum T_i, input_dim] rows; batch-norm statistics pool across
-        the utterances.  An empty batch, an utterance without frames and
-        features of another width raise `ShapeError`, non-finite features
-        `DataError`."""
+    def encode_audio(self, *xs: Tensor, training: bool = False, rng=None) -> Tensor:
+        """Encoder output of a batch of [T_i, input_dim] feature tensors, as
+        packed [sum T_i, proj_dim] rows; one tensor is a batch of one, and
+        batch-norm statistics pool across the utterances.  An empty batch, an
+        utterance without frames and features of another width raise
+        `ShapeError`, non-finite features `DataError`."""
         if not xs:
             raise ShapeError("a batch needs at least one utterance")
         for k, x in enumerate(xs):
@@ -115,34 +121,26 @@ class TransducerModel:
             parts.append(self.local(x, lengths))
         if self.global_enc is not None:
             parts.append(self.global_enc.forward_batch(x, lengths, training, rng))
-        return fuse_frontends(parts, self.fuse)
+        if parts:
+            x = fuse_frontends(parts, self.fuse)
+        return self.encoder(x, lengths, training, rng)
 
-    def encode_audio(self, x: Tensor) -> Tensor:
-        """[T, input_dim] features -> [T, proj_dim] encoder output, in eval mode."""
-        return self.encoder(self.frontend_batch([x]))
+    def encoded_loss(self, enc: Tensor, lengths, tokens_list, training: bool = False, rng=None):
+        """Mean per-utterance loss, plus each utterance's nll, from the packed
+        encoder rows of `encode_audio` and their frame counts."""
+        pred = self.label_encoder(*tokens_list, training=training, rng=rng)
+        logits = self.joint(enc, pred, (lengths, [len(tokens) + 1 for tokens in tokens_list]))
+        return rnnt_loss(logits, tokens_list, lengths)
 
-    def encoded_loss(self, enc: Tensor, tokens) -> Tensor:
-        """Eval-mode transducer loss of one utterance from its [T, proj_dim] encoder output."""
-        return rnnt_loss(self.joint(enc, self.label_encoder(tokens)), tokens)
-
-    def batch_loss(
-        self,
-        features_list,
-        tokens_list,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ):
+    def batch_loss(self, features_list, tokens_list, training: bool = False, rng=None):
         """Mean per-utterance loss over a batch, plus each utterance's nll."""
         if len(features_list) != len(tokens_list):
             raise ShapeError(
                 f"{len(features_list)} feature arrays but {len(tokens_list)} transcripts"
             )
         xs = [Tensor(features) for features in features_list]
-        lengths = [x.shape[0] for x in xs]
-        enc = self.encoder(self.frontend_batch(xs, training, rng), lengths, training, rng)
-        pred = self.label_encoder(*tokens_list, training=training, rng=rng)
-        logits = self.joint(enc, pred, (lengths, [len(tokens) + 1 for tokens in tokens_list]))
-        return rnnt_loss(logits, tokens_list, lengths)
+        enc = self.encode_audio(*xs, training=training, rng=rng)
+        return self.encoded_loss(enc, [x.shape[0] for x in xs], tokens_list, training, rng)
 
 
 # ---------------------------------------------------------------------------

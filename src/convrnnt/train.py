@@ -27,19 +27,31 @@ from .optim import Adam, lr_at
 from .vocab import Vocab
 
 
-def word_error_rate(ref: str, hyp: str) -> float:
-    """Word-level Levenshtein distance over the reference length."""
-    r, h = ref.split(), hyp.split()
-    if not r:
-        raise ConfigError("empty reference")
-    d = np.zeros((len(r) + 1, len(h) + 1), dtype=np.int64)
-    d[:, 0] = np.arange(len(r) + 1)
-    d[0, :] = np.arange(len(h) + 1)
-    for i in range(1, len(r) + 1):
-        for j in range(1, len(h) + 1):
-            sub = d[i - 1, j - 1] + (r[i - 1] != h[j - 1])
+def edit_distance(ref, hyp) -> int:
+    """Levenshtein distance between two sequences, of words or of characters."""
+    d = np.zeros((len(ref) + 1, len(hyp) + 1), dtype=np.int64)
+    d[:, 0] = np.arange(len(ref) + 1)
+    d[0, :] = np.arange(len(hyp) + 1)
+    for i in range(1, len(ref) + 1):
+        for j in range(1, len(hyp) + 1):
+            sub = d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
             d[i, j] = min(sub, d[i - 1, j] + 1, d[i, j - 1] + 1)
-    return float(d[len(r), len(h)]) / len(r)
+    return int(d[len(ref), len(hyp)])
+
+
+def error_rates(pairs):
+    """(WER, CER) of (reference, hypothesis) transcript pairs: the total word,
+    or character, edits over the total reference words, or characters.  A
+    reference without words raises `DataError`."""
+    word_edits = char_edits = words = chars = 0
+    for ref, hyp in pairs:
+        if not ref.split():
+            raise DataError(f"empty reference transcript {ref!r}")
+        word_edits += edit_distance(ref.split(), hyp.split())
+        char_edits += edit_distance(ref, hyp)
+        words += len(ref.split())
+        chars += len(ref)
+    return word_edits / words, char_edits / chars
 
 
 class Trainer:
@@ -171,26 +183,23 @@ class Trainer:
             yield utt, enc, self.vocab.detokenize(tokens)
 
     def evaluate(self):
-        """Mean per-utterance nll, exact transcript match rate, and WER over
-        the eval utterances."""
+        """Mean per-utterance nll, exact transcript match rate, WER and CER
+        over the eval utterances."""
         nll_total = 0.0
-        exact = 0
-        wer_num = 0.0
-        wer_den = 0
-        hyps = {}
+        pairs, hyps = [], {}
         for utt, enc, hyp_text in self.decode():
             with T.no_grad():
-                nll_total += float(self.model.encoded_loss(enc, self.tokens[utt.utt_id]).data)
+                _, (nll,) = self.model.encoded_loss(enc, [enc.shape[0]], [self.tokens[utt.utt_id]])
+            nll_total += nll
+            pairs.append((utt.transcript, hyp_text))
             hyps[utt.utt_id] = hyp_text
-            exact += hyp_text == utt.transcript
-            ref_words = utt.transcript.split()
-            wer_num += word_error_rate(utt.transcript, hyp_text) * len(ref_words)
-            wer_den += len(ref_words)
-        n = len(self.eval_utts)
+        wer, cer = error_rates(pairs)
+        n = len(pairs)
         return {
             "mean_nll": nll_total / n,
-            "exact_match": exact / n,
-            "wer": wer_num / wer_den,
+            "exact_match": sum(ref == hyp for ref, hyp in pairs) / n,
+            "wer": wer,
+            "cer": cer,
             "hypotheses": hyps,
         }
 
@@ -313,6 +322,7 @@ def frontend_param_count(cfg: RunConfig) -> int:
 
 
 ABLATION_VARIANTS = (
+    ("rnnt", ("model.local_enabled=false", "model.global_enabled=false")),
     ("local-only", ("model.global_enabled=false",)),
     ("global-only", ("model.local_enabled=false",)),
     ("local+global", ()),
@@ -320,7 +330,8 @@ ABLATION_VARIANTS = (
 
 
 def run_ablation(config_source: str, overrides, workdir: str, steps: int):
-    """Train the three frontend variants briefly; returns comparison rows."""
+    """Train the LSTM-only baseline and the three frontend variants briefly;
+    returns comparison rows."""
     rows = []
     for variant, extra in ABLATION_VARIANTS:
         cfg = resolve_config(config_source,

@@ -523,7 +523,8 @@ def batch_loss_per_utterance(model, features_list, tokens_list, training=False, 
     """`TransducerModel.batch_loss` one utterance at a time: the local encoder,
     fusion, LSTM stacks, joint and loss of each utterance in turn (the global
     encoder takes the batch's packed features, and each utterance its rows of
-    the output), then the sum of the losses and its scale by 1/B.
+    the output; with no frontend the LSTMs read the features), then the sum
+    of the losses and its scale by 1/B.
     The dropout draws come in another order than the packed path's, so the
     two agree only where dropout is off."""
     xs = [T.Tensor(f) for f in features_list]
@@ -535,7 +536,8 @@ def batch_loss_per_utterance(model, features_list, tokens_list, training=False, 
         glob = [slice_axis(packed, 0, a, e) for a, e in _spans(lengths)]
     losses = []
     for i, tokens in enumerate(tokens_list):
-        fused = model.fuse(T.concat([p[i] for p in (local, glob) if p is not None], axis=1))
+        parts = [p[i] for p in (local, glob) if p is not None]
+        fused = model.fuse(T.concat(parts, axis=1)) if parts else xs[i]
         enc = _lstm_stack(model.encoder.layers, fused, model.encoder.m.dropout_p, training, rng)
         pred = label_rows_per_utterance(model.label_encoder, tokens, training, rng)
         losses.append(rnnt_loss(model.joint(enc, pred), tokens))

@@ -41,18 +41,27 @@ def make_trainer(tmp_path_factory):
     return make
 
 
+# The desk model, and the LSTM-only baseline, whose checkpoint holds no
+# frontend, fusion or batch-norm statistics record.
+MODELS = [
+    pytest.param((), id="desk"),
+    pytest.param(("model.local_enabled=false", "model.global_enabled=false"), id="rnnt"),
+]
+
+
 def params(trainer):
     return {name: p.data.copy() for name, p in trainer.model.parameters()}
 
 
-def test_resume_from_step3_matches_straight_run_bitwise(make_trainer, tmp_path):
-    straight = make_trainer()
+@pytest.mark.parametrize("model", MODELS)
+def test_resume_from_step3_matches_straight_run_bitwise(make_trainer, tmp_path, model):
+    straight = make_trainer(overrides=model)
     straight_losses = [straight.train_step() for _ in range(6)]
 
-    first = make_trainer()
+    first = make_trainer(overrides=model)
     losses = [first.train_step() for _ in range(3)]
     first.save(tmp_path / "step3.bin")
-    resumed = make_trainer()
+    resumed = make_trainer(overrides=model)
     resumed.load(tmp_path / "step3.bin")
     assert resumed.step == 3
     losses += [resumed.train_step() for _ in range(3)]
@@ -64,12 +73,17 @@ def test_resume_from_step3_matches_straight_run_bitwise(make_trainer, tmp_path):
         assert np.array_equal(final[name], expected[name]), name
 
 
-def test_checkpoint_load_then_save_is_byte_identical(make_trainer, tmp_path):
-    trainer = make_trainer()
+@pytest.mark.parametrize("model", MODELS)
+def test_checkpoint_load_then_save_is_byte_identical(make_trainer, tmp_path, model):
+    trainer = make_trainer(overrides=model)
     for _ in range(3):
         trainer.train_step()
     trainer.save(tmp_path / "a.bin")
-    reloaded = make_trainer()
+    _, arrays, _ = load_checkpoint(tmp_path / "a.bin", expected_hash=trainer.arch_hash)
+    frontend = [name for name in arrays
+                if re.match(r"(adam\.[mv]\.)?(local|global|fuse|stats)\.", name)]
+    assert bool(frontend) == (not model)
+    reloaded = make_trainer(overrides=model)
     reloaded.load(tmp_path / "a.bin")
     reloaded.save(tmp_path / "b.bin")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

@@ -33,11 +33,11 @@ def test_cli_params_flops_train_eval_decode(tmp_path, capsys):
 
     work = str(tmp_path / "run")
     out = run(capsys, "train", "--config", "desk", "--out", work, "--steps", "2")
-    assert out.startswith("step 2: mean_nll")
+    assert out.startswith("step 2: mean_nll") and " cer " in out
     assert sorted(os.listdir(work)) == ["checkpoint.bin", "metrics.csv", "toy"]
 
     out = run(capsys, "eval", "--config", "desk", "--out", work)
-    assert "mean_nll" in out and "wer" in out
+    assert "mean_nll" in out and "wer" in out and "cer" in out
 
     out = run(capsys, "decode", "--config", "desk", "--out", work)
     hyp_path = os.path.join(work, "hypotheses.txt")
@@ -133,9 +133,11 @@ def test_cli_eval_reports_a_wrong_shaped_record(tmp_path, capsys):
 def test_cli_ablate_trains_the_three_frontend_variants(tmp_path, capsys):
     work = tmp_path / "ablate"
     lines = run(capsys, "ablate", "--config", "desk", "--out", str(work), "--steps", "1").splitlines()
-    assert [line.split()[0] for line in lines[1:4]] == ["local-only", "global-only", "local+global"]
-    assert (work / "ablation.txt").read_text() == "\n".join(lines[:4]) + "\n"
-    assert lines[4:] == ["frontend params additive: True"]
+    rows = [line.split() for line in lines[1:5]]
+    assert [row[0] for row in rows] == ["rnnt", "local-only", "global-only", "local+global"]
+    assert rows[0][1] == "0"  # the LSTM-only baseline has no frontend parameter
+    assert (work / "ablation.txt").read_text() == "\n".join(lines[:5]) + "\n"
+    assert lines[5:] == ["frontend params additive: True"]
     assert main(["ablate", "--config", "desk", "--out", str(tmp_path / "none"), "--steps", "0"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 

@@ -6,7 +6,7 @@ import pytest
 
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
-from convrnnt.errors import ConfigError, DataError, ShapeError
+from convrnnt.errors import DataError, ShapeError
 from convrnnt.model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
 from convrnnt.rnnt_loss import rnnt_loss
 from convrnnt.train import frontend_param_count
@@ -35,9 +35,30 @@ def test_ablation_variants_registry_matches_mirror():
         assert built == [(name, tuple(shape)) for name, shape in parameter_shapes(cfg)]
 
 
-def test_both_frontends_disabled_rejected():
-    with pytest.raises(ConfigError):
-        desk_cfg(**{"model.local_enabled": "false", "model.global_enabled": "false"})
+def test_lstm_only_baseline_builds_trains_and_encodes():
+    # Both frontends off: the encoder LSTMs read the stacked features, and
+    # no frontend or fusion parameter exists.
+    cfg = desk_cfg(**{"model.local_enabled": "false", "model.global_enabled": "false"})
+    model = TransducerModel(cfg, seed=30)
+    built = [(name, p.shape) for name, p in model.parameters()]
+    assert built == [(name, tuple(shape)) for name, shape in parameter_shapes(cfg)]
+    assert not any(name.startswith(("local.", "global.", "fuse.")) for name, _ in built)
+    assert count_parameters(cfg)["convolution blocks"] == 0
+    assert model.norm_layers() == []
+
+    feats, tokens = random_batch(cfg, 31, BATCH_LENGTHS[:3])
+    loss, nlls = model.batch_loss(feats, tokens, training=True, rng=make_rng(32))
+    assert len(nlls) == 3 and np.all(np.isfinite(nlls))
+    loss.backward()
+    for name, p in model.parameters():
+        assert p.grad is not None and np.any(p.grad != 0.0), name
+    with T.no_grad():
+        _, nlls = model.batch_loss(feats, tokens)
+        _, want = batch_loss_per_utterance(model, feats, tokens)
+        enc = model.encode_audio(*(T.Tensor(f) for f in feats))
+    assert np.max(np.abs(np.subtract(nlls, want)) / np.abs(want)) <= 1e-12
+    assert enc.shape == (sum(BATCH_LENGTHS[:3]), cfg.model.proj_dim)
+    assert np.all(np.isfinite(enc.data))
 
 
 def test_frontend_param_counts_are_additive():
@@ -217,7 +238,7 @@ def test_packed_joint_and_loss_match_per_utterance_calls():
     feats, _ = random_batch(cfg, 30, EDGE_LENGTHS)
     tokens = [list(t) for t in EDGE_TOKENS]
     with T.no_grad():
-        enc = model.encoder(model.frontend_batch([T.Tensor(f) for f in feats]), EDGE_LENGTHS).data
+        enc = model.encode_audio(*(T.Tensor(f) for f in feats)).data
         pred = model.label_encoder(*tokens).data
     rows = [len(t) + 1 for t in tokens]
 
@@ -294,8 +315,7 @@ def test_batch_encoding_keeps_utterances_apart_bitwise():
 
     def encode(xs):
         with T.no_grad():
-            return model.encoder(model.frontend_batch([T.Tensor(x) for x in xs]),
-                                 BATCH_LENGTHS).data
+            return model.encode_audio(*(T.Tensor(x) for x in xs)).data
 
     base = encode(feats)
     for k, t0 in ((3, 5), (1, 0), (9, 2)):

@@ -68,25 +68,40 @@ def test_evaluate_encodes_each_utterance_once(corpus, tmp_path, monkeypatch):
             enc = trainer.model.encode_audio(T.Tensor(feats)).data
             hyps[utt.utt_id] = trainer.vocab.detokenize(greedy_decode(trainer.model, enc).tokens)
     refs = {u.utt_id: u.transcript for u in trainer.eval_utts}
-    n_words = sum(len(r.split()) for r in refs.values())
-    wer = sum(
-        train.word_error_rate(refs[k], hyps[k]) * len(refs[k].split()) for k in refs
-    ) / n_words
+    word_edits = sum(train.edit_distance(refs[k].split(), hyps[k].split()) for k in refs)
+    char_edits = sum(train.edit_distance(refs[k], hyps[k]) for k in refs)
+    wer = word_edits / sum(len(r.split()) for r in refs.values())
+    cer = char_edits / sum(len(r) for r in refs.values())
 
     seen = []
-    frontend_batch = TransducerModel.frontend_batch
+    encode_audio = TransducerModel.encode_audio
 
-    def counting_frontend_batch(model, xs, *args, **kwargs):
+    def counting_encode_audio(model, *xs, **kwargs):
         seen.append(len(xs))
-        return frontend_batch(model, xs, *args, **kwargs)
+        return encode_audio(model, *xs, **kwargs)
 
-    monkeypatch.setattr(TransducerModel, "frontend_batch", counting_frontend_batch)
+    monkeypatch.setattr(TransducerModel, "encode_audio", counting_encode_audio)
     metrics = trainer.evaluate()
-    assert sum(seen) == len(trainer.eval_utts) == 10
+    assert seen == [1] * len(trainer.eval_utts) and len(seen) == 10
     assert metrics["mean_nll"] == sum(nlls) / len(nlls)
     assert metrics["hypotheses"] == hyps
     assert metrics["exact_match"] == sum(hyps[k] == refs[k] for k in refs) / len(refs)
     assert metrics["wer"] == wer
+    assert metrics["cer"] == cer
+
+
+def test_error_rates_count_word_and_character_edits():
+    # Two unseen strings as an overfit desk model decodes them: cab snaps to
+    # the training string cafe, and bag is cut short to b.  Either word is
+    # wrong, and either takes two edits against three reference letters.
+    assert train.edit_distance("cab", "cafe") == 2
+    assert train.edit_distance("bag", "b") == 2
+    assert train.error_rates([("cab", "cafe")]) == (1.0, 2 / 3)
+    assert train.error_rates([("bag", "b")]) == (1.0, 2 / 3)
+    assert train.error_rates([("cab", "cafe"), ("bag", "b"), ("ab", "ab")]) == (2 / 3, 4 / 8)
+    assert train.error_rates([("ab cd", "ab")]) == (1 / 2, 3 / 5)
+    with pytest.raises(DataError, match="empty reference"):
+        train.error_rates([("ab", "ab"), (" ", "ab")])
 
 
 def test_one_utterance_id_for_two_wavs_rejected(tmp_path):
