@@ -41,13 +41,14 @@ class GlobalBlock:
         self.se_reduce = Linear(d, se_bottleneck, rng)
         self.se_expand = Linear(se_bottleneck, d, rng)
 
-    def forward_batch(self, xs, training: bool = False, rng: np.random.Generator | None = None):
+    def forward_batch(self, xs, rng: np.random.Generator | None = None):
         """Apply the block to a batch of [T_i, D] row arrays; returns the
         packed [N, D] output (N = sum T_i) and `backward(g)`, which adds into
         the 14 parameter gradients and returns the packed input gradient.
-        It takes a list of row arrays, not packed rows and lengths, for one
-        reason: the benchmark's FLOPs count,
-        `perfbench/entry_points._block_flops`, sums `x.shape[0]` over it.
+        With a generator it trains (batch statistics, their running update
+        and dropout); without one it evaluates.  It takes row arrays, not
+        packed rows and lengths, because the benchmark's FLOPs count
+        (`perfbench/entry_points._block_flops`) sums `x.shape[0]` over them.
 
         Convolutions, excitation, and the residual stay per-utterance, but
         batch-norm statistics pool over the whole batch's frames (time-axis
@@ -70,6 +71,7 @@ class GlobalBlock:
         The gradients agree with the composition to rounding.
         """
         m = self.m
+        training = rng is not None
         lengths = [x.shape[0] for x in xs]
         spans = T._spans(lengths, sum(lengths), "global block")
         n_rows = spans[-1][1]
@@ -129,7 +131,7 @@ class GlobalBlock:
         T.relu_(r)
         gate = T._sigmoid(self._rows(r, self.se_expand, spans))
         y = z * gate
-        keep = T.dropout_mask(y.shape, m.dropout_p, training, rng)
+        keep = T.dropout_mask(y.shape, m.dropout_p, rng)
         if keep is not None:
             y *= keep
         out = np.add(y, x_all, out=y)
@@ -234,8 +236,7 @@ class GlobalEncoder:
         # prefix mean reaches every earlier frame besides.
         self.conv_receptive_field = 1 + sum((m.dw_kernel - 1) * d for d in dilations)
 
-    def forward_batch(self, x: Tensor, lengths, training: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
+    def forward_batch(self, x: Tensor, lengths, rng: np.random.Generator | None = None) -> Tensor:
         """The blocks over the packed [N, D] rows x of utterances of the given
         lengths, as one tape node whose parents are x and every parameter.
         Its backward pops and runs the blocks' backwards, last block first,
@@ -244,7 +245,7 @@ class GlobalEncoder:
         h = x.data
         backwards = []
         for block in self.blocks:
-            h, step = block.forward_batch(np.split(h, splits), training, rng)
+            h, step = block.forward_batch(np.split(h, splits), rng)
             backwards.append(step)
 
         def backward(g):

@@ -20,14 +20,19 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, gain: float = 1.0
 # geometrically with depth (He-style bound: uniform variance 2/fan_in).
 RELU_CONV_GAIN = 6.0 ** 0.5
 
+# The audio encoder's Swish projections: a unit-gain bound (sqrt 3) doubled
+# for Swish's slope of 1/2 at 0, variance 4/fan_in.  At gain 1 the desk model
+# learned its corpus on some seeds only.
+SWISH_PROJ_GAIN = 2.0 * 3.0 ** 0.5
+
 
 def zeros_param(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
 class Linear:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        self.weight = uniform_init(rng, (n_in, n_out), n_in)
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, gain: float = 1.0):
+        self.weight = uniform_init(rng, (n_in, n_out), n_in, gain)
         self.bias = zeros_param(n_out)
 
     def __call__(self, x: Tensor, lengths=None) -> Tensor:
@@ -56,7 +61,7 @@ class Conv2dLayer:
         self.weight = uniform_init(rng, (c_out, c_in, k_t, k_f), c_in * k_t * k_f, gain=RELU_CONV_GAIN)
         self.bias = zeros_param(c_out)
 
-    def __call__(self, x: Tensor, lengths=None) -> Tensor:
+    def __call__(self, x: Tensor, lengths) -> Tensor:
         """ReLU of the causal conv of packed [C_in, N, F] utterances, as [C_out, N, F]."""
         return T.conv2d(x, self.weight, self.bias, lengths)
 

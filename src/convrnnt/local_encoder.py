@@ -40,11 +40,9 @@ class LocalEncoder:
             self.convs.append(Conv2dLayer(c_prev, c, m.kernel_t, m.kernel_f, rng))
             c_prev = c
 
-    def __call__(self, x: Tensor, lengths=None) -> Tensor:
-        """Packed [N, in_channels * n_freq] -> [N, local_channels[-1] * n_freq].
-
-        `lengths` are the utterances' frame counts (None: one utterance).
-        """
+    def __call__(self, x: Tensor, lengths) -> Tensor:
+        """Packed [N, in_channels * n_freq] rows of utterances of the given
+        lengths -> [N, local_channels[-1] * n_freq]."""
         n = x.shape[0]
         if x.shape[1] != self.in_channels * self.n_freq:
             raise ShapeError(

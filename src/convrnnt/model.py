@@ -17,6 +17,7 @@ There are three forward entry points, each taking a batch of any size:
 `encode_audio` maps feature tensors to packed encoder rows, `encoded_loss`
 maps packed encoder rows and transcripts to the transducer loss, and
 `batch_loss` is the one after the other, the loss of a training batch.
+Each takes one `rng`: none (the default) evaluates, and a generator trains.
 Evaluation encodes each utterance once with `encode_audio`, then decodes
 it and scores it with `encoded_loss`; one utterance is a batch of one, not
 a path of its own.
@@ -99,7 +100,7 @@ class TransducerModel:
 
     # -- forward paths -------------------------------------------------------
 
-    def encode_audio(self, *xs: Tensor, training: bool = False, rng=None) -> Tensor:
+    def encode_audio(self, *xs: Tensor, rng=None) -> Tensor:
         """Encoder output of a batch of [T_i, input_dim] feature tensors, as
         packed [sum T_i, proj_dim] rows; one tensor is a batch of one, and
         batch-norm statistics pool across the utterances.  An empty batch, an
@@ -120,27 +121,27 @@ class TransducerModel:
         if self.local is not None:
             parts.append(self.local(x, lengths))
         if self.global_enc is not None:
-            parts.append(self.global_enc.forward_batch(x, lengths, training, rng))
+            parts.append(self.global_enc.forward_batch(x, lengths, rng))
         if parts:
             x = fuse_frontends(parts, self.fuse)
-        return self.encoder(x, lengths, training, rng)
+        return self.encoder(x, lengths, rng)
 
-    def encoded_loss(self, enc: Tensor, lengths, tokens_list, training: bool = False, rng=None):
+    def encoded_loss(self, enc: Tensor, lengths, tokens_list, rng=None):
         """Mean per-utterance loss, plus each utterance's nll, from the packed
         encoder rows of `encode_audio` and their frame counts."""
-        pred = self.label_encoder(*tokens_list, training=training, rng=rng)
+        pred = self.label_encoder(*tokens_list, rng=rng)
         logits = self.joint(enc, pred, (lengths, [len(tokens) + 1 for tokens in tokens_list]))
         return rnnt_loss(logits, tokens_list, lengths)
 
-    def batch_loss(self, features_list, tokens_list, training: bool = False, rng=None):
+    def batch_loss(self, features_list, tokens_list, rng=None):
         """Mean per-utterance loss over a batch, plus each utterance's nll."""
         if len(features_list) != len(tokens_list):
             raise ShapeError(
                 f"{len(features_list)} feature arrays but {len(tokens_list)} transcripts"
             )
         xs = [Tensor(features) for features in features_list]
-        enc = self.encode_audio(*xs, training=training, rng=rng)
-        return self.encoded_loss(enc, [x.shape[0] for x in xs], tokens_list, training, rng)
+        enc = self.encode_audio(*xs, rng=rng)
+        return self.encoded_loss(enc, [x.shape[0] for x in xs], tokens_list, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ oracles in `tests/oracles.py`.  Batch-norm uses the fixed `BN_EPS` and `BN_MOMEN
 The local and global encoders and the LSTM stacks carry a batch as packed
 rows: the frames of every utterance concatenated in order, N = sum of T_i
 rows, with the list of lengths T_i beside them.  The ops that mix frames
-over time (`conv2d` and `lstm`) take those lengths, keep each utterance to
-its own frames, and treat None as one utterance of all rows.  `linear` and
+over time (`conv2d` and `lstm`) require those lengths (one utterance is
+`[n]`) and keep each utterance to its own frames.  `linear` and
 `outer_tanh` take lengths for the joint, whose batch runs packed too, only
 to keep each utterance's GEMMs and sums on its own rows: a GEMM's bits
 depend on how its rows are grouped.  Every other op is per row and needs
-no lengths; no op cuts packed rows apart.
+no lengths; no op cuts packed rows apart.  `dropout` is the identity
+without a generator, as in eval and streaming.
 
 These ops are fused, each one tape node for a whole batch:
 
@@ -330,8 +331,8 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def _lengths(lengths, n: int, op: str) -> list:
-    """Validated utterance lengths of n packed rows; None is one utterance of all n."""
-    lengths = [n] if lengths is None else [int(t) for t in lengths]
+    """Validated utterance lengths of n packed rows."""
+    lengths = [int(t) for t in lengths]
     if not lengths or min(lengths) < 1 or sum(lengths) != n:
         raise ShapeError(f"{op}: lengths {lengths} do not split {n} rows into utterances")
     return lengths
@@ -366,24 +367,22 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 # dropout and normalizations
 
 
-def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
+def dropout_mask(shape, p: float, rng: np.random.Generator | None):
     """The inverted-dropout factors (0 or 1/(1-p)) for `shape`, or None for identity."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None
-    if rng is None:
-        raise ConfigError("dropout in training mode requires an RNG")
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with prob p, scale survivors by 1/(1-p).
 
-    Identity in eval mode and at p == 0 (neither consumes the RNG stream,
-    so checkpointed RNG state stays aligned across configurations).
+    Identity without a generator (eval) and at p == 0: neither draws from
+    it, so checkpointed RNG state stays aligned across configurations.
     """
-    keep = dropout_mask(x.shape, p, training, rng)
+    keep = dropout_mask(x.shape, p, rng)
     if keep is None:
         return x
 
@@ -448,11 +447,11 @@ def _tap_stack(x: np.ndarray, xs: slice, win_rows: np.ndarray, rows: int, kt: in
     return stack.reshape(kf * c_in, span)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths=None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
     """ReLU of a causal 2-D convolution plus bias over packed utterances.
 
     x is [C_in, N, F]: channels, the frames of every utterance concatenated
-    in order (N = sum of `lengths`; None is one utterance), and frequency.
+    in order (N = sum of `lengths`), and frequency.
     w is [C_out, C_in, kt, kf] with kf odd.  Output frame t of an utterance
     sees its own frames t-kt+1..t, with zeros before its first frame, and
     the frequency axis is zero-padded by (kf-1)/2 on each side, so the
@@ -693,12 +692,12 @@ def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray):
     return h2, c2, gates
 
 
-def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths=None) -> Tensor:
+def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     """Hidden states [N, H] of one LSTM layer over packed utterances x [N, n_in].
 
     The rows of x are the frames of every utterance concatenated in order
-    (N = sum of `lengths`; None is one utterance), and each utterance starts
-    from a zero state.  One tape node for the whole batch.  The forward makes
+    (N = sum of `lengths`), and each utterance starts from a zero state.
+    One tape node for the whole batch.  The forward makes
     one `x @ w + b` GEMM over all N rows, in a time-major order with the
     utterances sorted longest first: the b_t utterances still running at
     frame t are the first b_t, so each frame steps `lstm_cell` on one block

@@ -127,7 +127,7 @@ class Trainer:
         feats = [spec_augment(self._features[u.utt_id], cfg.specaug, self.rng) for u in batch]
         try:
             mean_loss, per_utt = self.model.batch_loss(
-                feats, [self.tokens[u.utt_id] for u in batch], training=True, rng=self.rng
+                feats, [self.tokens[u.utt_id] for u in batch], rng=self.rng
             )
         except DataError as exc:
             # The features and transcripts were checked at set-up, so this is

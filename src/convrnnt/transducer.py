@@ -15,8 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelSettings
-from .errors import ShapeError
-from .layers import Embedding, Linear, collect_params, uniform_init, zeros_param
+from .layers import SWISH_PROJ_GAIN, Embedding, Linear, collect_params, uniform_init, zeros_param
 from .tensor import Tensor
 from .vocab import label_ids
 
@@ -33,21 +32,20 @@ class LSTMLayer:
     N rows; the stacks apply dropout to the layer's output.
     """
 
-    def __init__(self, n_in: int, hidden: int, proj: int, rng: np.random.Generator):
+    def __init__(self, n_in: int, hidden: int, proj: int, rng: np.random.Generator, proj_gain=1.0):
         self.n_in = n_in
         self.hidden = hidden
         self.w = uniform_init(rng, (n_in, 4 * hidden), n_in)
         self.u = uniform_init(rng, (hidden, 4 * hidden), hidden)
         self.b = zeros_param(4 * hidden)
         self.b.data[hidden:2 * hidden] = 1.0
-        self.proj = Linear(hidden, proj, rng)
+        self.proj = Linear(hidden, proj, rng, proj_gain)
 
     def project(self, hs: Tensor) -> Tensor:
         return T.swish(self.proj(hs))
 
-    def __call__(self, xs: Tensor, lengths=None) -> Tensor:
-        """Packed [N, n_in] -> [N, proj], each utterance from a zero state
-        (lengths None: one utterance)."""
+    def __call__(self, xs: Tensor, lengths) -> Tensor:
+        """Packed [N, n_in] -> [N, proj], each utterance from a zero state."""
         return self.project(T.lstm(xs, self.w, self.u, self.b, lengths))
 
     def params(self):
@@ -68,14 +66,14 @@ class AudioEncoder:
         self.layers = []
         n_in = input_dim
         for _ in range(m.enc_layers):
-            self.layers.append(LSTMLayer(n_in, m.enc_hidden, m.proj_dim, rng))
+            self.layers.append(LSTMLayer(n_in, m.enc_hidden, m.proj_dim, rng, SWISH_PROJ_GAIN))
             n_in = m.proj_dim
 
-    def __call__(self, xs: Tensor, lengths=None, training: bool = False, rng=None) -> Tensor:
-        """Packed [N, input_dim] -> [N, proj_dim] (lengths None: one utterance)."""
+    def __call__(self, xs: Tensor, lengths, rng=None) -> Tensor:
+        """Packed [N, input_dim] -> [N, proj_dim]; dropout draws from `rng`."""
         h = xs
         for layer in self.layers:
-            h = T.dropout(layer(h, lengths), self.m.dropout_p, training, rng)
+            h = T.dropout(layer(h, lengths), self.m.dropout_p, rng)
         return h
 
     def params(self):
@@ -100,7 +98,7 @@ class LabelEncoder:
             self.layers.append(LSTMLayer(n_in, m.label_hidden, m.label_proj, rng))
             n_in = m.label_proj
 
-    def __call__(self, *token_lists, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, *token_lists, rng=None) -> Tensor:
         """Rows of one or more token lists, packed: the U_i + 1 rows of list i
         follow those of the lists before it, [sum(U_i + 1), label_proj]."""
         tokens = [label_ids(t, self.m.vocab_size) for t in token_lists]
@@ -108,7 +106,7 @@ class LabelEncoder:
         # Each list's first row embeds the id -1, a zero row: its start input.
         h = self.embed(np.concatenate([np.insert(t, 0, -1) for t in tokens]))
         for layer in self.layers:
-            h = T.dropout(layer(h, lengths), self.m.dropout_p, training, rng)
+            h = T.dropout(layer(h, lengths), self.m.dropout_p, rng)
         return h
 
     def start(self):
@@ -173,8 +171,4 @@ class Joint:
 def fuse_frontends(parts, proj: Linear) -> Tensor:
     """Concatenate frontend outputs along features and project back to the
     original input dimension (one node each for the batch's packed rows)."""
-    if len(parts) > 1:
-        t_lens = {p.shape[0] for p in parts}
-        if len(t_lens) != 1:
-            raise ShapeError(f"frontend outputs disagree on time length: {sorted(t_lens)}")
     return proj(T.concat(parts, axis=1))

@@ -496,9 +496,9 @@ def lstm_per_utterance(x, w, u, b, lengths):
     return T.concat([lstm(slice_axis(x, 0, a, e), w, u, b) for a, e in _spans(lengths)])
 
 
-def _lstm_stack(layers, h, p, training, rng):
+def _lstm_stack(layers, h, p, rng):
     for layer in layers:
-        h = T.dropout(layer.project(lstm(h, layer.w, layer.u, layer.b)), p, training, rng)
+        h = T.dropout(layer.project(lstm(h, layer.w, layer.u, layer.b)), p, rng)
     return h
 
 
@@ -511,15 +511,15 @@ def local_encoder_per_utterance(enc, x):
     return T.reshape(T.permute(h, (1, 0, 2)), (t_len, enc.output_dim))
 
 
-def label_rows_per_utterance(enc, tokens, training=False, rng=None):
+def label_rows_per_utterance(enc, tokens, rng=None):
     """`LabelEncoder.__call__` on one token list: a zero start row, then the embeddings."""
     h = T.Tensor(np.zeros((1, enc.m.label_embed)))
     if len(tokens):
         h = T.concat([h, enc.embed(tokens)])
-    return _lstm_stack(enc.layers, h, enc.m.dropout_p, training, rng)
+    return _lstm_stack(enc.layers, h, enc.m.dropout_p, rng)
 
 
-def batch_loss_per_utterance(model, features_list, tokens_list, training=False, rng=None):
+def batch_loss_per_utterance(model, features_list, tokens_list, rng=None):
     """`TransducerModel.batch_loss` one utterance at a time: the local encoder,
     fusion, LSTM stacks, joint and loss of each utterance in turn (the global
     encoder takes the batch's packed features, and each utterance its rows of
@@ -532,14 +532,14 @@ def batch_loss_per_utterance(model, features_list, tokens_list, training=False, 
     glob = None
     if model.global_enc:
         lengths = [x.shape[0] for x in xs]
-        packed = model.global_enc.forward_batch(T.concat(xs), lengths, training, rng)
+        packed = model.global_enc.forward_batch(T.concat(xs), lengths, rng)
         glob = [slice_axis(packed, 0, a, e) for a, e in _spans(lengths)]
     losses = []
     for i, tokens in enumerate(tokens_list):
         parts = [p[i] for p in (local, glob) if p is not None]
         fused = model.fuse(T.concat(parts, axis=1)) if parts else xs[i]
-        enc = _lstm_stack(model.encoder.layers, fused, model.encoder.m.dropout_p, training, rng)
-        pred = label_rows_per_utterance(model.label_encoder, tokens, training, rng)
+        enc = _lstm_stack(model.encoder.layers, fused, model.encoder.m.dropout_p, rng)
+        pred = label_rows_per_utterance(model.label_encoder, tokens, rng)
         losses.append(rnnt_loss(model.joint(enc, pred), tokens))
     return mean_of(losses), [float(l.data) for l in losses]
 
@@ -673,9 +673,11 @@ def _norm_batch(norm, hs, training):
     return out
 
 
-def global_block_per_op(block, xs, training=False, rng=None):
-    """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per utterance."""
+def global_block_per_op(block, xs, rng=None):
+    """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per
+    utterance; a generator makes it train, as it does the block."""
     cfg = block.m
+    training = rng is not None
 
     def conv(layer, x, dilation=1, groups=1):
         return conv1d(x, layer.weight, layer.bias, dilation=dilation, groups=groups)
@@ -693,17 +695,17 @@ def global_block_per_op(block, xs, training=False, rng=None):
     for x, h in zip(xs, hs):
         z = transpose2d(conv(block.pw_out, h))  # [T, D]
         z = squeeze_excite(z, block.se_reduce, block.se_expand)
-        z = T.dropout(z, cfg.dropout_p, training, rng)
+        z = T.dropout(z, cfg.dropout_p, rng)
         out.append(add(x, z))
     return out
 
 
-def global_encoder_per_op(enc, x, lengths, training=False, rng=None):
+def global_encoder_per_op(enc, x, lengths, rng=None):
     """`GlobalEncoder.forward_batch` on packed [N, D] rows: each utterance's
     rows sliced out, the blocks op by op, and the outputs joined back."""
     hs = [slice_axis(x, 0, a, e) for a, e in _spans(lengths)]
     for block in enc.blocks:
-        hs = global_block_per_op(block, hs, training, rng)
+        hs = global_block_per_op(block, hs, rng)
     return T.concat(hs)
 
 

@@ -117,7 +117,7 @@ def fingerprint(cfg):
     tokens = [[1, 2, 3], [4]]
     with T.no_grad():
         eval_loss = float(model.batch_loss(feats, tokens)[0].data)
-        train_loss = float(model.batch_loss(feats, tokens, training=True, rng=make_rng(2))[0].data)
+        train_loss = float(model.batch_loss(feats, tokens, rng=make_rng(2))[0].data)
     return parameter_shapes(cfg), eval_loss, train_loss
 
 

@@ -223,7 +223,7 @@ def test_se_gives_full_prefix_reach():
 def test_block_gradients_flow():
     block = GlobalBlock(ModelSettings(dropout_p=0.0), 6, 2, np.random.default_rng(22))
     x = np.random.default_rng(23).standard_normal((10, 6))
-    out, backward = block.forward_batch([x], training=True)
+    out, backward = block.forward_batch([x], np.random.default_rng(24))
     assert backward(np.ones_like(out)).shape == x.shape
     for name, p in block.params():
         assert p.grad is not None, name
@@ -247,22 +247,23 @@ def per_utterance(rows, lengths):
     return np.split(rows, np.cumsum(lengths)[:-1])
 
 
-def run_encoder(forward, m, arrays, seeds, grad, se_enabled=True, **kw):
+def run_encoder(forward, m, arrays, seeds, grad, se_enabled=True, training=False):
     """Each utterance's outputs, the running stats and (with grad) each
-    utterance's input gradient and the parameter gradients."""
+    utterance's input gradient and the parameter gradients; in training mode,
+    from a generator of a fixed seed."""
     enc = GlobalEncoder(m, D, np.random.default_rng(31))
     if not se_enabled:
         for block in enc.blocks:
             constant_gate(block)
     lengths = [len(a) for a in arrays]
     x = T.Tensor(np.concatenate(arrays), requires_grad=True)
-    rng = np.random.default_rng(32)
+    rng = np.random.default_rng(32) if training else None
     if grad:
-        out = forward(enc, x, lengths, rng=rng, **kw)
+        out = forward(enc, x, lengths, rng)
         seeded_sum(out, seeds).backward()
     else:
         with T.no_grad():
-            out = forward(enc, x, lengths, rng=rng, **kw)
+            out = forward(enc, x, lengths, rng)
     got = {f"out{i}": o for i, o in enumerate(per_utterance(out.data, lengths))}
     for name, bn in enc.norm_layers():
         got[f"{name}.mean"], got[f"{name}.var"] = bn.stats.mean, bn.stats.var
@@ -272,8 +273,8 @@ def run_encoder(forward, m, arrays, seeds, grad, se_enabled=True, **kw):
     return got
 
 
-def fused(enc, x, lengths, **kw):
-    return enc.forward_batch(x, lengths, **kw)
+def fused(enc, x, lengths, rng):
+    return enc.forward_batch(x, lengths, rng)
 
 
 @pytest.mark.parametrize("lengths", [(9,), (7, 13, 4)])
@@ -324,7 +325,7 @@ def test_block_gradient_matches_fd(se_enabled):
     arrays, seeds = batch_inputs((5, 8, 3), d, 36)
 
     def forward(values):
-        return block.forward_batch(values, training=True, rng=np.random.default_rng(37))
+        return block.forward_batch(values, np.random.default_rng(37))
 
     def loss(values):
         return float((forward(values)[0] * np.concatenate(seeds)).sum())
@@ -354,7 +355,7 @@ def test_encoder_is_one_node_for_the_batch():
     enc = GlobalEncoder(ModelSettings(dropout_p=0.0), D, np.random.default_rng(38))
     arrays, _ = batch_inputs((4, 6, 5), D, 39)
     x = T.Tensor(np.concatenate(arrays), requires_grad=True)
-    out = enc.forward_batch(x, [4, 6, 5], training=True)
+    out = enc.forward_batch(x, [4, 6, 5], np.random.default_rng(40))
     assert out._parents == (x,) + tuple(p for _, p in enc.params())
     assert out.shape == (15, D)
     with T.no_grad():
@@ -372,7 +373,7 @@ def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch)
         constant_gate(block)
     arrays, seeds = batch_inputs((6, 3, 9, 1, 5), D, 45)
     x = T.Tensor(np.concatenate(arrays), requires_grad=True)
-    out = enc.forward_batch(x, [6, 3, 9, 1, 5], training=True, rng=np.random.default_rng(46))
+    out = enc.forward_batch(x, [6, 3, 9, 1, 5], np.random.default_rng(46))
     total = seeded_sum(out, seeds)
     calls = {}
     accumulate = T.Tensor.accumulate_grad

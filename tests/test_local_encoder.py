@@ -20,7 +20,7 @@ def make_encoder(seed=0):
 
 def run(enc, x):
     with T.no_grad():
-        return enc(T.Tensor(x)).data
+        return enc(T.Tensor(x), [len(x)]).data
 
 
 def test_zero_input_zero_output():
@@ -78,7 +78,7 @@ def test_gradient_flows_to_all_conv_params():
     m = ModelSettings(local_channels=(3, 2), kernel_t=3, kernel_f=3)
     enc = LocalEncoder(m, 3, 6, np.random.default_rng(7))
     x = T.Tensor(np.random.default_rng(8).standard_normal((5, 3 * 6)), requires_grad=True)
-    oracles.sum_all(enc(x)).backward()
+    oracles.sum_all(enc(x, [5])).backward()
     assert x.grad is not None
     for name, p in enc.params():
         assert p.grad is not None, name

@@ -47,7 +47,7 @@ def test_lstm_only_baseline_builds_trains_and_encodes():
     assert model.norm_layers() == []
 
     feats, tokens = random_batch(cfg, 31, BATCH_LENGTHS[:3])
-    loss, nlls = model.batch_loss(feats, tokens, training=True, rng=make_rng(32))
+    loss, nlls = model.batch_loss(feats, tokens, rng=make_rng(32))
     assert len(nlls) == 3 and np.all(np.isfinite(nlls))
     loss.backward()
     for name, p in model.parameters():
@@ -115,7 +115,7 @@ def test_loss_backward_reaches_every_parameter():
     model = TransducerModel(cfg, seed=2)
     rng = make_rng(3)
     feats = rng.standard_normal((6, cfg.input_dim))
-    loss, _ = model.batch_loss([feats], [[1, 3]], training=True, rng=rng)
+    loss, _ = model.batch_loss([feats], [[1, 3]], rng=rng)
     assert float(loss.data) > 0.0
     loss.backward()
     for name, p in model.parameters():
@@ -172,7 +172,7 @@ def test_same_seed_same_gradients_bitwise():
         model = TransducerModel(cfg, seed=10)
         rng = make_rng(11)
         feats = make_rng(12).standard_normal((5, cfg.input_dim))
-        loss, _ = model.batch_loss([feats], [[2, 4]], training=True, rng=rng)
+        loss, _ = model.batch_loss([feats], [[2, 4]], rng=rng)
         loss.backward()
         return float(loss.data), {n: p.grad.copy() for n, p in model.parameters()}
 
@@ -203,13 +203,41 @@ def random_batch(cfg, seed, lengths=BATCH_LENGTHS):
     return feats, tokens
 
 
+def test_the_generator_is_the_mode_switch():
+    # Without a generator the model evaluates and leaves the batch-norm
+    # running statistics alone; with one it trains: it draws dropout masks
+    # and updates every running statistic, and equal generator states give
+    # equal losses (training mode never reads the running statistics).
+    cfg = desk_cfg(**{"model.dropout_p": 0.1})
+    model = TransducerModel(cfg, seed=50)
+    feats, tokens = random_batch(cfg, 51, BATCH_LENGTHS[:4])
+
+    def stats():
+        return [(bn.stats.mean.tobytes(), bn.stats.var.tobytes()) for _, bn in model.norm_layers()]
+
+    before = stats()
+    assert before
+    model.batch_loss(feats, tokens)
+    assert stats() == before
+
+    rng = make_rng(52)
+    state = rng.bit_generator.state
+    first, _ = model.batch_loss(feats, tokens, rng=rng)
+    assert not np.array_equal(rng.bit_generator.state["state"]["counter"], state["state"]["counter"])
+    for (name, _), (mean0, var0), (mean1, var1) in zip(model.norm_layers(), before, stats()):
+        assert mean0 != mean1 and var0 != var1, name
+    rng.bit_generator.state = state
+    second, _ = model.batch_loss(feats, tokens, rng=rng)
+    assert first.data.tobytes() == second.data.tobytes()
+
+
 def test_batch_loss_matches_per_utterance_oracle():
     cfg = desk_cfg()
     feats, tokens = random_batch(cfg, 14, BATCH_LENGTHS[:5])
 
     def run(loss_fn):
         model = TransducerModel(cfg, seed=15)
-        loss, nlls = loss_fn(model, feats, tokens, training=True, rng=make_rng(16))
+        loss, nlls = loss_fn(model, feats, tokens, rng=make_rng(16))
         loss.backward()
         return float(loss.data), nlls, {n: p.grad for n, p in model.parameters()}
 
@@ -291,7 +319,7 @@ def test_desk_step_records_at_most_22_tape_nodes(monkeypatch):
     model = TransducerModel(cfg, seed=26)
     feats, tokens = random_batch(cfg, 27)
     nodes = count_nodes(monkeypatch)
-    loss, _ = model.batch_loss(feats, tokens, training=True, rng=make_rng(28))
+    loss, _ = model.batch_loss(feats, tokens, rng=make_rng(28))
     loss.backward()
     assert len(nodes) <= 22
 
@@ -335,7 +363,7 @@ def test_non_finite_features_rejected(bad):
     feats, tokens = random_batch(cfg, 22, BATCH_LENGTHS[:3])
     feats[1][0, 5] = bad
     with pytest.raises(DataError):
-        model.batch_loss(feats, tokens, training=True, rng=make_rng(23))
+        model.batch_loss(feats, tokens, rng=make_rng(23))
     with pytest.raises(DataError), T.no_grad():
         model.encode_audio(T.Tensor(feats[1]))
 
@@ -355,6 +383,6 @@ def test_utterance_without_frames_raises_shape_error_naming_it():
     feats, tokens = random_batch(cfg, 27, BATCH_LENGTHS[:3])
     feats[2] = feats[2][:0]
     with pytest.raises(ShapeError, match="utterance 2"):
-        model.batch_loss(feats, tokens, training=True, rng=make_rng(28))
+        model.batch_loss(feats, tokens, rng=make_rng(28))
     with pytest.raises(ShapeError, match="utterance 0"), T.no_grad():
         model.encode_audio(T.Tensor(feats[2]))

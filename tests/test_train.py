@@ -175,7 +175,7 @@ def test_optimizer_gradient_equals_a_plain_backward_bitwise(corpus, tmp_path):
     batch = trainer.batch_for_step(trainer.step + 1)
     feats = [spec_augment(trainer._features[u.utt_id], cfg.specaug, rng) for u in batch]
     loss, _ = plain.batch_loss(feats, [trainer.tokens[u.utt_id] for u in batch],
-                               training=True, rng=rng)
+                               rng=rng)
     loss.backward()
     trainer.train_step()
     expected = np.concatenate([p.grad.ravel() for _, p in plain.parameters()])
@@ -204,3 +204,24 @@ def test_logged_grad_norm_and_l2_term_match_per_parameter_sums(corpus, tmp_path,
         l2_ref = sum(float((p.data * p.data).sum()) for _, p in params)
         assert abs(grad_norm - norm_ref) <= 1e-12 * norm_ref
         assert abs((loss - nlls[-1]) - l2_ref) <= 1e-12 * l2_ref
+
+
+def test_desk_model_tells_its_utterances_apart_from_the_audio(corpus, tmp_path):
+    # After 300 desk steps each utterance's audio gives its own transcript a
+    # lower nll than any other utterance's: the model reads the audio rather
+    # than only its label stack.
+    cfg = load_preset("desk", [f"data.toy_dir={corpus}", "training.seed=1234"])
+    trainer = train.Trainer(cfg, str(tmp_path / "run"))
+    for _ in range(300):
+        trainer.train_step()
+    transcripts = [trainer.tokens[u.utt_id] for u in trainer.eval_utts]
+    n = len(transcripts)
+    nll = np.empty((n, n))  # nll[i, j]: audio i scored against transcript j
+    with T.no_grad():
+        for i, utt in enumerate(trainer.eval_utts):
+            enc = trainer.model.encode_audio(T.Tensor(trainer._features[utt.utt_id]))
+            _, nll[i] = trainer.model.encoded_loss(T.concat([enc] * n), [enc.shape[0]] * n,
+                                                   transcripts)
+    off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, nll)
+    apart = np.diag(nll) < off_diagonal.min(axis=1)
+    assert apart.all(), f"{apart.sum()} of {n} rows"

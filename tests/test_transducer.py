@@ -57,7 +57,7 @@ def test_lstm_zero_weights_zero_hidden():
     layer = LSTMLayer(3, 4, 4, np.random.default_rng(1))
     for _, p in layer.params():
         p.data[...] = 0.0
-    hs = T.lstm(T.Tensor(np.ones((5, 3))), layer.w, layer.u, layer.b)
+    hs = T.lstm(T.Tensor(np.ones((5, 3))), layer.w, layer.u, layer.b, [5])
     assert np.all(hs.data == 0.0)
 
 
@@ -77,14 +77,15 @@ def test_lstm_hidden_states_gradient_matches_fd(t_len):
     seed = rng.standard_normal((t_len, 4))
 
     xt = T.Tensor(x, requires_grad=True)
-    T.lstm(xt, layer.w, layer.u, layer.b).backward(seed)
+    T.lstm(xt, layer.w, layer.u, layer.b, [t_len]).backward(seed)
 
     def f(arr, target):
         saved = target.copy()
         target[...] = arr
         try:
             with T.no_grad():
-                return float((T.lstm(T.Tensor(x), layer.w, layer.u, layer.b).data * seed).sum())
+                out = T.lstm(T.Tensor(x), layer.w, layer.u, layer.b, [t_len])
+                return float((out.data * seed).sum())
         finally:
             target[...] = saved
 
@@ -97,7 +98,7 @@ def test_lstm_rejects_mismatched_shapes():
     x, w, u, b = np.zeros((5, 3)), np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(16)
     for args in ((x, w[:2], u, b), (x, w, u[:, :12], b), (x, w, u, b[:12]), (x[0], w, u, b)):
         with pytest.raises(ShapeError):
-            T.lstm(*(T.Tensor(a) for a in args))
+            T.lstm(*(T.Tensor(a) for a in args), [5])
 
 
 def test_lstm_state_isolation_bitwise():
@@ -106,9 +107,9 @@ def test_lstm_state_isolation_bitwise():
     a = T.Tensor(rng.standard_normal((6, 3)))
     b = T.Tensor(rng.standard_normal((4, 3)))
     with T.no_grad():
-        out_b_alone = layer(b).data
-        layer(a)
-        out_b_after = layer(b).data
+        out_b_alone = layer(b, [4]).data
+        layer(a, [6])
+        out_b_after = layer(b, [4]).data
     assert np.array_equal(out_b_alone, out_b_after)
 
 
@@ -121,12 +122,12 @@ def test_audio_encoder_causality_bitwise():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((10, INPUT_DIM))
     with T.no_grad():
-        base = enc(T.Tensor(x)).data
+        base = enc(T.Tensor(x), [10]).data
     t0 = 6
     x2 = x.copy()
     x2[t0] += 1.0
     with T.no_grad():
-        pert = enc(T.Tensor(x2)).data
+        pert = enc(T.Tensor(x2), [10]).data
     assert np.array_equal(base[:t0], pert[:t0])
     assert not np.array_equal(base[t0:], pert[t0:])
 
@@ -134,7 +135,7 @@ def test_audio_encoder_causality_bitwise():
 def test_audio_encoder_output_dim():
     enc = AudioEncoder(CFG, INPUT_DIM, np.random.default_rng(7))
     with T.no_grad():
-        out = enc(T.Tensor(np.zeros((4, INPUT_DIM))))
+        out = enc(T.Tensor(np.zeros((4, INPUT_DIM))), [4])
     assert out.shape == (4, CFG.proj_dim)
 
 
@@ -303,10 +304,3 @@ def test_fuse_gradient_matches_fd():
 
     assert rel_err(at.grad, fd_gradient(lambda x: f(x, 0), a.copy())) <= 1e-4
     assert rel_err(bt.grad, fd_gradient(lambda x: f(x, 1), b.copy())) <= 1e-4
-
-
-def test_fuse_time_mismatch_rejected():
-    proj = Linear(8, 4, np.random.default_rng(21))
-    with pytest.raises(Exception) as exc:
-        fuse_frontends([T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((4, 4)))], proj)
-    assert "time" in str(exc.value)
