@@ -43,8 +43,9 @@ class GlobalBlock:
 
     def forward_batch(self, xs, rng: np.random.Generator | None = None):
         """Apply the block to a batch of [T_i, D] row arrays; returns the
-        packed [N, D] output (N = sum T_i) and `backward(g)`, which adds into
-        the 14 parameter gradients and returns the packed input gradient.
+        packed [N, D] output (N = sum T_i) and `backward(g, input_grad=True)`,
+        which adds into the 14 parameter gradients and returns the packed
+        input gradient, or None without forming it when `input_grad` is false.
         With a generator it trains (batch statistics, their running update
         and dropout); without one it evaluates.  It takes row arrays, not
         packed rows and lengths, because the benchmark's FLOPs count
@@ -136,7 +137,7 @@ class GlobalBlock:
             y *= keep
         out = np.add(y, x_all, out=y)
 
-        def backward(g):
+        def backward(g, input_grad=True):
             g_res = g
             if keep is not None:
                 g = g * keep
@@ -171,6 +172,8 @@ class GlobalBlock:
             g_h *= mask_in
             _accumulate(self.pw_in.bias, g_h.sum(axis=1))
             _accumulate(self.pw_in.weight, (g_h @ xt.T)[:, :, None])
+            if not input_grad:
+                return None
             g_x = (w_in.T @ g_h).T
             g_x += g_res
             return g_x
@@ -240,7 +243,8 @@ class GlobalEncoder:
         """The blocks over the packed [N, D] rows x of utterances of the given
         lengths, as one tape node whose parents are x and every parameter.
         Its backward pops and runs the blocks' backwards, last block first,
-        so each block's saved arrays are freed once it has run."""
+        so each block's saved arrays are freed once it has run; the first
+        block forms no input gradient unless x requires one."""
         splits = np.cumsum(lengths)[:-1]
         h = x.data
         backwards = []
@@ -250,8 +254,9 @@ class GlobalEncoder:
 
         def backward(g):
             while backwards:
-                g = backwards.pop()(g)
-            if x.requires_grad:
+                step = backwards.pop()
+                g = step(g, bool(backwards) or x.requires_grad)
+            if g is not None:
                 x.accumulate_grad(g)
 
         return T.from_op(h, (x,) + tuple(p for _, p in self.params()), backward)

@@ -26,14 +26,19 @@ gradient bits of a call on its own logits.  A row whose max is NaN or
 infinite raises `DataError` naming its utterance.
 
 Besides the logits, the forward keeps only per-cell arrays; no normalized
-copy of the logits is made.  The backward forms the logit gradient once
-into one fresh buffer, which `Tensor.adopt_grad` makes the logits' first
-`.grad` without a copy.  One utterance's [T, U+1, V+1] logits are a batch
-of one, so both inputs take one path, under one block rule: the normaliser
-and gradient passes run over blocks of as many consecutive cells as fit in
-BLOCK_BYTES (52 cells at paper width, V+1 = 2501), so no temporary exceeds
-one block.  The prefix sums of each row's label log-probabilities are taken
-once, before the scans.
+copy of the logits is made.  The backward forms the logit gradient once,
+and `Tensor.adopt_grad` makes it the logits' first `.grad` without a copy.
+Its buffer is the logits' own when `tensor.tape_only` finds that only the
+tape holds them (the joint's output once the caller has dropped it), so no
+second logit-sized array is made.  It is a fresh one when the caller holds
+the logits, their `.data` or a view of their buffer, when they are a leaf,
+or when a second consumer still needs them.  The same operations run in
+the same order either way, so the bits are the same.  One utterance's
+[T, U+1, V+1] logits are a batch of one, so both inputs take one path,
+under one block rule: the normaliser and gradient passes run over blocks of
+as many consecutive cells as fit in BLOCK_BYTES (52 cells at paper width,
+V+1 = 2501), so no temporary exceeds one block.  The prefix sums of each
+row's label log-probabilities are taken once, before the scans.
 """
 
 from __future__ import annotations
@@ -229,19 +234,21 @@ def _occupancies(cells: Cells, lat: AlignmentLattice):
     return occ_blank, occ_label, occ_total
 
 
-def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, g: float) -> np.ndarray:
+def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, g: float,
+                out: np.ndarray) -> np.ndarray:
     """g times the nll gradient w.r.t. z [C, V+1], formed one block of rows
-    at a time into one fresh buffer.
+    at a time into `out`, a fresh buffer or z itself.
 
     Each row is exp((z - m) - lse) * occ_total minus the blank and label
     occupancies, then scaled by g; a block does this for its rows at once,
-    in place in its span of the buffer.  A non-positive g can leave -0.0
-    entries, which `Tensor.adopt_grad` turns into +0.0.
+    in place in its span of `out`.  Every step is elementwise, and a block's
+    rows of z are read before they are written, so over z itself it gives
+    the same bits.  A non-positive g can leave -0.0 entries, which
+    `Tensor.adopt_grad` turns into +0.0.
     """
     occ_blank, occ_label, occ_total = _occupancies(cells, lat)
-    grad = np.empty(z.shape)
     for b in _blocks(z):
-        gb = grad[b]
+        gb = out[b]
         np.subtract(z[b], m[b][:, None], out=gb)
         gb -= lse[b][:, None]
         np.exp(gb, out=gb)
@@ -250,7 +257,7 @@ def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, g: float) -> np.
         k = slice(*np.searchsorted(cells.labels, (b.start, b.stop)))
         gb[cells.labels[k] - b.start, cells.ids[k]] -= occ_label[k]
         gb *= g
-    return grad
+    return out
 
 
 def rnnt_loss(logits: Tensor, labels, lengths=None):
@@ -271,7 +278,11 @@ def rnnt_loss(logits: Tensor, labels, lengths=None):
     s = 1.0 / nll.size
 
     def backward(g):
-        grad = _logit_grad(z, m, lse, cells, lat, float(g) * s)
+        # Asked before this closure makes its own view of the buffer.
+        donate = T.tape_only(logits)
+        rows = logits.data.reshape(-1, logits.shape[-1])
+        grad = _logit_grad(rows, m, lse, cells, lat, float(g) * s,
+                           rows if donate else np.empty(rows.shape))
         logits.adopt_grad(grad.reshape(logits.shape))
 
     loss = T.from_op(np.asarray(np.cumsum(nll)[-1] * s), (logits,), backward)

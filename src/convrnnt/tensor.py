@@ -13,7 +13,10 @@ its closure, so an intermediate that only the tape holds (the joint's
 logits, say) is freed during the pass rather than when it ends.  `conv2d`,
 `lstm`, `linear`, `outer_tanh` and `rnnt_loss` hand the input gradients
 their backward allocates over with `Tensor.adopt_grad` instead of copying
-them.
+them.  `rnnt_loss` hands over its input's own buffer too: when `tape_only`
+reads from reference counts (as NumPy's temporary elision does) that only
+the tape holds the logits and their buffer, it forms their gradient over
+them and adopts that.
 
 Only the operations the model runs are provided, which keeps every gradient
 rule short enough to audit by eye.  The per-op reference autodiff they are
@@ -70,6 +73,7 @@ in `tests/oracles.py` to rounding: their GEMMs sum in another order.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -131,8 +135,9 @@ class Tensor:
         """`accumulate_grad` for an array the caller has just allocated and
         will not touch again: a first gradient becomes g itself, after
         `g += 0.0` in place, instead of a copy.  Never pass a view of another
-        gradient or of data.  A g laid out unlike `data` is copied as before,
-        so later reductions over `.grad` sum in the same order.
+        gradient, or of data unless `tape_only` said that data is dead.  A g
+        laid out unlike `data` is copied as before, so later reductions over
+        `.grad` sum in the same order.
         """
         if self.grad is None and g.strides == self.data.strides and g.shape == self.data.shape:
             g += 0.0
@@ -208,6 +213,45 @@ def from_op(data: np.ndarray, parents, backward) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+def _bare_refs(arg):
+    local = object()
+    return sys.getrefcount(arg), sys.getrefcount(local)
+
+
+# What `sys.getrefcount` reads inside a function for an object that nothing
+# else holds, passed in as its argument and bound to its local: the calls
+# and stack references behind them differ between CPython versions.  Other
+# interpreters, and free-threaded CPython, leave `tape_only` no exact count.
+_BARE_REFS = (sys.implementation.name == "cpython"
+              and getattr(sys, "_is_gil_enabled", lambda: True)()
+              and _bare_refs(object()))
+
+
+def tape_only(t: Tensor) -> bool:
+    """Whether only the tape holds the non-leaf t and its data buffer.
+
+    For the backward closure of t's one consumer, run by `Tensor.backward`:
+    true when t is held only by that closure and the pass's node table, its
+    `.data` only by t, and the buffer's owner (when `.data` is a view) only
+    by `.data`, so no caller, second consumer, view or producer's closure
+    reads the data again.  A leaf is the caller's memory and is never
+    donated; so is a buffer that is read-only or that numpy does not own.
+    """
+    if not _BARE_REFS or t._backward is None:
+        return False
+    arg_refs, local_refs = _BARE_REFS
+    data = t.data
+    base = data.base
+    if base is None:
+        owned = data.flags.owndata
+    else:
+        owned = isinstance(base, np.ndarray) and base.base is None and base.flags.owndata
+    return (owned and data.flags.writeable
+            and sys.getrefcount(t) == arg_refs + 2
+            and sys.getrefcount(data) == local_refs + 1
+            and (base is None or sys.getrefcount(base) == local_refs + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -390,3 +390,22 @@ def test_block_backward_accumulates_each_parameter_once(se_enabled, monkeypatch)
     assert calls[id(x)] == 1
     assert sum(p.grad is not None for _, p in block.params()) == 14
 
+
+
+def test_an_input_without_gradient_skips_the_first_blocks_input_gradient():
+    # The model's features need no gradient: the first block then forms no
+    # input gradient, and every parameter gradient keeps its bits.
+    lengths = (4, 6, 5)
+    arrays, seeds = batch_inputs(lengths, D, 47)
+    grads = {}
+    for needed in (True, False):
+        enc = GlobalEncoder(ModelSettings(dropout_p=0.1), D, np.random.default_rng(48))
+        x = T.Tensor(np.concatenate(arrays), requires_grad=needed)
+        out = enc.forward_batch(x, lengths, np.random.default_rng(49))
+        seeded_sum(out, seeds).backward()
+        assert (x.grad is not None) == needed
+        grads[needed] = [p.grad for _, p in enc.params()]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads[True], grads[False]))
+    block = GlobalBlock(M, D, 2, np.random.default_rng(50))
+    out, backward = block.forward_batch(arrays, np.random.default_rng(51))
+    assert backward(np.ones_like(out), False) is None

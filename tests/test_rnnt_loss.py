@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from convrnnt import tensor as T
-from convrnnt.config import ModelSettings
+from convrnnt.config import ModelSettings, load_preset
 from convrnnt.errors import DataError, ShapeError
+from convrnnt.model import TransducerModel
 from convrnnt.rnnt_loss import _blocks, _cells, _checked, _lattice, _normalisers, rnnt_loss
 from convrnnt.transducer import Joint
 
@@ -202,7 +203,8 @@ def small_joint(t_len, u_len, n_sym, joint_dim, seed):
 
 def test_joint_and_loss_peak_memory_is_bounded_by_logits():
     # The forward keeps the logits and [T, U+1]-sized arrays; the backward
-    # adds one logit-sized gradient buffer and [T, U+1, J] joint activations.
+    # adds [T, U+1, J] joint activations, and at most one logit-sized
+    # gradient buffer (none here: the loss forms it over the logits).
     t_len, u_len, n_sym = 40, 10, 501
     joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, 64, 9)
     tracemalloc.start()
@@ -229,9 +231,11 @@ def test_backward_frees_the_logits_the_caller_does_not_hold():
 
 
 def test_backward_peak_above_the_forward_is_one_logit_gradient():
-    # The peak is the logit gradient inside the loss's backward: the logits
-    # are released before the joint's output layer forms its [T, U+1, J]
-    # input gradient, which becomes that tensor's gradient without a copy.
+    # A loose bound, kept from before the loss formed the gradient of logits
+    # only the tape holds over the logits themselves: the backward may grow
+    # by one logit-sized buffer.  Today it grows by the joint's output-layer
+    # gradients alone (the test below); a buffer beside the logits would
+    # still pass here.
     t_len, u_len, n_sym, joint_dim = 60, 10, 501, 128
     joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, joint_dim, 11)
     tracemalloc.start()
@@ -246,9 +250,132 @@ def test_backward_peak_above_the_forward_is_one_logit_gradient():
     assert peak - live <= t_len * (u_len + 1) * n_sym * 8 + (256 << 10)
 
 
+def test_backward_of_tape_only_logits_grows_by_the_output_layer_gradients():
+    # The caller holds only the loss, so the loss forms the logit gradient
+    # in the logits' own buffer: the backward grows by the output layer's
+    # [T(U+1), J] input and [J, V+1] weight gradients, and by no
+    # logit-sized array.
+    t_len, u_len, n_sym, joint_dim = 60, 10, 501, 128
+    joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, joint_dim, 11)
+    tracemalloc.start()
+    try:
+        loss = rnnt_loss(joint(enc, pred), labels)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live <= (t_len * (u_len + 1) + n_sym) * joint_dim * 8 + (256 << 10)
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def record_donations(monkeypatch):
+    """Per `Tensor.adopt_grad` call from now on, whether the adopted
+    gradient is the tensor's own data buffer."""
+    donated = []
+    adopt = T.Tensor.adopt_grad
+
+    def recording(self, g):
+        donated.append(np.shares_memory(g, self.data))
+        adopt(self, g)
+
+    monkeypatch.setattr(T.Tensor, "adopt_grad", recording)
+    return donated
+
+
+# What the caller keeps of the joint's logits while the loss runs backward.
+HOLDS = {
+    "nothing": lambda logits: None,
+    "the tensor": lambda logits: logits,
+    "its data": lambda logits: logits.data,
+    "a view of its buffer": lambda logits: logits.data.base[5:9],
+}
+
+
+def joint_loss_backward(hold, n_losses, monkeypatch):
+    """The leaf gradients of a joint + loss backward, whether the loss
+    adopted the logits' own buffer, and whether what the caller held of
+    them is bitwise unchanged.  Two losses read the same logits and are
+    summed."""
+    joint, enc, pred, labels = small_joint(20, 4, 51, 16, 15)
+    logits = joint(enc, pred)
+    held = HOLDS[hold](logits)
+
+    def values():
+        return np.copy(held.data if isinstance(held, T.Tensor) else held)
+
+    before = None if held is None else values()
+    losses = [rnnt_loss(logits, labels) for _ in range(n_losses)]
+    del logits
+    donated = record_donations(monkeypatch)
+    (losses[0] if n_losses == 1 else oracles.mean_of(losses)).backward()
+    monkeypatch.undo()
+    grads = [enc.grad, pred.grad] + [p.grad for _, p in joint.params()]
+    return grads, any(donated), held is None or same_bits(values(), before)
+
+
+@pytest.mark.parametrize("n_losses", [1, 2])
+@pytest.mark.parametrize("hold", list(HOLDS))
+def test_loss_donates_the_logits_buffer_only_when_only_the_tape_holds_it(hold, n_losses,
+                                                                          monkeypatch):
+    # Whether the logit gradient goes into the logits' buffer or a fresh one,
+    # every gradient has the bits of the run that holds the logits tensor.
+    want, donated, _ = joint_loss_backward("the tensor", n_losses, monkeypatch)
+    assert not donated
+    grads, donated, unchanged = joint_loss_backward(hold, n_losses, monkeypatch)
+    assert all(same_bits(g, w) for g, w in zip(grads, want))
+    assert unchanged
+    # Of two losses, the first to run backward finds the other still holding
+    # the logits and takes a fresh buffer; the second may then donate them.
+    assert donated == (hold == "nothing")
+
+
+def test_loss_never_donates_a_leaf(monkeypatch):
+    # A leaf is the caller's memory: its buffer never takes the gradient,
+    # even when the caller has dropped the leaf and its data.
+    z = np.random.default_rng(16).standard_normal((5, 3, 7))
+    labels = np.array([2, 4])
+    held = T.Tensor(z.copy(), requires_grad=True)
+    donated = record_donations(monkeypatch)
+    rnnt_loss(T.Tensor(z.copy(), requires_grad=True), labels).backward()
+    rnnt_loss(held, labels).backward()
+    assert donated == [False, False]
+    m, lse = normalisers_per_frame(z)
+    lat = lattice_per_frame(z, m, lse, labels)
+    assert same_bits(held.data, z)
+    assert same_bits(held.grad, logit_grad_per_frame(z, m, lse, labels, lat, 1.0))
+
+
+def test_packed_encoded_loss_donates_the_logits_buffer(monkeypatch):
+    cfg = load_preset("desk", ["model.vocab_size=8"])
+    tokens = [[1, 2, 3], [], [4, 4]]
+    lengths = [6, 2, 5]
+
+    def grads(loss_of):
+        model = TransducerModel(cfg, seed=17)
+        enc = T.Tensor(np.random.default_rng(18).standard_normal(
+            (sum(lengths), cfg.model.proj_dim)), requires_grad=True)
+        loss_of(model, enc).backward()
+        return [enc.grad] + [p.grad for _, p in model.parameters() if p.grad is not None]
+
+    held = []
+
+    def holding_the_logits(model, enc):
+        pred = model.label_encoder(*tokens)
+        held.append(model.joint(enc, pred, (lengths, [len(u) + 1 for u in tokens])))
+        return rnnt_loss(held[-1], tokens, lengths)[0]
+
+    donated = record_donations(monkeypatch)
+    want = grads(holding_the_logits)
+    assert not any(donated)
+    got = grads(lambda model, enc: model.encoded_loss(enc, lengths, tokens)[0])
+    assert donated.count(True) == 1
+    assert len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize(
