@@ -6,9 +6,13 @@ per-frame cap that guards against emission loops) and a blank advances to
 the next frame.  Ties resolve to the lowest symbol id.  The decoder state is
 explicit, so audio can be fed in arbitrary chunks with identical results.
 
-Each symbol step runs the model's own `Joint` on one [1, 1] (frame, label)
-cell and `LabelEncoder.step` for each emission, so decoding and training
-share one joint and one label-encoder definition.
+Decoding runs the streaming half of the model's own `Joint` and
+`LabelEncoder.step`, so decoding and training share one joint and one
+label-encoder definition.  Each frame is projected once (`Joint.enc_term`)
+and each label row once per emission (`Joint.pred_term`, kept in the state
+across chunks); a symbol step then runs only the tanh and the output GEMV
+of its cell (`Joint.cell`), into buffers reused within the frame.  The
+logits and the score have the bits of the joint called on that one cell.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import TransducerModel
 
 DEFAULT_SYMBOL_CAP = 10
@@ -30,12 +33,13 @@ class DecoderState:
     score: float = 0.0                               # log-probability of the path taken
     lstm_states: list = field(default_factory=list)  # one (h, c) per label layer
     pred_row: np.ndarray | None = None               # current [label_proj] context
+    pred_term: np.ndarray | None = None              # its joint projection, [1, joint_dim]
 
 
 def init_state(model: TransducerModel) -> DecoderState:
     """Start-of-utterance state: the label encoder's row 0."""
     states, pred = model.label_encoder.start()
-    return DecoderState(lstm_states=states, pred_row=pred)
+    return DecoderState(lstm_states=states, pred_row=pred, pred_term=model.joint.pred_term(pred))
 
 
 def step_frame(
@@ -44,22 +48,33 @@ def step_frame(
     enc_t: np.ndarray,
     max_symbols_per_frame: int = DEFAULT_SYMBOL_CAP,
 ) -> DecoderState:
-    """Consume one encoder frame, emitting greedily until a blank (or the cap)."""
+    """Consume one encoder frame, emitting greedily until a blank (or the cap).
+
+    A frame that is not [proj_dim] raises `ShapeError`, one holding a
+    non-finite value `DataError`.
+    """
     if max_symbols_per_frame < 1:
         raise ConfigError("max_symbols_per_frame must be >= 1")
-    enc_row = T.Tensor(enc_t[None, :])
+    if not np.isfinite(enc_t).all():
+        raise DataError("encoder frame holds non-finite values")
+    joint = model.joint
+    enc_term = joint.enc_term(enc_t)
+    hidden = np.empty_like(enc_term)
+    logits = np.empty((1, joint.out.bias.shape[0]))
     emitted = 0
     while True:
-        with T.no_grad():
-            z = model.joint(enc_row, T.Tensor(state.pred_row[None, :])).data[0, 0]
+        z = joint.cell(enc_term, state.pred_term, hidden, logits)[0]
         k = int(np.argmax(z))  # first max wins: ties go to the lowest id
-        # The chosen symbol's log-softmax (z[k] - m) - lse, where the max m is z[k].
-        state.score -= float(np.log(np.exp(z - z[k]).sum()))
+        # The chosen symbol's log-softmax (z[k] - m) - lse, where the max m is
+        # z[k]; it spends the logits, which the next step writes afresh.
+        z -= z[k]
+        state.score -= float(np.log(np.exp(z, out=z).sum()))
         if k == 0:
             return state
         state.tokens.append(k)
         emb = model.label_encoder.embed.table.data[k][None, :]
         state.lstm_states, state.pred_row = model.label_encoder.step(state.lstm_states, emb)
+        state.pred_term = joint.pred_term(state.pred_row)
         emitted += 1
         if emitted >= max_symbols_per_frame:
             # Loop guard: move on without charging a blank.

@@ -44,10 +44,12 @@ These ops are fused, each one tape node for a whole batch:
   with N; its backward rebuilds each block's window from the input.
 - `lstm` runs a whole LSTM layer over packed utterances, so the tape does
   not grow with the frame or utterance count.  Its forward steps the
-  shared numpy cell `lstm_cell` over the utterances still running at each
-  frame and stores every row's gate activations and cell state; its
-  backward runs through time over them and forms the weight and input
-  gradients as whole-batch GEMMs.
+  shared numpy cell `lstm_cell` in place over the utterances still running
+  at each frame: `h @ u` goes into one reused buffer, and the gate
+  activations and new states land in the rows the op keeps for its
+  backward, so a frame step allocates no frame-sized array.  The backward
+  runs through time over them and forms the weight and input gradients as
+  whole-batch GEMMs.
 - `linear` is `x @ w + b` over the last axis of an input of rank 2 or more.  It
   keeps one output array (the bias is added in place) and forms the three
   gradients straight from the incoming one, so a wide output such as the
@@ -65,9 +67,11 @@ These ops are fused, each one tape node for a whole batch:
 `linear` and `outer_tanh` have the bits of the composition of the
 reference ops they replace, gradients included.  With lengths, each
 utterance keeps those bits.  The global block has the
-forward bits of its composition.  Its gradients, formed over the whole batch at
-once, and `conv2d` and `lstm` agree with their per-utterance compositions
-in `tests/oracles.py` to rounding: their GEMMs sum in another order.
+forward bits of its composition, and `lstm` those of a frame loop over the
+allocating reference cell in `tests/oracles.py`.  The global block's
+gradients, formed over the whole batch at once, and `conv2d` and `lstm`
+agree with their per-utterance compositions in `tests/oracles.py` to
+rounding: their GEMMs sum in another order.
 """
 
 from __future__ import annotations
@@ -312,11 +316,23 @@ def relu_(a: np.ndarray) -> np.ndarray:
     return a > 0.0
 
 
+def _sigmoid_(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid of z in place; `e` is scratch of z's shape.  Returns z.
+
+    e^min(z, 0) / (1 + e^-|z|): that is 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, so exp never overflows, with no mask to branch on.
+    """
+    np.minimum(z, 0.0, out=e)
+    np.exp(e, out=e)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(e, z, out=z)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
-    # overflows; one exp over -|z| serves both halves without masks.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return _sigmoid_(z.copy(), np.empty(z.shape))
 
 
 def swish(x: Tensor) -> Tensor:
@@ -719,21 +735,30 @@ def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, lengt
     return from_op(out, (a, wa, b, wb, bias), backward)
 
 
-def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray):
-    """One LSTM step in plain numpy, gate order input, forget, candidate, output.
+def lstm_cell(gates: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,
+              hu: np.ndarray, h_out: np.ndarray, c_out: np.ndarray) -> None:
+    """One LSTM step in place, gate order input, forget, candidate, output.
 
-    `pre` is the frame's input projection `x @ w + b` as a [1, 4H] row, `h`
-    and `c` the [1, H] state, `u` the [H, 4H] recurrent weight.  Returns the
-    new `(h, c)` and the [1, 4H] gate activations (sigmoid i, f, o; tanh g).
+    `gates` [b, 4H] holds the frame's input projection `x @ w + b` and is
+    overwritten with the gate activations (sigmoid i, f, o; tanh g).  `h` and
+    `c` are the [b, H] state, `u` the [H, 4H] recurrent weight and `hu` a
+    [b, 4H] scratch for `h @ u`.  The new state goes into `h_out` and `c_out`,
+    which must not overlap the gates or `hu`.  The float ops, and their
+    order, are those of the allocating cell in `tests/oracles.py`:
+    `x @ w + b + h @ u`, the sigmoid, `f * c + i * g` and `o * tanh(c)`.
     """
     hid = h.shape[1]
-    s = pre + h @ u
-    gates = _sigmoid(s)
-    gates[:, 2 * hid:3 * hid] = np.tanh(s[:, 2 * hid:3 * hid])
+    np.matmul(h, u, out=hu)
+    gates += hu
     i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
-    c2 = f * c + i * g
-    h2 = o * np.tanh(c2)
-    return h2, c2, gates
+    # The candidate's tanh waits in h_out while the sigmoid runs over the row.
+    np.tanh(g, out=h_out)
+    _sigmoid_(gates, hu)
+    g[...] = h_out
+    np.multiply(f, c, out=c_out)
+    c_out += np.multiply(i, g, out=hu[:, :hid])
+    np.tanh(c_out, out=h_out)
+    h_out *= o
 
 
 def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
@@ -745,9 +770,12 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     one `x @ w + b` GEMM over all N rows, in a time-major order with the
     utterances sorted longest first: the b_t utterances still running at
     frame t are the first b_t, so each frame steps `lstm_cell` on one block
-    of rows with no mask.  It keeps each row's gate activations and cell
-    state.  The backward runs through time over the same blocks, then forms
-    the gradients of x, w, u and b as whole-batch GEMMs.
+    of rows with no mask.  The step runs in place: `h @ u` goes into one
+    reused [b_0, 4H] buffer, the gate activations overwrite the block's
+    input projections, and the new cell and hidden states go into its rows
+    of the kept `cs` and `hs`, which the next frame reads as its state.  The
+    backward runs through time over the same blocks, then forms the
+    gradients of x, w, u and b as whole-batch GEMMs.
     """
     hid = u.shape[0]
     if (x.ndim != 2 or w.shape != (x.shape[1], 4 * hid) or u.shape != (hid, 4 * hid)
@@ -773,10 +801,11 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     gates = x_tm @ w.data + b.data
     hs = np.empty((n, hid))
     cs = np.empty((n, hid))
+    hu = np.empty((sizes[0], 4 * hid))
     h = c = np.zeros((sizes[0], hid))
     for a, bt in blocks:
-        h, c, gates[a:a + bt] = lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u.data)
-        hs[a:a + bt], cs[a:a + bt] = h, c
+        lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u.data, hu[:bt], hs[a:a + bt], cs[a:a + bt])
+        h, c = hs[a:a + bt], cs[a:a + bt]
     out = np.empty_like(hs)
     out[perm] = hs
 

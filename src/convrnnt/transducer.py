@@ -6,7 +6,9 @@ dropout come from `ModelSettings`.
 The fusion and both LSTM stacks run on packed rows: the rows of every
 utterance of a batch concatenated in order, with their lengths beside them,
 so each layer is a few tape nodes per batch.  The joint takes one
-utterance's encoder and label rows, or a batch's packed rows of both.
+utterance's encoder and label rows, or a batch's packed rows of both; the
+decoder steps the label encoder and the joint one cell at a time, outside
+the tape, with the same math.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelSettings
+from .errors import ShapeError
 from .layers import SWISH_PROJ_GAIN, Embedding, Linear, collect_params, uniform_init, zeros_param
 from .tensor import Tensor
 from .vocab import label_ids
@@ -124,9 +127,11 @@ class LabelEncoder:
         new_states = []
         with T.no_grad():
             for layer, (h, c) in zip(self.layers, states):
-                h, c, _ = T.lstm_cell(x @ layer.w.data + layer.b.data, h, c, layer.u.data)
-                new_states.append((h, c))
-                x = layer.project(Tensor(h)).data
+                gates = x @ layer.w.data + layer.b.data
+                h2, c2 = np.empty_like(h), np.empty_like(c)
+                T.lstm_cell(gates, h, c, layer.u.data, np.empty_like(gates), h2, c2)
+                new_states.append((h2, c2))
+                x = layer.project(Tensor(h2)).data
         return new_states, x[0]
 
     def params(self):
@@ -146,6 +151,14 @@ class Joint:
     nodes either way (`outer_tanh`, then the output `linear`); the packed
     call runs their GEMMs per utterance, so each utterance's logits have the
     bits of a call on its rows alone.
+
+    Its streaming half, for the decoder, runs outside the tape in plain
+    numpy, as `LabelEncoder.start` and `step` do: `enc_term` and `pred_term`
+    project one encoder frame (A.enc_t) and one label row (B.pred_u) to
+    [1, joint_dim], and `cell` turns the two terms into one cell's logits.
+    They are the ops of a call on that one frame and label row, so the
+    logits have its bits, while a decoder projects each frame and each label
+    row once however many cells reuse it.
     """
 
     def __init__(self, m: ModelSettings, rng: np.random.Generator):
@@ -157,6 +170,30 @@ class Joint:
     def __call__(self, enc: Tensor, pred: Tensor, lengths=None) -> Tensor:
         h = T.outer_tanh(enc, self.enc_proj, pred, self.pred_proj, self.bias, lengths)
         return self.out(h, None if lengths is None else [t * u for t, u in zip(*lengths)])
+
+    def enc_term(self, enc_t: np.ndarray) -> np.ndarray:
+        """A.enc_t as a [1, joint_dim] row, for one [proj_dim] encoder frame."""
+        if enc_t.shape != (self.enc_proj.shape[0],):
+            raise ShapeError(f"joint: encoder frame of shape {enc_t.shape}, "
+                             f"expected ({self.enc_proj.shape[0]},)")
+        return enc_t[None, :] @ self.enc_proj.data
+
+    def pred_term(self, pred_u: np.ndarray) -> np.ndarray:
+        """B.pred_u as a [1, joint_dim] row, for one [label_proj] label row."""
+        return pred_u[None, :] @ self.pred_proj.data
+
+    def cell(self, enc_term: np.ndarray, pred_term: np.ndarray, hidden: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+        """One cell's [1, V+1] logits from its two terms, written into `out`.
+
+        `hidden` is [1, joint_dim] scratch for the tanh.  Returns `out`.
+        """
+        np.add(enc_term, pred_term, out=hidden)
+        hidden += self.bias.data
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, self.out.weight.data, out=out)
+        out += self.out.bias.data
+        return out
 
     def params(self):
         return [

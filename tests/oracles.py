@@ -12,6 +12,9 @@ written before it became fused, packed nodes: the op-by-op global block and
 the per-utterance model loss.  The per-parameter Adam step and the per-frame
 loss passes at the end are the loops the flat optimizer buffers and the
 blocked, batch-vectorised loss passes replaced, kept as bitwise references.
+So are the allocating LSTM cell, which `tensor.lstm_cell` replaced with one
+that steps in place, and the greedy decoder step that ran the whole joint on
+one [1, 1] cell per symbol before `Joint` gained its streaming half.
 """
 
 import itertools
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from convrnnt import tensor as T
+from convrnnt.decoding import DecoderState
 from convrnnt.errors import ShapeError
 from convrnnt.rnnt_loss import NEG_INF, _cells, _checked, _lattice, rnnt_loss
 
@@ -427,6 +431,68 @@ def conv2d(x, w, bias=None):
     return out
 
 
+def lstm_cell_allocating(pre, h, c, u):
+    """One LSTM step that allocates every result, as `tensor.lstm_cell` was
+    written before it stepped in place: returns the new [b, H] `(h, c)` and
+    the [b, 4H] gate activations (sigmoid i, f, o; tanh g)."""
+    hid = h.shape[1]
+    s = pre + h @ u
+    gates = sigmoid_masked(s)
+    gates[:, 2 * hid:3 * hid] = np.tanh(s[:, 2 * hid:3 * hid])
+    i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+    c2 = f * c + i * g
+    h2 = o * np.tanh(c2)
+    return h2, c2, gates
+
+
+def lstm_frames_allocating(x, w, u, b, lengths):
+    """Hidden states [N, H] of one LSTM layer over packed utterances x
+    [N, n_in], each from a zero state, with `lstm_cell_allocating`: one step
+    per frame over the rows of the utterances still running at it, longest
+    utterance first, as `tensor.lstm` groups them."""
+    lengths = list(lengths)
+    starts = np.cumsum(lengths) - np.asarray(lengths)
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    pre = x @ w + b
+    out = np.empty((x.shape[0], u.shape[0]))
+    h = c = np.zeros((len(lengths), u.shape[0]))
+    for t in range(max(lengths)):
+        rows = [starts[i] + t for i in order if lengths[i] > t]
+        h, c, _ = lstm_cell_allocating(pre[rows], h[:len(rows)], c[:len(rows)], u)
+        out[rows] = h
+    return out
+
+
+def step_frame_one_cell(model, state, enc_t, max_symbols_per_frame):
+    """`decoding.step_frame` as written before the joint had a streaming half:
+    every symbol step runs `model.joint` on one [1, 1] (frame, label) cell.
+    Reads and updates the state's tokens, score, lstm_states and pred_row."""
+    enc_row = T.Tensor(enc_t[None, :])
+    emitted = 0
+    while True:
+        with T.no_grad():
+            z = model.joint(enc_row, T.Tensor(state.pred_row[None, :])).data[0, 0]
+        k = int(np.argmax(z))
+        state.score -= float(np.log(np.exp(z - z[k]).sum()))
+        if k == 0:
+            return state
+        state.tokens.append(k)
+        emb = model.label_encoder.embed.table.data[k][None, :]
+        state.lstm_states, state.pred_row = model.label_encoder.step(state.lstm_states, emb)
+        emitted += 1
+        if emitted >= max_symbols_per_frame:
+            return state
+
+
+def greedy_decode_one_cell(model, enc_frames, max_symbols_per_frame):
+    """Greedy decoding of [T, proj_dim] frames with `step_frame_one_cell`."""
+    states, pred = model.label_encoder.start()
+    state = DecoderState(lstm_states=states, pred_row=pred)
+    for enc_t in enc_frames:
+        state = step_frame_one_cell(model, state, enc_t, max_symbols_per_frame)
+    return state
+
+
 def lstm(x, w, u, b):
     """Hidden states [T, H] of one LSTM layer over one utterance x [T, n_in],
     from a zero state: one tape node that steps `lstm_cell` frame by frame
@@ -436,10 +502,11 @@ def lstm(x, w, u, b):
     gates = x.data @ w.data + b.data
     hs = np.empty((t_len, hid))
     cs = np.empty((t_len, hid))
+    hu = np.empty((1, 4 * hid))
     h = c = np.zeros((1, hid))
     for t in range(t_len):
-        h, c, gates[t:t + 1] = T.lstm_cell(gates[t:t + 1], h, c, u.data)
-        hs[t], cs[t] = h[0], c[0]
+        T.lstm_cell(gates[t:t + 1], h, c, u.data, hu, hs[t:t + 1], cs[t:t + 1])
+        h, c = hs[t:t + 1], cs[t:t + 1]
 
     def backward(g):
         i, f, cand, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))

@@ -1,9 +1,14 @@
 import numpy as np
+import pytest
 
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.decoding import decode_frames, greedy_decode, init_state, step_frame
+from convrnnt.errors import DataError, ShapeError
 from convrnnt.model import TransducerModel
+from convrnnt.transducer import Joint
+
+import oracles
 
 
 def build_model(seed=0, vocab=6):
@@ -126,3 +131,66 @@ def test_decoder_score_is_the_training_joint_path_log_prob():
     log_probs = (z - m) - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
     want = sum(log_probs[t, u, k] for t, u, k in path)
     assert abs(state.score - want) <= 1e-12
+
+
+def emitting_model(seed, t_len=16):
+    """A desk model, with a random joint bias, and t_len encoder frames on
+    which greedy decoding emits on some frames and not on others: the blank
+    logit is raised by the median, over the frames, of its margin to the best
+    label at the start context."""
+    model, cfg = build_model(seed)
+    rng = np.random.default_rng(seed + 100)
+    model.joint.bias.data[...] = rng.uniform(-0.5, 0.5, model.joint.bias.shape)
+    with T.no_grad():
+        enc = model.encode_audio(T.Tensor(rng.standard_normal((t_len, cfg.input_dim)))).data
+        z = model.joint(T.Tensor(enc), model.label_encoder([])).data[:, 0]
+    model.joint.out.bias.data[0] += np.median(z[:, 1:].max(axis=1) - z[:, 0])
+    return model, enc
+
+
+@pytest.mark.parametrize("seed", [5, 21, 22])
+@pytest.mark.parametrize("cap", [1, 3, 10])
+def test_decoder_matches_one_cell_joint_oracle_bitwise(seed, cap):
+    model, enc = emitting_model(seed)
+    want = oracles.greedy_decode_one_cell(model, enc, cap)
+    assert 0 < len(want.tokens) < cap * enc.shape[0]
+    for chunk in (1, 5, enc.shape[0]):
+        state = init_state(model)
+        for a in range(0, enc.shape[0], chunk):
+            state = decode_frames(model, state, enc[a:a + chunk], cap)
+        assert state.tokens == want.tokens
+        assert state.score == want.score
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_joint_cell_matches_joint_call_bitwise(preset):
+    overrides = ["model.vocab_size=6"] if preset == "desk" else []
+    m = load_preset(preset, overrides).transducer_config()
+    joint = Joint(m, np.random.default_rng(30))
+    rng = np.random.default_rng(31)
+    for p in (joint.bias, joint.out.bias):
+        p.data[...] = rng.uniform(-0.5, 0.5, p.shape)
+    hidden, logits = np.empty((1, m.joint_dim)), np.empty((1, m.vocab_size + 1))
+    for _ in range(3):
+        enc_t, pred_u = rng.standard_normal(m.proj_dim), rng.standard_normal(m.label_proj)
+        with T.no_grad():
+            want = joint(T.Tensor(enc_t[None, :]), T.Tensor(pred_u[None, :])).data[0, 0]
+        got = joint.cell(joint.enc_term(enc_t), joint.pred_term(pred_u), hidden, logits)[0]
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad,error", [
+    ("nan", DataError), ("inf", DataError), ("narrow", ShapeError), ("wide", ShapeError),
+    ("row", ShapeError),
+])
+def test_step_frame_rejects_bad_frames_and_keeps_the_state(bad, error):
+    model, cfg = build_model(14)
+    frame = np.random.default_rng(15).standard_normal(cfg.model.proj_dim)
+    if bad in ("nan", "inf"):
+        frame[3] = np.nan if bad == "nan" else np.inf
+    else:
+        frame = {"narrow": frame[:-1], "wide": np.append(frame, 0.0), "row": frame[None, :]}[bad]
+    state = init_state(model)
+    with pytest.raises(error):
+        step_frame(model, state, frame)
+    assert state.tokens == [] and state.score == 0.0

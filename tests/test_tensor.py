@@ -297,6 +297,15 @@ def test_packed_op_keeps_utterances_apart_bitwise(op, make, time_axis):
             assert not np.array_equal(pert[row:ends[k]], base[row:ends[k]])
 
 
+@pytest.mark.parametrize("lengths", [LENGTHS, [7]])
+def test_lstm_forward_matches_allocating_frame_loop_bitwise(lengths):
+    x, w, u, b = packed_lstm_args(np.random.default_rng(49), n=sum(lengths))
+    with T.no_grad():
+        got = T.lstm(T.Tensor(x), T.Tensor(w), T.Tensor(u), T.Tensor(b), lengths).data
+    want = oracles.lstm_frames_allocating(x, w, u, b, lengths)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("op,make", [(T.conv2d, packed_conv_args), (T.lstm, packed_lstm_args)])
 def test_packed_op_rejects_lengths_that_do_not_split_the_rows(op, make):
     arrays = [T.Tensor(a) for a in make(np.random.default_rng(48), n=6)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +45,8 @@ def zero_all(module):
 def test_lstm_single_step_hand_oracle():
     # x = 1 with w = 1 and b = 0 gives the pre-activation row 1; u = 1.
     zero = np.zeros((1, 1))
-    h2, c2, _ = T.lstm_cell(np.ones((1, 4)), zero, zero, np.ones((1, 4)))
+    h2, c2 = np.empty((1, 1)), np.empty((1, 1))
+    T.lstm_cell(np.ones((1, 4)), zero, zero, np.ones((1, 4)), np.empty((1, 4)), h2, c2)
     # Scripted single-step reference with explicit gate formulas.
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     c_ref = sig(1.0) * 0.0 + sig(1.0) * math.tanh(1.0)
@@ -183,6 +185,26 @@ def test_label_encoder_rejects_non_integer_ids(bad):
         enc(bad)
     with pytest.raises(DataError):
         enc([1, 2], bad)
+
+
+def test_label_encoder_step_matches_allocating_cell_bitwise():
+    enc = LabelEncoder(dataclasses.replace(CFG, label_layers=2), np.random.default_rng(13))
+    rng = np.random.default_rng(14)
+    states = want_states = [(np.zeros((1, layer.hidden)),) * 2 for layer in enc.layers]
+    for _ in range(4):
+        x = rng.standard_normal((1, CFG.label_embed))
+        states, row = enc.step(states, x)
+        stepped = []
+        for layer, (h, c) in zip(enc.layers, want_states):
+            h, c, _ = oracles.lstm_cell_allocating(x @ layer.w.data + layer.b.data, h, c,
+                                                   layer.u.data)
+            stepped.append((h, c))
+            with T.no_grad():
+                x = layer.project(T.Tensor(h)).data
+        want_states = stepped
+        assert row.tobytes() == x[0].tobytes()
+        for got, want in zip(states, want_states):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
