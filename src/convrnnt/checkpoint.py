@@ -2,19 +2,20 @@
 
 Layout (little-endian):
 
-    magic 'CVRT' | u16 version | u16 reserved | 32-byte architecture hash |
-    u64 step | u32 n_records |
+    magic 'CVRT' | u16 version | u64 step | u32 n_records |
     records: [u16 name_len][name utf-8][u8 ndim][u32 dim...][f64 data...] |
     u32 rng_len | rng state as canonical JSON
 
 Save -> load -> save is byte-identical: float64 payloads round-trip exactly
-and record order is preserved.  Loading against a different architecture
-hash or another format version fails loudly; version 1 files, whose global
-encoder read the local encoder's output, have the desk shapes and hash.
+and record order is preserved.  A file of another format version fails
+loudly: version 1 wired the global encoder to the local encoder's output,
+and version 2 headers held a config hash besides.
 
-This module reads and writes the layout only.  Which records a checkpoint
-holds, and what each must contain, is `Trainer`'s: `Trainer.load` checks
-every record before it restores any, so a load that fails changes nothing.
+This module reads and writes the layout only.  Whether a checkpoint fits a
+model is `Trainer`'s to decide: `Trainer.load` checks every record's name,
+shape and values before it restores any, so a load that fails changes
+nothing.  Shapes cannot show every change of wiring: a config key that
+rewires the model without changing any record's shape must bump `VERSION`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 MAGIC = b"CVRT"
-VERSION = 2
+VERSION = 3
 
 
 def _canonical_json(obj) -> bytes:
@@ -50,20 +51,16 @@ def _jsonable(obj):
     return obj
 
 
-def save_checkpoint(path, arch_hash: bytes, step: int, named_arrays, rng_state) -> None:
+def save_checkpoint(path, step: int, named_arrays, rng_state) -> None:
     """Write the file beside `path` under a temporary name, sync it, then move
     it over `path`: a save that stops part way leaves the previous file as it
     was, and no temporary file behind."""
-    if len(arch_hash) != 32:
-        raise ConfigError("architecture hash must be 32 bytes")
     named_arrays = list(named_arrays)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(MAGIC)
-            f.write(struct.pack("<HH", VERSION, 0))
-            f.write(arch_hash)
-            f.write(struct.pack("<Q", step))
+            f.write(struct.pack("<HQ", VERSION, step))
             f.write(struct.pack("<I", len(named_arrays)))
             for name, arr in named_arrays:
                 arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -96,22 +93,16 @@ def _unpack(fmt: str, f, path):
     return struct.unpack(fmt, _read(f, struct.calcsize(fmt), path))
 
 
-def load_checkpoint(path, expected_hash: bytes | None = None):
+def load_checkpoint(path):
     """Returns (step, {name: array}, rng_state_dict).  A file cut short, with
     bytes past its RNG state, with a record name twice or with text that does
     not decode raises `DataError`."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
-        version, _ = _unpack("<HH", f, path)
+        (version,) = _unpack("<H", f, path)
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        arch_hash = _read(f, 32, path)
-        if expected_hash is not None and arch_hash != expected_hash:
-            raise ConfigError(
-                f"{path}: checkpoint was written for a different architecture "
-                f"(config hash mismatch)"
-            )
         (step,) = _unpack("<Q", f, path)
         (n_records,) = _unpack("<I", f, path)
         arrays = {}

@@ -1,6 +1,5 @@
 """Run configuration: one dataclass per config-file section, the flat
-`key = value` config-file format, shipped presets, and the architecture hash
-used to guard checkpoints.
+`key = value` config-file format and the shipped presets.
 
 `ModelSettings` (the `model.*` section) is the one description of the model:
 every module takes it and reads the fields it needs.  `RunConfig` derives the
@@ -8,12 +7,13 @@ two widths that depend on more than one section: `input_dim`, the stacked
 feature width that the global encoder and the fusion output keep, and
 `local_dim`, the local encoder's output width.  Each section checks its own
 values when it is made, and `RunConfig` the ones that cross sections, so a
-bad value, numeric or not, raises `ConfigError` at load.
+bad value, numeric or not, raises `ConfigError` at load.  A checkpoint
+stores no config: it fits any config that builds its records, which
+`Trainer.load` checks.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -174,16 +174,6 @@ def _parse_value(raw: str, like):
     return raw
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def parse_config_text(text: str) -> dict:
     """Flat `section.key = value` lines; '#' starts a comment.  A key set on
     two lines raises `ConfigError`."""
@@ -253,18 +243,3 @@ def apply_overrides(flat: dict, overrides) -> RunConfig:
         flat[key.strip()] = value.strip()
     return config_from_flat(flat)
 
-
-def canonical_lines(cfg: RunConfig) -> list:
-    """Deterministic `key = value` rendering of the feature and model sections."""
-    lines = []
-    for name in ("feature", "model"):
-        obj = getattr(cfg, name)
-        for f in fields(obj):
-            lines.append(f"{name}.{f.name} = {_format_value(getattr(obj, f.name))}")
-    return sorted(lines)
-
-
-def architecture_hash(cfg: RunConfig) -> bytes:
-    """32-byte digest of everything that determines parameter shapes."""
-    text = "\n".join(canonical_lines(cfg))
-    return hashlib.sha256(text.encode("utf-8")).digest()

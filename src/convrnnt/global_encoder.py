@@ -244,13 +244,18 @@ class GlobalEncoder:
         lengths, as one tape node whose parents are x and every parameter.
         Its backward pops and runs the blocks' backwards, last block first,
         so each block's saved arrays are freed once it has run; the first
-        block forms no input gradient unless x requires one."""
+        block forms no input gradient unless x requires one.  A node that
+        records nothing keeps no backward, so each block's saved arrays go
+        as soon as the next block has its output."""
+        parents = (x,) + tuple(p for _, p in self.params())
+        recording = T.records(parents)
         splits = np.cumsum(lengths)[:-1]
         h = x.data
         backwards = []
         for block in self.blocks:
             h, step = block.forward_batch(np.split(h, splits), rng)
-            backwards.append(step)
+            if recording:
+                backwards.append(step)
 
         def backward(g):
             while backwards:
@@ -259,7 +264,7 @@ class GlobalEncoder:
             if g is not None:
                 x.accumulate_grad(g)
 
-        return T.from_op(h, (x,) + tuple(p for _, p in self.params()), backward)
+        return T.from_op(h, parents, backward)
 
     def params(self):
         return collect_params((f"block{i + 1}", block) for i, block in enumerate(self.blocks))

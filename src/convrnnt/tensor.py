@@ -204,15 +204,22 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def records(parents) -> bool:
+    """Whether an op over `parents` records a tape node: grad mode is on and
+    some parent requires grad.  An op whose node will not record can drop
+    what only its backward would read as soon as it is done with it."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def from_op(data: np.ndarray, parents, backward) -> Tensor:
     """Create a tape node.  `backward(g)` must accumulate into the parents.
 
-    The node only records its provenance when grad mode is on and some
-    parent requires grad; otherwise it is a plain constant tensor.  That is
-    all grad mode changes: an op computes the same arrays either way.
+    The node only records its provenance when `records(parents)`;
+    otherwise it is a plain constant tensor.  That is all grad mode
+    changes: an op computes the same arrays either way.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .audio import accumulate_stats, featurize, normalize, read_wav, spec_augment
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, architecture_hash, resolve_config
+from .config import RunConfig, resolve_config
 from .data import ensure_toy_corpus, index_utterances, load_manifest
 from .decoding import greedy_decode
 from .errors import ConfigError, DataError, TrainingError
@@ -69,7 +69,6 @@ class Trainer:
                 f"config vocab_size {cfg.model.vocab_size} != vocab file size "
                 f"{self.vocab.n_labels}"
             )
-        self.arch_hash = architecture_hash(cfg)
 
         self.train_utts = load_manifest(manifest_path)
         self.eval_utts = (
@@ -225,19 +224,22 @@ class Trainer:
         ]
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.arch_hash, self.step, self._records(),
-                        self.rng.bit_generator.state)
+        save_checkpoint(path, self.step, self._records(), self.rng.bit_generator.state)
 
     def load(self, path) -> None:
         """Restore a checkpoint, checked in full before anything is written.
 
-        The records must be exactly `_records()`'s, each with the shape in use
-        and only finite values, and `adam.t` must equal the header's step; the
-        RNG state must be a Philox state.  Each mismatch raises `DataError`
-        naming the record; `normstats.*` records that differ from the stats
-        recomputed from the training split raise `ConfigError`.  A load that raises changes nothing.
+        These checks are the one test of whether a checkpoint fits this
+        model; the file holds no config.  The records must be exactly
+        `_records()`'s, each with the shape in use and only finite values,
+        and `adam.t` must equal the header's step; the RNG state must be a
+        Philox state.  Each mismatch raises `DataError` naming the record;
+        `normstats.*` records that differ from the stats recomputed from the
+        training split raise `ConfigError`.  So a config that builds the same
+        records, such as one with another `model.dropout_p`, loads.  A load
+        that raises changes nothing.
         """
-        step, arrays, rng_state = load_checkpoint(path, expected_hash=self.arch_hash)
+        step, arrays, rng_state = load_checkpoint(path)
         records = self._records()
         names = {name for name, _ in records}
         if names != arrays.keys():

@@ -1,4 +1,5 @@
 import math
+import wave
 
 import numpy as np
 import pytest
@@ -206,6 +207,15 @@ def test_wav_roundtrip(tmp_path):
 def test_wav_rejects_wrong_rate(tmp_path):
     p = tmp_path / "x.wav"
     write_wav(p, np.zeros(400), rate=8000)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="sample rate 8000"):
         read_wav(p, expected_rate=16000)
+    # Stereo and 8-bit files at the right rate are rejected too.
+    for channels, width, error in ((2, 2, "mono"), (1, 1, "16-bit")):
+        with wave.open(str(p), "wb") as f:
+            f.setnchannels(channels)
+            f.setsampwidth(width)
+            f.setframerate(16000)
+            f.writeframes(bytes(400 * channels * width))
+        with pytest.raises(DataError, match=error):
+            read_wav(p, expected_rate=16000)
 

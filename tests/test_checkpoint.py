@@ -13,8 +13,9 @@ from convrnnt import checkpoint
 from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
-from convrnnt.errors import DataError
+from convrnnt.errors import ConfigError, DataError
 from convrnnt.train import Trainer
+from test_config import CHANGED
 
 # Dropout and SpecAugment on, with time masks that fire at the toy
 # corpus's 8-14 frames, so the checkpointed RNG stream is exercised.
@@ -28,14 +29,19 @@ OVERRIDES = [
 
 
 @pytest.fixture(scope="module")
-def make_trainer(tmp_path_factory):
-    root = tmp_path_factory.mktemp("ckpt")
-    corpus = root / "toy"
+def toy_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("toy")
     generate_toy_corpus(str(corpus))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def make_trainer(toy_corpus, tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
     count = itertools.count()
 
     def make(workdir=None, overrides=()):
-        cfg = load_preset("desk", OVERRIDES + [f"data.toy_dir={corpus}", *overrides])
+        cfg = load_preset("desk", OVERRIDES + [f"data.toy_dir={toy_corpus}", *overrides])
         return Trainer(cfg, workdir or str(root / f"run{next(count)}"))
 
     return make
@@ -79,7 +85,7 @@ def test_checkpoint_load_then_save_is_byte_identical(make_trainer, tmp_path, mod
     for _ in range(3):
         trainer.train_step()
     trainer.save(tmp_path / "a.bin")
-    _, arrays, _ = load_checkpoint(tmp_path / "a.bin", expected_hash=trainer.arch_hash)
+    _, arrays, _ = load_checkpoint(tmp_path / "a.bin")
     frontend = [name for name in arrays
                 if re.match(r"(adam\.[mv]\.)?(local|global|fuse|stats)\.", name)]
     assert bool(frontend) == (not model)
@@ -91,20 +97,22 @@ def test_checkpoint_load_then_save_is_byte_identical(make_trainer, tmp_path, mod
 
 def test_version1_checkpoint_rejected(make_trainer, tmp_path):
     # Version 1 files come from the serial frontend wiring, where the global
-    # encoder read the local encoder's output; the desk shapes and hash are
-    # the same, so only the version keeps them out.
+    # encoder read the local encoder's output; the desk shapes are the same,
+    # so only the version keeps them out.  Version 2 headers held a config
+    # hash as well.
     trainer = make_trainer()
     trainer.train_step()
-    path = tmp_path / "v1.bin"
+    path = tmp_path / "old.bin"
     trainer.save(path)
     blob = bytearray(path.read_bytes())
-    assert struct.unpack("<H", blob[4:6]) == (2,)
-    blob[4:6] = struct.pack("<H", 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match="version 1"):
-        load_checkpoint(path)
-    with pytest.raises(DataError, match="version 1"):
-        make_trainer().load(path)
+    assert struct.unpack("<H", blob[4:6]) == (3,)
+    for version in (1, 2):
+        blob[4:6] = struct.pack("<H", version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"version {version}"):
+            load_checkpoint(path)
+        with pytest.raises(DataError, match=f"version {version}"):
+            make_trainer().load(path)
 
 
 def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path):
@@ -116,9 +124,16 @@ def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path
     # The RNG state is the last field: its u32 length, then canonical JSON.
     rng_at = blob.rindex(b'{"bit_generator"')
     assert struct.unpack("<I", blob[rng_at - 4:rng_at]) == (len(blob) - rng_at,)
-    # In the header, the record count, the first record's name, shape and
-    # data, the RNG length field and the RNG blob.
-    cuts = [2, 6, 30, 50, 60, 80, 200, len(blob) // 2, rng_at - 2, rng_at + 1, len(blob) - 1]
+    # The header is magic 0:4, version 4:6, step 6:14 and the record count
+    # 14:18; the first record's name length, name, ndim and dimensions follow.
+    (name_len,) = struct.unpack_from("<H", blob, 18)
+    dim_at = 18 + 2 + name_len + 1
+    ndim = blob[dim_at - 1]
+    assert ndim >= 2
+    # In each header field, the first record's name length, name, ndim,
+    # dimensions and data, the RNG length field and the RNG blob.
+    cuts = [2, 5, 10, 16, 19, 20 + name_len // 2, dim_at - 1, dim_at + 2,
+            dim_at + 4 * ndim + 4, len(blob) // 2, rng_at - 2, rng_at + 1, len(blob) - 1]
     for n, cut in enumerate(cuts):
         bad = tmp_path / f"cut{n}.bin"
         bad.write_bytes(blob[:cut])
@@ -132,9 +147,6 @@ def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path
     with pytest.raises(DataError):
         load_checkpoint(bad)
     # A first dimension of 2^31 claims 16 GiB the file does not hold.
-    (name_len,) = struct.unpack_from("<H", blob, 52)
-    dim_at = 52 + 2 + name_len + 1
-    assert blob[dim_at - 1] >= 1  # the first record's ndim
     bad.write_bytes(blob[:dim_at] + struct.pack("<I", 2 ** 31) + blob[dim_at + 4:])
     tracemalloc.start()
     try:
@@ -145,7 +157,6 @@ def test_truncated_or_padded_checkpoint_raises_data_error(make_trainer, tmp_path
         tracemalloc.stop()
     assert peak < len(blob) + (1 << 20)
     # Two dimensions of 2^32 - 1 claim more elements than a 64-bit count holds.
-    assert blob[dim_at - 1] >= 2
     bad.write_bytes(blob[:dim_at] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[dim_at + 8:])
     with pytest.raises(DataError, match="truncated"):
         load_checkpoint(bad)
@@ -200,7 +211,7 @@ def step3_checkpoint(make_trainer, tmp_path_factory):
         trainer.train_step()
     path = tmp_path_factory.mktemp("step3") / "step3.bin"
     trainer.save(path)
-    return path, trainer.arch_hash
+    return path
 
 
 def edited(name, fn):
@@ -256,15 +267,72 @@ def trainer_state(trainer):
 @pytest.mark.parametrize("name, corrupt", DEFECTS)
 def test_defective_checkpoint_raises_and_changes_nothing(
         make_trainer, step3_checkpoint, tmp_path, name, corrupt):
-    good, arch_hash = step3_checkpoint
-    step, arrays, rng_state = load_checkpoint(good)
+    step, arrays, rng_state = load_checkpoint(step3_checkpoint)
     records, rng_state = corrupt(list(arrays.items()), rng_state)
     bad = tmp_path / "bad.bin"
-    save_checkpoint(bad, arch_hash, step, records, rng_state)
+    save_checkpoint(bad, step, records, rng_state)
 
     trainer = make_trainer()
     trainer.train_step()  # a state that differs from the file's everywhere
     before = trainer_state(trainer)
     with pytest.raises(DataError, match=re.escape(name)):
         trainer.load(bad)
+    assert trainer_state(trainer) == before
+
+
+# One changed value per `model.*` key (test_config's) and per `feature.*` key.
+CHANGED_KEYS = {**{f"model.{key}": value for key, value in CHANGED.items()},
+                "feature.sample_rate_hz": "8000", "feature.window_ms": "20",
+                "feature.hop_ms": "5", "feature.n_bands": "12", "feature.stack": "2",
+                "feature.skip": "2"}
+# Dropout acts only in training, and 9 is the toy vocab's own size, so these
+# two build the desk model's records; every other change must be refused,
+# and the refusal must name its cause.
+BUILDS_THE_SAME_RECORDS = {"model.dropout_p", "model.vocab_size"}
+# The toy wavs are 16 kHz, so reading them refuses the set-up.
+REFUSED_AT_SET_UP = {"feature.sample_rate_hz": "sample rate 16000 != expected 8000"}
+# These shape no record but change the features, and so the stats.
+CHANGES_THE_STATS = {"feature.window_ms", "feature.hop_ms", "feature.skip"}
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoint(toy_corpus, tmp_path_factory):
+    """A plain desk checkpoint, the state it holds and its `evaluate` result."""
+    trainer = Trainer(load_preset("desk", [f"data.toy_dir={toy_corpus}"]),
+                      tmp_path_factory.mktemp("desk"))
+    trainer.train_step()
+    path = Path(trainer.workdir) / "checkpoint.bin"
+    trainer.save(path)
+    return path, trainer_state(trainer), trainer.evaluate()
+
+
+@pytest.mark.parametrize("key", sorted(CHANGED_KEYS))
+def test_checkpoint_loads_only_under_a_config_that_builds_its_records(
+        desk_checkpoint, toy_corpus, tmp_path, key):
+    path, state, metrics = desk_checkpoint
+    cfg = load_preset("desk", [f"data.toy_dir={toy_corpus}", f"{key}={CHANGED_KEYS[key]}"])
+    if key in REFUSED_AT_SET_UP:
+        with pytest.raises(DataError, match=re.escape(REFUSED_AT_SET_UP[key])):
+            Trainer(cfg, tmp_path)
+        return
+    trainer = Trainer(cfg, tmp_path)
+    if key in BUILDS_THE_SAME_RECORDS:
+        trainer.load(path)
+        assert trainer_state(trainer) == state
+        assert trainer.evaluate() == metrics
+        return
+    trainer.train_step()  # a state that differs from the file's everywhere
+    before = trainer_state(trainer)
+    if key in CHANGES_THE_STATS:
+        with pytest.raises(ConfigError, match="normstats.mean differs"):
+            trainer.load(path)
+    else:
+        with pytest.raises(DataError) as refusal:
+            trainer.load(path)
+        message = str(refusal.value)
+        named = re.search(r"record ([\w.]+) must hold", message)
+        if named:
+            assert named.group(1) in dict(trainer._records())
+        else:
+            assert re.search(r"records missing (\[\], unexpected )?\['", message), message
     assert trainer_state(trainer) == before

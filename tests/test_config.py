@@ -50,6 +50,10 @@ REJECTED = [
     "optimizer.peak_lr=-1",
     "optimizer.peak_lr=nan",
     "optimizer.l2=nan",
+    "model.local_enabled=maybe",
+    "kernel_t=3",  # no section
+    "nosuch.key=1",
+    "model.kernel_t",  # no '='
 ]
 
 
@@ -69,6 +73,16 @@ def test_a_key_set_twice_in_one_file_is_rejected():
     text = "model.dw_kernel = 3\n# comment\nmodel.dw_kernel = 5\n"
     with pytest.raises(ConfigError, match="model.dw_kernel is set on line 1 and again on line 3"):
         parse_config_text(text)
+
+
+def test_a_config_line_without_equals_is_rejected():
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+        parse_config_text("model.dw_kernel = 3\nmodel.kernel_t 5\n")
+
+
+def test_an_unknown_preset_is_rejected():
+    with pytest.raises(ConfigError, match="no preset named 'tiny'"):
+        load_preset("tiny")
 
 
 def test_unresolved_vocab_rejected():

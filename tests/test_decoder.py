@@ -4,7 +4,7 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.decoding import decode_frames, greedy_decode, init_state, step_frame
-from convrnnt.errors import DataError, ShapeError
+from convrnnt.errors import ConfigError, DataError, ShapeError
 from convrnnt.model import TransducerModel
 from convrnnt.transducer import Joint
 
@@ -71,6 +71,8 @@ def test_emission_cap_bounds_output_length():
     enc = np.zeros((3, cfg.model.proj_dim))
     hyp = greedy_decode(model, enc, max_symbols_per_frame=5)
     assert hyp.tokens == [1] * 15  # exactly T * cap, loop guarded
+    with pytest.raises(ConfigError, match="max_symbols_per_frame"):
+        step_frame(model, init_state(model), enc[0], max_symbols_per_frame=0)
 
 
 def test_streaming_matches_full_decode_bitwise():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,24 @@ def test_encoder_is_one_node_for_the_batch():
     with T.no_grad():
         out = enc.forward_batch(x, [4, 6, 5])
     assert out._backward is None and not out._parents
+
+
+def test_an_encoder_that_records_nothing_keeps_no_block_state():
+    # Under no_grad each block's saved arrays go once the next block has its
+    # output, so six blocks peak no higher than two.
+    x = T.Tensor(np.random.default_rng(52).standard_normal((400, 64)))
+
+    def peak(blocks):
+        enc = GlobalEncoder(ModelSettings(global_blocks=blocks), 64, np.random.default_rng(53))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                enc.forward_batch(x, [400])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) <= peak(2) + (1 << 18)
 
 
 @pytest.mark.parametrize("se_enabled", [True, False])

@@ -4,7 +4,7 @@ import pytest
 from convrnnt import tensor as T
 from convrnnt.audio import FeatureConfig
 from convrnnt.config import ModelSettings, RunConfig
-from convrnnt.errors import ConfigError
+from convrnnt.errors import ConfigError, ShapeError
 from convrnnt.local_encoder import LocalEncoder
 
 import oracles
@@ -29,6 +29,12 @@ def test_zero_input_zero_output():
         out = run(enc, np.zeros((t_len, IN_DIM)))
         assert out.shape == (t_len, OUT_DIM)
         assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("width", [IN_DIM - 1, IN_DIM + N_FREQ])
+def test_rows_of_another_width_rejected(width):
+    with pytest.raises(ShapeError, match=f"expects dim {IN_DIM}, got {width}"):
+        run(make_encoder(), np.zeros((5, width)))
 
 
 def test_single_frame_input():

@@ -14,7 +14,7 @@ from convrnnt.audio import accumulate_stats, featurize, normalize, read_wav, spe
 from convrnnt.config import load_preset
 from convrnnt.data import generate_toy_corpus
 from convrnnt.decoding import greedy_decode
-from convrnnt.errors import DataError, TrainingError
+from convrnnt.errors import ConfigError, DataError, TrainingError
 from convrnnt.model import TransducerModel, make_rng
 
 from oracles import adam_step_per_parameter
@@ -102,6 +102,14 @@ def test_error_rates_count_word_and_character_edits():
     assert train.error_rates([("ab cd", "ab")]) == (1 / 2, 3 / 5)
     with pytest.raises(DataError, match="empty reference"):
         train.error_rates([("ab", "ab"), (" ", "ab")])
+
+
+def test_vocab_size_other_than_the_vocab_files_rejected(corpus, tmp_path):
+    # The toy vocab holds 9 labels; 0 means "read it from the file".
+    assert train.Trainer(desk(corpus), str(tmp_path / "run")).cfg.model.vocab_size == 9
+    cfg = load_preset("desk", [f"data.toy_dir={corpus}", "model.vocab_size=8"])
+    with pytest.raises(ConfigError, match="vocab_size 8 != vocab file size 9"):
+        train.Trainer(cfg, str(tmp_path / "run"))
 
 
 def test_one_utterance_id_for_two_wavs_rejected(tmp_path):
