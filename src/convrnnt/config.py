@@ -99,8 +99,9 @@ class TrainingConfig:
         for name in ("batch_size", "max_steps", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"training.{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
+        # A Philox key is below 2**128, and the trainer's generator is keyed seed + 1.
+        if not 0 <= self.seed <= 2**128 - 2:
+            raise ConfigError(f"training.seed must be in [0, 2**128 - 2], got {self.seed}")
 
 
 @dataclass

@@ -8,10 +8,17 @@ side, and the fusion maps their concatenation back to `input_dim`.  With
 both frontends off there is no fusion: the LSTM stack reads the stacked
 features directly, which is the paper's LSTM-only RNN-T baseline.
 
-The registry is the one source of parameter names and shapes:
-`parameter_shapes` and `count_parameters` read it from a model built with
-an init source that allocates no weights, so they report configs too big to
-build for real.
+Modules draw their initial weights from an init source's
+`uniform(low, high, size)`, the call `np.random.Generator` answers, and the
+model is built from one of two sources.  `TransducerModel(cfg, seed)` builds
+from a deferred source, which hands out unfilled arrays and then fills them
+with the bits a serial `make_rng(seed)` would draw in the same order: Philox
+reaches any place of its stream directly, so the calling thread draws the
+first half of the stream while one worker thread draws the second.  The other
+source allocates no weights.  The registry is the one source of parameter
+names and shapes: `parameter_shapes` and `count_parameters` read it from a
+model built with that source, so they report configs too big to build for
+real.
 
 There are three forward entry points, each taking a batch of any size:
 `encode_audio` maps feature tensors to packed encoder rows, `encoded_loss`
@@ -44,6 +51,7 @@ same ops under `no_grad`, which records none.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -60,26 +68,32 @@ from .transducer import AudioEncoder, Joint, LabelEncoder, fuse_frontends
 
 def make_rng(seed: int) -> np.random.Generator:
     # Philox is counter-based, so its full state serializes into checkpoints
-    # and the stream resumes exactly after a reload.
+    # and the stream resumes exactly after a reload, and any place of its
+    # stream is reached directly, which the model build uses to draw its
+    # weights on two threads.
     return np.random.Generator(np.random.Philox(key=seed))
 
 
 class TransducerModel:
     def __init__(self, cfg: RunConfig, seed: int = 0):
-        self._build(cfg, make_rng(seed))
+        init = _DeferredInit()
+        self._build(cfg, init)
+        init.fill(seed)
 
-    def _build(self, cfg: RunConfig, rng) -> None:
-        """Assemble every module, drawing initial weights from `rng.uniform`."""
+    def _build(self, cfg: RunConfig, init) -> None:
+        """Assemble every module, drawing initial weights from `init.uniform`:
+        a `_DeferredInit` to fill afterwards, a `_ZeroInit`, or a generator
+        drawing serially, as the modules built on their own do."""
         self.cfg = cfg
         m = cfg.transducer_config()
         f = cfg.feature
-        self.local = LocalEncoder(m, f.stack, f.n_bands, rng) if cfg.local_dim else None
-        self.global_enc = GlobalEncoder(m, cfg.input_dim, rng) if m.global_enabled else None
+        self.local = LocalEncoder(m, f.stack, f.n_bands, init) if cfg.local_dim else None
+        self.global_enc = GlobalEncoder(m, cfg.input_dim, init) if m.global_enabled else None
         fuse_in = cfg.local_dim + (cfg.input_dim if self.global_enc else 0)
-        self.fuse = Linear(fuse_in, cfg.input_dim, rng) if fuse_in else None
-        self.encoder = AudioEncoder(m, cfg.input_dim, rng)
-        self.label_encoder = LabelEncoder(m, rng)
-        self.joint = Joint(m, rng)
+        self.fuse = Linear(fuse_in, cfg.input_dim, init) if fuse_in else None
+        self.encoder = AudioEncoder(m, cfg.input_dim, init)
+        self.label_encoder = LabelEncoder(m, init)
+        self.joint = Joint(m, init)
         children = [
             ("local", self.local),
             ("global", self.global_enc),
@@ -145,7 +159,64 @@ class TransducerModel:
 
 
 # ---------------------------------------------------------------------------
-# parameter counts (reports for configs too big to build for real)
+# init sources
+
+
+class _DeferredInit:
+    """Init source that hands out unfilled arrays and records their place in
+    the draw order; `fill(seed)` then gives each the bits that
+    `make_rng(seed).uniform` would draw for it in that order."""
+
+    def __init__(self):
+        self._draws = []  # (flat view, low, high), in draw order
+
+    def uniform(self, low, high, size):
+        out = np.empty(size)
+        self._draws.append((out.reshape(-1), low, high))
+        return out
+
+    def fill(self, seed: int) -> None:
+        """Draw the first half of the stream on this thread and the second
+        half on one worker thread, cutting at most one array in two; a
+        failure on either thread is raised here, after both have ended."""
+        mid = sum(flat.size for flat, _, _ in self._draws) // 2
+        first, second, start = [], [], 0
+        for flat, low, high in self._draws:
+            cut = min(max(mid - start, 0), flat.size)
+            if cut:
+                first.append((flat[:cut], low, high))
+            if cut < flat.size:
+                second.append((flat[cut:], low, high))
+            start += flat.size
+        # Each double takes one Philox output, and a counter step makes four.
+        bits = np.random.Philox(key=seed)
+        bits.advance(mid // 4)
+        bits.random_raw(mid % 4)
+        errors = []
+
+        def draw_second():
+            try:
+                _draw(np.random.Generator(bits), second)
+            except BaseException as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=draw_second)
+        worker.start()
+        try:
+            _draw(make_rng(seed), first)
+        finally:
+            worker.join()
+        if errors:
+            raise errors[0]
+
+
+def _draw(rng: np.random.Generator, pieces) -> None:
+    """`rng.uniform(low, high)` into each piece in turn, bit for bit: numpy
+    forms each draw as low + (high - low) * u from one `rng.random()` u."""
+    for out, low, high in pieces:
+        rng.random(out=out)
+        out *= high - low
+        out += low
 
 
 class _ZeroInit:
@@ -155,6 +226,10 @@ class _ZeroInit:
     @staticmethod
     def uniform(low, high, size):
         return np.broadcast_to(0.0, size)
+
+
+# ---------------------------------------------------------------------------
+# parameter counts (reports for configs too big to build for real)
 
 
 def zero_weight_model(cfg: RunConfig) -> TransducerModel:

@@ -43,6 +43,7 @@ REJECTED = [
     "training.eval_interval=0",
     "training.max_steps=-5",
     "training.seed=-1",
+    f"training.seed={2**128 - 1}",  # the trainer's generator key, seed + 1, would not fit
     "optimizer.warmup_steps=0",
     "optimizer.beta1=1.5",
     "optimizer.beta2=-0.1",
@@ -61,6 +62,12 @@ REJECTED = [
 def test_bad_value_rejected_at_load(override):
     with pytest.raises(ConfigError):
         load_preset("desk", [override])
+
+
+def test_largest_seed_keys_the_model_and_the_trainer_generator():
+    cfg = load_preset("desk", ["model.vocab_size=8", f"training.seed={2**128 - 2}"])
+    TransducerModel(cfg, seed=cfg.training.seed)
+    make_rng(cfg.training.seed + 1)
 
 
 def test_a_key_no_setting_reads_is_rejected():

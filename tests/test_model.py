@@ -1,13 +1,24 @@
+import gc
 import math
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import convrnnt.model
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.errors import DataError, ShapeError
-from convrnnt.model import PARAM_GROUPS, TransducerModel, count_parameters, make_rng, parameter_shapes
+from convrnnt.model import (
+    PARAM_GROUPS,
+    TransducerModel,
+    _DeferredInit,
+    count_parameters,
+    make_rng,
+    parameter_shapes,
+)
 from convrnnt.rnnt_loss import rnnt_loss
 from convrnnt.train import frontend_param_count
 
@@ -33,6 +44,66 @@ def test_ablation_variants_registry_matches_mirror():
         model = TransducerModel(cfg, seed=1)
         built = [(name, p.shape) for name, p in model.parameters()]
         assert built == [(name, tuple(shape)) for name, shape in parameter_shapes(cfg)]
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_build_draws_the_serial_stream_bit_for_bit(seed):
+    # The two threads of the build draw what one generator drawing every
+    # weight in turn would, and the worker thread has ended when it returns.
+    cfg = desk_cfg()
+    threads = threading.active_count()
+    model = TransducerModel(cfg, seed=seed)
+    assert threading.active_count() == threads
+    serial = TransducerModel.__new__(TransducerModel)
+    serial._build(cfg, make_rng(seed))
+    assert [name for name, _ in model.parameters()] == [name for name, _ in serial.parameters()]
+    for (name, p), (_, q) in zip(model.parameters(), serial.parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+
+
+# Draw sizes whose stream midpoint falls inside an array, at offsets 1-8 of
+# the stream (every residue of Philox's four outputs per counter step), in
+# the first and in a later array; and one midpoint on an array boundary.
+SPLIT_DRAWS = [[n] for n in range(2, 18)] + [[1, n] for n in range(2, 17)] + [[(2, 3), 6, (4, 1)]]
+
+
+@pytest.mark.parametrize("sizes", SPLIT_DRAWS)
+def test_deferred_fill_splits_the_serial_stream_anywhere(sizes):
+    bounds = [(-0.5 - k, 0.25 + 2 * k) for k in range(len(sizes))]
+    init = _DeferredInit()
+    arrays = [init.uniform(low, high, size) for (low, high), size in zip(bounds, sizes)]
+    init.fill(7)
+    rng = make_rng(7)
+    for (low, high), size, got in zip(bounds, sizes, arrays):
+        assert got.tobytes() == rng.uniform(low, high, size).tobytes(), sizes
+
+
+def test_a_failure_on_the_worker_thread_is_raised_in_the_caller(monkeypatch):
+    caller = threading.current_thread()
+    draw = convrnnt.model._draw
+
+    def failing_off_the_caller(rng, pieces):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker half failed")
+        draw(rng, pieces)
+
+    unfilled = []
+    uniform = _DeferredInit.uniform
+
+    def recording(self, low, high, size):
+        out = uniform(self, low, high, size)
+        unfilled.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(convrnnt.model, "_draw", failing_off_the_caller)
+    monkeypatch.setattr(_DeferredInit, "uniform", recording)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        TransducerModel(desk_cfg(), seed=0)
+    gc.collect()
+    assert threading.active_count() == threads
+    # No model and no parameter is left holding the unfilled arrays.
+    assert unfilled and all(ref() is None for ref in unfilled)
 
 
 def test_lstm_only_baseline_builds_trains_and_encodes():
