@@ -45,6 +45,9 @@ class ModelSettings:
     joint_dim: int = 512
     vocab_size: int = 0  # real tokens, blank (id 0) extra; 0 = infer from the vocab file
     dropout_p: float = 0.1
+    # The dtype `encode_audio` runs an untaped, generator-free forward in;
+    # training, the loss, gradients and checkpoints are float64 whatever it is.
+    inference_dtype: str = "float64"
 
     def __post_init__(self):
         self.local_channels = tuple(int(c) for c in self.local_channels)
@@ -63,6 +66,10 @@ class ModelSettings:
             raise ConfigError(f"model.vocab_size must be >= 0, got {self.vocab_size}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"model.dropout_p must be in [0, 1), got {self.dropout_p}")
+        if self.inference_dtype not in ("float64", "float32"):
+            raise ConfigError(
+                f"model.inference_dtype must be float64 or float32, got {self.inference_dtype!r}"
+            )
 
 
 @dataclass

@@ -70,6 +70,10 @@ class GlobalBlock:
         and the input gradient (residual plus pointwise-in) is formed once.
         Only the squeeze-excite's reversed prefix sums stay per utterance.
         The gradients agree with the composition to rounding.
+
+        It computes in the rows' dtype, float32 for inference too, taking each
+        weight, bias and running statistic cast to it (the array itself in
+        float64).
         """
         m = self.m
         training = rng is not None
@@ -89,19 +93,23 @@ class GlobalBlock:
                 np.matmul(w, x[:, a:b], out=out[:, a:b])
 
         x_all = np.concatenate(xs)
+        dtype = x_all.dtype
+
+        def cast(p: Tensor) -> np.ndarray:
+            return p.data.astype(dtype, copy=False)
 
         # pointwise in -> ReLU -> batch-norm, [E, N]
-        w_in = self.pw_in.weight.data[:, :, 0]
+        w_in = cast(self.pw_in.weight)[:, :, 0]
         xt = np.ascontiguousarray(x_all.T)
-        h = np.empty((w_in.shape[0], n_rows))
+        h = np.empty((w_in.shape[0], n_rows), dtype)
         pointwise(w_in, xt, h)
-        h += self.pw_in.bias.data[:, None]
+        h += cast(self.pw_in.bias)[:, None]
         mask_in = T.relu_(h)
         xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, out=h)
         a_in = self._affine(self.norm_in, xhat_in)
 
         # causal dilated depthwise -> ReLU -> batch-norm
-        w_dw = self.dw.weight.data[:, 0, :]
+        w_dw = cast(self.dw.weight)[:, 0, :]
         h = np.zeros_like(a_in)
         for j, s in enumerate(shifts):
             if s >= n_rows:
@@ -111,19 +119,19 @@ class GlobalBlock:
                 tap *= inside[s]
             h[:, s:] += tap
         del tap
-        h += self.dw.bias.data[:, None]
+        h += cast(self.dw.bias)[:, None]
         mask_dw = T.relu_(h)
         xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, out=h)
         a_dw = self._affine(self.norm_dw, xhat_dw)
 
         # pointwise out, squeeze-excite, dropout and the residual, [N, D]
-        w_out = self.pw_out.weight.data[:, :, 0]
-        zc = np.empty((w_out.shape[0], n_rows))
+        w_out = cast(self.pw_out.weight)[:, :, 0]
+        zc = np.empty((w_out.shape[0], n_rows), dtype)
         pointwise(w_out, a_dw, zc)
-        zc += self.pw_out.bias.data[:, None]
+        zc += cast(self.pw_out.bias)[:, None]
         z = np.ascontiguousarray(zc.T)
         del zc
-        counts = (local + 1.0)[:, None]
+        counts = (local + 1.0).astype(dtype, copy=False)[:, None]
         mean = np.empty_like(z)
         for a, b in spans:
             np.cumsum(z[a:b], axis=0, out=mean[a:b])
@@ -182,11 +190,12 @@ class GlobalBlock:
 
     @staticmethod
     def _rows(x: np.ndarray, lin: Linear, spans) -> np.ndarray:
-        """`x @ w + b` for each utterance's rows of x [N, n_in]."""
-        out = np.empty((x.shape[0], lin.weight.shape[1]))
+        """`x @ w + b` for each utterance's rows of x [N, n_in], in x's dtype."""
+        w = lin.weight.data.astype(x.dtype, copy=False)
+        out = np.empty((x.shape[0], w.shape[1]), x.dtype)
         for a, b in spans:
-            np.matmul(x[a:b], lin.weight.data, out=out[a:b])
-        out += lin.bias.data
+            np.matmul(x[a:b], w, out=out[a:b])
+        out += lin.bias.data.astype(x.dtype, copy=False)
         return out
 
     @staticmethod
@@ -199,8 +208,8 @@ class GlobalBlock:
     @staticmethod
     def _affine(norm: BatchNormTime, xhat: np.ndarray) -> np.ndarray:
         """gamma * xhat + beta per channel, into a new array (backward keeps xhat)."""
-        out = norm.gamma.data[:, None] * xhat
-        out += norm.beta.data[:, None]
+        out = norm.gamma.data.astype(xhat.dtype, copy=False)[:, None] * xhat
+        out += norm.beta.data.astype(xhat.dtype, copy=False)[:, None]
         return out
 
     @staticmethod

@@ -45,7 +45,9 @@ because a GEMM's bits depend on how its rows are grouped, so each
 utterance's nll has the bits of the joint and loss on its rows alone.  The label encoder and the joint are
 used as they are, as `label_encoder` and `joint`.  A training step of the
 `desk` preset records 22 tape nodes; eval and streaming inference run the
-same ops under `no_grad`, which records none.
+same ops under `no_grad`, which records none, and encode in
+`model.inference_dtype` (float32 in the `paper` preset), while every
+recorded forward runs in float64.
 """
 
 from __future__ import annotations
@@ -116,10 +118,17 @@ class TransducerModel:
 
     def encode_audio(self, *xs: Tensor, rng=None) -> Tensor:
         """Encoder output of a batch of [T_i, input_dim] feature tensors, as
-        packed [sum T_i, proj_dim] rows; one tensor is a batch of one, and
-        batch-norm statistics pool across the utterances.  An empty batch, an
-        utterance without frames and features of another width raise
-        `ShapeError`, non-finite features `DataError`."""
+        packed [sum T_i, proj_dim] float64 rows; one tensor is a batch of one,
+        and batch-norm statistics pool across the utterances.  An empty batch,
+        an utterance without frames and features of another width raise
+        `ShapeError`, non-finite features `DataError`.
+
+        A forward that records no tape node and draws no generator (eval,
+        decoding) runs in `model.inference_dtype`: the features are cast to
+        it once, every encoder layer computes in it, and the output is cast
+        back to float64.  Features beyond that dtype's range raise
+        `DataError`.  Every other forward (training, or eval with gradients)
+        runs in float64, float32 features included."""
         if not xs:
             raise ShapeError("a batch needs at least one utterance")
         for k, x in enumerate(xs):
@@ -131,6 +140,12 @@ class TransducerModel:
         x = T.concat(xs, axis=0)
         if not np.isfinite(x.data).all():
             raise DataError("input features hold non-finite values")
+        inference = rng is None and not T.records([x, *(p for _, p in self._params)])
+        dtype = np.dtype(self.cfg.model.inference_dtype if inference else np.float64)
+        if x.data.dtype != dtype:
+            if np.abs(x.data).max() > np.finfo(dtype).max:
+                raise DataError(f"input features exceed the {dtype} range")
+            x = Tensor(x.data.astype(dtype))
         parts = []
         if self.local is not None:
             parts.append(self.local(x, lengths))
@@ -138,7 +153,8 @@ class TransducerModel:
             parts.append(self.global_enc.forward_batch(x, lengths, rng))
         if parts:
             x = fuse_frontends(parts, self.fuse)
-        return self.encoder(x, lengths, rng)
+        enc = self.encoder(x, lengths, rng)
+        return enc if enc.data.dtype == np.float64 else Tensor(enc.data.astype(np.float64))
 
     def encoded_loss(self, enc: Tensor, lengths, tokens_list, rng=None):
         """Mean per-utterance loss, plus each utterance's nll, from the packed

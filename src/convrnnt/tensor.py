@@ -1,11 +1,20 @@
-"""Dense float64 tensors with tape-based reverse-mode automatic differentiation.
+"""Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Every value flowing through the model is a `Tensor` wrapping a row-major
-numpy float64 array.  Operations record their inputs and a backward closure
-on a dynamic tape (the graph is rebuilt on every forward pass, so variable
-sequence lengths need no special handling).  `Tensor.backward()` walks the
-reachable tape once, in reverse creation order, which is a valid topological
-order because inputs are always created before their consumers.  Each node
+numpy array: float64, or float32 when it is handed a float32 array and
+requires no gradient.  The tape and training are float64: `from_op` refuses
+to record a node of any other dtype.  The encoder ops (`linear`, `conv2d`,
+`lstm`, `swish`, `batchnorm_normalize` and the global block over them) also
+run in float32 for inference: each allocates in its input's dtype and takes
+its weights, biases and running statistics as `a.astype(x.dtype,
+copy=False)`, which is the array itself in float64, so a float64 call runs
+the same ops on the same arrays, bit for bit.
+
+Operations record their inputs and a backward closure on a dynamic tape
+(the graph is rebuilt on every forward pass, so variable sequence lengths
+need no special handling).  `Tensor.backward()` walks the reachable tape
+once, in reverse creation order, which is a valid topological order
+because inputs are always created before their consumers.  Each node
 propagates its gradient once: a second backward that reaches it raises
 `TrainingError` (sum several outputs into one scalar to seed them together).
 The pass unlinks each node as it propagates, dropping its parents and
@@ -112,7 +121,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        # A leaf that requires grad is float64, as every tape node is.
+        if data.dtype != np.float64 and (data.dtype != np.float32 or requires_grad):
+            data = data.astype(np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
@@ -216,10 +229,14 @@ def from_op(data: np.ndarray, parents, backward) -> Tensor:
 
     The node only records its provenance when `records(parents)`;
     otherwise it is a plain constant tensor.  That is all grad mode
-    changes: an op computes the same arrays either way.
+    changes: an op computes the same arrays either way.  A node to record
+    must be float64 (`TrainingError` otherwise): gradients and the
+    optimizer are float64 only.
     """
     out = Tensor(data)
     if records(parents):
+        if out.data.dtype != np.float64:
+            raise TrainingError(f"the tape records float64 nodes only, got {out.data.dtype}")
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -286,10 +303,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
         raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
     x2d = x.data.reshape(-1, w.shape[0])
     spans = _spans(lengths, x2d.shape[0], "linear")
-    out = np.empty((x2d.shape[0], w.shape[1]))
+    w_x = w.data.astype(x2d.dtype, copy=False)
+    out = np.empty((x2d.shape[0], w.shape[1]), x2d.dtype)
     for a, e in spans:
-        np.matmul(x2d[a:e], w.data, out=out[a:e])
-    out += b.data
+        np.matmul(x2d[a:e], w_x, out=out[a:e])
+    out += b.data.astype(x2d.dtype, copy=False)
     # The backward keeps the shape, not the output (the joint's logits).
     shape2d = out.shape
 
@@ -339,7 +357,7 @@ def _sigmoid_(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return _sigmoid_(z.copy(), np.empty(z.shape))
+    return _sigmoid_(z.copy(), np.empty_like(z))
 
 
 def swish(x: Tensor) -> Tensor:
@@ -505,10 +523,10 @@ def _tap_stack(x: np.ndarray, xs: slice, win_rows: np.ndarray, rows: int, kt: in
     c_in, _, f = x.shape
     pf, fp = (kf - 1) // 2, f + kf - 1
     span = (rows + kt - 1) * fp
-    win = np.zeros((c_in, rows + kt, fp))
+    win = np.zeros((c_in, rows + kt, fp), x.dtype)
     win[:, win_rows, pf:pf + f] = x[:, xs]
     flat = win.reshape(c_in, -1)
-    stack = np.empty((kf, c_in, span))
+    stack = np.empty((kf, c_in, span), x.dtype)
     for j in range(kf):
         stack[j] = flat[:, j:j + span]
     return stack.reshape(kf * c_in, span)
@@ -561,14 +579,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
     base = np.arange(n) + pad * np.repeat(np.arange(len(lengths)), lengths)
     blocks = _conv_blocks(base, n + pad * (len(lengths) - 1),
                           _conv_block_rows(c_in, c_out, kt, kf, fp), pad)
-    w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1)).reshape(kt, c_out, kf * c_in)
+    dtype = x.data.dtype
+    w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1), dtype).reshape(kt, c_out, kf * c_in)
+    bias_x = bias.data.astype(dtype, copy=False)
 
     # Frame-major memory: each block's output rows are one contiguous span.
-    out = np.empty((n, c_out, f)).transpose(1, 0, 2)
+    out = np.empty((n, c_out, f), dtype).transpose(1, 0, 2)
     for rows, xs, win_rows, ys, acc_rows in blocks:
         stack = _tap_stack(x.data, xs, win_rows, rows, kt, kf)
         m = rows * fp
-        acc = np.empty((c_out, m))
+        acc = np.empty((c_out, m), dtype)
         tmp = np.empty_like(acc)
         for i in range(kt):
             np.matmul(w_rows[i], stack[:, i * fp:i * fp + m], out=tmp if i else acc)
@@ -578,7 +598,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
         block = out[:, ys]
         block[...] = acc.reshape(c_out, rows, fp)[:, acc_rows, :f]
         del acc
-        block += bias.data[:, None, None]
+        block += bias_x[:, None, None]
         relu_(block)
     # relu_ leaves out > 0 exactly where its input was > 0.
     mask = out > 0.0
@@ -651,7 +671,7 @@ def batchnorm_normalize(x: np.ndarray, stats: RunningStats, training: bool,
         var = x.var(axis=1)
         stats.update(mu, var)
     else:
-        mu, var = stats.mean, stats.var
+        mu, var = stats.mean.astype(x.dtype, copy=False), stats.var.astype(x.dtype, copy=False)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = np.subtract(x, mu[:, None], out=out)
     xhat *= inv_std[:, None]
@@ -803,15 +823,17 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     blocks = list(zip(offs[:-1], sizes.tolist()))
 
     x_tm = x.data[perm]
+    dtype = x_tm.dtype
     # Row r holds its input projection until the step overwrites it with
     # that frame's gate activations.
-    gates = x_tm @ w.data + b.data
-    hs = np.empty((n, hid))
-    cs = np.empty((n, hid))
-    hu = np.empty((sizes[0], 4 * hid))
-    h = c = np.zeros((sizes[0], hid))
+    gates = x_tm @ w.data.astype(dtype, copy=False) + b.data.astype(dtype, copy=False)
+    u_x = u.data.astype(dtype, copy=False)
+    hs = np.empty((n, hid), dtype)
+    cs = np.empty((n, hid), dtype)
+    hu = np.empty((sizes[0], 4 * hid), dtype)
+    h = c = np.zeros((sizes[0], hid), dtype)
     for a, bt in blocks:
-        lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u.data, hu[:bt], hs[a:a + bt], cs[a:a + bt])
+        lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u_x, hu[:bt], hs[a:a + bt], cs[a:a + bt])
         h, c = hs[a:a + bt], cs[a:a + bt]
     out = np.empty_like(hs)
     out[perm] = hs

@@ -449,13 +449,14 @@ def lstm_frames_allocating(x, w, u, b, lengths):
     """Hidden states [N, H] of one LSTM layer over packed utterances x
     [N, n_in], each from a zero state, with `lstm_cell_allocating`: one step
     per frame over the rows of the utterances still running at it, longest
-    utterance first, as `tensor.lstm` groups them."""
+    utterance first, as `tensor.lstm` groups them.  It computes in x's dtype
+    when the weights share it."""
     lengths = list(lengths)
     starts = np.cumsum(lengths) - np.asarray(lengths)
     order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
     pre = x @ w + b
-    out = np.empty((x.shape[0], u.shape[0]))
-    h = c = np.zeros((len(lengths), u.shape[0]))
+    out = np.empty((x.shape[0], u.shape[0]), x.dtype)
+    h = c = np.zeros((len(lengths), u.shape[0]), x.dtype)
     for t in range(max(lengths)):
         rows = [starts[i] + t for i in order if lengths[i] > t]
         h, c, _ = lstm_cell_allocating(pre[rows], h[:len(rows)], c[:len(rows)], u)
@@ -883,3 +884,33 @@ def logit_grad_per_frame(z, m, lse, labels, lat, g):
         gt *= g
         gt += 0.0
     return grad
+
+
+# ---------------------------------------------------------------------------
+# float32 inference
+
+
+# Bound on max |enc32 - enc64| / max |enc64| between `encode_audio` at float32
+# and at float64 inference.  Measured: 2.1e-6 and 2.9e-6 on the paper
+# preset's 10 s benchmark input at seeds 1 and 7.
+F32_ENCODER_REL_TOL = 1e-5
+
+
+def encodings_at_both_dtypes(model, *xs):
+    """Untaped `encode_audio` of the feature arrays xs with
+    `model.inference_dtype` float64, then float32; the setting is restored."""
+    settings = model.cfg.model
+    kept = settings.inference_dtype
+    out = []
+    try:
+        for dtype in ("float64", "float32"):
+            settings.inference_dtype = dtype
+            with T.no_grad():
+                out.append(model.encode_audio(*(T.Tensor(x) for x in xs)).data)
+    finally:
+        settings.inference_dtype = kept
+    return out
+
+
+def max_rel_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())

@@ -34,6 +34,8 @@ REJECTED = [
     "model.dropout_p=1.5",
     "model.dropout_p=1.0",
     "model.dropout_p=-0.1",
+    "model.inference_dtype=float16",
+    "model.inference_dtype=double",
     "feature.n_bands=3",  # fewer bands than the local kernel is wide
     "feature.stack=0",
     "feature.skip=0",
@@ -127,6 +129,7 @@ CHANGED = {
     "joint_dim": "32",
     "vocab_size": "9",
     "dropout_p": "0.1",
+    "inference_dtype": "float32",
 }
 
 

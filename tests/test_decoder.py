@@ -1,6 +1,9 @@
+import pathlib
+
 import numpy as np
 import pytest
 
+from convrnnt import audio
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
 from convrnnt.decoding import decode_frames, greedy_decode, init_state, step_frame
@@ -9,6 +12,7 @@ from convrnnt.model import TransducerModel
 from convrnnt.transducer import Joint
 
 import oracles
+from oracles import F32_ENCODER_REL_TOL, encodings_at_both_dtypes, max_rel_gap
 
 
 def build_model(seed=0, vocab=6):
@@ -196,3 +200,22 @@ def test_step_frame_rejects_bad_frames_and_keeps_the_state(bad, error):
     with pytest.raises(error):
         step_frame(model, state, frame)
     assert state.tokens == [] and state.score == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_float32_encoding_of_the_stream_benchmark_decodes_to_the_float64_tokens(
+        seed, monkeypatch):
+    # The paper-stream benchmark's input and emission script, with the blank
+    # offset scripted from the float64 encoding.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import MAX_SYMBOLS, TARGET_TOKENS, script_emissions, stream_pcm
+
+    cfg = load_preset("paper")
+    model = TransducerModel(cfg, seed=seed)
+    feats = audio.featurize(stream_pcm(seed, cfg.feature.sample_rate_hz), cfg.feature).frames
+    enc64, enc32 = encodings_at_both_dtypes(model, feats)
+    assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL
+    script_emissions(model, enc64, TARGET_TOKENS)
+    want = greedy_decode(model, enc64, MAX_SYMBOLS)
+    assert len(want.tokens) == TARGET_TOKENS
+    assert greedy_decode(model, enc32, MAX_SYMBOLS).tokens == want.tokens

@@ -19,11 +19,19 @@ from convrnnt.model import (
     make_rng,
     parameter_shapes,
 )
+from convrnnt.global_encoder import GlobalBlock
+from convrnnt.local_encoder import LocalEncoder
 from convrnnt.rnnt_loss import rnnt_loss
 from convrnnt.train import frontend_param_count
+from convrnnt.transducer import LSTMLayer
 
 import oracles
-from oracles import batch_loss_per_utterance
+from oracles import (
+    F32_ENCODER_REL_TOL,
+    batch_loss_per_utterance,
+    encodings_at_both_dtypes,
+    max_rel_gap,
+)
 
 
 def desk_cfg(**overrides):
@@ -457,3 +465,72 @@ def test_utterance_without_frames_raises_shape_error_naming_it():
         model.batch_loss(feats, tokens, rng=make_rng(28))
     with pytest.raises(ShapeError, match="utterance 0"), T.no_grad():
         model.encode_audio(T.Tensor(feats[2]))
+
+
+# ---------------------------------------------------------------------------
+# float32 inference
+
+
+def test_float32_inference_runs_every_encoder_layer_in_float32(monkeypatch):
+    # A layer that upcast to float64 would keep the output but lose the gain.
+    cfg = desk_cfg(**{"model.inference_dtype": "float32"})
+    model = TransducerModel(cfg, seed=12)
+    seen = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.append((name, (out[0] if isinstance(out, tuple) else out.data).dtype))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(LocalEncoder, "__call__", spy("local", LocalEncoder.__call__))
+    monkeypatch.setattr(GlobalBlock, "forward_batch", spy("block", GlobalBlock.forward_batch))
+    monkeypatch.setattr(convrnnt.model, "fuse_frontends",
+                        spy("fuse", convrnnt.model.fuse_frontends))
+    monkeypatch.setattr(LSTMLayer, "__call__", spy("lstm", LSTMLayer.__call__))
+    xs = [T.Tensor(make_rng(13).standard_normal((t, cfg.input_dim))) for t in (9, 5)]
+    layers = ["local"] + ["block"] * cfg.model.global_blocks + ["fuse"] + ["lstm"] * cfg.model.enc_layers
+    with T.no_grad():
+        enc = model.encode_audio(*xs)
+    assert seen == [(name, np.float32) for name in layers]
+    assert enc.data.dtype == np.float64
+    # Eval with gradients records, so it runs in float64.
+    seen.clear()
+    enc = model.encode_audio(*xs)
+    assert seen == [(name, np.float64) for name in layers]
+    assert enc.requires_grad
+
+
+def test_float32_features_train_in_float64():
+    # The recorded forward casts them to float64, which gives the bits of
+    # features handed over as float64 to begin with.
+    cfg = desk_cfg(**{"model.inference_dtype": "float32"})
+    feats = [make_rng(14).standard_normal((t, cfg.input_dim)).astype(np.float32) for t in (9, 5)]
+    runs = []
+    for xs in (feats, [f.astype(np.float64) for f in feats]):
+        model = TransducerModel(cfg, seed=15)
+        loss, nlls = model.batch_loss(xs, [[1, 2], [3]], rng=make_rng(16))
+        loss.backward()
+        runs.append([loss.data.tobytes(), np.asarray(nlls).tobytes()]
+                    + [p.grad.tobytes() for _, p in model.parameters()])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_features_beyond_the_float32_range_are_refused_at_float32(value):
+    # Finite in float64, they would turn into inf in the cast.
+    cfg = desk_cfg(**{"model.inference_dtype": "float32"})
+    model = TransducerModel(cfg, seed=17)
+    x = make_rng(18).standard_normal((6, cfg.input_dim))
+    x[2, 3] = value
+    with T.no_grad(), pytest.raises(DataError, match="exceed the float32 range"):
+        model.encode_audio(T.Tensor(x))
+
+
+def test_float32_encoding_stays_near_float64_at_paper_width():
+    cfg = load_preset("paper")
+    assert cfg.model.inference_dtype == "float32"
+    model = TransducerModel(cfg, seed=1)
+    enc64, enc32 = encodings_at_both_dtypes(model, make_rng(19).standard_normal((24, cfg.input_dim)))
+    assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL

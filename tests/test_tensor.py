@@ -306,6 +306,17 @@ def test_lstm_forward_matches_allocating_frame_loop_bitwise(lengths):
     assert got.tobytes() == want.tobytes()
 
 
+def test_float32_lstm_matches_the_float32_frame_loop_bitwise():
+    # On float32 rows the op casts its float64 weights and computes in
+    # float32 throughout, as the frame loop does on float32 copies.
+    x, w, u, b = packed_lstm_args(np.random.default_rng(50))
+    with T.no_grad():
+        got = T.lstm(T.Tensor(x.astype(np.float32)), T.Tensor(w), T.Tensor(u), T.Tensor(b),
+                     LENGTHS).data
+    want = oracles.lstm_frames_allocating(*(a.astype(np.float32) for a in (x, w, u, b)), LENGTHS)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("op,make", [(T.conv2d, packed_conv_args), (T.lstm, packed_lstm_args)])
 def test_packed_op_rejects_lengths_that_do_not_split_the_rows(op, make):
     arrays = [T.Tensor(a) for a in make(np.random.default_rng(48), n=6)]
@@ -761,6 +772,31 @@ def test_adopt_grad_takes_a_fresh_array_with_the_bits_of_accumulate_grad():
     y.adopt_grad(g)
     assert y.grad is not g and y.grad.strides == y.data.strides
     assert same_bits(y.grad, ref.grad)
+
+
+def test_a_tensor_keeps_float32_only_where_no_gradient_is_asked():
+    x32 = np.ones(3, np.float32)
+    assert T.Tensor(x32).data.dtype == np.float32
+    assert T.Tensor(x32, requires_grad=True).data.dtype == np.float64
+    assert T.Tensor(np.ones(3, np.float16)).data.dtype == np.float64
+    assert T.Tensor([1, 2]).data.dtype == np.float64
+
+
+def test_the_tape_refuses_a_float32_node():
+    rng = np.random.default_rng(45)
+    x = T.Tensor(rng.standard_normal((4, 6)).astype(np.float32))
+    w = T.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    b = T.Tensor(np.zeros(5), requires_grad=True)
+    with pytest.raises(TrainingError, match="float64 nodes only, got float32"):
+        T.linear(x, w, b)
+    with pytest.raises(TrainingError, match="float64 nodes only"):
+        T.from_op(np.zeros(5, np.float32), (b,), lambda g: None)
+    # Unrecorded, the op runs in its input's dtype.
+    with T.no_grad():
+        out = T.linear(x, w, b)
+    assert out.data.dtype == np.float32 and not out.requires_grad
+    ref = x.data @ w.data.astype(np.float32)
+    assert same_bits(out.data, ref + b.data.astype(np.float32))
 
 
 def test_grad_lengths_match_data():

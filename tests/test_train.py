@@ -17,7 +17,12 @@ from convrnnt.decoding import greedy_decode
 from convrnnt.errors import ConfigError, DataError, TrainingError
 from convrnnt.model import TransducerModel, make_rng
 
-from oracles import adam_step_per_parameter
+from oracles import (
+    F32_ENCODER_REL_TOL,
+    adam_step_per_parameter,
+    encodings_at_both_dtypes,
+    max_rel_gap,
+)
 
 
 @pytest.fixture(scope="module")
@@ -214,14 +219,21 @@ def test_logged_grad_norm_and_l2_term_match_per_parameter_sums(corpus, tmp_path,
         assert abs((loss - nlls[-1]) - l2_ref) <= 1e-12 * l2_ref
 
 
-def test_desk_model_tells_its_utterances_apart_from_the_audio(corpus, tmp_path):
+@pytest.fixture(scope="module")
+def trained_desk(corpus, tmp_path_factory):
+    """A desk trainer after 300 steps at seed 1234."""
+    cfg = load_preset("desk", [f"data.toy_dir={corpus}", "training.seed=1234"])
+    trainer = train.Trainer(cfg, str(tmp_path_factory.mktemp("run")))
+    for _ in range(300):
+        trainer.train_step()
+    return trainer
+
+
+def test_desk_model_tells_its_utterances_apart_from_the_audio(trained_desk):
     # After 300 desk steps each utterance's audio gives its own transcript a
     # lower nll than any other utterance's: the model reads the audio rather
     # than only its label stack.
-    cfg = load_preset("desk", [f"data.toy_dir={corpus}", "training.seed=1234"])
-    trainer = train.Trainer(cfg, str(tmp_path / "run"))
-    for _ in range(300):
-        trainer.train_step()
+    trainer = trained_desk
     transcripts = [trainer.tokens[u.utt_id] for u in trainer.eval_utts]
     n = len(transcripts)
     nll = np.empty((n, n))  # nll[i, j]: audio i scored against transcript j
@@ -233,3 +245,13 @@ def test_desk_model_tells_its_utterances_apart_from_the_audio(corpus, tmp_path):
     off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, nll)
     apart = np.diag(nll) < off_diagonal.min(axis=1)
     assert apart.all(), f"{apart.sum()} of {n} rows"
+
+
+def test_float32_inference_decodes_the_trained_desk_model_alike(trained_desk):
+    trainer = trained_desk
+    for utt in trainer.eval_utts:
+        enc64, enc32 = encodings_at_both_dtypes(trainer.model, trainer._features[utt.utt_id])
+        assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL
+        want = greedy_decode(trainer.model, enc64).tokens
+        assert want == trainer.tokens[utt.utt_id]
+        assert greedy_decode(trainer.model, enc32).tokens == want
