@@ -35,8 +35,8 @@ class Linear:
         self.weight = uniform_init(rng, (n_in, n_out), n_in, gain)
         self.bias = zeros_param(n_out)
 
-    def __call__(self, x: Tensor, lengths=None) -> Tensor:
-        return T.linear(x, self.weight, self.bias, lengths)
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.linear(x, self.weight, self.bias)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -38,13 +38,13 @@ stacks each make one node per layer for the whole batch, and the global
 encoder one node for all its blocks.  The joint and the loss run on packed
 cells: the joint pairs the packed encoder rows with the packed label rows
 into every utterance's T_i x (U_i+1) logit rows, [sum T_i (U_i+1), V+1] with
-no padding, and the loss takes those rows to the batch's mean nll, two joint
-nodes and one loss node per batch.  Their elementwise work runs once per
+no padding, and the loss takes those rows to the batch's mean nll, one joint
+node and one loss node per batch.  Their elementwise work runs once per
 batch; their GEMMs and row-group reductions run per utterance on views,
 because a GEMM's bits depend on how its rows are grouped, so each
 utterance's nll has the bits of the joint and loss on its rows alone.  The label encoder and the joint are
 used as they are, as `label_encoder` and `joint`.  A training step of the
-`desk` preset records 22 tape nodes; eval and streaming inference run the
+`desk` preset records 21 tape nodes; eval and streaming inference run the
 same ops under `no_grad`, which records none, and encode in
 `model.inference_dtype` (float32 in the `paper` preset), while every
 recorded forward runs in float64.

@@ -20,7 +20,7 @@ propagates its gradient once: a second backward that reaches it raises
 The pass unlinks each node as it propagates, dropping its parents and
 its closure, so an intermediate that only the tape holds (the joint's
 logits, say) is freed during the pass rather than when it ends.  `conv2d`,
-`lstm`, `linear`, `outer_tanh` and `rnnt_loss` hand the input gradients
+`lstm`, `linear`, `joint` and `rnnt_loss` hand the input gradients
 their backward allocates over with `Tensor.adopt_grad` instead of copying
 them.  `rnnt_loss` hands over its input's own buffer too: when `tape_only`
 reads from reference counts (as NumPy's temporary elision does) that only
@@ -37,12 +37,11 @@ The local and global encoders and the LSTM stacks carry a batch as packed
 rows: the frames of every utterance concatenated in order, N = sum of T_i
 rows, with the list of lengths T_i beside them.  The ops that mix frames
 over time (`conv2d` and `lstm`) require those lengths (one utterance is
-`[n]`) and keep each utterance to its own frames.  `linear` and
-`outer_tanh` take lengths for the joint, whose batch runs packed too, only
-to keep each utterance's GEMMs and sums on its own rows: a GEMM's bits
-depend on how its rows are grouped.  Every other op is per row and needs
-no lengths; no op cuts packed rows apart.  `dropout` is the identity
-without a generator, as in eval and streaming.
+`[n]`) and keep each utterance to its own frames.  `joint`, whose batch
+runs packed too, takes lengths only to keep each utterance's GEMMs and sums
+on its own rows: a GEMM's bits depend on how its rows are grouped.  Every
+other op is per row and needs no lengths; no op cuts packed rows apart.
+`dropout` is the identity without a generator, as in eval and streaming.
 
 These ops are fused, each one tape node for a whole batch:
 
@@ -59,21 +58,20 @@ These ops are fused, each one tape node for a whole batch:
   backward, so a frame step allocates no frame-sized array.  The backward
   runs through time over them and forms the weight and input gradients as
   whole-batch GEMMs.
-- `linear` is `x @ w + b` over the last axis of an input of rank 2 or more.  It
-  keeps one output array (the bias is added in place) and forms the three
-  gradients straight from the incoming one, so a wide output such as the
-  joint's logits is not copied on the way back; its backward keeps the
-  output's shape, not the output.
-- `outer_tanh` is the joint's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)`
-  over [T, U, J], or over the packed cells of a batch; it keeps only the
-  tanh output and forms `g * (1 - t * t)` once in backward.
+- `linear` is `x @ w + b` over rows.  It keeps one output array (the bias is
+  added in place) and forms the three gradients straight from the incoming
+  one.
+- `joint` is the transducer's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)
+  @ w + bw` over [T, U, V], or over the packed cells of a batch.  It keeps
+  the tanh output, not the logits, and its backward turns the tanh rows
+  into `1 - t * t` in place once the output layer's gradients are formed.
 - `global_encoder.GlobalEncoder.forward_batch` is one node for all the
   global blocks and the whole batch (pointwise, depthwise, batch-norm,
   squeeze-excite, dropout and residual).  Its blocks build on
   `batchnorm_normalize` and `batchnorm_backward`, which the reference
   `batchnorm_time` shares, and on `dropout_mask`, which `dropout` shares.
 
-`linear` and `outer_tanh` have the bits of the composition of the
+`linear` and `joint` have the bits of the composition of the
 reference ops they replace, gradients included.  With lengths, each
 utterance keeps those bits.  The global block has the
 forward bits of its composition, and `lstm` those of a frame loop over the
@@ -286,45 +284,31 @@ def tape_only(t: Tensor) -> bool:
 # linear algebra
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
-    """`x @ w + b` over the last axis of x [..., n_in], with w [n_in, n_out].
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for rows x [N, n_in] and w [n_in, n_out].
 
-    One tape node with the bits of `add(matmul(x2d, w), b)`, composed of the
+    One tape node with the bits of `add(matmul(x, w), b)`, composed of the
     reference ops in `tests/oracles.py`: the forward adds the bias in place
     into the GEMM output, and the backward forms `g @ w.T`, `x.T @ g` and the
-    bias sum from the incoming gradient rows.  With `lengths`, the row counts
-    of the utterances whose rows x2d packs, every GEMM and the bias sum run on
-    one utterance's rows at a time, and the weight and bias gradients add up
-    last utterance first: each utterance keeps the bits of a call on its rows
-    alone, and the parameters those of one such call per utterance, made in
-    order.
+    bias sum from the incoming gradient.
     """
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
-    x2d = x.data.reshape(-1, w.shape[0])
-    spans = _spans(lengths, x2d.shape[0], "linear")
-    w_x = w.data.astype(x2d.dtype, copy=False)
-    out = np.empty((x2d.shape[0], w.shape[1]), x2d.dtype)
-    for a, e in spans:
-        np.matmul(x2d[a:e], w_x, out=out[a:e])
-    out += b.data.astype(x2d.dtype, copy=False)
-    # The backward keeps the shape, not the output (the joint's logits).
-    shape2d = out.shape
+    w_x = w.data.astype(x.data.dtype, copy=False)
+    # Letting `@` allocate the output raised paper-stream's peak RSS by 1-2 %.
+    out = np.empty((x.shape[0], w.shape[1]), x.data.dtype)
+    np.matmul(x.data, w_x, out=out)
+    out += b.data.astype(x.data.dtype, copy=False)
 
     def backward(g):
-        g2d = g.reshape(shape2d)
         if x.requires_grad:
-            gx = np.empty(x2d.shape)
-            for a, e in spans:
-                np.matmul(g2d[a:e], w.data.T, out=gx[a:e])
-            x.adopt_grad(gx.reshape(x.shape))
-        for a, e in reversed(spans):
-            if w.requires_grad:
-                w.adopt_grad(x2d[a:e].T @ g2d[a:e])
-            if b.requires_grad:
-                b.accumulate_grad(g2d[a:e].sum(axis=0))
+            x.adopt_grad(g @ w.data.T)
+        if w.requires_grad:
+            w.adopt_grad(x.data.T @ g)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
 
-    return from_op(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), backward)
+    return from_op(out, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +408,7 @@ def _lengths(lengths, n: int, op: str) -> list:
 
 
 def _spans(lengths, n: int, op: str) -> list:
-    """The (start, stop) rows of each utterance of n packed rows; None is one of all n."""
-    if lengths is None:
-        return [(0, n)]
+    """The (start, stop) rows of each utterance of n packed rows."""
     ends = np.cumsum(_lengths(lengths, n, op)).tolist()
     return list(zip([0] + ends[:-1], ends))
 
@@ -695,39 +677,43 @@ def batchnorm_backward(g, xhat, inv_std, gamma, training: bool):
 # sequence-specific ops
 
 
-def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, lengths=None) -> Tensor:
-    """`tanh(outer_sum(a @ wa, b @ wb) + bias)`: [T, J] and [U, J] rows into [T, U, J].
+def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor, bw: Tensor,
+          lengths=None) -> Tensor:
+    """The transducer joint `tanh(outer_sum(a @ wa, b @ wb) + bias) @ w + bw`.
 
-    One tape node with the bits of those five reference ops (in
-    `tests/oracles.py`) that keeps only the tanh output: the sum, the bias
-    add and the tanh run in place in one buffer, and the backward forms
-    `g * (1 - t * t)` once and reduces it to the bias, row and weight
-    gradients.
+    [T, K] and [U, L] rows give [T, U, V] logits (wa [K, J], wb [L, J],
+    w [J, V]).  One tape node with the bits of the reference ops it composes
+    (in `tests/oracles.py`) that keeps only the tanh output: the sums, the
+    bias add and the tanh run in place in one buffer, and `bw` is added in
+    place into the logits.  Its backward forms each utterance's output-layer
+    gradients from the tanh rows, then overwrites those rows with
+    `1 - t * t` and reduces `g @ w.T` times them to the bias, row and weight
+    gradients.  It does not keep the logits, so the loss may form their
+    gradient in their own buffer.
 
-    With `lengths`, a pair of row-count lists (T_i) and (U_i), a and b pack
-    the rows of several utterances, and the output packs their cells as
-    [sum T_i U_i, J]: utterance i's T_i x U_i cells in (t, u) row-major order
-    follow those of the utterances before it.  The bias add, the tanh and
-    `g * (1 - t * t)` run once over all cells.  The GEMMs, the outer sums and
-    the reductions run per utterance on views, and the parameter gradients
-    add up last utterance first, so each utterance has the bits of a call on
-    its rows alone.
+    With `lengths`, a pair of row-count lists (T_i) and (U_i), a and b pack the
+    rows of several utterances, and the output packs their cells as
+    [sum T_i U_i, V]: utterance i's T_i x U_i cells in (t, u) row-major order
+    follow those of the utterances before it.  The bias adds and the tanh run
+    once over all cells.  The GEMMs, outer sums and reductions run per
+    utterance on views, and the parameter gradients add up last utterance
+    first, so each utterance has the bits of a call on its rows alone.
     """
-    j = wa.shape[1] if wa.ndim == 2 else -1
+    j, v = w.shape if w.ndim == 2 else (-1, -1)
     if (a.ndim != 2 or b.ndim != 2 or wa.shape != (a.shape[1], j) or wb.shape != (b.shape[1], j)
-            or bias.shape != (j,)):
+            or bias.shape != (j,) or bw.shape != (v,)):
         raise ShapeError(
-            f"outer_tanh: incompatible shapes a {a.shape}, wa {wa.shape}, b {b.shape}, "
-            f"wb {wb.shape}, bias {bias.shape}"
+            f"joint: incompatible shapes a {a.shape}, wa {wa.shape}, b {b.shape}, "
+            f"wb {wb.shape}, bias {bias.shape}, w {w.shape}, bw {bw.shape}"
         )
-    a_lengths, b_lengths = (None, None) if lengths is None else lengths
-    a_spans = _spans(a_lengths, a.shape[0], "outer_tanh")
-    b_spans = _spans(b_lengths, b.shape[0], "outer_tanh")
+    a_lengths, b_lengths = ([a.shape[0]], [b.shape[0]]) if lengths is None else lengths
+    a_spans = _spans(a_lengths, a.shape[0], "joint")
+    b_spans = _spans(b_lengths, b.shape[0], "joint")
     if len(a_spans) != len(b_spans):
-        raise ShapeError(f"outer_tanh: {len(a_spans)} utterances of a rows, {len(b_spans)} of b rows")
+        raise ShapeError(f"joint: {len(a_spans)} utterances of a rows, {len(b_spans)} of b rows")
     cells = [(a1 - a0) * (b1 - b0) for (a0, a1), (b0, b1) in zip(a_spans, b_spans)]
-    # Per utterance: its a rows, its b rows and its [T_i, U_i, J] view of the cells.
-    groups = list(zip(a_spans, b_spans, _spans(cells, sum(cells), "outer_tanh")))
+    # Per utterance: its a rows, its b rows and its rows of the cells.
+    groups = list(zip(a_spans, b_spans, _spans(cells, sum(cells), "joint")))
     pa = np.empty((a.shape[0], j))
     pb = np.empty((b.shape[0], j))
     t = np.empty((sum(cells), j))
@@ -737,29 +723,43 @@ def outer_tanh(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, lengt
         np.add(pa[a0:a1, None, :], pb[None, b0:b1, :], out=t[c0:c1].reshape(a1 - a0, b1 - b0, j))
     t += bias.data
     np.tanh(t, out=t)
+    out = np.empty((t.shape[0], v))
+    for _, _, (c0, c1) in groups:
+        np.matmul(t[c0:c1], w.data, out=out[c0:c1])
+    out += bw.data
 
     def backward(g):
-        dz = t * t
-        np.subtract(1.0, dz, out=dz)
-        dz *= g.reshape(dz.shape)
+        g = g.reshape(-1, v)
         ga = np.empty(a.shape) if a.requires_grad else None
         gb = np.empty(b.shape) if b.requires_grad else None
         for (a0, a1), (b0, b1), (c0, c1) in reversed(groups):
-            d = dz[c0:c1].reshape(a1 - a0, b1 - b0, j)
+            gc, tc = g[c0:c1], t[c0:c1]
+            # The tanh rows' first gradient: adding 0.0 turns -0.0 into +0.0.
+            dz = gc @ w.data.T
+            dz += 0.0
+            if w.requires_grad:
+                w.adopt_grad(tc.T @ gc)
+            if bw.requires_grad:
+                bw.accumulate_grad(gc.sum(axis=0))
+            np.multiply(tc, tc, out=tc)
+            np.subtract(1.0, tc, out=tc)
+            dz *= tc
+            d = dz.reshape(a1 - a0, b1 - b0, j)
             if bias.requires_grad:
                 bias.accumulate_grad(d.sum(axis=(0, 1)))
-            for x, w, dp, gx, r0, r1 in ((a, wa, d.sum(axis=1), ga, a0, a1),
-                                         (b, wb, d.sum(axis=0), gb, b0, b1)):
+            for x, wx, dp, gx, r0, r1 in ((a, wa, d.sum(axis=1), ga, a0, a1),
+                                          (b, wb, d.sum(axis=0), gb, b0, b1)):
                 if gx is not None:
-                    np.matmul(dp, w.data.T, out=gx[r0:r1])
-                if w.requires_grad:
-                    w.adopt_grad(x.data[r0:r1].T @ dp)
+                    np.matmul(dp, wx.data.T, out=gx[r0:r1])
+                if wx.requires_grad:
+                    wx.adopt_grad(x.data[r0:r1].T @ dp)
         for x, gx in ((a, ga), (b, gb)):
             if gx is not None:
                 x.adopt_grad(gx)
 
-    out = t if lengths is not None else t.reshape(a.shape[0], b.shape[0], j)
-    return from_op(out, (a, wa, b, wb, bias), backward)
+    if lengths is None:
+        out = out.reshape(a.shape[0], b.shape[0], v)
+    return from_op(out, (a, wa, b, wb, bias, w, bw), backward)
 
 
 def lstm_cell(gates: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,

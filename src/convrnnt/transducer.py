@@ -147,10 +147,10 @@ class Joint:
     rows give [T, U+1, V+1] logits.  A batch's packed rows, with the (T_i)
     and (U_i + 1) row counts as `lengths`, give its packed cells: the
     T_i x (U_i+1) logit rows of each utterance in (t, u) row-major order,
-    utterance after utterance, [sum T_i (U_i+1), V+1] with no padding.  Two
-    nodes either way (`outer_tanh`, then the output `linear`); the packed
-    call runs their GEMMs per utterance, so each utterance's logits have the
-    bits of a call on its rows alone.
+    utterance after utterance, [sum T_i (U_i+1), V+1] with no padding.  One
+    node either way (`tensor.joint`); the packed call runs its GEMMs per
+    utterance, so each utterance's logits have the bits of a call on its
+    rows alone.
 
     Its streaming half, for the decoder, runs outside the tape in plain
     numpy, as `LabelEncoder.start` and `step` do: `enc_term` and `pred_term`
@@ -168,8 +168,8 @@ class Joint:
         self.out = Linear(m.joint_dim, m.vocab_size + 1, rng)
 
     def __call__(self, enc: Tensor, pred: Tensor, lengths=None) -> Tensor:
-        h = T.outer_tanh(enc, self.enc_proj, pred, self.pred_proj, self.bias, lengths)
-        return self.out(h, None if lengths is None else [t * u for t, u in zip(*lengths)])
+        return T.joint(enc, self.enc_proj, pred, self.pred_proj, self.bias,
+                       self.out.weight, self.out.bias, lengths)
 
     def enc_term(self, enc_t: np.ndarray) -> np.ndarray:
         """A.enc_t as a [1, joint_dim] row, for one [proj_dim] encoder frame."""

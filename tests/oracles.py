@@ -195,7 +195,7 @@ def sigmoid_masked(z):
 # ---------------------------------------------------------------------------
 # The per-op reference autodiff: one small tape op per primitive, built on
 # `tensor.from_op`.  The fused nodes of `convrnnt.tensor` (`linear`,
-# `outer_tanh`, `lstm`, `conv2d`) and the global block are checked
+# `joint`, `lstm`, `conv2d`) and the global block are checked
 # against compositions of these.
 
 

@@ -390,10 +390,11 @@ def count_nodes(monkeypatch):
 
 
 def test_desk_step_records_at_most_22_tape_nodes(monkeypatch):
-    # The global encoder is one node, the joint two, the loss one and the
-    # label embedding one for the whole batch; a global encoder that cut its
-    # rows apart per utterance would add 66 nodes for these 10 utterances,
-    # and one joint and loss per utterance 51 more.
+    # The global encoder is one node, the joint one, the loss one and the
+    # label embedding one for the whole batch (21 nodes; CI's traced run
+    # gates that count); a global encoder that cut its rows apart per
+    # utterance would add 66 nodes for these 10 utterances, and one joint
+    # and loss per utterance dozens more.
     cfg = desk_cfg()
     model = TransducerModel(cfg, seed=26)
     feats, tokens = random_batch(cfg, 27)

@@ -216,6 +216,30 @@ def test_joint_and_loss_peak_memory_is_bounded_by_logits():
     assert peak <= 3.5 * t_len * (u_len + 1) * n_sym * 8
 
 
+def test_one_utterances_logits_have_the_bits_of_a_packed_batch_of_one():
+    # The [T, U+1, V+1] form of the joint and loss against the packed call
+    # with ([T], [U+1]) and [T]: the nll, both input gradients and all five
+    # joint parameter gradients keep their bits.
+    joint, enc, pred, labels = small_joint(12, 5, 31, 16, 16)
+    t_len, rows = enc.shape[0], pred.shape[0]
+
+    def run(packed):
+        leaves = [T.Tensor(enc.data, requires_grad=True), T.Tensor(pred.data, requires_grad=True)]
+        for _, p in joint.params():
+            p.zero_grad()
+        if packed:
+            loss, _ = rnnt_loss(joint(*leaves, ([t_len], [rows])), [labels], [t_len])
+        else:
+            loss = rnnt_loss(joint(*leaves), labels)
+        loss.backward()
+        return [loss.data] + [x.grad for x in leaves] + [p.grad for _, p in joint.params()]
+
+    got, want = run(False), run(True)
+    assert len(got) == 8
+    for g, w in zip(got, want):
+        assert np.any(w != 0.0) and same_bits(g, w)
+
+
 def test_backward_frees_the_logits_the_caller_does_not_hold():
     joint, enc, pred, labels = small_joint(20, 4, 51, 16, 10)
     logits = joint(enc, pred)

@@ -79,7 +79,8 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("lead", [(5,), (4, 3)])
+# Five rows, and the one row of a label encoder step.
+@pytest.mark.parametrize("lead", [(5,), (1,)])
 def test_linear_matches_matmul_add_bitwise(lead):
     rng = np.random.default_rng(40)
     x = rng.standard_normal(lead + (6,))
@@ -92,7 +93,7 @@ def test_linear_matches_matmul_add_bitwise(lead):
     out.backward(seed)
 
     xx, ww, bb = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
-    ref = T.reshape(oracles.add(oracles.matmul(T.reshape(xx, (-1, 6)), ww), bb), lead + (7,))
+    ref = oracles.add(oracles.matmul(xx, ww), bb)
     ref.backward(seed)
 
     assert same_bits(out.data, ref.data)
@@ -102,7 +103,7 @@ def test_linear_matches_matmul_add_bitwise(lead):
 
 def test_linear_gradient_matches_fd():
     rng = np.random.default_rng(41)
-    x = rng.standard_normal((3, 2, 4))
+    x = rng.standard_normal((6, 4))
     w = rng.standard_normal((4, 5))
     b = rng.standard_normal(5)
     check_grad(lambda xx, ww, bb: weighted_sum(T.linear(xx, ww, bb)), [x, w, b], tol=1e-6)
@@ -116,6 +117,8 @@ def test_linear_rejects_mismatched_shapes():
         T.linear(x, w, T.Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
         T.linear(T.Tensor(np.zeros(4)), w, T.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        T.linear(T.Tensor(np.zeros((2, 3, 4))), w, T.Tensor(np.zeros(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +479,10 @@ def test_gather_rows_gives_minus_one_ids_a_zero_row_and_no_gradient():
 
 
 def test_joint_ops_with_lengths_keep_each_utterances_bits():
-    # outer_tanh then linear on the packed rows of three utterances, one of a
-    # single row: each utterance's cells and input-gradient rows have the
-    # bits of the calls on its rows alone, and the parameter gradients those
-    # of the per-utterance calls propagated last utterance first.
+    # The joint on the packed rows of three utterances, one of a single row:
+    # each utterance's cells and input-gradient rows have the bits of the
+    # calls on its rows alone, and the parameter gradients those of the
+    # per-utterance calls propagated last utterance first.
     rng = np.random.default_rng(54)
     a_len, b_len = [3, 1, 4], [2, 3, 1]
     cells = [t * u for t, u in zip(a_len, b_len)]
@@ -489,9 +492,7 @@ def test_joint_ops_with_lengths_keep_each_utterances_bits():
     seed = rng.standard_normal((sum(cells), 6))
 
     def joint(aa, bb, params, lengths=None):
-        wa, wb, bias, w, bo = params
-        rows = None if lengths is None else [t * u for t, u in zip(*lengths)]
-        return T.linear(T.outer_tanh(aa, wa, bb, wb, bias, lengths), w, bo, rows)
+        return T.joint(aa, params[0], bb, *params[1:], lengths)
 
     packed = [T.Tensor(v, requires_grad=True) for v in (a, b) + weights]
     out = joint(*packed[:2], packed[2:], (a_len, b_len))
@@ -519,14 +520,11 @@ def test_joint_ops_with_lengths_keep_each_utterances_bits():
 def test_joint_ops_reject_lengths_that_do_not_split_the_rows():
     a, b = T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros((3, 2)))
     wa, wb, bias = T.Tensor(np.zeros((4, 6))), T.Tensor(np.zeros((2, 6))), T.Tensor(np.zeros(6))
-    assert T.outer_tanh(a, wa, b, wb, bias, ([2, 3], [1, 2])).shape == (8, 6)
+    w, bo = T.Tensor(np.zeros((6, 2))), T.Tensor(np.zeros(2))
+    assert T.joint(a, wa, b, wb, bias, w, bo, ([2, 3], [1, 2])).shape == (8, 2)
     for lengths in (([2, 3], [3]), ([2, 2], [1, 2]), ([5, 0], [1, 2])):
         with pytest.raises(ShapeError):
-            T.outer_tanh(a, wa, b, wb, bias, lengths)
-    x, w, bo = T.Tensor(np.zeros((5, 6))), T.Tensor(np.zeros((6, 2))), T.Tensor(np.zeros(2))
-    assert T.linear(x, w, bo, [2, 3]).shape == (5, 2)
-    with pytest.raises(ShapeError):
-        T.linear(x, w, bo, [2, 2])
+            T.joint(a, wa, b, wb, bias, w, bo, lengths)
 
 
 def test_slice_columns_roundtrip_gradient():
@@ -561,16 +559,21 @@ def test_outer_sum_gradient():
     check_grad(lambda aa, bb: weighted_sum(oracles.outer_sum(aa, bb)), [a, b])
 
 
-def test_outer_tanh_rejects_mismatched_shapes():
+def test_joint_rejects_mismatched_shapes():
     a, b = T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((2, 5)))
     wa, wb, bias = T.Tensor(np.zeros((4, 6))), T.Tensor(np.zeros((5, 6))), T.Tensor(np.zeros(6))
-    assert T.outer_tanh(a, wa, b, wb, bias).shape == (3, 2, 6)
+    w, bo = T.Tensor(np.zeros((6, 7))), T.Tensor(np.zeros(7))
+    assert T.joint(a, wa, b, wb, bias, w, bo).shape == (3, 2, 7)
     with pytest.raises(ShapeError):
-        T.outer_tanh(a, wa, b, T.Tensor(np.zeros((5, 7))), bias)
+        T.joint(a, wa, b, T.Tensor(np.zeros((5, 7))), bias, w, bo)
     with pytest.raises(ShapeError):
-        T.outer_tanh(a, wa, b, wb, T.Tensor(np.zeros(5)))
+        T.joint(a, wa, b, wb, T.Tensor(np.zeros(5)), w, bo)
     with pytest.raises(ShapeError):
-        T.outer_tanh(T.Tensor(np.zeros(4)), wa, b, wb, bias)
+        T.joint(T.Tensor(np.zeros(4)), wa, b, wb, bias, w, bo)
+    with pytest.raises(ShapeError):
+        T.joint(a, wa, b, wb, bias, T.Tensor(np.zeros((5, 7))), bo)
+    with pytest.raises(ShapeError):
+        T.joint(a, wa, b, wb, bias, w, T.Tensor(np.zeros(6)))
 
 
 def test_gather_rows_gradient():
