@@ -36,9 +36,12 @@ or when a second consumer still needs them.  The same operations run in
 the same order either way, so the bits are the same.  One utterance's
 [T, U+1, V+1] logits are a batch of one, so both inputs take one path,
 under one block rule: the normaliser and gradient passes run over blocks of
-as many consecutive cells as fit in BLOCK_BYTES (52 cells at paper width,
-V+1 = 2501), so no temporary exceeds one block.  The prefix sums of each
-row's label log-probabilities are taken once, before the scans.
+consecutive cells within `tensor.BLOCK_BYTES`, the one block budget, which
+the joint's backward shares (at most 52 cells at paper width, V+1 = 2501;
+`tensor.row_blocks` splits the cells into nearly equal blocks), so no
+temporary exceeds one block.  Both passes work row by row, so the block
+size changes no bit.  The prefix sums of each row's label log-probabilities
+are taken once, before the scans.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .tensor import Tensor
 from .vocab import label_ids
 
 NEG_INF = -1.0e30
-BLOCK_BYTES = 1 << 20  # float64 bytes of [*, V+1] rows one block may take
 
 
 @dataclass
@@ -90,13 +92,6 @@ def _scan(r: np.ndarray, c: np.ndarray) -> None:
     r -= c
     np.logaddexp.accumulate(r, axis=-1, out=r)
     r += c
-
-
-def _blocks(z: np.ndarray):
-    """Slices of consecutive rows of the [C, V+1] input, as many rows per
-    block as fit in BLOCK_BYTES of float64 (at least one)."""
-    size = max(1, BLOCK_BYTES // (z.shape[1] * 8))
-    return [slice(r, r + size) for r in range(0, z.shape[0], size)]
 
 
 def _checked(z: np.ndarray, labels, lengths):
@@ -148,7 +143,7 @@ def _normalisers(z: np.ndarray, cells: Cells):
 
     A row whose max is NaN or infinite raises `DataError` before any
     exponential is taken.  The exponentials are taken one block at a time,
-    so no temporary larger than BLOCK_BYTES (or one row) is made.
+    so no temporary larger than `tensor.BLOCK_BYTES` (or one row) is made.
     """
     m = z.max(axis=-1)
     bad = np.flatnonzero(~np.isfinite(m))
@@ -159,7 +154,7 @@ def _normalisers(z: np.ndarray, cells: Cells):
             f"{cells.u[c]} have a non-finite max ({m[c]})"
         )
     lse = np.empty_like(m)
-    for b in _blocks(z):
+    for b in T.row_blocks(0, *z.shape):
         lse[b] = np.log(np.exp(z[b] - m[b][:, None]).sum(axis=-1))
     return m, lse
 
@@ -247,7 +242,7 @@ def _logit_grad(z, m, lse, cells: Cells, lat: AlignmentLattice, g: float,
     `Tensor.adopt_grad` turns into +0.0.
     """
     occ_blank, occ_label, occ_total = _occupancies(cells, lat)
-    for b in _blocks(z):
+    for b in T.row_blocks(0, *z.shape):
         gb = out[b]
         np.subtract(z[b], m[b][:, None], out=gb)
         gb -= lse[b][:, None]

@@ -63,13 +63,19 @@ These ops are fused, each one tape node for a whole batch:
   one.
 - `joint` is the transducer's `tanh((a @ wa)[:, None] + (b @ wb)[None] + bias)
   @ w + bw` over [T, U, V], or over the packed cells of a batch.  It keeps
-  the tanh output, not the logits, and its backward turns the tanh rows
-  into `1 - t * t` in place once the output layer's gradients are formed.
+  the tanh output, not the logits.  Once the output layer's gradients are
+  formed, its backward turns the tanh rows into their own gradient in
+  place, `(1 - t * t) * (g @ w.T)`, over row blocks of BLOCK_BYTES, so its
+  memory above the tanh rows is the output weight gradient and one block.
 - `global_encoder.GlobalEncoder.forward_batch` is one node for all the
   global blocks and the whole batch (pointwise, depthwise, batch-norm,
   squeeze-excite, dropout and residual).  Its blocks build on
   `batchnorm_normalize` and `batchnorm_backward`, which the reference
   `batchnorm_time` shares, and on `dropout_mask`, which `dropout` shares.
+
+`BLOCK_BYTES` is the one block budget of the row-blocked passes, the
+joint's backward and the loss's normaliser and gradient passes, and
+`row_blocks` their one block rule: nearly equal blocks of consecutive rows.
 
 `linear` and `joint` have the bits of the composition of the
 reference ops they replace, gradients included.  With lengths, each
@@ -677,6 +683,23 @@ def batchnorm_backward(g, xhat, inv_std, gamma, training: bool):
 # sequence-specific ops
 
 
+# Float64 bytes of the rows one block of a row-blocked pass may take: the
+# joint's backward and the loss's normaliser and gradient passes.
+BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(r0: int, r1: int, width: int) -> list:
+    """Slices that split rows r0:r1 of a [*, width] float64 array into as few
+    blocks as fit in BLOCK_BYTES (at least one row each), of nearly equal
+    size: a block of a split keeps at least half the budget's rows, never a
+    short tail.  A GEMM over a block of many rows has the bits of those rows
+    of one GEMM over r0:r1, while one row (which NumPy runs as a GEMV) or a
+    few (which OpenBLAS may run with another kernel) can differ."""
+    n = -(-(r1 - r0) // max(1, BLOCK_BYTES // (width * 8)))
+    ends = [r0 + (r1 - r0) * k // n for k in range(n + 1)]
+    return [slice(e0, e1) for e0, e1 in zip(ends[:-1], ends[1:])]
+
+
 def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor, bw: Tensor,
           lengths=None) -> Tensor:
     """The transducer joint `tanh(outer_sum(a @ wa, b @ wb) + bias) @ w + bw`.
@@ -686,10 +709,13 @@ def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor,
     (in `tests/oracles.py`) that keeps only the tanh output: the sums, the
     bias add and the tanh run in place in one buffer, and `bw` is added in
     place into the logits.  Its backward forms each utterance's output-layer
-    gradients from the tanh rows, then overwrites those rows with
-    `1 - t * t` and reduces `g @ w.T` times them to the bias, row and weight
-    gradients.  It does not keep the logits, so the loss may form their
-    gradient in their own buffer.
+    gradients from the tanh rows, then turns those rows into their own
+    gradient one `row_blocks` block at a time: `g @ w.T` for the block goes
+    into one reused scratch of at most BLOCK_BYTES, and the block's rows
+    become `1 - t * t` times it, in place.  So no [C, J] array is made
+    beside the tanh rows.  The bias, row and weight gradients reduce the
+    rows from there.  It does not keep the logits, so the loss may form
+    their gradient in their own buffer.
 
     With `lengths`, a pair of row-count lists (T_i) and (U_i), a and b pack the
     rows of several utterances, and the output packs their cells as
@@ -732,19 +758,23 @@ def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor,
         g = g.reshape(-1, v)
         ga = np.empty(a.shape) if a.requires_grad else None
         gb = np.empty(b.shape) if b.requires_grad else None
+        dz = np.empty((max(s.stop - s.start for *_, c in groups for s in row_blocks(*c, j)), j))
         for (a0, a1), (b0, b1), (c0, c1) in reversed(groups):
             gc, tc = g[c0:c1], t[c0:c1]
-            # The tanh rows' first gradient: adding 0.0 turns -0.0 into +0.0.
-            dz = gc @ w.data.T
-            dz += 0.0
             if w.requires_grad:
                 w.adopt_grad(tc.T @ gc)
             if bw.requires_grad:
                 bw.accumulate_grad(gc.sum(axis=0))
-            np.multiply(tc, tc, out=tc)
-            np.subtract(1.0, tc, out=tc)
-            dz *= tc
-            d = dz.reshape(a1 - a0, b1 - b0, j)
+            # The tanh rows become their own gradient, one block at a time:
+            # 1 - t * t times g @ w.T, where adding 0.0 turns -0.0 into +0.0.
+            for s in row_blocks(c0, c1, j):
+                dzb, tb = dz[:s.stop - s.start], t[s]
+                np.matmul(g[s], w.data.T, out=dzb)
+                dzb += 0.0
+                np.multiply(tb, tb, out=tb)
+                np.subtract(1.0, tb, out=tb)
+                tb *= dzb
+            d = tc.reshape(a1 - a0, b1 - b0, j)
             if bias.requires_grad:
                 bias.accumulate_grad(d.sum(axis=(0, 1)))
             for x, wx, dp, gx, r0, r1 in ((a, wa, d.sum(axis=1), ga, a0, a1),

@@ -9,7 +9,7 @@ from convrnnt import tensor as T
 from convrnnt.config import ModelSettings, load_preset
 from convrnnt.errors import DataError, ShapeError
 from convrnnt.model import TransducerModel
-from convrnnt.rnnt_loss import _blocks, _cells, _checked, _lattice, _normalisers, rnnt_loss
+from convrnnt.rnnt_loss import _cells, _checked, _lattice, _normalisers, rnnt_loss
 from convrnnt.transducer import Joint
 
 import oracles
@@ -258,8 +258,8 @@ def test_backward_peak_above_the_forward_is_one_logit_gradient():
     # A loose bound, kept from before the loss formed the gradient of logits
     # only the tape holds over the logits themselves: the backward may grow
     # by one logit-sized buffer.  Today it grows by the joint's output-layer
-    # gradients alone (the test below); a buffer beside the logits would
-    # still pass here.
+    # weight gradient and one block (the test below); a buffer beside the
+    # logits would still pass here.
     t_len, u_len, n_sym, joint_dim = 60, 10, 501, 128
     joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, joint_dim, 11)
     tracemalloc.start()
@@ -274,12 +274,14 @@ def test_backward_peak_above_the_forward_is_one_logit_gradient():
     assert peak - live <= t_len * (u_len + 1) * n_sym * 8 + (256 << 10)
 
 
-def test_backward_of_tape_only_logits_grows_by_the_output_layer_gradients():
+def test_backward_of_tape_only_logits_grows_by_the_output_weight_gradient_and_one_block():
     # The caller holds only the loss, so the loss forms the logit gradient
-    # in the logits' own buffer: the backward grows by the output layer's
-    # [T(U+1), J] input and [J, V+1] weight gradients, and by no
-    # logit-sized array.
-    t_len, u_len, n_sym, joint_dim = 60, 10, 501, 128
+    # in the logits' own buffer, and the joint forms the tanh rows' gradient
+    # in the tanh rows, one block of g @ w.T at a time: the backward grows
+    # by the output layer's [J, V+1] weight gradient and one block, and by
+    # no logit-sized or [T(U+1), J] array.  The 3,150 x 128 tanh rows span
+    # four blocks.
+    t_len, u_len, n_sym, joint_dim = 150, 20, 501, 128
     joint, enc, pred, labels = small_joint(t_len, u_len, n_sym, joint_dim, 11)
     tracemalloc.start()
     try:
@@ -290,7 +292,8 @@ def test_backward_of_tape_only_logits_grows_by_the_output_layer_gradients():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - live <= (t_len * (u_len + 1) + n_sym) * joint_dim * 8 + (256 << 10)
+    assert len(T.row_blocks(0, t_len * (u_len + 1), joint_dim)) == 4
+    assert peak - live <= n_sym * joint_dim * 8 + T.BLOCK_BYTES + (256 << 10)
 
 
 def same_bits(a, b):
@@ -406,7 +409,7 @@ def test_packed_encoded_loss_donates_the_logits_buffer(monkeypatch):
     "t_len, u_len, n_sym, g, n_blocks",
     [
         (11, 3, 10, 1.0, 1),      # a desk utterance: one block holds it all
-        (80, 10, 501, 0.1, 4),    # 880 cells of 4 KB, 261 to a block
+        (80, 10, 501, 0.1, 4),    # 880 cells of 4 KB, 220 to a block (261 fit)
         (1, 3, 7, 1.0, 1),        # one frame
         (6, 0, 5, 1.0, 1),        # no labels
         (3, 8, 6, 1.0, 1),        # more labels than frames
@@ -419,7 +422,7 @@ def test_frame_blocked_passes_match_per_frame_oracle_bitwise(t_len, u_len, n_sym
     z[:, :, -1] = -1000.0  # exp underflows: zero gradient entries, whose sign g must not flip
     labels = rng.integers(1, n_sym - 1, size=u_len)
     rows, ids, t_lens = _checked(z, labels, None)
-    assert len(_blocks(rows)) == n_blocks
+    assert len(T.row_blocks(0, *rows.shape)) == n_blocks
 
     m_ref, lse_ref = normalisers_per_frame(z)
     lat_ref = lattice_per_frame(z, m_ref, lse_ref, labels)
@@ -450,7 +453,7 @@ def packed_cells(rng, t_lens, tokens, n_sym):
 
 # One frame with more labels than frames, an empty transcript, more labels
 # than frames again, and a 40-frame utterance whose 440 cells of 501 symbols
-# straddle the boundary of the packed passes' two 261-row blocks.
+# straddle the boundary of the packed passes' two 240-row blocks.
 PACKED_T = [1, 5, 2, 40, 7]
 PACKED_TOKENS = [[3, 1, 4], [], [2, 5, 5, 1], list(range(1, 11)), [6, 2]]
 
@@ -461,7 +464,7 @@ def test_packed_loss_mean_matches_add_scale_bitwise():
     z[:, -1] = -1000.0  # exp underflows: zero gradient entries
     node = T.Tensor(z, requires_grad=True)
     loss, nlls = rnnt_loss(node, PACKED_TOKENS, PACKED_T)
-    assert len(_blocks(z)) == 2
+    assert len(T.row_blocks(0, *z.shape)) == 2
     loss.backward()
 
     alone = [T.Tensor(v.copy(), requires_grad=True) for v in views]

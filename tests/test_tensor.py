@@ -478,19 +478,11 @@ def test_gather_rows_gives_minus_one_ids_a_zero_row_and_no_gradient():
     assert np.array_equal(node.grad, np.zeros_like(table))
 
 
-def test_joint_ops_with_lengths_keep_each_utterances_bits():
-    # The joint on the packed rows of three utterances, one of a single row:
-    # each utterance's cells and input-gradient rows have the bits of the
-    # calls on its rows alone, and the parameter gradients those of the
-    # per-utterance calls propagated last utterance first.
-    rng = np.random.default_rng(54)
-    a_len, b_len = [3, 1, 4], [2, 3, 1]
-    cells = [t * u for t, u in zip(a_len, b_len)]
-    a, b = rng.standard_normal((8, 5)), rng.standard_normal((6, 4))
-    weights = (rng.standard_normal((5, 7)), rng.standard_normal((4, 7)), rng.standard_normal(7),
-               rng.standard_normal((7, 6)), rng.standard_normal(6))
-    seed = rng.standard_normal((sum(cells), 6))
-
+def joint_packed_and_alone(a, b, weights, a_len, b_len, seed):
+    """Runs the joint once on the packed rows of several utterances and once
+    per utterance on its rows alone, those calls' gradients propagated last
+    utterance first.  Returns, per run, the [sum T_i U_i, V] output and the
+    7 gradients: a's, b's, then the 5 parameters'."""
     def joint(aa, bb, params, lengths=None):
         return T.joint(aa, params[0], bb, *params[1:], lengths)
 
@@ -499,22 +491,65 @@ def test_joint_ops_with_lengths_keep_each_utterances_bits():
     out.backward(seed)
 
     params = [T.Tensor(v, requires_grad=True) for v in weights]
+    cells = [t * u for t, u in zip(a_len, b_len)]
     spans = [np.cumsum([0] + n) for n in (a_len, b_len, cells)]
     alone = []
-    for i in range(3):
+    for i in range(len(cells)):
         rows = [T.Tensor(x[s[i]:s[i + 1]], requires_grad=True) for x, s in zip((a, b), spans)]
         alone.append((rows, joint(*rows, params)))
-    for i in reversed(range(3)):
+    for i in reversed(range(len(cells))):
         c0, c1 = spans[2][i], spans[2][i + 1]
-        alone[i][1].backward(seed[c0:c1].reshape(a_len[i], b_len[i], 6))
+        alone[i][1].backward(seed[c0:c1].reshape(a_len[i], b_len[i], -1))
+    return ((out.data, [x.grad for x in packed]),
+            (np.concatenate([got.data.reshape(c, -1) for c, (_, got) in zip(cells, alone)]),
+             [np.concatenate([rows[k].grad for rows, _ in alone]) for k in range(2)]
+             + [x.grad for x in params]))
 
-    assert out.shape == (sum(cells), 6)
-    for i, (rows, got) in enumerate(alone):
-        assert same_bits(out.data[spans[2][i]:spans[2][i + 1]], got.data.reshape(-1, 6))
-        for x, s, row in zip(packed[:2], spans, rows):
-            assert same_bits(x.grad[s[i]:s[i + 1]], row.grad)
-    for got, want in zip(packed[2:], params):
-        assert same_bits(got.grad, want.grad)
+
+def test_joint_ops_with_lengths_keep_each_utterances_bits():
+    # The joint on the packed rows of three utterances, one of a single row:
+    # each utterance's cells and input-gradient rows have the bits of the
+    # calls on its rows alone, and the parameter gradients those of the
+    # per-utterance calls propagated last utterance first.
+    rng = np.random.default_rng(54)
+    a_len, b_len = [3, 1, 4], [2, 3, 1]
+    a, b = rng.standard_normal((8, 5)), rng.standard_normal((6, 4))
+    weights = (rng.standard_normal((5, 7)), rng.standard_normal((4, 7)), rng.standard_normal(7),
+               rng.standard_normal((7, 6)), rng.standard_normal(6))
+    seed = rng.standard_normal((sum(t * u for t, u in zip(a_len, b_len)), 6))
+    (out, grads), (alone, alone_grads) = joint_packed_and_alone(a, b, weights, a_len, b_len, seed)
+    assert out.shape == (sum(t * u for t, u in zip(a_len, b_len)), 6)
+    assert same_bits(out, alone)
+    for got, want in zip(grads, alone_grads):
+        assert same_bits(got, want)
+
+
+def test_joint_backward_in_several_blocks_keeps_every_bit(monkeypatch):
+    # With a block budget of 8 rows of the [C, J] tanh rows, two utterances'
+    # tanh-row gradients are formed in several uneven blocks (45 cells in
+    # blocks of 7 and 8 rows, 30 cells in blocks of 7 and 8) and one (2
+    # cells) in less than one block.  The output and all 7 gradients keep
+    # the bits of the default budget, where each utterance is one block,
+    # and those of the per-utterance calls.  (A budget of one or two rows
+    # would not: those GEMMs take other BLAS kernels, which `row_blocks`
+    # never makes at the default budget.)
+    rng = np.random.default_rng(55)
+    a_len, b_len, j, v = [9, 1, 6], [5, 2, 5], 8, 6
+    cells = [t * u for t, u in zip(a_len, b_len)]
+    a, b = rng.standard_normal((16, 5)), rng.standard_normal((12, 4))
+    weights = (rng.standard_normal((5, j)), rng.standard_normal((4, j)), rng.standard_normal(j),
+               rng.standard_normal((j, v)), rng.standard_normal(v))
+    seed = rng.standard_normal((sum(cells), v))
+    (want, want_grads), _ = joint_packed_and_alone(a, b, weights, a_len, b_len, seed)
+    assert all(len(T.row_blocks(0, c, j)) == 1 for c in cells)
+
+    monkeypatch.setattr(T, "BLOCK_BYTES", 8 * j * 8)
+    assert [[s.stop - s.start for s in T.row_blocks(0, c, j)] for c in cells] == [
+        [7, 8, 7, 8, 7, 8], [2], [7, 8, 7, 8]]
+    (out, grads), (alone, alone_grads) = joint_packed_and_alone(a, b, weights, a_len, b_len, seed)
+    assert same_bits(out, want) and same_bits(alone, want)
+    for got, again, ref in zip(grads, alone_grads, want_grads):
+        assert same_bits(got, ref) and same_bits(again, ref)
 
 
 def test_joint_ops_reject_lengths_that_do_not_split_the_rows():
