@@ -1,8 +1,9 @@
 """Streaming convolutional-recurrent transducer for speech recognition.
 
 A desk-scale, dependency-light implementation: an autodiff tensor core
-whose tape and training are float64 (the encoder ops also run in float32
-for inference), a log-STFT feature frontend, causal local (2-D conv) and
+whose tape and training are float64 (a model built in float32 holds its
+weights and runs its encoder and decoder in float32, for inference only),
+a log-STFT feature frontend, causal local (2-D conv) and
 global (dilated depthwise 1-D conv + squeeze-excitation) context encoders,
 a unidirectional LSTM transducer with exact alignment-marginal loss, greedy
 streaming decoding, a training loop, and an analytical FLOPs comparator.

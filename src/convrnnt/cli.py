@@ -129,7 +129,7 @@ def cmd_params(args) -> int:
         from .data import TOY_ALPHABET
 
         cfg.model.vocab_size = char_vocab(TOY_ALPHABET).n_labels
-    print(format_param_report(param_report(cfg)))
+    print(format_param_report(param_report(cfg), cfg.model.inference_dtype))
     return 0
 
 

@@ -45,8 +45,8 @@ class ModelSettings:
     joint_dim: int = 512
     vocab_size: int = 0  # real tokens, blank (id 0) extra; 0 = infer from the vocab file
     dropout_p: float = 0.1
-    # The dtype `encode_audio` runs an untaped, generator-free forward in;
-    # training, the loss, gradients and checkpoints are float64 whatever it is.
+    # The dtype `TransducerModel(cfg)` holds its weights in and computes in;
+    # `Trainer` builds float64.
     inference_dtype: str = "float64"
 
     def __post_init__(self):

@@ -13,6 +13,8 @@ and each label row once per emission (`Joint.pred_term`, kept in the state
 across chunks); a symbol step then runs only the tanh and the output GEMV
 of its cell (`Joint.cell`), into buffers reused within the frame.  The
 logits and the score have the bits of the joint called on that one cell.
+Decoding runs in the model's dtype: each frame is cast to it once, so a
+float32 model never reads its weights in float64.
 """
 
 from __future__ import annotations
@@ -50,17 +52,20 @@ def step_frame(
 ) -> DecoderState:
     """Consume one encoder frame, emitting greedily until a blank (or the cap).
 
-    A frame that is not [proj_dim] raises `ShapeError`, one holding a
-    non-finite value `DataError`.
+    The frame is cast once to the model's dtype, which the step runs in.  A
+    frame that is not [proj_dim] raises `ShapeError`, one holding a value
+    that is not finite in the model's dtype `DataError`.
     """
     if max_symbols_per_frame < 1:
         raise ConfigError("max_symbols_per_frame must be >= 1")
-    if not np.isfinite(enc_t).all():
-        raise DataError("encoder frame holds non-finite values")
+    limit = np.finfo(model.dtype).max
+    if not np.isfinite(enc_t).all() or np.abs(enc_t).max(initial=0.0) > limit:
+        raise DataError(f"encoder frame holds values that are not finite in {model.dtype}")
+    enc_t = enc_t.astype(model.dtype, copy=False)
     joint = model.joint
     enc_term = joint.enc_term(enc_t)
     hidden = np.empty_like(enc_term)
-    logits = np.empty((1, joint.out.bias.shape[0]))
+    logits = np.empty((1, joint.out.bias.shape[0]), model.dtype)
     emitted = 0
     while True:
         z = joint.cell(enc_term, state.pred_term, hidden, logits)[0]

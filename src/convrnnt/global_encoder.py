@@ -34,9 +34,9 @@ class GlobalBlock:
         self.m = m
         self.dilation = dilation
         self.pw_in = Conv1dLayer(d, e, 1, rng)
-        self.norm_in = BatchNormTime(e)
+        self.norm_in = BatchNormTime(e, self.pw_in.weight.data.dtype)
         self.dw = Conv1dLayer(e, e, m.dw_kernel, rng, groups=e)
-        self.norm_dw = BatchNormTime(e)
+        self.norm_dw = BatchNormTime(e, self.dw.weight.data.dtype)
         self.pw_out = Conv1dLayer(e, d, 1, rng)
         self.se_reduce = Linear(d, se_bottleneck, rng)
         self.se_expand = Linear(se_bottleneck, d, rng)
@@ -71,9 +71,9 @@ class GlobalBlock:
         Only the squeeze-excite's reversed prefix sums stay per utterance.
         The gradients agree with the composition to rounding.
 
-        It computes in the rows' dtype, float32 for inference too, taking each
-        weight, bias and running statistic cast to it (the array itself in
-        float64).
+        It computes in the rows' dtype, which is the dtype its weights, biases
+        and running statistics are held in: float64, or float32 in a float32
+        model, which only evaluates.
         """
         m = self.m
         training = rng is not None
@@ -95,21 +95,18 @@ class GlobalBlock:
         x_all = np.concatenate(xs)
         dtype = x_all.dtype
 
-        def cast(p: Tensor) -> np.ndarray:
-            return p.data.astype(dtype, copy=False)
-
         # pointwise in -> ReLU -> batch-norm, [E, N]
-        w_in = cast(self.pw_in.weight)[:, :, 0]
+        w_in = self.pw_in.weight.data[:, :, 0]
         xt = np.ascontiguousarray(x_all.T)
         h = np.empty((w_in.shape[0], n_rows), dtype)
         pointwise(w_in, xt, h)
-        h += cast(self.pw_in.bias)[:, None]
+        h += self.pw_in.bias.data[:, None]
         mask_in = T.relu_(h)
         xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, out=h)
         a_in = self._affine(self.norm_in, xhat_in)
 
         # causal dilated depthwise -> ReLU -> batch-norm
-        w_dw = cast(self.dw.weight)[:, 0, :]
+        w_dw = self.dw.weight.data[:, 0, :]
         h = np.zeros_like(a_in)
         for j, s in enumerate(shifts):
             if s >= n_rows:
@@ -119,16 +116,16 @@ class GlobalBlock:
                 tap *= inside[s]
             h[:, s:] += tap
         del tap
-        h += cast(self.dw.bias)[:, None]
+        h += self.dw.bias.data[:, None]
         mask_dw = T.relu_(h)
         xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, out=h)
         a_dw = self._affine(self.norm_dw, xhat_dw)
 
         # pointwise out, squeeze-excite, dropout and the residual, [N, D]
-        w_out = cast(self.pw_out.weight)[:, :, 0]
+        w_out = self.pw_out.weight.data[:, :, 0]
         zc = np.empty((w_out.shape[0], n_rows), dtype)
         pointwise(w_out, a_dw, zc)
-        zc += cast(self.pw_out.bias)[:, None]
+        zc += self.pw_out.bias.data[:, None]
         z = np.ascontiguousarray(zc.T)
         del zc
         counts = (local + 1.0).astype(dtype, copy=False)[:, None]
@@ -190,12 +187,12 @@ class GlobalBlock:
 
     @staticmethod
     def _rows(x: np.ndarray, lin: Linear, spans) -> np.ndarray:
-        """`x @ w + b` for each utterance's rows of x [N, n_in], in x's dtype."""
-        w = lin.weight.data.astype(x.dtype, copy=False)
+        """`x @ w + b` for each utterance's rows of x [N, n_in]."""
+        w = lin.weight.data
         out = np.empty((x.shape[0], w.shape[1]), x.dtype)
         for a, b in spans:
             np.matmul(x[a:b], w, out=out[a:b])
-        out += lin.bias.data.astype(x.dtype, copy=False)
+        out += lin.bias.data
         return out
 
     @staticmethod
@@ -208,8 +205,8 @@ class GlobalBlock:
     @staticmethod
     def _affine(norm: BatchNormTime, xhat: np.ndarray) -> np.ndarray:
         """gamma * xhat + beta per channel, into a new array (backward keeps xhat)."""
-        out = norm.gamma.data.astype(xhat.dtype, copy=False)[:, None] * xhat
-        out += norm.beta.data.astype(xhat.dtype, copy=False)[:, None]
+        out = norm.gamma.data[:, None] * xhat
+        out += norm.beta.data[:, None]
         return out
 
     @staticmethod

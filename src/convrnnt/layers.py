@@ -1,6 +1,11 @@
 """Small parameter-owning layer containers shared by the encoders and the
 transducer.  Initialization is uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for
 weights and zero for biases unless stated otherwise.
+
+A layer holds every array in the dtype of its init source's draws: float64
+from a generator, or the model's dtype when `model.TransducerModel` builds
+it.  Biases, batch-norm gamma and beta and running statistics take their
+weights' dtype, and only float64 parameters require grad.
 """
 
 from __future__ import annotations
@@ -11,9 +16,14 @@ from . import tensor as T
 from .tensor import RunningStats, Tensor
 
 
+def param(data: np.ndarray) -> Tensor:
+    """A parameter; only a float64 one requires grad, as the tape is float64."""
+    return Tensor(data, requires_grad=data.dtype == np.float64)
+
+
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, gain: float = 1.0) -> Tensor:
     bound = gain / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return param(rng.uniform(-bound, bound, size=shape))
 
 
 # ReLU conv stacks need unit-variance propagation or the audio signal decays
@@ -26,14 +36,14 @@ RELU_CONV_GAIN = 6.0 ** 0.5
 SWISH_PROJ_GAIN = 2.0 * 3.0 ** 0.5
 
 
-def zeros_param(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def zeros_param(shape, dtype) -> Tensor:
+    return param(np.zeros(shape, dtype))
 
 
 class Linear:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, gain: float = 1.0):
         self.weight = uniform_init(rng, (n_in, n_out), n_in, gain)
-        self.bias = zeros_param(n_out)
+        self.bias = zeros_param(n_out, self.weight.data.dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
@@ -50,7 +60,7 @@ class Conv1dLayer:
         self.weight = uniform_init(
             rng, (c_out, c_in // groups, kernel), (c_in // groups) * kernel, gain=RELU_CONV_GAIN
         )
-        self.bias = zeros_param(c_out)
+        self.bias = zeros_param(c_out, self.weight.data.dtype)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -59,7 +69,7 @@ class Conv1dLayer:
 class Conv2dLayer:
     def __init__(self, c_in: int, c_out: int, k_t: int, k_f: int, rng: np.random.Generator):
         self.weight = uniform_init(rng, (c_out, c_in, k_t, k_f), c_in * k_t * k_f, gain=RELU_CONV_GAIN)
-        self.bias = zeros_param(c_out)
+        self.bias = zeros_param(c_out, self.weight.data.dtype)
 
     def __call__(self, x: Tensor, lengths) -> Tensor:
         """ReLU of the causal conv of packed [C_in, N, F] utterances, as [C_out, N, F]."""
@@ -70,10 +80,10 @@ class Conv2dLayer:
 
 
 class BatchNormTime:
-    def __init__(self, channels: int):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = zeros_param(channels)
-        self.stats = RunningStats(channels)
+    def __init__(self, channels: int, dtype):
+        self.gamma = param(np.ones(channels, dtype))
+        self.beta = zeros_param(channels, dtype)
+        self.stats = RunningStats(channels, dtype)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -10,15 +10,15 @@ features directly, which is the paper's LSTM-only RNN-T baseline.
 
 Modules draw their initial weights from an init source's
 `uniform(low, high, size)`, the call `np.random.Generator` answers, and the
-model is built from one of two sources.  `TransducerModel(cfg, seed)` builds
-from a deferred source, which hands out unfilled arrays and then fills them
-with the bits a serial `make_rng(seed)` would draw in the same order: Philox
-reaches any place of its stream directly, so the calling thread draws the
-first half of the stream while one worker thread draws the second.  The other
-source allocates no weights.  The registry is the one source of parameter
-names and shapes: `parameter_shapes` and `count_parameters` read it from a
-model built with that source, so they report configs too big to build for
-real.
+model is built from one of two sources.  `TransducerModel(cfg, seed, dtype)`
+builds from a deferred source, which hands out unfilled arrays of `dtype`
+and then fills them with the bits a serial `make_rng(seed)` would draw in
+the same order, rounded to `dtype`: Philox reaches any place of its stream
+directly, so the calling thread draws the first half of the stream while
+one worker thread draws the second.  The other source allocates no weights.
+The registry is the one source of parameter names and shapes:
+`parameter_shapes` and `count_parameters` read it from a model built with
+that source, so they report configs too big to build for real.
 
 There are three forward entry points, each taking a batch of any size:
 `encode_audio` maps feature tensors to packed encoder rows, `encoded_loss`
@@ -45,9 +45,13 @@ because a GEMM's bits depend on how its rows are grouped, so each
 utterance's nll has the bits of the joint and loss on its rows alone.  The label encoder and the joint are
 used as they are, as `label_encoder` and `joint`.  A training step of the
 `desk` preset records 21 tape nodes; eval and streaming inference run the
-same ops under `no_grad`, which records none, and encode in
-`model.inference_dtype` (float32 in the `paper` preset), while every
-recorded forward runs in float64.
+same ops under `no_grad`, which records none.
+
+A model holds every parameter and running statistic in one dtype and
+computes in it: `model.inference_dtype` by default (float32 in the `paper`
+preset), float64 for `Trainer`.  A float32 model only evaluates: its
+parameters require no gradient, and a forward that would train or record a
+tape node raises `TrainingError`, as does the loss, which is float64 only.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, TrainingError
 from .global_encoder import GlobalEncoder
 from .layers import Linear, collect_params
 from .local_encoder import LocalEncoder
@@ -77,8 +81,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class TransducerModel:
-    def __init__(self, cfg: RunConfig, seed: int = 0):
-        init = _DeferredInit()
+    def __init__(self, cfg: RunConfig, seed: int = 0, dtype=None):
+        """The model of `cfg` with the weights of `seed`, every array in
+        `dtype`: `cfg.model.inference_dtype` unless given."""
+        self.dtype = np.dtype(cfg.model.inference_dtype if dtype is None else dtype)
+        init = _DeferredInit(self.dtype)
         self._build(cfg, init)
         init.fill(seed)
 
@@ -118,17 +125,17 @@ class TransducerModel:
 
     def encode_audio(self, *xs: Tensor, rng=None) -> Tensor:
         """Encoder output of a batch of [T_i, input_dim] feature tensors, as
-        packed [sum T_i, proj_dim] float64 rows; one tensor is a batch of one,
-        and batch-norm statistics pool across the utterances.  An empty batch,
-        an utterance without frames and features of another width raise
-        `ShapeError`, non-finite features `DataError`.
+        packed [sum T_i, proj_dim] rows in the model's dtype; one tensor is a
+        batch of one, and batch-norm statistics pool across the utterances.
+        An empty batch, an utterance without frames and features of another
+        width raise `ShapeError`, non-finite features `DataError`.
 
-        A forward that records no tape node and draws no generator (eval,
-        decoding) runs in `model.inference_dtype`: the features are cast to
-        it once, every encoder layer computes in it, and the output is cast
-        back to float64.  Features beyond that dtype's range raise
-        `DataError`.  Every other forward (training, or eval with gradients)
-        runs in float64, float32 features included."""
+        The features are cast once to the model's dtype, and every encoder
+        layer computes in it; features beyond its range raise `DataError`.
+        On a float32 model, a generator or features that the forward would
+        record raise `TrainingError`."""
+        if rng is not None or T.records(xs):
+            self._require_float64("a training or recorded forward")
         if not xs:
             raise ShapeError("a batch needs at least one utterance")
         for k, x in enumerate(xs):
@@ -140,12 +147,10 @@ class TransducerModel:
         x = T.concat(xs, axis=0)
         if not np.isfinite(x.data).all():
             raise DataError("input features hold non-finite values")
-        inference = rng is None and not T.records([x, *(p for _, p in self._params)])
-        dtype = np.dtype(self.cfg.model.inference_dtype if inference else np.float64)
-        if x.data.dtype != dtype:
-            if np.abs(x.data).max() > np.finfo(dtype).max:
-                raise DataError(f"input features exceed the {dtype} range")
-            x = Tensor(x.data.astype(dtype))
+        if x.data.dtype != self.dtype:
+            if np.abs(x.data).max() > np.finfo(self.dtype).max:
+                raise DataError(f"input features exceed the {self.dtype} range")
+            x = Tensor(x.data.astype(self.dtype))
         parts = []
         if self.local is not None:
             parts.append(self.local(x, lengths))
@@ -153,18 +158,21 @@ class TransducerModel:
             parts.append(self.global_enc.forward_batch(x, lengths, rng))
         if parts:
             x = fuse_frontends(parts, self.fuse)
-        enc = self.encoder(x, lengths, rng)
-        return enc if enc.data.dtype == np.float64 else Tensor(enc.data.astype(np.float64))
+        return self.encoder(x, lengths, rng)
 
     def encoded_loss(self, enc: Tensor, lengths, tokens_list, rng=None):
         """Mean per-utterance loss, plus each utterance's nll, from the packed
-        encoder rows of `encode_audio` and their frame counts."""
+        encoder rows of `encode_audio` and their frame counts.  A float32
+        model raises `TrainingError`: the loss is float64 only."""
+        self._require_float64("the loss")
         pred = self.label_encoder(*tokens_list, rng=rng)
         logits = self.joint(enc, pred, (lengths, [len(tokens) + 1 for tokens in tokens_list]))
         return rnnt_loss(logits, tokens_list, lengths)
 
     def batch_loss(self, features_list, tokens_list, rng=None):
-        """Mean per-utterance loss over a batch, plus each utterance's nll."""
+        """Mean per-utterance loss over a batch, plus each utterance's nll.
+        A float32 model raises `TrainingError`: the loss is float64 only."""
+        self._require_float64("the loss")
         if len(features_list) != len(tokens_list):
             raise ShapeError(
                 f"{len(features_list)} feature arrays but {len(tokens_list)} transcripts"
@@ -173,21 +181,30 @@ class TransducerModel:
         enc = self.encode_audio(*xs, rng=rng)
         return self.encoded_loss(enc, [x.shape[0] for x in xs], tokens_list, rng)
 
+    def _require_float64(self, what: str) -> None:
+        if self.dtype != np.float64:
+            raise TrainingError(
+                f"{what} needs a float64 model; this one holds {self.dtype} weights "
+                "(build it with dtype=np.float64 to train or score)"
+            )
+
 
 # ---------------------------------------------------------------------------
 # init sources
 
 
 class _DeferredInit:
-    """Init source that hands out unfilled arrays and records their place in
-    the draw order; `fill(seed)` then gives each the bits that
-    `make_rng(seed).uniform` would draw for it in that order."""
+    """Init source that hands out unfilled arrays of `dtype` and records their
+    place in the draw order; `fill(seed)` then gives each the values that
+    `make_rng(seed).uniform` would draw for it in that order, rounded to
+    `dtype`."""
 
-    def __init__(self):
+    def __init__(self, dtype):
+        self.dtype = dtype
         self._draws = []  # (flat view, low, high), in draw order
 
     def uniform(self, low, high, size):
-        out = np.empty(size)
+        out = np.empty(size, self.dtype)
         self._draws.append((out.reshape(-1), low, high))
         return out
 
@@ -228,11 +245,21 @@ class _DeferredInit:
 
 def _draw(rng: np.random.Generator, pieces) -> None:
     """`rng.uniform(low, high)` into each piece in turn, bit for bit: numpy
-    forms each draw as low + (high - low) * u from one `rng.random()` u."""
+    forms each draw as low + (high - low) * u from one `rng.random()` u.  A
+    float64 piece takes its draws in place.  Any other piece takes them
+    rounded, `T.BLOCK_BYTES` of float64 draws at a time through one scratch,
+    so a float32 array holds `draws.astype(np.float32)` and no float64 copy
+    of it is ever made."""
+    scratch = np.empty(T.BLOCK_BYTES // 8)
     for out, low, high in pieces:
-        rng.random(out=out)
-        out *= high - low
-        out += low
+        for a in range(0, out.size, scratch.size):
+            part = out[a:a + scratch.size]
+            buf = part if part.dtype == np.float64 else scratch[:part.size]
+            rng.random(out=buf)
+            buf *= high - low
+            buf += low
+            if buf is not part:
+                part[...] = buf
 
 
 class _ZeroInit:

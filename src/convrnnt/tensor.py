@@ -5,10 +5,9 @@ numpy array: float64, or float32 when it is handed a float32 array and
 requires no gradient.  The tape and training are float64: `from_op` refuses
 to record a node of any other dtype.  The encoder ops (`linear`, `conv2d`,
 `lstm`, `swish`, `batchnorm_normalize` and the global block over them) also
-run in float32 for inference: each allocates in its input's dtype and takes
-its weights, biases and running statistics as `a.astype(x.dtype,
-copy=False)`, which is the array itself in float64, so a float64 call runs
-the same ops on the same arrays, bit for bit.
+run in float32 for inference: each allocates in its input's dtype and
+expects its weights, biases and running statistics in that dtype too, as a
+model holds them (`model.TransducerModel`), so no op casts a weight.
 
 Operations record their inputs and a backward closure on a dynamic tape
 (the graph is rebuilt on every forward pass, so variable sequence lengths
@@ -300,11 +299,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
-    w_x = w.data.astype(x.data.dtype, copy=False)
     # Letting `@` allocate the output raised paper-stream's peak RSS by 1-2 %.
     out = np.empty((x.shape[0], w.shape[1]), x.data.dtype)
-    np.matmul(x.data, w_x, out=out)
-    out += b.data.astype(x.data.dtype, copy=False)
+    np.matmul(x.data, w.data, out=out)
+    out += b.data
 
     def backward(g):
         if x.requires_grad:
@@ -568,8 +566,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
     blocks = _conv_blocks(base, n + pad * (len(lengths) - 1),
                           _conv_block_rows(c_in, c_out, kt, kf, fp), pad)
     dtype = x.data.dtype
-    w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1), dtype).reshape(kt, c_out, kf * c_in)
-    bias_x = bias.data.astype(dtype, copy=False)
+    w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1)).reshape(kt, c_out, kf * c_in)
 
     # Frame-major memory: each block's output rows are one contiguous span.
     out = np.empty((n, c_out, f), dtype).transpose(1, 0, 2)
@@ -586,7 +583,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
         block = out[:, ys]
         block[...] = acc.reshape(c_out, rows, fp)[:, acc_rows, :f]
         del acc
-        block += bias_x[:, None, None]
+        block += bias.data[:, None, None]
         relu_(block)
     # relu_ leaves out > 0 exactly where its input was > 0.
     mask = out > 0.0
@@ -638,9 +635,9 @@ BN_MOMENTUM = 0.1
 class RunningStats:
     """Per-channel running mean/variance of a batch-norm (used in eval mode)."""
 
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels)
-        self.var = np.ones(channels)
+    def __init__(self, channels: int, dtype=np.float64):
+        self.mean = np.zeros(channels, dtype)
+        self.var = np.ones(channels, dtype)
 
     def update(self, mean: np.ndarray, var: np.ndarray) -> None:
         self.mean = (1.0 - BN_MOMENTUM) * self.mean + BN_MOMENTUM * mean
@@ -659,7 +656,7 @@ def batchnorm_normalize(x: np.ndarray, stats: RunningStats, training: bool,
         var = x.var(axis=1)
         stats.update(mu, var)
     else:
-        mu, var = stats.mean.astype(x.dtype, copy=False), stats.var.astype(x.dtype, copy=False)
+        mu, var = stats.mean, stats.var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = np.subtract(x, mu[:, None], out=out)
     xhat *= inv_std[:, None]
@@ -856,14 +853,13 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     dtype = x_tm.dtype
     # Row r holds its input projection until the step overwrites it with
     # that frame's gate activations.
-    gates = x_tm @ w.data.astype(dtype, copy=False) + b.data.astype(dtype, copy=False)
-    u_x = u.data.astype(dtype, copy=False)
+    gates = x_tm @ w.data + b.data
     hs = np.empty((n, hid), dtype)
     cs = np.empty((n, hid), dtype)
     hu = np.empty((sizes[0], 4 * hid), dtype)
     h = c = np.zeros((sizes[0], hid), dtype)
     for a, bt in blocks:
-        lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u_x, hu[:bt], hs[a:a + bt], cs[a:a + bt])
+        lstm_cell(gates[a:a + bt], h[:bt], c[:bt], u.data, hu[:bt], hs[a:a + bt], cs[a:a + bt])
         h, c = hs[a:a + bt], cs[a:a + bt]
     out = np.empty_like(hs)
     out[perm] = hs

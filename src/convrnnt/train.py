@@ -85,7 +85,9 @@ class Trainer:
         }
 
         seed = cfg.training.seed
-        self.model = TransducerModel(cfg, seed=seed)
+        # Trained, scored and checkpointed in float64, whatever
+        # `model.inference_dtype` says.
+        self.model = TransducerModel(cfg, seed=seed, dtype=np.float64)
         self.optimizer = Adam(self.model.parameters(), cfg.optimizer)
         self.rng = make_rng(seed + 1)  # dropout, masking; state is checkpointed
         self.step = 0
@@ -305,12 +307,15 @@ def param_report(cfg: RunConfig):
     return rows
 
 
-def format_param_report(rows) -> str:
+def format_param_report(rows, dtype: str) -> str:
+    """The report's table, its total, and the total's bytes at rest in `dtype`."""
     lines = [f"{'module':<26} {'params':>12} {'reference(M)':>13} {'ratio':>8}"]
     for group, count, ref_m, ratio in rows:
         lines.append(f"{group:<26} {count:>12,} {ref_m:>13.2f} {ratio:>8.3f}")
     total = sum(r[1] for r in rows)
     lines.append(f"{'total':<26} {total:>12,}")
+    mib = total * np.dtype(dtype).itemsize / 2**20
+    lines.append(f"{'at rest in ' + dtype:<26} {mib:>12.1f} MiB")
     return "\n".join(lines)
 
 

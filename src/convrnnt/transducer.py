@@ -40,7 +40,7 @@ class LSTMLayer:
         self.hidden = hidden
         self.w = uniform_init(rng, (n_in, 4 * hidden), n_in)
         self.u = uniform_init(rng, (hidden, 4 * hidden), hidden)
-        self.b = zeros_param(4 * hidden)
+        self.b = zeros_param(4 * hidden, self.w.data.dtype)
         self.b.data[hidden:2 * hidden] = 1.0
         self.proj = Linear(hidden, proj, rng, proj_gain)
 
@@ -113,10 +113,12 @@ class LabelEncoder:
         return h
 
     def start(self):
-        """Per-layer (h, c) [1, H] states and [label_proj] output of row 0."""
-        states = [(np.zeros((1, layer.hidden)), np.zeros((1, layer.hidden)))
+        """Per-layer (h, c) [1, H] states and [label_proj] output of row 0,
+        in the weights' dtype."""
+        dtype = self.embed.table.data.dtype
+        states = [(np.zeros((1, layer.hidden), dtype), np.zeros((1, layer.hidden), dtype))
                   for layer in self.layers]
-        return self.step(states, np.zeros((1, self.m.label_embed)))
+        return self.step(states, np.zeros((1, self.m.label_embed), dtype))
 
     def step(self, states, x: np.ndarray):
         """Advance the per-layer states by one [1, label_embed] input row.
@@ -164,7 +166,7 @@ class Joint:
     def __init__(self, m: ModelSettings, rng: np.random.Generator):
         self.enc_proj = uniform_init(rng, (m.proj_dim, m.joint_dim), m.proj_dim)
         self.pred_proj = uniform_init(rng, (m.label_proj, m.joint_dim), m.label_proj)
-        self.bias = zeros_param(m.joint_dim)
+        self.bias = zeros_param(m.joint_dim, self.enc_proj.data.dtype)
         self.out = Linear(m.joint_dim, m.vocab_size + 1, rng)
 
     def __call__(self, enc: Tensor, pred: Tensor, lengths=None) -> Tensor:

@@ -26,6 +26,7 @@ import numpy as np
 from convrnnt import tensor as T
 from convrnnt.decoding import DecoderState
 from convrnnt.errors import ShapeError
+from convrnnt.model import TransducerModel
 from convrnnt.rnnt_loss import NEG_INF, _cells, _checked, _lattice, rnnt_loss
 
 
@@ -890,25 +891,40 @@ def logit_grad_per_frame(z, m, lse, labels, lat, g):
 # float32 inference
 
 
-# Bound on max |enc32 - enc64| / max |enc64| between `encode_audio` at float32
-# and at float64 inference.  Measured: 2.1e-6 and 2.9e-6 on the paper
-# preset's 10 s benchmark input at seeds 1 and 7.
+# Bound on max |enc32 - enc64| / max |enc64| between the `encode_audio` of a
+# float32 model and of the float64 model of the same weights.  Measured:
+# 2.1e-6 and 2.9e-6 on the paper preset's 10 s benchmark input at seeds 1
+# and 7.
 F32_ENCODER_REL_TOL = 1e-5
 
 
-def encodings_at_both_dtypes(model, *xs):
-    """Untaped `encode_audio` of the feature arrays xs with
-    `model.inference_dtype` float64, then float32; the setting is restored."""
-    settings = model.cfg.model
-    kept = settings.inference_dtype
+def models_at_both_dtypes(cfg, seed):
+    """The float64 and the float32 model of `cfg`, built from one seed."""
+    return (TransducerModel(cfg, seed, dtype=np.float64),
+            TransducerModel(cfg, seed, dtype=np.float32))
+
+
+def float32_twin(model):
+    """A float32 model holding the float64 `model`'s parameters and running
+    statistics rounded to float32, for a model that was trained or edited
+    after its build."""
+    twin = TransducerModel(model.cfg, 0, dtype=np.float32)
+    for (_, p), (_, q) in zip(twin.parameters(), model.parameters()):
+        p.data[...] = q.data
+    for (_, a), (_, b) in zip(twin.norm_layers(), model.norm_layers()):
+        a.stats.mean[...] = b.stats.mean
+        a.stats.var[...] = b.stats.var
+    return twin
+
+
+def encodings_at_both_dtypes(models, *xs):
+    """Untaped `encode_audio` of the feature arrays xs by each of a float64
+    and a float32 model: a pair from `models_at_both_dtypes`, or a model and
+    its `float32_twin`."""
     out = []
-    try:
-        for dtype in ("float64", "float32"):
-            settings.inference_dtype = dtype
-            with T.no_grad():
-                out.append(model.encode_audio(*(T.Tensor(x) for x in xs)).data)
-    finally:
-        settings.inference_dtype = kept
+    for model in models:
+        with T.no_grad():
+            out.append(model.encode_audio(*(T.Tensor(x) for x in xs)).data)
     return out
 
 

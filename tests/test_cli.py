@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import convrnnt.model
 from convrnnt.audio import write_wav
 from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.cli import main
@@ -98,6 +99,19 @@ def test_cli_eval_rejects_replaced_norm_stats(tmp_path, capsys):
     code = main(["eval", "--config", "desk", "--out", str(work)])
     assert code == 1
     assert "normstats.mean differs" in capsys.readouterr().err
+
+
+def test_cli_params_reports_the_weight_bytes_at_rest_without_a_build(capsys, monkeypatch):
+    # 29,519,417 paper parameters, at 4 or 8 bytes, read from the registry.
+    def no_build(*args, **kwargs):
+        raise AssertionError("params built a model")
+
+    monkeypatch.setattr(convrnnt.model._DeferredInit, "fill", no_build)
+    out = run(capsys, "params", "--config", "paper").splitlines()
+    assert out[-2].split() == ["total", "29,519,417"]
+    assert out[-1].split() == ["at", "rest", "in", "float32", "112.6", "MiB"]
+    out = run(capsys, "params", "--config", "paper", "--set", "model.inference_dtype=float64")
+    assert out.splitlines()[-1].split() == ["at", "rest", "in", "float64", "225.2", "MiB"]
 
 
 @pytest.mark.parametrize("item", ["model.kernel_t=abc", "model.local_channels=8,x",

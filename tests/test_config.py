@@ -134,15 +134,19 @@ CHANGED = {
 
 
 def fingerprint(cfg):
-    """Parameter shapes, then the eval-mode and seeded training-mode loss of a fixed batch."""
-    model = TransducerModel(cfg, seed=0)
+    """Parameter shapes, the eval-mode and seeded training-mode loss of a
+    fixed batch on the float64 model, as `Trainer` builds it, and the
+    encoding of its features by `TransducerModel(cfg)`, built in
+    `model.inference_dtype`."""
+    model = TransducerModel(cfg, seed=0, dtype=np.float64)
     rng = make_rng(1)
     feats = [rng.standard_normal((t, cfg.input_dim)) for t in (9, 5)]
     tokens = [[1, 2, 3], [4]]
     with T.no_grad():
         eval_loss = float(model.batch_loss(feats, tokens)[0].data)
         train_loss = float(model.batch_loss(feats, tokens, rng=make_rng(2))[0].data)
-    return parameter_shapes(cfg), eval_loss, train_loss
+        encoding = TransducerModel(cfg, seed=0).encode_audio(*map(T.Tensor, feats)).data
+    return parameter_shapes(cfg), eval_loss, train_loss, encoding.tobytes()
 
 
 def test_every_model_key_is_covered():
@@ -152,11 +156,15 @@ def test_every_model_key_is_covered():
 @pytest.mark.parametrize("key", sorted(CHANGED))
 def test_every_model_key_changes_the_model(key):
     base = ["model.vocab_size=8"]
-    shapes, eval_loss, train_loss = fingerprint(load_preset("desk", base))
+    shapes, eval_loss, train_loss, encoding = fingerprint(load_preset("desk", base))
     changed = load_preset("desk", base + [f"model.{key}={CHANGED[key]}"])
-    c_shapes, c_eval, c_train = fingerprint(changed)
+    c_shapes, c_eval, c_train, c_encoding = fingerprint(changed)
     if key == "dropout_p":
         assert c_train != train_loss
+    elif key == "inference_dtype":
+        # It changes the default build only; the float64 model is the same.
+        assert (c_shapes, c_eval, c_train) == (shapes, eval_loss, train_loss)
+        assert c_encoding != encoding
     else:
         assert c_shapes != shapes or c_eval != eval_loss
     assert np.isfinite([c_eval, c_train]).all()

@@ -12,7 +12,13 @@ from convrnnt.model import TransducerModel
 from convrnnt.transducer import Joint
 
 import oracles
-from oracles import F32_ENCODER_REL_TOL, encodings_at_both_dtypes, max_rel_gap
+from oracles import (
+    F32_ENCODER_REL_TOL,
+    encodings_at_both_dtypes,
+    float32_twin,
+    max_rel_gap,
+    models_at_both_dtypes,
+)
 
 
 def build_model(seed=0, vocab=6):
@@ -206,16 +212,61 @@ def test_step_frame_rejects_bad_frames_and_keeps_the_state(bad, error):
 def test_float32_encoding_of_the_stream_benchmark_decodes_to_the_float64_tokens(
         seed, monkeypatch):
     # The paper-stream benchmark's input and emission script, with the blank
-    # offset scripted from the float64 encoding.
+    # offset scripted on the float64 model from its encoding; the float32
+    # model built from the same seed encodes, and the float64 model's
+    # scripted weights rounded to float32 decode.
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import MAX_SYMBOLS, TARGET_TOKENS, script_emissions, stream_pcm
 
     cfg = load_preset("paper")
-    model = TransducerModel(cfg, seed=seed)
     feats = audio.featurize(stream_pcm(seed, cfg.feature.sample_rate_hz), cfg.feature).frames
-    enc64, enc32 = encodings_at_both_dtypes(model, feats)
+    model64, model32 = models_at_both_dtypes(cfg, seed)
+    enc64, enc32 = encodings_at_both_dtypes((model64, model32), feats)
+    del model32
     assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL
-    script_emissions(model, enc64, TARGET_TOKENS)
-    want = greedy_decode(model, enc64, MAX_SYMBOLS)
+    script_emissions(model64, enc64, TARGET_TOKENS)
+    want = greedy_decode(model64, enc64, MAX_SYMBOLS)
     assert len(want.tokens) == TARGET_TOKENS
-    assert greedy_decode(model, enc32, MAX_SYMBOLS).tokens == want.tokens
+    assert greedy_decode(float32_twin(model64), enc32, MAX_SYMBOLS).tokens == want.tokens
+
+
+def float32_emitting_model(seed):
+    """`emitting_model`'s weights and encoder frames rounded to float32."""
+    model, enc = emitting_model(seed)
+    return float32_twin(model), enc.astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", [5, 21, 22])
+def test_float32_chunked_decoding_equals_greedy_decode_bitwise(seed):
+    model, enc = float32_emitting_model(seed)
+    assert model.dtype == np.float32 and enc.dtype == np.float32
+    want = greedy_decode(model, enc, 3)
+    assert 0 < len(want.tokens) < 3 * enc.shape[0]
+    rng = np.random.default_rng(seed)
+    for cuts in ([], list(range(1, enc.shape[0])), sorted(rng.choice(enc.shape[0], 4, False))):
+        state = init_state(model)
+        for part in np.split(enc, cuts):
+            state = decode_frames(model, state, part, 3)
+        assert state.tokens == want.tokens
+        assert state.score == want.score
+
+
+def test_a_float32_model_decodes_float64_frames_as_their_float32_cast(monkeypatch):
+    model, enc = float32_emitting_model(5)
+    want = greedy_decode(model, enc, 3)
+    cell, dtypes = Joint.cell, set()
+
+    def spy(self, *arrays):
+        dtypes.update(a.dtype for a in arrays)
+        return cell(self, *arrays)
+
+    monkeypatch.setattr(Joint, "cell", spy)
+    got = greedy_decode(model, enc.astype(np.float64), 3)
+    assert got.tokens == want.tokens and got.score == want.score
+    # Both terms, the tanh scratch and the logits: the step runs in float32.
+    assert dtypes == {np.dtype(np.float32)}
+    # A float64 frame beyond the float32 range is refused, not decoded as inf.
+    frame = enc[0].astype(np.float64)
+    frame[2] = 1e39
+    with pytest.raises(DataError, match="not finite in float32"):
+        step_frame(model, init_state(model), frame)

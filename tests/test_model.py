@@ -10,7 +10,7 @@ import pytest
 import convrnnt.model
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
-from convrnnt.errors import DataError, ShapeError
+from convrnnt.errors import DataError, ShapeError, TrainingError
 from convrnnt.model import (
     PARAM_GROUPS,
     TransducerModel,
@@ -31,6 +31,7 @@ from oracles import (
     batch_loss_per_utterance,
     encodings_at_both_dtypes,
     max_rel_gap,
+    models_at_both_dtypes,
 )
 
 
@@ -77,13 +78,38 @@ SPLIT_DRAWS = [[n] for n in range(2, 18)] + [[1, n] for n in range(2, 17)] + [[(
 
 @pytest.mark.parametrize("sizes", SPLIT_DRAWS)
 def test_deferred_fill_splits_the_serial_stream_anywhere(sizes):
+    # In float32 each array holds the serial float64 draws rounded.
     bounds = [(-0.5 - k, 0.25 + 2 * k) for k in range(len(sizes))]
-    init = _DeferredInit()
+    for dtype in (np.float64, np.float32):
+        init = _DeferredInit(dtype)
+        arrays = [init.uniform(low, high, size) for (low, high), size in zip(bounds, sizes)]
+        init.fill(7)
+        rng = make_rng(7)
+        for (low, high), size, got in zip(bounds, sizes, arrays):
+            want = rng.uniform(low, high, size).astype(dtype)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (dtype, sizes)
+
+
+def test_fill_rounds_draws_through_a_bounded_scratch(monkeypatch):
+    # Arrays longer than the scratch, one of them cut by the two threads,
+    # take the serial draws rounded, and no float64 copy of an array is made.
+    monkeypatch.setattr(T, "BLOCK_BYTES", 64)
+    sizes, bounds = [13, 29, 6], [(-1.0, 1.0), (-0.25, 0.5), (0.0, 3.0)]
+    init = _DeferredInit(np.float32)
     arrays = [init.uniform(low, high, size) for (low, high), size in zip(bounds, sizes)]
-    init.fill(7)
-    rng = make_rng(7)
+    init.fill(3)
+    rng = make_rng(3)
     for (low, high), size, got in zip(bounds, sizes, arrays):
-        assert got.tobytes() == rng.uniform(low, high, size).tobytes(), sizes
+        assert got.tobytes() == rng.uniform(low, high, size).astype(np.float32).tobytes()
+    out = np.empty(4096, np.float32)
+    tracemalloc.start()
+    try:
+        convrnnt.model._draw(make_rng(4), [(out, -1.0, 1.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == make_rng(4).uniform(-1.0, 1.0, 4096).astype(np.float32).tobytes()
+    assert peak < out.size  # an eighth of a float64 copy
 
 
 def test_a_failure_on_the_worker_thread_is_raised_in_the_caller(monkeypatch):
@@ -475,7 +501,8 @@ def test_utterance_without_frames_raises_shape_error_naming_it():
 def test_float32_inference_runs_every_encoder_layer_in_float32(monkeypatch):
     # A layer that upcast to float64 would keep the output but lose the gain.
     cfg = desk_cfg(**{"model.inference_dtype": "float32"})
-    model = TransducerModel(cfg, seed=12)
+    model64, model32 = models_at_both_dtypes(cfg, 12)
+    assert model32.dtype == np.float32 and TransducerModel(cfg, 12).dtype == np.float32
     seen = []
 
     def spy(name, fn):
@@ -493,24 +520,25 @@ def test_float32_inference_runs_every_encoder_layer_in_float32(monkeypatch):
     xs = [T.Tensor(make_rng(13).standard_normal((t, cfg.input_dim))) for t in (9, 5)]
     layers = ["local"] + ["block"] * cfg.model.global_blocks + ["fuse"] + ["lstm"] * cfg.model.enc_layers
     with T.no_grad():
-        enc = model.encode_audio(*xs)
+        enc = model32.encode_audio(*xs)
     assert seen == [(name, np.float32) for name in layers]
-    assert enc.data.dtype == np.float64
-    # Eval with gradients records, so it runs in float64.
+    assert enc.data.dtype == np.float32
+    # The float64 model of the same config, as `Trainer` builds it, runs in
+    # float64, float32 features included.
     seen.clear()
-    enc = model.encode_audio(*xs)
+    enc = model64.encode_audio(*(T.Tensor(x.data.astype(np.float32)) for x in xs))
     assert seen == [(name, np.float64) for name in layers]
-    assert enc.requires_grad
+    assert enc.data.dtype == np.float64
 
 
 def test_float32_features_train_in_float64():
-    # The recorded forward casts them to float64, which gives the bits of
+    # A float64 model casts them to float64, which gives the bits of
     # features handed over as float64 to begin with.
     cfg = desk_cfg(**{"model.inference_dtype": "float32"})
     feats = [make_rng(14).standard_normal((t, cfg.input_dim)).astype(np.float32) for t in (9, 5)]
     runs = []
     for xs in (feats, [f.astype(np.float64) for f in feats]):
-        model = TransducerModel(cfg, seed=15)
+        model = TransducerModel(cfg, seed=15, dtype=np.float64)
         loss, nlls = model.batch_loss(xs, [[1, 2], [3]], rng=make_rng(16))
         loss.backward()
         runs.append([loss.data.tobytes(), np.asarray(nlls).tobytes()]
@@ -532,6 +560,64 @@ def test_features_beyond_the_float32_range_are_refused_at_float32(value):
 def test_float32_encoding_stays_near_float64_at_paper_width():
     cfg = load_preset("paper")
     assert cfg.model.inference_dtype == "float32"
-    model = TransducerModel(cfg, seed=1)
-    enc64, enc32 = encodings_at_both_dtypes(model, make_rng(19).standard_normal((24, cfg.input_dim)))
+    enc64, enc32 = encodings_at_both_dtypes(models_at_both_dtypes(cfg, 1),
+                                            make_rng(19).standard_normal((24, cfg.input_dim)))
     assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL
+
+
+def model_arrays(model):
+    """(name, array) of every parameter and running statistic."""
+    return [(name, p.data) for name, p in model.parameters()] + [
+        (f"{name}.{stat}", getattr(bn.stats, stat))
+        for name, bn in model.norm_layers() for stat in ("mean", "var")]
+
+
+@pytest.mark.parametrize("preset,seed", [("desk", 0), ("desk", 7), ("paper", 1)])
+def test_a_float32_model_holds_the_float64_weights_rounded(preset, seed, monkeypatch):
+    # Bit for bit the values a per-call cast of the float64 build gave, with
+    # no float64 array left; the two-thread fill cuts one array in two.
+    cuts = []
+    fill = _DeferredInit.fill
+
+    def recording_fill(self, fill_seed):
+        ends = np.cumsum([flat.size for flat, _, _ in self._draws])
+        cuts.append(ends[-1] // 2 not in ends)
+        fill(self, fill_seed)
+
+    monkeypatch.setattr(_DeferredInit, "fill", recording_fill)
+    overrides = {"model.inference_dtype": "float32"} if preset == "desk" else {}
+    cfg = desk_cfg(**overrides) if preset == "desk" else load_preset(preset)
+    model32 = TransducerModel(cfg, seed)
+    assert cuts == [True]
+    arrays32 = model_arrays(model32)
+    assert all(a.dtype == np.float32 for _, a in arrays32)
+    assert not any(p.requires_grad for _, p in model32.parameters())
+    del model32
+    model64 = TransducerModel(cfg, seed, dtype=np.float64)
+    arrays64 = model_arrays(model64)
+    assert [name for name, _ in arrays32] == [name for name, _ in arrays64]
+    for (name, a32), (_, a64) in zip(arrays32, arrays64):
+        assert a64.dtype == np.float64
+        assert a32.tobytes() == a64.astype(np.float32).tobytes(), name
+
+
+def test_a_float32_model_refuses_to_train_or_record():
+    # Each would run the tape or the float64 loss on float32 weights, or cut
+    # the features off the tape without a word.
+    cfg = desk_cfg(**{"model.inference_dtype": "float32"})
+    model = TransducerModel(cfg, seed=20)
+    feats, tokens = random_batch(cfg, 21, BATCH_LENGTHS[:2])
+    with pytest.raises(TrainingError, match="holds float32 weights"):
+        model.encode_audio(T.Tensor(feats[0]), rng=make_rng(22))
+    with pytest.raises(TrainingError, match="holds float32 weights"):
+        model.encode_audio(T.Tensor(feats[0], requires_grad=True))
+    with pytest.raises(TrainingError, match="holds float32 weights"), T.no_grad():
+        model.batch_loss(feats, tokens)
+    with T.no_grad():
+        enc = model.encode_audio(*(T.Tensor(f) for f in feats))
+        with pytest.raises(TrainingError, match="holds float32 weights"):
+            model.encoded_loss(enc, [f.shape[0] for f in feats], tokens)
+    # Without a tape, features that require grad are only read.
+    with T.no_grad():
+        again = model.encode_audio(*(T.Tensor(f, requires_grad=True) for f in feats))
+    assert again.data.tobytes() == enc.data.tobytes()

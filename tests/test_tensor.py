@@ -310,13 +310,12 @@ def test_lstm_forward_matches_allocating_frame_loop_bitwise(lengths):
 
 
 def test_float32_lstm_matches_the_float32_frame_loop_bitwise():
-    # On float32 rows the op casts its float64 weights and computes in
-    # float32 throughout, as the frame loop does on float32 copies.
-    x, w, u, b = packed_lstm_args(np.random.default_rng(50))
+    # On float32 rows and weights the op computes in float32 throughout, as
+    # the frame loop does.
+    args = [a.astype(np.float32) for a in packed_lstm_args(np.random.default_rng(50))]
     with T.no_grad():
-        got = T.lstm(T.Tensor(x.astype(np.float32)), T.Tensor(w), T.Tensor(u), T.Tensor(b),
-                     LENGTHS).data
-    want = oracles.lstm_frames_allocating(*(a.astype(np.float32) for a in (x, w, u, b)), LENGTHS)
+        got = T.lstm(*(T.Tensor(a) for a in args), LENGTHS).data
+    want = oracles.lstm_frames_allocating(*args, LENGTHS)
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
@@ -829,12 +828,11 @@ def test_the_tape_refuses_a_float32_node():
         T.linear(x, w, b)
     with pytest.raises(TrainingError, match="float64 nodes only"):
         T.from_op(np.zeros(5, np.float32), (b,), lambda g: None)
-    # Unrecorded, the op runs in its input's dtype.
-    with T.no_grad():
-        out = T.linear(x, w, b)
+    # Unrecorded, on float32 weights, the op runs in float32.
+    w32, b32 = (T.Tensor(p.data.astype(np.float32)) for p in (w, b))
+    out = T.linear(x, w32, b32)
     assert out.data.dtype == np.float32 and not out.requires_grad
-    ref = x.data @ w.data.astype(np.float32)
-    assert same_bits(out.data, ref + b.data.astype(np.float32))
+    assert same_bits(out.data, x.data @ w32.data + b32.data)
 
 
 def test_grad_lengths_match_data():

@@ -21,6 +21,7 @@ from oracles import (
     F32_ENCODER_REL_TOL,
     adam_step_per_parameter,
     encodings_at_both_dtypes,
+    float32_twin,
     max_rel_gap,
 )
 
@@ -248,10 +249,24 @@ def test_desk_model_tells_its_utterances_apart_from_the_audio(trained_desk):
 
 
 def test_float32_inference_decodes_the_trained_desk_model_alike(trained_desk):
+    # The trained weights, running statistics included, rounded to float32:
+    # encoder and decoder both run in float32.
     trainer = trained_desk
+    models = (trainer.model, float32_twin(trainer.model))
     for utt in trainer.eval_utts:
-        enc64, enc32 = encodings_at_both_dtypes(trainer.model, trainer._features[utt.utt_id])
+        enc64, enc32 = encodings_at_both_dtypes(models, trainer._features[utt.utt_id])
+        assert enc32.dtype == np.float32
         assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL
-        want = greedy_decode(trainer.model, enc64).tokens
+        want = greedy_decode(models[0], enc64).tokens
         assert want == trainer.tokens[utt.utt_id]
-        assert greedy_decode(trainer.model, enc32).tokens == want
+        assert greedy_decode(models[1], enc32).tokens == want
+
+
+def test_trainer_builds_float64_whatever_the_inference_dtype(corpus, tmp_path):
+    runs = []
+    for dtype in ("float64", "float32"):
+        cfg = load_preset("desk", [f"data.toy_dir={corpus}", f"model.inference_dtype={dtype}"])
+        trainer = train.Trainer(cfg, str(tmp_path / dtype))
+        assert trainer.model.dtype == np.float64
+        runs.append((trainer.train_step(), trainer.evaluate()))
+    assert runs[0] == runs[1]
