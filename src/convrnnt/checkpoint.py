@@ -34,21 +34,9 @@ VERSION = 3
 
 
 def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+    # The RNG state's NumPy arrays and scalars are written as their `tolist()`.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=lambda o: o.tolist()).encode("utf-8")
 
 
 def save_checkpoint(path, step: int, named_arrays, rng_state) -> None:
@@ -71,7 +59,7 @@ def save_checkpoint(path, step: int, named_arrays, rng_state) -> None:
                 for d in arr.shape:
                     f.write(struct.pack("<I", d))
                 f.write(arr.tobytes())
-            rng_blob = _canonical_json(_jsonable(rng_state))
+            rng_blob = _canonical_json(rng_state)
             f.write(struct.pack("<I", len(rng_blob)))
             f.write(rng_blob)
             f.flush()

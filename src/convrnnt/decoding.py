@@ -9,10 +9,10 @@ explicit, so audio can be fed in arbitrary chunks with identical results.
 Decoding runs the streaming half of the model's own `Joint` and
 `LabelEncoder.step`, so decoding and training share one joint and one
 label-encoder definition.  Each frame is projected once (`Joint.enc_term`)
-and each label row once per emission (`Joint.pred_term`, kept in the state
-across chunks); a symbol step then runs only the tanh and the output GEMV
-of its cell (`Joint.cell`), into buffers reused within the frame.  The
-logits and the score have the bits of the joint called on that one cell.
+and each label row once per emission (`Joint.pred_term`; the state keeps
+only that term across chunks).  A symbol step runs only the tanh and the
+output GEMV of its cell (`Joint.cell`), into buffers reused within the
+frame.  The logits and the score have the bits of a joint call on one cell.
 Decoding runs in the model's dtype: each frame is cast to it once, so a
 float32 model never reads its weights in float64.
 """
@@ -34,14 +34,13 @@ class DecoderState:
     tokens: list = field(default_factory=list)
     score: float = 0.0                               # log-probability of the path taken
     lstm_states: list = field(default_factory=list)  # one (h, c) per label layer
-    pred_row: np.ndarray | None = None               # current [label_proj] context
-    pred_term: np.ndarray | None = None              # its joint projection, [1, joint_dim]
+    pred_term: np.ndarray | None = None              # last label row's joint term, [1, J]
 
 
 def init_state(model: TransducerModel) -> DecoderState:
-    """Start-of-utterance state: the label encoder's row 0."""
+    """Start-of-utterance state: the label encoder's row 0, as its joint term."""
     states, pred = model.label_encoder.start()
-    return DecoderState(lstm_states=states, pred_row=pred, pred_term=model.joint.pred_term(pred))
+    return DecoderState(lstm_states=states, pred_term=model.joint.pred_term(pred))
 
 
 def step_frame(
@@ -58,16 +57,15 @@ def step_frame(
     """
     if max_symbols_per_frame < 1:
         raise ConfigError("max_symbols_per_frame must be >= 1")
-    limit = np.finfo(model.dtype).max
-    if not np.isfinite(enc_t).all() or np.abs(enc_t).max(initial=0.0) > limit:
+    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf
+        enc_t = enc_t.astype(model.dtype, copy=False)
+    if not np.isfinite(enc_t).all():
         raise DataError(f"encoder frame holds values that are not finite in {model.dtype}")
-    enc_t = enc_t.astype(model.dtype, copy=False)
     joint = model.joint
     enc_term = joint.enc_term(enc_t)
     hidden = np.empty_like(enc_term)
     logits = np.empty((1, joint.out.bias.shape[0]), model.dtype)
-    emitted = 0
-    while True:
+    for _ in range(max_symbols_per_frame):
         z = joint.cell(enc_term, state.pred_term, hidden, logits)[0]
         k = int(np.argmax(z))  # first max wins: ties go to the lowest id
         # The chosen symbol's log-softmax (z[k] - m) - lse, where the max m is
@@ -78,12 +76,10 @@ def step_frame(
             return state
         state.tokens.append(k)
         emb = model.label_encoder.embed.table.data[k][None, :]
-        state.lstm_states, state.pred_row = model.label_encoder.step(state.lstm_states, emb)
-        state.pred_term = joint.pred_term(state.pred_row)
-        emitted += 1
-        if emitted >= max_symbols_per_frame:
-            # Loop guard: move on without charging a blank.
-            return state
+        state.lstm_states, pred = model.label_encoder.step(state.lstm_states, emb)
+        state.pred_term = joint.pred_term(pred)
+    # Loop guard: at the cap, move on without charging a blank.
+    return state
 
 
 def decode_frames(

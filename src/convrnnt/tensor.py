@@ -5,9 +5,11 @@ numpy array: float64, or float32 when it is handed a float32 array and
 requires no gradient.  The tape and training are float64: `from_op` refuses
 to record a node of any other dtype.  The encoder ops (`linear`, `conv2d`,
 `lstm`, `swish`, `batchnorm_normalize` and the global block over them) also
-run in float32 for inference: each allocates in its input's dtype and
-expects its weights, biases and running statistics in that dtype too, as a
-model holds them (`model.TransducerModel`), so no op casts a weight.
+run in float32 for inference, as do `gather_rows` and `joint` under
+`no_grad`: each allocates in its input's dtype and expects its weights,
+biases and running statistics in that dtype too, as a model holds them
+(`model.TransducerModel`), so no op casts a weight.  `from_op` refuses a
+node any of whose inputs is in another dtype than its output.
 
 Operations record their inputs and a backward closure on a dynamic tape
 (the graph is rebuilt on every forward pass, so variable sequence lengths
@@ -232,11 +234,17 @@ def from_op(data: np.ndarray, parents, backward) -> Tensor:
 
     The node only records its provenance when `records(parents)`;
     otherwise it is a plain constant tensor.  That is all grad mode
-    changes: an op computes the same arrays either way.  A node to record
-    must be float64 (`TrainingError` otherwise): gradients and the
-    optimizer are float64 only.
+    changes: an op computes the same arrays either way.  Every parent must
+    hold the output's dtype (`ShapeError` otherwise, in either mode), so an
+    op handed mixed dtypes fails instead of computing in NumPy's promoted
+    one.  A node to record must be float64 (`TrainingError` otherwise):
+    gradients and the optimizer are float64 only.
     """
     out = Tensor(data)
+    for p in parents:
+        if p.data.dtype != out.data.dtype:
+            raise ShapeError(f"an op over a {p.data.dtype} input gave a {out.data.dtype} "
+                             "output: its inputs and weights must share one dtype")
     if records(parents):
         if out.data.dtype != np.float64:
             raise TrainingError(f"the tape records float64 nodes only, got {out.data.dtype}")
@@ -422,7 +430,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     scatter-adds into the table; the -1 rows' gradient goes nowhere."""
     ids = np.asarray(ids, dtype=np.int64)
     rows = ids >= 0
-    out = np.zeros(ids.shape + table.shape[1:])
+    out = np.zeros(ids.shape + table.shape[1:], table.data.dtype)
     out[rows] = table.data[ids[rows]]
 
     def backward(g):
@@ -737,16 +745,17 @@ def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor,
     cells = [(a1 - a0) * (b1 - b0) for (a0, a1), (b0, b1) in zip(a_spans, b_spans)]
     # Per utterance: its a rows, its b rows and its rows of the cells.
     groups = list(zip(a_spans, b_spans, _spans(cells, sum(cells), "joint")))
-    pa = np.empty((a.shape[0], j))
-    pb = np.empty((b.shape[0], j))
-    t = np.empty((sum(cells), j))
+    dtype = a.data.dtype
+    pa = np.empty((a.shape[0], j), dtype)
+    pb = np.empty((b.shape[0], j), dtype)
+    t = np.empty((sum(cells), j), dtype)
     for (a0, a1), (b0, b1), (c0, c1) in groups:
         np.matmul(a.data[a0:a1], wa.data, out=pa[a0:a1])
         np.matmul(b.data[b0:b1], wb.data, out=pb[b0:b1])
         np.add(pa[a0:a1, None, :], pb[None, b0:b1, :], out=t[c0:c1].reshape(a1 - a0, b1 - b0, j))
     t += bias.data
     np.tanh(t, out=t)
-    out = np.empty((t.shape[0], v))
+    out = np.empty((t.shape[0], v), dtype)
     for _, _, (c0, c1) in groups:
         np.matmul(t[c0:c1], w.data, out=out[c0:c1])
     out += bw.data

@@ -465,33 +465,35 @@ def lstm_frames_allocating(x, w, u, b, lengths):
     return out
 
 
-def step_frame_one_cell(model, state, enc_t, max_symbols_per_frame):
+def step_frame_one_cell(model, state, pred_row, enc_t, max_symbols_per_frame):
     """`decoding.step_frame` as written before the joint had a streaming half:
     every symbol step runs `model.joint` on one [1, 1] (frame, label) cell.
-    Reads and updates the state's tokens, score, lstm_states and pred_row."""
+    Reads and updates the state's tokens, score and lstm_states, and takes
+    the current [label_proj] label row, from `LabelEncoder.start` or `step`,
+    beside them.  Returns the state and the label row after the frame."""
     enc_row = T.Tensor(enc_t[None, :])
     emitted = 0
     while True:
         with T.no_grad():
-            z = model.joint(enc_row, T.Tensor(state.pred_row[None, :])).data[0, 0]
+            z = model.joint(enc_row, T.Tensor(pred_row[None, :])).data[0, 0]
         k = int(np.argmax(z))
         state.score -= float(np.log(np.exp(z - z[k]).sum()))
         if k == 0:
-            return state
+            return state, pred_row
         state.tokens.append(k)
         emb = model.label_encoder.embed.table.data[k][None, :]
-        state.lstm_states, state.pred_row = model.label_encoder.step(state.lstm_states, emb)
+        state.lstm_states, pred_row = model.label_encoder.step(state.lstm_states, emb)
         emitted += 1
         if emitted >= max_symbols_per_frame:
-            return state
+            return state, pred_row
 
 
 def greedy_decode_one_cell(model, enc_frames, max_symbols_per_frame):
     """Greedy decoding of [T, proj_dim] frames with `step_frame_one_cell`."""
     states, pred = model.label_encoder.start()
-    state = DecoderState(lstm_states=states, pred_row=pred)
+    state = DecoderState(lstm_states=states)
     for enc_t in enc_frames:
-        state = step_frame_one_cell(model, state, enc_t, max_symbols_per_frame)
+        state, pred = step_frame_one_cell(model, state, pred, enc_t, max_symbols_per_frame)
     return state
 
 

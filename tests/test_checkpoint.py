@@ -95,6 +95,36 @@ def test_checkpoint_load_then_save_is_byte_identical(make_trainer, tmp_path, mod
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+# The canonical JSON of the RNG state in
+# `test_rng_state_at_the_largest_seed_round_trips_byte_identically`, byte for
+# byte as version 3 checkpoints have held it since that version was written.
+LARGEST_SEED_RNG_JSON = (
+    b'{"bit_generator":"Philox","buffer":[7874205360917102206,10542541251131640768,'
+    b'18285563372517265793,13016267076873377421],"buffer_pos":2,"has_uint32":1,'
+    b'"state":{"counter":[1,0,0,0],"key":[18446744073709551615,18446744073709551615]},'
+    b'"uinteger":2454626665}'
+)
+
+
+def test_rng_state_at_the_largest_seed_round_trips_byte_identically(make_trainer, tmp_path):
+    # The trainer's generator is keyed 2**128 - 1, the largest Philox key; a
+    # double and then a uint32 leave half a draw and two buffered words.
+    overrides = (f"training.seed={2**128 - 2}",)
+    trainer = make_trainer(overrides=overrides)
+    trainer.rng.random()
+    trainer.rng.integers(2**32, dtype=np.uint32)
+    state = trainer.rng.bit_generator.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+    trainer.save(tmp_path / "a.bin")
+    blob = (tmp_path / "a.bin").read_bytes()
+    want = LARGEST_SEED_RNG_JSON
+    assert blob.endswith(struct.pack("<I", len(want)) + want)
+    reloaded = make_trainer(overrides=overrides)
+    reloaded.load(tmp_path / "a.bin")
+    reloaded.save(tmp_path / "b.bin")
+    assert (tmp_path / "b.bin").read_bytes() == blob
+
+
 def test_version1_checkpoint_rejected(make_trainer, tmp_path):
     # Version 1 files come from the serial frontend wiring, where the global
     # encoder read the local encoder's output; the desk shapes are the same,

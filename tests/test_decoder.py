@@ -111,9 +111,8 @@ def test_label_encoder_rows_match_streaming_pred_rows():
     tokens = [3, 1, 4, 1, 5, 2]
     with T.no_grad():
         rows = model.label_encoder(tokens).data
-    state = init_state(model)
-    streamed = [state.pred_row]
-    states = state.lstm_states
+    states, pred = model.label_encoder.start()
+    streamed = [pred]
     table = model.label_encoder.embed.table.data
     for k in tokens:
         states, pred = model.label_encoder.step(states, table[k][None, :])

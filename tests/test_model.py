@@ -565,6 +565,26 @@ def test_float32_encoding_stays_near_float64_at_paper_width():
     assert max_rel_gap(enc32, enc64) <= F32_ENCODER_REL_TOL
 
 
+def test_float32_label_rows_and_logits_stay_in_float32_near_float64():
+    # The label embedding's lookup and the joint allocate in their inputs'
+    # dtype, so the float32 model's label rows reach its float32 LSTMs, and
+    # its logits come out, in float32.
+    cfg = desk_cfg(**{"model.inference_dtype": "float32"})
+    models = models_at_both_dtypes(cfg, 23)
+    encs = encodings_at_both_dtypes(models, make_rng(24).standard_normal((7, cfg.input_dim)))
+    rows = []
+    for model, enc in zip(models, encs):
+        with T.no_grad():
+            pred = model.label_encoder([1, 2])
+            rows.append((pred.data, model.joint(T.Tensor(enc), pred).data))
+    (pred64, logits64), (pred32, logits32) = rows
+    assert pred32.dtype == logits32.dtype == np.float32
+    assert pred64.dtype == logits64.dtype == np.float64
+    assert logits32.shape == logits64.shape == (7, 3, cfg.model.vocab_size + 1)
+    assert max_rel_gap(pred32, pred64) <= F32_ENCODER_REL_TOL
+    assert max_rel_gap(logits32, logits64) <= F32_ENCODER_REL_TOL
+
+
 def model_arrays(model):
     """(name, array) of every parameter and running statistic."""
     return [(name, p.data) for name, p in model.parameters()] + [

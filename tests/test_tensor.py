@@ -822,17 +822,39 @@ def test_a_tensor_keeps_float32_only_where_no_gradient_is_asked():
 def test_the_tape_refuses_a_float32_node():
     rng = np.random.default_rng(45)
     x = T.Tensor(rng.standard_normal((4, 6)).astype(np.float32))
-    w = T.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
-    b = T.Tensor(np.zeros(5), requires_grad=True)
+    w32 = T.Tensor(rng.standard_normal((6, 5)).astype(np.float32))
+    b32 = T.Tensor(np.zeros(5, np.float32))
+    # A float32 leaf is built float64 when it requires grad; one flagged by
+    # hand would make a float32 node to record.
+    assert T.Tensor(w32.data, requires_grad=True).data.dtype == np.float64
+    w32.requires_grad = True
     with pytest.raises(TrainingError, match="float64 nodes only, got float32"):
-        T.linear(x, w, b)
+        T.linear(x, w32, b32)
     with pytest.raises(TrainingError, match="float64 nodes only"):
-        T.from_op(np.zeros(5, np.float32), (b,), lambda g: None)
+        T.from_op(np.zeros(5, np.float32), (w32,), lambda g: None)
     # Unrecorded, on float32 weights, the op runs in float32.
-    w32, b32 = (T.Tensor(p.data.astype(np.float32)) for p in (w, b))
+    w32.requires_grad = False
     out = T.linear(x, w32, b32)
     assert out.data.dtype == np.float32 and not out.requires_grad
     assert same_bits(out.data, x.data @ w32.data + b32.data)
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_an_op_over_mixed_dtypes_raises_naming_both(grad):
+    # Whether or not its inputs would make the node record, the op raises
+    # instead of computing in NumPy's promoted dtype.
+    rng = np.random.default_rng(46)
+    x32 = T.Tensor(rng.standard_normal((4, 6)).astype(np.float32))
+    w = T.Tensor(rng.standard_normal((6, 5)), requires_grad=grad)
+    b = T.Tensor(np.zeros(5), requires_grad=grad)
+    with pytest.raises(ShapeError, match="float64 input gave a float32 output"):
+        T.linear(x32, w, b)
+    x64 = T.Tensor(x32.data.astype(np.float64), requires_grad=grad)
+    w32, b32 = (T.Tensor(p.data.astype(np.float32)) for p in (w, b))
+    with pytest.raises(ShapeError, match="float32 input gave a float64 output"):
+        T.linear(x64, w32, b32)
+    with pytest.raises(ShapeError, match="float64 input gave a float32 output"):
+        T.from_op(np.zeros(5, np.float32), (b,), lambda g: None)
 
 
 def test_grad_lengths_match_data():
