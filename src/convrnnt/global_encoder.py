@@ -71,6 +71,13 @@ class GlobalBlock:
         Only the squeeze-excite's reversed prefix sums stay per utterance.
         The gradients agree with the composition to rounding.
 
+        The backward keeps the transposed input, both batch-norms'
+        normalized rows and ReLU masks, the excitation's input, prefix mean,
+        bottleneck rows and gate, and the boolean dropout draw.  The forward
+        drops each batch-norm's affine output once the next conv has read
+        it, and the backward forms it again from the normalized rows, as it
+        forms the dropout factors from the draw, with the forward's bits.
+
         It computes in the rows' dtype, which is the dtype its weights, biases
         and running statistics are held in: float64, or float32 in a float32
         model, which only evaluates.
@@ -101,7 +108,8 @@ class GlobalBlock:
         h = np.empty((w_in.shape[0], n_rows), dtype)
         pointwise(w_in, xt, h)
         h += self.pw_in.bias.data[:, None]
-        mask_in = T.relu_(h)
+        T.relu_(h)
+        mask_in = h > 0.0
         xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, out=h)
         a_in = self._affine(self.norm_in, xhat_in)
 
@@ -115,9 +123,10 @@ class GlobalBlock:
             if s in inside:
                 tap *= inside[s]
             h[:, s:] += tap
-        del tap
+        del tap, a_in
         h += self.dw.bias.data[:, None]
-        mask_dw = T.relu_(h)
+        T.relu_(h)
+        mask_dw = h > 0.0
         xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, out=h)
         a_dw = self._affine(self.norm_dw, xhat_dw)
 
@@ -125,6 +134,7 @@ class GlobalBlock:
         w_out = self.pw_out.weight.data[:, :, 0]
         zc = np.empty((w_out.shape[0], n_rows), dtype)
         pointwise(w_out, a_dw, zc)
+        del a_dw
         zc += self.pw_out.bias.data[:, None]
         z = np.ascontiguousarray(zc.T)
         del zc
@@ -139,13 +149,13 @@ class GlobalBlock:
         y = z * gate
         keep = T.dropout_mask(y.shape, m.dropout_p, rng)
         if keep is not None:
-            y *= keep
+            y *= keep / (1.0 - m.dropout_p)
         out = np.add(y, x_all, out=y)
 
         def backward(g, input_grad=True):
             g_res = g
             if keep is not None:
-                g = g * keep
+                g = g * (keep / (1.0 - m.dropout_p))
             dz = g * gate
             de = g * z
             de *= gate
@@ -158,12 +168,14 @@ class GlobalBlock:
                 dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
             dzc = np.ascontiguousarray(dz.T)
             _accumulate(self.pw_out.bias, dzc.sum(axis=1))
+            a_dw = self._affine(self.norm_dw, xhat_dw)
             _accumulate(self.pw_out.weight, (dzc @ a_dw.T)[:, :, None])
 
             g_h = self._norm_backward(self.norm_dw, w_out.T @ dzc, xhat_dw, inv_dw, training)
             g_h *= mask_dw
             _accumulate(self.dw.bias, g_h.sum(axis=1))
             g_w = np.zeros_like(w_dw)
+            a_in = self._affine(self.norm_in, xhat_in)
             g_in = np.zeros_like(a_in)
             for j, s in enumerate(shifts):
                 if s >= n_rows:
@@ -204,7 +216,8 @@ class GlobalBlock:
 
     @staticmethod
     def _affine(norm: BatchNormTime, xhat: np.ndarray) -> np.ndarray:
-        """gamma * xhat + beta per channel, into a new array (backward keeps xhat)."""
+        """gamma * xhat + beta per channel, into a new array.  The forward
+        drops it once consumed, and the backward forms it again from xhat."""
         out = norm.gamma.data[:, None] * xhat
         out += norm.beta.data[:, None]
         return out

@@ -28,6 +28,18 @@ reads from reference counts (as NumPy's temporary elision does) that only
 the tape holds the logits and their buffer, it forms their gradient over
 them and adopts that.
 
+What a node keeps: its output, and of the arrays its backward reads only
+those it cannot form again exactly.  An array the backward can rebuild from
+what the node keeps anyway, by the same float ops in the same order as the
+forward, it rebuilds (Chen et al., arXiv:1604.06174), so the rebuilt array
+and every gradient keep their bits.  `swish` keeps no sigmoid; `conv2d`
+neither its ReLU mask (`out > 0.0`, since `relu_` leaves exactly the positive
+inputs positive) nor its reordered weights; `lstm` neither its time-major
+input rows nor its hidden states, which it gathers from x and its output; the
+global block not its batch-norms' affine outputs, which it forms again from
+the normalized rows.  A dropout keeps its boolean draw and forms the 0 or
+1/(1-p) factors where it applies them, forward and backward.
+
 Only the operations the model runs are provided, which keeps every gradient
 rule short enough to audit by eye.  The per-op reference autodiff they are
 checked against (`matmul`, `add`, `mul`, `scale`, `relu`, `sigmoid`, `tanh`,
@@ -55,10 +67,10 @@ These ops are fused, each one tape node for a whole batch:
   not grow with the frame or utterance count.  Its forward steps the
   shared numpy cell `lstm_cell` in place over the utterances still running
   at each frame: `h @ u` goes into one reused buffer, and the gate
-  activations and new states land in the rows the op keeps for its
-  backward, so a frame step allocates no frame-sized array.  The backward
-  runs through time over them and forms the weight and input gradients as
-  whole-batch GEMMs.
+  activations and new states land in preallocated rows (the gates and cell
+  states the op keeps for its backward), so a frame step allocates no
+  frame-sized array.  The backward runs through time over them and forms
+  the weight and input gradients as whole-batch GEMMs.
 - `linear` is `x @ w + b` over rows.  It keeps one output array (the bias is
   added in place) and forms the three gradients straight from the incoming
   one.
@@ -327,14 +339,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # pointwise nonlinearities
 
 
-def relu_(a: np.ndarray) -> np.ndarray:
-    """ReLU of an array in place with the bits of `np.where(a > 0, a, 0.0)`; returns `a > 0`.
+def relu_(a: np.ndarray) -> None:
+    """ReLU of an array in place with the bits of `np.where(a > 0, a, 0.0)`.
 
-    fmax maps NaN to 0, and adding 0.0 turns a -0.0 into +0.0.
+    fmax maps NaN to 0, and adding 0.0 turns a -0.0 into +0.0, so afterwards
+    `a > 0.0` is exactly where the input was > 0: the mask a backward needs.
     """
     np.fmax(a, 0.0, out=a)
     a += 0.0
-    return a > 0.0
 
 
 def _sigmoid_(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -357,12 +369,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = _sigmoid(x.data)
-    out_data = x.data * s
+    """x * sigmoid(x).  The node keeps no sigmoid: its backward forms it again."""
+    out_data = x.data * _sigmoid(x.data)
 
     def backward(g):
         if x.requires_grad:
+            s = _sigmoid(x.data)
             x.accumulate_grad(g * (s + out_data * (1.0 - s)))
 
     return from_op(out_data, (x,), backward)
@@ -447,12 +459,14 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator | None):
-    """The inverted-dropout factors (0 or 1/(1-p)) for `shape`, or None for identity."""
+    """The boolean keep draw (true with probability 1 - p) for `shape`, or
+    None for identity.  Callers keep this draw and form the inverted-dropout
+    factors, `keep / (1.0 - p)` (0 or 1/(1-p)), where they apply them."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return None
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return rng.random(shape) >= p
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -467,9 +481,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * keep)
+            x.accumulate_grad(g * (keep / (1.0 - p)))
 
-    return from_op(x.data * keep, (x,), backward)
+    return from_op(x.data * (keep / (1.0 - p)), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +492,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 
 # Bytes one conv2d block may hold in either pass (see conv2d).  At paper
 # width that is 25 to 141 frames a block; 8 and 32 MiB ran the paper-width
-# convs slower on a 2-vCPU OpenBLAS host.
+# convs slower on a 2-vCPU OpenBLAS host.  `_conv_block_rows` counts float64
+# bytes, so a float32 forward's blocks use half the budget.
 CONV_BLOCK_BYTES = 16 << 20
 
 
@@ -526,6 +541,13 @@ def _tap_stack(x: np.ndarray, xs: slice, win_rows: np.ndarray, rows: int, kt: in
     return stack.reshape(kf * c_in, span)
 
 
+def _tap_weights(w: np.ndarray) -> np.ndarray:
+    """w [C_out, C_in, kt, kf] as [kt, C_out, kf * C_in]: kernel row i's
+    weights in the row order of `_tap_stack`."""
+    c_out, c_in, kt, kf = w.shape
+    return np.ascontiguousarray(w.transpose(2, 0, 3, 1)).reshape(kt, c_out, kf * c_in)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
     """ReLU of a causal 2-D convolution plus bias over packed utterances.
 
@@ -551,11 +573,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
     padded window, shifted stack and accumulators, under CONV_BLOCK_BYTES
     whatever N is; a desk-sized call is one block.  Each block's outputs,
     minus those on pad rows or pad columns, go straight into the output,
-    where the bias is added and ReLU applied in place.  The forward keeps no
-    stack or padded copy: the backward rebuilds each block's stack from x
-    (Chen et al., arXiv:1604.06174), runs the same shifted GEMMs transposed
-    from a gradient that is zero at the dropped positions, and adds each
-    block's input gradient into one input-sized buffer.
+    where the bias is added and ReLU applied in place.  The node keeps its
+    output and no stack, padded copy, ReLU mask or reordered weights: the
+    backward forms the mask from the output, reorders w again, rebuilds each
+    block's stack from x (Chen et al., arXiv:1604.06174), runs the same
+    shifted GEMMs transposed from a gradient that is zero at the dropped
+    positions, and adds each block's input gradient into one input-sized
+    buffer.
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 3-D input and 4-D weight, got {x.shape}, {w.shape}")
@@ -574,7 +598,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
     blocks = _conv_blocks(base, n + pad * (len(lengths) - 1),
                           _conv_block_rows(c_in, c_out, kt, kf, fp), pad)
     dtype = x.data.dtype
-    w_rows = np.ascontiguousarray(w.data.transpose(2, 0, 3, 1)).reshape(kt, c_out, kf * c_in)
+    w_rows = _tap_weights(w.data)
 
     # Frame-major memory: each block's output rows are one contiguous span.
     out = np.empty((n, c_out, f), dtype).transpose(1, 0, 2)
@@ -593,15 +617,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
         del acc
         block += bias.data[:, None, None]
         relu_(block)
-    # relu_ leaves out > 0 exactly where its input was > 0.
-    mask = out > 0.0
 
     def backward(g):
-        g = g * mask
+        # relu_ left out > 0 exactly where its input was > 0.
+        g = g * (out > 0.0)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)))
         gw = np.zeros((kt, c_out, kf * c_in)) if w.requires_grad else None
         gx = np.zeros_like(x.data) if x.requires_grad else None
+        w_rows = _tap_weights(w.data) if gx is not None else None
         for rows, xs, win_rows, ys, acc_rows in blocks:
             m, span = rows * fp, (rows + pad) * fp
             g_flat = np.zeros((c_out, rows, fp))
@@ -836,9 +860,11 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     of rows with no mask.  The step runs in place: `h @ u` goes into one
     reused [b_0, 4H] buffer, the gate activations overwrite the block's
     input projections, and the new cell and hidden states go into its rows
-    of the kept `cs` and `hs`, which the next frame reads as its state.  The
-    backward runs through time over the same blocks, then forms the
-    gradients of x, w, u and b as whole-batch GEMMs.
+    of `cs` and `hs`, which the next frame reads as its state.  The node
+    keeps the gates, `cs` and the output: the backward gathers the
+    time-major input rows from x and the hidden states from the output.  It
+    runs through time over the same blocks, then forms the gradients of x,
+    w, u and b as whole-batch GEMMs.
     """
     hid = u.shape[0]
     if (x.ndim != 2 or w.shape != (x.shape[1], 4 * hid) or u.shape != (hid, 4 * hid)
@@ -858,11 +884,12 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     perm = (np.cumsum(lengths) - lengths)[order][slot] + frame  # time-major row -> packed row
     blocks = list(zip(offs[:-1], sizes.tolist()))
 
-    x_tm = x.data[perm]
-    dtype = x_tm.dtype
+    dtype = x.data.dtype
     # Row r holds its input projection until the step overwrites it with
     # that frame's gate activations.
-    gates = x_tm @ w.data + b.data
+    gates = np.empty((n, 4 * hid), dtype)
+    np.matmul(x.data[perm], w.data, out=gates)
+    gates += b.data
     hs = np.empty((n, hid), dtype)
     cs = np.empty((n, hid), dtype)
     hu = np.empty((sizes[0], 4 * hid), dtype)
@@ -907,9 +934,10 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
             gx[perm] = ds @ w.data.T
             x.adopt_grad(gx)
         if w.requires_grad:
-            w.accumulate_grad(x_tm.T @ ds)
+            w.accumulate_grad(x.data[perm].T @ ds)
         if u.requires_grad:
-            u.accumulate_grad(hs[prev].T @ ds[later])
+            # Time-major row r of the hidden states is out[perm[r]].
+            u.accumulate_grad(out[perm[prev]].T @ ds[later])
         if b.requires_grad:
             b.accumulate_grad(ds.sum(axis=0))
 

@@ -261,7 +261,8 @@ def scale(a, s):
 
 def relu(x):
     out = x.data.copy()
-    mask = T.relu_(out)
+    T.relu_(out)
+    mask = out > 0.0
 
     def backward(g):
         if x.requires_grad:

@@ -309,6 +309,44 @@ def test_gradients_match_per_op(lengths, se_enabled, training):
         assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
 
 
+def test_a_recorded_encoder_holds_only_what_its_backward_reads():
+    # Per block the backward reads the transposed input, both batch-norms'
+    # normalized rows and ReLU masks, the excitation's input, prefix mean,
+    # bottleneck rows and gate, the frame counts and the boolean dropout
+    # draw.  It forms the batch-norms' affine outputs again from the
+    # normalized rows and the dropout factors from the draw, so the node keeps
+    # neither.
+    held = []
+
+    def traced(enc, x, lengths, rng):
+        tracemalloc.start()
+        try:
+            out = enc.forward_batch(x, lengths, rng)
+            held.append(tracemalloc.get_traced_memory()[0] - out.data.nbytes)
+        finally:
+            tracemalloc.stop()
+        return out
+
+    m = ModelSettings(dropout_p=0.1)
+    lengths = (40, 25, 55)
+    arrays, seeds = batch_inputs(lengths, D, 54)
+    got = run_encoder(traced, m, arrays, seeds, True, training=True)
+    want = run_encoder(global_encoder_per_op, m, arrays, seeds, True, training=True)
+    n, e, se = sum(lengths), m.expansion * D, max(D // m.se_divisor, m.se_min)
+    # Float rows: input, two normalized, excitation input, mean and gate,
+    # bottleneck, frame count.  Bool rows: two masks, the dropout draw.
+    floats = n * (D + 2 * e + 3 * D + se + 1)
+    bools = n * (2 * e + D)
+    # Per block, 12 KiB of slack: the closure, the taps' in-utterance masks,
+    # the spans and the running statistics the forward replaces.
+    assert held[0] <= m.global_blocks * (8 * floats + bools + (12 << 10))
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.all(np.isfinite(got[key])), key
+        scale = np.max(np.abs(want[key]))
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
+
+
 @pytest.mark.parametrize("se_enabled", [True, False])
 def test_block_gradient_matches_fd(se_enabled):
     # Three unequal lengths, so training-mode batch-norm pools across them and

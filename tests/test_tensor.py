@@ -417,9 +417,10 @@ def test_relu_in_place_matches_where_form_bitwise():
     edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.5, -1.5])
     for z in (edges, np.random.default_rng(43).standard_normal((40, 64))):
         got = z.copy()
-        mask = T.relu_(got)
+        T.relu_(got)
         assert same_bits(got, np.where(z > 0, z, 0.0))
-        assert np.array_equal(mask, z > 0)
+        # So `got > 0.0` is the mask a backward reads.
+        assert np.array_equal(got > 0.0, z > 0)
 
 
 def test_sigmoid_matches_masked_form_bitwise():
@@ -643,6 +644,70 @@ def test_dropout_masks_and_rescales():
     assert np.array_equal(out.data, np.where(keep, 1.0 / 0.75, 0.0))
     out.backward(np.ones_like(x))
     assert np.array_equal(xt.grad, np.where(keep, 1.0 / 0.75, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# what a recorded node keeps: its output and what its backward cannot rebuild
+
+
+# Bytes a node may hold besides the arrays named in its case: the tensor and
+# closure objects, the LSTM's row orders and frame blocks, the conv's block
+# row indices.
+NODE_SLACK = 12 << 10
+
+
+def lstm_case(rng):
+    arrays = [rng.standard_normal((120, 48)), rng.uniform(-0.5, 0.5, (48, 128)),
+              rng.uniform(-0.5, 0.5, (32, 128)), rng.uniform(-0.5, 0.5, 128)]
+    # The gates, the cell states and the output, [120, 4 * 32 + 32 + 32];
+    # not the time-major input rows or hidden states.
+    return T.lstm, lstm_per_utterance, arrays, lambda: ([60, 17, 43],), 120 * 192 * 8
+
+
+def conv2d_case(rng):
+    arrays = [rng.standard_normal((16, 160, 6)), rng.standard_normal((16, 16, 3, 5)) * 0.2,
+              rng.standard_normal(16) * 0.1]
+    # The output, [16, 160, 6]; not the ReLU mask or the reordered weights.
+    return T.conv2d, causal_conv2d_per_utterance, arrays, lambda: ([80, 27, 53],), 16 * 160 * 6 * 8
+
+
+def swish_case(rng):
+    # The output, which is all the node keeps; not the sigmoid.
+    return (T.swish, lambda x: oracles.mul(x, oracles.sigmoid(x)),
+            [rng.standard_normal((200, 64))], lambda: (), 200 * 64 * 8)
+
+
+def dropout_oracle(x, p, rng):
+    return oracles.mul(x, T.Tensor((rng.random(x.shape) >= p) / (1.0 - p)))
+
+
+def dropout_case(rng):
+    # The output and the boolean draw; not float64 factors.
+    return (T.dropout, dropout_oracle, [rng.standard_normal((200, 64))],
+            lambda: (0.25, np.random.default_rng(61)), 200 * 64 * (8 + 1))
+
+
+@pytest.mark.parametrize("case", [lstm_case, conv2d_case, swish_case, dropout_case])
+def test_a_recorded_op_holds_only_what_its_backward_reads(case):
+    rng = np.random.default_rng(60)
+    op, oracle, arrays, extra, kept = case(rng)
+    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    tracemalloc.start()
+    try:
+        out = op(*tensors, *extra())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= kept + NODE_SLACK
+    # Its backward forms again what the node dropped: the gradients agree
+    # with the oracle's as before.
+    seed = rng.standard_normal(out.shape)
+    out.backward(seed)
+    got = [out.data] + [t.grad for t in tensors]
+    want = run_with_grads(oracle, arrays, seed, *extra())
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g))
+        assert max_rel(g, w) <= ORACLE_TOL
 
 
 # ---------------------------------------------------------------------------
