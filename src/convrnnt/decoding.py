@@ -6,15 +6,14 @@ per-frame cap that guards against emission loops) and a blank advances to
 the next frame.  Ties resolve to the lowest symbol id.  The decoder state is
 explicit, so audio can be fed in arbitrary chunks with identical results.
 
-Decoding runs the streaming half of the model's own `Joint` and
-`LabelEncoder.step`, so decoding and training share one joint and one
-label-encoder definition.  Each frame is projected once (`Joint.enc_term`)
-and each label row once per emission (`Joint.pred_term`; the state keeps
-only that term across chunks).  A symbol step runs only the tanh and the
-output GEMV of its cell (`Joint.cell`), into buffers reused within the
-frame.  The logits and the score have the bits of a joint call on one cell.
-Decoding runs in the model's dtype: each frame is cast to it once, so a
-float32 model never reads its weights in float64.
+Decoding runs the model's own code: each frame passes `TransducerModel.cast`
+(the cast to the model's dtype and input check of `encode_audio`), and
+`LabelEncoder.step` looks each emitted id up as the batch path does.  Each
+frame is projected once (`Joint.enc_term`) and each label row once per
+emission (`Joint.pred_term`; the state keeps only that term across chunks).
+A symbol step runs only the joint's head (`Joint.cell`, `tensor.joint_head`)
+into buffers reused within the frame, so the logits and the score have the
+bits of a joint call on one cell, in the model's dtype.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .model import TransducerModel
 
 DEFAULT_SYMBOL_CAP = 10
@@ -51,18 +50,13 @@ def step_frame(
 ) -> DecoderState:
     """Consume one encoder frame, emitting greedily until a blank (or the cap).
 
-    The frame is cast once to the model's dtype, which the step runs in.  A
-    frame that is not [proj_dim] raises `ShapeError`, one holding a value
-    that is not finite in the model's dtype `DataError`.
+    The frame goes through `model.cast` once, so the step runs in the model's
+    dtype; one that is not [proj_dim] raises `ShapeError`.
     """
     if max_symbols_per_frame < 1:
         raise ConfigError("max_symbols_per_frame must be >= 1")
-    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf
-        enc_t = enc_t.astype(model.dtype, copy=False)
-    if not np.isfinite(enc_t).all():
-        raise DataError(f"encoder frame holds values that are not finite in {model.dtype}")
     joint = model.joint
-    enc_term = joint.enc_term(enc_t)
+    enc_term = joint.enc_term(model.cast(enc_t))
     hidden = np.empty_like(enc_term)
     logits = np.empty((1, joint.out.bias.shape[0]), model.dtype)
     for _ in range(max_symbols_per_frame):
@@ -75,8 +69,7 @@ def step_frame(
         if k == 0:
             return state
         state.tokens.append(k)
-        emb = model.label_encoder.embed.table.data[k][None, :]
-        state.lstm_states, pred = model.label_encoder.step(state.lstm_states, emb)
+        state.lstm_states, pred = model.label_encoder.step(state.lstm_states, k)
         state.pred_term = joint.pred_term(pred)
     # Loop guard: at the cap, move on without charging a blank.
     return state

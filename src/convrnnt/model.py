@@ -128,12 +128,12 @@ class TransducerModel:
         packed [sum T_i, proj_dim] rows in the model's dtype; one tensor is a
         batch of one, and batch-norm statistics pool across the utterances.
         An empty batch, an utterance without frames and features of another
-        width raise `ShapeError`, non-finite features `DataError`.
+        width raise `ShapeError`.
 
-        The features are cast once to the model's dtype, and every encoder
-        layer computes in it; features beyond its range raise `DataError`.
-        On a float32 model, a generator or features that the forward would
-        record raise `TrainingError`."""
+        The features are cast once to the model's dtype by `cast`, which
+        raises `DataError` on a value not finite there, and every encoder
+        layer computes in it.  On a float32 model, a generator or features
+        that the forward would record raise `TrainingError`."""
         if rng is not None or T.records(xs):
             self._require_float64("a training or recorded forward")
         if not xs:
@@ -145,12 +145,9 @@ class TransducerModel:
                 )
         lengths = [x.shape[0] for x in xs]
         x = T.concat(xs, axis=0)
-        if not np.isfinite(x.data).all():
-            raise DataError("input features hold non-finite values")
-        if x.data.dtype != self.dtype:
-            if np.abs(x.data).max() > np.finfo(self.dtype).max:
-                raise DataError(f"input features exceed the {self.dtype} range")
-            x = Tensor(x.data.astype(self.dtype))
+        data = self.cast(x.data)
+        if data is not x.data:
+            x = Tensor(data)
         parts = []
         if self.local is not None:
             parts.append(self.local(x, lengths))
@@ -180,6 +177,15 @@ class TransducerModel:
         xs = [Tensor(features) for features in features_list]
         enc = self.encode_audio(*xs, rng=rng)
         return self.encoded_loss(enc, [x.shape[0] for x in xs], tokens_list, rng)
+
+    def cast(self, a: np.ndarray) -> np.ndarray:
+        """`a` in the model's dtype (itself if already in it), the input check
+        of `encode_audio` and the decoder: a value not finite there raises `DataError`."""
+        with np.errstate(over="ignore"):  # a value beyond the range becomes inf
+            a = a.astype(self.dtype, copy=False)
+        if not np.isfinite(a).all():
+            raise DataError(f"input values not finite in {self.dtype} (NaN, inf or out of range)")
+        return a
 
     def _require_float64(self, what: str) -> None:
         if self.dtype != np.float64:

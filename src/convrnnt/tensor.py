@@ -38,7 +38,9 @@ inputs positive) nor its reordered weights; `lstm` neither its time-major
 input rows nor its hidden states, which it gathers from x and its output; the
 global block not its batch-norms' affine outputs, which it forms again from
 the normalized rows.  A dropout keeps its boolean draw and forms the 0 or
-1/(1-p) factors where it applies them, forward and backward.
+1/(1-p) factors where it applies them, forward and backward.  A backward
+runs once, so it may spend what its node keeps: `lstm` and `joint` form
+their pre-activation gradients in the gate and tanh rows they keep.
 
 Only the operations the model runs are provided, which keeps every gradient
 rule short enough to audit by eye.  The per-op reference autodiff they are
@@ -721,12 +723,26 @@ def row_blocks(r0: int, r1: int, width: int) -> list:
     """Slices that split rows r0:r1 of a [*, width] float64 array into as few
     blocks as fit in BLOCK_BYTES (at least one row each), of nearly equal
     size: a block of a split keeps at least half the budget's rows, never a
-    short tail.  A GEMM over a block of many rows has the bits of those rows
-    of one GEMM over r0:r1, while one row (which NumPy runs as a GEMV) or a
-    few (which OpenBLAS may run with another kernel) can differ."""
+    short tail.  Whether a blocked GEMM keeps the bits of one GEMM over r0:r1
+    depends on the BLAS and the shapes: on OpenBLAS 0.3.31 with 2 threads,
+    `g @ w.T` over `row_blocks(0, 10323, 512)` does and `t @ w` over
+    `row_blocks(0, 10323, 2501)` does not; tests pin the joint's backward."""
     n = -(-(r1 - r0) // max(1, BLOCK_BYTES // (width * 8)))
     ends = [r0 + (r1 - r0) * k // n for k in range(n + 1)]
     return [slice(e0, e1) for e0, e1 in zip(ends[:-1], ends[1:])]
+
+
+def joint_head(t: np.ndarray, bias: np.ndarray, w: np.ndarray, bw: np.ndarray, spans,
+               out: np.ndarray) -> np.ndarray:
+    """The head of `joint` and `Joint.cell`: `tanh(t + bias) @ w + bw` for the
+    summed terms t [C, J] into `out` [C, V], returned.  The bias add and tanh
+    run in place once over all rows, then one GEMM per (c0, c1) row span."""
+    t += bias
+    np.tanh(t, out=t)
+    for c0, c1 in spans:
+        np.matmul(t[c0:c1], w, out=out[c0:c1])
+    out += bw
+    return out
 
 
 def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor, bw: Tensor,
@@ -777,12 +793,8 @@ def joint(a: Tensor, wa: Tensor, b: Tensor, wb: Tensor, bias: Tensor, w: Tensor,
         np.matmul(a.data[a0:a1], wa.data, out=pa[a0:a1])
         np.matmul(b.data[b0:b1], wb.data, out=pb[b0:b1])
         np.add(pa[a0:a1, None, :], pb[None, b0:b1, :], out=t[c0:c1].reshape(a1 - a0, b1 - b0, j))
-    t += bias.data
-    np.tanh(t, out=t)
-    out = np.empty((t.shape[0], v), dtype)
-    for _, _, (c0, c1) in groups:
-        np.matmul(t[c0:c1], w.data, out=out[c0:c1])
-    out += bw.data
+    out = joint_head(t, bias.data, w.data, bw.data, [c for *_, c in groups],
+                     np.empty((t.shape[0], v), dtype))
 
     def backward(g):
         g = g.reshape(-1, v)
@@ -903,32 +915,33 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
     def backward(g):
         g = g[perm]
         i, f, cand, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
-        tc = np.tanh(cs)
-        # The rows of frames t > 0 and, row for row, their frame t-1 rows.
-        later = np.arange(sizes[0], n)
-        prev = later - np.repeat(sizes[:-1], sizes[1:])
-        c_prev = np.zeros_like(cs)
-        c_prev[later] = cs[prev]
-        # ds = dL/d(pre-activations); per gate block it is dc (i, f, g) or dh
-        # (o) times a factor that does not depend on the recurrence.
-        factor = np.concatenate(
-            [cand * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - cand * cand),
-             tc * o * (1.0 - o)], axis=1,
-        ).reshape(n, 4, hid)
+        s0 = sizes[0]
+        # prev[r - s0] is the frame t-1 row of row r >= s0, which is at a frame t > 0.
+        prev = np.arange(s0, n) - np.repeat(sizes[:-1], sizes[1:])
+        # ds = dL/d(pre-activations) forms in the gate rows: per gate block, dc (i, f, g)
+        # or dh (o) times a recurrence-free factor formed over the activation it replaces.
+        f_act = f.copy()
+        scratch = cand * i * (1.0 - i)
+        np.multiply(i, 1.0 - cand * cand, out=cand)
+        i[...] = scratch
+        tc = np.tanh(cs, out=scratch)
         dc_dh = o * (1.0 - tc * tc)
-        ds = np.empty((n, 4, hid))
-        u_t = u.data.T
-        dh_next = np.zeros((sizes[0], hid))
-        dc_next = np.zeros((sizes[0], hid))
+        np.multiply(tc * o, 1.0 - o, out=o)
+        # c_prev * f * (1 - f), where c_prev is zero on the frame-0 rows.
+        f[:s0] *= 0.0
+        f[s0:] *= cs[prev]
+        f *= 1.0 - f_act
+        dh_next, dc_next = np.zeros((s0, hid)), np.zeros((s0, hid))
         for a, bt in reversed(blocks):
             blk = slice(a, a + bt)
             dh = g[blk] + dh_next[:bt]
             dc = dc_next[:bt] + dh * dc_dh[blk]
-            ds[blk, :3] = dc[:, None, :] * factor[blk, :3]
-            ds[blk, 3] = dh * factor[blk, 3]
-            dc_next[:bt] = dc * f[blk]
-            dh_next[:bt] = ds[blk].reshape(bt, 4 * hid) @ u_t
-        ds = ds.reshape(n, 4 * hid)
+            ds = gates[blk].reshape(bt, 4, hid)
+            ds[:, :3] *= dc[:, None, :]
+            ds[:, 3] *= dh
+            dc_next[:bt] = dc * f_act[blk]
+            dh_next[:bt] = gates[blk] @ u.data.T
+        ds = gates
         if x.requires_grad:
             gx = np.empty_like(x.data)
             gx[perm] = ds @ w.data.T
@@ -937,7 +950,7 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths) -> Tensor:
             w.accumulate_grad(x.data[perm].T @ ds)
         if u.requires_grad:
             # Time-major row r of the hidden states is out[perm[r]].
-            u.accumulate_grad(out[perm[prev]].T @ ds[later])
+            u.accumulate_grad(out[perm[prev]].T @ ds[s0:])
         if b.requires_grad:
             b.accumulate_grad(ds.sum(axis=0))
 

@@ -86,10 +86,10 @@ class AudioEncoder:
 class LabelEncoder:
     """Encodes emitted-token prefixes; row u is the state after y_1..y_u.
 
-    The start state (row 0) comes from a zero input vector rather than a
-    dedicated start token.  `__call__` encodes whole token lists on the tape,
-    packed; `start` and `step` advance one token at a time in plain numpy for
-    the decoder, with the same per-layer math.
+    The start state (row 0) comes from a zero input row, the embedding of
+    id -1.  `__call__` encodes whole token lists on the tape, packed; `step`
+    advances one token id at a time in plain numpy for the decoder, with the
+    same lookup and math, and `start` is its step on -1 from zero states.
     """
 
     def __init__(self, m: ModelSettings, rng: np.random.Generator):
@@ -113,21 +113,17 @@ class LabelEncoder:
         return h
 
     def start(self):
-        """Per-layer (h, c) [1, H] states and [label_proj] output of row 0,
-        in the weights' dtype."""
+        """Per-layer (h, c) [1, H] states and output of row 0, in the weights' dtype."""
         dtype = self.embed.table.data.dtype
-        states = [(np.zeros((1, layer.hidden), dtype), np.zeros((1, layer.hidden), dtype))
-                  for layer in self.layers]
-        return self.step(states, np.zeros((1, self.m.label_embed), dtype))
+        return self.step([(np.zeros((1, layer.hidden), dtype),) * 2 for layer in self.layers], -1)
 
-    def step(self, states, x: np.ndarray):
-        """Advance the per-layer states by one [1, label_embed] input row.
-
-        Runs `lstm_cell` and the layer projection outside the tape; returns the
-        new states and the [label_proj] output row.
-        """
+    def step(self, states, token: int):
+        """Advance the per-layer states by one token id (-1: the start input),
+        looked up as `__call__` does, outside the tape with `lstm_cell` and the
+        layer projections; returns the new states and the output row."""
         new_states = []
         with T.no_grad():
+            x = self.embed([token]).data
             for layer, (h, c) in zip(self.layers, states):
                 gates = x @ layer.w.data + layer.b.data
                 h2, c2 = np.empty_like(h), np.empty_like(c)
@@ -154,13 +150,10 @@ class Joint:
     utterance, so each utterance's logits have the bits of a call on its
     rows alone.
 
-    Its streaming half, for the decoder, runs outside the tape in plain
-    numpy, as `LabelEncoder.start` and `step` do: `enc_term` and `pred_term`
-    project one encoder frame (A.enc_t) and one label row (B.pred_u) to
-    [1, joint_dim], and `cell` turns the two terms into one cell's logits.
-    They are the ops of a call on that one frame and label row, so the
-    logits have its bits, while a decoder projects each frame and each label
-    row once however many cells reuse it.
+    Its streaming half, for the decoder, runs outside the tape: `enc_term`
+    and `pred_term` project one encoder frame (A.enc_t) and one label row
+    (B.pred_u) to [1, joint_dim], and `cell` runs the joint's head on their
+    sum, with the bits of a call on that one frame and label row.
     """
 
     def __init__(self, m: ModelSettings, rng: np.random.Generator):
@@ -186,16 +179,11 @@ class Joint:
 
     def cell(self, enc_term: np.ndarray, pred_term: np.ndarray, hidden: np.ndarray,
              out: np.ndarray) -> np.ndarray:
-        """One cell's [1, V+1] logits from its two terms, written into `out`.
-
-        `hidden` is [1, joint_dim] scratch for the tanh.  Returns `out`.
-        """
+        """One cell's [1, V+1] logits from its two terms, written into `out`
+        (returned); `hidden` is [1, joint_dim] scratch for the tanh."""
         np.add(enc_term, pred_term, out=hidden)
-        hidden += self.bias.data
-        np.tanh(hidden, out=hidden)
-        np.matmul(hidden, self.out.weight.data, out=out)
-        out += self.out.bias.data
-        return out
+        return T.joint_head(hidden, self.bias.data, self.out.weight.data, self.out.bias.data,
+                            [(0, 1)], out)
 
     def params(self):
         return [

@@ -482,8 +482,7 @@ def step_frame_one_cell(model, state, pred_row, enc_t, max_symbols_per_frame):
         if k == 0:
             return state, pred_row
         state.tokens.append(k)
-        emb = model.label_encoder.embed.table.data[k][None, :]
-        state.lstm_states, pred_row = model.label_encoder.step(state.lstm_states, emb)
+        state.lstm_states, pred_row = model.label_encoder.step(state.lstm_states, k)
         emitted += 1
         if emitted >= max_symbols_per_frame:
             return state, pred_row

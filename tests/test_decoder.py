@@ -63,9 +63,7 @@ def test_single_frame_emits_token_then_blank():
         layer.proj.weight.data[...] = 0.5
     model.joint.pred_proj.data[...] = np.eye(cfg.model.label_proj)
     state = init_state(model)
-    states, pred_after = model.label_encoder.step(
-        state.lstm_states, model.label_encoder.embed.table.data[3][None, :]
-    )
+    states, pred_after = model.label_encoder.step(state.lstm_states, 3)
     z_after = np.tanh(pred_after @ model.joint.pred_proj.data + model.joint.bias.data)
     model.joint.out.weight.data[:, 0] = 10.0 * z_after / (z_after @ z_after)
     enc = np.zeros((1, cfg.model.proj_dim))
@@ -113,9 +111,8 @@ def test_label_encoder_rows_match_streaming_pred_rows():
         rows = model.label_encoder(tokens).data
     states, pred = model.label_encoder.start()
     streamed = [pred]
-    table = model.label_encoder.embed.table.data
     for k in tokens:
-        states, pred = model.label_encoder.step(states, table[k][None, :])
+        states, pred = model.label_encoder.step(states, k)
         streamed.append(pred)
     # Not bitwise: the tape projects all inputs with one GEMM, the decoder
     # one row at a time.
@@ -205,6 +202,25 @@ def test_step_frame_rejects_bad_frames_and_keeps_the_state(bad, error):
     with pytest.raises(error):
         step_frame(model, state, frame)
     assert state.tokens == [] and state.score == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e39])
+def test_encode_audio_and_step_frame_refuse_a_bad_value_in_the_same_words(value):
+    # One input check: NaN, and a float64 value beyond the float32 range,
+    # which the cast would turn into inf.
+    cfg = load_preset("desk", ["model.vocab_size=6", "model.inference_dtype=float32"])
+    model = TransducerModel(cfg, seed=16)
+    rng = np.random.default_rng(17)
+    feats = rng.standard_normal((6, cfg.input_dim))
+    frame = rng.standard_normal(cfg.model.proj_dim)
+    feats[2, 3] = frame[3] = value
+    messages = []
+    for refuse in (lambda: model.encode_audio(T.Tensor(feats)),
+                   lambda: step_frame(model, init_state(model), frame)):
+        with T.no_grad(), pytest.raises(DataError, match="not finite in float32") as refusal:
+            refuse()
+        messages.append(str(refusal.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -319,6 +319,30 @@ def test_float32_lstm_matches_the_float32_frame_loop_bitwise():
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
+def test_lstm_backward_forms_the_pre_activation_gradient_in_the_gate_rows():
+    # A desk audio LSTM (64 inputs, 64 hidden) over a batch of ten.  The
+    # backward's transient stays under the [N, 4H] factor, the [N, 4H]
+    # gradient and its gathered later-frame rows it once built beside the
+    # gates: it forms dL/d(pre-activation) in the gate rows the node keeps.
+    lengths = [90, 71, 84, 66, 95, 78, 88, 70, 81, 75]
+    n, hid = sum(lengths), 64
+    rng = np.random.default_rng(52)
+    x, w, u, b = (T.Tensor(a, requires_grad=True) for a in (
+        rng.standard_normal((n, 64)), rng.uniform(-0.2, 0.2, (64, 4 * hid)),
+        rng.uniform(-0.2, 0.2, (hid, 4 * hid)), rng.uniform(-0.2, 0.2, 4 * hid)))
+    out = T.lstm(x, w, u, b, lengths)
+    seed = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        out.backward(seed)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.all(np.isfinite(t.grad)) for t in (x, w, u, b))
+    # All ten run at frame 0, so N - 10 rows are later frames' rows.
+    assert peak - kept < (3 * n - len(lengths)) * 4 * hid * 8
+
+
 @pytest.mark.parametrize("op,make", [(T.conv2d, packed_conv_args), (T.lstm, packed_lstm_args)])
 def test_packed_op_rejects_lengths_that_do_not_split_the_rows(op, make):
     arrays = [T.Tensor(a) for a in make(np.random.default_rng(48), n=6)]

@@ -189,11 +189,10 @@ def test_label_encoder_rejects_non_integer_ids(bad):
 
 def test_label_encoder_step_matches_allocating_cell_bitwise():
     enc = LabelEncoder(dataclasses.replace(CFG, label_layers=2), np.random.default_rng(13))
-    rng = np.random.default_rng(14)
     states = want_states = [(np.zeros((1, layer.hidden)),) * 2 for layer in enc.layers]
-    for _ in range(4):
-        x = rng.standard_normal((1, CFG.label_embed))
-        states, row = enc.step(states, x)
+    for k in (-1, 3, 1, 4):
+        states, row = enc.step(states, k)
+        x = np.zeros((1, CFG.label_embed)) if k < 0 else enc.embed.table.data[k][None, :]
         stepped = []
         for layer, (h, c) in zip(enc.layers, want_states):
             h, c, _ = oracles.lstm_cell_allocating(x @ layer.w.data + layer.b.data, h, c,
