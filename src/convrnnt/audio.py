@@ -29,20 +29,24 @@ class FeatureConfig:
     skip: int = 3
 
     def __post_init__(self):
-        if not self.window_ms > self.hop_ms > 0:
-            raise ConfigError(
-                f"window ({self.window_ms} ms) must exceed hop ({self.hop_ms} ms)"
-            )
-        if self.sample_rate_hz < 1 or self.hop_samples < 1:
+        # Written so that NaN and inf fail every bound.  A WAV header holds the
+        # rate in 32 bits, and a window of over FFT_SIZE seconds is too long at
+        # any rate, so the sample counts below are finite.
+        for name, bound, ok in (
+            ("sample_rate_hz", "in [1, 2**32)", 1 <= self.sample_rate_hz < 2**32),
+            ("window_ms", f"in (0, {1000 * FFT_SIZE}]", 0.0 < self.window_ms <= 1000.0 * FFT_SIZE),
+            ("hop_ms", "in (0, feature.window_ms)", 0.0 < self.hop_ms < self.window_ms),
+            ("n_bands", f"in [1, {FFT_SIZE // 2 + 1}]", 1 <= self.n_bands <= FFT_SIZE // 2 + 1),
+            ("stack", "positive", self.stack >= 1),
+            ("skip", "positive", self.skip >= 1),
+        ):
+            if not ok:
+                raise ConfigError(f"feature.{name} must be {bound}, got {getattr(self, name)}")
+        if self.hop_samples < 1:
             raise ConfigError(f"feature.sample_rate_hz {self.sample_rate_hz} makes a hop of no samples")
         if self.window_samples > FFT_SIZE:
             # The FFT would crop the window to its first FFT_SIZE samples.
             raise ConfigError(f"window of {self.window_samples} samples exceeds the FFT size {FFT_SIZE}")
-        if self.n_bands < 1 or self.n_bands > FFT_SIZE // 2 + 1:
-            raise ConfigError(f"n_bands {self.n_bands} out of range")
-        for name in ("stack", "skip"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"feature.{name} must be positive, got {getattr(self, name)}")
 
     @property
     def window_samples(self) -> int:
@@ -85,7 +89,11 @@ class SpecAugConfig:
 
 
 def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
-    with wave.open(str(path), "rb") as f:
+    try:
+        f = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as exc:
+        raise DataError(f"{path}: not a PCM WAV file ({str(exc) or 'header cut short'})") from None
+    with f:
         if f.getnchannels() != 1:
             raise DataError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
         if f.getsampwidth() != 2:
@@ -94,7 +102,10 @@ def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
             raise DataError(
                 f"{path}: sample rate {f.getframerate()} != expected {expected_rate}"
             )
-        payload = f.readframes(f.getnframes())
+        n = f.getnframes()
+        payload = f.readframes(n)
+    if len(payload) != 2 * n:
+        raise DataError(f"{path}: holds {len(payload) // 2} of the {n} samples its header declares")
     return np.frombuffer(payload, dtype="<i2").astype(np.int64)
 
 

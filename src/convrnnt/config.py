@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .audio import FeatureConfig, SpecAugConfig
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 
 @dataclass
@@ -221,9 +221,7 @@ def config_from_flat(flat: dict) -> RunConfig:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        flat = parse_config_text(f.read())
-    return apply_overrides(flat, overrides)
+    return apply_overrides(parse_config_text(read_text(path, ConfigError)), overrides)
 
 
 def load_preset(name: str, overrides=()) -> RunConfig:

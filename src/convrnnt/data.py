@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import write_wav
-from .errors import DataError
+from .errors import DataError, read_text
 from .vocab import Vocab, char_vocab
 
 TOY_ALPHABET = "abcdefgh"
@@ -30,22 +30,20 @@ class Utterance:
 def load_manifest(path):
     entries = []
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{lineno}: expected '<wav-path>\\t<transcript>'")
-            audio_path, transcript = line.split("\t", 1)
-            if not transcript.split():
-                raise DataError(f"{path}:{lineno}: transcript has no words")
-            if not os.path.isabs(audio_path):
-                audio_path = os.path.join(base, audio_path)
-            if not os.path.exists(audio_path):
-                raise DataError(f"{path}:{lineno}: missing audio file {audio_path}")
-            utt_id = os.path.splitext(os.path.basename(audio_path))[0]
-            entries.append(Utterance(utt_id, audio_path, transcript))
+    for lineno, line in enumerate(read_text(path, DataError).split("\n"), 1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{lineno}: expected '<wav-path>\\t<transcript>'")
+        audio_path, transcript = line.split("\t", 1)
+        if not transcript.split():
+            raise DataError(f"{path}:{lineno}: transcript has no words")
+        if not os.path.isabs(audio_path):
+            audio_path = os.path.join(base, audio_path)
+        if not os.path.exists(audio_path):
+            raise DataError(f"{path}:{lineno}: missing audio file {audio_path}")
+        utt_id = os.path.splitext(os.path.basename(audio_path))[0]
+        entries.append(Utterance(utt_id, audio_path, transcript))
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries

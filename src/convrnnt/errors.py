@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that raises them."""
 
 
 class ShapeError(ValueError):
@@ -15,3 +16,12 @@ class DataError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training hit an unrecoverable state (e.g. a non-finite loss)."""
+
+
+def read_text(path, error) -> str:
+    """The UTF-8 text of the file at `path`; `error`, naming the path, if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelSettings
-from .layers import BatchNormTime, Conv1dLayer, Linear, collect_params
+from .layers import BatchNormTime, Conv1dLayer, Linear, accumulate, collect_params
 from .tensor import Tensor
 
 
@@ -110,8 +110,8 @@ class GlobalBlock:
         h += self.pw_in.bias.data[:, None]
         T.relu_(h)
         mask_in = h > 0.0
-        xhat_in, inv_in = T.batchnorm_normalize(h, self.norm_in.stats, training, out=h)
-        a_in = self._affine(self.norm_in, xhat_in)
+        xhat_in, inv_in = self.norm_in.normalize(h, training, out=h)
+        a_in = self.norm_in.affine(xhat_in)
 
         # causal dilated depthwise -> ReLU -> batch-norm
         w_dw = self.dw.weight.data[:, 0, :]
@@ -127,8 +127,8 @@ class GlobalBlock:
         h += self.dw.bias.data[:, None]
         T.relu_(h)
         mask_dw = h > 0.0
-        xhat_dw, inv_dw = T.batchnorm_normalize(h, self.norm_dw.stats, training, out=h)
-        a_dw = self._affine(self.norm_dw, xhat_dw)
+        xhat_dw, inv_dw = self.norm_dw.normalize(h, training, out=h)
+        a_dw = self.norm_dw.affine(xhat_dw)
 
         # pointwise out, squeeze-excite, dropout and the residual, [N, D]
         w_out = self.pw_out.weight.data[:, :, 0]
@@ -167,15 +167,15 @@ class GlobalBlock:
             for a, b in spans:
                 dz[a:b] += np.cumsum(dm[a:b][::-1], axis=0)[::-1]
             dzc = np.ascontiguousarray(dz.T)
-            _accumulate(self.pw_out.bias, dzc.sum(axis=1))
-            a_dw = self._affine(self.norm_dw, xhat_dw)
-            _accumulate(self.pw_out.weight, (dzc @ a_dw.T)[:, :, None])
+            accumulate(self.pw_out.bias, dzc.sum(axis=1))
+            a_dw = self.norm_dw.affine(xhat_dw)
+            accumulate(self.pw_out.weight, (dzc @ a_dw.T)[:, :, None])
 
-            g_h = self._norm_backward(self.norm_dw, w_out.T @ dzc, xhat_dw, inv_dw, training)
+            g_h = self.norm_dw.backward(w_out.T @ dzc, xhat_dw, inv_dw, training)
             g_h *= mask_dw
-            _accumulate(self.dw.bias, g_h.sum(axis=1))
+            accumulate(self.dw.bias, g_h.sum(axis=1))
             g_w = np.zeros_like(w_dw)
-            a_in = self._affine(self.norm_in, xhat_in)
+            a_in = self.norm_in.affine(xhat_in)
             g_in = np.zeros_like(a_in)
             for j, s in enumerate(shifts):
                 if s >= n_rows:
@@ -183,12 +183,12 @@ class GlobalBlock:
                 g_tap = g_h[:, s:] * inside[s] if s in inside else g_h[:, s:]
                 g_w[:, j] = (g_tap * a_in[:, :n_rows - s]).sum(axis=1)
                 g_in[:, :n_rows - s] += w_dw[:, j:j + 1] * g_tap
-            _accumulate(self.dw.weight, g_w[:, None, :])
+            accumulate(self.dw.weight, g_w[:, None, :])
 
-            g_h = self._norm_backward(self.norm_in, g_in, xhat_in, inv_in, training)
+            g_h = self.norm_in.backward(g_in, xhat_in, inv_in, training)
             g_h *= mask_in
-            _accumulate(self.pw_in.bias, g_h.sum(axis=1))
-            _accumulate(self.pw_in.weight, (g_h @ xt.T)[:, :, None])
+            accumulate(self.pw_in.bias, g_h.sum(axis=1))
+            accumulate(self.pw_in.weight, (g_h @ xt.T)[:, :, None])
             if not input_grad:
                 return None
             g_x = (w_in.T @ g_h).T
@@ -210,24 +210,9 @@ class GlobalBlock:
     @staticmethod
     def _rows_backward(g: np.ndarray, x: np.ndarray, lin: Linear) -> np.ndarray:
         """Accumulate the weight and bias gradients of `_rows`; returns the input gradient."""
-        _accumulate(lin.weight, x.T @ g)
-        _accumulate(lin.bias, g.sum(axis=0))
+        accumulate(lin.weight, x.T @ g)
+        accumulate(lin.bias, g.sum(axis=0))
         return g @ lin.weight.data.T
-
-    @staticmethod
-    def _affine(norm: BatchNormTime, xhat: np.ndarray) -> np.ndarray:
-        """gamma * xhat + beta per channel, into a new array.  The forward
-        drops it once consumed, and the backward forms it again from xhat."""
-        out = norm.gamma.data[:, None] * xhat
-        out += norm.beta.data[:, None]
-        return out
-
-    @staticmethod
-    def _norm_backward(norm: BatchNormTime, g, xhat, inv_std, training) -> np.ndarray:
-        dx, dgamma, dbeta = T.batchnorm_backward(g, xhat, inv_std, norm.gamma.data, training)
-        _accumulate(norm.gamma, dgamma)
-        _accumulate(norm.beta, dbeta)
-        return dx
 
     def params(self):
         return collect_params([
@@ -242,11 +227,6 @@ class GlobalBlock:
 
     def norm_layers(self):
         return [("norm_in", self.norm_in), ("norm_dw", self.norm_dw)]
-
-
-def _accumulate(p: Tensor, g: np.ndarray) -> None:
-    if p.requires_grad:
-        p.accumulate_grad(g)
 
 
 class GlobalEncoder:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import RunningStats, Tensor
+from .tensor import Tensor
 
 
 def param(data: np.ndarray) -> Tensor:
@@ -38,6 +38,12 @@ SWISH_PROJ_GAIN = 2.0 * 3.0 ** 0.5
 
 def zeros_param(shape, dtype) -> Tensor:
     return param(np.zeros(shape, dtype))
+
+
+def accumulate(p: Tensor, g: np.ndarray) -> None:
+    """Add g to the gradient of a parameter that requires one."""
+    if p.requires_grad:
+        p.accumulate_grad(g)
 
 
 class Linear:
@@ -79,11 +85,58 @@ class Conv2dLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
+# Variance floor and running-statistics momentum of every batch-norm.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 class BatchNormTime:
+    """Batch-norm of each channel of [C, N] rows over its N frames (Ioffe &
+    Szegedy, arXiv:1502.03167): gamma, beta and the running statistics that
+    eval normalizes with, in one dtype.  `backward` takes what `normalize` returned."""
+
     def __init__(self, channels: int, dtype):
         self.gamma = param(np.ones(channels, dtype))
         self.beta = zeros_param(channels, dtype)
-        self.stats = RunningStats(channels, dtype)
+        self.running_mean = np.zeros(channels, dtype)
+        self.running_var = np.ones(channels, dtype)
+
+    def normalize(self, x: np.ndarray, training: bool, out: np.ndarray | None = None):
+        """`xhat = (x - mean) * inv_std` per channel; returns (xhat, inv_std).
+        The statistics are x's in training, folded into the running ones, and
+        the running ones in eval.  `out=x` normalizes in place."""
+        if training:
+            mu = x.mean(axis=1)
+            var = x.var(axis=1)
+            self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+            self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
+        else:
+            mu, var = self.running_mean, self.running_var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = np.subtract(x, mu[:, None], out=out)
+        xhat *= inv_std[:, None]
+        return xhat, inv_std
+
+    def affine(self, xhat: np.ndarray) -> np.ndarray:
+        """gamma * xhat + beta per channel, into a new array."""
+        out = self.gamma.data[:, None] * xhat
+        out += self.beta.data[:, None]
+        return out
+
+    def backward(self, g, xhat, inv_std, training: bool) -> np.ndarray:
+        """Add the gamma and beta gradients of `affine(xhat)` for its output
+        gradient g, where they require grad; returns x's gradient."""
+        dxhat = g * self.gamma.data[:, None]
+        if training:
+            # Batch statistics are functions of x: full normalization grad.
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            dx = inv_std[:, None] * (dxhat - m1 - xhat * m2)
+        else:
+            dx = dxhat * inv_std[:, None]
+        accumulate(self.gamma, (g * xhat).sum(axis=1))
+        accumulate(self.beta, g.sum(axis=1))
+        return dx
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

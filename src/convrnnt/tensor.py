@@ -4,12 +4,12 @@ Every value flowing through the model is a `Tensor` wrapping a row-major
 numpy array: float64, or float32 when it is handed a float32 array and
 requires no gradient.  The tape and training are float64: `from_op` refuses
 to record a node of any other dtype.  The encoder ops (`linear`, `conv2d`,
-`lstm`, `swish`, `batchnorm_normalize` and the global block over them) also
-run in float32 for inference, as do `gather_rows` and `joint` under
-`no_grad`: each allocates in its input's dtype and expects its weights,
-biases and running statistics in that dtype too, as a model holds them
-(`model.TransducerModel`), so no op casts a weight.  `from_op` refuses a
-node any of whose inputs is in another dtype than its output.
+`lstm`, `swish` and the global block over them) also run in float32 for
+inference, as do `gather_rows` and `joint` under `no_grad`: each allocates
+in its input's dtype and expects its weights, biases and running statistics
+in that dtype too, as a model holds them (`model.TransducerModel`), so no op
+casts a weight.  `from_op` refuses a node any of whose inputs is in another
+dtype than its output.
 
 Operations record their inputs and a backward closure on a dynamic tape
 (the graph is rebuilt on every forward pass, so variable sequence lengths
@@ -46,7 +46,7 @@ Only the operations the model runs are provided, which keeps every gradient
 rule short enough to audit by eye.  The per-op reference autodiff they are
 checked against (`matmul`, `add`, `mul`, `scale`, `relu`, `sigmoid`, `tanh`,
 `sum_all`, `slice_axis`, `batchnorm_time`, `outer_sum`) lives with the test
-oracles in `tests/oracles.py`.  Batch-norm uses the fixed `BN_EPS` and `BN_MOMENTUM`.
+oracles in `tests/oracles.py`.
 
 The local and global encoders and the LSTM stacks carry a batch as packed
 rows: the frames of every utterance concatenated in order, N = sum of T_i
@@ -85,8 +85,7 @@ These ops are fused, each one tape node for a whole batch:
 - `global_encoder.GlobalEncoder.forward_batch` is one node for all the
   global blocks and the whole batch (pointwise, depthwise, batch-norm,
   squeeze-excite, dropout and residual).  Its blocks build on
-  `batchnorm_normalize` and `batchnorm_backward`, which the reference
-  `batchnorm_time` shares, and on `dropout_mask`, which `dropout` shares.
+  `dropout_mask`, which `dropout` shares.
 
 `BLOCK_BYTES` is the one block budget of the row-blocked passes, the
 joint's backward and the loss's normaliser and gradient passes, and
@@ -655,59 +654,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, lengths) -> Tensor:
             x.adopt_grad(gx)
 
     return from_op(out, (x, w, bias), backward)
-
-
-# ---------------------------------------------------------------------------
-# batch normalization over the time axis
-
-
-# Variance floor and running-statistics momentum of every batch-norm.
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
-
-
-class RunningStats:
-    """Per-channel running mean/variance of a batch-norm (used in eval mode)."""
-
-    def __init__(self, channels: int, dtype=np.float64):
-        self.mean = np.zeros(channels, dtype)
-        self.var = np.ones(channels, dtype)
-
-    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.mean = (1.0 - BN_MOMENTUM) * self.mean + BN_MOMENTUM * mean
-        self.var = (1.0 - BN_MOMENTUM) * self.var + BN_MOMENTUM * var
-
-
-def batchnorm_normalize(x: np.ndarray, stats: RunningStats, training: bool,
-                        out: np.ndarray | None = None):
-    """`xhat = (x - mean) * inv_std` per channel of [C, T]; returns (xhat, inv_std).
-
-    The statistics are those of `x` in training mode (and are folded into
-    `stats`) and the running ones in eval mode.  `out=x` normalizes in place.
-    """
-    if training:
-        mu = x.mean(axis=1)
-        var = x.var(axis=1)
-        stats.update(mu, var)
-    else:
-        mu, var = stats.mean, stats.var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = np.subtract(x, mu[:, None], out=out)
-    xhat *= inv_std[:, None]
-    return xhat, inv_std
-
-
-def batchnorm_backward(g, xhat, inv_std, gamma, training: bool):
-    """Gradients (dx, dgamma, dbeta) of `gamma * xhat + beta` for the output gradient g."""
-    dxhat = g * gamma[:, None]
-    if training:
-        # Batch statistics are functions of x: full normalization grad.
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        dx = inv_std[:, None] * (dxhat - m1 - xhat * m2)
-    else:
-        dx = dxhat * inv_std[:, None]
-    return dx, (g * xhat).sum(axis=1), g.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

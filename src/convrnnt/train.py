@@ -217,8 +217,8 @@ class Trainer:
         for name, _ in opt.params:
             records += [(f"adam.m.{name}", opt.m[name]), (f"adam.v.{name}", opt.v[name])]
         for name, bn in self.model.norm_layers():
-            records += [(f"stats.{name}.running_mean", bn.stats.mean),
-                        (f"stats.{name}.running_var", bn.stats.var)]
+            records += [(f"stats.{name}.running_mean", bn.running_mean),
+                        (f"stats.{name}.running_var", bn.running_var)]
         return records + [
             ("normstats.mean", stats.mean),
             ("normstats.var", stats.variance),

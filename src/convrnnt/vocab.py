@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 BLANK_TOKEN = "<blank>"
 UNK_TOKEN = "<unk>"
@@ -41,8 +41,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
+        return cls([line for line in read_text(path, DataError).split("\n") if line])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -314,24 +314,31 @@ def slice_axis(x, axis, start, stop):
     return T.from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
 
 
-def batchnorm_time(x, gamma, beta, stats, training):
-    """Normalize each channel of [C, T] over the time axis, with the batch's
-    statistics (folded into `stats`) in training mode and the running ones
-    in eval mode."""
+def batchnorm_time(x, gamma, beta, norm, training):
+    """`gamma * xhat + beta` for the rows xhat that the `layers.BatchNormTime`
+    `norm` normalizes [C, T] into (training folds the batch statistics into
+    its running ones).  The backward is written out here, not the norm's:
+    in training xhat depends on x through the batch mean and variance too,
+    so dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std, each
+    mean over time.  It rounds as the norm's does, which the fused global
+    block's 1e-12 gradient match needs."""
     c, _ = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
-    xhat, inv_std = T.batchnorm_normalize(x.data, stats, training)
+    xhat, inv_std = norm.normalize(x.data, training)
     out_data = gamma.data[:, None] * xhat + beta.data[:, None]
 
     def backward(g):
-        dx, dgamma, dbeta = T.batchnorm_backward(g, xhat, inv_std, gamma.data, training)
         if gamma.requires_grad:
-            gamma.accumulate_grad(dgamma)
+            gamma.accumulate_grad((g * xhat).sum(axis=1))
         if beta.requires_grad:
-            beta.accumulate_grad(dbeta)
+            beta.accumulate_grad(g.sum(axis=1))
         if x.requires_grad:
-            x.accumulate_grad(dx)
+            dxhat = g * gamma.data[:, None]
+            if training:
+                dxhat = (dxhat - dxhat.mean(axis=1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+            x.accumulate_grad(dxhat * inv_std[:, None])
 
     return T.from_op(out_data, (x, gamma, beta), backward)
 
@@ -731,7 +738,7 @@ def squeeze_excite(z, reduce, expand):
 def _norm_batch(norm, hs, training):
     """Batch-norm over the time-concatenated batch, split back per utterance."""
     def bn(x):
-        return batchnorm_time(x, norm.gamma, norm.beta, norm.stats, training)
+        return batchnorm_time(x, norm.gamma, norm.beta, norm, training)
 
     if len(hs) == 1:
         return [bn(hs[0])]
@@ -914,8 +921,8 @@ def float32_twin(model):
     for (_, p), (_, q) in zip(twin.parameters(), model.parameters()):
         p.data[...] = q.data
     for (_, a), (_, b) in zip(twin.norm_layers(), model.norm_layers()):
-        a.stats.mean[...] = b.stats.mean
-        a.stats.var[...] = b.stats.var
+        a.running_mean[...] = b.running_mean
+        a.running_var[...] = b.running_var
     return twin
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import wave
 
 import numpy as np
@@ -202,6 +203,20 @@ def test_wav_roundtrip(tmp_path):
     p = tmp_path / "x.wav"
     write_wav(p, pcm)
     assert np.array_equal(read_wav(p), pcm)
+
+
+@pytest.mark.parametrize("cut,error", [
+    (None, "does not start with RIFF"),  # not a WAV file at all
+    (20, "header cut short"),  # the fmt chunk ends early
+    (44 + 50, "holds 25 of the 100 samples"),  # the data chunk ends early
+    (44 + 51, "holds 25 of the 100 samples"),  # ... and mid-sample
+])
+def test_wav_that_cannot_be_read_is_rejected_by_its_path(tmp_path, cut, error):
+    p = tmp_path / "x.wav"
+    write_wav(p, np.arange(100))
+    p.write_bytes(b"ID3 tag, not audio" if cut is None else p.read_bytes()[:cut])
+    with pytest.raises(DataError, match=re.escape(f"{p}: ") + ".*" + error):
+        read_wav(p)
 
 
 def test_wav_rejects_wrong_rate(tmp_path):

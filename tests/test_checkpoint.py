@@ -288,7 +288,7 @@ def trainer_state(trainer):
     arrays.update({f"m.{name}": m for name, m in opt.m.items()})
     arrays.update({f"v.{name}": v for name, v in opt.v.items()})
     for name, bn in trainer.model.norm_layers():
-        arrays.update({f"{name}.mean": bn.stats.mean, f"{name}.var": bn.stats.var})
+        arrays.update({f"{name}.mean": bn.running_mean, f"{name}.var": bn.running_var})
     rng = json.dumps(trainer.rng.bit_generator.state, default=lambda a: a.tolist())
     return (trainer.step, opt.t, rng,
             {name: (a.shape, a.tobytes()) for name, a in arrays.items()})

@@ -157,6 +157,18 @@ def test_cli_eval_reports_a_wrong_shaped_record(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_train_reports_a_corpus_wav_that_is_not_audio(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    generate_toy_corpus(str(corpus))
+    bad = corpus / load_manifest(str(corpus / "manifest.tsv"))[3].audio_path
+    bad.write_bytes(b"not a RIFF file")
+    code = main(["train", "--config", "desk", "--set", f"data.toy_dir={corpus}",
+                 "--out", str(tmp_path / "run"), "--steps", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
+
+
 def test_cli_ablate_trains_the_three_frontend_variants(tmp_path, capsys):
     work = tmp_path / "ablate"
     lines = run(capsys, "ablate", "--config", "desk", "--out", str(work), "--steps", "1").splitlines()

@@ -1,13 +1,14 @@
 """Config checks: every bad value fails at load with `ConfigError`, and every
 `model.*` key changes the model it describes."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from convrnnt import tensor as T
-from convrnnt.config import ModelSettings, load_preset, parse_config_text
+from convrnnt.config import ModelSettings, load_config, load_preset, parse_config_text
 from convrnnt.errors import ConfigError
 from convrnnt.model import TransducerModel, make_rng, parameter_shapes
 
@@ -64,6 +65,24 @@ REJECTED = [
 def test_bad_value_rejected_at_load(override):
     with pytest.raises(ConfigError):
         load_preset("desk", [override])
+
+
+@pytest.mark.parametrize("override", [
+    "feature.window_ms=inf", "feature.window_ms=1e308", "feature.window_ms=nan",
+    "feature.hop_ms=inf", "feature.hop_ms=nan",
+    pytest.param(f"feature.sample_rate_hz={10**400}", id="feature.sample_rate_hz=1e400"),
+])
+def test_a_feature_value_past_its_bound_is_rejected_by_its_key(override):
+    # Not an OverflowError from the window's sample count.
+    with pytest.raises(ConfigError, match=re.escape(override.split("=")[0])):
+        load_preset("desk", [override])
+
+
+def test_a_config_file_that_is_not_utf8_is_rejected_by_its_path(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes("model.dropout_p = 0.1  # café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: not UTF-8 text")):
+        load_config(p)
 
 
 def test_largest_seed_keys_the_model_and_the_trainer_generator():

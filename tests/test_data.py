@@ -48,6 +48,13 @@ def test_manifest_relative_paths(tmp_path):
     assert [u.utt_id for u in loaded] == [u.utt_id for u in utts[:2]]
 
 
+def test_a_manifest_that_is_not_utf8_is_rejected_by_its_path(tmp_path):
+    p = tmp_path / "latin1.tsv"
+    p.write_bytes("a.wav\tcafé\n".encode("latin-1"))
+    with pytest.raises(DataError, match=re.escape(f"{p}: not UTF-8 text")):
+        load_manifest(p)
+
+
 def test_manifest_errors(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("no-tab-line\n")

@@ -268,7 +268,7 @@ def run_encoder(forward, m, arrays, seeds, grad, se_enabled=True, training=False
             out = forward(enc, x, lengths, rng)
     got = {f"out{i}": o for i, o in enumerate(per_utterance(out.data, lengths))}
     for name, bn in enc.norm_layers():
-        got[f"{name}.mean"], got[f"{name}.var"] = bn.stats.mean, bn.stats.var
+        got[f"{name}.mean"], got[f"{name}.var"] = bn.running_mean, bn.running_var
     if grad:
         got.update({f"x{i}.grad": g for i, g in enumerate(per_utterance(x.grad, lengths))})
         got.update({f"{name}.grad": p.grad for name, p in enc.params() if p.grad is not None})

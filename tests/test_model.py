@@ -318,7 +318,8 @@ def test_the_generator_is_the_mode_switch():
     feats, tokens = random_batch(cfg, 51, BATCH_LENGTHS[:4])
 
     def stats():
-        return [(bn.stats.mean.tobytes(), bn.stats.var.tobytes()) for _, bn in model.norm_layers()]
+        return [(bn.running_mean.tobytes(), bn.running_var.tobytes())
+                for _, bn in model.norm_layers()]
 
     before = stats()
     assert before
@@ -588,7 +589,7 @@ def test_float32_label_rows_and_logits_stay_in_float32_near_float64():
 def model_arrays(model):
     """(name, array) of every parameter and running statistic."""
     return [(name, p.data) for name, p in model.parameters()] + [
-        (f"{name}.{stat}", getattr(bn.stats, stat))
+        (f"{name}.{stat}", getattr(bn, f"running_{stat}"))
         for name, bn in model.norm_layers() for stat in ("mean", "var")]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from convrnnt import tensor as T
 from convrnnt.errors import ConfigError, ShapeError, TrainingError
+from convrnnt.layers import BN_EPS, BatchNormTime
 
 import oracles
 from oracles import (
@@ -740,18 +741,18 @@ def test_a_recorded_op_holds_only_what_its_backward_reads(case):
 
 def test_batchnorm_eval_identity_with_fresh_stats():
     x = np.random.default_rng(19).standard_normal((3, 7))
-    stats = T.RunningStats(3)
+    norm = BatchNormTime(3, np.float64)
     out = oracles.batchnorm_time(
-        T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), stats, training=False
+        T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), norm, training=False
     )
     # Fresh stats are mean 0 and variance 1, so only the variance floor scales x.
-    assert np.max(np.abs(out.data - x / np.sqrt(1.0 + T.BN_EPS))) <= 1e-15
+    assert np.max(np.abs(out.data - x / np.sqrt(1.0 + BN_EPS))) <= 1e-15
 
 
 def test_batchnorm_training_constant_channel_gives_zeros():
-    stats = T.RunningStats(1)
+    norm = BatchNormTime(1, np.float64)
     out = oracles.batchnorm_time(
-        T.Tensor([[2.0, 2.0, 2.0]]), T.Tensor([1.0]), T.Tensor([0.0]), stats, training=True
+        T.Tensor([[2.0, 2.0, 2.0]]), T.Tensor([1.0]), T.Tensor([0.0]), norm, training=True
     )
     assert np.allclose(out.data, 0.0)
 
@@ -760,20 +761,20 @@ def test_batchnorm_training_centers_each_channel():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((4, 50)) * 3 + 1
     beta = rng.standard_normal(4)
-    stats = T.RunningStats(4)
+    norm = BatchNormTime(4, np.float64)
     out = oracles.batchnorm_time(
-        T.Tensor(x), T.Tensor(np.ones(4)), T.Tensor(beta), stats, training=True
+        T.Tensor(x), T.Tensor(np.ones(4)), T.Tensor(beta), norm, training=True
     )
     assert np.max(np.abs(out.data.mean(axis=1) - beta)) <= 1e-8
 
 
 def test_batchnorm_running_stats_update():
     x = np.arange(8.0).reshape(2, 4)
-    stats = T.RunningStats(2)
-    oracles.batchnorm_time(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), stats,
+    norm = BatchNormTime(2, np.float64)
+    oracles.batchnorm_time(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), norm,
                            training=True)
-    assert np.allclose(stats.mean, 0.9 * 0.0 + 0.1 * x.mean(axis=1))
-    assert np.allclose(stats.var, 0.9 * 1.0 + 0.1 * x.var(axis=1))
+    assert np.allclose(norm.running_mean, 0.9 * 0.0 + 0.1 * x.mean(axis=1))
+    assert np.allclose(norm.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=1))
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -782,13 +783,13 @@ def test_batchnorm_gradients(training):
     x = rng.standard_normal((3, 9))
     gamma = rng.standard_normal(3) + 1.5
     beta = rng.standard_normal(3)
-    stats = T.RunningStats(3)
-    stats.mean = rng.standard_normal(3)
-    stats.var = rng.random(3) + 0.5
+    norm = BatchNormTime(3, np.float64)
+    norm.running_mean = rng.standard_normal(3)
+    norm.running_var = rng.random(3) + 0.5
 
     def f(xx, gg, bb):
         return weighted_sum(
-            oracles.batchnorm_time(xx, gg, bb, stats, training=training)
+            oracles.batchnorm_time(xx, gg, bb, norm, training=training)
         )
 
     check_grad(f, [x, gamma, beta])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from convrnnt.errors import DataError
@@ -41,6 +43,13 @@ def test_save_load_roundtrip(tmp_path):
     loaded = Vocab.load(p)
     assert loaded.tokens == v.tokens
     assert loaded.n_labels == v.n_labels == 4  # unk + 3 letters
+
+
+def test_a_vocab_that_is_not_utf8_is_rejected_by_its_path(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes("<blank>\n<unk>\né\n".encode("latin-1"))
+    with pytest.raises(DataError, match=re.escape(f"{p}: not UTF-8 text")):
+        Vocab.load(p)
 
 
 def test_detokenize_rejects_blank_and_out_of_range():
