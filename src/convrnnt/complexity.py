@@ -1,12 +1,17 @@
 """Analytical FLOPs estimator for encoder architectures.
 
-Closed-form per-layer costs (exact integer arithmetic throughout):
+Closed-form per-layer costs (exact integer arithmetic throughout), every one
+at 2 FLOPs per multiply-add:
 
-    convolution:  4 * C_in * k^2 * C_out * W * H
+    convolution:  2 * C_in * k^2 * C_out * W * H
+    depthwise:    2 * k * C * steps  (one k-tap 1-D filter per channel)
     LSTM layer:   8 * steps * (input + hidden) * hidden
-    linear map:   2 * steps * d_in * d_out  (multiply-add = 2 flops)
+    linear map:   2 * steps * d_in * d_out
     attention:    8 * n * d^2  (Q/K/V/O projections) + 4 * n^2 * d (scores)
-    feedforward:  4 * n * d * d_ff  (two linear maps, multiply-add = 2 flops)
+    feedforward:  4 * n * d * d_ff  (two linear maps)
+
+A depthwise-separable convolution is counted as its depthwise and pointwise
+parts, as in MobileNets (Howard et al., arXiv:1704.04861).
 
 The transducer encoder (cost linear in sequence length) is counted from the
 layers of the zero-weight `paper` build (`model.zero_weight_model`), charging
@@ -20,12 +25,12 @@ and so is the fusion's linear map from the local and global features back to
 charged at its own widths: the first reads `input_dim`, the others the
 previous layer's projection.
 
-At 1,000 frames the corrected count puts the paper preset at 61.06 G, 3.2
-times the conformer spec's 19.23 G; the four per-band local convs alone are
-44.45 G.  The conformer's quadratic attention term narrows the ratio with
-length (3.25x at 500 frames, 2.78x at 4,000) but does not close it over the
-report's 500-4,000 range, so for this preset the paper's claim of less
-compute than a conformer does not hold.  The causal
+At 1,000 frames the paper preset costs 38.18 G, 2.9 times the conformer
+spec's 12.98 G; the four per-band local convs alone are 22.23 G.  The
+conformer's quadratic attention term narrows the ratio with length (3.05x
+at 500 frames, 2.43x at 4,000) but does not close it over the report's
+500-4,000 range, so for this preset the paper's claim of less compute than
+a conformer does not hold.  The causal
 attention baseline (quadratic term from self-attention) has no model here and
 is counted from `configs/flops_conformer.cfg`.  Attention and feedforward
 totals are approximate by construction; the comparison is about scaling, not
@@ -47,7 +52,12 @@ MODEL_NAMES = ("convrnnt", "conformer")
 
 def conv_flops(c_in: int, k: int, c_out: int, w: int, h: int) -> int:
     _positive(c_in=c_in, k=k, c_out=c_out, w=w, h=h)
-    return 4 * c_in * k * k * c_out * w * h
+    return 2 * c_in * k * k * c_out * w * h
+
+
+def depthwise_flops(k: int, channels: int, steps: int) -> int:
+    _positive(k=k, channels=channels, steps=steps)
+    return 2 * k * channels * steps
 
 
 def lstm_flops(layers: int, steps: int, input_dim: int, hidden: int) -> int:
@@ -118,7 +128,7 @@ def _convrnnt_layers(n: int):
         se_b = block.se_reduce.weight.shape[1]
         flops = (
             conv_flops(d, 1, e, s, 1)
-            + conv_flops(1, dw_k, e, s, 1)
+            + depthwise_flops(dw_k, e, s)
             + conv_flops(e, 1, d, s, 1)
             + conv_flops(d, 1, se_b, s, 1)
             + conv_flops(se_b, 1, d, s, 1)
@@ -161,7 +171,7 @@ def _conformer_layers(n: int):
             ffn_per_block * ffn_flops(s, d, d_ff)
             + attention_flops(s, d)
             + conv_flops(d, 1, 2 * d, s, 1)
-            + conv_flops(1, conv_k, d, s, 1)
+            + depthwise_flops(conv_k, d, s)
             + conv_flops(d, 1, d, s, 1)
         )
         layers.append(LayerSpec(f"block{i} [d{d} h{heads} ff{d_ff}]", block))

@@ -75,8 +75,9 @@ def save_manifest(entries, path) -> None:
 
 
 def _letter_tone(letter: str, rate: int, duration_s: float, rng) -> np.ndarray:
-    # One tone per letter, centered on every other 500 Hz analysis band so
-    # letters stay separable after the 16-band spectrum pooling.
+    # One tone per letter, centered on every other of 16 equal bands up to
+    # Nyquist (rate / 32 Hz wide: 500 Hz at 16 kHz), so letters stay
+    # separable after the desk preset's 16-band spectrum pooling.
     freq = (rate / 2.0 / 16.0) * (2.0 * TOY_ALPHABET.index(letter) + 1.5)
     t = np.arange(int(rate * duration_s)) / rate
     tone = np.sin(2.0 * np.pi * freq * t)
@@ -112,9 +113,11 @@ def generate_toy_corpus(out_dir, seed: int = 0, rate: int = 16000):
     return manifest_path, vocab_path
 
 
-def ensure_toy_corpus(out_dir, seed: int = 0):
+def ensure_toy_corpus(out_dir, seed: int = 0, rate: int = 16000):
+    """The toy corpus under `out_dir`, written at `rate` unless it is there;
+    one already there is kept as it is, whatever its rate."""
     manifest = os.path.join(out_dir, "manifest.tsv")
     vocab = os.path.join(out_dir, "vocab.txt")
     if os.path.exists(manifest) and os.path.exists(vocab):
         return manifest, vocab
-    return generate_toy_corpus(out_dir, seed)
+    return generate_toy_corpus(out_dir, seed, rate)

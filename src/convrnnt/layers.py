@@ -2,6 +2,22 @@
 transducer.  Initialization is uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for
 weights and zero for biases unless stated otherwise.
 
+Layers draw their weights from an init source's `uniform(low, high, size)`,
+the call `np.random.Generator` answers.  There are three sources: a generator,
+a `_DeferredInit`, which hands out unfilled arrays and fills them later with
+the bits a serial draw from a generator would give, and a `_ZeroInit`, which
+allocates no weights.  One fill rule serves every deferred draw:
+`_DeferredInit.fill` draws the first half of its arrays on the calling
+thread and the second half on one worker thread, since Philox reaches any
+place of its stream directly (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC '11).
+`model.TransducerModel` builds a whole model from one deferred source, and
+`uniform_init` passes each draw of at least `PARALLEL_DRAW_MIN` values from a
+bare Philox generator through a deferred source of its own, so a layer built
+from a generator draws its large weights on two threads too.  Either way the
+arrays and the generator's state afterwards are bitwise those of a serial
+draw.
+
 A layer holds every array in the dtype of its init source's draws: float64
 from a generator, or the model's dtype when `model.TransducerModel` builds
 it.  Biases, batch-norm gamma and beta and running statistics take their
@@ -9,6 +25,9 @@ weights' dtype, and only float64 parameters require grad.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -21,8 +40,23 @@ def param(data: np.ndarray) -> Tensor:
     return Tensor(data, requires_grad=data.dtype == np.float64)
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, gain: float = 1.0) -> Tensor:
+# Fewest values a draw from a bare Philox generator takes on two threads.
+# Starting and joining the worker costs about 0.1 ms, so on a 2-vCPU host two
+# threads first win clearly at about 200,000 values (a third off at 2**18);
+# a smaller draw is made serially.
+PARALLEL_DRAW_MIN = 1 << 18
+
+
+def uniform_init(rng, shape, fan_in: int, gain: float = 1.0) -> Tensor:
+    """uniform(-gain / sqrt(fan_in), gain / sqrt(fan_in)) weights of `shape`
+    from the init source `rng`."""
     bound = gain / np.sqrt(fan_in)
+    if (type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.Philox
+            and math.prod(shape) >= PARALLEL_DRAW_MIN):
+        init = _DeferredInit(np.float64)
+        out = init.uniform(-bound, bound, shape)
+        init.fill(rng)
+        return param(out)
     return param(rng.uniform(-bound, bound, size=shape))
 
 
@@ -160,3 +194,99 @@ def collect_params(children):
         for name, p in layer.params():
             out.append((f"{prefix}.{name}", p))
     return out
+
+
+# ---------------------------------------------------------------------------
+# init sources
+
+
+class _DeferredInit:
+    """Init source that hands out unfilled arrays of `dtype` and records their
+    place in the draw order; `fill(rng)` then gives each the values that
+    `rng.uniform` would draw for it in that order, rounded to `dtype`."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self._draws = []  # (flat view, low, high), in draw order
+
+    def uniform(self, low, high, size):
+        out = np.empty(size, self.dtype)
+        self._draws.append((out.reshape(-1), low, high))
+        return out
+
+    def fill(self, rng: np.random.Generator) -> None:
+        """Draw the first half of the pieces from the Philox generator `rng`
+        on this thread, and the second half on one worker thread from a copy
+        of it moved that many outputs ahead, cutting at most one array in two.
+        `rng` is left in the whole state a serial draw leaves, a pending
+        32-bit half included.  A failure on either thread is raised here,
+        after both have ended."""
+        mid = sum(flat.size for flat, _, _ in self._draws) // 2
+        first, second, start = [], [], 0
+        for flat, low, high in self._draws:
+            cut = min(max(mid - start, 0), flat.size)
+            if cut:
+                first.append((flat[:cut], low, high))
+            if cut < flat.size:
+                second.append((flat[cut:], low, high))
+            start += flat.size
+        # Each double takes one Philox output, and a counter step makes four.
+        # Past the outputs left in its buffer, the copy discards them (as
+        # `advance` does) and jumps whole counter steps, then draws the rest.
+        state = rng.bit_generator.state
+        bits = np.random.Philox()
+        bits.state = state
+        skip = mid
+        held = len(state["buffer"]) - state["buffer_pos"]
+        if skip > held:
+            bits.advance((skip - held) // 4)
+            skip = (skip - held) % 4
+        bits.random_raw(skip)
+        errors = []
+
+        def draw_second():
+            try:
+                _draw(np.random.Generator(bits), second)
+            except BaseException as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=draw_second)
+        worker.start()
+        try:
+            _draw(rng, first)
+        finally:
+            worker.join()
+        if errors:
+            raise errors[0]
+        # Doubles leave the pending 32-bit half alone; `advance` clears it.
+        end = bits.state
+        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+        rng.bit_generator.state = end
+
+
+def _draw(rng: np.random.Generator, pieces) -> None:
+    """`rng.uniform(low, high)` into each piece in turn, bit for bit: numpy
+    forms each draw as low + (high - low) * u from one `rng.random()` u.  A
+    float64 piece takes its draws in place.  Any other piece takes them
+    rounded, `T.BLOCK_BYTES` of float64 draws at a time through one scratch,
+    so a float32 array holds `draws.astype(np.float32)` and no float64 copy
+    of it is ever made."""
+    scratch = np.empty(T.BLOCK_BYTES // 8)
+    for out, low, high in pieces:
+        for a in range(0, out.size, scratch.size):
+            part = out[a:a + scratch.size]
+            buf = part if part.dtype == np.float64 else scratch[:part.size]
+            rng.random(out=buf)
+            buf *= high - low
+            buf += low
+            if buf is not part:
+                part[...] = buf
+
+
+class _ZeroInit:
+    """Init source whose every draw is a read-only broadcast view of 0.0, so a
+    model built from it owns almost no memory whatever its size."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)

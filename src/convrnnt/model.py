@@ -8,17 +8,16 @@ side, and the fusion maps their concatenation back to `input_dim`.  With
 both frontends off there is no fusion: the LSTM stack reads the stacked
 features directly, which is the paper's LSTM-only RNN-T baseline.
 
-Modules draw their initial weights from an init source's
-`uniform(low, high, size)`, the call `np.random.Generator` answers, and the
-model is built from one of two sources.  `TransducerModel(cfg, seed, dtype)`
-builds from a deferred source, which hands out unfilled arrays of `dtype`
-and then fills them with the bits a serial `make_rng(seed)` would draw in
-the same order, rounded to `dtype`: Philox reaches any place of its stream
-directly, so the calling thread draws the first half of the stream while
-one worker thread draws the second.  The other source allocates no weights.
-The registry is the one source of parameter names and shapes:
-`parameter_shapes` and `count_parameters` read it from a model built with
-that source, so they report configs too big to build for real.
+Modules draw their initial weights from an init source (`layers`), and the
+model is built from one of two.  `TransducerModel(cfg, seed, dtype)` builds
+from a `layers._DeferredInit`, which hands out unfilled arrays of `dtype`
+and then fills them from `make_rng(seed)` with the bits a serial draw would
+give in the same order, rounded to `dtype`: the calling thread draws the
+first half of the stream while one worker thread draws the second.  The
+other source, `layers._ZeroInit`, allocates no weights.  The registry is
+the one source of parameter names and shapes: `parameter_shapes` and
+`count_parameters` read it from a model built with that source, so they
+report configs too big to build for real.
 
 There are three forward entry points, each taking a batch of any size:
 `encode_audio` maps feature tensors to packed encoder rows, `encoded_loss`
@@ -57,7 +56,6 @@ tape node raises `TrainingError`, as does the loss, which is float64 only.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -65,7 +63,7 @@ from . import tensor as T
 from .config import RunConfig
 from .errors import DataError, ShapeError, TrainingError
 from .global_encoder import GlobalEncoder
-from .layers import Linear, collect_params
+from .layers import Linear, _DeferredInit, _ZeroInit, collect_params
 from .local_encoder import LocalEncoder
 from .rnnt_loss import rnnt_loss
 from .tensor import Tensor
@@ -75,8 +73,8 @@ from .transducer import AudioEncoder, Joint, LabelEncoder, fuse_frontends
 def make_rng(seed: int) -> np.random.Generator:
     # Philox is counter-based, so its full state serializes into checkpoints
     # and the stream resumes exactly after a reload, and any place of its
-    # stream is reached directly, which the model build uses to draw its
-    # weights on two threads.
+    # stream is reached directly, which `layers._DeferredInit.fill` uses to
+    # draw weights on two threads.
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -87,12 +85,12 @@ class TransducerModel:
         self.dtype = np.dtype(cfg.model.inference_dtype if dtype is None else dtype)
         init = _DeferredInit(self.dtype)
         self._build(cfg, init)
-        init.fill(seed)
+        init.fill(make_rng(seed))
 
     def _build(self, cfg: RunConfig, init) -> None:
         """Assemble every module, drawing initial weights from `init.uniform`:
-        a `_DeferredInit` to fill afterwards, a `_ZeroInit`, or a generator
-        drawing serially, as the modules built on their own do."""
+        a `_DeferredInit` to fill afterwards, a `_ZeroInit`, or a generator,
+        as the modules built on their own take."""
         self.cfg = cfg
         m = cfg.transducer_config()
         f = cfg.feature
@@ -193,88 +191,6 @@ class TransducerModel:
                 f"{what} needs a float64 model; this one holds {self.dtype} weights "
                 "(build it with dtype=np.float64 to train or score)"
             )
-
-
-# ---------------------------------------------------------------------------
-# init sources
-
-
-class _DeferredInit:
-    """Init source that hands out unfilled arrays of `dtype` and records their
-    place in the draw order; `fill(seed)` then gives each the values that
-    `make_rng(seed).uniform` would draw for it in that order, rounded to
-    `dtype`."""
-
-    def __init__(self, dtype):
-        self.dtype = dtype
-        self._draws = []  # (flat view, low, high), in draw order
-
-    def uniform(self, low, high, size):
-        out = np.empty(size, self.dtype)
-        self._draws.append((out.reshape(-1), low, high))
-        return out
-
-    def fill(self, seed: int) -> None:
-        """Draw the first half of the stream on this thread and the second
-        half on one worker thread, cutting at most one array in two; a
-        failure on either thread is raised here, after both have ended."""
-        mid = sum(flat.size for flat, _, _ in self._draws) // 2
-        first, second, start = [], [], 0
-        for flat, low, high in self._draws:
-            cut = min(max(mid - start, 0), flat.size)
-            if cut:
-                first.append((flat[:cut], low, high))
-            if cut < flat.size:
-                second.append((flat[cut:], low, high))
-            start += flat.size
-        # Each double takes one Philox output, and a counter step makes four.
-        bits = np.random.Philox(key=seed)
-        bits.advance(mid // 4)
-        bits.random_raw(mid % 4)
-        errors = []
-
-        def draw_second():
-            try:
-                _draw(np.random.Generator(bits), second)
-            except BaseException as exc:
-                errors.append(exc)
-
-        worker = threading.Thread(target=draw_second)
-        worker.start()
-        try:
-            _draw(make_rng(seed), first)
-        finally:
-            worker.join()
-        if errors:
-            raise errors[0]
-
-
-def _draw(rng: np.random.Generator, pieces) -> None:
-    """`rng.uniform(low, high)` into each piece in turn, bit for bit: numpy
-    forms each draw as low + (high - low) * u from one `rng.random()` u.  A
-    float64 piece takes its draws in place.  Any other piece takes them
-    rounded, `T.BLOCK_BYTES` of float64 draws at a time through one scratch,
-    so a float32 array holds `draws.astype(np.float32)` and no float64 copy
-    of it is ever made."""
-    scratch = np.empty(T.BLOCK_BYTES // 8)
-    for out, low, high in pieces:
-        for a in range(0, out.size, scratch.size):
-            part = out[a:a + scratch.size]
-            buf = part if part.dtype == np.float64 else scratch[:part.size]
-            rng.random(out=buf)
-            buf *= high - low
-            buf += low
-            if buf is not part:
-                part[...] = buf
-
-
-class _ZeroInit:
-    """Init source whose every draw is a read-only broadcast view of 0.0, so a
-    model built from it owns almost no memory whatever its size."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.broadcast_to(0.0, size)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,10 @@ def _normalisers(z: np.ndarray, cells: Cells):
     """Per-row max m and log-normaliser log sum exp(z - m), each [C].
 
     A row whose max is NaN or infinite raises `DataError` before any
-    exponential is taken.  The exponentials are taken one block at a time,
-    so no temporary larger than `tensor.BLOCK_BYTES` (or one row) is made.
+    exponential is taken.  The exponentials are taken one block at a time
+    in one scratch of a block's rows, `tensor.BLOCK_BYTES` (or one row),
+    reused by every block: the block's z - m, its exp in place, then its
+    row sums.
     """
     m = z.max(axis=-1)
     bad = np.flatnonzero(~np.isfinite(m))
@@ -154,8 +156,12 @@ def _normalisers(z: np.ndarray, cells: Cells):
             f"{cells.u[c]} have a non-finite max ({m[c]})"
         )
     lse = np.empty_like(m)
-    for b in T.row_blocks(0, *z.shape):
-        lse[b] = np.log(np.exp(z[b] - m[b][:, None]).sum(axis=-1))
+    blocks = T.row_blocks(0, *z.shape)
+    scratch = np.empty((max(b.stop - b.start for b in blocks), z.shape[1]))
+    for b in blocks:
+        e = np.subtract(z[b], m[b][:, None], out=scratch[:b.stop - b.start])
+        np.exp(e, out=e)
+        np.log(e.sum(axis=-1), out=lse[b])
     return m, lse
 
 

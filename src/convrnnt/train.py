@@ -271,11 +271,12 @@ class Trainer:
 
 def resolve_data(cfg: RunConfig, workdir: str):
     """(train manifest, vocab) paths; the toy corpus is made under
-    `<workdir>/toy` unless `data.toy_dir` names another place."""
+    `<workdir>/toy`, unless `data.toy_dir` names another place, at
+    `feature.sample_rate_hz`."""
     data = cfg.data
     if data.use_toy:
         toy_dir = data.toy_dir or os.path.join(workdir, "toy")
-        manifest, vocab = ensure_toy_corpus(toy_dir)
+        manifest, vocab = ensure_toy_corpus(toy_dir, rate=cfg.feature.sample_rate_hz)
         return data.train_manifest or manifest, data.vocab or vocab
     if not data.train_manifest or not data.vocab:
         raise ConfigError("data.train_manifest and data.vocab are required")

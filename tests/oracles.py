@@ -26,6 +26,7 @@ import numpy as np
 from convrnnt import tensor as T
 from convrnnt.decoding import DecoderState
 from convrnnt.errors import ShapeError
+from convrnnt.layers import BN_EPS
 from convrnnt.model import TransducerModel
 from convrnnt.rnnt_loss import NEG_INF, _cells, _checked, _lattice, rnnt_loss
 
@@ -314,33 +315,72 @@ def slice_axis(x, axis, start, stop):
     return T.from_op(np.ascontiguousarray(x.data[sl]), (x,), backward)
 
 
-def batchnorm_time(x, gamma, beta, norm, training):
+def sum_error_bound(terms, axis=-1):
+    """How far two float64 sums of `terms` along `axis`, taken in any order,
+    can lie apart: 4 n eps sum|terms| for n terms.  Recursive summation errs
+    by at most (n - 1) u sum|terms|, u = eps / 2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 4), so two orders differ by at most
+    n eps sum|terms|; the factor 4 leaves room for terms that are rounded
+    products of inputs a few ulps apart."""
+    terms = np.asarray(terms)
+    return 4 * terms.shape[axis] * np.finfo(np.float64).eps * np.abs(terms).sum(axis=axis)
+
+
+def batchnorm_time(x, gamma, beta, norm, training, bounds=None):
     """`gamma * xhat + beta` for the rows xhat that the `layers.BatchNormTime`
     `norm` normalizes [C, T] into (training folds the batch statistics into
-    its running ones).  The backward is written out here, not the norm's:
-    in training xhat depends on x through the batch mean and variance too,
-    so dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std, each
-    mean over time.  It rounds as the norm's does, which the fused global
-    block's 1e-12 gradient match needs."""
+    its running ones).  The backward is `batchnorm_dx`, not the norm's rule,
+    so x's gradient matches the norm's within an error bound, not bitwise.
+    `bounds`, a dict, gets the `sum_error_bound` of gamma's and beta's
+    gradients, sums over time, under the gamma and beta tensors."""
     c, _ = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm_time: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
-    xhat, inv_std = norm.normalize(x.data, training)
+    xhat, _ = norm.normalize(x.data, training)
     out_data = gamma.data[:, None] * xhat + beta.data[:, None]
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=1))
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=1))
+        for p, terms in ((gamma, g * xhat), (beta, g)):
+            if p.requires_grad:
+                p.accumulate_grad(terms.sum(axis=1))
+                if bounds is not None:
+                    bounds[p] = bounds.get(p, 0.0) + sum_error_bound(terms)
         if x.requires_grad:
-            dxhat = g * gamma.data[:, None]
-            if training:
-                dxhat = (dxhat - dxhat.mean(axis=1, keepdims=True)
-                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-            x.accumulate_grad(dxhat * inv_std[:, None])
+            x.accumulate_grad(batchnorm_dx(x.data, g * gamma.data[:, None], norm, training)[0])
 
     return T.from_op(out_data, (x, gamma, beta), backward)
+
+
+def batchnorm_dx(x, dxhat, norm, training):
+    """x's gradient from xhat's over [C, m] rows, by Ioffe & Szegedy's staged
+    chain rule (arXiv:1502.03167, section 3), and a bound on its rounding
+    error.  In training the statistics are x's own: the variance's gradient
+    is summed over time, then the mean's (which reads it), then x's from
+    three paths, and each sum's `sum_error_bound` is carried through the
+    stages that read it.  In eval the statistics are the `layers.BatchNormTime`
+    `norm`'s running ones, constants, and x's gradient is one product."""
+    m = x.shape[1]
+    if training:
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    else:
+        mu, var = norm.running_mean[:, None], norm.running_var[:, None]
+    std_inv = 1.0 / np.sqrt(var + BN_EPS)
+    if not training:
+        dx = dxhat * std_inv
+        return dx, sum_error_bound(dx[..., None])
+    xc = x - mu
+    dvar_terms = dxhat * xc * (-0.5 * std_inv ** 3)
+    dvar = dvar_terms.sum(axis=1, keepdims=True)
+    dvar_err = sum_error_bound(dvar_terms, axis=1)[:, None]
+    dmu_terms = np.concatenate([-dxhat * std_inv, dvar * (-2.0 * xc) / m], axis=1)
+    dmu = dmu_terms.sum(axis=1, keepdims=True)
+    dmu_err = (sum_error_bound(dmu_terms, axis=1)[:, None]
+               + dvar_err * np.abs(2.0 * xc / m).sum(axis=1, keepdims=True))
+    paths = np.stack([dxhat * std_inv, dvar * 2.0 * xc / m, np.broadcast_to(dmu / m, x.shape)],
+                     axis=-1)
+    err = sum_error_bound(paths) + dvar_err * np.abs(2.0 * xc / m) + dmu_err / m
+    return paths.sum(axis=-1), err
 
 
 def outer_sum(a, b):
@@ -735,10 +775,10 @@ def squeeze_excite(z, reduce, expand):
     return mul(z, gate)
 
 
-def _norm_batch(norm, hs, training):
+def _norm_batch(norm, hs, training, bounds):
     """Batch-norm over the time-concatenated batch, split back per utterance."""
     def bn(x):
-        return batchnorm_time(x, norm.gamma, norm.beta, norm, training)
+        return batchnorm_time(x, norm.gamma, norm.beta, norm, training, bounds)
 
     if len(hs) == 1:
         return [bn(hs[0])]
@@ -751,9 +791,10 @@ def _norm_batch(norm, hs, training):
     return out
 
 
-def global_block_per_op(block, xs, rng=None):
+def global_block_per_op(block, xs, rng=None, bounds=None):
     """`GlobalBlock.forward_batch` as a composition of about 20 tape ops per
-    utterance; a generator makes it train, as it does the block."""
+    utterance; a generator makes it train, as it does the block.  `bounds`
+    is `batchnorm_time`'s."""
     cfg = block.m
     training = rng is not None
 
@@ -761,14 +802,14 @@ def global_block_per_op(block, xs, rng=None):
         return conv1d(x, layer.weight, layer.bias, dilation=dilation, groups=groups)
 
     hs = [relu(conv(block.pw_in, transpose2d(x))) for x in xs]  # [E, T_i]
-    hs = _norm_batch(block.norm_in, hs, training)
+    hs = _norm_batch(block.norm_in, hs, training, bounds)
     width = block.dw.weight.shape[0]  # depthwise: one group per channel
     hs = [
         relu(conv(block.dw, pad_left_time(h, (cfg.dw_kernel - 1) * block.dilation),
                   block.dilation, width))
         for h in hs
     ]
-    hs = _norm_batch(block.norm_dw, hs, training)
+    hs = _norm_batch(block.norm_dw, hs, training, bounds)
     out = []
     for x, h in zip(xs, hs):
         z = transpose2d(conv(block.pw_out, h))  # [T, D]
@@ -778,12 +819,13 @@ def global_block_per_op(block, xs, rng=None):
     return out
 
 
-def global_encoder_per_op(enc, x, lengths, rng=None):
+def global_encoder_per_op(enc, x, lengths, rng=None, bounds=None):
     """`GlobalEncoder.forward_batch` on packed [N, D] rows: each utterance's
-    rows sliced out, the blocks op by op, and the outputs joined back."""
+    rows sliced out, the blocks op by op, and the outputs joined back.
+    `bounds` is `batchnorm_time`'s."""
     hs = [slice_axis(x, 0, a, e) for a, e in _spans(lengths)]
     for block in enc.blocks:
-        hs = global_block_per_op(block, hs, rng)
+        hs = global_block_per_op(block, hs, rng, bounds)
     return T.concat(hs)
 
 

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import convrnnt.model
+import convrnnt.layers
 from convrnnt.audio import write_wav
 from convrnnt.checkpoint import load_checkpoint, save_checkpoint
 from convrnnt.cli import main
@@ -46,6 +46,20 @@ def test_cli_params_flops_train_eval_decode(tmp_path, capsys):
     with open(hyp_path, encoding="utf-8") as f:
         rows = [line.split("\t") for line in f.read().splitlines()]
     assert rows and all(len(r) == 2 for r in rows)
+
+
+def test_cli_trains_on_a_toy_corpus_written_at_the_configured_rate(tmp_path, capsys):
+    # The toy corpus is written at feature.sample_rate_hz; one already
+    # written at another rate is kept, and its first wav fails loudly.
+    work = tmp_path / "run"
+    rate = ["--config", "desk", "--set", "feature.sample_rate_hz=8000"]
+    out = run(capsys, "train", *rate, "--out", str(work), "--steps", "1")
+    assert out.startswith("step 1: mean_nll")
+    assert (work / "metrics.csv").read_text().splitlines()[1].startswith("1,")
+    old = tmp_path / "old"
+    generate_toy_corpus(str(old / "toy"))
+    assert main(["train", *rate, "--out", str(old), "--steps", "1"]) == 1
+    assert "toy00.wav: sample rate 16000 != expected 8000" in capsys.readouterr().err
 
 
 def test_cli_train_resumes_to_the_requested_step(tmp_path, capsys):
@@ -106,7 +120,7 @@ def test_cli_params_reports_the_weight_bytes_at_rest_without_a_build(capsys, mon
     def no_build(*args, **kwargs):
         raise AssertionError("params built a model")
 
-    monkeypatch.setattr(convrnnt.model._DeferredInit, "fill", no_build)
+    monkeypatch.setattr(convrnnt.layers._DeferredInit, "fill", no_build)
     out = run(capsys, "params", "--config", "paper").splitlines()
     assert out[-2].split() == ["total", "29,519,417"]
     assert out[-1].split() == ["at", "rest", "in", "float32", "112.6", "MiB"]

@@ -1,9 +1,13 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from convrnnt import complexity
 from convrnnt.complexity import (
     attention_flops,
     conv_flops,
+    depthwise_flops,
     encoder_flops,
     ffn_flops,
     flops_curve_csv,
@@ -17,9 +21,80 @@ LENGTHS = list(range(500, 4001, 500))
 
 
 def test_conv_flops_values():
-    assert conv_flops(1, 1, 1, 1, 1) == 4
-    assert conv_flops(2, 3, 4, 100, 1) == 28_800
-    assert conv_flops(100, 5, 100, 1000, 64) == 4 * 100 * 25 * 100 * 1000 * 64 == 64_000_000_000
+    assert conv_flops(1, 1, 1, 1, 1) == 2
+    assert conv_flops(2, 3, 4, 100, 1) == 14_400
+    assert conv_flops(100, 5, 100, 1000, 64) == 2 * 100 * 25 * 100 * 1000 * 64 == 32_000_000_000
+
+
+def test_depthwise_flops_values():
+    assert depthwise_flops(1, 1, 1) == 2
+    assert depthwise_flops(31, 256, 1000) == 2 * 31 * 256 * 1000 == 15_872_000
+    with pytest.raises(ConfigError):
+        depthwise_flops(3, 0, 10)
+
+
+class Counter:
+    """Multiply-adds of a direct loop nest, counted one at a time."""
+
+    def __init__(self):
+        self.n = 0
+
+    def mac(self, acc, a, b):
+        self.n += 1
+        return acc + a * b
+
+
+def test_each_count_is_two_flops_per_multiply_add_of_a_direct_loop():
+    # One small layer of each kind, computed by the obvious loops on random
+    # values: every count is twice the multiply-adds the loops make.
+    rng = np.random.default_rng(0)
+    # A 2-D conv, 2 -> 3 channels, 3 x 3 kernel, over a 4 x 5 output.
+    c = Counter()
+    x, w = rng.standard_normal((2, 6, 7)), rng.standard_normal((3, 2, 3, 3))
+    for o, t, f in itertools.product(range(3), range(4), range(5)):
+        acc = 0.0
+        for i, dt, df in itertools.product(range(2), range(3), range(3)):
+            acc = c.mac(acc, w[o, i, dt, df], x[i, t + dt, f + df])
+    assert conv_flops(2, 3, 3, 4, 5) == 2 * c.n
+    # A per-band k_t x k_f conv (2 x 3, 'same' over 5 bands), charged as the
+    # local encoder's are: a 1 x 1 count times the kernel area.
+    c = Counter()
+    x, w = rng.standard_normal((2, 5, 7)), rng.standard_normal((3, 2, 2, 3))
+    for o, t, f in itertools.product(range(3), range(4), range(5)):
+        acc = 0.0
+        for i, dt, df in itertools.product(range(2), range(2), range(3)):
+            acc = c.mac(acc, w[o, i, dt, df], x[i, t + dt, f + df])
+    assert conv_flops(2, 1, 3, 4, 5) * 2 * 3 == 2 * c.n
+    # A depthwise 1-D conv of 3 taps on 4 channels over 6 steps.
+    c = Counter()
+    x, w = rng.standard_normal((4, 8)), rng.standard_normal((4, 3))
+    for ch, t in itertools.product(range(4), range(6)):
+        acc = 0.0
+        for j in range(3):
+            acc = c.mac(acc, w[ch, j], x[ch, t + j])
+    assert depthwise_flops(3, 4, 6) == 2 * c.n
+    # A linear map 5 -> 3 over 4 steps.
+    c = Counter()
+    x, w = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
+    for t, o in itertools.product(range(4), range(3)):
+        acc = 0.0
+        for i in range(5):
+            acc = c.mac(acc, x[t, i], w[i, o])
+    assert linear_flops(4, 5, 3) == 2 * c.n
+    # An LSTM layer, 5 inputs and 3 hidden units over 4 steps: the four
+    # gates' pre-activations read the input and the previous hidden state.
+    c = Counter()
+    x, h = rng.standard_normal((4, 5)), np.zeros(3)
+    w, u = rng.standard_normal((5, 12)), rng.standard_normal((3, 12))
+    for t in range(4):
+        pre = np.zeros(12)
+        for g in range(12):
+            for i in range(5):
+                pre[g] = c.mac(pre[g], x[t, i], w[i, g])
+            for j in range(3):
+                pre[g] = c.mac(pre[g], h[j], u[j, g])
+        h = np.tanh(pre[:3])
+    assert lstm_flops(1, 4, 5, 3) == 2 * c.n
 
 
 def test_lstm_flops_values():
@@ -67,13 +142,17 @@ def test_report_total_is_sum_of_layers():
 
 
 def test_convrnnt_layers_pinned_at_1000_frames():
-    # Counted from the paper preset at 334 encoder steps.  Each local conv is
-    # charged over the 64 bands it convolves, as perfbench's per-layer
-    # GFLOP/s counts it.
-    local = [("3->100", 641_280_000), ("100->100", 21_376_000_000),
-             ("100->64", 13_680_640_000), ("64->64", 8_755_609_600)]
+    # Counted from the paper preset at 334 encoder steps, 2 FLOPs per
+    # multiply-add.  Each local conv is charged over the 64 bands it
+    # convolves, as perfbench's per-layer GFLOP/s counts it, and each global
+    # block's depthwise conv by its 3 taps.
+    local = [("3->100", 320_640_000), ("100->100", 10_688_000_000),
+             ("100->64", 6_840_320_000), ("64->64", 4_377_804_800)]
     expected = [(f"local.conv{i} [{chain} k5 x64 bands]", f) for i, (chain, f) in enumerate(local)]
-    expected += [(f"global.block{i} [d192 dw_k3]", 213_931_008) for i in range(1, 7)]
+    # 192 -> 384 -> 192 pointwise, 3 taps on 384 channels, 192 -> 24 -> 192 excitation.
+    block = 2 * 334 * (192 * 384 + 3 * 384 + 384 * 192 + 192 * 24 + 24 * 192)
+    assert block == 105_426_432
+    expected += [(f"global.block{i} [d192 dw_k3]", block) for i in range(1, 7)]
     # The fusion maps the 64 x 64 local and 192 global features back to 192.
     expected += [("fuse [4288->192]", 549_961_728)]
     # Each encoder LSTM layer at its own input width (192 features into the
@@ -84,7 +163,18 @@ def test_convrnnt_layers_pinned_at_1000_frames():
                      (f"encoder.proj{i} [640->512]", 218_890_240)]
     rep = encoder_flops("convrnnt", 1000)
     assert [(l.name, l.flops) for l in rep.per_layer] == expected
-    assert rep.total == 61_062_168_576
+    assert rep.total == 38_184_376_320
+
+
+def test_conformer_pinned_at_1000_frames():
+    # Each block's convolution module charges its depthwise conv by its 31
+    # taps on 256 channels over 250 steps.
+    rep = encoder_flops("conformer", 1000)
+    assert rep.total == 12_981_504_000
+    block = rep.per_layer[-1]
+    assert block.name == "block14 [d256 h4 ff1024]"
+    conv_module = 2 * 250 * (256 * 512 + 31 * 256 + 256 * 256)
+    assert block.flops == 2 * ffn_flops(250, 256, 1024) + attention_flops(250, 256) + conv_module
 
 
 def test_reports_are_reproducible_bitwise():
@@ -115,7 +205,7 @@ def test_transducer_costlier_with_narrowing_ratio():
         assert c > a, f"n={n}: {c} <= {a}"
         ratios.append(c / a)
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-    assert 3.2 < ratios[0] < 3.3 and 2.7 < ratios[-1] < 2.8
+    assert 3.0 < ratios[0] < 3.1 and 2.4 < ratios[-1] < 2.5
 
 
 def test_length_range_parsing():

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import json
 import math
 import threading
 import tracemalloc
@@ -7,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import convrnnt.layers
 import convrnnt.model
 from convrnnt import tensor as T
 from convrnnt.config import load_preset
@@ -14,16 +17,16 @@ from convrnnt.errors import DataError, ShapeError, TrainingError
 from convrnnt.model import (
     PARAM_GROUPS,
     TransducerModel,
-    _DeferredInit,
     count_parameters,
     make_rng,
     parameter_shapes,
 )
 from convrnnt.global_encoder import GlobalBlock
+from convrnnt.layers import PARALLEL_DRAW_MIN, Linear, _DeferredInit
 from convrnnt.local_encoder import LocalEncoder
 from convrnnt.rnnt_loss import rnnt_loss
 from convrnnt.train import frontend_param_count
-from convrnnt.transducer import LSTMLayer
+from convrnnt.transducer import Joint, LSTMLayer
 
 import oracles
 from oracles import (
@@ -72,22 +75,82 @@ def test_build_draws_the_serial_stream_bit_for_bit(seed):
 
 # Draw sizes whose stream midpoint falls inside an array, at offsets 1-8 of
 # the stream (every residue of Philox's four outputs per counter step), in
-# the first and in a later array; and one midpoint on an array boundary.
-SPLIT_DRAWS = [[n] for n in range(2, 18)] + [[1, n] for n in range(2, 17)] + [[(2, 3), 6, (4, 1)]]
+# the first and in a later array; one midpoint on an array boundary; and one
+# array just below, at and just above `uniform_init`'s two-thread threshold.
+SPLIT_DRAWS = ([[n] for n in range(2, 18)] + [[1, n] for n in range(2, 17)]
+               + [[(2, 3), 6, (4, 1)]]
+               + [[PARALLEL_DRAW_MIN + d] for d in (-1, 0, 1)])
+
+
+def state_json(rng):
+    """The generator's whole bit-generator state, as comparable text."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+def generator_at(lead, pending):
+    """`make_rng(7)` after `lead` doubles and, if `pending`, one 32-bit draw,
+    which leaves half of a Philox output pending."""
+    rng = make_rng(7)
+    rng.random(lead)
+    if pending:
+        rng.integers(0, 1000, dtype=np.int32)
+    return rng
 
 
 @pytest.mark.parametrize("sizes", SPLIT_DRAWS)
 def test_deferred_fill_splits_the_serial_stream_anywhere(sizes):
-    # In float32 each array holds the serial float64 draws rounded.
+    # Started 0-8 draws into a generator (every residue of its buffer), with
+    # and without a pending 32-bit half, the fill gives each array the serial
+    # draws (rounded, in float32) and leaves the generator in the whole state
+    # a serial draw leaves: its next 32-bit draws are the serial ones too.
     bounds = [(-0.5 - k, 0.25 + 2 * k) for k in range(len(sizes))]
-    for dtype in (np.float64, np.float32):
+    for dtype, lead, pending in itertools.product((np.float64, np.float32), range(9),
+                                                  (False, True)):
         init = _DeferredInit(dtype)
         arrays = [init.uniform(low, high, size) for (low, high), size in zip(bounds, sizes)]
-        init.fill(7)
-        rng = make_rng(7)
+        rng, serial = generator_at(lead, pending), generator_at(lead, pending)
+        init.fill(rng)
         for (low, high), size, got in zip(bounds, sizes, arrays):
-            want = rng.uniform(low, high, size).astype(dtype)
-            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (dtype, sizes)
+            want = serial.uniform(low, high, size).astype(dtype)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (dtype, sizes, lead)
+        assert state_json(rng) == state_json(serial), (dtype, sizes, lead, pending)
+        assert (rng.integers(0, 1000, 3, dtype=np.int32).tolist()
+                == serial.integers(0, 1000, 3, dtype=np.int32).tolist())
+
+
+def test_a_joint_from_a_generator_draws_its_serial_bits(monkeypatch):
+    # The paper-width joint's three weight arrays each take the two-thread
+    # fill, and the generator then draws on where a serial build leaves it.
+    # A PCG64 generator and a draw under the threshold stay serial.
+    m = load_preset("paper").transducer_config()
+    fills = []
+    fill = _DeferredInit.fill
+
+    def counting(self, rng):
+        fills.append(sum(flat.size for flat, _, _ in self._draws))
+        fill(self, rng)
+
+    monkeypatch.setattr(_DeferredInit, "fill", counting)
+    rng = make_rng(1)
+    joint = Joint(m, rng)
+    assert fills == [m.proj_dim * m.joint_dim, m.label_proj * m.joint_dim,
+                     m.joint_dim * (m.vocab_size + 1)]
+    monkeypatch.setattr(convrnnt.layers, "PARALLEL_DRAW_MIN", math.inf)
+    serial = make_rng(1)
+    want = Joint(m, serial)
+    assert len(fills) == 3
+    for (name, p), (_, q) in zip(joint.params(), want.params()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+    assert state_json(rng) == state_json(serial)
+    monkeypatch.undo()
+    monkeypatch.setattr(_DeferredInit, "fill", counting)
+    n = math.isqrt(PARALLEL_DRAW_MIN)
+    pcg = Linear(n, n, np.random.default_rng(5))
+    assert len(fills) == 3
+    assert pcg.weight.data.tobytes() == np.random.default_rng(5).uniform(
+        -1 / np.sqrt(n), 1 / np.sqrt(n), (n, n)).tobytes()
+    Linear(n - 1, n + 1, make_rng(5))  # one value under the threshold
+    assert len(fills) == 3
 
 
 def test_fill_rounds_draws_through_a_bounded_scratch(monkeypatch):
@@ -97,14 +160,14 @@ def test_fill_rounds_draws_through_a_bounded_scratch(monkeypatch):
     sizes, bounds = [13, 29, 6], [(-1.0, 1.0), (-0.25, 0.5), (0.0, 3.0)]
     init = _DeferredInit(np.float32)
     arrays = [init.uniform(low, high, size) for (low, high), size in zip(bounds, sizes)]
-    init.fill(3)
+    init.fill(make_rng(3))
     rng = make_rng(3)
     for (low, high), size, got in zip(bounds, sizes, arrays):
         assert got.tobytes() == rng.uniform(low, high, size).astype(np.float32).tobytes()
     out = np.empty(4096, np.float32)
     tracemalloc.start()
     try:
-        convrnnt.model._draw(make_rng(4), [(out, -1.0, 1.0)])
+        convrnnt.layers._draw(make_rng(4), [(out, -1.0, 1.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -114,7 +177,7 @@ def test_fill_rounds_draws_through_a_bounded_scratch(monkeypatch):
 
 def test_a_failure_on_the_worker_thread_is_raised_in_the_caller(monkeypatch):
     caller = threading.current_thread()
-    draw = convrnnt.model._draw
+    draw = convrnnt.layers._draw
 
     def failing_off_the_caller(rng, pieces):
         if threading.current_thread() is not caller:
@@ -129,7 +192,7 @@ def test_a_failure_on_the_worker_thread_is_raised_in_the_caller(monkeypatch):
         unfilled.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(convrnnt.model, "_draw", failing_off_the_caller)
+    monkeypatch.setattr(convrnnt.layers, "_draw", failing_off_the_caller)
     monkeypatch.setattr(_DeferredInit, "uniform", recording)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="worker half failed"):
@@ -137,6 +200,14 @@ def test_a_failure_on_the_worker_thread_is_raised_in_the_caller(monkeypatch):
     gc.collect()
     assert threading.active_count() == threads
     # No model and no parameter is left holding the unfilled arrays.
+    assert unfilled and all(ref() is None for ref in unfilled)
+    # A layer built from a generator fills its large weights the same way.
+    unfilled.clear()
+    n = math.isqrt(PARALLEL_DRAW_MIN)
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        Linear(n, n, make_rng(0))
+    gc.collect()
+    assert threading.active_count() == threads
     assert unfilled and all(ref() is None for ref in unfilled)
 
 
@@ -600,10 +671,10 @@ def test_a_float32_model_holds_the_float64_weights_rounded(preset, seed, monkeyp
     cuts = []
     fill = _DeferredInit.fill
 
-    def recording_fill(self, fill_seed):
+    def recording_fill(self, rng):
         ends = np.cumsum([flat.size for flat, _, _ in self._draws])
         cuts.append(ends[-1] // 2 not in ends)
-        fill(self, fill_seed)
+        fill(self, rng)
 
     monkeypatch.setattr(_DeferredInit, "fill", recording_fill)
     overrides = {"model.inference_dtype": "float32"} if preset == "desk" else {}

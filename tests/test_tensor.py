@@ -795,6 +795,25 @@ def test_batchnorm_gradients(training):
     check_grad(f, [x, gamma, beta])
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_backward_is_the_staged_chain_rule_within_its_error_bound(training):
+    # The norm's rule against Ioffe & Szegedy's staged chain rule, written
+    # apart from it, within the bound its staged sums carry.  The output
+    # gradient is nearly constant along time, so in training x's gradient is
+    # a nearly cancelled sum.
+    rng = np.random.default_rng(22)
+    for c, m in [(3, 9), (5, 40), (2, 333)]:
+        x = 2.0 * rng.standard_normal((c, m)) + 0.5
+        g = 1.0 + 1e-3 * rng.standard_normal((c, m))
+        norm = BatchNormTime(c, np.float64)
+        norm.gamma.data[...] = rng.standard_normal(c) + 1.5
+        norm.running_mean = rng.standard_normal(c)
+        norm.running_var = rng.random(c) + 0.5
+        want, bound = oracles.batchnorm_dx(x, g * norm.gamma.data[:, None], norm, training)
+        dx = norm.backward(g, *norm.normalize(x, training), training)
+        assert np.all(np.abs(dx - want) <= bound), (c, m)
+
+
 # ---------------------------------------------------------------------------
 # tape behaviour
 
