@@ -183,8 +183,8 @@ def featurize(pcm: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:
 
 @dataclass
 class NormStats:
-    """Per-dimension mean and variance of the training split's frames, and
-    the number of frames they come from.
+    """Per-dimension mean and variance of the training split's frames: all
+    that `normalize` reads.
 
     `Trainer` computes them from the training split at set-up; its checkpoint
     holds the one stored copy, and loading a checkpoint whose stats differ
@@ -193,7 +193,6 @@ class NormStats:
 
     mean: np.ndarray
     variance: np.ndarray
-    count: int
 
 
 def accumulate_stats(corpus, dim: int) -> NormStats:
@@ -209,7 +208,7 @@ def accumulate_stats(corpus, dim: int) -> NormStats:
     if count == 0:
         raise ConfigError("normalization stats are empty")
     mean = total / count
-    return NormStats(mean, np.maximum(total_sq / count - mean * mean, 0.0), count)
+    return NormStats(mean, np.maximum(total_sq / count - mean * mean, 0.0))
 
 
 def normalize(frames: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -16,6 +16,10 @@ model is `Trainer`'s to decide: `Trainer.load` checks every record's name,
 shape and values before it restores any, so a load that fails changes
 nothing.  Shapes cannot show every change of wiring: a config key that
 rewires the model without changing any record's shape must bump `VERSION`.
+Adding or dropping a record is not such a change: the layout stays, and
+`Trainer.load` names any record it does not build or misses.  So dropping
+`adam.t` (a copy of the header's step) and `normstats.count` (read by
+nothing) left `VERSION` at 3.
 """
 
 from __future__ import annotations

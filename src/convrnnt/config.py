@@ -15,6 +15,7 @@ stores no config: it fits any config that builds its records, which
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -183,11 +184,12 @@ def _parse_value(raw: str, like):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat `section.key = value` lines; '#' starts a comment.  A key set on
-    two lines raises `ConfigError`."""
+    """Flat `section.key = value` lines; a '#' that begins a line or follows
+    whitespace starts a comment, so a value such as `set#2/vocab.txt` keeps
+    its '#'.  A key set on two lines raises `ConfigError`."""
     flat, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

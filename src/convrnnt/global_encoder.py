@@ -232,11 +232,7 @@ class GlobalBlock:
 class GlobalEncoder:
     def __init__(self, m: ModelSettings, d_model: int, rng: np.random.Generator):
         # Block i (from 0) is dilated by 2^(i+1).
-        dilations = [2 ** (i + 1) for i in range(m.global_blocks)]
-        self.blocks = [GlobalBlock(m, d_model, d, rng) for d in dilations]
-        # Depthwise reach, current frame included; the squeeze-excite's
-        # prefix mean reaches every earlier frame besides.
-        self.conv_receptive_field = 1 + sum((m.dw_kernel - 1) * d for d in dilations)
+        self.blocks = [GlobalBlock(m, d_model, 2 ** (i + 1), rng) for i in range(m.global_blocks)]
 
     def forward_batch(self, x: Tensor, lengths, rng: np.random.Generator | None = None) -> Tensor:
         """The blocks over the packed [N, D] rows x of utterances of the given

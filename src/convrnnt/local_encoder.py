@@ -32,8 +32,6 @@ class LocalEncoder:
         self.in_channels = in_channels  # stacked frames viewed as channels
         self.n_freq = n_freq            # bands per stacked frame
         self.output_dim = m.local_channels[-1] * n_freq
-        # Past time reach of the full stack, current frame included.
-        self.receptive_field = len(m.local_channels) * (m.kernel_t - 1) + 1
         self.convs = []
         c_prev = in_channels
         for c in m.local_channels:

@@ -90,8 +90,12 @@ class Trainer:
         self.model = TransducerModel(cfg, seed=seed, dtype=np.float64)
         self.optimizer = Adam(self.model.parameters(), cfg.optimizer)
         self.rng = make_rng(seed + 1)  # dropout, masking; state is checkpointed
-        self.step = 0
         self._perms = {}
+
+    @property
+    def step(self) -> int:
+        """Steps taken: Adam's step count, the one counter of the run."""
+        return self.optimizer.t
 
     # -- data plumbing -------------------------------------------------------
 
@@ -122,7 +126,8 @@ class Trainer:
         should not.
         """
         cfg = self.cfg
-        batch = self.batch_for_step(self.step + 1)
+        step = self.step + 1
+        batch = self.batch_for_step(step)
         opt = self.optimizer
         opt.zero_grad()
         feats = [spec_augment(self._features[u.utt_id], cfg.specaug, self.rng) for u in batch]
@@ -134,16 +139,13 @@ class Trainer:
             # The features and transcripts were checked at set-up, so this is
             # the model's own output, such as logits a diverged step made NaN.
             ids = ", ".join(u.utt_id for u in batch)
-            raise TrainingError(f"step {self.step + 1}, batch of {ids}: {exc}") from exc
+            raise TrainingError(f"step {step}, batch of {ids}: {exc}") from exc
         for utt, value in zip(batch, per_utt):
             if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss at step {self.step + 1} on utterance {utt.utt_id}"
-                )
+                raise TrainingError(f"non-finite loss at step {step} on utterance {utt.utt_id}")
         mean_loss.backward()
         nll_sum = float(sum(per_utt))
-        self.step += 1
-        opt.step(lr_at(self.step, cfg.optimizer))
+        opt.step(lr_at(step, cfg.optimizer))
         grad_norm = math.sqrt(float(np.einsum("i,i->", opt.grad, opt.grad)))
         l2_term = cfg.optimizer.l2 * float(np.einsum("i,i->", opt.data, opt.data))
         return nll_sum / len(batch) + l2_term, grad_norm
@@ -208,22 +210,18 @@ class Trainer:
 
     def _records(self):
         """Every checkpoint record as (name, the array in use), in file order:
-        the parameters, the Adam step and moments, the running batch-norm
-        statistics, and the feature normalization stats the model was
-        trained on.  The only place that names a record."""
+        the parameters, their Adam moments, the running batch-norm statistics,
+        and the mean and variance of the feature normalization the model was
+        trained on.  The only place that names a record.  Each is state a
+        resume reads back; the step is the file header's, not a record."""
         opt, stats = self.optimizer, self.stats
         records = [(name, p.data) for name, p in self.model.parameters()]
-        records.append(("adam.t", np.asarray([float(opt.t)])))
         for name, _ in opt.params:
             records += [(f"adam.m.{name}", opt.m[name]), (f"adam.v.{name}", opt.v[name])]
         for name, bn in self.model.norm_layers():
             records += [(f"stats.{name}.running_mean", bn.running_mean),
                         (f"stats.{name}.running_var", bn.running_var)]
-        return records + [
-            ("normstats.mean", stats.mean),
-            ("normstats.var", stats.variance),
-            ("normstats.count", np.asarray([float(stats.count)])),
-        ]
+        return records + [("normstats.mean", stats.mean), ("normstats.var", stats.variance)]
 
     def save(self, path) -> None:
         save_checkpoint(path, self.step, self._records(), self.rng.bit_generator.state)
@@ -234,12 +232,14 @@ class Trainer:
         These checks are the one test of whether a checkpoint fits this
         model; the file holds no config.  The records must be exactly
         `_records()`'s, each with the shape in use and only finite values,
-        and `adam.t` must equal the header's step; the RNG state must be a
-        Philox state.  Each mismatch raises `DataError` naming the record;
-        `normstats.*` records that differ from the stats recomputed from the
-        training split raise `ConfigError`.  So a config that builds the same
-        records, such as one with another `model.dropout_p`, loads.  A load
-        that raises changes nothing.
+        and the RNG state must be a Philox state; each mismatch raises
+        `DataError` naming the record, so a file that still holds the
+        `adam.t` or `normstats.count` record of earlier saves is refused by
+        name.  `normstats.*` records that differ from the stats recomputed
+        from the training split raise `ConfigError`.  So a config that
+        builds the same records, such as one with another `model.dropout_p`,
+        loads.  The header's step becomes Adam's step count, the run's one
+        counter.  A load that raises changes nothing.
         """
         step, arrays, rng_state = load_checkpoint(path)
         records = self._records()
@@ -257,15 +257,13 @@ class Trainer:
                     f"{path}: {name} differs from the feature normalization stats in use; "
                     "the checkpoint was trained with other stats"
                 )
-        if arrays["adam.t"][0] != step:
-            raise DataError(f"{path}: record adam.t is {arrays['adam.t'][0]}, the step is {step}")
         try:
             np.random.Philox().state = rng_state
         except (ValueError, TypeError, LookupError, OverflowError) as e:
             raise DataError(f"{path}: the RNG state is not a Philox state ({e!r})") from None
         for name, current in records:
             current[...] = arrays[name]
-        self.step = self.optimizer.t = step
+        self.optimizer.t = step
         self.rng.bit_generator.state = rng_state
 
 

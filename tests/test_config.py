@@ -103,6 +103,15 @@ def test_a_key_set_twice_in_one_file_is_rejected():
         parse_config_text(text)
 
 
+def test_a_hash_inside_a_value_is_kept_and_one_after_whitespace_starts_a_comment(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("# data\ndata.vocab = /corpora/set#2/vocab.txt  # set 2's labels\n"
+                 "data.train_manifest = /corpora/set#2/train.tsv\t# tab-separated\n")
+    cfg = load_config(p)
+    assert cfg.data.vocab == "/corpora/set#2/vocab.txt"
+    assert cfg.data.train_manifest == "/corpora/set#2/train.tsv"
+
+
 def test_a_config_line_without_equals_is_rejected():
     with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
         parse_config_text("model.dw_kernel = 3\nmodel.kernel_t 5\n")
