@@ -17,9 +17,7 @@ shape and values before it restores any, so a load that fails changes
 nothing.  Shapes cannot show every change of wiring: a config key that
 rewires the model without changing any record's shape must bump `VERSION`.
 Adding or dropping a record is not such a change: the layout stays, and
-`Trainer.load` names any record it does not build or misses.  So dropping
-`adam.t` (a copy of the header's step) and `normstats.count` (read by
-nothing) left `VERSION` at 3.
+`Trainer.load` names any record it does not build or misses.
 """
 
 from __future__ import annotations

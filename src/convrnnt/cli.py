@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: train, eval, decode, flops, params, ablate.
+Subcommands: train, eval, flops, params, ablate.  `eval` runs a trained
+model over the eval set: it prints the metrics and writes each utterance's
+greedy hypothesis to `<out>/hypotheses.txt`, or to `--hyp`.
 `--config` takes a preset name (desk, paper) or a config-file path, and
 `--set section.key=value` overrides individual keys.
 """
@@ -40,12 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help="override training.max_steps")
     p.add_argument("--resume", default="", help="checkpoint to resume from")
 
-    p = sub.add_parser("eval", help="report nll / exact match / WER / CER")
-    _add_config_args(p)
-    p.add_argument("--out", required=True, help="working directory")
-    p.add_argument("--checkpoint", default="", help="checkpoint file (default: <out>/checkpoint.bin)")
-
-    p = sub.add_parser("decode", help="greedy-decode a manifest to text")
+    p = sub.add_parser("eval", help="report nll / exact match / WER / CER and write hypotheses")
     _add_config_args(p)
     p.add_argument("--out", required=True, help="working directory")
     p.add_argument("--checkpoint", default="", help="checkpoint file (default: <out>/checkpoint.bin)")
@@ -81,34 +78,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_trained(args) -> Trainer:
-    cfg = resolve_config(args.config, args.overrides)
-    trainer = Trainer(cfg, args.out)
+def cmd_eval(args) -> int:
+    trainer = Trainer(resolve_config(args.config, args.overrides), args.out)
     ckpt = args.checkpoint or os.path.join(args.out, "checkpoint.bin")
     if not os.path.exists(ckpt):
         raise ConfigError(f"no checkpoint at {ckpt}")
     trainer.load(ckpt)
-    return trainer
-
-
-def cmd_eval(args) -> int:
-    trainer = _load_trained(args)
     metrics = trainer.evaluate()
     print(f"utterances   {len(trainer.eval_utts)}")
     print(f"mean_nll     {metrics['mean_nll']:.6f}")
     print(f"exact_match  {metrics['exact_match']:.2%}")
     print(f"wer          {metrics['wer']:.4f}")
     print(f"cer          {metrics['cer']:.4f}")
-    return 0
-
-
-def cmd_decode(args) -> int:
-    trainer = _load_trained(args)
     hyp_path = args.hyp or os.path.join(args.out, "hypotheses.txt")
     with open(hyp_path, "w", encoding="utf-8") as f:
-        for utt, _, hyp in trainer.decode():
-            f.write(f"{utt.utt_id}\t{hyp}\n")
-    print(f"wrote {len(trainer.eval_utts)} hypotheses to {hyp_path}")
+        for utt_id, hyp in metrics["hypotheses"].items():
+            f.write(f"{utt_id}\t{hyp}\n")
+    print(f"wrote {len(metrics['hypotheses'])} hypotheses to {hyp_path}")
     return 0
 
 
@@ -150,7 +136,6 @@ def cmd_ablate(args) -> int:
 COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
-    "decode": cmd_decode,
     "flops": cmd_flops,
     "params": cmd_params,
     "ablate": cmd_ablate,

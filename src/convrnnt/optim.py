@@ -44,10 +44,11 @@ class Adam:
     stay a few spans in size however large the model.  The update is
     elementwise, so the spans give the bits of a per-parameter loop.
 
-    A step first checks that each parameter's `.data` and `.grad` are still
-    the views it bound: `Tensor.zero_grad` or an assignment to `.grad` would
-    otherwise leave backward writing where no step reads.  A rebound
-    parameter raises `TrainingError` naming it, before anything is updated.
+    A step first checks (`check_bindings`) that each parameter's `.data` and
+    `.grad` are still the views it bound: `Tensor.zero_grad` or an
+    assignment to `.grad` would otherwise leave backward writing where no
+    step reads.  A rebound parameter raises `TrainingError` naming it,
+    before anything is updated.
     """
 
     def __init__(self, params, cfg: OptimizerConfig):
@@ -75,7 +76,9 @@ class Adam:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
-    def step(self, lr: float) -> None:
+    def check_bindings(self) -> None:
+        """Raise `TrainingError` naming the first parameter whose `.data` or
+        `.grad` is no longer the view of the buffers it was bound to."""
         for (name, p), (data, grad) in zip(self.params, self._views):
             if p.data is not data or p.grad is not grad:
                 raise TrainingError(
@@ -83,6 +86,9 @@ class Adam:
                     "optimizer's buffers (rebound by zero_grad or an assignment), so "
                     "its gradient would not reach the update"
                 )
+
+    def step(self, lr: float) -> None:
+        self.check_bindings()
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t

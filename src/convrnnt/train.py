@@ -123,12 +123,16 @@ class Trainer:
         another order than per-parameter sums would, and agree with those to
         1e-12 relative, not bitwise.  The dots are `einsum`s, not BLAS: a
         BLAS dot's bits depend on its thread count, and the logged values
-        should not.
+        should not.  A parameter rebound away from the optimizer's buffers is
+        refused first, before the step draws a mask or a dropout or moves a
+        running statistic, so that refusal changes nothing.  A non-finite
+        loss is refused only after the forward pass has drawn and moved both.
         """
         cfg = self.cfg
+        opt = self.optimizer
+        opt.check_bindings()
         step = self.step + 1
         batch = self.batch_for_step(step)
-        opt = self.optimizer
         opt.zero_grad()
         feats = [spec_augment(self._features[u.utt_id], cfg.specaug, self.rng) for u in batch]
         try:
@@ -176,22 +180,17 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------
 
-    def decode(self):
-        """Yield (utterance, encoder output, greedy hypothesis text) for each
-        eval utterance in order, encoding each once in eval mode."""
+    def evaluate(self):
+        """Mean per-utterance nll, exact transcript match rate, WER and CER
+        over the eval utterances, and each one's greedy hypothesis text by
+        utterance id, in eval order.  Each utterance is encoded once, in eval
+        mode, for both its nll and its hypothesis."""
+        nll_total = 0.0
+        pairs, hyps = [], {}
         for utt in self.eval_utts:
             with T.no_grad():
                 enc = self.model.encode_audio(T.Tensor(self._features[utt.utt_id]))
-                tokens = greedy_decode(self.model, enc.data).tokens
-            yield utt, enc, self.vocab.detokenize(tokens)
-
-    def evaluate(self):
-        """Mean per-utterance nll, exact transcript match rate, WER and CER
-        over the eval utterances."""
-        nll_total = 0.0
-        pairs, hyps = [], {}
-        for utt, enc, hyp_text in self.decode():
-            with T.no_grad():
+                hyp_text = self.vocab.detokenize(greedy_decode(self.model, enc.data).tokens)
                 _, (nll,) = self.model.encoded_loss(enc, [enc.shape[0]], [self.tokens[utt.utt_id]])
             nll_total += nll
             pairs.append((utt.transcript, hyp_text))
@@ -233,13 +232,12 @@ class Trainer:
         model; the file holds no config.  The records must be exactly
         `_records()`'s, each with the shape in use and only finite values,
         and the RNG state must be a Philox state; each mismatch raises
-        `DataError` naming the record, so a file that still holds the
-        `adam.t` or `normstats.count` record of earlier saves is refused by
-        name.  `normstats.*` records that differ from the stats recomputed
-        from the training split raise `ConfigError`.  So a config that
-        builds the same records, such as one with another `model.dropout_p`,
-        loads.  The header's step becomes Adam's step count, the run's one
-        counter.  A load that raises changes nothing.
+        `DataError` naming the record.  `normstats.*` records that differ
+        from the stats recomputed from the training split raise
+        `ConfigError`.  So a config that builds the same records, such as
+        one with another `model.dropout_p`, loads.  The header's step
+        becomes Adam's step count, the run's one counter.  A load that
+        raises changes nothing.
         """
         step, arrays, rng_state = load_checkpoint(path)
         records = self._records()

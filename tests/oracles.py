@@ -6,7 +6,10 @@ from the library code it checks.  The per-op reference autodiff lives here
 too: one small tape op per primitive (`matmul`, `add`, `mul`, `scale`,
 `relu`, `sigmoid`, `tanh`, `sum_all`, `slice_axis`, `batchnorm_time`,
 `outer_sum`) on the library's `Tensor` and `from_op`.  The fused nodes of the
-library are checked against compositions of them.  Two oracles are built
+library are checked against compositions of them.  The batch-norm backward
+(`batchnorm_dx`) and the joint (`joint_cells`) are also written from their
+definitions, with an error bound (`sum_error_bound`) carried through their
+stages in place of the library's own rounding order.  Two oracles are built
 from them plus the per-utterance ops defined here, the way the code was
 written before it became fused, packed nodes: the op-by-op global block and
 the per-utterance model loss.  The per-parameter Adam step and the per-frame
@@ -381,6 +384,63 @@ def batchnorm_dx(x, dxhat, norm, training):
                      axis=-1)
     err = sum_error_bound(paths) + dvar_err * np.abs(2.0 * xc / m) + dmu_err / m
     return paths.sum(axis=-1), err
+
+
+def joint_cells(a, wa, b, wb, bias, w, bw, lengths, g):
+    """The transducer joint from its definition, cell by cell, with the
+    gradients of sum(g * logits) by the chain rule written out, and a bound
+    on each.  a [N, K] and b [M, L] pack the rows of utterances with (T_i)
+    and (U_i) rows (`lengths`); utterance i's cells (t, u) follow in
+    row-major order, and g holds one [V] row per cell.  Per cell,
+    h = a_t . wa + b_u . wb + bias, z = tanh(h) and logits = z . w + bw, so
+    dz = g . w^T and dh = (1 - z^2) dz; bw's gradient sums g, w's sums
+    z_j g_v, bias's sums dh, a_t's sums dh . wa^T over the cells of row t,
+    and wa's sums a_t,k dh_j over every cell (b and wb likewise).
+
+    Returns (logits, bound) and {name: (gradient, bound)} for "a", "b",
+    "wa", "wb", "bias", "w" and "bw".  Each bound is the `sum_error_bound`
+    of the sum that forms the value, plus the error it inherits from the
+    stages it reads, carried through its terms; tanh adds 2 eps |z|."""
+    eps = np.finfo(np.float64).eps
+    cells, a0, b0 = [], 0, 0
+    for n, m in zip(*lengths):
+        cells += [(a0 + t, b0 + u) for t in range(n) for u in range(m)]
+        a0, b0 = a0 + n, b0 + m
+    ti, ui = np.array(cells).T
+    n_cells = len(cells)
+
+    h_terms = np.concatenate([a[ti, :, None] * wa, b[ui, :, None] * wb,
+                              np.broadcast_to(bias, (n_cells, 1, bias.size))], axis=1)
+    z = np.tanh(h_terms.sum(axis=1))
+    ez = sum_error_bound(h_terms, axis=1) + 2 * eps * np.abs(z)
+    out_terms = np.concatenate([z[:, :, None] * w, np.broadcast_to(bw, (n_cells, 1, bw.size))],
+                               axis=1)
+    logits = (out_terms.sum(axis=1), sum_error_bound(out_terms, axis=1) + ez @ np.abs(w))
+
+    dz_terms = g[:, None, :] * w
+    dz = dz_terms.sum(axis=2)
+    dh = (1.0 - z * z) * dz
+    edh = ((1.0 - z * z) * sum_error_bound(dz_terms, axis=2)
+           + np.abs(dz) * (2 * np.abs(z) * ez + 4 * eps))
+    w_terms = z[:, :, None] * g[:, None, :]
+    grads = {
+        "bw": (g.sum(axis=0), sum_error_bound(g, axis=0)),
+        "w": (w_terms.sum(axis=0),
+              sum_error_bound(w_terms, axis=0) + ez.T @ np.abs(g)),
+        "bias": (dh.sum(axis=0), sum_error_bound(dh, axis=0) + edh.sum(axis=0)),
+    }
+    for x, wx, rows, xn, wn in ((a, wa, ti, "a", "wa"), (b, wb, ui, "b", "wb")):
+        gx, ex = np.empty(x.shape), np.empty(x.shape)
+        for r in range(x.shape[0]):
+            terms = dh[rows == r][:, None, :] * wx  # [cells of row r, K, J]
+            gx[r] = terms.sum(axis=(0, 2))
+            ex[r] = (sum_error_bound(terms.transpose(1, 0, 2).reshape(wx.shape[0], -1))
+                     + np.abs(wx) @ edh[rows == r].sum(axis=0))
+        terms = x[rows, :, None] * dh[:, None, :]  # [cells, K, J]
+        grads[xn] = (gx, ex)
+        grads[wn] = (terms.sum(axis=0),
+                     sum_error_bound(terms, axis=0) + np.abs(x[rows]).T @ edh)
+    return logits, grads
 
 
 def outer_sum(a, b):

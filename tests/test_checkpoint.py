@@ -275,6 +275,30 @@ def test_a_refused_adam_step_leaves_one_step_count_and_a_checkpoint_that_loads(
     assert resumed.step == resumed.optimizer.t == 1
 
 
+def test_a_step_refused_for_a_rebound_grad_draws_and_updates_nothing(make_trainer, tmp_path):
+    # Dropout and SpecAugment are on, and the global blocks keep running
+    # statistics, so a step that drew or normalized before its refusal
+    # would leave the generator or a statistic moved.  With the binding
+    # restored, the next step is a straight run's second step, bit for bit.
+    straight = make_trainer()
+    straight.train_step()
+    want = straight.train_step()
+    straight.save(tmp_path / "straight.bin")
+
+    trainer = make_trainer()
+    trainer.train_step()
+    p = trainer.model.joint.out.weight
+    bound = p.grad
+    p.grad = np.zeros_like(bound)
+    with pytest.raises(TrainingError, match="joint.out.weight"):
+        trainer.train_step()
+    p.grad = bound
+    assert trainer.train_step() == want
+    assert repr(trainer.rng.bit_generator.state) == repr(straight.rng.bit_generator.state)
+    trainer.save(tmp_path / "refused.bin")
+    assert (tmp_path / "refused.bin").read_bytes() == (tmp_path / "straight.bin").read_bytes()
+
+
 def edited(name, fn):
     """A corruption that maps record `name` through `fn` (`None` drops it)."""
 

@@ -22,7 +22,7 @@ def run(capsys, *argv):
     return out
 
 
-def test_cli_params_flops_train_eval_decode(tmp_path, capsys):
+def test_cli_params_flops_train_eval(tmp_path, capsys):
     out = run(capsys, "params", "--config", "desk")
     assert "total" in out
 
@@ -39,13 +39,17 @@ def test_cli_params_flops_train_eval_decode(tmp_path, capsys):
 
     out = run(capsys, "eval", "--config", "desk", "--out", work)
     assert "mean_nll" in out and "wer" in out and "cer" in out
-
-    out = run(capsys, "decode", "--config", "desk", "--out", work)
     hyp_path = os.path.join(work, "hypotheses.txt")
-    assert f"hypotheses to {hyp_path}" in out
+    assert out.splitlines()[-1] == f"wrote 10 hypotheses to {hyp_path}"
     with open(hyp_path, encoding="utf-8") as f:
         rows = [line.split("\t") for line in f.read().splitlines()]
     assert rows and all(len(r) == 2 for r in rows)
+
+    # `eval` is the one command that runs a trained model over the eval set.
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--config", "desk", "--out", work])
+    assert exc.value.code == 2
+    assert "invalid choice: 'decode'" in capsys.readouterr().err
 
 
 def test_cli_trains_on_a_toy_corpus_written_at_the_configured_rate(tmp_path, capsys):
@@ -92,14 +96,19 @@ def test_cli_train_with_relative_out(tmp_path, monkeypatch, capsys):
     assert all(os.path.exists(u.audio_path) for u in utts)
 
 
-def test_cli_decode_writes_the_evaluate_hypotheses(tmp_path, capsys):
+def test_cli_eval_writes_the_evaluate_hypotheses(tmp_path, capsys):
     work = str(tmp_path / "run")
     run(capsys, "train", "--config", "desk", "--out", work, "--steps", "2")
-    run(capsys, "decode", "--config", "desk", "--out", work)
+    out = run(capsys, "eval", "--config", "desk", "--out", work)
+    hyp = str(tmp_path / "hyp.txt")
+    assert run(capsys, "eval", "--config", "desk", "--out", work, "--hyp", hyp) == (
+        out.replace(os.path.join(work, "hypotheses.txt"), hyp))
     trainer = Trainer(load_preset("desk"), work)
     trainer.load(os.path.join(work, "checkpoint.bin"))
     expected = "".join(f"{k}\t{v}\n" for k, v in trainer.evaluate()["hypotheses"].items())
     with open(os.path.join(work, "hypotheses.txt"), encoding="utf-8") as f:
+        assert f.read() == expected
+    with open(hyp, encoding="utf-8") as f:
         assert f.read() == expected
 
 

@@ -282,6 +282,33 @@ def test_joint_matches_primitive_composition_bitwise():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lengths", [None, ([4, 2, 3], [3, 1, 2])])
+def test_joint_is_its_definition_within_the_error_bound(lengths):
+    # The packed call, and one utterance's [T, U+1, V+1] call, against the
+    # cell-by-cell definition and its written-out chain rule.  The biases,
+    # which start at zero, are drawn too, so dropping one shows.
+    joint = Joint(CFG, np.random.default_rng(19))
+    rng = np.random.default_rng(20)
+    for p in (joint.bias, joint.out.bias):
+        p.data[...] = rng.standard_normal(p.shape)
+    per_utt = ([4], [3]) if lengths is None else lengths
+    enc = T.Tensor(rng.standard_normal((sum(per_utt[0]), CFG.proj_dim)), requires_grad=True)
+    pred = T.Tensor(rng.standard_normal((sum(per_utt[1]), CFG.label_proj)), requires_grad=True)
+    g = rng.standard_normal((sum(t * u for t, u in zip(*per_utt)), CFG.vocab_size + 1))
+    out = joint(enc, pred, lengths)
+    out.backward(g.reshape(out.shape))
+    params = dict(joint.params())
+    (want, bound), grads = oracles.joint_cells(
+        enc.data, params["enc_proj"].data, pred.data, params["pred_proj"].data,
+        params["bias"].data, params["out.weight"].data, params["out.bias"].data, per_utt, g)
+    assert np.all(np.abs(out.data.reshape(want.shape) - want) <= bound)
+    for name, t in [("a", enc), ("b", pred), ("wa", params["enc_proj"]),
+                    ("wb", params["pred_proj"]), ("bias", params["bias"]),
+                    ("w", params["out.weight"]), ("bw", params["out.bias"])]:
+        want, bound = grads[name]
+        assert t.grad.shape == want.shape and np.all(np.abs(t.grad - want) <= bound), name
+
+
 # ---------------------------------------------------------------------------
 # frontend fusion
 
